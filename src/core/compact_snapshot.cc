@@ -391,8 +391,8 @@ Recommendation CompactServingBase::Recommend(std::span<const QueryId> context,
   }
 
   const serving::WalkResult result = serving::RecommendTopN(
-      m, context.data(), context.size(), top_n, kernels::ActiveKernels(),
-      use_dense, &ws, scratch->topn_query.data(), scratch->topn_score.data());
+      m, context.data(), context.size(), top_n, use_dense, &ws,
+      scratch->topn_query.data(), scratch->topn_score.data());
   if (!result.covered) return rec;
   rec.covered = true;
   rec.matched_length = result.matched_length;

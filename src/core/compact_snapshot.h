@@ -8,7 +8,6 @@
 
 #include "core/model_snapshot.h"
 #include "core/pst.h"
-#include "core/serve_kernels.h"
 
 namespace sqp {
 
@@ -18,7 +17,7 @@ namespace internal {
 /// Test hook: when set, the compact walk ranks through the legacy
 /// push_back + sort-merge path instead of the dense accumulator. The
 /// kernel equivalence suite uses it to pin the dense walk bit-identical
-/// to the pre-SIMD reference; production code never touches it.
+/// to that reference; production code never touches it.
 std::atomic<bool>& ForceSparseMergeForTest();
 }  // namespace internal
 

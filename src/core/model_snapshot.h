@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/prediction_model.h"
-#include "core/serve_kernels.h"
+#include "core/serving_walk.h"
 #include "core/vmm_model.h"
 
 namespace sqp {
@@ -88,6 +88,42 @@ struct MvmmFitReport {
 /// model computes it, so slim callers size scratch without engine headers.
 using ScratchSizing = serving::ScratchSizing;
 
+/// Vector-backed storage behind a serving::DenseAccumulator view: the
+/// engine-side owner of the epoch-stamped dense score array (one per
+/// SnapshotScratch). The walk layer itself only ever sees the raw view,
+/// so the same scoring code serves the slim predictor's malloc'ed arena.
+struct AccumulatorStorage {
+  std::vector<double> score;
+  std::vector<uint32_t> stamp;
+  std::vector<uint32_t> touched;
+  uint32_t epoch = 0;
+
+  /// Grows the slot arrays to `bound` slots (never shrinks). New slots
+  /// carry stamp 0, which is never a live epoch.
+  void Reserve(size_t bound) {
+    if (score.size() < bound) {
+      score.resize(bound, 0.0);
+      stamp.resize(bound, 0u);
+      touched.resize(bound, 0u);
+    }
+  }
+
+  /// Starts a new accumulation generation over `bound` query slots and
+  /// returns the view to accumulate through. The epoch lives here (the
+  /// view is per-request); the wraparound re-zero happens inside the
+  /// view's BeginGeneration. (Regression-tested; a serving thread reaches
+  /// the wraparound once per 4 billion requests.)
+  serving::DenseAccumulator BeginGeneration(size_t bound) {
+    Reserve(bound);
+    serving::DenseAccumulator acc{score.data(),   stamp.data(),
+                                  touched.data(), score.size(),
+                                  /*touched_count=*/0, epoch};
+    acc.BeginGeneration();
+    epoch = acc.epoch;
+    return acc;
+  }
+};
+
 /// Per-thread scratch buffers for snapshot inference. A snapshot itself is
 /// immutable; every mutable byte a query touches lives here, so any number
 /// of threads can serve off one snapshot with one scratch each.
@@ -104,7 +140,7 @@ struct SnapshotScratch {
   std::vector<ScoredQuery> raw;
   /// Storage behind the compact walk's epoch-stamped dense accumulator
   /// (core/serving_walk.h); unused by the full snapshot.
-  kernels::AccumulatorStorage acc;
+  AccumulatorStorage acc;
   /// Sparse-merge candidate buffer and ranked-list staging of the compact
   /// walk (the raw-pointer walk layer scores into these).
   std::vector<serving::RawHit> walk_raw;

@@ -16,11 +16,6 @@ namespace sqp::serving {
 
 namespace {
 
-constexpr KernelTable kScalarTable = {
-    &ScoreRunScalar<uint16_t>,
-    &ScoreRunScalar<uint32_t>,
-};
-
 inline uint64_t MaskOf(const ModelRef& m, size_t node) {
   return m.mask64 != nullptr ? m.mask64[node] : uint64_t{m.mask16[node]};
 }
@@ -117,9 +112,8 @@ struct TopNSink {
 template <typename QT, typename NT>
 WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
                        const uint32_t* context, size_t len, size_t top_n,
-                       const KernelTable& kernels, bool use_dense,
-                       WalkScratch* scratch, uint32_t* out_queries,
-                       double* out_scores) {
+                       bool use_dense, WalkScratch* scratch,
+                       uint32_t* out_queries, double* out_scores) {
   WalkResult result;
   if (len == 0) return result;
 
@@ -164,13 +158,13 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
   }
 
   if (use_dense) {
-    // Dense level-major accumulation: each level's nexts run streams
-    // through the scoring kernel into the epoch-stamped per-query array —
-    // no per-entry push and no sort-merge. Summing per query in level
-    // order is exactly the order the (stable) sort-merge sums in, and
-    // ldexp folds the dequantization shift into the scale exactly
-    // (power-of-two scaling), so scores and top-N lists are bit-identical
-    // to the sparse path.
+    // Dense level-major accumulation: each level's nexts run streams into
+    // the epoch-stamped per-query array — no per-entry push and no
+    // sort-merge. Summing per query in level order is exactly the order
+    // the (stable) sort-merge sums in, and ldexp folds the dequantization
+    // shift into the scale exactly (power-of-two scaling), so one widening
+    // conversion and one multiply per entry reproduce the sparse path's
+    // scores and top-N lists bit for bit.
     DenseAccumulator* acc = scratch->acc;
     for (size_t d = 0; d < depth; ++d) {
       if (level_weight[d] <= 0.0) continue;
@@ -185,9 +179,11 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
       const double scale =
           std::ldexp(level_weight[d] / static_cast<double>(m.total_count[node]),
                      m.count_shift[node]);
-      const uint32_t begin = m.next_begin[node];
-      ScoreRun(kernels, pools.next_query + begin, m.next_code + begin,
-               m.next_begin[node + 1] - begin, scale, acc);
+      const uint32_t end = m.next_begin[node + 1];
+      for (uint32_t i = m.next_begin[node]; i < end; ++i) {
+        acc->Add(pools.next_query[i],
+                 scale * static_cast<double>(m.next_code[i]));
+      }
     }
     if (acc->touched_count == 0) return result;
     TopNSink sink{out_queries, out_scores, top_n};
@@ -203,8 +199,8 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
 
   // Sparse sort-merge: per-entry push, order-preserving sort by
   // (query, seq), run summation in push order. Kept as the fallback for
-  // pathologically sparse id spaces and as the reference the kernel
-  // equivalence suite pins the dense walk against.
+  // sparse wide id spaces and as the reference the kernel equivalence
+  // suite pins the dense walk against.
   RawHit* raw = scratch->raw;
   size_t num_raw = 0;
   for (size_t d = 0; d < depth; ++d) {
@@ -249,8 +245,6 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
 
 }  // namespace
 
-const KernelTable& ScalarKernels() { return kScalarTable; }
-
 void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
                       uint32_t* depth_scratch) {
   // Escape power tables: the same left-to-right multiply chain as the old
@@ -267,9 +261,10 @@ void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
   m->escape_pow = escape_pow_storage;
 
   // Dense-accumulator bound: one past the largest query id in the nexts
-  // pool. Blob query ids are not range-validated, so a hand-built wide
-  // blob could claim an arbitrarily sparse id space; past the limit the
-  // walk keeps the sort-merge instead of sizing an O(id space) array.
+  // pool. Blob query ids are not range-validated, so a few-KB wide blob
+  // can claim an arbitrarily sparse id space; the dense array is sized
+  // only while it stays proportional to the model (kDenseQueryFloor), the
+  // walk otherwise keeps the sort-merge.
   uint64_t bound = 0;
   if (m->narrow_ids) {
     for (size_t i = 0; i < m->num_entries; ++i) {
@@ -283,7 +278,8 @@ void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
     }
   }
   m->scored_query_bound = bound;
-  m->dense_merge = bound <= kDenseQueryBoundLimit;
+  m->dense_merge =
+      bound <= std::max<uint64_t>(kDenseQueryFloor, m->num_entries);
 
   // The derivations below run before the load path's structural
   // validation has vetted a blob, so they must stay in-bounds on
@@ -417,15 +413,14 @@ double EscapeWeight(const ModelRef& m, int32_t node, size_t dropped,
 }
 
 WalkResult RecommendTopN(const ModelRef& m, const uint32_t* context,
-                         size_t len, size_t top_n,
-                         const KernelTable& kernels, bool use_dense,
+                         size_t len, size_t top_n, bool use_dense,
                          WalkScratch* scratch, uint32_t* out_queries,
                          double* out_scores) {
   return m.narrow_ids
-             ? RecommendIn(m, m.narrow, context, len, top_n, kernels,
-                           use_dense, scratch, out_queries, out_scores)
-             : RecommendIn(m, m.wide, context, len, top_n, kernels,
-                           use_dense, scratch, out_queries, out_scores);
+             ? RecommendIn(m, m.narrow, context, len, top_n, use_dense,
+                           scratch, out_queries, out_scores)
+             : RecommendIn(m, m.wide, context, len, top_n, use_dense,
+                           scratch, out_queries, out_scores);
 }
 
 }  // namespace sqp::serving

@@ -11,8 +11,8 @@
 /// Two consumers share this layer and must serve bit-identical results:
 ///
 ///   - the engine tiers (core/compact_snapshot.h binds its CSR views into
-///     a ModelRef; serve/ and net/ ride on top), which add SIMD dispatch,
-///     snapshot swap, admission control and persistence around it;
+///     a ModelRef; serve/ and net/ ride on top), which add snapshot swap,
+///     admission control and persistence around it;
 ///   - the slim embedded predictor (src/slim/, include/sqp/slim.h), a
 ///     dependency-free static library that links this layer, the blob
 ///     parser and nothing else — the form factor a browser omnibox,
@@ -72,7 +72,8 @@ struct ScratchSizing {
 /// (0 is never a live epoch). The struct is the persistent accumulator
 /// state — keep it (or at least its epoch) alive across requests so the
 /// epoch trick stays sound. The engine wraps it in the vector-backed
-/// kernels::AccumulatorStorage; slim carves it from its create-time arena.
+/// AccumulatorStorage (core/model_snapshot.h); slim carves it from its
+/// create-time arena.
 struct DenseAccumulator {
   double* score = nullptr;
   uint32_t* stamp = nullptr;
@@ -106,53 +107,6 @@ struct DenseAccumulator {
   }
 };
 
-/// Scores one CSR run: for each entry i, merges
-/// `scale * static_cast<double>(codes[i])` into acc->Add(queries[i], ...).
-/// The caller folds the node's block shift into `scale` (exactly, as a
-/// power-of-two scaling), so kernels never see the shift. The SIMD tiers
-/// (core/serve_kernels.h) implement the same signatures; every tier
-/// performs the same IEEE operations per entry, so all are bit-identical.
-using ScoreRunU16Fn = void (*)(const uint16_t* queries,
-                               const uint16_t* codes, size_t n, double scale,
-                               DenseAccumulator* acc);
-using ScoreRunU32Fn = void (*)(const uint32_t* queries,
-                               const uint16_t* codes, size_t n, double scale,
-                               DenseAccumulator* acc);
-
-/// The dispatch table of one kernel tier: one scoring kernel per id width.
-struct KernelTable {
-  ScoreRunU16Fn score_run_u16 = nullptr;
-  ScoreRunU32Fn score_run_u32 = nullptr;
-};
-
-/// Portable reference kernel: one widening conversion and one multiply per
-/// entry, merged in index order — the bit-exact oracle every SIMD tier is
-/// pinned against.
-template <typename QT>
-void ScoreRunScalar(const QT* queries, const uint16_t* codes, size_t n,
-                    double scale, DenseAccumulator* acc) {
-  for (size_t i = 0; i < n; ++i) {
-    acc->Add(queries[i], scale * static_cast<double>(codes[i]));
-  }
-}
-
-/// The always-available scalar table (constant-initialized; no guards).
-/// Slim serves through exactly this; the engine's runtime dispatch
-/// (core/serve_kernels.h) picks SIMD tiers over it when the host allows.
-const KernelTable& ScalarKernels();
-
-/// Width-overloaded spellings so templated callers pick the right slot.
-inline void ScoreRun(const KernelTable& table, const uint16_t* queries,
-                     const uint16_t* codes, size_t n, double scale,
-                     DenseAccumulator* acc) {
-  table.score_run_u16(queries, codes, n, scale, acc);
-}
-inline void ScoreRun(const KernelTable& table, const uint32_t* queries,
-                     const uint16_t* codes, size_t n, double scale,
-                     DenseAccumulator* acc) {
-  table.score_run_u32(queries, codes, n, scale, acc);
-}
-
 /// Best-effort read prefetch of the cache line at `address` (no-op where
 /// the builtin is unavailable). The walk uses it to pull the next path
 /// level's CSR slices in while the current level is being scored.
@@ -180,11 +134,13 @@ struct PoolsRef {
 /// extended by plain multiplication (bit-identical to the pre-table loop).
 inline constexpr size_t kEscapePowCap = 64;
 
-/// Dense accumulation is used whenever the id space is small enough for an
-/// O(vocabulary) per-thread array; pathological sparse id spaces (only
-/// reachable via hand-built wide blobs) fall back to the sort-merge so
-/// memory stays bounded.
-inline constexpr uint64_t kDenseQueryBoundLimit = uint64_t{1} << 24;
+/// Dense accumulation sizes an O(id space) per-thread array, so it is
+/// used only while that array stays proportional to the model itself:
+/// scored_query_bound <= max(kDenseQueryFloor, num_entries). Every narrow
+/// (16-bit) model qualifies; a sparse wide id space (e.g. a tiny blob
+/// naming one id near 2^32) falls back to the sort-merge, which ranks
+/// bit-identically.
+inline constexpr uint64_t kDenseQueryFloor = uint64_t{1} << 16;
 
 /// One compact model, as raw pointers into caller-owned storage (owned
 /// vectors, a memory-mapped blob, or a caller-provided buffer — the walk
@@ -323,8 +279,7 @@ struct WalkResult {
 /// sort-merge (requires scratch->raw); both rank identically — the engine
 /// keeps a test hook on the choice, slim follows m.dense_merge.
 WalkResult RecommendTopN(const ModelRef& m, const uint32_t* context,
-                         size_t len, size_t top_n,
-                         const KernelTable& kernels, bool use_dense,
+                         size_t len, size_t top_n, bool use_dense,
                          WalkScratch* scratch, uint32_t* out_queries,
                          double* out_scores);
 

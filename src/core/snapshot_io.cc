@@ -455,48 +455,10 @@ Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Load(
 MappedCompactSnapshot::~MappedCompactSnapshot() {
 #ifdef SQP_HAVE_MMAP
   if (map_base_ != nullptr) {
-    ::munmap(map_base_, map_len_);
+    ::munmap(map_base_, blob_size_);
   }
 #endif
 }
-
-namespace {
-
-#ifdef SQP_HAVE_MMAP
-constexpr size_t kHugetlbPageSize = size_t{2} << 20;  // 2 MiB
-
-/// Tries to rehost the mapped blob in an anonymous MAP_HUGETLB region
-/// (file-backed MAP_HUGETLB only works on hugetlbfs, so a copy is the only
-/// portable way to get explicit huge pages under a regular filesystem).
-/// On success swaps *base/*len to the huge mapping and unmaps the file
-/// one; on any failure (typically an unprovisioned `vm.nr_hugepages`
-/// pool) leaves the file mapping untouched.
-bool RehostInHugetlb(void** base, size_t blob_size, size_t* len) {
-#ifdef MAP_HUGETLB
-  const size_t rounded =
-      (blob_size + kHugetlbPageSize - 1) & ~(kHugetlbPageSize - 1);
-  void* huge = ::mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-  if (huge == MAP_FAILED) return false;
-  std::memcpy(huge, *base, blob_size);
-  if (::mprotect(huge, rounded, PROT_READ) != 0) {
-    ::munmap(huge, rounded);
-    return false;
-  }
-  ::munmap(*base, *len);
-  *base = huge;
-  *len = rounded;
-  return true;
-#else
-  (void)base;
-  (void)blob_size;
-  (void)len;
-  return false;
-#endif
-}
-#endif  // SQP_HAVE_MMAP
-
-}  // namespace
 
 ModelStats MappedCompactSnapshot::Stats() const {
   ModelStats stats;
@@ -536,17 +498,11 @@ Result<std::shared_ptr<const MappedCompactSnapshot>> SnapshotIo::Map(
       ::mmap(nullptr, out->blob_size_, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
   if (base == MAP_FAILED) return IoError("mmap failed", path);
-  out->map_len_ = out->blob_size_;
-  if (options.hugetlb &&
-      RehostInHugetlb(&base, out->blob_size_, &out->map_len_)) {
-    out->hugepage_mode_ = HugepageMode::kHugetlb;
-  } else if (options.hugepages) {
 #ifdef MADV_HUGEPAGE
-    if (::madvise(base, out->blob_size_, MADV_HUGEPAGE) == 0) {
-      out->hugepage_mode_ = HugepageMode::kAdvised;
-    }
-#endif
+  if (::madvise(base, out->blob_size_, MADV_HUGEPAGE) == 0) {
+    out->hugepage_mode_ = HugepageMode::kAdvised;
   }
+#endif
   out->map_base_ = base;
   blob = {static_cast<const uint8_t*>(base), out->blob_size_};
 #else

@@ -103,29 +103,16 @@ struct SnapshotLoadOptions {
   /// than retraining). Structural validation (bounds, CSR monotonicity,
   /// id ranges) always runs regardless. Leave on outside benchmarks.
   bool verify_checksums = true;
-
-  /// Map-path only: advise the kernel (madvise MADV_HUGEPAGE) to back the
-  /// mapping with transparent huge pages. The CSR pools are exactly the
-  /// random-access-heavy arrays that profit from fewer dTLB misses; the
-  /// advice is best-effort and a kernel without THP simply ignores it.
-  bool hugepages = true;
-
-  /// Map-path only: copy the blob into an anonymous MAP_HUGETLB mapping
-  /// (explicit 2 MiB pages from the reserved hugetlb pool) instead of
-  /// serving the file mapping. Stronger guarantee than the THP advice but
-  /// costs one blob copy and needs `vm.nr_hugepages` provisioned; when the
-  /// pool is empty the map falls back to the plain file mapping
-  /// (MappedCompactSnapshot::hugepage_mode reports what happened). Off by
-  /// default.
-  bool hugetlb = false;
 };
 
-/// How a MappedCompactSnapshot's backing memory ended up backed (see
-/// SnapshotLoadOptions::hugepages / hugetlb).
+/// How a MappedCompactSnapshot's backing memory ended up backed. Map
+/// always advises the kernel (madvise MADV_HUGEPAGE) to back the mapping
+/// with transparent huge pages — the CSR pools are exactly the
+/// random-access-heavy arrays that profit from fewer dTLB misses. The
+/// advice is best-effort; a kernel without THP simply refuses it.
 enum class HugepageMode {
-  kNone,      // plain 4 KiB file mapping (or heap fallback)
-  kAdvised,   // file mapping with MADV_HUGEPAGE accepted
-  kHugetlb,   // anonymous MAP_HUGETLB copy of the blob
+  kNone,     // plain 4 KiB file mapping (or heap fallback)
+  kAdvised,  // file mapping with MADV_HUGEPAGE accepted
 };
 
 /// A serving snapshot whose CSR arrays live in a memory-mapped blob: the
@@ -157,8 +144,7 @@ class MappedCompactSnapshot final : public CompactServingBase {
   /// the non-POSIX heap-copy fallback.
   bool zero_copy() const { return map_base_ != nullptr; }
 
-  /// How the mapping ended up backed: plain pages, THP-advised, or an
-  /// explicit hugetlb copy (see SnapshotLoadOptions).
+  /// Whether the kernel accepted the mapping's THP advice.
   HugepageMode hugepage_mode() const { return hugepage_mode_; }
 
  private:
@@ -168,9 +154,6 @@ class MappedCompactSnapshot final : public CompactServingBase {
 
   void* map_base_ = nullptr;  // POSIX mapping (munmap'ed on destruction)
   size_t blob_size_ = 0;
-  /// Length handed to munmap — equals blob_size_ for file mappings but is
-  /// rounded up to the huge page size for MAP_HUGETLB mappings.
-  size_t map_len_ = 0;
   HugepageMode hugepage_mode_ = HugepageMode::kNone;
   std::vector<uint8_t> heap_copy_;  // fallback backing when mmap is absent
 };

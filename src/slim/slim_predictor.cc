@@ -254,9 +254,9 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_recommend(
 
   // Ranking writes straight into the caller's arrays — no copy, no
   // allocation.
-  const serving::WalkResult result = serving::RecommendTopN(
-      m, context, context_len, top_n, serving::ScalarKernels(),
-      m.dense_merge, &ws, out_queries, out_scores);
+  const serving::WalkResult result =
+      serving::RecommendTopN(m, context, context_len, top_n, m.dense_merge,
+                             &ws, out_queries, out_scores);
 
   if (!result.covered) return SQP_STATUS_NOT_FOUND;
   *out_count = result.count;

@@ -279,34 +279,19 @@ TEST(SnapshotIoTest, SkippingChecksumsStillServesIdentically) {
 }
 
 TEST(SnapshotIoTest, HugepageOptionsServeIdenticallyWhateverTheBacking) {
-  // The hugepage knobs only change how the mapping's memory is backed —
-  // THP advice, an explicit hugetlb copy, or neither — never the served
-  // bytes. Every mode (including silent fallback when the kernel refuses,
-  // e.g. an unprovisioned hugetlb pool) must answer bit-identically.
+  // Map always advises transparent huge pages; the advice only changes
+  // how the mapping's memory is backed, never the served bytes. Whether
+  // the kernel accepts it (kAdvised) or refuses it (kNone), the mapped
+  // replica must answer bit-identically.
   const std::vector<AggregatedSession> corpus = SeededCorpus(29, 300, 90);
   const auto full = BuildFull(corpus, 1, 1 << 10);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("hugepage.blob");
   ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
-  const std::vector<std::vector<QueryId>> contexts =
-      PrefixContexts(corpus, 200);
 
-  const auto plain =
-      MapCompactSnapshot(file.path(), {.hugepages = false});
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ((*plain)->hugepage_mode(), HugepageMode::kNone);
-  ExpectBitIdentical(*compact, **plain, contexts, 10);
-
-  const auto advised = MapCompactSnapshot(file.path());  // default on
+  const auto advised = MapCompactSnapshot(file.path());
   ASSERT_TRUE(advised.ok());
-  EXPECT_NE((*advised)->hugepage_mode(), HugepageMode::kHugetlb);
-  ExpectBitIdentical(*compact, **advised, contexts, 10);
-
-  const auto hugetlb =
-      MapCompactSnapshot(file.path(), {.hugetlb = true});
-  ASSERT_TRUE(hugetlb.ok());  // kHugetlb, or a fallback mode if the pool
-                              // is unprovisioned — both must serve
-  ExpectBitIdentical(*compact, **hugetlb, contexts, 10);
+  ExpectBitIdentical(*compact, **advised, PrefixContexts(corpus, 200), 10);
 }
 
 // ---------------------------------------------------- corruption suite

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace sqp {
 namespace {
 
@@ -53,6 +55,11 @@ struct MalformedCase {
   const char* name;
   const char* line;
 };
+
+// gtest prints a parameter without a printer as its raw bytes — here two
+// pointers, so the listed test names would change with every load address.
+// Print the case name so the names are the same on every build.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
 
 class MalformedRecordTest : public ::testing::TestWithParam<MalformedCase> {};
 

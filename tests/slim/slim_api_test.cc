@@ -27,9 +27,11 @@
 #include <string>
 #include <vector>
 
+#include "core/blob_format.h"
 #include "core/compact_snapshot.h"
 #include "core/snapshot_io.h"
 #include "log/types.h"
+#include "util/byte_io.h"
 #include "util/status.h"
 
 namespace sqp {
@@ -236,6 +238,124 @@ TEST(SlimApiTest, GarbageBuffersAreRejected) {
   const std::vector<uint8_t> zeros(4096, 0);
   SlimPredictorHandle slim(zeros);
   EXPECT_EQ(slim.status(), SQP_STATUS_INVALID_ARGUMENT);
+}
+
+/// A valid blob of a small wide-id model with the first nexts entry of its
+/// first depth-1 node rewritten to `hostile_id` and the section,
+/// section-table and header CRCs re-sealed — a few KB that parse and
+/// validate cleanly yet name one id far beyond the model's size. Query
+/// 65535 only ever ends a session, so it widens the id pools without
+/// growing the root index.
+std::vector<uint8_t> WideBlobNamingId(uint32_t hostile_id,
+                                      std::vector<std::vector<QueryId>>*
+                                          contexts) {
+  const std::vector<AggregatedSession> sessions = {
+      {{1, 2, 3}, 5}, {{2, 4}, 3},    {{1, 2, 4}, 2},    {{3, 2, 3}, 4},
+      {{2, 3, 5}, 6}, {{4, 1, 2}, 1}, {{5, 65535}, 2}};
+  for (const AggregatedSession& session : sessions) {
+    for (size_t len = 1; len <= session.queries.size(); ++len) {
+      contexts->emplace_back(session.queries.begin(),
+                             session.queries.begin() +
+                                 static_cast<ptrdiff_t>(len));
+    }
+  }
+  TrainingData data;
+  data.sessions = &sessions;
+  data.vocabulary_size = 65536;
+  auto full = ModelSnapshot::Build(data, MvmmOptions{});
+  EXPECT_TRUE(full.ok());
+  const auto compact =
+      CompactSnapshot::FromSnapshot(**full, CompactOptions{.top_k = 0});
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("sqp_slim_wide_" + std::to_string(::getpid()) + ".blob"))
+          .string();
+  EXPECT_TRUE(SaveCompactSnapshot(*compact, path).ok());
+  std::vector<uint8_t> blob = ReadFileBytes(path);
+  std::filesystem::remove(path);
+
+  serving::BlobLayout layout;
+  EXPECT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(),
+                                     /*verify_checksums=*/true, &layout),
+            serving::BlobError::kNone);
+  EXPECT_FALSE(layout.narrow_ids);
+  const uint8_t* next_begin =
+      blob.data() + layout.sections[serving::kSecNextBegin].offset;
+  const uint32_t entry = LoadLE32(next_begin + 4);  // node 1's first entry
+  EXPECT_LT(entry, LoadLE32(next_begin + 8));       // ... which exists
+  const serving::BlobSectionRef next_query =
+      layout.sections[serving::kSecNextQuery];
+  StoreLE32(blob.data() + next_query.offset + 4 * entry, hostile_id);
+
+  const uint32_t section_count = LoadLE32(blob.data() + 12);
+  uint8_t* table = blob.data() + serving::kBlobHeaderSize;
+  for (uint32_t i = 0; i < section_count; ++i) {
+    uint8_t* row = table + i * serving::kBlobSectionRowSize;
+    if (LoadLE32(row) == serving::kSecNextQuery) {
+      StoreLE32(row + 4, Crc32(blob.data() + next_query.offset,
+                               next_query.size));
+    }
+  }
+  StoreLE32(blob.data() + 24,
+            Crc32(table, section_count * serving::kBlobSectionRowSize));
+  StoreLE32(blob.data() + 60, Crc32(blob.data(), 60));
+  return blob;
+}
+
+TEST(SlimApiTest, SparseWideIdSpaceStaysSmallAndAgreesWithEngine) {
+  // Dense accumulation would size 2^24 slots (256 MiB of score, stamp and
+  // touched arrays) for this few-KB blob; both consumers must instead keep
+  // the sort-merge and still serve the same answers.
+  constexpr uint32_t kHostileId = (1u << 24) - 2;
+  std::vector<std::vector<QueryId>> contexts;
+  const std::vector<uint8_t> blob = WideBlobNamingId(kHostileId, &contexts);
+  ASSERT_LT(blob.size(), 16u << 10);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("sqp_slim_hostile_" + std::to_string(::getpid()) + ".blob"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(blob.data()),
+              static_cast<std::streamsize>(blob.size()));
+  }
+  const auto loaded = LoadCompactSnapshot(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->ScratchHint().dense_queries, 0u);
+
+  SlimPredictorHandle slim(blob);
+  ASSERT_EQ(slim.status(), SQP_STATUS_OK);
+  sqp_slim_stats_t stats;
+  stats.struct_size = sizeof(stats);
+  ASSERT_EQ(sqp_slim_stats(slim.get(), &stats), SQP_STATUS_OK);
+  EXPECT_EQ(stats.dense_merge, 0u);
+  EXPECT_LT(stats.resident_bytes, uint64_t{1} << 20);
+
+  SnapshotScratch scratch;
+  uint32_t queries[10];
+  double scores[10];
+  bool served_hostile = false;
+  for (const std::vector<QueryId>& context : contexts) {
+    const Recommendation expected =
+        (*loaded)->Recommend(context, 10, &scratch);
+    size_t count = 0;
+    size_t matched = 0;
+    const sqp_status_t status =
+        sqp_slim_recommend(slim.get(), context.data(), context.size(), 10,
+                           queries, scores, &count, &matched);
+    ASSERT_EQ(status, expected.covered ? SQP_STATUS_OK
+                                       : SQP_STATUS_NOT_FOUND);
+    ASSERT_EQ(count, expected.queries.size());
+    EXPECT_EQ(matched, expected.matched_length);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(queries[i], expected.queries[i].query);
+      EXPECT_EQ(scores[i], expected.queries[i].score);
+      served_hostile = served_hostile || queries[i] == kHostileId;
+    }
+  }
+  EXPECT_TRUE(served_hostile) << "the patched entry was never served";
 }
 
 // ------------------------------------------------------------ C hygiene
