@@ -48,7 +48,7 @@ std::vector<QueryId> FirstContext(const Harness& harness) {
 double FirstQueryMicros(const RecommenderEngine& engine,
                         const std::vector<QueryId>& context) {
   WallTimer timer;
-  const Recommendation rec = engine.Recommend(context, 5);
+  const Recommendation rec = engine.Recommend(context, 5).recommendation;
   const double us = timer.ElapsedSeconds() * 1e6;
   SQP_CHECK(rec.covered);
   return us;
@@ -177,7 +177,8 @@ int main() {
       if (entry.context.empty() || entry.context.size() > 5) continue;
       const Recommendation want =
           trained_compact->Recommend(entry.context, 10, &scratch);
-      const Recommendation got = replica.Recommend(entry.context, 10);
+      const Recommendation got =
+          replica.Recommend(entry.context, 10).recommendation;
       SQP_CHECK(want.covered == got.covered);
       SQP_CHECK(want.queries.size() == got.queries.size());
       for (size_t i = 0; i < want.queries.size(); ++i) {

@@ -83,14 +83,14 @@ bool SameRecommendation(const Recommendation& a, const Recommendation& b) {
 bool RouterMatchesReference(net::RouterClient* router,
                             const ShardedEngine& reference,
                             const std::vector<std::vector<QueryId>>& contexts) {
-  for (size_t start = 0; start < contexts.size(); start += kBatch) {
-    const size_t n = std::min(kBatch, contexts.size() - start);
-    const std::vector<std::vector<QueryId>> slice(
-        contexts.begin() + static_cast<ptrdiff_t>(start),
-        contexts.begin() + static_cast<ptrdiff_t>(start + n));
+  const std::vector<ContextRef> refs = AsRefs(contexts);
+  for (size_t start = 0; start < refs.size(); start += kBatch) {
+    const std::span<const ContextRef> slice =
+        std::span<const ContextRef>(refs).subspan(
+            start, std::min(kBatch, refs.size() - start));
     const BatchResult batch = router->RecommendMany(slice, 5);
     const std::vector<Recommendation> expected =
-        reference.RecommendMany(slice, 5);
+        reference.RecommendMany(slice, 5).results;
     if (batch.results.size() != expected.size()) return false;
     for (size_t i = 0; i < expected.size(); ++i) {
       if (batch.statuses[i] != StatusCode::kOk) return false;

@@ -7,9 +7,9 @@
 // self-enforcing style:
 //
 //  1. No-overload equivalence: with an idle queue and a generous deadline,
-//     the deadline-aware Recommend/RecommendMany answers of BOTH engines
-//     (single + sharded) are bit-identical to the legacy deadline-free
-//     paths.
+//     the bounded-deadline Recommend/RecommendMany answers of BOTH
+//     engines (single + sharded) are bit-identical to their
+//     unbounded-deadline answers.
 //  2. Bounded tail under overload: past saturation the p99 latency of
 //     ADMITTED interactive requests stays within a small multiple of the
 //     deadline (waiting is capped by expiry-in-queue, execution by the
@@ -103,8 +103,8 @@ bool CheckNoOverloadEquivalence(
   {
     RecommenderEngine engine(EngineOptions{.num_threads = 2});
     engine.Publish(model);
-    const std::vector<Recommendation> legacy =
-        engine.RecommendMany(std::span<const ContextRef>(refs), 5);
+    const std::vector<Recommendation> unbounded =
+        engine.RecommendMany(refs, 5, ServeOptions{}).results;
     for (const QosLane lane : {QosLane::kInteractive, QosLane::kBulk}) {
       ServeOptions options = generous;
       options.lane = lane;
@@ -115,7 +115,7 @@ bool CheckNoOverloadEquivalence(
       }
       for (size_t i = 0; i < refs.size() && equal; ++i) {
         if (qos.statuses[i] != StatusCode::kOk ||
-            !SameRecommendation(legacy[i], qos.results[i])) {
+            !SameRecommendation(unbounded[i], qos.results[i])) {
           equal = false;
         }
       }
@@ -123,8 +123,9 @@ bool CheckNoOverloadEquivalence(
     for (size_t i = 0; i < 512 && equal; ++i) {
       const ServeResult single = engine.Recommend(refs[i], 5, generous);
       if (single.status != StatusCode::kOk || single.degraded ||
-          !SameRecommendation(engine.Recommend(refs[i], 5),
-                              single.recommendation)) {
+          !SameRecommendation(
+              engine.Recommend(refs[i], 5, ServeOptions{}).recommendation,
+              single.recommendation)) {
         equal = false;
       }
     }
@@ -141,14 +142,14 @@ bool CheckNoOverloadEquivalence(
     for (size_t s = 0; s < 2; ++s) {
       engine.PublishShard(s, trained->shards[s]);
     }
-    const std::vector<Recommendation> legacy =
-        engine.RecommendMany(std::span<const ContextRef>(refs), 5);
+    const std::vector<Recommendation> unbounded =
+        engine.RecommendMany(refs, 5, ServeOptions{}).results;
     const BatchResult qos =
         engine.RecommendMany(std::span<const ContextRef>(refs), 5, generous);
     if (!qos.admission.ok() || qos.served != refs.size()) equal = false;
     for (size_t i = 0; i < refs.size() && equal; ++i) {
       if (qos.statuses[i] != StatusCode::kOk ||
-          !SameRecommendation(legacy[i], qos.results[i])) {
+          !SameRecommendation(unbounded[i], qos.results[i])) {
         equal = false;
       }
     }
@@ -264,12 +265,14 @@ OverloadResult RunOverload(const std::shared_ptr<const ModelSnapshot>& model,
   std::vector<std::thread> threads;
   for (size_t t = 0; t < saturator_threads; ++t) {
     threads.emplace_back([&] {
-      // Legacy deadline-free batches: exempt from all shedding, they are
-      // the pressure the bounded traffic must survive.
+      // Unbounded-deadline bulk batches: exempt from all shedding, they
+      // are the pressure the bounded traffic must survive.
+      ServeOptions saturate;
+      saturate.lane = QosLane::kBulk;
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto results = engine.RecommendMany(
-            std::span<const ContextRef>(saturator_refs), 10);
-        if (results.size() != saturator_refs.size()) violations.fetch_add(1);
+        const BatchResult batch = engine.RecommendMany(
+            std::span<const ContextRef>(saturator_refs), 10, saturate);
+        if (batch.served != saturator_refs.size()) violations.fetch_add(1);
         saturator_batches.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
@@ -382,7 +385,8 @@ int main() {
   Harness harness;
   sqp::bench::PrintBanner(
       harness, "overload shedding / QoS lanes (admission-controlled slot)",
-      "no-overload QoS answers are bit-identical to the legacy paths; past "
+      "no-overload QoS answers are bit-identical to unbounded-deadline "
+      "answers; past "
       "saturation, admitted interactive p99 stays within a small multiple "
       "of the deadline while excess load is shed explicitly");
 
@@ -478,8 +482,8 @@ int main() {
   bool failed = false;
   if (!equal) {
     std::fprintf(stderr,
-                 "ERROR: deadline-aware answers diverged from the legacy "
-                 "paths without overload\n");
+                 "ERROR: bounded-deadline answers diverged from the "
+                 "unbounded-deadline answers without overload\n");
     failed = true;
   }
   if (total_violations != 0) {

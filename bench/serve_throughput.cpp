@@ -66,6 +66,9 @@ Measurement MeasureBatchQps(const std::shared_ptr<const ServingSnapshot>& model,
   engine.Publish(model);
   std::vector<ContextRef> refs;
   refs.reserve(batch);
+  // Pool-sized batches ride the bulk lane, as batch traffic should.
+  ServeOptions options;
+  options.lane = QosLane::kBulk;
   size_t cursor = 0;
   uint64_t served = 0;
   WallTimer timer;
@@ -76,9 +79,7 @@ Measurement MeasureBatchQps(const std::shared_ptr<const ServingSnapshot>& model,
       refs.emplace_back(context.data(), context.size());
       cursor = (cursor + 1) % contexts.size();
     }
-    const auto results =
-        engine.RecommendMany(std::span<const ContextRef>(refs), 5);
-    served += results.size();
+    served += engine.RecommendMany(refs, 5, options).served;
   }
   Measurement m;
   m.name = "batch_qps";
@@ -100,9 +101,9 @@ Measurement MeasureSingleLatency(RecommenderEngine* engine,
   uint64_t served = 0;
   while (total.ElapsedSeconds() < seconds) {
     WallTimer timer;
-    const Recommendation rec = engine->Recommend(contexts[cursor], 5);
+    const ServeResult result = engine->Recommend(contexts[cursor], 5);
     latencies_us.push_back(timer.ElapsedSeconds() * 1e6);
-    (void)rec;
+    (void)result;
     ++served;
     cursor = (cursor + 1) % contexts.size();
   }

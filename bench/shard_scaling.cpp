@@ -152,7 +152,7 @@ int main() {
       for (const std::vector<QueryId>& context : contexts) {
         if (!SameRecommendation(
                 reference->Recommend(context, 10, &scratch),
-                engine.Recommend(context, 10))) {
+                engine.Recommend(context, 10).recommendation)) {
           m.equivalent = false;
           all_equivalent = false;
           break;
@@ -160,8 +160,10 @@ int main() {
       }
     }
 
-    // Batched QPS through the cross-shard fan-out.
+    // Batched QPS through the cross-shard fan-out, on the bulk lane.
     {
+      ServeOptions bulk;
+      bulk.lane = QosLane::kBulk;
       std::vector<ContextRef> refs;
       size_t cursor = 0;
       uint64_t served = 0;
@@ -173,8 +175,7 @@ int main() {
           refs.emplace_back(context.data(), context.size());
           cursor = (cursor + 1) % contexts.size();
         }
-        served += engine.RecommendMany(std::span<const ContextRef>(refs), 5)
-                      .size();
+        served += engine.RecommendMany(refs, 5, bulk).served;
       }
       m.batch_qps = static_cast<double>(served) / timer.ElapsedSeconds();
     }
@@ -187,9 +188,9 @@ int main() {
       WallTimer total;
       while (total.ElapsedSeconds() < 0.8) {
         WallTimer timer;
-        const Recommendation rec = engine.Recommend(contexts[cursor], 5);
+        const ServeResult result = engine.Recommend(contexts[cursor], 5);
         latencies_us.push_back(timer.ElapsedSeconds() * 1e6);
-        (void)rec;
+        (void)result;
         cursor = (cursor + 1) % contexts.size();
       }
       m.p50_us = Percentile(&latencies_us, 0.50);

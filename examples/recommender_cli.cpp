@@ -457,8 +457,8 @@ int main(int argc, char** argv) {
 
   // Every request carries the CLI's QoS choice: a fresh deadline per call
   // (Deadline::After burns from the moment of the call, queue wait
-  // included) and the chosen lane. deadline_us = 0 keeps the unbounded
-  // legacy behavior.
+  // included) and the chosen lane. deadline_us = 0 keeps the deadline
+  // unbounded.
   const auto serve_options = [&] {
     ServeOptions options;
     if (cli.deadline_us > 0) {

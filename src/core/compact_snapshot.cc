@@ -334,9 +334,12 @@ size_t CompactServingBase::MatchedDepth(
     std::span<const QueryId> context) const {
   const size_t path_cap = std::min(
       context.size(), std::max<size_t>(model_.sizing.path_depth, 64));
-  std::vector<int32_t> path(path_cap);
+  // The serving path buffer of this thread, as Recommend would use it:
+  // steady-state descents allocate nothing.
+  std::vector<int32_t>& path = internal::ThreadScratch().path;
+  if (path.size() < path_cap) path.resize(path_cap);
   return serving::MatchPath(model_, context.data(), context.size(),
-                            path.data(), path.size());
+                            path.data(), path_cap);
 }
 
 ScratchSizing CompactServingBase::ScratchHint() const {

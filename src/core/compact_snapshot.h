@@ -80,8 +80,9 @@ class CompactServingBase : public ServingSnapshot {
   bool Covers(std::span<const QueryId> context) const override;
 
   /// Longest-suffix matched depth of `context` — the descent without the
-  /// ranking. Exposed so bench/hot_path can split one request's cost into
-  /// walk vs score+merge.
+  /// ranking. Exposed so benches can split one request's cost into walk
+  /// vs score+merge; it descends through this thread's serving scratch,
+  /// so like Recommend it allocates nothing in steady state.
   size_t MatchedDepth(std::span<const QueryId> context) const;
 
   /// Pre-sizing hint for the dense-accumulator walk (see ServingSnapshot).

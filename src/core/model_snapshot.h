@@ -61,11 +61,10 @@ struct MvmmOptions {
   /// ablations replay a previously fitted weighting exactly.
   std::vector<double> fixed_sigmas;
 
-  /// Worker threads for training (paper Section V-F.1). With at most
-  /// Pst::kMaxViews components the trees come from one shared single-pass
-  /// build and the threads shard the counting pass and the sigma-fit sample
-  /// sweep; beyond that the standalone fallback shards per-component
-  /// training itself. 0 = sequential. Results are identical either way.
+  /// Worker threads for training (paper Section V-F.1). The trees come
+  /// from one shared single-pass build; the threads shard the counting
+  /// pass and the sigma-fit sample sweep. 0 = sequential. Results are
+  /// identical either way.
   size_t training_threads = 0;
 
   /// Returns the paper's default component set.
@@ -316,8 +315,8 @@ std::vector<const AggregatedSession*> SelectWeightPool(
 /// damped Newton with analytic derivatives (Eq. 7-10), with a backtracking
 /// gradient-ascent fallback. Normalizes the sample weights in place;
 /// `sigmas` carries the initial point and receives the fitted values.
-/// Shared by ModelSnapshot::Build and the MvmmModel standalone fallback so
-/// the two fits cannot drift.
+/// Shared by ModelSnapshot::Build and the sharded trainer
+/// (serve/sharded_engine.cc) so the two fits cannot drift.
 MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
                                    const MvmmOptions& options,
                                    std::vector<double>* sigmas);
@@ -350,9 +349,7 @@ size_t SharedIndexDepth(const MvmmOptions& options);
 
 /// Unnormalized per-component weights for a context of `context_len`
 /// queries whose component matched lengths are `matched` (Eq. 4 plus the
-/// ablation variants, including the all-underflow depth fallback). Shared
-/// by ModelSnapshot and the MvmmModel standalone fallback so the weighting
-/// scheme cannot drift between the two paths.
+/// ablation variants, including the all-underflow depth fallback).
 void ComputeRawWeights(MixtureWeighting weighting,
                        const std::vector<double>& sigmas, size_t context_len,
                        const std::vector<size_t>& matched,

@@ -1,15 +1,5 @@
 #include "core/mvmm_model.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <thread>
-#include <unordered_set>
-
-#include "core/memory_accounting.h"
-#include "util/hash.h"
-#include "util/math_util.h"
-
 namespace sqp {
 
 using internal::ThreadScratch;
@@ -22,263 +12,63 @@ MvmmModel::MvmmModel(MvmmOptions options) : options_(std::move(options)) {
 }
 
 Status MvmmModel::Train(const TrainingData& data) {
-  SQP_RETURN_IF_ERROR(internal::ValidateTrainingData(data));
-  if (options_.components.empty()) {
-    return Status::InvalidArgument("MVMM needs at least one component");
-  }
-  vocabulary_size_ = data.vocabulary_size;
   components_.clear();
   snapshot_.reset();
-
-  for (const VmmOptions& c : options_.components) {
-    components_.push_back(std::make_unique<VmmModel>(c));
+  // All trained state is built off to the side as an immutable snapshot
+  // (one counting pass, one maximal multi-view tree, one sigma fit; more
+  // than Pst::kMaxViews components is InvalidArgument) and the model
+  // serves by delegating to it. The component models adopt views of the
+  // snapshot's tree so callers can still inspect per-component structure.
+  Result<std::shared_ptr<const ModelSnapshot>> built =
+      ModelSnapshot::Build(data, options_, /*version=*/0);
+  if (!built.ok()) return built.status();
+  std::vector<std::unique_ptr<VmmModel>> components;
+  for (size_t c = 0; c < options_.components.size(); ++c) {
+    components.push_back(std::make_unique<VmmModel>(options_.components[c]));
+    SQP_RETURN_IF_ERROR(components.back()->TrainFromSharedPst(
+        built.value()->pst(), c, data.vocabulary_size));
   }
-
-  if (components_.size() <= Pst::kMaxViews) {
-    // The shared-tree path: all trained state is built off to the side as
-    // an immutable snapshot (one counting pass, one maximal multi-view
-    // tree, one sigma fit) and the model serves by delegating to it. The
-    // component models adopt views of the snapshot's tree so callers can
-    // still inspect per-component structure.
-    Result<std::shared_ptr<const ModelSnapshot>> built =
-        ModelSnapshot::Build(data, options_, /*version=*/0);
-    if (!built.ok()) return built.status();
-    snapshot_ = std::move(built.value());
-    for (size_t c = 0; c < components_.size(); ++c) {
-      SQP_RETURN_IF_ERROR(components_[c]->TrainFromSharedPst(
-          snapshot_->pst(), c, data.vocabulary_size));
-    }
-    sigmas_ = snapshot_->sigmas();
-    fit_report_ = snapshot_->fit_report();
-    trained_ = true;
-    return Status::OK();
-  }
-
-  // Defensive fallback beyond the mask width: standalone component
-  // training off one shared counting pass, sharded across workers when
-  // requested (this is the one remaining path with real per-component
-  // training cost; paper Section V-F.1).
-  size_t shared_depth = 0;
-  bool any_unbounded = false;
-  for (const VmmOptions& c : options_.components) {
-    if (c.max_depth == 0) any_unbounded = true;
-    shared_depth = std::max(shared_depth, c.max_depth);
-  }
-  const size_t need_depth = any_unbounded ? 0 : shared_depth;
-  const ContextIndex* index = data.substring_index;
-  const bool compatible =
-      index != nullptr && index->CoversSubstringDepth(need_depth);
-  ContextIndex local;
-  if (!compatible) {
-    local.Build(*data.sessions, ContextIndex::Mode::kSubstring, need_depth,
-                options_.training_threads);
-    index = &local;
-  }
-  TrainingData component_data = data;
-  component_data.substring_index = index;
-  if (options_.training_threads <= 1) {
-    for (const auto& vmm : components_) {
-      SQP_RETURN_IF_ERROR(vmm->Train(component_data));
-    }
-  } else {
-    std::vector<Status> statuses(components_.size());
-    std::vector<std::thread> workers;
-    const size_t num_workers =
-        std::min(options_.training_threads, components_.size());
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= components_.size()) return;
-          statuses[i] = components_[i]->Train(component_data);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    for (const Status& status : statuses) {
-      SQP_RETURN_IF_ERROR(status);
-    }
-  }
-
-  sigmas_.assign(components_.size(), options_.initial_sigma);
-  if (options_.weighting == MixtureWeighting::kGaussianEditDistance) {
-    FitSigmas(*data.sessions);
-  }
-  trained_ = true;
+  components_ = std::move(components);
+  snapshot_ = std::move(built.value());
   return Status::OK();
 }
 
-std::vector<double> MvmmModel::RawWeights(
-    size_t context_len, const std::vector<size_t>& matched) const {
-  std::vector<double> weights;
-  internal::ComputeRawWeights(options_.weighting, sigmas_, context_len,
-                              matched, &weights);
-  return weights;
+const std::vector<double>& MvmmModel::sigmas() const {
+  static const std::vector<double> kNone;
+  return snapshot_ ? snapshot_->sigmas() : kNone;
 }
 
-void MvmmModel::BuildWeightSample(const AggregatedSession& session,
-                                  internal::WeightSample* sample) const {
-  const size_t k = components_.size();
-  const std::vector<QueryId>& q = session.queries;
-  sample->edit_distance.resize(k);
-  sample->sequence_prob.assign(k, 1.0);
-
-  const std::span<const QueryId> full(q.data(), q.size() - 1);
-  for (size_t c = 0; c < k; ++c) {
-    const VmmMatch match = components_[c]->Match(full);
-    sample->edit_distance[c] =
-        static_cast<double>(full.size() - match.matched_length);
-    sample->sequence_prob[c] = components_[c]->SequenceProb(q);
-  }
-}
-
-void MvmmModel::FitSigmas(const std::vector<AggregatedSession>& sessions) {
-  fit_report_ = MvmmFitReport{};
-  const std::vector<const AggregatedSession*> pool =
-      internal::SelectWeightPool(sessions, options_.weight_sample_size);
-  if (pool.empty()) return;
-
-  std::vector<internal::WeightSample> samples(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) {
-    samples[i].weight = static_cast<double>(pool[i]->frequency);
-  }
-  // Per-sample evaluation is independent and writes only its own slot, so
-  // sharding it across workers leaves the result bit-identical.
-  if (options_.training_threads > 1 && samples.size() > 1) {
-    std::vector<std::thread> workers;
-    const size_t num_workers =
-        std::min(options_.training_threads, samples.size());
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= samples.size()) return;
-          BuildWeightSample(*pool[i], &samples[i]);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  } else {
-    for (size_t i = 0; i < samples.size(); ++i) {
-      BuildWeightSample(*pool[i], &samples[i]);
-    }
-  }
-  fit_report_ = internal::FitSigmasFromSamples(&samples, options_, &sigmas_);
+const MvmmFitReport& MvmmModel::fit_report() const {
+  static const MvmmFitReport kNone;
+  return snapshot_ ? snapshot_->fit_report() : kNone;
 }
 
 std::vector<double> MvmmModel::MixtureWeights(
     std::span<const QueryId> context) const {
-  SQP_CHECK(trained_);
-  if (snapshot_) {
-    return snapshot_->MixtureWeights(context, &ThreadScratch());
-  }
-  std::vector<size_t> matched(components_.size(), 0);
-  for (size_t c = 0; c < components_.size(); ++c) {
-    matched[c] = components_[c]->Match(context).matched_length;
-  }
-  std::vector<double> weights = RawWeights(context.size(), matched);
-  NormalizeInPlace(&weights);
-  return weights;
+  SQP_CHECK(snapshot_ != nullptr);
+  return snapshot_->MixtureWeights(context, &ThreadScratch());
 }
 
 Recommendation MvmmModel::Recommend(std::span<const QueryId> context,
                                     size_t top_n) const {
-  Recommendation rec;
-  if (!trained_ || context.empty()) return rec;
-  if (snapshot_) {
-    return snapshot_->Recommend(context, top_n, &ThreadScratch());
-  }
-
-  // Standalone fallback: match every component against its own tree.
-  std::vector<size_t> matched(components_.size(), 0);
-  std::vector<VmmMatch> matches(components_.size());
-  size_t depth = 0;
-  for (size_t c = 0; c < components_.size(); ++c) {
-    matches[c] = components_[c]->Match(context);
-    matched[c] = matches[c].matched_length;
-    depth = std::max(depth, matched[c]);
-  }
-  if (depth == 0) return rec;  // uncovered, like its components
-  std::vector<double> weights = RawWeights(context.size(), matched);
-  NormalizeInPlace(&weights);
-
-  // Combine escape-weighted generative scores across components, each
-  // contributing its matched state plus that state's suffix ancestors at
-  // escape-discounted weight (see ModelSnapshot::Recommend for the shared
-  // single-tree variant of this ranking).
-  std::vector<ScoredQuery> raw;
-  for (size_t c = 0; c < components_.size(); ++c) {
-    if (weights[c] <= 0.0 || matched[c] == 0) continue;
-    const Pst& pst = components_[c]->pst();
-    const VmmMatch& match = matches[c];
-    const Pst::Node* node = match.state;
-    double lw = weights[c] * match.escape_weight;
-    while (node != nullptr && !node->context.empty()) {
-      if (node->total_count > 0) {
-        const double scale =
-            lw / static_cast<double>(node->total_count);
-        for (const NextQueryCount& nc : node->nexts) {
-          raw.push_back(
-              ScoredQuery{nc.query, scale * static_cast<double>(nc.count)});
-        }
-      }
-      lw *= components_[c]->options().default_escape;
-      node = node->parent >= 0
-                 ? &pst.nodes()[static_cast<size_t>(node->parent)]
-                 : nullptr;
-    }
-  }
-  if (raw.empty()) return rec;
-
-  rec.covered = true;
-  rec.matched_length = depth;
-  internal::MergeAndRank(&raw, top_n, &rec);
-  return rec;
+  if (snapshot_ == nullptr) return Recommendation{};
+  return snapshot_->Recommend(context, top_n, &ThreadScratch());
 }
 
 bool MvmmModel::Covers(std::span<const QueryId> context) const {
-  if (!trained_) return false;
-  if (snapshot_) return snapshot_->Covers(context);
-  for (const auto& component : components_) {
-    if (component->Covers(context)) return true;
-  }
-  return false;
+  return snapshot_ != nullptr && snapshot_->Covers(context);
 }
 
 double MvmmModel::ConditionalProb(std::span<const QueryId> context,
                                   QueryId next) const {
-  if (!trained_) return 0.0;
-  if (snapshot_) {
-    return snapshot_->ConditionalProb(context, next, &ThreadScratch());
-  }
-  const std::vector<double> weights = MixtureWeights(context);
-  double p = 0.0;
-  for (size_t c = 0; c < components_.size(); ++c) {
-    p += weights[c] * components_[c]->ConditionalProb(context, next);
-  }
-  return p;
+  if (snapshot_ == nullptr) return 0.0;
+  return snapshot_->ConditionalProb(context, next, &ThreadScratch());
 }
 
 ModelStats MvmmModel::Stats() const {
-  if (snapshot_) return snapshot_->Stats();
+  if (snapshot_ != nullptr) return snapshot_->Stats();
   ModelStats stats;
   stats.name = std::string(Name());
-  // Fallback components own their trees; estimate the merged layout by
-  // deduplicating structurally identical nodes.
-  std::unordered_set<std::vector<QueryId>, IdSequenceHash> merged;
-  for (const auto& component : components_) {
-    for (const Pst::Node& node : component->pst().nodes()) {
-      if (merged.insert(node.context).second) {
-        stats.memory_bytes +=
-            PstNodeBytes(node.context.size(), node.nexts.size(),
-                         node.children.size(), /*with_view_mask=*/true);
-        stats.num_entries += node.nexts.size();
-      }
-    }
-  }
-  stats.num_states = merged.size();
   return stats;
 }
 

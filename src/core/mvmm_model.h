@@ -21,9 +21,9 @@ namespace sqp {
 /// every component as a view of that tree; the trained state lives in an
 /// immutable ModelSnapshot (see core/model_snapshot.h), which online
 /// prediction walks once per query with per-thread scratch — the same
-/// snapshot type the serving layer (src/serve/) swaps atomically. Beyond
-/// Pst::kMaxViews components a standalone per-component fallback trains
-/// each VMM separately.
+/// snapshot type the serving layer (src/serve/) swaps atomically. The
+/// model is a PredictionModel adapter over that snapshot: every query
+/// delegates to it. At most Pst::kMaxViews components.
 class MvmmModel : public PredictionModel {
  public:
   explicit MvmmModel(MvmmOptions options = {});
@@ -47,38 +47,26 @@ class MvmmModel : public PredictionModel {
   const std::vector<std::unique_ptr<VmmModel>>& components() const {
     return components_;
   }
-  const std::vector<double>& sigmas() const { return sigmas_; }
-  const MvmmFitReport& fit_report() const { return fit_report_; }
+  /// Fitted Gaussian widths, one per component (empty until trained).
+  const std::vector<double>& sigmas() const;
+  /// Diagnostics of the sigma fit (default until trained).
+  const MvmmFitReport& fit_report() const;
   const MvmmOptions& options() const { return options_; }
-  /// The immutable trained serving state (null when the component count
-  /// exceeds Pst::kMaxViews and components were trained standalone). The
+  /// The immutable trained serving state (null until trained). The
   /// serving layer publishes exactly this object to its reader threads.
   const std::shared_ptr<const ModelSnapshot>& snapshot() const {
     return snapshot_;
   }
-  /// The shared multi-view tree (null when the component count exceeds
-  /// Pst::kMaxViews and components were trained standalone). Derived from
-  /// the snapshot — there is no separate tree state to keep in sync.
+  /// The shared multi-view tree (null until trained). Derived from the
+  /// snapshot — there is no separate tree state to keep in sync.
   std::shared_ptr<const Pst> shared_pst() const {
     return snapshot_ ? snapshot_->pst() : nullptr;
   }
 
  private:
-  /// Standalone-fallback helpers (component count beyond Pst::kMaxViews;
-  /// the shared-tree path lives in ModelSnapshot).
-  void FitSigmas(const std::vector<AggregatedSession>& sessions);
-  void BuildWeightSample(const AggregatedSession& session,
-                         internal::WeightSample* sample) const;
-  std::vector<double> RawWeights(size_t context_len,
-                                 const std::vector<size_t>& matched) const;
-
   MvmmOptions options_;
   std::vector<std::unique_ptr<VmmModel>> components_;
   std::shared_ptr<const ModelSnapshot> snapshot_;
-  std::vector<double> sigmas_;
-  MvmmFitReport fit_report_;
-  size_t vocabulary_size_ = 0;
-  bool trained_ = false;
 };
 
 }  // namespace sqp

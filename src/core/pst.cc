@@ -79,7 +79,7 @@ Status Pst::Build(const ContextIndex& index, const PstOptions& options) {
   SQP_RETURN_IF_ERROR(BuildImpl(index, std::span<const PstOptions>(&options, 1),
                                 /*shared=*/false));
   // A standalone tree exposes no views: num_views() == 0, is_shared()
-  // false, exactly as after InitFromNodes.
+  // false.
   view_options_.clear();
   options_ = options;
   return Status::OK();
@@ -294,54 +294,6 @@ void Pst::BuildRootIndex() {
   for (const Edge& edge : children) {
     root_child_by_query_[edge.query] = edge.child;
   }
-}
-
-Status Pst::InitFromNodes(std::vector<Node> nodes, const PstOptions& options) {
-  if (nodes.empty()) {
-    return Status::InvalidArgument("PST needs at least a root node");
-  }
-  if (!nodes[0].context.empty() || nodes[0].parent != -1) {
-    return Status::InvalidArgument("node 0 must be the root (empty context)");
-  }
-  for (size_t i = 1; i < nodes.size(); ++i) {
-    Node& node = nodes[i];
-    if (node.context.empty()) {
-      return Status::InvalidArgument("non-root node with empty context");
-    }
-    if (node.parent < 0 || static_cast<size_t>(node.parent) >= i) {
-      return Status::InvalidArgument(
-          "node parents must precede their children");
-    }
-    const Node& parent = nodes[static_cast<size_t>(node.parent)];
-    if (parent.context.size() + 1 != node.context.size() ||
-        !std::equal(node.context.begin() + 1, node.context.end(),
-                    parent.context.begin())) {
-      return Status::InvalidArgument(
-          "node context must extend its parent by one oldest query");
-    }
-  }
-  // Rebuild child edge arrays (callers may supply nodes in any valid
-  // parent-before-child order, so sort each array and reject duplicates).
-  for (Node& node : nodes) node.children.clear();
-  for (size_t i = 1; i < nodes.size(); ++i) {
-    nodes[static_cast<size_t>(nodes[i].parent)].children.push_back(
-        Edge{nodes[i].context.front(), static_cast<int32_t>(i)});
-  }
-  for (Node& node : nodes) {
-    std::sort(node.children.begin(), node.children.end(),
-              [](const Edge& a, const Edge& b) { return a.query < b.query; });
-    for (size_t i = 1; i < node.children.size(); ++i) {
-      if (node.children[i - 1].query == node.children[i].query) {
-        return Status::InvalidArgument("duplicate child edge in node list");
-      }
-    }
-  }
-  nodes_ = std::move(nodes);
-  options_ = options;
-  view_masks_.clear();
-  view_options_.clear();
-  BuildRootIndex();
-  return Status::OK();
 }
 
 int32_t Pst::FindChild(int32_t node, QueryId query) const {

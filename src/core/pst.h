@@ -81,12 +81,6 @@ class Pst {
   Status BuildShared(const ContextIndex& index,
                      std::span<const PstOptions> views);
 
-  /// Restores a tree from serialized nodes (see core/serialization.h).
-  /// `nodes` must list the root first and every parent before its children;
-  /// child edge arrays are rebuilt. Returns InvalidArgument on malformed
-  /// input.
-  Status InitFromNodes(std::vector<Node> nodes, const PstOptions& options);
-
   /// Walks the longest suffix of `context` present in the tree. Returns the
   /// matched node (possibly the root) and sets `*matched_length` to the
   /// number of trailing context queries matched.
@@ -140,8 +134,8 @@ class Pst {
   /// accounting over the flat layout).
   uint64_t view_memory_bytes(size_t view) const;
 
-  /// Materializes one view as a standalone tree (used e.g. when persisting
-  /// a single component of a shared build).
+  /// Materializes one view as a standalone tree (the reference the shared
+  /// build is checked against: a view must equal its standalone Build).
   Pst ExtractView(size_t view) const;
 
   /// Sum of (state, next) entries across nodes.

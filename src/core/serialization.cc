@@ -1,157 +1,8 @@
 #include "core/serialization.h"
 
-#include <cstring>
-#include <filesystem>
-#include <system_error>
 #include <fstream>
 
-#include "util/byte_io.h"
-#include "util/string_util.h"
-
 namespace sqp {
-namespace {
-
-// Field-level I/O goes through util/byte_io.h (little-endian on disk,
-// truncation-safe reads) — the same helpers core/snapshot_io.cc uses, so
-// the repo has exactly one byte-order convention.
-constexpr char kVmmMagic[8] = {'S', 'Q', 'P', 'V', 'M', 'M', '0', '1'};
-
-}  // namespace
-
-Status SaveVmmModel(const VmmModel& model, const std::string& path) {
-  if (!model.trained_) {
-    return Status::FailedPrecondition("cannot save an untrained VMM");
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) return Status::IOError("cannot open " + path);
-  out.write(kVmmMagic, sizeof(kVmmMagic));
-  ByteWriter w(&out);
-  w.F64(model.options_.epsilon);
-  w.U64(model.options_.max_depth);
-  w.U64(model.options_.min_support);
-  w.F64(model.options_.default_escape);
-  w.U64(model.vocabulary_size_);
-  // A component of a shared multi-view tree persists only its own view,
-  // materialized as a standalone tree (the on-disk format is unchanged).
-  Pst extracted;
-  const Pst* tree = &model.pst_;
-  if (model.shared_pst_ != nullptr) {
-    extracted = model.shared_pst_->ExtractView(model.view_);
-    tree = &extracted;
-  }
-  const auto& nodes = tree->nodes();
-  w.U64(nodes.size());
-  for (const Pst::Node& node : nodes) {
-    w.I32(node.parent);
-    w.U32(static_cast<uint32_t>(node.context.size()));
-    for (QueryId q : node.context) w.U32(q);
-    w.U64(node.total_count);
-    w.U64(node.start_count);
-    w.U32(static_cast<uint32_t>(node.nexts.size()));
-    for (const NextQueryCount& nc : node.nexts) {
-      w.U32(nc.query);
-      w.U64(nc.count);
-    }
-  }
-  out.flush();
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Status LoadVmmModel(const std::string& path, VmmModel* model) {
-  std::error_code ec;
-  const uintmax_t file_size = std::filesystem::file_size(path, ec);
-  if (ec) return Status::IOError("cannot stat " + path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  char magic[8];
-  if (!in.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kVmmMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("bad VMM file magic: " + path);
-  }
-  ByteReader r(&in);
-  VmmOptions options;
-  uint64_t max_depth = 0;
-  uint64_t vocab = 0;
-  uint64_t node_count = 0;
-  if (!r.F64(&options.epsilon) || !r.U64(&max_depth) ||
-      !r.U64(&options.min_support) || !r.F64(&options.default_escape) ||
-      !r.U64(&vocab) || !r.U64(&node_count)) {
-    return Status::InvalidArgument("truncated VMM header: " + path);
-  }
-  // Harden against corrupted size fields: every node occupies at least 28
-  // bytes on disk, so counts larger than the file itself are corruption,
-  // not data. The same bound guards the per-node vector lengths below.
-  if (!(options.epsilon >= 0.0) || max_depth > file_size ||
-      node_count > file_size / 28 || vocab == 0) {
-    return Status::InvalidArgument("corrupt VMM header fields: " + path);
-  }
-  options.max_depth = static_cast<size_t>(max_depth);
-  std::vector<Pst::Node> nodes;
-  nodes.reserve(node_count);
-  for (uint64_t i = 0; i < node_count; ++i) {
-    Pst::Node node;
-    uint32_t context_len = 0;
-    if (!r.I32(&node.parent) || !r.U32(&context_len)) {
-      return Status::InvalidArgument("truncated VMM node header");
-    }
-    if (context_len > file_size / 4) {
-      return Status::InvalidArgument("corrupt VMM node context length");
-    }
-    node.context.resize(context_len);
-    for (uint32_t j = 0; j < context_len; ++j) {
-      if (!r.U32(&node.context[j])) {
-        return Status::InvalidArgument("truncated VMM node context");
-      }
-      if (node.context[j] >= vocab) {
-        return Status::InvalidArgument("corrupt VMM context query id");
-      }
-    }
-    uint32_t next_count = 0;
-    if (!r.U64(&node.total_count) || !r.U64(&node.start_count) ||
-        !r.U32(&next_count)) {
-      return Status::InvalidArgument("truncated VMM node counts");
-    }
-    if (next_count > file_size / 12) {
-      return Status::InvalidArgument("corrupt VMM next-count length");
-    }
-    node.nexts.resize(next_count);
-    uint64_t sum = 0;
-    for (uint32_t j = 0; j < next_count; ++j) {
-      if (!r.U32(&node.nexts[j].query) || !r.U64(&node.nexts[j].count)) {
-        return Status::InvalidArgument("truncated VMM next-count entry");
-      }
-      if (node.nexts[j].query >= vocab ||
-          node.nexts[j].count > UINT64_MAX - sum) {
-        return Status::InvalidArgument("corrupt VMM next-count entry");
-      }
-      sum += node.nexts[j].count;
-      if (j > 0 && (node.nexts[j - 1].count < node.nexts[j].count ||
-                    (node.nexts[j - 1].count == node.nexts[j].count &&
-                     node.nexts[j - 1].query >= node.nexts[j].query))) {
-        return Status::InvalidArgument("corrupt VMM next-count ordering");
-      }
-    }
-    // The persisted total must equal the sum of the entries, and session
-    // starts cannot exceed occurrences.
-    if (node.total_count != sum || node.start_count > node.total_count) {
-      return Status::InvalidArgument("inconsistent VMM node counts");
-    }
-    nodes.push_back(std::move(node));
-  }
-
-  VmmModel loaded(options);
-  PstOptions pst_options;
-  pst_options.epsilon = options.epsilon;
-  pst_options.max_depth = options.max_depth;
-  pst_options.min_support = options.min_support;
-  SQP_RETURN_IF_ERROR(
-      loaded.pst_.InitFromNodes(std::move(nodes), pst_options));
-  loaded.vocabulary_size_ = static_cast<size_t>(vocab);
-  loaded.trained_ = true;
-  *model = std::move(loaded);
-  return Status::OK();
-}
 
 Status SaveDictionary(const QueryDictionary& dictionary,
                       const std::string& path) {

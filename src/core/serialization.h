@@ -3,23 +3,13 @@
 
 #include <string>
 
-#include "core/vmm_model.h"
 #include "log/query_dictionary.h"
 #include "util/status.h"
 
 namespace sqp {
 
-/// Persists a trained VMM (its PST, options and vocabulary size) to a
-/// versioned binary file, so an online server can load models trained
-/// offline (the paper's two-phase deployment, Section I-B).
-Status SaveVmmModel(const VmmModel& model, const std::string& path);
-
-/// Restores a VMM saved by SaveVmmModel. `model` is overwritten; its
-/// configured options are replaced by the persisted ones.
-Status LoadVmmModel(const std::string& path, VmmModel* model);
-
 /// Persists the query dictionary (one normalized query per line, in id
-/// order) next to a saved model.
+/// order) next to a persisted snapshot (the CLI's `.dict` sidecar).
 Status SaveDictionary(const QueryDictionary& dictionary,
                       const std::string& path);
 

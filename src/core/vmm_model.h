@@ -93,9 +93,6 @@ class VmmModel : public PredictionModel {
   size_t vocabulary_size() const { return vocabulary_size_; }
 
  private:
-  friend Status SaveVmmModel(const VmmModel&, const std::string&);
-  friend Status LoadVmmModel(const std::string&, VmmModel*);
-
   VmmOptions options_;
   std::string name_;
   Pst pst_;                                // owned (standalone) tree

@@ -34,7 +34,8 @@ Status ShardRequestHandler::HandleRequest(
           std::chrono::microseconds(request.deadline_remaining_us));
     }
     BatchResult batch =
-        engine_->RecommendMany(request.contexts, request.top_n, options);
+        engine_->RecommendMany(AsRefs(request.contexts), request.top_n,
+                               options);
     response.admission = batch.admission.code();
     response.degraded = batch.degraded;
     response.effective_top_n = static_cast<uint32_t>(batch.effective_top_n);

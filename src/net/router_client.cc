@@ -186,17 +186,6 @@ BatchResult RouterClient::RecommendMany(std::span<const ContextRef> contexts,
   return out;
 }
 
-BatchResult RouterClient::RecommendMany(
-    const std::vector<std::vector<QueryId>>& contexts, size_t top_n,
-    const ServeOptions& options) {
-  std::vector<ContextRef> refs;
-  refs.reserve(contexts.size());
-  for (const std::vector<QueryId>& context : contexts) {
-    refs.emplace_back(context.data(), context.size());
-  }
-  return RecommendMany(std::span<const ContextRef>(refs), top_n, options);
-}
-
 ServeResult RouterClient::Recommend(ContextRef context, size_t top_n,
                                     const ServeOptions& options) {
   const ContextRef refs[1] = {context};

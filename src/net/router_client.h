@@ -75,8 +75,6 @@ class RouterClient {
   /// BatchResult::served_version = 0).
   BatchResult RecommendMany(std::span<const ContextRef> contexts,
                             size_t top_n, const ServeOptions& options = {});
-  BatchResult RecommendMany(const std::vector<std::vector<QueryId>>& contexts,
-                            size_t top_n, const ServeOptions& options = {});
 
   /// Single-query convenience (a one-item batch on the wire).
   ServeResult Recommend(ContextRef context, size_t top_n,

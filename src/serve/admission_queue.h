@@ -27,11 +27,11 @@
 ///    requests are offered a reduced top_n (DegradedTopN) so the fleet
 ///    sheds quality before it sheds requests.
 ///
-/// Jobs with an unbounded deadline (every call through the deadline-free
-/// legacy API) are exempt from all shedding: they wait however long the
-/// backlog takes, exactly as the old mutex behaved — which is what keeps
-/// the deadline-aware paths bit-identical to the legacy paths when there
-/// is no overload.
+/// Jobs with an unbounded deadline (the default ServeOptions) are exempt
+/// from all shedding: they wait however long the backlog takes, exactly
+/// as the old mutex behaved — which is what keeps bounded-deadline
+/// serving bit-identical to unbounded-deadline serving when there is no
+/// overload.
 ///
 /// The queue also owns the per-lane QoS counters and latency histograms
 /// (inline fast paths that never contend for the slot report through
@@ -63,8 +63,8 @@ size_t LatencyBucket(double latency_us);
 struct AdmissionOptions {
   /// Maximum waiting jobs per lane; a deadline-carrying job arriving at a
   /// full lane is shed with kResourceExhausted. Unbounded-deadline jobs
-  /// are never shed and may exceed the bound (they inherit the legacy
-  /// blocking contract).
+  /// are never shed and may exceed the bound (they keep the blocking
+  /// contract).
   size_t interactive_capacity = 64;
   size_t bulk_capacity = 16;
 

@@ -26,8 +26,8 @@ struct RecommenderCliConfig {
   std::string save_snapshot;
   std::string load_snapshot;
 
-  /// Per-request latency budget in microseconds; 0 = unbounded (the
-  /// deadline-free legacy behavior — never shed, never degraded).
+  /// Per-request latency budget in microseconds; 0 = unbounded (never
+  /// shed, never degraded).
   uint64_t deadline_us = 0;
 
   /// Admission priority lane for served requests.

@@ -93,8 +93,8 @@ BatchResult RecommenderEngine::RecommendMany(
   const std::shared_ptr<const ServingSnapshot> snapshot = CurrentSnapshot();
   out.served_version = snapshot == nullptr ? 0 : snapshot->version();
   if (snapshot == nullptr) {
-    // No published model: uncovered-empty answers (legacy contract), with
-    // the per-item status making the cause explicit.
+    // No published model: uncovered-empty answers, with the per-item
+    // status making the cause explicit.
     std::fill(out.statuses.begin(), out.statuses.end(),
               StatusCode::kUnavailable);
     return out;
@@ -192,8 +192,8 @@ ServeResult RecommenderEngine::Recommend(ContextRef context, size_t top_n,
   queries_served_[counter_slot].value.fetch_add(1,
                                                 std::memory_order_relaxed);
   if (!options.deadline.bounded()) {
-    // Unbounded fast path — the legacy single-query hot path: no clock
-    // reads, no degrade check, no QoS accounting (an unbounded request is
+    // Unbounded fast path — the single-query hot path: no clock reads,
+    // no degrade check, no QoS accounting (an unbounded request is
     // by contract never shed or degraded, so there is nothing to record
     // that the serving counters above don't already).
     const std::shared_ptr<const ServingSnapshot> snapshot =

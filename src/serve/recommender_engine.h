@@ -23,6 +23,18 @@ namespace sqp {
 /// requests without copying query sequences.
 using ContextRef = std::span<const QueryId>;
 
+/// Borrowed views of owned query sequences, for callers that hold their
+/// contexts as vectors. The refs are valid only while `contexts` is.
+inline std::vector<ContextRef> AsRefs(
+    const std::vector<std::vector<QueryId>>& contexts) {
+  std::vector<ContextRef> refs;
+  refs.reserve(contexts.size());
+  for (const std::vector<QueryId>& context : contexts) {
+    refs.emplace_back(context.data(), context.size());
+  }
+  return refs;
+}
+
 #if defined(__SANITIZE_THREAD__)
 #define SQP_THREAD_SANITIZER 1
 #elif defined(__has_feature)
@@ -98,8 +110,8 @@ struct EngineStats {
   /// Per-lane QoS counters (admitted / shed / expired / degraded) and
   /// latency histograms, plus the admission EWMA. Populated by batch
   /// traffic and by deadline-bounded single queries; unbounded single
-  /// queries (the legacy spelling included) take the fast path and stay
-  /// out of it to keep the hot path clock-free.
+  /// queries take the fast path and stay out of it to keep the hot path
+  /// clock-free.
   AdmissionStats admission;
 };
 
@@ -150,93 +162,35 @@ class RecommenderEngine {
   /// Version of the current snapshot, 0 before the first Publish.
   uint64_t current_version() const;
 
-  /// THE single-query serving path (canonical signature — every other
-  /// Recommend spelling is an inline wrapper over this one): one snapshot
-  /// grab, one shared-tree walk, per-thread scratch. With an unbounded
-  /// deadline (the default ServeOptions) the request takes a fast path
-  /// with no clock reads or QoS accounting — the legacy hot-path
-  /// contract; with a bounded one it may be shed on arrival (status
+  /// The single-query serving path: one snapshot grab, one shared-tree
+  /// walk, per-thread scratch. With an unbounded deadline (the default
+  /// ServeOptions) the request takes a fast path with no clock reads or
+  /// QoS accounting; with a bounded one it may be shed on arrival (status
   /// kDeadlineExceeded) or served with a reduced top_n under overload
   /// (degraded = true). Single queries never wait for the batch slot —
   /// the deadline only guards against serving a request that is already
   /// dead. kUnavailable before the first Publish.
   ServeResult Recommend(ContextRef context, size_t top_n,
-                        const ServeOptions& options) const;
+                        const ServeOptions& options = {}) const;
 
-  /// THE batched serving path (canonical signature): answers every
-  /// context from ONE snapshot, fanning the batch out across the worker
-  /// pool (small batches run inline). Results are positionally aligned
-  /// with `contexts`. With an unbounded deadline results are
-  /// bit-identical to the legacy RecommendMany; with a bounded one the
-  /// batch may be shed whole at admission (queue full or deadline
-  /// unmeetable given the EWMA backlog estimate), cut mid-batch when the
-  /// deadline expires (partial results, remaining items marked
-  /// kDeadlineExceeded), or served with a reduced top_n under overload.
-  /// Per-item outcomes are in BatchResult::statuses.
+  /// The batched serving path: answers every context from ONE snapshot,
+  /// fanning the batch out across the worker pool (small batches run
+  /// inline). Results are positionally aligned with `contexts`. With an
+  /// unbounded deadline the batch is never shed, cut or degraded (it
+  /// waits however long the backlog takes); with a bounded one it may be
+  /// shed whole at admission (queue full or deadline unmeetable given the
+  /// EWMA backlog estimate), cut mid-batch when the deadline expires
+  /// (partial results, remaining items marked kDeadlineExceeded), or
+  /// served with a reduced top_n under overload. Per-item outcomes are in
+  /// BatchResult::statuses.
   BatchResult RecommendMany(std::span<const ContextRef> contexts,
-                            size_t top_n, const ServeOptions& options) const;
-
-  /// Canonical batch signature for callers holding owned query sequences.
-  BatchResult RecommendMany(const std::vector<std::vector<QueryId>>& contexts,
-                            size_t top_n, const ServeOptions& options) const {
-    return RecommendMany(AsRefs(contexts), top_n, options);
-  }
-
-  // ------------------------------------------------- legacy signatures
-  // Thin wrappers over the canonical ServeOptions paths, kept for the
-  // pre-QoS call sites: unbounded deadline, version-out instead of a
-  // result struct, plain Recommendation vectors. Bit-identical answers.
-
-  /// Legacy single-query spelling. `served_version`, when non-null,
-  /// receives the version of the snapshot that answered (0 if none) —
-  /// provenance for callers that audit which model produced a result.
-  Recommendation Recommend(ContextRef context, size_t top_n,
-                           uint64_t* served_version = nullptr) const {
-    ServeResult served = Recommend(context, top_n, ServeOptions{});
-    if (served_version != nullptr) *served_version = served.served_version;
-    return std::move(served.recommendation);
-  }
-
-  /// Legacy batch spelling: never shed, never degraded, waits however
-  /// long the backlog takes. Pool-sized batches ride the bulk lane so
-  /// they never starve interactive traffic.
-  std::vector<Recommendation> RecommendMany(
-      std::span<const ContextRef> contexts, size_t top_n,
-      uint64_t* served_version = nullptr) const {
-    ServeOptions options;
-    options.lane = contexts.size() >= options_.min_batch_fanout
-                       ? QosLane::kBulk
-                       : QosLane::kInteractive;
-    BatchResult batch = RecommendMany(contexts, top_n, options);
-    if (served_version != nullptr) *served_version = batch.served_version;
-    return std::move(batch.results);
-  }
-
-  /// Legacy batch spelling over owned query sequences.
-  std::vector<Recommendation> RecommendMany(
-      const std::vector<std::vector<QueryId>>& contexts, size_t top_n,
-      uint64_t* served_version = nullptr) const {
-    std::vector<ContextRef> refs = AsRefs(contexts);
-    return RecommendMany(std::span<const ContextRef>(refs), top_n,
-                         served_version);
-  }
+                            size_t top_n,
+                            const ServeOptions& options = {}) const;
 
   size_t num_threads() const { return pool_.num_lanes(); }
   EngineStats stats() const;
 
  private:
-  /// Borrowed-view projection of owned query sequences (the returned refs
-  /// are only valid while `contexts` is).
-  static std::vector<ContextRef> AsRefs(
-      const std::vector<std::vector<QueryId>>& contexts) {
-    std::vector<ContextRef> refs;
-    refs.reserve(contexts.size());
-    for (const std::vector<QueryId>& context : contexts) {
-      refs.emplace_back(context.data(), context.size());
-    }
-    return refs;
-  }
-
   EngineOptions options_;
   AtomicSnapshotPtr snapshot_;
   mutable WorkerPool pool_;

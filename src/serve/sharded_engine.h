@@ -161,59 +161,23 @@ class ShardedEngine {
       const std::string& manifest_path, ShardedEngineOptions base = {},
       const SnapshotLoadOptions& load_options = {});
 
-  /// THE single-query path (canonical signature — the legacy spelling
-  /// below wraps it): one routing decision, then the owning shard
-  /// engine's canonical path (its counters, deadline handling and scratch
+  /// The single-query path: one routing decision, then the owning shard
+  /// engine's Recommend (its counters, deadline handling and scratch
   /// included; kUnavailable if that shard has no published snapshot).
   /// Unbounded deadlines ride the shard engine's clock-free fast path.
   ServeResult Recommend(ContextRef context, size_t top_n,
-                        const ServeOptions& options) const;
+                        const ServeOptions& options = {}) const;
 
-  /// THE cross-shard batched path (canonical signature): grabs every
-  /// shard's snapshot once, fans the contexts out across the pool (each
-  /// answered by its owning shard's snapshot), with the same admission /
-  /// mid-batch-expiry / degrade semantics as the single-engine overload
-  /// (per-item outcomes in BatchResult::statuses; items owned by an
-  /// unpublished shard are kUnavailable). BatchResult::served_version is
-  /// 0 — per-shard versions live in stats().
+  /// The cross-shard batched path: grabs every shard's snapshot once,
+  /// fans the contexts out across the pool (each answered by its owning
+  /// shard's snapshot), with the same admission / mid-batch-expiry /
+  /// degrade semantics as RecommenderEngine::RecommendMany (per-item
+  /// outcomes in BatchResult::statuses; items owned by an unpublished
+  /// shard are kUnavailable). BatchResult::served_version is 0 —
+  /// per-shard versions live in stats().
   BatchResult RecommendMany(std::span<const ContextRef> contexts,
-                            size_t top_n, const ServeOptions& options) const;
-
-  // ------------------------------------------------- legacy signatures
-  // Thin wrappers over the canonical ServeOptions paths: unbounded
-  // deadline, never shed, never degraded, bit-identical results.
-
-  /// Legacy single-query spelling.
-  Recommendation Recommend(ContextRef context, size_t top_n,
-                           uint64_t* served_version = nullptr) const {
-    ServeResult served = Recommend(context, top_n, ServeOptions{});
-    if (served_version != nullptr) *served_version = served.served_version;
-    return std::move(served.recommendation);
-  }
-
-  /// Legacy batch spelling. Contexts owned by a shard with no published
-  /// snapshot yield uncovered empty results, exactly like an unpublished
-  /// engine. Pool-sized batches ride the bulk lane.
-  std::vector<Recommendation> RecommendMany(
-      std::span<const ContextRef> contexts, size_t top_n) const {
-    ServeOptions options;
-    options.lane = contexts.size() >= options_.min_batch_fanout
-                       ? QosLane::kBulk
-                       : QosLane::kInteractive;
-    return std::move(RecommendMany(contexts, top_n, options).results);
-  }
-
-  /// Legacy batch spelling over owned query sequences.
-  std::vector<Recommendation> RecommendMany(
-      const std::vector<std::vector<QueryId>>& contexts,
-      size_t top_n) const {
-    std::vector<ContextRef> refs;
-    refs.reserve(contexts.size());
-    for (const std::vector<QueryId>& context : contexts) {
-      refs.emplace_back(context.data(), context.size());
-    }
-    return RecommendMany(std::span<const ContextRef>(refs), top_n);
-  }
+                            size_t top_n,
+                            const ServeOptions& options = {}) const;
 
   /// Per-shard snapshot versions (0 for never-published shards), index ==
   /// shard id.

@@ -1,12 +1,13 @@
 #ifndef SQP_UTIL_BYTE_IO_H_
 #define SQP_UTIL_BYTE_IO_H_
 
-/// Endian-safe binary primitives shared by every on-disk format in the
-/// repo (core/serialization VMM files, core/snapshot_io compact blobs):
-/// all multi-byte fields are little-endian on disk regardless of host
-/// order, readers are truncation-safe (bool-returning, never UB on short
-/// input), and CRC-32 covers section checksums. Having exactly one set of
-/// byte-level helpers keeps the two formats from drifting apart.
+/// Endian-safe binary primitives shared by every binary format in the
+/// repo (core/snapshot_io compact blobs and manifests, net/wire_format
+/// frames, serve/feedback log segments): all multi-byte fields are
+/// little-endian on disk regardless of host order, readers are
+/// truncation-safe (bool-returning, never UB on short input), and CRC-32
+/// covers section checksums. Having exactly one set of byte-level helpers
+/// keeps the formats from drifting apart.
 
 #include <bit>
 #include <cstdint>

@@ -220,8 +220,9 @@ TEST(MvmmModelTest, MergedStatsDescribeTheRealSharedStructure) {
 }
 
 TEST(MvmmModelTest, FallbackBeyondMaskWidthStillServes) {
-  // More components than the view mask holds (Pst::kMaxViews = 64) take
-  // the standalone-component fallback; every serving path must still work.
+  // There is no fallback beyond the mask width: the shared tree tags nodes
+  // with a Pst::kMaxViews-bit view mask, so more components than that are
+  // rejected and the model stays untrained (serving nothing).
   MvmmOptions options;
   for (size_t i = 0; i < Pst::kMaxViews + 2; ++i) {
     VmmOptions c;
@@ -231,31 +232,16 @@ TEST(MvmmModelTest, FallbackBeyondMaskWidthStillServes) {
   }
   const auto sessions = TableIISessions();
   MvmmModel model(options);
-  ASSERT_TRUE(model.Train(MakeData(&sessions)).ok());
+  EXPECT_EQ(model.Train(MakeData(&sessions)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.snapshot(), nullptr);
   EXPECT_EQ(model.shared_pst(), nullptr);
-  EXPECT_EQ(model.components().size(), Pst::kMaxViews + 2);
-
-  EXPECT_TRUE(model.Covers(std::vector<QueryId>{kQ0}));
-  EXPECT_FALSE(model.Covers(std::vector<QueryId>{57}));
-  const auto weights = model.MixtureWeights(std::vector<QueryId>{kQ1, kQ0});
-  double total = 0.0;
-  for (double w : weights) {
-    EXPECT_GE(w, 0.0);
-    total += w;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-  const Recommendation rec = model.Recommend(std::vector<QueryId>{kQ1, kQ0}, 2);
-  ASSERT_TRUE(rec.covered);
-  ASSERT_EQ(rec.queries.size(), 2u);
-  EXPECT_EQ(rec.queries[0].query, kQ1);
-  double p = 0.0;
-  for (QueryId q = 0; q < 2; ++q) {
-    p += model.ConditionalProb(std::vector<QueryId>{kQ0}, q);
-  }
-  EXPECT_NEAR(p, 1.0, 1e-9);
-  const ModelStats stats = model.Stats();
-  EXPECT_GT(stats.num_states, 0u);
-  EXPECT_GT(stats.memory_bytes, 0u);
+  EXPECT_TRUE(model.components().empty());
+  EXPECT_TRUE(model.sigmas().empty());
+  EXPECT_FALSE(model.Covers(std::vector<QueryId>{kQ0}));
+  EXPECT_FALSE(model.Recommend(std::vector<QueryId>{kQ1, kQ0}, 2).covered);
+  EXPECT_EQ(model.ConditionalProb(std::vector<QueryId>{kQ0}, kQ1), 0.0);
+  EXPECT_EQ(model.Stats().num_states, 0u);
 }
 
 TEST(MvmmModelTest, RequiresComponents) {

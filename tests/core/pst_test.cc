@@ -271,44 +271,5 @@ TEST(PstStatsTest, EntryAndMemoryAccounting) {
   EXPECT_GT(full.memory_bytes(), small.memory_bytes());
 }
 
-TEST(PstInitFromNodesTest, RoundTripViaNodes) {
-  const ContextIndex index = BuildTableIIIndex();
-  Pst original;
-  ASSERT_TRUE(original.Build(index, PstOptions{.epsilon = 0.0}).ok());
-  Pst restored;
-  ASSERT_TRUE(
-      restored.InitFromNodes(original.nodes(), original.options()).ok());
-  ASSERT_EQ(restored.size(), original.size());
-  size_t matched = 0;
-  const Pst::Node* state = restored.MatchLongestSuffix(
-      std::vector<QueryId>{kQ1, kQ0}, &matched);
-  EXPECT_EQ(matched, 2u);
-  EXPECT_EQ(state->total_count, 10u);
-}
-
-TEST(PstInitFromNodesTest, RejectsMalformedInputs) {
-  Pst pst;
-  EXPECT_FALSE(pst.InitFromNodes({}, PstOptions{}).ok());
-
-  // Root with non-empty context.
-  Pst::Node bad_root;
-  bad_root.context = {kQ0};
-  EXPECT_FALSE(pst.InitFromNodes({bad_root}, PstOptions{}).ok());
-
-  // Child whose context does not extend its parent.
-  Pst::Node root;
-  root.parent = -1;
-  Pst::Node child;
-  child.parent = 0;
-  child.context = {kQ0, kQ1};  // length 2 but parent is root
-  EXPECT_FALSE(pst.InitFromNodes({root, child}, PstOptions{}).ok());
-
-  // Forward parent reference.
-  Pst::Node child2;
-  child2.parent = 2;
-  child2.context = {kQ0};
-  EXPECT_FALSE(pst.InitFromNodes({root, child2}, PstOptions{}).ok());
-}
-
 }  // namespace
 }  // namespace sqp

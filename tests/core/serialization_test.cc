@@ -2,17 +2,11 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
 namespace sqp {
 namespace {
-
-std::vector<AggregatedSession> SmallCorpus() {
-  return {{{0, 1, 2}, 6}, {{1, 2}, 7}, {{0, 2, 1}, 6}, {{3}, 2},
-          {{2, 0, 1}, 3}};
-}
 
 class SerializationTest : public ::testing::Test {
  protected:
@@ -27,86 +21,8 @@ class SerializationTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  VmmModel TrainedModel(double epsilon = 0.0) {
-    sessions_ = SmallCorpus();
-    TrainingData data;
-    data.sessions = &sessions_;
-    data.vocabulary_size = 4;
-    VmmModel model(VmmOptions{.epsilon = epsilon});
-    SQP_CHECK_OK(model.Train(data));
-    return model;
-  }
-
-  std::vector<AggregatedSession> sessions_;
   std::string path_;
 };
-
-TEST_F(SerializationTest, VmmRoundTripPreservesRecommendations) {
-  const VmmModel original = TrainedModel();
-  ASSERT_TRUE(SaveVmmModel(original, path_).ok());
-
-  VmmModel loaded(VmmOptions{.epsilon = 0.99});  // overwritten on load
-  ASSERT_TRUE(LoadVmmModel(path_, &loaded).ok());
-
-  EXPECT_EQ(loaded.Name(), original.Name());
-  EXPECT_EQ(loaded.pst().size(), original.pst().size());
-  EXPECT_EQ(loaded.vocabulary_size(), original.vocabulary_size());
-
-  const std::vector<std::vector<QueryId>> contexts = {
-      {0}, {1}, {2}, {0, 1}, {2, 0, 1}, {1, 1}, {9}};
-  for (const auto& context : contexts) {
-    const Recommendation a = original.Recommend(context, 5);
-    const Recommendation b = loaded.Recommend(context, 5);
-    ASSERT_EQ(a.covered, b.covered);
-    ASSERT_EQ(a.queries.size(), b.queries.size());
-    for (size_t i = 0; i < a.queries.size(); ++i) {
-      EXPECT_EQ(a.queries[i].query, b.queries[i].query);
-      EXPECT_DOUBLE_EQ(a.queries[i].score, b.queries[i].score);
-    }
-    EXPECT_DOUBLE_EQ(original.ConditionalProb(context, 1),
-                     loaded.ConditionalProb(context, 1));
-  }
-}
-
-TEST_F(SerializationTest, VmmRoundTripPreservesOptions) {
-  const VmmModel original = TrainedModel(0.05);
-  ASSERT_TRUE(SaveVmmModel(original, path_).ok());
-  VmmModel loaded;
-  ASSERT_TRUE(LoadVmmModel(path_, &loaded).ok());
-  EXPECT_DOUBLE_EQ(loaded.options().epsilon, 0.05);
-  EXPECT_EQ(loaded.options().max_depth, original.options().max_depth);
-}
-
-TEST_F(SerializationTest, SaveUntrainedFails) {
-  VmmModel untrained;
-  EXPECT_EQ(SaveVmmModel(untrained, path_).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_F(SerializationTest, LoadMissingFileFails) {
-  VmmModel model;
-  EXPECT_EQ(LoadVmmModel("/nonexistent/model.bin", &model).code(),
-            StatusCode::kIOError);
-}
-
-TEST_F(SerializationTest, LoadRejectsBadMagic) {
-  {
-    std::ofstream out(path_, std::ios::binary);
-    out << "NOTAMODELFILE.............";
-  }
-  VmmModel model;
-  EXPECT_EQ(LoadVmmModel(path_, &model).code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(SerializationTest, LoadRejectsTruncatedFile) {
-  const VmmModel original = TrainedModel();
-  ASSERT_TRUE(SaveVmmModel(original, path_).ok());
-  // Truncate to half size.
-  const auto full_size = std::filesystem::file_size(path_);
-  std::filesystem::resize_file(path_, full_size / 2);
-  VmmModel model;
-  EXPECT_FALSE(LoadVmmModel(path_, &model).ok());
-}
 
 TEST_F(SerializationTest, DictionaryRoundTrip) {
   QueryDictionary dict;

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compact_snapshot.h"
@@ -186,6 +187,67 @@ TEST(SnapshotIoTest, SaveLoadMapServeBitIdenticallyOverSeededCorpora) {
     ExpectBitIdentical(*compact, **loaded, contexts, 10);
     ExpectBitIdentical(*compact, **mapped, contexts, 10);
   }
+}
+
+TEST(SnapshotIoTest, MatchedDepthIsTheWalksDescentOnOwnedAndMappedStorage) {
+  // MatchedDepth is the descent half of Recommend (benches subtract it to
+  // time score+merge), so it must report exactly the walk's matched length
+  // on covered contexts and 0 where Covers says no — for owned and mapped
+  // blobs alike.
+  const std::vector<AggregatedSession> corpus =
+      SeededCorpus(/*seed=*/31, 600, /*vocabulary=*/120);
+  const auto full = BuildFull(corpus, /*version=*/1, 1 << 10);
+  const auto compact =
+      CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
+  TempFile file("matched_depth.blob");
+  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  const auto mapped = MapCompactSnapshot(file.path());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  std::vector<std::vector<QueryId>> contexts = PrefixContexts(corpus, 400);
+  contexts.push_back({});
+  contexts.push_back({500});                       // never seen
+  contexts.push_back({500, 501, 502});             // never seen
+  contexts.push_back({corpus[0].queries[0], 500});  // unseen last query
+  const std::vector<const CompactServingBase*> variants = {compact.get(),
+                                                           mapped->get()};
+  for (const CompactServingBase* snapshot : variants) {
+    SnapshotScratch scratch;
+    size_t covered = 0;
+    size_t uncovered = 0;
+    for (const std::vector<QueryId>& context : contexts) {
+      const size_t depth = snapshot->MatchedDepth(context);
+      if (snapshot->Covers(context)) {
+        EXPECT_EQ(depth,
+                  snapshot->Recommend(context, 5, &scratch).matched_length);
+        EXPECT_GE(depth, 1u);
+        ++covered;
+      } else {
+        EXPECT_EQ(depth, 0u);
+        ++uncovered;
+      }
+    }
+    EXPECT_GT(covered, 0u);
+    EXPECT_GE(uncovered, 4u);
+  }
+
+  // The descent runs in this thread's serving scratch (no per-call
+  // buffer): a fresh thread's path buffer is grown by the first call, on
+  // the longest context, and reused, not reallocated, by later ones.
+  const std::vector<QueryId>& longest = *std::max_element(
+      contexts.begin(), contexts.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  std::thread([&] {
+    const std::vector<int32_t>& path = internal::ThreadScratch().path;
+    EXPECT_TRUE(path.empty());
+    compact->MatchedDepth(longest);
+    ASSERT_FALSE(path.empty());
+    const int32_t* buffer = path.data();
+    for (const std::vector<QueryId>& context : contexts) {
+      (*mapped)->MatchedDepth(context);
+    }
+    EXPECT_EQ(path.data(), buffer);
+  }).join();
 }
 
 TEST(SnapshotIoTest, WideIdPoolsRoundTrip) {
@@ -444,7 +506,7 @@ TEST(SnapshotIoTest, EngineColdBootsFromBlobAndKeepsServingOnBadReload) {
   SnapshotScratch scratch;
   for (const std::vector<QueryId>& context : PrefixContexts(corpus, 120)) {
     const Recommendation want = compact->Recommend(context, 10, &scratch);
-    const Recommendation got = engine.Recommend(context, 10);
+    const Recommendation got = engine.Recommend(context, 10).recommendation;
     ASSERT_EQ(want.covered, got.covered);
     ASSERT_EQ(want.queries.size(), got.queries.size());
     for (size_t i = 0; i < want.queries.size(); ++i) {
@@ -504,8 +566,8 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
     ASSERT_TRUE(replica.LoadAndPublish(file.path()).ok());
     EXPECT_EQ(replica.current_version(), 2u);
     for (const std::vector<QueryId>& context : PrefixContexts(fresh, 60)) {
-      const Recommendation a = engine.Recommend(context, 10);
-      const Recommendation b = replica.Recommend(context, 10);
+      const Recommendation a = engine.Recommend(context, 10).recommendation;
+      const Recommendation b = replica.Recommend(context, 10).recommendation;
       ASSERT_EQ(a.covered, b.covered);
       ASSERT_EQ(a.queries.size(), b.queries.size());
       for (size_t i = 0; i < a.queries.size(); ++i) {

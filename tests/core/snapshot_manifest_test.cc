@@ -286,8 +286,9 @@ TEST(ManifestGoldenTest, CommittedManifestBootsAndMatchesFreshFleet) {
       const std::vector<QueryId> context(
           session.queries.begin(),
           session.queries.begin() + static_cast<ptrdiff_t>(len));
-      const Recommendation want = fresh.Recommend(context, 10);
-      const Recommendation got = (*booted)->Recommend(context, 10);
+      const Recommendation want = fresh.Recommend(context, 10).recommendation;
+      const Recommendation got =
+          (*booted)->Recommend(context, 10).recommendation;
       ASSERT_EQ(want.covered, got.covered);
       ASSERT_EQ(want.matched_length, got.matched_length);
       ASSERT_EQ(want.queries.size(), got.queries.size());

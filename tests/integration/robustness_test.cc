@@ -1,6 +1,7 @@
 // Failure injection: the library must degrade with clean Status errors (or
 // reject input outright), never crash or silently mis-parse, when fed
-// corrupted log files, truncated model files, or adversarial corpora.
+// corrupted log files or adversarial corpora. (Persisted-model corruption
+// is covered by the blob and manifest sweeps in tests/core/.)
 
 #include <cstdio>
 #include <filesystem>
@@ -9,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/model_factory.h"
-#include "core/serialization.h"
 #include "eval/evaluator.h"
 #include "log/log_io.h"
 #include "log/session_segmenter.h"
@@ -84,78 +84,6 @@ TEST(LogCorruptionTest, FuzzedFilesFailCleanly) {
     }
   }
   std::remove(fuzz_path.c_str());
-}
-
-/// Truncate a serialized VMM at every 64-byte boundary: loading must fail
-/// cleanly (or succeed only for the full file).
-TEST(ModelCorruptionTest, TruncationSweepFailsCleanly) {
-  const std::vector<AggregatedSession> sessions{
-      {{0, 1, 2}, 6}, {{1, 2}, 7}, {{0, 2, 1}, 6}, {{2, 0}, 3}};
-  TrainingData data;
-  data.sessions = &sessions;
-  data.vocabulary_size = 3;
-  VmmModel model(VmmOptions{.epsilon = 0.0});
-  ASSERT_TRUE(model.Train(data).ok());
-  const std::string path = TempPath("truncate");
-  ASSERT_TRUE(SaveVmmModel(model, path).ok());
-  const auto full_size = std::filesystem::file_size(path);
-
-  const std::string cut_path = TempPath("truncate_cut");
-  for (uintmax_t size = 0; size < full_size; size += 64) {
-    std::filesystem::copy_file(
-        path, cut_path, std::filesystem::copy_options::overwrite_existing);
-    std::filesystem::resize_file(cut_path, size);
-    VmmModel loaded;
-    const Status st = LoadVmmModel(cut_path, &loaded);  // must not crash
-    EXPECT_FALSE(st.ok()) << "truncated to " << size << " of " << full_size;
-  }
-  std::remove(path.c_str());
-  std::remove(cut_path.c_str());
-}
-
-/// Bit-flip fuzz of a serialized VMM: load must never crash; a loaded model
-/// must serve recommendations without invariant violations.
-TEST(ModelCorruptionTest, BitFlipSweepNeverCrashes) {
-  const std::vector<AggregatedSession> sessions{
-      {{0, 1, 2}, 6}, {{1, 2}, 7}, {{0, 2, 1}, 6}};
-  TrainingData data;
-  data.sessions = &sessions;
-  data.vocabulary_size = 3;
-  VmmModel model(VmmOptions{.epsilon = 0.0});
-  ASSERT_TRUE(model.Train(data).ok());
-  const std::string path = TempPath("bitflip_base");
-  ASSERT_TRUE(SaveVmmModel(model, path).ok());
-  std::string contents;
-  {
-    std::ifstream in(path, std::ios::binary);
-    contents.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  std::remove(path.c_str());
-
-  Rng rng(777);
-  const std::string flip_path = TempPath("bitflip");
-  for (int round = 0; round < 100; ++round) {
-    std::string mutated = contents;
-    // Flip one random bit beyond the magic so the header check can pass.
-    const size_t pos = 8 + rng.UniformInt(mutated.size() - 8);
-    mutated[pos] = static_cast<char>(
-        mutated[pos] ^ static_cast<char>(1 << rng.UniformInt(8)));
-    {
-      std::ofstream out(flip_path, std::ios::binary | std::ios::trunc);
-      out << mutated;
-    }
-    VmmModel loaded;
-    const Status st = LoadVmmModel(flip_path, &loaded);  // must not crash
-    if (st.ok()) {
-      // A structurally valid mutation: the model must still behave.
-      const Recommendation rec =
-          loaded.Recommend(std::vector<QueryId>{0}, 5);
-      for (size_t i = 1; i < rec.queries.size(); ++i) {
-        EXPECT_GE(rec.queries[i - 1].score, rec.queries[i].score);
-      }
-    }
-  }
-  std::remove(flip_path.c_str());
 }
 
 /// Adversarial corpora: degenerate shapes must train and answer cleanly.

@@ -58,7 +58,8 @@ RouterClient FaultyRouter(const Fixture& fixture, FaultPlan plan,
 void ExpectBitIdenticalToReference(const Fixture& fixture,
                                    const BatchResult& batch) {
   const std::vector<Recommendation> expected =
-      fixture.reference->RecommendMany(fixture.contexts, 5);
+      fixture.reference->RecommendMany(AsRefs(fixture.contexts), 5)
+          .results;
   ASSERT_EQ(batch.results.size(), expected.size());
   EXPECT_EQ(batch.served, expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
@@ -76,7 +77,7 @@ TEST(FaultInjectionTest, SlowPeerPartialWritesAndShortReadsStillServe) {
   plan.max_write_chunk = 3;
   plan.max_read_chunk = 5;
   RouterClient router = FaultyRouter(fixture, plan);
-  const BatchResult batch = router.RecommendMany(fixture.contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(fixture.contexts), 5);
   EXPECT_TRUE(batch.admission.ok());
   ExpectBitIdenticalToReference(fixture, batch);
 }
@@ -90,7 +91,7 @@ TEST(FaultInjectionTest, MidFrameDisconnectSurfacesUnavailable) {
   plan.truncate_read_at = 20;
   RouterClient router =
       FaultyRouter(fixture, plan, RouterOptions{.max_attempts = 1});
-  const BatchResult batch = router.RecommendMany(fixture.contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(fixture.contexts), 5);
   EXPECT_EQ(batch.served, 0u);
   EXPECT_EQ(batch.admission.code(), StatusCode::kUnavailable);
   for (const StatusCode status : batch.statuses) {
@@ -109,7 +110,7 @@ TEST(FaultInjectionTest, ReconnectAfterMidFrameDisconnectRecovers) {
   RouterClient router = FaultyRouter(fixture, plan,
                                      RouterOptions{.max_attempts = 2},
                                      /*faulty_connections=*/1);
-  const BatchResult batch = router.RecommendMany(fixture.contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(fixture.contexts), 5);
   EXPECT_TRUE(batch.admission.ok());
   EXPECT_GE(router.stats().reconnects, 1u);
   ExpectBitIdenticalToReference(fixture, batch);
@@ -122,7 +123,7 @@ TEST(FaultInjectionTest, WriteFailureMidFrameRecoversOnReconnect) {
   RouterClient router = FaultyRouter(fixture, plan,
                                      RouterOptions{.max_attempts = 2},
                                      /*faulty_connections=*/1);
-  const BatchResult batch = router.RecommendMany(fixture.contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(fixture.contexts), 5);
   EXPECT_TRUE(batch.admission.ok());
   EXPECT_GE(router.stats().reconnects, 1u);
   ExpectBitIdenticalToReference(fixture, batch);
@@ -151,7 +152,7 @@ TEST(FaultInjectionTest, CorruptResponsesSurfaceDataLoss) {
     plan.flip_read = {{fault.offset, fault.mask}};
     RouterClient router =
         FaultyRouter(fixture, plan, RouterOptions{.max_attempts = 1});
-    const BatchResult batch = router.RecommendMany(fixture.contexts, 5);
+    const BatchResult batch = router.RecommendMany(AsRefs(fixture.contexts), 5);
     EXPECT_EQ(batch.served, 0u) << fault.name;
     EXPECT_EQ(batch.admission.code(), StatusCode::kDataLoss) << fault.name;
     for (const StatusCode status : batch.statuses) {
@@ -170,7 +171,7 @@ TEST(FaultInjectionTest, DataLossNeverRetries) {
   plan.flip_read = {{20, 0x10}};
   RouterClient router =
       FaultyRouter(fixture, plan, RouterOptions{.max_attempts = 5});
-  const BatchResult batch = router.RecommendMany(fixture.contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(fixture.contexts), 5);
   EXPECT_EQ(batch.served, 0u);
   EXPECT_EQ(router.stats().reconnects, 0u);
   EXPECT_GE(router.stats().wire_errors, 1u);
@@ -204,7 +205,7 @@ TEST(FaultInjectionTest, ServerDropsGarbageConnectionAndKeepsServing) {
   // And a well-behaved client is completely unaffected.
   RouterClient router(1,
                       TcpTransportFactory("127.0.0.1", {server.port()}));
-  const BatchResult batch = router.RecommendMany(fixture.contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(fixture.contexts), 5);
   EXPECT_TRUE(batch.admission.ok());
   EXPECT_EQ(batch.served, fixture.contexts.size());
   EXPECT_GE(server.stats().connections_dropped, 1u);
@@ -227,7 +228,7 @@ TEST(FaultInjectionTest, StalledConnectionTimesOutInsteadOfHanging) {
                           /*io_timeout=*/std::chrono::milliseconds(100)),
       RouterOptions{.max_attempts = 1});
   const auto start = std::chrono::steady_clock::now();
-  const BatchResult batch = router.RecommendMany(fixture.contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(fixture.contexts), 5);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(batch.served, 0u);
   for (const StatusCode status : batch.statuses) {

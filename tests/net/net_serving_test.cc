@@ -31,30 +31,18 @@ using net::ShardServer;
 using net::ShardServerOptions;
 using net::TcpTransportFactory;
 
-/// View adapter for the deadline-aware in-process overload, which takes
-/// context spans.
-std::vector<ContextRef> AsRefs(
-    const std::vector<std::vector<QueryId>>& contexts) {
-  std::vector<ContextRef> refs;
-  refs.reserve(contexts.size());
-  for (const auto& context : contexts) {
-    refs.emplace_back(context.data(), context.size());
-  }
-  return refs;
-}
-
-/// The full equivalence check: legacy-path reference vs the router's
-/// unbounded deadline-aware surface, then a bounded bulk-lane batch vs
-/// the in-process deadline-aware reference. Every score must match to
+/// The full equivalence check: the in-process unbounded-deadline
+/// reference vs the router's unbounded surface, then a bounded bulk-lane
+/// batch vs the in-process bounded reference. Every score must match to
 /// the bit (scores travel as raw f64 bits).
 void ExpectServesBitIdentical(RouterClient& router,
                               const ShardedEngine& reference,
                               const std::vector<std::vector<QueryId>>& contexts,
                               size_t top_n) {
   const std::vector<Recommendation> expected =
-      reference.RecommendMany(contexts, top_n);
+      reference.RecommendMany(AsRefs(contexts), top_n).results;
 
-  const BatchResult batch = router.RecommendMany(contexts, top_n);
+  const BatchResult batch = router.RecommendMany(AsRefs(contexts), top_n);
   ASSERT_EQ(batch.results.size(), expected.size());
   EXPECT_TRUE(batch.admission.ok());
   EXPECT_EQ(batch.served, expected.size());
@@ -68,7 +56,8 @@ void ExpectServesBitIdentical(RouterClient& router,
   ServeOptions options;
   options.deadline = Deadline::After(std::chrono::seconds(30));
   options.lane = QosLane::kBulk;
-  const BatchResult bounded = router.RecommendMany(contexts, top_n, options);
+  const BatchResult bounded =
+      router.RecommendMany(AsRefs(contexts), top_n, options);
   const BatchResult in_process =
       reference.RecommendMany(AsRefs(contexts), top_n, options);
   ASSERT_EQ(bounded.results.size(), in_process.results.size());
@@ -158,7 +147,7 @@ TEST(NetServingTest, ExpiredDeadlineShedsExactlyLikeInProcess) {
   ServeOptions options;
   options.deadline =
       Deadline::At(Deadline::Clock::now() - std::chrono::seconds(1));
-  const BatchResult batch = router.RecommendMany(contexts, 5, options);
+  const BatchResult batch = router.RecommendMany(AsRefs(contexts), 5, options);
   const BatchResult in_process =
       reference->RecommendMany(AsRefs(contexts), 5, options);
   EXPECT_EQ(batch.admission.code(), StatusCode::kDeadlineExceeded);
@@ -192,7 +181,7 @@ TEST(NetServingTest, UnpublishedShardAnswersUnavailableLikeInProcess) {
   reference->PublishShard(0, trained.shards[0]);
 
   RouterClient router(2, LoopbackTransportFactory(fleet.borrowed, 1));
-  const BatchResult batch = router.RecommendMany(contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(contexts), 5);
   const BatchResult in_process =
       reference->RecommendMany(AsRefs(contexts), 5, ServeOptions{});
   ASSERT_EQ(batch.results.size(), in_process.results.size());
@@ -217,7 +206,7 @@ TEST(NetServingTest, FleetVersionPinRejectsMismatchedShards) {
   // item must answer kFailedPrecondition, nothing served.
   RouterClient router(2, LoopbackTransportFactory(fleet.borrowed, 1),
                       RouterOptions{.expected_fleet_version = 2});
-  const BatchResult batch = router.RecommendMany(contexts, 5);
+  const BatchResult batch = router.RecommendMany(AsRefs(contexts), 5);
   EXPECT_EQ(batch.served, 0u);
   EXPECT_EQ(batch.admission.code(), StatusCode::kFailedPrecondition);
   for (const StatusCode status : batch.statuses) {
@@ -245,7 +234,7 @@ TEST(NetServingTest, GracefulShardRestartReResolvesOntoNewManifest) {
   RouterClient router(
       2, TcpTransportFactory("127.0.0.1", {shard0_port, shard1.port()}),
       RouterOptions{.max_attempts = 2});
-  BatchResult before = router.RecommendMany(contexts, 5);
+  BatchResult before = router.RecommendMany(AsRefs(contexts), 5);
   EXPECT_TRUE(before.admission.ok());
   EXPECT_EQ(router.observed_fleet_version(), 1u);
 
@@ -262,7 +251,7 @@ TEST(NetServingTest, GracefulShardRestartReResolvesOntoNewManifest) {
   EXPECT_EQ(restarted.port(), shard0_port);
   EXPECT_EQ(restarted.fleet_version(), 2u);
 
-  const BatchResult after = router.RecommendMany(contexts, 5);
+  const BatchResult after = router.RecommendMany(AsRefs(contexts), 5);
   EXPECT_TRUE(after.admission.ok());
   EXPECT_EQ(after.served, contexts.size());
   EXPECT_GE(router.stats().reconnects, 1u);
@@ -272,7 +261,7 @@ TEST(NetServingTest, GracefulShardRestartReResolvesOntoNewManifest) {
   // Same corpus, same options: generation 2 serves the same bits, so the
   // restarted fleet must still match the v1 reference exactly.
   const std::vector<Recommendation> expected =
-      (*reference)->RecommendMany(contexts, 5);
+      (*reference)->RecommendMany(AsRefs(contexts), 5).results;
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(after.statuses[i], StatusCode::kOk) << "item " << i;
     serve_test::ExpectSameRecommendation(expected[i], after.results[i]);

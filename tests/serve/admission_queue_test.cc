@@ -80,8 +80,8 @@ TEST(AdmissionQueueTest, ShedsOnOverflowButNeverShedsUnboundedJobs) {
   EXPECT_EQ(overflow.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(queue.stats().lane(QosLane::kBulk).shed_queue_full, 1u);
 
-  // ...but an unbounded-deadline one just waits (legacy contract).
-  std::thread legacy([&] {
+  // ...but an unbounded-deadline one just waits.
+  std::thread unbounded([&] {
     ASSERT_TRUE(queue.Admit(QosLane::kBulk, Deadline::None(), 1).ok());
     queue.Release(1, 1.0);
   });
@@ -89,7 +89,7 @@ TEST(AdmissionQueueTest, ShedsOnOverflowButNeverShedsUnboundedJobs) {
 
   queue.Release(1, 1.0);
   waiter.join();
-  legacy.join();
+  unbounded.join();
 }
 
 TEST(AdmissionQueueTest, ExpiresWhileQueuedWithoutTakingTheSlot) {
@@ -193,8 +193,8 @@ TEST(AdmissionQueueTest, DegradeLadderHalvesTopNUnderPressure) {
   });
   AwaitWaiters(queue, QosLane::kBulk, 1);
 
-  // Under pressure: deadline-carrying requests degrade (floored), the
-  // unbounded legacy path never does.
+  // Under pressure: deadline-carrying requests degrade (floored),
+  // unbounded-deadline requests never do.
   EXPECT_EQ(queue.DegradedTopN(10, FarDeadline()), 5u);
   EXPECT_EQ(queue.DegradedTopN(5, FarDeadline()), 3u);
   EXPECT_EQ(queue.DegradedTopN(3, FarDeadline()), 3u);

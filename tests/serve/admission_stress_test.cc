@@ -1,9 +1,9 @@
 // Concurrency stress for admission control: bounded-deadline batches on
-// both lanes (small capacities force real sheds), deadline-free legacy
+// both lanes (small capacities force real sheds), unbounded-deadline
 // batches, and single-query QoS traffic all race snapshot publishes.
 // Invariants checked per response, not per schedule — the interleaving is
 // whatever the machine gives us (run under the SQP_TSAN build in CI):
-//   - legacy (deadline-free) batches ALWAYS complete in full,
+//   - unbounded-deadline batches ALWAYS complete in full,
 //   - every QoS batch accounts for every item (served == #kOk, the rest
 //     carry an explicit shed/expiry status),
 //   - every kOk answer matches one fully-published generation bit-exactly,
@@ -112,11 +112,7 @@ TEST(AdmissionStressTest, ShedAdmitAndPublishRaceCleanly) {
     ok_items.fetch_add(ok);
   };
 
-  std::vector<ContextRef> refs;
-  refs.reserve(contexts.size());
-  for (const std::vector<QueryId>& context : contexts) {
-    refs.emplace_back(context.data(), context.size());
-  }
+  const std::vector<ContextRef> refs = AsRefs(contexts);
   const auto slice = [&](size_t offset, size_t n) {
     std::vector<ContextRef> out;
     out.reserve(n);
@@ -159,21 +155,25 @@ TEST(AdmissionStressTest, ShedAdmitAndPublishRaceCleanly) {
       }
     });
   }
-  // Legacy deadline-free batches: sheds and deadlines must never touch
-  // them — full results every time, from one generation.
+  // Unbounded-deadline bulk batches: sheds and deadlines must never
+  // touch them — full results every time, from one generation.
   for (size_t t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
+      ServeOptions options;
+      options.lane = QosLane::kBulk;
       for (size_t it = 0; it < 20; ++it) {
-        uint64_t version = 0;
-        const std::vector<Recommendation> batch = engine.RecommendMany(
-            std::span<const ContextRef>(refs), kTopN, &version);
-        if (batch.size() != refs.size() || version < 1 ||
+        const BatchResult batch = engine.RecommendMany(
+            std::span<const ContextRef>(refs), kTopN, options);
+        const uint64_t version = batch.served_version;
+        if (batch.results.size() != refs.size() ||
+            batch.served != refs.size() || version < 1 ||
             version > snapshots.size()) {
           violations.fetch_add(1);
           continue;
         }
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (!SameRecommendation(expected[version - 1][i], batch[i])) {
+        for (size_t i = 0; i < batch.results.size(); ++i) {
+          if (!SameRecommendation(expected[version - 1][i],
+                                  batch.results[i])) {
             violations.fetch_add(1);
             break;
           }

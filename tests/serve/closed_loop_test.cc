@@ -301,8 +301,8 @@ TEST(ClosedLoopTest, ConsumeFeedbackEqualsDirectAppendAndIsIdempotent) {
 
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().drifted, 200)) {
-    ExpectSameRecommendation(engine_b.Recommend(context, 5),
-                             engine_a.Recommend(context, 5));
+    ExpectSameRecommendation(engine_b.Recommend(context, 5).recommendation,
+                             engine_a.Recommend(context, 5).recommendation);
   }
 
   // Idempotency: the watermark advanced past every record (clicked or
@@ -375,8 +375,8 @@ TEST(ClosedLoopTest, ShardedConsumeFeedbackMatchesSingleEngineAnswers) {
   size_t mismatches = 0;
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().drifted, 300)) {
-    if (!SameRecommendation(single.Recommend(context, 5),
-                            sharded.Recommend(context, 5))) {
+    if (!SameRecommendation(single.Recommend(context, 5).recommendation,
+                            sharded.Recommend(context, 5).recommendation)) {
       ++mismatches;
     }
   }

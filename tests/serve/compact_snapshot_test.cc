@@ -213,7 +213,7 @@ TEST(CompactSnapshotTest, EnginePublishesEitherVariantThroughOneSeam) {
   for (const std::vector<QueryId>& context : contexts) {
     serve_test::ExpectSameRecommendation(
         SharedFull()->Recommend(context, 5, &scratch),
-        engine.Recommend(context, 5));
+        engine.Recommend(context, 5).recommendation);
   }
 
   engine.Publish(compact);  // hot swap full -> compact, readers unchanged
@@ -221,7 +221,7 @@ TEST(CompactSnapshotTest, EnginePublishesEitherVariantThroughOneSeam) {
   for (const std::vector<QueryId>& context : contexts) {
     serve_test::ExpectSameRecommendation(
         compact->Recommend(context, 5, &scratch),
-        engine.Recommend(context, 5));
+        engine.Recommend(context, 5).recommendation);
   }
 }
 
@@ -246,7 +246,7 @@ TEST(CompactSnapshotTest, RetrainerPublishesCompactRebuilds) {
        CollectContexts(SharedCorpus().base, 64)) {
     const Recommendation full =
         SharedFull()->Recommend(context, 5, &scratch);
-    const Recommendation served = engine.Recommend(context, 5);
+    const Recommendation served = engine.Recommend(context, 5).recommendation;
     ASSERT_EQ(full.covered, served.covered);
     ASSERT_EQ(full.queries.size(), served.queries.size());
     for (size_t i = 0; i < full.queries.size(); ++i) {

@@ -1,6 +1,6 @@
 // Deadline-aware serving: the acceptance property is that with no
-// overload the QoS paths are bit-identical to the legacy API on both
-// engines (unbounded AND generously-bounded deadlines), and that under
+// overload bounded-deadline serving is bit-identical to unbounded-deadline
+// serving on both engines (on both lanes), and that under
 // pressure the engine sheds whole requests, cuts batches mid-flight with
 // explicit per-item statuses, and degrades top_n — never deadlocking and
 // never touching deadline-free traffic.
@@ -42,6 +42,8 @@ Deadline Generous() { return Deadline::After(std::chrono::seconds(30)); }
 
 // ------------------------------------------------- no-overload equivalence
 
+// "Legacy" in the two test names below is the unbounded-deadline default
+// ServeOptions, which every bounded variant must match bit for bit.
 TEST(DeadlineServingTest, EngineQosMatchesLegacyWithoutOverload) {
   const auto snapshot = BuildSnapshot(SharedCorpus().base, 7);
   RecommenderEngine engine(EngineOptions{.num_threads = 2});
@@ -49,19 +51,20 @@ TEST(DeadlineServingTest, EngineQosMatchesLegacyWithoutOverload) {
 
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 300);
-  uint64_t version = 0;
-  const std::vector<Recommendation> legacy =
-      engine.RecommendMany(contexts, 5, &version);
-  ASSERT_EQ(version, 7u);
+  const BatchResult unbounded =
+      engine.RecommendMany(AsRefs(contexts), 5, ServeOptions{});
+  ASSERT_EQ(unbounded.served_version, 7u);
+  const std::vector<Recommendation>& expected = unbounded.results;
 
-  // Unbounded deadline (the legacy contract spelled out) and a generous
-  // bounded one, on both lanes: same answers, same order, same scores.
+  // Unbounded and generous bounded deadlines, on both lanes: same
+  // answers, same order, same scores.
   for (const Deadline& deadline : {Deadline::None(), Generous()}) {
     for (const QosLane lane : {QosLane::kInteractive, QosLane::kBulk}) {
       ServeOptions options;
       options.deadline = deadline;
       options.lane = lane;
-      const BatchResult batch = engine.RecommendMany(contexts, 5, options);
+      const BatchResult batch =
+          engine.RecommendMany(AsRefs(contexts), 5, options);
       ASSERT_TRUE(batch.admission.ok()) << batch.admission.ToString();
       EXPECT_EQ(batch.served, contexts.size());
       EXPECT_EQ(batch.served_version, 7u);
@@ -71,7 +74,7 @@ TEST(DeadlineServingTest, EngineQosMatchesLegacyWithoutOverload) {
       ASSERT_EQ(batch.statuses.size(), contexts.size());
       for (size_t i = 0; i < contexts.size(); ++i) {
         EXPECT_EQ(batch.statuses[i], StatusCode::kOk);
-        ExpectSameRecommendation(legacy[i], batch.results[i]);
+        ExpectSameRecommendation(expected[i], batch.results[i]);
       }
     }
   }
@@ -84,7 +87,7 @@ TEST(DeadlineServingTest, EngineQosMatchesLegacyWithoutOverload) {
     EXPECT_EQ(served.status, StatusCode::kOk);
     EXPECT_EQ(served.served_version, 7u);
     EXPECT_FALSE(served.degraded);
-    ExpectSameRecommendation(legacy[i], served.recommendation);
+    ExpectSameRecommendation(expected[i], served.recommendation);
   }
 }
 
@@ -106,8 +109,8 @@ TEST(DeadlineServingTest, ShardedQosMatchesLegacyWithoutOverload) {
   const std::vector<std::vector<QueryId>> owned =
       CollectContexts(corpus, 300);
   std::vector<ContextRef> contexts(owned.begin(), owned.end());
-  const std::vector<Recommendation> legacy =
-      engine.RecommendMany(owned, 5);
+  const std::vector<Recommendation> expected =
+      engine.RecommendMany(AsRefs(owned), 5, ServeOptions{}).results;
 
   for (const Deadline& deadline : {Deadline::None(), Generous()}) {
     ServeOptions options;
@@ -119,7 +122,7 @@ TEST(DeadlineServingTest, ShardedQosMatchesLegacyWithoutOverload) {
     ASSERT_EQ(batch.results.size(), owned.size());
     for (size_t i = 0; i < owned.size(); ++i) {
       EXPECT_EQ(batch.statuses[i], StatusCode::kOk);
-      ExpectSameRecommendation(legacy[i], batch.results[i]);
+      ExpectSameRecommendation(expected[i], batch.results[i]);
     }
   }
 
@@ -128,7 +131,7 @@ TEST(DeadlineServingTest, ShardedQosMatchesLegacyWithoutOverload) {
     options.deadline = Generous();
     const ServeResult served = engine.Recommend(contexts[i], 5, options);
     EXPECT_EQ(served.status, StatusCode::kOk);
-    ExpectSameRecommendation(legacy[i], served.recommendation);
+    ExpectSameRecommendation(expected[i], served.recommendation);
   }
 }
 
@@ -143,7 +146,8 @@ TEST(DeadlineServingTest, EngineShedsRequestsThatArriveExpired) {
   ServeOptions options;
   options.deadline =
       Deadline::At(Deadline::Clock::now() - std::chrono::milliseconds(1));
-  const BatchResult batch = engine.RecommendMany(contexts, 5, options);
+  const BatchResult batch =
+      engine.RecommendMany(AsRefs(contexts), 5, options);
   EXPECT_EQ(batch.admission.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(batch.served, 0u);
   ASSERT_EQ(batch.statuses.size(), contexts.size());
@@ -157,8 +161,10 @@ TEST(DeadlineServingTest, EngineShedsRequestsThatArriveExpired) {
 
   const AdmissionStats stats = engine.stats().admission;
   EXPECT_GE(stats.lane(QosLane::kInteractive).shed_deadline, 2u);
-  // The legacy path is oblivious: same engine, same instant, full answer.
-  EXPECT_EQ(engine.RecommendMany(contexts, 5).size(), contexts.size());
+  // An unbounded deadline is oblivious: same engine, same instant, full
+  // answer.
+  EXPECT_EQ(engine.RecommendMany(AsRefs(contexts), 5, ServeOptions{}).served,
+            contexts.size());
 }
 
 TEST(DeadlineServingTest, UnpublishedEnginesReportUnavailable) {
@@ -171,7 +177,7 @@ TEST(DeadlineServingTest, UnpublishedEnginesReportUnavailable) {
   EXPECT_FALSE(single.recommendation.covered);
 
   const BatchResult batch = engine.RecommendMany(
-      std::vector<std::vector<QueryId>>{{1}, {2}}, 5, options);
+      AsRefs(std::vector<std::vector<QueryId>>{{1}, {2}}), 5, options);
   ASSERT_TRUE(batch.admission.ok());
   EXPECT_EQ(batch.served, 0u);
   for (const StatusCode code : batch.statuses) {
@@ -244,9 +250,7 @@ TEST(DeadlineServingTest, BatchIsCutMidFlightWhenTheDeadlineExpires) {
   for (int rep = 0; rep < 60; ++rep) {
     contexts.insert(contexts.end(), seed.begin(), seed.end());
   }
-  std::vector<ContextRef> refs;
-  refs.reserve(contexts.size());
-  for (const auto& context : contexts) refs.emplace_back(context);
+  const std::vector<ContextRef> refs = AsRefs(contexts);
 
   ServeOptions options;
   options.deadline = Deadline::After(std::chrono::milliseconds(25));
@@ -259,11 +263,12 @@ TEST(DeadlineServingTest, BatchIsCutMidFlightWhenTheDeadlineExpires) {
   EXPECT_EQ(batch.statuses.back(), StatusCode::kDeadlineExceeded);
 
   // Served prefix is exact; expired suffix is explicit and empty.
-  const std::vector<Recommendation> legacy = engine.RecommendMany(seed, 5);
+  const std::vector<Recommendation> expected =
+      engine.RecommendMany(AsRefs(seed), 5, ServeOptions{}).results;
   size_t checked = 0;
   for (size_t i = 0; i < contexts.size(); ++i) {
     if (batch.statuses[i] == StatusCode::kOk) {
-      ExpectSameRecommendation(legacy[i % seed.size()], batch.results[i]);
+      ExpectSameRecommendation(expected[i % seed.size()], batch.results[i]);
       if (++checked >= 64) break;  // spot-check; the full loop is O(n^2) logs
     } else {
       EXPECT_EQ(batch.statuses[i], StatusCode::kDeadlineExceeded);
@@ -292,7 +297,7 @@ TEST(DeadlineServingTest, ConcurrentBatchCallersAllMakeProgress) {
   const std::vector<std::vector<QueryId>> small(seed.begin(),
                                                 seed.begin() + 40);
   const std::vector<Recommendation> expected_small =
-      engine.RecommendMany(small, 5);
+      engine.RecommendMany(AsRefs(small), 5, ServeOptions{}).results;
 
   std::atomic<size_t> bulk_done{0};
   std::atomic<size_t> interactive_done{0};
@@ -301,10 +306,11 @@ TEST(DeadlineServingTest, ConcurrentBatchCallersAllMakeProgress) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&] {
+      ServeOptions bulk;
+      bulk.lane = QosLane::kBulk;
       for (int round = 0; round < 3; ++round) {
-        const std::vector<Recommendation> got =
-            engine.RecommendMany(seed, 5);
-        if (got.size() == seed.size()) bulk_done.fetch_add(1);
+        const BatchResult got = engine.RecommendMany(AsRefs(seed), 5, bulk);
+        if (got.served == seed.size()) bulk_done.fetch_add(1);
       }
     });
   }
@@ -314,7 +320,8 @@ TEST(DeadlineServingTest, ConcurrentBatchCallersAllMakeProgress) {
         ServeOptions options;
         options.deadline = Generous();
         options.lane = QosLane::kInteractive;
-        const BatchResult got = engine.RecommendMany(small, 5, options);
+        const BatchResult got =
+            engine.RecommendMany(AsRefs(small), 5, options);
         if (!got.admission.ok() || got.served != small.size()) {
           interactive_clean.store(false);
           continue;
@@ -362,12 +369,14 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
   // queues behind it (deadline-free: it just waits). While B waits, a
   // bounded request must see the degrade ladder.
   std::atomic<int> giants_done{0};
+  ServeOptions bulk;
+  bulk.lane = QosLane::kBulk;
   std::thread holder([&] {
-    engine.RecommendMany(huge, 10);
+    engine.RecommendMany(AsRefs(huge), 10, bulk);
     giants_done.fetch_add(1);
   });
   std::thread waiter([&] {
-    engine.RecommendMany(huge, 10);
+    engine.RecommendMany(AsRefs(huge), 10, bulk);
     giants_done.fetch_add(1);
   });
 
@@ -377,7 +386,8 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
     options.deadline = Generous();
     // 4 contexts < min_batch_fanout: runs inline, never queues, so this
     // probe can't deadlock no matter what the slot is doing.
-    const BatchResult probe = engine.RecommendMany(small, 10, options);
+    const BatchResult probe =
+        engine.RecommendMany(AsRefs(small), 10, options);
     if (probe.degraded) {
       EXPECT_EQ(probe.effective_top_n, 5u);
       for (size_t i = 0; i < small.size(); ++i) {
@@ -398,7 +408,8 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
   // Pressure gone: the same probe serves the full top_n again.
   ServeOptions options;
   options.deadline = Generous();
-  const BatchResult after = engine.RecommendMany(small, 10, options);
+  const BatchResult after =
+      engine.RecommendMany(AsRefs(small), 10, options);
   EXPECT_FALSE(after.degraded);
   EXPECT_EQ(after.effective_top_n, 10u);
 }

@@ -119,11 +119,12 @@ TEST(EngineStressTest, ReadersAlwaysSeeFullyPublishedSnapshots) {
     readers.emplace_back([&, r] {
       for (size_t it = 0; it < kIterations && !done.load(); ++it) {
         const size_t i = (r * 131 + it * 17) % contexts.size();
-        uint64_t version = 0;
-        const Recommendation rec = engine.Recommend(contexts[i], 5, &version);
+        const ServeResult served = engine.Recommend(contexts[i], 5);
+        const uint64_t version = served.served_version;
         queries.fetch_add(1);
         if (version < 1 || version > snapshots.size() ||
-            !SameRecommendation(expected[version - 1][i], rec)) {
+            !SameRecommendation(expected[version - 1][i],
+                                served.recommendation)) {
           mismatches.fetch_add(1);
         }
       }
@@ -131,21 +132,18 @@ TEST(EngineStressTest, ReadersAlwaysSeeFullyPublishedSnapshots) {
   }
   // A batch reader: every result in a batch must come from ONE version.
   std::thread batch_reader([&] {
-    std::vector<ContextRef> refs;
-    for (const std::vector<QueryId>& context : contexts) {
-      refs.emplace_back(context.data(), context.size());
-    }
+    const std::vector<ContextRef> refs = AsRefs(contexts);
     for (size_t it = 0; it < 60; ++it) {
-      uint64_t version = 0;
-      const std::vector<Recommendation> batch = engine.RecommendMany(
-          std::span<const ContextRef>(refs), 5, &version);
-      queries.fetch_add(batch.size());
+      const BatchResult batch = engine.RecommendMany(refs, 5);
+      const uint64_t version = batch.served_version;
+      queries.fetch_add(batch.results.size());
       if (version < 1 || version > snapshots.size()) {
         mismatches.fetch_add(1);
         continue;
       }
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!SameRecommendation(expected[version - 1][i], batch[i])) {
+      for (size_t i = 0; i < batch.results.size(); ++i) {
+        if (!SameRecommendation(expected[version - 1][i],
+                                batch.results[i])) {
           mismatches.fetch_add(1);
         }
       }
@@ -196,13 +194,11 @@ TEST(EngineStressTest, ReadersHammerWhileRealRetrainerSwaps) {
     readers.emplace_back([&, r] {
       size_t it = 0;
       while (!stop.load()) {
-        uint64_t version = 0;
-        const Recommendation rec =
-            engine.Recommend(contexts[(r + it++) % contexts.size()], 5,
-                             &version);
-        (void)rec;
+        const ServeResult result =
+            engine.Recommend(contexts[(r + it++) % contexts.size()], 5);
         served.fetch_add(1);
-        if (version == 0) bad.fetch_add(1);  // must never see "no snapshot"
+        // Must never see "no snapshot".
+        if (result.served_version == 0) bad.fetch_add(1);
       }
     });
   }

@@ -37,17 +37,16 @@ TEST(RecommenderEngineTest, UnpublishedEngineServesEmpty) {
   EXPECT_EQ(engine.current_version(), 0u);
 
   const std::vector<QueryId> context = {1, 2, 3};
-  uint64_t version = 99;
-  const Recommendation rec = engine.Recommend(context, 5, &version);
-  EXPECT_FALSE(rec.covered);
-  EXPECT_TRUE(rec.queries.empty());
-  EXPECT_EQ(version, 0u);
+  const ServeResult served = engine.Recommend(context, 5);
+  EXPECT_FALSE(served.recommendation.covered);
+  EXPECT_TRUE(served.recommendation.queries.empty());
+  EXPECT_EQ(served.served_version, 0u);
 
-  const auto batch = engine.RecommendMany(
-      std::vector<std::vector<QueryId>>{{1}, {2}}, 5, &version);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_FALSE(batch[0].covered);
-  EXPECT_EQ(version, 0u);
+  const std::vector<std::vector<QueryId>> contexts = {{1}, {2}};
+  const BatchResult batch = engine.RecommendMany(AsRefs(contexts), 5);
+  ASSERT_EQ(batch.results.size(), 2u);
+  EXPECT_FALSE(batch.results[0].covered);
+  EXPECT_EQ(batch.served_version, 0u);
 }
 
 TEST(RecommenderEngineTest, SingleQueryMatchesSnapshot) {
@@ -59,11 +58,10 @@ TEST(RecommenderEngineTest, SingleQueryMatchesSnapshot) {
   SnapshotScratch scratch;
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().base, 200)) {
-    uint64_t version = 0;
-    const Recommendation actual = engine.Recommend(context, 5, &version);
-    EXPECT_EQ(version, 7u);
+    const ServeResult actual = engine.Recommend(context, 5);
+    EXPECT_EQ(actual.served_version, 7u);
     ExpectSameRecommendation(snapshot->Recommend(context, 5, &scratch),
-                             actual);
+                             actual.recommendation);
   }
   EXPECT_GE(engine.stats().queries_served, 200u);
 }
@@ -83,13 +81,11 @@ TEST(RecommenderEngineTest, BatchedMatchesSingleAcrossPoolConfigs) {
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     RecommenderEngine engine(EngineOptions{.num_threads = threads});
     engine.Publish(snapshot);
-    uint64_t version = 0;
-    const std::vector<Recommendation> actual =
-        engine.RecommendMany(contexts, 5, &version);
-    EXPECT_EQ(version, 3u);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t i = 0; i < actual.size(); ++i) {
-      ExpectSameRecommendation(expected[i], actual[i]);
+    const BatchResult actual = engine.RecommendMany(AsRefs(contexts), 5);
+    EXPECT_EQ(actual.served_version, 3u);
+    ASSERT_EQ(actual.results.size(), expected.size());
+    for (size_t i = 0; i < actual.results.size(); ++i) {
+      ExpectSameRecommendation(expected[i], actual.results[i]);
     }
   }
 
@@ -98,7 +94,7 @@ TEST(RecommenderEngineTest, BatchedMatchesSingleAcrossPoolConfigs) {
       EngineOptions{.num_threads = 4, .min_batch_fanout = 1 << 20});
   engine.Publish(snapshot);
   const std::vector<Recommendation> inline_results =
-      engine.RecommendMany(contexts, 5);
+      engine.RecommendMany(AsRefs(contexts), 5).results;
   for (size_t i = 0; i < inline_results.size(); ++i) {
     ExpectSameRecommendation(expected[i], inline_results[i]);
   }
@@ -129,8 +125,7 @@ TEST(RecommenderEngineTest, PublishSwapsAtomicallyBetweenVersions) {
 TEST(RecommenderEngineTest, EmptyBatchIsFine) {
   RecommenderEngine engine(EngineOptions{.num_threads = 2});
   engine.Publish(BuildSnapshot(SharedCorpus().base, 1));
-  const std::vector<std::vector<QueryId>> none;
-  EXPECT_TRUE(engine.RecommendMany(none, 5).empty());
+  EXPECT_TRUE(engine.RecommendMany({}, 5).results.empty());
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST(RetrainerTest, BootstrapPublishesVersionOneEquivalentToTrain) {
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().base, 200)) {
     ExpectSameRecommendation(reference.Recommend(context, 5),
-                             engine.Recommend(context, 5));
+                             engine.Recommend(context, 5).recommendation);
   }
 }
 
@@ -105,13 +105,14 @@ TEST(RetrainerTest, RetrainEquivalentToFromScratchOnConcatenatedCorpus) {
   for (const std::vector<QueryId>& context :
        CollectContexts(concatenated, 250)) {
     const Recommendation expected = reference.Recommend(context, 5);
-    ExpectSameRecommendation(expected, engine.Recommend(context, 5));
+    ExpectSameRecommendation(expected,
+                             engine.Recommend(context, 5).recommendation);
     covered += expected.covered ? 1 : 0;
   }
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().drifted, 150)) {
     ExpectSameRecommendation(reference.Recommend(context, 5),
-                             engine.Recommend(context, 5));
+                             engine.Recommend(context, 5).recommendation);
   }
   EXPECT_GT(covered, 0u);
 }
@@ -270,9 +271,7 @@ TEST(RetrainerTest, BackgroundWorkerRetrainsAppendedSessions) {
   // Serving keeps answering while (and after) the background cycle runs.
   const std::vector<QueryId> context =
       CollectContexts(SharedCorpus().base, 1)[0];
-  uint64_t version = 0;
-  engine.Recommend(context, 5, &version);
-  EXPECT_GE(version, 1u);
+  EXPECT_GE(engine.Recommend(context, 5).served_version, 1u);
   retrainer.Stop();
   EXPECT_FALSE(retrainer.running());
 

@@ -110,14 +110,14 @@ TEST(ShardedEngineTest, TopNBitIdenticalToUnshardedForEveryShardCount) {
 
     for (const std::vector<QueryId>& context : contexts) {
       const Recommendation want = full->Recommend(context, 10, &scratch);
-      const Recommendation got = engine.Recommend(context, 10);
-      ExpectSameRecommendation(want, got);
+      ExpectSameRecommendation(want,
+                               engine.Recommend(context, 10).recommendation);
     }
 
     // The batched path routes and merges back positionally; results must
     // be the same answers in the same slots.
     const std::vector<Recommendation> batch =
-        engine.RecommendMany(contexts, 10);
+        engine.RecommendMany(AsRefs(contexts), 10).results;
     ASSERT_EQ(batch.size(), contexts.size());
     for (size_t i = 0; i < contexts.size(); ++i) {
       const Recommendation want = full->Recommend(contexts[i], 10, &scratch);
@@ -158,8 +158,8 @@ TEST(ShardedEngineTest, ManifestBootedFleetServesIdentically) {
     for (const std::vector<QueryId>& context : contexts) {
       const Recommendation want =
           full_compact->Recommend(context, 10, &scratch);
-      const Recommendation got = (*booted)->Recommend(context, 10);
-      ExpectSameRecommendation(want, got);
+      ExpectSameRecommendation(
+          want, (*booted)->Recommend(context, 10).recommendation);
     }
   }
 }
@@ -169,9 +169,9 @@ TEST(ShardedEngineTest, EmptyAndUnknownContextsBehaveLikeUnsharded) {
   ShardedEngine engine(ShardedEngineOptions{.num_shards = 4});
   for (size_t s = 0; s < 4; ++s) engine.PublishShard(s, trained.shards[s]);
 
-  EXPECT_FALSE(engine.Recommend({}, 5).covered);
+  EXPECT_FALSE(engine.Recommend({}, 5).recommendation.covered);
   const std::vector<QueryId> unknown = {kInvalidQueryId - 1};
-  EXPECT_FALSE(engine.Recommend(unknown, 5).covered);
+  EXPECT_FALSE(engine.Recommend(unknown, 5).recommendation.covered);
 }
 
 TEST(ShardedEngineTest, UnpublishedShardAnswersUncovered) {
@@ -185,20 +185,20 @@ TEST(ShardedEngineTest, UnpublishedShardAnswersUncovered) {
 
   size_t unowned_covered = 0;
   for (const std::vector<QueryId>& context : CollectContexts(corpus, 300)) {
-    uint64_t version = 0;
-    const Recommendation rec = engine.Recommend(context, 5, &version);
+    const ServeResult served = engine.Recommend(context, 5);
+    const Recommendation& rec = served.recommendation;
     if (engine.OwningShard(context) == 0) {
       EXPECT_FALSE(rec.covered);
-      EXPECT_EQ(version, 0u);
+      EXPECT_EQ(served.served_version, 0u);
     } else if (rec.covered) {
-      EXPECT_EQ(version, 1u);
+      EXPECT_EQ(served.served_version, 1u);
       ++unowned_covered;
     }
   }
   EXPECT_GT(unowned_covered, 0u);
-  const std::vector<Recommendation> batch =
-      engine.RecommendMany(CollectContexts(corpus, 300), 5);
-  EXPECT_EQ(batch.size(), 300u);
+  const BatchResult batch =
+      engine.RecommendMany(AsRefs(CollectContexts(corpus, 300)), 5);
+  EXPECT_EQ(batch.results.size(), 300u);
 }
 
 // ------------------------------------------------------- fixed sigma seam
@@ -274,7 +274,7 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
       CollectContexts(SharedCorpus().base, 300);
   for (const std::vector<QueryId>& context : contexts) {
     ExpectSameRecommendation(full->Recommend(context, 10, &scratch),
-                             engine.Recommend(context, 10));
+                             engine.Recommend(context, 10).recommendation);
   }
 
   // Pick a target shard with single-owner drift sessions available.
@@ -290,7 +290,7 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   std::vector<Recommendation> before;
   before.reserve(contexts.size());
   for (const std::vector<QueryId>& context : contexts) {
-    before.push_back(engine.Recommend(context, 10));
+    before.push_back(engine.Recommend(context, 10).recommendation);
   }
 
   retrainers.AppendSessions(fresh);
@@ -322,7 +322,8 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   ASSERT_TRUE(grown_full.ok());
 
   for (size_t i = 0; i < contexts.size(); ++i) {
-    const Recommendation now = engine.Recommend(contexts[i], 10);
+    const Recommendation now =
+        engine.Recommend(contexts[i], 10).recommendation;
     if (engine.OwningShard(contexts[i]) == target) {
       ExpectSameRecommendation(
           (*grown_full)->Recommend(contexts[i], 10, &scratch), now);
@@ -378,9 +379,9 @@ TEST(ShardedRetrainerSetTest, PersistedFleetColdBootsAfterShardRebuild) {
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 150);
   const std::vector<Recommendation> live =
-      engine.RecommendMany(contexts, 10);
+      engine.RecommendMany(AsRefs(contexts), 10).results;
   const std::vector<Recommendation> cold =
-      (*rebooted)->RecommendMany(contexts, 10);
+      (*rebooted)->RecommendMany(AsRefs(contexts), 10).results;
   size_t covered = 0;
   for (size_t i = 0; i < contexts.size(); ++i) {
     if (live[i].covered) ++covered;
@@ -474,12 +475,12 @@ TEST(ShardedRetrainerSetTest, EmptyShardSlicesPersistAndBootstrapLazily) {
   ASSERT_EQ(retrainers.shard_retrainer(lazy_shard)->published_version(), 0u)
       << "test premise: shard owning query 3 bootstrapped empty";
   const std::vector<QueryId> context = {3};
-  EXPECT_FALSE(engine.Recommend(context, 5).covered);
+  EXPECT_FALSE(engine.Recommend(context, 5).recommendation.covered);
 
   retrainers.AppendSessions({AggregatedSession{{3, 4}, 4}});
   // The lazy bootstrap is synchronous: the shard serves immediately.
   EXPECT_GE(retrainers.shard_retrainer(lazy_shard)->published_version(), 1u);
-  const Recommendation rec = engine.Recommend(context, 5);
+  const Recommendation rec = engine.Recommend(context, 5).recommendation;
   EXPECT_TRUE(rec.covered);
   ASSERT_FALSE(rec.queries.empty());
   EXPECT_EQ(rec.queries[0].query, 4u);
@@ -487,7 +488,7 @@ TEST(ShardedRetrainerSetTest, EmptyShardSlicesPersistAndBootstrapLazily) {
   // The lazy publish also persisted + re-pinned the manifest.
   auto rebooted = ShardedEngine::BootFromManifest(manifest_path);
   ASSERT_TRUE(rebooted.ok()) << rebooted.status().ToString();
-  EXPECT_TRUE((*rebooted)->Recommend(context, 5).covered);
+  EXPECT_TRUE((*rebooted)->Recommend(context, 5).recommendation.covered);
 }
 
 // --------------------------------------------------- partial-fleet boots
@@ -526,8 +527,8 @@ TEST(ShardedEngineTest, FleetBootsDegradedAroundOneDeadShard) {
   }
 
   // Healthy shards serve bit-identically to the full compact model; the
-  // dead shard's contexts answer uncovered-empty (legacy API) and
-  // kUnavailable (deadline-aware API).
+  // dead shard's contexts answer uncovered-empty and kUnavailable, with an
+  // unbounded and a bounded deadline alike.
   const auto full = BuildUnsharded(corpus, /*version=*/2);
   const auto full_compact =
       CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
@@ -535,10 +536,12 @@ TEST(ShardedEngineTest, FleetBootsDegradedAroundOneDeadShard) {
   size_t healthy_checked = 0;
   size_t dead_checked = 0;
   for (const std::vector<QueryId>& context : CollectContexts(corpus, 300)) {
-    const Recommendation got = engine.Recommend(context, 10);
+    const ServeResult served = engine.Recommend(context, 10);
+    const Recommendation& got = served.recommendation;
     if (engine.OwningShard(context) == 1) {
       EXPECT_FALSE(got.covered);
       EXPECT_TRUE(got.queries.empty());
+      EXPECT_EQ(served.status, StatusCode::kUnavailable);
       ServeOptions qos;
       qos.deadline = Deadline::After(std::chrono::seconds(30));
       EXPECT_EQ(engine.Recommend(context, 10, qos).status,
@@ -588,7 +591,7 @@ TEST(ShardedEngineTest, StatsAggregateAcrossShards) {
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 64);
   for (size_t i = 0; i < 10; ++i) engine.Recommend(contexts[i], 5);
-  engine.RecommendMany(contexts, 5);
+  engine.RecommendMany(AsRefs(contexts), 5);
 
   const ShardedStats stats = engine.stats();
   EXPECT_EQ(stats.queries_served, 10u + contexts.size());

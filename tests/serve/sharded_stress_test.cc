@@ -109,15 +109,16 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
     readers.emplace_back([&, r] {
       for (size_t it = 0; it < 300 && !done.load(); ++it) {
         const size_t i = (r * 131 + it * 17) % contexts.size();
-        check(i, engine.Recommend(contexts[i], 5));
+        check(i, engine.Recommend(contexts[i], 5).recommendation);
         served.fetch_add(1);
       }
     });
   }
   std::thread batch_reader([&] {
+    const std::vector<ContextRef> refs = AsRefs(contexts);
     for (size_t it = 0; it < 80; ++it) {
       const std::vector<Recommendation> batch =
-          engine.RecommendMany(contexts, 5);
+          engine.RecommendMany(refs, 5).results;
       for (size_t i = 0; i < batch.size(); ++i) check(i, batch[i]);
       served.fetch_add(batch.size());
     }
