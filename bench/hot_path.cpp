@@ -52,7 +52,7 @@ struct WalkCost {
   double qps = 0.0;
 };
 
-WalkCost MeasureWalk(const CompactServingBase& snapshot,
+WalkCost MeasureWalk(const CompactSnapshot& snapshot,
                      const std::vector<std::vector<QueryId>>& contexts,
                      double seconds) {
   SnapshotScratch scratch;
@@ -95,7 +95,7 @@ WalkCost MeasureWalk(const CompactServingBase& snapshot,
 // -------------------------------------------------- equivalence check
 
 bool DenseMatchesSparse(
-    const CompactServingBase& snapshot,
+    const CompactSnapshot& snapshot,
     const std::vector<std::vector<QueryId>>& contexts) {
   SnapshotScratch scratch;
   std::vector<Recommendation> reference;

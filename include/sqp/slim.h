@@ -17,8 +17,8 @@
  *
  * ## Contract
  *
- * - `blob` is a compact snapshot produced by the engine's SaveCompact
- *   (the same bytes the serving tiers mmap). The CALLER OWNS the buffer:
+ * - `blob` is a compact snapshot produced by the engine's
+ *   SnapshotIo::Save (the same bytes the serving tiers mmap). The CALLER OWNS the buffer:
  *   it must stay alive and unmodified for the predictor's lifetime; the
  *   predictor reads the model arrays in place and never copies them.
  * - The buffer must be at least 8-byte aligned (any malloc'd or mmap'ed
@@ -29,9 +29,11 @@
  * - A predictor serves ONE request at a time (the request scratch lives
  *   in the handle). For concurrency, create one predictor per thread —
  *   they can share the same blob buffer.
+ * - The library builds for little-endian hosts only (the blob's arrays
+ *   are read in place); a big-endian build fails to compile.
  * - Status codes are the repo-wide pinned taxonomy (sqp/status.h):
- *   corrupt or truncated blobs yield SQP_STATUS_INVALID_ARGUMENT, a
- *   big-endian host SQP_STATUS_FAILED_PRECONDITION, an uncovered context
+ *   corrupt, truncated or misaligned blobs yield
+ *   SQP_STATUS_INVALID_ARGUMENT, an uncovered context
  *   SQP_STATUS_NOT_FOUND, allocation failure
  *   SQP_STATUS_RESOURCE_EXHAUSTED.
  *

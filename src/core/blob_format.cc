@@ -1,7 +1,6 @@
-// Runtime-free blob parsing (see blob_format.h for the layering
-// contract). Exact port of the pre-split snapshot_io parse sequence —
-// same checks in the same order, so the engine loader and the slim
-// predictor reject exactly the same inputs.
+// Runtime-free blob parsing and binding (see blob_format.h for the
+// layering contract). The engine and the slim predictor both bind through
+// BindBlob, so they accept and reject exactly the same inputs.
 
 #include "core/blob_format.h"
 
@@ -71,6 +70,10 @@ const char* BlobErrorMessage(BlobError error) {
       return "edge child id out of range";
     case BlobError::kRootIndexRange:
       return "root index id out of range";
+    case BlobError::kMisalignedBuffer:
+      return "blob buffer not 8-byte aligned";
+    case BlobError::kOutOfMemory:
+      return "no memory for the derived tables";
   }
   return "unknown blob error";
 }
@@ -196,6 +199,91 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
       !expect_size(kSecRootIndex, id_width * out->root_index_size)) {
     return BlobError::kSectionSizeMismatch;
   }
+  return BlobError::kNone;
+}
+
+namespace {
+
+/// A section's bytes as its element type. ParseBlobLayout has pinned every
+/// section inside the blob at a 64-byte-aligned offset, and BindBlob has
+/// checked the base, so the cast is naturally aligned.
+template <typename T>
+const T* SectionAs(const uint8_t* blob, const BlobLayout& layout,
+                   BlobSectionId id) {
+  return reinterpret_cast<const T*>(
+      blob + static_cast<size_t>(layout.sections[id].offset));
+}
+
+template <typename QT, typename NT>
+PoolsRef<QT, NT> PoolsAt(const uint8_t* blob, const BlobLayout& layout) {
+  return PoolsRef<QT, NT>{SectionAs<QT>(blob, layout, kSecNextQuery),
+                          SectionAs<QT>(blob, layout, kSecEdgeQuery),
+                          SectionAs<NT>(blob, layout, kSecEdgeChild),
+                          SectionAs<NT>(blob, layout, kSecRootIndex),
+                          static_cast<size_t>(layout.root_index_size)};
+}
+
+template <typename QT, typename NT>
+BlobError ValidatePools(const ModelRef& m, const PoolsRef<QT, NT>& pools,
+                        const BlobLayout& layout) {
+  return ValidateBlobStructure<QT, NT>(
+      m.next_begin, m.child_begin, pools.edge_query, pools.edge_child,
+      pools.root_child_by_query, layout.root_index_size, layout.num_nodes,
+      layout.num_entries, layout.num_edges);
+}
+
+}  // namespace
+
+BlobError BindBlob(const uint8_t* blob, size_t size, bool verify_checksums,
+                   BlobBindMemory memory, void* memory_context,
+                   BlobLayout* layout, ModelRef* model) {
+  BlobError err = ParseBlobLayout(blob, size, verify_checksums, layout);
+  if (err != BlobError::kNone) return err;
+  if (reinterpret_cast<uintptr_t>(blob) % 8 != 0) {
+    return BlobError::kMisalignedBuffer;
+  }
+
+  ModelRef m;
+  m.next_begin = SectionAs<uint32_t>(blob, *layout, kSecNextBegin);
+  m.child_begin = SectionAs<uint32_t>(blob, *layout, kSecChildBegin);
+  m.total_count = SectionAs<uint32_t>(blob, *layout, kSecTotalCount);
+  m.start_count = SectionAs<uint32_t>(blob, *layout, kSecStartCount);
+  m.count_shift = SectionAs<uint8_t>(blob, *layout, kSecCountShift);
+  if (layout->narrow_masks) {
+    m.mask16 = SectionAs<uint16_t>(blob, *layout, kSecMask16);
+  } else {
+    m.mask64 = SectionAs<uint64_t>(blob, *layout, kSecMask64);
+  }
+  m.next_code = SectionAs<uint16_t>(blob, *layout, kSecNextCode);
+  m.num_nodes = static_cast<size_t>(layout->num_nodes);
+  m.num_entries = static_cast<size_t>(layout->num_entries);
+  m.num_edges = static_cast<size_t>(layout->num_edges);
+  m.narrow_ids = layout->narrow_ids;
+  if (layout->narrow_ids) {
+    m.narrow = PoolsAt<uint16_t, uint16_t>(blob, *layout);
+  } else {
+    m.wide = PoolsAt<uint32_t, uint32_t>(blob, *layout);
+  }
+  m.weighting = layout->weighting;
+  m.sigmas = SectionAs<double>(blob, *layout, kSecSigmas);
+  m.component_escape = SectionAs<double>(blob, *layout, kSecComponentEscape);
+  m.num_components = layout->num_components;
+
+  err = ValidateBlobCountShifts(m.count_shift, layout->num_nodes);
+  if (err == BlobError::kNone) {
+    err = layout->narrow_ids ? ValidatePools(m, m.narrow, *layout)
+                             : ValidatePools(m, m.wide, *layout);
+  }
+  if (err != BlobError::kNone) return err;
+
+  double* escape_pow = nullptr;
+  uint32_t* depth_scratch = nullptr;
+  if (!memory(memory_context, m.num_components * (kEscapePowCap + 1),
+              m.num_nodes, &escape_pow, &depth_scratch)) {
+    return BlobError::kOutOfMemory;
+  }
+  FinalizeModelRef(&m, escape_pow, depth_scratch);
+  *model = m;
   return BlobError::kNone;
 }
 

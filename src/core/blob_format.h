@@ -5,14 +5,20 @@
 /// discipline as core/serving_walk.h: no allocation, no exceptions, no
 /// iostreams, no statics with dynamic initializers). This header is the
 /// single definition of the on-disk layout — header, section table, META
-/// fields, structural invariants — shared by three consumers:
+/// fields, structural invariants — and of BindBlob, the one function that
+/// turns blob bytes into a servable serving::ModelRef. Its consumers:
 ///
-///   - core/snapshot_io (engine save/load/map) builds its byte spans off
-///     ParseBlobLayout and wraps every BlobError in a typed Status;
-///   - the slim embedded predictor (src/slim/) parses a caller-provided
-///     buffer with exactly the same checks and maps BlobError onto its
-///     pinned sqp_status_t codes;
+///   - core/compact_snapshot (the engine's CompactSnapshot, whether packed
+///     in memory, read from a file or mapped) serves its blob bytes
+///     through BindBlob and wraps every BlobError in a typed Status;
+///   - the slim embedded predictor (src/slim/) binds a caller-provided
+///     buffer through the same call and maps BlobError onto its pinned
+///     sqp_status_t codes;
 ///   - tests/ and the golden-blob suite, which pin the layout bytes.
+///
+/// The sections are served in place, so the layout is little-endian in
+/// memory as on disk: building for a big-endian host is a compile error
+/// (the static_assert below), not a runtime branch.
 ///
 /// Layout (all little-endian on disk):
 ///
@@ -28,10 +34,14 @@
 /// Both consumers therefore agree on the observable error class for any
 /// given corruption, which tests/slim/ asserts byte-for-byte.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
 #include "core/serving_walk.h"
+
+static_assert(std::endian::native == std::endian::little,
+              "snapshot blobs are served in place as little-endian arrays");
 
 namespace sqp::serving {
 
@@ -112,6 +122,8 @@ enum class BlobError : int {
   kEdgeOrder,
   kEdgeChildRange,
   kRootIndexRange,
+  kMisalignedBuffer,
+  kOutOfMemory,
 };
 
 /// Static description of `error` (never null; stable storage).
@@ -149,15 +161,15 @@ struct BlobLayout {
 /// a blob entirely in place. Every length and offset is checked against
 /// `size` before any section byte is touched: corrupt or truncated input
 /// yields a BlobError, never a read past the buffer. Does NOT check the
-/// structural invariants of the CSR arrays — run ValidateBlobStructure
-/// (over host-order arrays) before serving.
+/// structural invariants of the CSR arrays — BindBlob runs
+/// ValidateBlobStructure before anything serves them.
 BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
                           bool verify_checksums, BlobLayout* out);
 
 // --------------------------------------------- structural validation
 
-/// Structural invariants the serving walk relies on, checked over decoded
-/// (host-order) arrays so a validated blob can never push the walk out of
+/// Structural invariants the serving walk relies on, checked over the
+/// section arrays so a validated blob can never push the walk out of
 /// bounds: CSR offsets nondecreasing with the META totals as final
 /// values, child/root ids inside the node table, per-node edge queries
 /// strictly ascending (the walk binary-searches them).
@@ -209,6 +221,31 @@ inline BlobError ValidateBlobCountShifts(const uint8_t* count_shift,
   }
   return BlobError::kNone;
 }
+
+// ------------------------------------------------------------------ bind
+
+/// Caller memory for BindBlob's derived tables, requested once the layout
+/// is parsed and validated: `escape_pow_doubles` doubles the bound
+/// ModelRef keeps pointing at (the caller owns them and keeps them alive
+/// as long as the ModelRef), and `num_nodes` words of work memory the
+/// caller may release as soon as BindBlob returns. Neither needs
+/// initializing. Returns false when the memory is unavailable.
+using BlobBindMemory = bool (*)(void* context, size_t escape_pow_doubles,
+                                size_t num_nodes, double** escape_pow,
+                                uint32_t** depth_scratch);
+
+/// The one bind of a blob, shared by the engine and slim. In order:
+/// ParseBlobLayout (section CRCs only when `verify_checksums`); rejects a
+/// `blob` base that is not 8-byte aligned; points `*model` at the sections
+/// in place; runs ValidateBlobCountShifts and ValidateBlobStructure; asks
+/// `memory` for the derived tables and runs FinalizeModelRef. So nothing
+/// derives from, or serves, arrays that failed validation. On kNone
+/// `*layout` holds the decoded META and `*model` serves straight out of
+/// `blob`, which must stay alive and unchanged as long as `*model`; on any
+/// error `*model` is untouched.
+BlobError BindBlob(const uint8_t* blob, size_t size, bool verify_checksums,
+                   BlobBindMemory memory, void* memory_context,
+                   BlobLayout* layout, ModelRef* model);
 
 }  // namespace sqp::serving
 

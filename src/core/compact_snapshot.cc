@@ -1,11 +1,14 @@
 #include "core/compact_snapshot.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <unordered_map>
 
-#include "core/memory_accounting.h"
-#include "core/serving_walk.h"
+#include "core/blob_format.h"
+#include "core/pst.h"
+#include "util/byte_io.h"
 
 namespace sqp {
 
@@ -129,41 +132,93 @@ std::vector<std::vector<uint32_t>> KeptEntries(const ModelSnapshot& full,
   return kept;
 }
 
-}  // namespace
+/// One section of the blob being written: its id and its bytes (host
+/// arrays are the little-endian disk order, see blob_format.h).
+struct SectionBytes {
+  serving::BlobSectionId id;
+  const void* data;
+  size_t size;
+};
 
-void CompactSnapshot::BindViews() {
-  next_begin_ = own_next_begin_;
-  child_begin_ = own_child_begin_;
-  total_count_ = own_total_count_;
-  start_count_ = own_start_count_;
-  count_shift_ = own_count_shift_;
-  mask16_ = own_mask16_;
-  mask64_ = own_mask64_;
-  next_code_ = own_next_code_;
-  narrow_view_ = NarrowPoolsView{narrow_.next_query, narrow_.edge_query,
-                                 narrow_.edge_child,
-                                 narrow_.root_child_by_query};
-  wide_view_ = WidePoolsView{wide_.next_query, wide_.edge_query,
-                             wide_.edge_child, wide_.root_child_by_query};
-  FinalizeDerived();
+template <typename T>
+SectionBytes Section(serving::BlobSectionId id, const std::vector<T>& v) {
+  return {id, v.data(), v.size() * sizeof(T)};
 }
+
+size_t AlignUp(size_t offset) {
+  constexpr size_t kAlign = serving::kBlobSectionAlignment;
+  return (offset + kAlign - 1) & ~(kAlign - 1);
+}
+
+/// Lays `sections` out in the given order after the header and section
+/// table, each 64-byte aligned with zero padding between, and seals every
+/// section, the table and the header with their CRC32s.
+std::vector<uint8_t> AssembleBlob(std::span<const SectionBytes> sections) {
+  const size_t table_bytes = sections.size() * serving::kBlobSectionRowSize;
+  size_t file_size = AlignUp(serving::kBlobHeaderSize + table_bytes);
+  std::vector<size_t> offsets;
+  offsets.reserve(sections.size());
+  for (const SectionBytes& section : sections) {
+    offsets.push_back(file_size);
+    file_size = AlignUp(file_size + section.size);
+  }
+
+  std::vector<uint8_t> blob(file_size, 0);
+  std::memcpy(blob.data(), serving::kBlobMagic, sizeof(serving::kBlobMagic));
+  StoreLE32(blob.data() + 8, serving::kBlobFormatVersion);
+  StoreLE32(blob.data() + 12, static_cast<uint32_t>(sections.size()));
+  StoreLE64(blob.data() + 16, file_size);
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const SectionBytes& section = sections[i];
+    uint8_t* row = blob.data() + serving::kBlobHeaderSize +
+                   i * serving::kBlobSectionRowSize;
+    StoreLE32(row, section.id);
+    StoreLE32(row + 4, Crc32(section.data, section.size));
+    StoreLE64(row + 8, offsets[i]);
+    StoreLE64(row + 16, section.size);
+    if (section.size > 0) {
+      std::memcpy(blob.data() + offsets[i], section.data, section.size);
+    }
+  }
+  StoreLE32(blob.data() + 24,
+            Crc32(blob.data() + serving::kBlobHeaderSize, table_bytes));
+  StoreLE32(blob.data() + 60, Crc32(blob.data(), 60));
+  return blob;
+}
+
+/// The engine's BindBlob memory: escape powers in the snapshot's vector,
+/// depth scratch in a vector that lives for the bind call.
+struct BindMemory {
+  std::vector<double>* escape_pow;
+  std::vector<uint32_t> depth_scratch;
+};
+
+bool VectorBindMemory(void* context, size_t escape_pow_doubles,
+                      size_t num_nodes, double** escape_pow,
+                      uint32_t** depth_scratch) {
+  BindMemory* memory = static_cast<BindMemory*>(context);
+  memory->escape_pow->resize(escape_pow_doubles);
+  memory->depth_scratch.resize(num_nodes);
+  *escape_pow = memory->escape_pow->data();
+  *depth_scratch = memory->depth_scratch.data();
+  return true;
+}
+
+}  // namespace
 
 std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     const ModelSnapshot& full, const CompactOptions& options) {
-  std::shared_ptr<CompactSnapshot> out(new CompactSnapshot());
-  out->options_ = options;
-  out->version_ = full.version();
-  out->weighting_ = full.options().weighting;
-  out->sigmas_ = full.sigmas();
-  out->component_escape_.reserve(full.options().components.size());
+  const size_t num_components = full.options().components.size();
+  std::vector<double> component_escape;
+  component_escape.reserve(num_components);
   for (const VmmOptions& component : full.options().components) {
-    out->component_escape_.push_back(component.default_escape);
+    component_escape.push_back(component.default_escape);
   }
 
   const Pst& pst = *full.pst();
   const std::vector<Pst::Node>& nodes = pst.nodes();
   const size_t n = nodes.size();
-  const bool narrow_masks = out->component_escape_.size() <= 16;
+  const bool narrow_masks = num_components <= 16;
 
   // Adaptive id width: 16-bit pools whenever every query id and node id
   // fits (node 0, the root, is never a child, so it doubles as the root
@@ -177,19 +232,25 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
       max_query = std::max(max_query, node.context.front());
     }
   }
-  out->is_narrow_ =
-      n <= std::numeric_limits<uint16_t>::max() &&
-      max_query < std::numeric_limits<uint16_t>::max();
+  const bool narrow_ids = n <= std::numeric_limits<uint16_t>::max() &&
+                          max_query < std::numeric_limits<uint16_t>::max();
 
-  out->own_next_begin_.reserve(n + 1);
-  out->own_child_begin_.reserve(n + 1);
-  out->own_total_count_.reserve(n);
-  out->own_start_count_.reserve(n);
-  out->own_count_shift_.reserve(n);
+  // Pack into temporary arrays, one per section. Ids are packed 32-bit
+  // and narrowed to 16 bits when the sections are written.
+  std::vector<uint32_t> next_begin, child_begin, total_count, start_count;
+  std::vector<uint8_t> count_shift;
+  std::vector<uint16_t> mask16, next_code;
+  std::vector<Pst::ViewMask> mask64;
+  std::vector<uint32_t> next_query, edge_query, edge_child, root_index;
+  next_begin.reserve(n + 1);
+  child_begin.reserve(n + 1);
+  total_count.reserve(n);
+  start_count.reserve(n);
+  count_shift.reserve(n);
   if (narrow_masks) {
-    out->own_mask16_.reserve(n);
+    mask16.reserve(n);
   } else {
-    out->own_mask64_.reserve(n);
+    mask64.reserve(n);
   }
 
   const std::vector<std::vector<uint32_t>> kept =
@@ -197,38 +258,17 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
                             ? std::numeric_limits<size_t>::max()
                             : options.top_k);
 
-  const auto push_entry = [&](QueryId query, uint16_t code) {
-    if (out->is_narrow_) {
-      out->narrow_.next_query.push_back(static_cast<uint16_t>(query));
-    } else {
-      out->wide_.next_query.push_back(query);
-    }
-    out->own_next_code_.push_back(code);
-  };
-  const auto push_edge = [&](QueryId query, int32_t child) {
-    if (out->is_narrow_) {
-      out->narrow_.edge_query.push_back(static_cast<uint16_t>(query));
-      out->narrow_.edge_child.push_back(static_cast<uint16_t>(child));
-    } else {
-      out->wide_.edge_query.push_back(query);
-      out->wide_.edge_child.push_back(static_cast<uint32_t>(child));
-    }
-  };
-
   for (size_t id = 0; id < n; ++id) {
     const Pst::Node& node = nodes[id];
-    out->own_next_begin_.push_back(
-        static_cast<uint32_t>(out->own_next_code_.size()));
-    out->own_child_begin_.push_back(static_cast<uint32_t>(
-        out->is_narrow_ ? out->narrow_.edge_query.size()
-                        : out->wide_.edge_query.size()));
-    out->own_total_count_.push_back(SaturateU32(node.total_count));
-    out->own_start_count_.push_back(SaturateU32(node.start_count));
+    next_begin.push_back(static_cast<uint32_t>(next_code.size()));
+    child_begin.push_back(static_cast<uint32_t>(edge_query.size()));
+    total_count.push_back(SaturateU32(node.total_count));
+    start_count.push_back(SaturateU32(node.start_count));
     const Pst::ViewMask mask = pst.mask_of(static_cast<int32_t>(id));
     if (narrow_masks) {
-      out->own_mask16_.push_back(static_cast<uint16_t>(mask));
+      mask16.push_back(static_cast<uint16_t>(mask));
     } else {
-      out->own_mask64_.push_back(mask);
+      mask64.push_back(mask);
     }
 
     // Ancestor-closed top-K truncation (see KeptEntries) over the
@@ -240,97 +280,114 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     // observed continuations never quantize to probability zero.
     const uint64_t max_count = node.nexts.empty() ? 0 : node.nexts[0].count;
     const uint8_t shift = BlockShift(max_count);
-    out->own_count_shift_.push_back(shift);
+    count_shift.push_back(shift);
     for (uint32_t i : kept[id]) {
+      next_query.push_back(node.nexts[i].query);
       const uint64_t code = node.nexts[i].count >> shift;
-      push_entry(node.nexts[i].query,
-                 static_cast<uint16_t>(code == 0 ? 1 : code));
+      next_code.push_back(static_cast<uint16_t>(code == 0 ? 1 : code));
     }
 
     for (const Pst::Edge& edge : node.children) {
-      push_edge(edge.query, edge.child);
+      edge_query.push_back(edge.query);
+      edge_child.push_back(static_cast<uint32_t>(edge.child));
     }
   }
-  out->own_next_begin_.push_back(
-      static_cast<uint32_t>(out->own_next_code_.size()));
-  out->own_child_begin_.push_back(static_cast<uint32_t>(
-      out->is_narrow_ ? out->narrow_.edge_query.size()
-                      : out->wide_.edge_query.size()));
+  next_begin.push_back(static_cast<uint32_t>(next_code.size()));
+  child_begin.push_back(static_cast<uint32_t>(edge_query.size()));
 
   // Dense root fan-out, as in the full tree (absent = node 0).
-  const auto build_root_index = [&](auto& pools) {
-    const uint32_t root_edges = out->own_child_begin_[1];
-    if (root_edges == 0) return;
-    const QueryId max_root_query = pools.edge_query[root_edges - 1];
-    pools.root_child_by_query.assign(static_cast<size_t>(max_root_query) + 1,
-                                     0);
+  const uint32_t root_edges = child_begin[1];
+  if (root_edges > 0) {
+    root_index.assign(static_cast<size_t>(edge_query[root_edges - 1]) + 1, 0);
     for (uint32_t e = 0; e < root_edges; ++e) {
-      pools.root_child_by_query[pools.edge_query[e]] = pools.edge_child[e];
+      root_index[edge_query[e]] = edge_child[e];
     }
-  };
-  if (out->is_narrow_) {
-    build_root_index(out->narrow_);
-  } else {
-    build_root_index(out->wide_);
   }
 
-  const auto shrink = [](auto& pools) {
-    pools.next_query.shrink_to_fit();
-    pools.edge_query.shrink_to_fit();
-    pools.edge_child.shrink_to_fit();
+  std::vector<uint8_t> meta(serving::kBlobMetaSize, 0);
+  StoreLE64(meta.data(), full.version());
+  StoreLE32(meta.data() + 8, static_cast<uint32_t>(full.options().weighting));
+  StoreLE32(meta.data() + 12,
+            (narrow_ids ? serving::kBlobFlagNarrowIds : 0u) |
+                (narrow_masks ? serving::kBlobFlagNarrowMasks : 0u));
+  StoreLE64(meta.data() + 16, options.top_k);
+  StoreLE64(meta.data() + 24, n);
+  StoreLE64(meta.data() + 32, next_code.size());
+  StoreLE64(meta.data() + 40, edge_query.size());
+  StoreLE64(meta.data() + 48, root_index.size());
+  StoreLE32(meta.data() + 56, static_cast<uint32_t>(num_components));
+
+  // The v1 section order; NextCode closes the blob after the id pools.
+  using enum serving::BlobSectionId;
+  std::vector<uint16_t> narrowed[4];
+  const auto pool = [narrow_ids](serving::BlobSectionId id,
+                                 const std::vector<uint32_t>& ids,
+                                 std::vector<uint16_t>* narrow) {
+    if (!narrow_ids) return Section(id, ids);
+    narrow->assign(ids.begin(), ids.end());
+    return Section(id, *narrow);
   };
-  shrink(out->narrow_);
-  shrink(out->wide_);
-  out->own_next_code_.shrink_to_fit();
-  out->BindViews();
-  return out;
+  const SectionBytes sections[] = {
+      Section(kSecMeta, meta),
+      Section(kSecSigmas, full.sigmas()),
+      Section(kSecComponentEscape, component_escape),
+      Section(kSecNextBegin, next_begin),
+      Section(kSecChildBegin, child_begin),
+      Section(kSecTotalCount, total_count),
+      Section(kSecStartCount, start_count),
+      Section(kSecCountShift, count_shift),
+      Section(kSecMask16, mask16),
+      Section(kSecMask64, mask64),
+      pool(kSecNextQuery, next_query, &narrowed[0]),
+      pool(kSecEdgeQuery, edge_query, &narrowed[1]),
+      pool(kSecEdgeChild, edge_child, &narrowed[2]),
+      pool(kSecRootIndex, root_index, &narrowed[3]),
+      Section(kSecNextCode, next_code),
+  };
+  auto blob = std::make_shared<std::vector<uint8_t>>(AssembleBlob(sections));
+
+  // The CRCs were computed just above, so only structure is re-checked.
+  Result<std::shared_ptr<const CompactSnapshot>> bound = FromBlob(
+      std::shared_ptr<const uint8_t>(blob, blob->data()), blob->size(),
+      /*mapped=*/false, /*verify_checksums=*/false);
+  SQP_CHECK(bound.ok());
+  return std::move(bound.value());
 }
 
-void CompactServingBase::FinalizeDerived() {
-  // Bind the runtime-free walk layer's view of this model. The spans stay
-  // the owning truth (vectors or mapped blob); the ModelRef is raw
-  // pointers into exactly that storage.
-  serving::ModelRef m;
-  m.next_begin = next_begin_.data();
-  m.child_begin = child_begin_.data();
-  m.total_count = total_count_.data();
-  m.start_count = start_count_.data();
-  m.count_shift = count_shift_.data();
-  m.mask16 = mask16_.empty() ? nullptr : mask16_.data();
-  m.mask64 = mask64_.empty() ? nullptr : mask64_.data();
-  m.next_code = next_code_.data();
-  m.num_nodes = total_count_.size();
-  m.num_entries = next_code_.size();
-  m.num_edges = is_narrow_ ? narrow_view_.edge_query.size()
-                           : wide_view_.edge_query.size();
-  m.narrow_ids = is_narrow_;
-  m.narrow = serving::PoolsRef<uint16_t, uint16_t>{
-      narrow_view_.next_query.data(), narrow_view_.edge_query.data(),
-      narrow_view_.edge_child.data(), narrow_view_.root_child_by_query.data(),
-      narrow_view_.root_child_by_query.size()};
-  m.wide = serving::PoolsRef<uint32_t, uint32_t>{
-      wide_view_.next_query.data(), wide_view_.edge_query.data(),
-      wide_view_.edge_child.data(), wide_view_.root_child_by_query.data(),
-      wide_view_.root_child_by_query.size()};
-  m.weighting = weighting_;
-  m.sigmas = sigmas_.data();
-  m.component_escape = component_escape_.data();
-  m.num_components = component_escape_.size();
-
-  // Derived block: escape power tables (owned here, referenced by the
-  // ModelRef), dense-accumulator bound, scratch sizing. Safe to run before
-  // a blob's structural validation — the parse layer has already pinned
-  // every section's element count to the META totals, and the depth sweep
-  // is defensive against non-monotone offsets.
-  escape_pow_.assign(m.num_components * (serving::kEscapePowCap + 1), 1.0);
-  std::vector<uint32_t> depth_scratch(m.num_nodes, 0);
-  serving::FinalizeModelRef(&m, escape_pow_.data(),
-                            depth_scratch.empty() ? nullptr
-                                                  : depth_scratch.data());
-  model_ = m;
+Result<std::shared_ptr<const CompactSnapshot>> CompactSnapshot::FromBlob(
+    std::shared_ptr<const uint8_t> bytes, size_t size, bool mapped,
+    bool verify_checksums) {
+  std::shared_ptr<CompactSnapshot> out(new CompactSnapshot());
+  BindMemory memory{&out->escape_pow_, {}};
+  serving::BlobLayout layout;
+  const serving::BlobError err =
+      serving::BindBlob(bytes.get(), size, verify_checksums, VectorBindMemory,
+                        &memory, &layout, &out->model_);
+  if (err == serving::BlobError::kVersionMismatch) {
+    return Status::InvalidArgument(
+        "unsupported snapshot format version " +
+        std::to_string(layout.format_version) + " (this build reads " +
+        std::to_string(serving::kBlobFormatVersion) + ")");
+  }
+  if (err != serving::BlobError::kNone) {
+    return Status::InvalidArgument(std::string("corrupt snapshot blob (") +
+                                   serving::BlobErrorMessage(err) + ")");
+  }
+  out->bytes_ = std::move(bytes);
+  out->size_ = size;
+  out->mapped_ = mapped;
+  out->version_ = layout.snapshot_version;
+  out->top_k_ = layout.top_k;
+  // Table VII bytes: every section but META, i.e. the served arrays plus
+  // sigmas and escapes.
+  for (uint32_t id = serving::kSecSigmas; id <= serving::kBlobNumKnownSections;
+       ++id) {
+    out->memory_bytes_ += layout.sections[id].size;
+  }
+  return std::shared_ptr<const CompactSnapshot>(std::move(out));
 }
 
-size_t CompactServingBase::MatchedDepth(
+size_t CompactSnapshot::MatchedDepth(
     std::span<const QueryId> context) const {
   const size_t path_cap = std::min(
       context.size(), std::max<size_t>(model_.sizing.path_depth, 64));
@@ -342,13 +399,13 @@ size_t CompactServingBase::MatchedDepth(
                             path.data(), path_cap);
 }
 
-ScratchSizing CompactServingBase::ScratchHint() const {
+ScratchSizing CompactSnapshot::ScratchHint() const {
   return model_.sizing;
 }
 
-Recommendation CompactServingBase::Recommend(std::span<const QueryId> context,
-                                             size_t top_n,
-                                             SnapshotScratch* scratch) const {
+Recommendation CompactSnapshot::Recommend(std::span<const QueryId> context,
+                                          size_t top_n,
+                                          SnapshotScratch* scratch) const {
   Recommendation rec;
   if (context.empty()) return rec;
   const serving::ModelRef& m = model_;
@@ -407,25 +464,16 @@ Recommendation CompactServingBase::Recommend(std::span<const QueryId> context,
   return rec;
 }
 
-bool CompactServingBase::Covers(std::span<const QueryId> context) const {
+bool CompactSnapshot::Covers(std::span<const QueryId> context) const {
   return serving::Covers(model_, context.data(), context.size());
-}
-
-uint64_t CompactServingBase::ServingBytes() const {
-  return next_begin_.size_bytes() + child_begin_.size_bytes() +
-         total_count_.size_bytes() + start_count_.size_bytes() +
-         count_shift_.size_bytes() + mask16_.size_bytes() +
-         mask64_.size_bytes() + next_code_.size_bytes() +
-         narrow_view_.flat_bytes() + wide_view_.flat_bytes() +
-         FlatBytes(sigmas_) + FlatBytes(component_escape_);
 }
 
 ModelStats CompactSnapshot::Stats() const {
   ModelStats stats;
-  stats.name = "MVMM (compact)";
+  stats.name = mapped_ ? "MVMM (compact, mapped)" : "MVMM (compact)";
   stats.num_states = num_nodes();
   stats.num_entries = num_entries();
-  stats.memory_bytes = ServingBytes();
+  stats.memory_bytes = memory_bytes_;
   return stats;
 }
 

@@ -2,16 +2,16 @@
 #define SQP_CORE_COMPACT_SNAPSHOT_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "core/model_snapshot.h"
-#include "core/pst.h"
+#include "core/serving_walk.h"
+#include "util/status.h"
 
 namespace sqp {
-
-class SnapshotIo;  // core/snapshot_io.h: persists / restores the layout
 
 namespace internal {
 /// Test hook: when set, the compact walk ranks through the legacy
@@ -38,120 +38,6 @@ struct CompactOptions {
   /// (tested; tab07_memory_footprint tracks the exact agreement rate in
   /// BENCH_memory.json).
   size_t top_k = 16;
-};
-
-/// Width-parameterized read-only views of the compact id pools. `QT` holds
-/// query ids, `NT` node ids; the root index uses node id 0 (never a child)
-/// as its absent sentinel.
-template <typename QT, typename NT>
-struct CompactPoolsView {
-  std::span<const QT> next_query;
-  std::span<const QT> edge_query;
-  std::span<const NT> edge_child;
-  /// Dense root fan-out index: query id -> depth-1 node, 0 if absent.
-  std::span<const NT> root_child_by_query;
-
-  uint64_t flat_bytes() const {
-    return next_query.size_bytes() + edge_query.size_bytes() +
-           edge_child.size_bytes() + root_child_by_query.size_bytes();
-  }
-};
-
-/// The compact-layout serving algorithm, factored over *views* of the CSR
-/// arrays so one implementation serves both storage variants:
-///
-///  - CompactSnapshot owns the arrays as vectors (built in memory from a
-///    trained ModelSnapshot);
-///  - MappedCompactSnapshot (core/snapshot_io.h) points the same spans at
-///    a memory-mapped blob — a serving replica boots zero-copy.
-///
-/// Derived classes own the referenced storage and must keep it alive and
-/// byte-stable for their whole lifetime; the mixture state (sigmas,
-/// per-component escapes) is small and always owned here. The serving
-/// arithmetic is identical through either storage, so a mapped replica is
-/// bit-for-bit the snapshot it was written from.
-class CompactServingBase : public ServingSnapshot {
- public:
-  /// Mixture recommendation over the CSR tree; the same walk and Eq. 4/5
-  /// ranking as ModelSnapshot::Recommend, off the quantized counts.
-  Recommendation Recommend(std::span<const QueryId> context, size_t top_n,
-                           SnapshotScratch* scratch) const override;
-
-  bool Covers(std::span<const QueryId> context) const override;
-
-  /// Longest-suffix matched depth of `context` — the descent without the
-  /// ranking. Exposed so benches can split one request's cost into walk
-  /// vs score+merge; it descends through this thread's serving scratch,
-  /// so like Recommend it allocates nothing in steady state.
-  size_t MatchedDepth(std::span<const QueryId> context) const;
-
-  /// Pre-sizing hint for the dense-accumulator walk (see ServingSnapshot).
-  ScratchSizing ScratchHint() const override;
-
-  size_t num_nodes() const { return total_count_.size(); }
-  uint64_t num_entries() const { return next_code_.size(); }
-  uint64_t num_edges() const {
-    return is_narrow_ ? narrow_view_.edge_query.size()
-                      : wide_view_.edge_query.size();
-  }
-  const CompactOptions& options() const { return options_; }
-  const std::vector<double>& sigmas() const { return sigmas_; }
-
- protected:
-  CompactServingBase() = default;
-
-  using NarrowPoolsView = CompactPoolsView<uint16_t, uint16_t>;
-  using WidePoolsView = CompactPoolsView<uint32_t, uint32_t>;
-
-  /// Binds the runtime-free walk layer's ModelRef over the views and
-  /// computes its bind-time derivatives (escape power tables, the dense
-  /// accumulator bound, the scratch sizing hint). Both storage variants
-  /// (owned vectors and mapped blob) must call this once their views are
-  /// final — all serving then goes through serving::RecommendTopN, the
-  /// exact same code path the slim embedded predictor runs.
-  void FinalizeDerived();
-
-  /// Exact bytes of the referenced arrays plus the owned mixture state —
-  /// the shared ModelStats::memory_bytes math of both storage variants.
-  uint64_t ServingBytes() const;
-
-  CompactOptions options_;
-
-  // Mixture state (always owned; a handful of doubles per component).
-  MixtureWeighting weighting_ = MixtureWeighting::kGaussianEditDistance;
-  std::vector<double> sigmas_;
-  std::vector<double> component_escape_;  // default_escape per component
-
-  // Views of the node arrays (see the layout diagram on CompactSnapshot).
-  std::span<const uint32_t> next_begin_;   // size num_nodes + 1
-  std::span<const uint32_t> child_begin_;  // size num_nodes + 1
-  std::span<const uint32_t> total_count_;
-  std::span<const uint32_t> start_count_;
-  std::span<const uint8_t> count_shift_;
-  /// Exactly one of the two mask views is populated: the narrow one when
-  /// every component bit fits 16 bits (the default 11-component model),
-  /// the wide one otherwise.
-  std::span<const uint16_t> mask16_;
-  std::span<const Pst::ViewMask> mask64_;
-
-  /// Exactly one of the two pool view sets is populated (see the layout
-  /// note on adaptive id widths).
-  NarrowPoolsView narrow_view_;
-  WidePoolsView wide_view_;
-  bool is_narrow_ = false;
-
-  /// Quantized count codes, parallel to the active pools' next_query.
-  std::span<const uint16_t> next_code_;
-
-  // ----- bind-time derivatives (FinalizeDerived) -----
-
-  /// The walk layer's raw-pointer view of this model: every Recommend /
-  /// Covers / MatchedDepth call funnels through it, so the engine serves
-  /// byte-for-byte the arithmetic the slim predictor serves.
-  serving::ModelRef model_;
-  /// Backing storage of model_.escape_pow (row-major
-  /// k x (serving::kEscapePowCap + 1) power tables).
-  std::vector<double> escape_pow_;
 };
 
 /// A serving-only MVMM variant re-packed for footprint: the shared
@@ -187,6 +73,14 @@ class CompactServingBase : public ServingSnapshot {
 ///
 /// versus ~96 B of Pst::Node header plus 16 B per entry in the full tree.
 ///
+/// Storage: a CompactSnapshot IS its v1 blob (core/blob_format.h) — the
+/// arrays above are sections of one byte buffer, served in place through
+/// the serving::ModelRef that serving::BindBlob points at them, the same
+/// bind the slim embedded predictor runs. The bytes are either owned (a
+/// FromSnapshot pack, or a SnapshotIo::Load copy) or a read-only file
+/// mapping (SnapshotIo::Map), released when the snapshot dies. Persisting
+/// is writing blob_bytes() out; there is no second in-memory form.
+///
 /// Equivalence: whenever every count of a node fits 16 bits (count_shift
 /// 0 — always true on the bench corpora), dequantization is exact and the
 /// serving arithmetic reproduces ModelSnapshot::Recommend bit-for-bit, so
@@ -194,63 +88,88 @@ class CompactServingBase : public ServingSnapshot {
 /// a candidate. Larger corpora lose the shifted-out low bits: scores move
 /// by at most 2^-16 relative per entry, and sub-resolution counts clamp to
 /// one code step so observed continuations keep a positive probability.
+/// The backing never changes an answer: owned, loaded and mapped copies of
+/// one blob serve bit-identically.
 ///
 /// It is built *from* a trained ModelSnapshot (same node ids, sigmas and
 /// weighting) and publishes through the identical RecommenderEngine seam;
 /// readers cannot tell which variant answered beyond the truncation.
 /// Serving-only: ConditionalProb / MixtureWeights / retraining stay on the
 /// full ModelSnapshot, which keeps exact counts.
-///
-/// The layout is also the unit of persistence: core/snapshot_io writes it
-/// to a versioned memory-mappable blob and restores it either by copy
-/// (back into this class) or zero-copy (MappedCompactSnapshot over the
-/// mapped file).
-class CompactSnapshot final : public CompactServingBase {
+class CompactSnapshot final : public ServingSnapshot {
  public:
-  /// Packs `full` into the compact layout. The result carries the same
-  /// version tag and serves the same recommendations up to ancestor-closed
-  /// top-K truncation and block-scaled 16-bit count rounding.
+  /// Packs `full` into the compact layout and writes it as v1 blob bytes
+  /// (the exact bytes SnapshotIo::Save persists). The result carries the
+  /// same version tag and serves the same recommendations up to
+  /// ancestor-closed top-K truncation and block-scaled 16-bit count
+  /// rounding.
   static std::shared_ptr<const CompactSnapshot> FromSnapshot(
       const ModelSnapshot& full, const CompactOptions& options = {});
 
-  /// Exact resident bytes of the flat arrays (Table VII scale, via
-  /// core/memory_accounting.h).
+  /// Serves the v1 blob of `size` bytes at `bytes` in place, after
+  /// serving::BindBlob parsed and validated it (section CRCs too when
+  /// `verify_checksums`). `bytes` must be 8-byte aligned and stay
+  /// unchanged; the snapshot holds it, so its deleter (freeing a heap
+  /// buffer or unmapping a file) runs when the snapshot dies. `mapped`
+  /// only names the backing in Stats(). Any malformed blob is
+  /// InvalidArgument.
+  static Result<std::shared_ptr<const CompactSnapshot>> FromBlob(
+      std::shared_ptr<const uint8_t> bytes, size_t size, bool mapped,
+      bool verify_checksums);
+
+  /// Mixture recommendation over the CSR tree; the same walk and Eq. 4/5
+  /// ranking as ModelSnapshot::Recommend, off the quantized counts.
+  Recommendation Recommend(std::span<const QueryId> context, size_t top_n,
+                           SnapshotScratch* scratch) const override;
+
+  bool Covers(std::span<const QueryId> context) const override;
+
+  /// Longest-suffix matched depth of `context` — the descent without the
+  /// ranking. Exposed so benches can split one request's cost into walk
+  /// vs score+merge; it descends through this thread's serving scratch,
+  /// so like Recommend it allocates nothing in steady state.
+  size_t MatchedDepth(std::span<const QueryId> context) const;
+
+  /// Pre-sizing hint for the dense-accumulator walk (see ServingSnapshot).
+  ScratchSizing ScratchHint() const override;
+
+  /// Table VII accounting: exact bytes of the served arrays plus sigmas
+  /// and escapes (every blob section but META; header, section table and
+  /// alignment padding excluded), identical for every backing.
   ModelStats Stats() const override;
 
- private:
-  friend class SnapshotIo;  // (de)serializes the owned arrays verbatim
+  size_t num_nodes() const { return model_.num_nodes; }
+  uint64_t num_entries() const { return model_.num_entries; }
+  uint64_t num_edges() const { return model_.num_edges; }
+  /// The per-node entry cap the blob was packed with (0 = keep all).
+  uint64_t top_k() const { return top_k_; }
+  std::vector<double> sigmas() const {
+    return {model_.sigmas, model_.sigmas + model_.num_components};
+  }
+  /// The whole v1 blob (header, section table, padding and sections).
+  std::span<const uint8_t> blob_bytes() const { return {bytes_.get(), size_}; }
 
+ private:
   CompactSnapshot() = default;
 
-  /// Points the base-class serving views at the owned vectors. Must be
-  /// called after every vector reached its final size/address (the views
-  /// hold raw pointers into the vector storage).
-  void BindViews();
-
-  /// Width-parameterized owned id pools, mirroring CompactPoolsView.
-  template <typename QT, typename NT>
-  struct Pools {
-    std::vector<QT> next_query;
-    std::vector<QT> edge_query;
-    std::vector<NT> edge_child;
-    std::vector<NT> root_child_by_query;
-  };
-  using NarrowPools = Pools<uint16_t, uint16_t>;
-  using WidePools = Pools<uint32_t, uint32_t>;
-
-  // Owned storage behind the base-class views (same layout, same names
-  // minus the own_ prefix).
-  std::vector<uint32_t> own_next_begin_;
-  std::vector<uint32_t> own_child_begin_;
-  std::vector<uint32_t> own_total_count_;
-  std::vector<uint32_t> own_start_count_;
-  std::vector<uint8_t> own_count_shift_;
-  std::vector<uint16_t> own_mask16_;
-  std::vector<Pst::ViewMask> own_mask64_;
-  NarrowPools narrow_;
-  WidePools wide_;
-  std::vector<uint16_t> own_next_code_;
+  std::shared_ptr<const uint8_t> bytes_;
+  size_t size_ = 0;
+  bool mapped_ = false;
+  uint64_t top_k_ = 0;
+  uint64_t memory_bytes_ = 0;
+  /// The walk layer's raw-pointer view of the blob: every Recommend /
+  /// Covers / MatchedDepth call funnels through it, so the engine serves
+  /// byte-for-byte the arithmetic the slim predictor serves.
+  serving::ModelRef model_;
+  /// Backing storage of model_.escape_pow (row-major
+  /// k x (serving::kEscapePowCap + 1) power tables).
+  std::vector<double> escape_pow_;
 };
+
+/// The compact walk's former base-class name, kept as an alias:
+/// perfbench/src/common.cc dynamic-casts to it, and the benchmark sources
+/// stay unchanged between the revisions a benchmark run compares.
+using CompactServingBase = CompactSnapshot;
 
 }  // namespace sqp
 

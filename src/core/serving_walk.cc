@@ -34,6 +34,9 @@ inline int32_t RootChildIn(const PoolsRef<QT, NT>& pools, uint32_t query) {
 template <typename QT, typename NT>
 inline int32_t FindChildIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
                            int32_t node, uint32_t query) {
+  // A query past QT's range is in no pool of this width; narrowing it
+  // would alias a smaller id.
+  if (query != static_cast<QT>(query)) return -1;
   const uint32_t begin = m.child_begin[static_cast<size_t>(node)];
   const uint32_t end = m.child_begin[static_cast<size_t>(node) + 1];
   const QT* first = pools.edge_query + begin;
@@ -281,10 +284,9 @@ void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
   m->dense_merge =
       bound <= std::max<uint64_t>(kDenseQueryFloor, m->num_entries);
 
-  // The derivations below run before the load path's structural
-  // validation has vetted a blob, so they must stay in-bounds on
-  // malformed CSR offsets (a bad blob merely mis-sizes hints here and is
-  // then rejected by validation).
+  // The derivations below stay in-bounds even on malformed CSR offsets
+  // (a bad blob would merely mis-size hints); BindBlob validates the
+  // structure before it calls this.
   m->max_next_run = 0;
   for (size_t node = 0; node < m->num_nodes; ++node) {
     if (m->next_begin[node + 1] > m->next_begin[node]) {

@@ -10,7 +10,7 @@
 ///
 /// Two consumers share this layer and must serve bit-identical results:
 ///
-///   - the engine tiers (core/compact_snapshot.h binds its CSR views into
+///   - the engine tiers (core/compact_snapshot.h binds its blob bytes into
 ///     a ModelRef; serve/ and net/ ride on top), which add snapshot swap,
 ///     admission control and persistence around it;
 ///   - the slim embedded predictor (src/slim/, include/sqp/slim.h), a
@@ -142,9 +142,9 @@ inline constexpr size_t kEscapePowCap = 64;
 /// bit-identically.
 inline constexpr uint64_t kDenseQueryFloor = uint64_t{1} << 16;
 
-/// One compact model, as raw pointers into caller-owned storage (owned
-/// vectors, a memory-mapped blob, or a caller-provided buffer — the walk
-/// cannot tell). All arrays little-endian-decoded, host-order, naturally
+/// One compact model, as raw pointers into caller-owned storage (an owned
+/// blob buffer, a memory-mapped blob, or a caller-provided buffer — the
+/// walk cannot tell). All arrays little-endian-decoded, host-order, naturally
 /// aligned. Exactly one of mask16/mask64 is non-null, and exactly one of
 /// the narrow/wide pools is populated (`narrow_ids` says which).
 ///
@@ -193,9 +193,9 @@ struct ModelRef {
 /// and must size num_components * (kEscapePowCap + 1) and keep alive as
 /// long as `m`), the dense-accumulator bound, and the scratch sizing.
 /// `depth_scratch` is a num_nodes-sized work array used only during the
-/// call (may be null when num_nodes == 0). Runs before a blob's structural
-/// validation has vetted the arrays, so it stays in-bounds on malformed
-/// CSR offsets (a bad blob merely mis-sizes hints and is then rejected).
+/// call (may be null when num_nodes == 0). BindBlob runs it only on
+/// validated arrays; it still stays in-bounds on malformed CSR offsets
+/// (a bad blob would merely mis-size hints).
 void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
                       uint32_t* depth_scratch);
 

@@ -3,8 +3,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
-#include <tuple>
 #include <utility>
 
 #include "core/blob_format.h"
@@ -21,47 +19,11 @@
 namespace sqp {
 namespace {
 
-// ------------------------------------------------------------ blob layout
-// The layout itself (constants, section ids, parse + structural
-// validation) is defined once in core/blob_format.h, shared with the slim
-// embedded predictor. This file adds what only the engine needs: file IO,
-// owned/mapped storage, Status wrapping, and the writer.
-
-using serving::BlobError;
-using serving::BlobLayout;
-using SectionId = serving::BlobSectionId;
-using enum serving::BlobSectionId;
-
-constexpr size_t kHeaderSize = serving::kBlobHeaderSize;
-constexpr size_t kSectionRowSize = serving::kBlobSectionRowSize;
-constexpr size_t kSectionAlignment = serving::kBlobSectionAlignment;
-constexpr size_t kMetaSize = serving::kBlobMetaSize;
-
-constexpr uint32_t kFlagNarrowIds = serving::kBlobFlagNarrowIds;
-constexpr uint32_t kFlagNarrowMasks = serving::kBlobFlagNarrowMasks;
-
 static_assert(kSnapshotFormatVersion == serving::kBlobFormatVersion,
               "snapshot_io and blob_format disagree on the format version");
 static_assert(sizeof(kSnapshotMagic) == sizeof(serving::kBlobMagic));
 
-size_t AlignUp(size_t offset) {
-  return (offset + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
-}
-
-/// One array materialized in on-disk (little-endian) byte order. On LE
-/// hosts this is a straight memcpy of the vector storage.
-template <typename T>
-std::vector<uint8_t> ToDiskBytes(std::span<const T> values) {
-  std::vector<uint8_t> out(values.size_bytes());
-  if (!values.empty()) {
-    std::memcpy(out.data(), values.data(), values.size_bytes());
-    if constexpr (!HostIsLittleEndian()) {
-      ByteSwapInPlace(std::span<T>(reinterpret_cast<T*>(out.data()),
-                                   values.size()));
-    }
-  }
-  return out;
-}
+constexpr size_t kHeaderSize = serving::kBlobHeaderSize;
 
 Status IoError(const std::string& what, const std::string& path) {
   return Status::IOError(what + ": " + path);
@@ -70,132 +32,6 @@ Status IoError(const std::string& what, const std::string& path) {
 Status Corrupt(const std::string& what, const std::string& path) {
   return Status::InvalidArgument("corrupt snapshot blob (" + what +
                                  "): " + path);
-}
-
-// -------------------------------------------------------------- parsing
-
-/// The decoded blob: META fields plus raw byte spans into the blob for
-/// every bulk array. Spans alias the blob buffer — the buffer must outlive
-/// any use of them.
-struct ParsedBlob {
-  uint64_t snapshot_version = 0;
-  MixtureWeighting weighting = MixtureWeighting::kGaussianEditDistance;
-  bool narrow_ids = false;
-  bool narrow_masks = false;
-  uint64_t top_k = 0;
-  uint64_t num_nodes = 0;
-  uint64_t num_entries = 0;
-  uint64_t num_edges = 0;
-  uint64_t root_index_size = 0;
-  uint32_t num_components = 0;
-  std::vector<double> sigmas;
-  std::vector<double> component_escape;
-
-  std::span<const uint8_t> next_begin, child_begin, total_count, start_count,
-      count_shift, mask16, mask64, next_query, next_code, edge_query,
-      edge_child, root_index;
-};
-
-/// Reinterprets a section's bytes as a fixed-width array. Sections start
-/// 64-byte aligned (validated), so the cast is naturally aligned for every
-/// element type the format uses.
-template <typename T>
-std::span<const T> TypedSpan(std::span<const uint8_t> bytes) {
-  return {reinterpret_cast<const T*>(bytes.data()), bytes.size() / sizeof(T)};
-}
-
-/// Engine-side wrapper of serving::ParseBlobLayout — the shared,
-/// runtime-free header/section-table/META validation the slim predictor
-/// runs too. Maps every BlobError onto the typed Status taxonomy and
-/// materializes the byte spans plus the endian-decoded mixture arrays.
-Status ParseBlob(std::span<const uint8_t> blob, const std::string& path,
-                 const SnapshotLoadOptions& options, ParsedBlob* out) {
-  BlobLayout layout;
-  const BlobError err = serving::ParseBlobLayout(
-      blob.data(), blob.size(), options.verify_checksums, &layout);
-  if (err == BlobError::kVersionMismatch) {
-    return Status::InvalidArgument(
-        "unsupported snapshot format version " +
-        std::to_string(layout.format_version) + " (this build reads " +
-        std::to_string(kSnapshotFormatVersion) + "): " + path);
-  }
-  if (err != BlobError::kNone) {
-    return Corrupt(serving::BlobErrorMessage(err), path);
-  }
-
-  out->snapshot_version = layout.snapshot_version;
-  out->weighting = layout.weighting;
-  out->narrow_ids = layout.narrow_ids;
-  out->narrow_masks = layout.narrow_masks;
-  out->top_k = layout.top_k;
-  out->num_nodes = layout.num_nodes;
-  out->num_entries = layout.num_entries;
-  out->num_edges = layout.num_edges;
-  out->root_index_size = layout.root_index_size;
-  out->num_components = layout.num_components;
-
-  const auto section_bytes = [&](SectionId id) -> std::span<const uint8_t> {
-    return blob.subspan(static_cast<size_t>(layout.sections[id].offset),
-                        static_cast<size_t>(layout.sections[id].size));
-  };
-
-  // Mixture arrays are always decoded into owned storage (a handful of
-  // doubles), so the endian conversion below covers them on any host.
-  const std::span<const uint8_t> sigma_bytes = section_bytes(kSecSigmas);
-  const std::span<const uint8_t> escape_bytes =
-      section_bytes(kSecComponentEscape);
-  out->sigmas.resize(out->num_components);
-  out->component_escape.resize(out->num_components);
-  for (uint32_t c = 0; c < out->num_components; ++c) {
-    out->sigmas[c] =
-        std::bit_cast<double>(LoadLE64(sigma_bytes.data() + 8 * c));
-    out->component_escape[c] =
-        std::bit_cast<double>(LoadLE64(escape_bytes.data() + 8 * c));
-  }
-
-  out->next_begin = section_bytes(kSecNextBegin);
-  out->child_begin = section_bytes(kSecChildBegin);
-  out->total_count = section_bytes(kSecTotalCount);
-  out->start_count = section_bytes(kSecStartCount);
-  out->count_shift = section_bytes(kSecCountShift);
-  out->mask16 = section_bytes(kSecMask16);
-  out->mask64 = section_bytes(kSecMask64);
-  out->next_query = section_bytes(kSecNextQuery);
-  out->next_code = section_bytes(kSecNextCode);
-  out->edge_query = section_bytes(kSecEdgeQuery);
-  out->edge_child = section_bytes(kSecEdgeChild);
-  out->root_index = section_bytes(kSecRootIndex);
-  return Status::OK();
-}
-
-/// Structural validation via the shared serving::ValidateBlobStructure
-/// template (host-order arrays, so it is endianness-correct on any host).
-Status ValidateParsed(const ParsedBlob& parsed, const std::string& path) {
-  BlobError err = serving::ValidateBlobCountShifts(
-      TypedSpan<uint8_t>(parsed.count_shift).data(), parsed.num_nodes);
-  if (err == BlobError::kNone) {
-    const auto next_begin = TypedSpan<uint32_t>(parsed.next_begin);
-    const auto child_begin = TypedSpan<uint32_t>(parsed.child_begin);
-    err = parsed.narrow_ids
-              ? serving::ValidateBlobStructure<uint16_t, uint16_t>(
-                    next_begin.data(), child_begin.data(),
-                    TypedSpan<uint16_t>(parsed.edge_query).data(),
-                    TypedSpan<uint16_t>(parsed.edge_child).data(),
-                    TypedSpan<uint16_t>(parsed.root_index).data(),
-                    parsed.root_index_size, parsed.num_nodes,
-                    parsed.num_entries, parsed.num_edges)
-              : serving::ValidateBlobStructure<uint32_t, uint32_t>(
-                    next_begin.data(), child_begin.data(),
-                    TypedSpan<uint32_t>(parsed.edge_query).data(),
-                    TypedSpan<uint32_t>(parsed.edge_child).data(),
-                    TypedSpan<uint32_t>(parsed.root_index).data(),
-                    parsed.root_index_size, parsed.num_nodes,
-                    parsed.num_entries, parsed.num_edges);
-  }
-  if (err != BlobError::kNone) {
-    return Corrupt(serving::BlobErrorMessage(err), path);
-  }
-  return Status::OK();
 }
 
 Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
@@ -211,18 +47,6 @@ Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
     return IoError("short read", path);
   }
   return Status::OK();
-}
-
-/// Copies one section's bytes into an owned host-order vector.
-template <typename T>
-void CopyArray(std::span<const uint8_t> bytes, std::vector<T>* out) {
-  out->resize(bytes.size() / sizeof(T));
-  if (!out->empty()) {
-    std::memcpy(out->data(), bytes.data(), bytes.size());
-    if constexpr (!HostIsLittleEndian()) {
-      ByteSwapInPlace(std::span<T>(*out));
-    }
-  }
 }
 
 /// Atomic publish shared by blob and manifest writers: a complete, durably
@@ -279,208 +103,37 @@ Status WriteFileAtomically(std::span<const uint8_t> bytes,
   return Status::OK();
 }
 
-}  // namespace
+/// Binds the blob `bytes` read from `path`; errors name the file.
+Result<std::shared_ptr<const CompactSnapshot>> BindFile(
+    const std::string& path, std::shared_ptr<const uint8_t> bytes,
+    size_t size, bool mapped, const SnapshotLoadOptions& options) {
+  Result<std::shared_ptr<const CompactSnapshot>> bound =
+      CompactSnapshot::FromBlob(std::move(bytes), size, mapped,
+                                options.verify_checksums);
+  if (!bound.ok()) {
+    return Status(bound.status().code(),
+                  bound.status().message() + ": " + path);
+  }
+  return bound;
+}
 
-// ----------------------------------------------------------------- save
+}  // namespace
 
 Status SnapshotIo::Save(const CompactSnapshot& snapshot,
                         const std::string& path) {
-  // Materialize every section in on-disk byte order. The compact arrays
-  // are at most a few MB — building the blob in memory keeps the offsets,
-  // checksums and the atomic rename trivial.
-  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> sections;
-
-  std::vector<uint8_t> meta(kMetaSize, 0);
-  StoreLE64(meta.data(), snapshot.version());
-  StoreLE32(meta.data() + 8, static_cast<uint32_t>(snapshot.weighting_));
-  const bool narrow_masks = snapshot.mask64_.empty();
-  uint32_t flags = 0;
-  if (snapshot.is_narrow_) flags |= kFlagNarrowIds;
-  if (narrow_masks) flags |= kFlagNarrowMasks;
-  StoreLE32(meta.data() + 12, flags);
-  StoreLE64(meta.data() + 16, snapshot.options_.top_k);
-  StoreLE64(meta.data() + 24, snapshot.num_nodes());
-  StoreLE64(meta.data() + 32, snapshot.num_entries());
-  StoreLE64(meta.data() + 40, snapshot.num_edges());
-  const uint64_t root_index_size =
-      snapshot.is_narrow_ ? snapshot.narrow_.root_child_by_query.size()
-                          : snapshot.wide_.root_child_by_query.size();
-  StoreLE64(meta.data() + 48, root_index_size);
-  StoreLE32(meta.data() + 56, static_cast<uint32_t>(snapshot.sigmas_.size()));
-  sections.emplace_back(kSecMeta, std::move(meta));
-
-  const auto push = [&sections](SectionId id, auto span) {
-    sections.emplace_back(id, ToDiskBytes(span));
-  };
-  push(kSecSigmas, std::span<const double>(snapshot.sigmas_));
-  push(kSecComponentEscape,
-       std::span<const double>(snapshot.component_escape_));
-  push(kSecNextBegin, std::span<const uint32_t>(snapshot.own_next_begin_));
-  push(kSecChildBegin, std::span<const uint32_t>(snapshot.own_child_begin_));
-  push(kSecTotalCount, std::span<const uint32_t>(snapshot.own_total_count_));
-  push(kSecStartCount, std::span<const uint32_t>(snapshot.own_start_count_));
-  push(kSecCountShift, std::span<const uint8_t>(snapshot.own_count_shift_));
-  push(kSecMask16, std::span<const uint16_t>(snapshot.own_mask16_));
-  push(kSecMask64, std::span<const Pst::ViewMask>(snapshot.own_mask64_));
-  if (snapshot.is_narrow_) {
-    push(kSecNextQuery,
-         std::span<const uint16_t>(snapshot.narrow_.next_query));
-    push(kSecEdgeQuery,
-         std::span<const uint16_t>(snapshot.narrow_.edge_query));
-    push(kSecEdgeChild,
-         std::span<const uint16_t>(snapshot.narrow_.edge_child));
-    push(kSecRootIndex,
-         std::span<const uint16_t>(snapshot.narrow_.root_child_by_query));
-  } else {
-    push(kSecNextQuery, std::span<const uint32_t>(snapshot.wide_.next_query));
-    push(kSecEdgeQuery, std::span<const uint32_t>(snapshot.wide_.edge_query));
-    push(kSecEdgeChild, std::span<const uint32_t>(snapshot.wide_.edge_child));
-    push(kSecRootIndex,
-         std::span<const uint32_t>(snapshot.wide_.root_child_by_query));
-  }
-  push(kSecNextCode, std::span<const uint16_t>(snapshot.own_next_code_));
-
-  // Lay the sections out 64-byte aligned after the table, then assemble.
-  const size_t table_bytes = sections.size() * kSectionRowSize;
-  size_t cursor = AlignUp(kHeaderSize + table_bytes);
-  std::vector<std::tuple<uint32_t, uint64_t, uint64_t, uint32_t>> rows;
-  rows.reserve(sections.size());
-  for (const auto& [id, bytes] : sections) {
-    rows.emplace_back(id, cursor, bytes.size(),
-                      Crc32(bytes.data(), bytes.size()));
-    cursor = AlignUp(cursor + bytes.size());
-  }
-  const uint64_t file_size = cursor;
-
-  std::vector<uint8_t> blob(static_cast<size_t>(file_size), 0);
-  std::memcpy(blob.data(), kSnapshotMagic, sizeof(kSnapshotMagic));
-  StoreLE32(blob.data() + 8, kSnapshotFormatVersion);
-  StoreLE32(blob.data() + 12, static_cast<uint32_t>(sections.size()));
-  StoreLE64(blob.data() + 16, file_size);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    uint8_t* row = blob.data() + kHeaderSize + i * kSectionRowSize;
-    const auto& [id, offset, size, crc] = rows[i];
-    StoreLE32(row, id);
-    StoreLE32(row + 4, crc);
-    StoreLE64(row + 8, offset);
-    StoreLE64(row + 16, size);
-    if (size > 0) {
-      std::memcpy(blob.data() + offset, sections[i].second.data(),
-                  static_cast<size_t>(size));
-    }
-  }
-  StoreLE32(blob.data() + 24,
-            Crc32(blob.data() + kHeaderSize, table_bytes));
-  StoreLE32(blob.data() + 60, Crc32(blob.data(), 60));
-
-  return WriteFileAtomically(blob, path);
+  return WriteFileAtomically(snapshot.blob_bytes(), path);
 }
-
-// ----------------------------------------------------------------- load
 
 Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Load(
     const std::string& path, const SnapshotLoadOptions& options) {
-  std::vector<uint8_t> blob;
-  SQP_RETURN_IF_ERROR(ReadWholeFile(path, &blob));
-  ParsedBlob parsed;
-  SQP_RETURN_IF_ERROR(ParseBlob(blob, path, options, &parsed));
-
-  std::shared_ptr<CompactSnapshot> out(new CompactSnapshot());
-  out->version_ = parsed.snapshot_version;
-  out->options_.top_k = static_cast<size_t>(parsed.top_k);
-  out->weighting_ = parsed.weighting;
-  out->sigmas_ = std::move(parsed.sigmas);
-  out->component_escape_ = std::move(parsed.component_escape);
-  out->is_narrow_ = parsed.narrow_ids;
-
-  CopyArray(parsed.next_begin, &out->own_next_begin_);
-  CopyArray(parsed.child_begin, &out->own_child_begin_);
-  CopyArray(parsed.total_count, &out->own_total_count_);
-  CopyArray(parsed.start_count, &out->own_start_count_);
-  CopyArray(parsed.count_shift, &out->own_count_shift_);
-  CopyArray(parsed.mask16, &out->own_mask16_);
-  CopyArray(parsed.mask64, &out->own_mask64_);
-  CopyArray(parsed.next_code, &out->own_next_code_);
-  if (parsed.narrow_ids) {
-    CopyArray(parsed.next_query, &out->narrow_.next_query);
-    CopyArray(parsed.edge_query, &out->narrow_.edge_query);
-    CopyArray(parsed.edge_child, &out->narrow_.edge_child);
-    CopyArray(parsed.root_index, &out->narrow_.root_child_by_query);
-  } else {
-    CopyArray(parsed.next_query, &out->wide_.next_query);
-    CopyArray(parsed.edge_query, &out->wide_.edge_query);
-    CopyArray(parsed.edge_child, &out->wide_.edge_child);
-    CopyArray(parsed.root_index, &out->wide_.root_child_by_query);
-  }
-  out->BindViews();
-
-  // Structural validation runs over the owned (host-order) arrays so it is
-  // endianness-correct on any host.
-  ParsedBlob host = parsed;
-  host.next_begin = {reinterpret_cast<const uint8_t*>(
-                         out->own_next_begin_.data()),
-                     out->own_next_begin_.size() * 4};
-  host.child_begin = {reinterpret_cast<const uint8_t*>(
-                          out->own_child_begin_.data()),
-                      out->own_child_begin_.size() * 4};
-  host.count_shift = {out->own_count_shift_.data(),
-                      out->own_count_shift_.size()};
-  if (parsed.narrow_ids) {
-    host.edge_query = {reinterpret_cast<const uint8_t*>(
-                           out->narrow_.edge_query.data()),
-                       out->narrow_.edge_query.size() * 2};
-    host.edge_child = {reinterpret_cast<const uint8_t*>(
-                           out->narrow_.edge_child.data()),
-                       out->narrow_.edge_child.size() * 2};
-    host.root_index = {reinterpret_cast<const uint8_t*>(
-                           out->narrow_.root_child_by_query.data()),
-                       out->narrow_.root_child_by_query.size() * 2};
-  } else {
-    host.edge_query = {reinterpret_cast<const uint8_t*>(
-                           out->wide_.edge_query.data()),
-                       out->wide_.edge_query.size() * 4};
-    host.edge_child = {reinterpret_cast<const uint8_t*>(
-                           out->wide_.edge_child.data()),
-                       out->wide_.edge_child.size() * 4};
-    host.root_index = {reinterpret_cast<const uint8_t*>(
-                           out->wide_.root_child_by_query.data()),
-                       out->wide_.root_child_by_query.size() * 4};
-  }
-  SQP_RETURN_IF_ERROR(ValidateParsed(host, path));
-  return std::shared_ptr<const CompactSnapshot>(std::move(out));
+  auto bytes = std::make_shared<std::vector<uint8_t>>();
+  SQP_RETURN_IF_ERROR(ReadWholeFile(path, bytes.get()));
+  return BindFile(path, std::shared_ptr<const uint8_t>(bytes, bytes->data()),
+                  bytes->size(), /*mapped=*/false, options);
 }
 
-// ------------------------------------------------------------------ map
-
-MappedCompactSnapshot::~MappedCompactSnapshot() {
-#ifdef SQP_HAVE_MMAP
-  if (map_base_ != nullptr) {
-    ::munmap(map_base_, blob_size_);
-  }
-#endif
-}
-
-ModelStats MappedCompactSnapshot::Stats() const {
-  ModelStats stats;
-  stats.name = "MVMM (compact, mapped)";
-  stats.num_states = num_nodes();
-  stats.num_entries = num_entries();
-  stats.memory_bytes = ServingBytes();
-  return stats;
-}
-
-Result<std::shared_ptr<const MappedCompactSnapshot>> SnapshotIo::Map(
+Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Map(
     const std::string& path, const SnapshotLoadOptions& options) {
-  if (!HostIsLittleEndian()) {
-    // The bulk arrays are little-endian on disk; serving them in place on
-    // a big-endian host would transpose every id. Use Load (which
-    // byte-swaps into owned arrays) there.
-    return Status::FailedPrecondition(
-        "zero-copy snapshot mapping requires a little-endian host; "
-        "use LoadCompactSnapshot instead");
-  }
-  std::shared_ptr<MappedCompactSnapshot> out(new MappedCompactSnapshot());
-  std::span<const uint8_t> blob;
 #ifdef SQP_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return IoError("cannot open", path);
@@ -489,64 +142,27 @@ Result<std::shared_ptr<const MappedCompactSnapshot>> SnapshotIo::Map(
     ::close(fd);
     return IoError("cannot stat", path);
   }
-  out->blob_size_ = static_cast<size_t>(st.st_size);
-  if (out->blob_size_ == 0) {
+  const size_t size = static_cast<size_t>(st.st_size);
+  if (size == 0) {
     ::close(fd);
     return Corrupt("empty file", path);
   }
-  void* base =
-      ::mmap(nullptr, out->blob_size_, PROT_READ, MAP_PRIVATE, fd, 0);
+  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
   if (base == MAP_FAILED) return IoError("mmap failed", path);
 #ifdef MADV_HUGEPAGE
-  if (::madvise(base, out->blob_size_, MADV_HUGEPAGE) == 0) {
-    out->hugepage_mode_ = HugepageMode::kAdvised;
-  }
+  // Best effort: the CSR pools are the random-access arrays that profit
+  // from fewer dTLB misses; a kernel without THP just refuses the advice.
+  ::madvise(base, size, MADV_HUGEPAGE);
 #endif
-  out->map_base_ = base;
-  blob = {static_cast<const uint8_t*>(base), out->blob_size_};
+  std::shared_ptr<const uint8_t> mapping(
+      static_cast<const uint8_t*>(base), [size](const uint8_t* p) {
+        ::munmap(const_cast<uint8_t*>(p), size);
+      });
+  return BindFile(path, std::move(mapping), size, /*mapped=*/true, options);
 #else
-  // No mmap on this platform: fall back to an owned copy with identical
-  // semantics (the views point into the heap buffer instead).
-  SQP_RETURN_IF_ERROR(ReadWholeFile(path, &out->heap_copy_));
-  out->blob_size_ = out->heap_copy_.size();
-  blob = out->heap_copy_;
+  return Load(path, options);
 #endif
-
-  ParsedBlob parsed;
-  SQP_RETURN_IF_ERROR(ParseBlob(blob, path, options, &parsed));
-  SQP_RETURN_IF_ERROR(ValidateParsed(parsed, path));
-
-  out->version_ = parsed.snapshot_version;
-  out->options_.top_k = static_cast<size_t>(parsed.top_k);
-  out->weighting_ = parsed.weighting;
-  out->sigmas_ = std::move(parsed.sigmas);
-  out->component_escape_ = std::move(parsed.component_escape);
-  out->is_narrow_ = parsed.narrow_ids;
-
-  out->next_begin_ = TypedSpan<uint32_t>(parsed.next_begin);
-  out->child_begin_ = TypedSpan<uint32_t>(parsed.child_begin);
-  out->total_count_ = TypedSpan<uint32_t>(parsed.total_count);
-  out->start_count_ = TypedSpan<uint32_t>(parsed.start_count);
-  out->count_shift_ = TypedSpan<uint8_t>(parsed.count_shift);
-  out->mask16_ = TypedSpan<uint16_t>(parsed.mask16);
-  out->mask64_ = TypedSpan<Pst::ViewMask>(parsed.mask64);
-  out->next_code_ = TypedSpan<uint16_t>(parsed.next_code);
-  if (parsed.narrow_ids) {
-    out->narrow_view_ = CompactPoolsView<uint16_t, uint16_t>{
-        TypedSpan<uint16_t>(parsed.next_query),
-        TypedSpan<uint16_t>(parsed.edge_query),
-        TypedSpan<uint16_t>(parsed.edge_child),
-        TypedSpan<uint16_t>(parsed.root_index)};
-  } else {
-    out->wide_view_ = CompactPoolsView<uint32_t, uint32_t>{
-        TypedSpan<uint32_t>(parsed.next_query),
-        TypedSpan<uint32_t>(parsed.edge_query),
-        TypedSpan<uint32_t>(parsed.edge_child),
-        TypedSpan<uint32_t>(parsed.root_index)};
-  }
-  out->FinalizeDerived();
-  return std::shared_ptr<const MappedCompactSnapshot>(std::move(out));
 }
 
 // ------------------------------------------------------------- manifests

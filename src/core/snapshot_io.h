@@ -5,30 +5,26 @@
 /// memory-mappable blob per model generation, so a serving replica boots
 /// in O(file size) page-ins instead of retraining from the corpus.
 ///
-/// Blob layout (all multi-byte fields little-endian; the full diagram
-/// lives in docs/ARCHITECTURE.md):
+/// A CompactSnapshot already IS its blob (core/compact_snapshot.h): the
+/// layout, its checksums and its validation live in core/blob_format.h,
+/// shared with the slim embedded predictor. This file only moves those
+/// bytes between memory and files:
 ///
-///   [0,64)    file header: magic "SQPSNAP1", format version, section
-///             count, total file size, CRC32 of the section table, CRC32
-///             of the header itself
-///   [64,...)  section table: one 24-byte row per section
-///             {id u32, crc32 u32, offset u64, size u64}
-///   ...       section payloads, each starting at a 64-byte-aligned
-///             offset (zero padding between) so every CSR array can be
-///             served directly out of the mapped file with natural
-///             alignment
+///   - Save writes CompactSnapshot::blob_bytes() atomically;
+///   - Load reads a file into an owned buffer and binds it;
+///   - Map maps a file read-only (advising transparent huge pages) and
+///     binds the mapping, so the replica serves straight out of the page
+///     cache; on hosts without POSIX mmap it is Load.
 ///
-/// Sections are the CompactSnapshot arrays verbatim (next_begin,
-/// child_begin, counts, shifts, masks, pools, root index) plus a META
-/// section holding the model metadata (snapshot version, weighting, id
-/// widths, element counts) and the sigma / escape arrays. Every section
-/// carries its own CRC32; loading verifies structure always and checksums
-/// by default, and rejects corrupt or truncated input with a Status error
-/// — never undefined behavior.
+/// Binding verifies every section CRC32 by default and the structure
+/// always, and rejects corrupt or truncated input with a Status error —
+/// never undefined behavior. The full layout diagram lives in
+/// docs/ARCHITECTURE.md.
 ///
 /// The format version is a compatibility contract: readers accept exactly
 /// kSnapshotFormatVersion and CI pins a committed golden blob (see
-/// tests/data/) so silent layout drift fails the build.
+/// tests/data/) so silent layout drift fails the build. The snapshot
+/// manifest of a sharded fleet is defined here too.
 
 #include <cstdint>
 #include <memory>
@@ -105,79 +101,27 @@ struct SnapshotLoadOptions {
   bool verify_checksums = true;
 };
 
-/// How a MappedCompactSnapshot's backing memory ended up backed. Map
-/// always advises the kernel (madvise MADV_HUGEPAGE) to back the mapping
-/// with transparent huge pages — the CSR pools are exactly the
-/// random-access-heavy arrays that profit from fewer dTLB misses. The
-/// advice is best-effort; a kernel without THP simply refuses it.
-enum class HugepageMode {
-  kNone,     // plain 4 KiB file mapping (or heap fallback)
-  kAdvised,  // file mapping with MADV_HUGEPAGE accepted
-};
-
-/// A serving snapshot whose CSR arrays live in a memory-mapped blob: the
-/// zero-copy boot path. Construction (SnapshotIo::Map) validates the blob
-/// and points the CompactServingBase views straight into the mapping, so
-/// a replica starts serving after O(file size) page-ins with no
-/// retraining and no array copies; the mapping is released on
-/// destruction. On hosts without POSIX mmap the class transparently falls
-/// back to an owned aligned heap copy (zero_copy() reports which).
-///
-/// Thread-safety: identical to every ServingSnapshot — deeply immutable
-/// after construction (PROT_READ mapping), any number of concurrent
-/// readers with one SnapshotScratch each.
-class MappedCompactSnapshot final : public CompactServingBase {
- public:
-  ~MappedCompactSnapshot() override;
-
-  MappedCompactSnapshot(const MappedCompactSnapshot&) = delete;
-  MappedCompactSnapshot& operator=(const MappedCompactSnapshot&) = delete;
-
-  /// Table VII accounting over the mapped arrays — directly comparable to
-  /// CompactSnapshot::Stats of the snapshot the blob was written from.
-  ModelStats Stats() const override;
-
-  /// Total size of the backing blob (header + tables + padding included).
-  uint64_t mapped_bytes() const { return blob_size_; }
-
-  /// True when the arrays are served out of an mmap'ed region; false on
-  /// the non-POSIX heap-copy fallback.
-  bool zero_copy() const { return map_base_ != nullptr; }
-
-  /// Whether the kernel accepted the mapping's THP advice.
-  HugepageMode hugepage_mode() const { return hugepage_mode_; }
-
- private:
-  friend class SnapshotIo;
-
-  MappedCompactSnapshot() = default;
-
-  void* map_base_ = nullptr;  // POSIX mapping (munmap'ed on destruction)
-  size_t blob_size_ = 0;
-  HugepageMode hugepage_mode_ = HugepageMode::kNone;
-  std::vector<uint8_t> heap_copy_;  // fallback backing when mmap is absent
-};
-
 /// Save / load / map entry points for the snapshot blob format.
 class SnapshotIo {
  public:
-  /// Writes `snapshot` to `path` as one blob, atomically: the bytes land
-  /// in `path + ".tmp"` first and are renamed over `path` only after a
-  /// complete, flushed write — a reader (or a crashed writer) never
+  /// Writes `snapshot`'s blob bytes to `path`, atomically: the bytes land
+  /// in `path + ".tmp"` first, are fsync'ed, and are renamed over `path`
+  /// only after a complete write — a reader (or a crashed writer) never
   /// observes a half-written blob at `path`.
   static Status Save(const CompactSnapshot& snapshot,
                      const std::string& path);
 
-  /// Restores a blob by copy: the arrays are read into an owned
-  /// CompactSnapshot, independent of the file afterwards. Serves
+  /// Restores a blob by copy: the file is read into an owned buffer that
+  /// the snapshot serves from, independent of the file afterwards. Serves
   /// bit-identically to the snapshot Save was given.
   static Result<std::shared_ptr<const CompactSnapshot>> Load(
       const std::string& path, const SnapshotLoadOptions& options = {});
 
-  /// Restores a blob zero-copy: validates the file, maps it read-only and
-  /// serves straight out of the mapping. The cold-boot path for serving
-  /// replicas (bench/coldstart measures it against train-from-scratch).
-  static Result<std::shared_ptr<const MappedCompactSnapshot>> Map(
+  /// Restores a blob zero-copy: maps the file read-only, validates it and
+  /// serves straight out of the mapping, which the snapshot unmaps when it
+  /// dies. The cold-boot path for serving replicas (bench/coldstart
+  /// measures it against train-from-scratch).
+  static Result<std::shared_ptr<const CompactSnapshot>> Map(
       const std::string& path, const SnapshotLoadOptions& options = {});
 
   // ----- sharded-fleet manifests -----
@@ -215,21 +159,6 @@ class SnapshotIo {
 /// "/data/shards/s0.blob"); absolute shard paths pass through unchanged.
 std::string ResolveAgainstManifest(const std::string& manifest_path,
                                    const std::string& shard_path);
-
-/// Free-function spellings of the SnapshotIo entry points.
-inline Status SaveCompactSnapshot(const CompactSnapshot& snapshot,
-                                  const std::string& path) {
-  return SnapshotIo::Save(snapshot, path);
-}
-inline Result<std::shared_ptr<const CompactSnapshot>> LoadCompactSnapshot(
-    const std::string& path, const SnapshotLoadOptions& options = {}) {
-  return SnapshotIo::Load(path, options);
-}
-inline Result<std::shared_ptr<const MappedCompactSnapshot>>
-MapCompactSnapshot(const std::string& path,
-                   const SnapshotLoadOptions& options = {}) {
-  return SnapshotIo::Map(path, options);
-}
 
 }  // namespace sqp
 

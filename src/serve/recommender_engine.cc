@@ -50,7 +50,7 @@ void RecommenderEngine::Publish(
 }
 
 Status RecommenderEngine::LoadAndPublish(const std::string& path) {
-  Result<std::shared_ptr<const MappedCompactSnapshot>> mapped =
+  Result<std::shared_ptr<const CompactSnapshot>> mapped =
       SnapshotIo::Map(path);
   if (!mapped.ok()) return mapped.status();
   Publish(std::move(mapped.value()));

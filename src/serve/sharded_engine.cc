@@ -182,13 +182,13 @@ Status ShardedEngine::LoadAndPublish(const std::string& manifest_path,
   }
   // Stage everything before publishing anything: a fleet boot is all or
   // nothing, and a failure leaves the current snapshots serving.
-  std::vector<std::shared_ptr<const MappedCompactSnapshot>> staged;
+  std::vector<std::shared_ptr<const CompactSnapshot>> staged;
   staged.reserve(shards_.size());
   for (const ShardBlobRef& ref : manifest->shards) {
     const std::string blob_path =
         ResolveAgainstManifest(manifest_path, ref.path);
     SQP_RETURN_IF_ERROR(SnapshotIo::VerifyBlobRef(ref, blob_path));
-    Result<std::shared_ptr<const MappedCompactSnapshot>> mapped =
+    Result<std::shared_ptr<const CompactSnapshot>> mapped =
         SnapshotIo::Map(blob_path, options);
     if (!mapped.ok()) return mapped.status();
     staged.push_back(std::move(mapped.value()));
@@ -224,7 +224,7 @@ Result<FleetBootReport> ShardedEngine::LoadAndPublishAvailable(
         ResolveAgainstManifest(manifest_path, ref.path);
     Status status = SnapshotIo::VerifyBlobRef(ref, blob_path);
     if (status.ok()) {
-      Result<std::shared_ptr<const MappedCompactSnapshot>> mapped =
+      Result<std::shared_ptr<const CompactSnapshot>> mapped =
           SnapshotIo::Map(blob_path, options);
       if (mapped.ok()) {
         shards_[s]->Publish(std::move(mapped.value()));

@@ -17,7 +17,6 @@
 
 #include "core/blob_format.h"
 #include "core/serving_walk.h"
-#include "util/byte_io.h"
 
 namespace serving = sqp::serving;
 
@@ -40,11 +39,24 @@ T* Carve(uint8_t** cursor, size_t count) {
   return p;
 }
 
-template <typename T>
-const T* SectionAs(const uint8_t* blob, const serving::BlobLayout& layout,
-                   serving::BlobSectionId id) {
-  return reinterpret_cast<const T*>(
-      blob + static_cast<size_t>(layout.sections[id].offset));
+/// BindBlob's derived-table memory, malloc'ed: the escape powers are
+/// kept by the predictor, the depth scratch is freed right after the bind.
+struct BindMemory {
+  double* escape_pow = nullptr;
+  uint32_t* depth_scratch = nullptr;
+};
+
+bool MallocBindMemory(void* context, size_t escape_pow_doubles,
+                      size_t num_nodes, double** escape_pow,
+                      uint32_t** depth_scratch) {
+  BindMemory* memory = static_cast<BindMemory*>(context);
+  memory->escape_pow =
+      static_cast<double*>(std::malloc(escape_pow_doubles * sizeof(double)));
+  memory->depth_scratch =
+      static_cast<uint32_t*>(std::malloc(num_nodes * sizeof(uint32_t)));
+  *escape_pow = memory->escape_pow;
+  *depth_scratch = memory->depth_scratch;
+  return memory->escape_pow != nullptr && memory->depth_scratch != nullptr;
 }
 
 }  // namespace
@@ -74,97 +86,24 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   if (out_predictor == nullptr || blob == nullptr || blob_size == 0) {
     return SQP_STATUS_INVALID_ARGUMENT;
   }
-  if (reinterpret_cast<uintptr_t>(blob) % 8 != 0) {
-    return SQP_STATUS_INVALID_ARGUMENT;
-  }
-  // The model arrays are read in place as little-endian typed pointers;
-  // a big-endian host would need the engine loader's decode-and-own path.
-  if (!sqp::HostIsLittleEndian()) {
-    return SQP_STATUS_FAILED_PRECONDITION;
-  }
 
-  const uint8_t* bytes = static_cast<const uint8_t*>(blob);
+  // Parse, validate and bind in place: the model arrays are read straight
+  // out of the caller's buffer, never copied.
   serving::BlobLayout layout;
-  if (serving::ParseBlobLayout(bytes, blob_size, /*verify_checksums=*/true,
-                               &layout) != serving::BlobError::kNone) {
-    return SQP_STATUS_INVALID_ARGUMENT;
-  }
-
   serving::ModelRef m;
-  m.next_begin = SectionAs<uint32_t>(bytes, layout, serving::kSecNextBegin);
-  m.child_begin = SectionAs<uint32_t>(bytes, layout, serving::kSecChildBegin);
-  m.total_count = SectionAs<uint32_t>(bytes, layout, serving::kSecTotalCount);
-  m.start_count = SectionAs<uint32_t>(bytes, layout, serving::kSecStartCount);
-  m.count_shift = SectionAs<uint8_t>(bytes, layout, serving::kSecCountShift);
-  if (layout.narrow_masks) {
-    m.mask16 = SectionAs<uint16_t>(bytes, layout, serving::kSecMask16);
-  } else {
-    m.mask64 = SectionAs<uint64_t>(bytes, layout, serving::kSecMask64);
-  }
-  m.next_code = SectionAs<uint16_t>(bytes, layout, serving::kSecNextCode);
-  m.num_nodes = static_cast<size_t>(layout.num_nodes);
-  m.num_entries = static_cast<size_t>(layout.num_entries);
-  m.num_edges = static_cast<size_t>(layout.num_edges);
-  m.narrow_ids = layout.narrow_ids;
-  if (layout.narrow_ids) {
-    m.narrow = serving::PoolsRef<uint16_t, uint16_t>{
-        SectionAs<uint16_t>(bytes, layout, serving::kSecNextQuery),
-        SectionAs<uint16_t>(bytes, layout, serving::kSecEdgeQuery),
-        SectionAs<uint16_t>(bytes, layout, serving::kSecEdgeChild),
-        SectionAs<uint16_t>(bytes, layout, serving::kSecRootIndex),
-        static_cast<size_t>(layout.root_index_size)};
-  } else {
-    m.wide = serving::PoolsRef<uint32_t, uint32_t>{
-        SectionAs<uint32_t>(bytes, layout, serving::kSecNextQuery),
-        SectionAs<uint32_t>(bytes, layout, serving::kSecEdgeQuery),
-        SectionAs<uint32_t>(bytes, layout, serving::kSecEdgeChild),
-        SectionAs<uint32_t>(bytes, layout, serving::kSecRootIndex),
-        static_cast<size_t>(layout.root_index_size)};
-  }
-  m.weighting = layout.weighting;
-  // Little-endian host (checked above): the on-disk doubles are the host
-  // bit pattern, so the mixture arrays are served in place too.
-  m.sigmas = SectionAs<double>(bytes, layout, serving::kSecSigmas);
-  m.component_escape =
-      SectionAs<double>(bytes, layout, serving::kSecComponentEscape);
-  m.num_components = layout.num_components;
-
-  serving::BlobError err =
-      serving::ValidateBlobCountShifts(m.count_shift, layout.num_nodes);
-  if (err == serving::BlobError::kNone) {
-    err = layout.narrow_ids
-              ? serving::ValidateBlobStructure<uint16_t, uint16_t>(
-                    m.next_begin, m.child_begin, m.narrow.edge_query,
-                    m.narrow.edge_child, m.narrow.root_child_by_query,
-                    layout.root_index_size, layout.num_nodes,
-                    layout.num_entries, layout.num_edges)
-              : serving::ValidateBlobStructure<uint32_t, uint32_t>(
-                    m.next_begin, m.child_begin, m.wide.edge_query,
-                    m.wide.edge_child, m.wide.root_child_by_query,
-                    layout.root_index_size, layout.num_nodes,
-                    layout.num_entries, layout.num_edges);
-  }
+  BindMemory memory;
+  const serving::BlobError err = serving::BindBlob(
+      static_cast<const uint8_t*>(blob), blob_size,
+      /*verify_checksums=*/true, MallocBindMemory, &memory, &layout, &m);
+  std::free(memory.depth_scratch);
   if (err != serving::BlobError::kNone) {
-    return SQP_STATUS_INVALID_ARGUMENT;
+    std::free(memory.escape_pow);
+    return err == serving::BlobError::kOutOfMemory
+               ? SQP_STATUS_RESOURCE_EXHAUSTED
+               : SQP_STATUS_INVALID_ARGUMENT;
   }
-
-  // Derived tables: escape powers plus the scratch sizing everything
-  // below is carved from. depth_scratch is create-time-only work memory.
   const size_t pow_doubles =
       m.num_components * (serving::kEscapePowCap + 1);
-  double* escape_pow =
-      static_cast<double*>(std::malloc(pow_doubles * sizeof(double)));
-  uint32_t* depth_scratch =
-      static_cast<uint32_t*>(std::malloc(m.num_nodes * sizeof(uint32_t)));
-  if (escape_pow == nullptr || depth_scratch == nullptr) {
-    std::free(escape_pow);
-    std::free(depth_scratch);
-    return SQP_STATUS_RESOURCE_EXHAUSTED;
-  }
-  for (size_t i = 0; i < pow_doubles; ++i) escape_pow[i] = 1.0;
-  std::memset(depth_scratch, 0, m.num_nodes * sizeof(uint32_t));
-  serving::FinalizeModelRef(&m, escape_pow, depth_scratch);
-  std::free(depth_scratch);
 
   const size_t path_capacity =
       m.sizing.path_depth > kPathCapacityFloor ? m.sizing.path_depth
@@ -186,7 +125,7 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
       std::malloc(sizeof(sqp_slim_predictor)));
   uint8_t* arena = static_cast<uint8_t*>(std::malloc(arena_bytes));
   if (p == nullptr || arena == nullptr) {
-    std::free(escape_pow);
+    std::free(memory.escape_pow);
     std::free(p);
     std::free(arena);
     return SQP_STATUS_RESOURCE_EXHAUSTED;
@@ -194,7 +133,7 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   *p = sqp_slim_predictor{};
   p->model = m;
   p->snapshot_version = layout.snapshot_version;
-  p->escape_pow = escape_pow;
+  p->escape_pow = memory.escape_pow;
   p->arena = arena;
   p->resident_bytes = sizeof(sqp_slim_predictor) +
                       pow_doubles * sizeof(double) + arena_bytes;

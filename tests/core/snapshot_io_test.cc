@@ -24,6 +24,7 @@
 #include "core/compact_snapshot.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
+#include "sqp/slim.h"
 #include "util/byte_io.h"
 
 namespace sqp {
@@ -162,13 +163,13 @@ TEST(SnapshotIoTest, SaveLoadMapServeBitIdenticallyOverSeededCorpora) {
         CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
 
     TempFile file("roundtrip_" + std::to_string(seed) + ".blob");
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
     EXPECT_FALSE(std::filesystem::exists(file.path() + ".tmp"))
         << "atomic save must not leave its tmp file behind";
 
-    const auto loaded = LoadCompactSnapshot(file.path());
+    const auto loaded = SnapshotIo::Load(file.path());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    const auto mapped = MapCompactSnapshot(file.path());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
     EXPECT_EQ((*loaded)->version(), compact->version());
@@ -179,7 +180,7 @@ TEST(SnapshotIoTest, SaveLoadMapServeBitIdenticallyOverSeededCorpora) {
     EXPECT_EQ((*mapped)->num_entries(), compact->num_entries());
     EXPECT_EQ((*loaded)->sigmas(), compact->sigmas());
     EXPECT_EQ((*mapped)->sigmas(), compact->sigmas());
-    EXPECT_EQ((*mapped)->mapped_bytes(),
+    EXPECT_EQ((*mapped)->blob_bytes().size(),
               std::filesystem::file_size(file.path()));
 
     const std::vector<std::vector<QueryId>> contexts =
@@ -200,8 +201,8 @@ TEST(SnapshotIoTest, MatchedDepthIsTheWalksDescentOnOwnedAndMappedStorage) {
   const auto compact =
       CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
   TempFile file("matched_depth.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
-  const auto mapped = MapCompactSnapshot(file.path());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+  const auto mapped = SnapshotIo::Map(file.path());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   std::vector<std::vector<QueryId>> contexts = PrefixContexts(corpus, 400);
@@ -209,9 +210,9 @@ TEST(SnapshotIoTest, MatchedDepthIsTheWalksDescentOnOwnedAndMappedStorage) {
   contexts.push_back({500});                       // never seen
   contexts.push_back({500, 501, 502});             // never seen
   contexts.push_back({corpus[0].queries[0], 500});  // unseen last query
-  const std::vector<const CompactServingBase*> variants = {compact.get(),
+  const std::vector<const CompactSnapshot*> variants = {compact.get(),
                                                            mapped->get()};
-  for (const CompactServingBase* snapshot : variants) {
+  for (const CompactSnapshot* snapshot : variants) {
     SnapshotScratch scratch;
     size_t covered = 0;
     size_t uncovered = 0;
@@ -260,10 +261,10 @@ TEST(SnapshotIoTest, WideIdPoolsRoundTrip) {
       CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 0});
 
   TempFile file("wide.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
-  const auto loaded = LoadCompactSnapshot(file.path());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+  const auto loaded = SnapshotIo::Load(file.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto mapped = MapCompactSnapshot(file.path());
+  const auto mapped = SnapshotIo::Map(file.path());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   const std::vector<std::vector<QueryId>> contexts =
@@ -284,15 +285,15 @@ TEST(SnapshotIoTest, MinimalModelsRoundTrip) {
     ASSERT_EQ(compact->num_entries(), 0u);
 
     TempFile file("rootonly.blob");
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
-    const auto mapped = MapCompactSnapshot(file.path());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_EQ((*mapped)->num_nodes(), 1u);
     SnapshotScratch scratch;
     const std::vector<QueryId> context = {QueryId{3}};
     EXPECT_FALSE((*mapped)->Recommend(context, 5, &scratch).covered);
     EXPECT_FALSE((*mapped)->Covers(context));
-    const auto loaded = LoadCompactSnapshot(file.path());
+    const auto loaded = SnapshotIo::Load(file.path());
     ASSERT_TRUE(loaded.ok());
     EXPECT_FALSE((*loaded)->Covers(context));
   }
@@ -301,8 +302,8 @@ TEST(SnapshotIoTest, MinimalModelsRoundTrip) {
     const auto full = BuildFull(pair, 1, 16);
     const auto compact = CompactSnapshot::FromSnapshot(*full);
     TempFile file("single.blob");
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
-    const auto mapped = MapCompactSnapshot(file.path());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     const std::vector<std::vector<QueryId>> contexts = {{QueryId{1}},
                                                         {QueryId{2}}};
@@ -317,9 +318,9 @@ TEST(SnapshotIoTest, BlobCarriesItsOwnCorpusVersion) {
   const auto full = BuildFull(corpus, /*version=*/42, 1 << 10);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("version.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
 
-  const auto mapped = MapCompactSnapshot(file.path());
+  const auto mapped = SnapshotIo::Map(file.path());
   ASSERT_TRUE(mapped.ok());
   EXPECT_EQ((*mapped)->version(), 42u);
 
@@ -333,9 +334,9 @@ TEST(SnapshotIoTest, SkippingChecksumsStillServesIdentically) {
   const auto full = BuildFull(corpus, 1, 1 << 10);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("nocrc.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   const auto mapped =
-      MapCompactSnapshot(file.path(), {.verify_checksums = false});
+      SnapshotIo::Map(file.path(), {.verify_checksums = false});
   ASSERT_TRUE(mapped.ok());
   ExpectBitIdentical(*compact, **mapped, PrefixContexts(corpus, 200), 10);
 }
@@ -349,11 +350,65 @@ TEST(SnapshotIoTest, HugepageOptionsServeIdenticallyWhateverTheBacking) {
   const auto full = BuildFull(corpus, 1, 1 << 10);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("hugepage.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
 
-  const auto advised = MapCompactSnapshot(file.path());
+  const auto advised = SnapshotIo::Map(file.path());
   ASSERT_TRUE(advised.ok());
   ExpectBitIdentical(*compact, **advised, PrefixContexts(corpus, 200), 10);
+}
+
+TEST(SnapshotIoTest, NarrowModelsAnswerContextIdsPastSixteenBitsAsFullModel) {
+  // A narrow model stores 16-bit ids, so an older context query >= 65536
+  // is in none of its pools. Owned, mapped and slim must answer
+  // [..., a + 65536, b] exactly as the full model — never as [..., a, b],
+  // which the low 16 bits of a + 65536 would spell. top_k = 0 keeps every
+  // entry, so compact == full holds to the bit.
+  const std::vector<AggregatedSession> corpus =
+      SeededCorpus(/*seed=*/77, 500, /*vocabulary=*/100);
+  const auto full = BuildFull(corpus, /*version=*/1, 1 << 10);
+  const auto compact =
+      CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 0});
+  TempFile file("narrow_alias.blob");
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+  const auto mapped = SnapshotIo::Map(file.path());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const std::vector<uint8_t> blob = ReadAll(file.path());
+  sqp_slim_predictor* slim_handle = nullptr;
+  ASSERT_EQ(sqp_slim_create_from_buffer(blob.data(), blob.size(),
+                                        &slim_handle),
+            SQP_STATUS_OK);
+  const std::unique_ptr<sqp_slim_predictor, void (*)(sqp_slim_predictor*)>
+      slim(slim_handle, sqp_slim_destroy);
+
+  SnapshotScratch scratch;
+  size_t would_alias = 0;
+  for (std::vector<QueryId> context : PrefixContexts(corpus, 500)) {
+    if (context.size() < 2) continue;
+    if (full->Recommend(context, 10, &scratch).matched_length >= 2) {
+      ++would_alias;
+    }
+    context[context.size() - 2] += 65536;
+    ExpectBitIdentical(*full, *compact, {context}, 10);
+    ExpectBitIdentical(*full, **mapped, {context}, 10);
+
+    const Recommendation want = full->Recommend(context, 10, &scratch);
+    uint32_t queries[10];
+    double scores[10];
+    size_t count = 0;
+    size_t matched = 0;
+    const sqp_status_t status =
+        sqp_slim_recommend(slim.get(), context.data(), context.size(), 10,
+                           queries, scores, &count, &matched);
+    ASSERT_EQ(status, want.covered ? SQP_STATUS_OK : SQP_STATUS_NOT_FOUND);
+    ASSERT_EQ(count, want.queries.size());
+    EXPECT_EQ(matched, want.matched_length);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(queries[i], want.queries[i].query);
+      EXPECT_EQ(scores[i], want.queries[i].score);
+    }
+  }
+  // The sweep must include contexts whose aliased spelling matches deeper.
+  EXPECT_GT(would_alias, 10u);
 }
 
 // ---------------------------------------------------- corruption suite
@@ -367,7 +422,7 @@ TEST(SnapshotIoTest, CorruptBytesAreRejectedEverywhere) {
   const auto full = BuildFull(corpus, 1, 1 << 10, /*max_depth=*/3);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("corrupt.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   const std::vector<uint8_t> blob = ReadAll(file.path());
 
   // Covered byte ranges: header, table, and each section payload (decoded
@@ -391,9 +446,9 @@ TEST(SnapshotIoTest, CorruptBytesAreRejectedEverywhere) {
       std::vector<uint8_t> mutated = blob;
       mutated[at] ^= 0x5A;
       WriteAll(file.path(), mutated);
-      EXPECT_FALSE(LoadCompactSnapshot(file.path()).ok())
+      EXPECT_FALSE(SnapshotIo::Load(file.path()).ok())
           << "byte " << at << " flip not detected by Load";
-      EXPECT_FALSE(MapCompactSnapshot(file.path()).ok())
+      EXPECT_FALSE(SnapshotIo::Map(file.path()).ok())
           << "byte " << at << " flip not detected by Map";
       ++flipped;
     }
@@ -406,7 +461,7 @@ TEST(SnapshotIoTest, TruncatedBlobsAreRejected) {
   const auto full = BuildFull(corpus, 1, 1 << 10, /*max_depth=*/3);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   TempFile file("truncated.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   const std::vector<uint8_t> blob = ReadAll(file.path());
 
   for (const size_t keep :
@@ -415,19 +470,19 @@ TEST(SnapshotIoTest, TruncatedBlobsAreRejected) {
     std::vector<uint8_t> shorter(blob.begin(),
                                  blob.begin() + static_cast<ptrdiff_t>(keep));
     WriteAll(file.path(), shorter);
-    EXPECT_FALSE(LoadCompactSnapshot(file.path()).ok()) << "kept " << keep;
-    EXPECT_FALSE(MapCompactSnapshot(file.path()).ok()) << "kept " << keep;
+    EXPECT_FALSE(SnapshotIo::Load(file.path()).ok()) << "kept " << keep;
+    EXPECT_FALSE(SnapshotIo::Map(file.path()).ok()) << "kept " << keep;
   }
 
   // Trailing garbage is corruption too (the header pins the exact size).
   std::vector<uint8_t> longer = blob;
   longer.push_back(0xFF);
   WriteAll(file.path(), longer);
-  EXPECT_FALSE(LoadCompactSnapshot(file.path()).ok());
-  EXPECT_FALSE(MapCompactSnapshot(file.path()).ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path()).ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path()).ok());
 
-  EXPECT_FALSE(LoadCompactSnapshot(file.path() + ".does_not_exist").ok());
-  EXPECT_FALSE(MapCompactSnapshot(file.path() + ".does_not_exist").ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path() + ".does_not_exist").ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path() + ".does_not_exist").ok());
 }
 
 TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
@@ -439,7 +494,7 @@ TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   ASSERT_GT(compact->num_edges(), 0u);
   TempFile file("badid.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   std::vector<uint8_t> blob = ReadAll(file.path());
 
   // Locate the edge_child section (id 14) and point its first edge at a
@@ -455,8 +510,8 @@ TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
   }
   WriteAll(file.path(), blob);
   const SnapshotLoadOptions no_verify{.verify_checksums = false};
-  EXPECT_FALSE(LoadCompactSnapshot(file.path(), no_verify).ok());
-  EXPECT_FALSE(MapCompactSnapshot(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path(), no_verify).ok());
 }
 
 TEST(SnapshotIoTest, StructuralValidationCatchesSpikedCsrOffset) {
@@ -469,7 +524,7 @@ TEST(SnapshotIoTest, StructuralValidationCatchesSpikedCsrOffset) {
   const auto compact = CompactSnapshot::FromSnapshot(*full);
   ASSERT_GT(compact->num_nodes(), 2u);
   TempFile file("spiked.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   std::vector<uint8_t> blob = ReadAll(file.path());
 
   // Locate the child_begin section (id 5) and spike the offset of node 1.
@@ -484,8 +539,8 @@ TEST(SnapshotIoTest, StructuralValidationCatchesSpikedCsrOffset) {
   }
   WriteAll(file.path(), blob);
   const SnapshotLoadOptions no_verify{.verify_checksums = false};
-  EXPECT_FALSE(LoadCompactSnapshot(file.path(), no_verify).ok());
-  EXPECT_FALSE(MapCompactSnapshot(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path(), no_verify).ok());
 }
 
 // ------------------------------------------------- serving-stack suite
@@ -496,7 +551,7 @@ TEST(SnapshotIoTest, EngineColdBootsFromBlobAndKeepsServingOnBadReload) {
   const auto compact =
       CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
   TempFile file("engine.blob");
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, file.path()).ok());
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
 
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
   ASSERT_TRUE(engine.LoadAndPublish(file.path()).ok());
@@ -544,7 +599,7 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
   // Generation 1 is on disk, loadable, and identical to what was
   // published.
   {
-    const auto mapped = MapCompactSnapshot(file.path());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_EQ((*mapped)->version(), 1u);
     const auto published = std::dynamic_pointer_cast<const CompactSnapshot>(
@@ -557,7 +612,7 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
   retrainer.AppendSessions(fresh);
   ASSERT_TRUE(retrainer.RetrainOnce().ok());
   {
-    const auto mapped = MapCompactSnapshot(file.path());
+    const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok());
     EXPECT_EQ((*mapped)->version(), 2u);
     // A brand-new replica cold-booted from the persisted blob serves the
@@ -593,7 +648,7 @@ TEST(SnapshotIoTest, PersistWithFullPublishStillWritesCompactBlob) {
   EXPECT_NE(std::dynamic_pointer_cast<const ModelSnapshot>(
                 engine.CurrentSnapshot()),
             nullptr);
-  const auto mapped = MapCompactSnapshot(file.path());
+  const auto mapped = SnapshotIo::Map(file.path());
   ASSERT_TRUE(mapped.ok());
   EXPECT_EQ((*mapped)->version(), 1u);
 }
@@ -625,15 +680,15 @@ TEST(SnapshotGoldenTest, CommittedBlobMatchesFreshlyTrainedModel) {
                                   kGoldenRelPath;
   const auto compact = BuildGoldenCompact();
   if (std::getenv("SQP_REGEN_GOLDEN") != nullptr) {
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, golden_path).ok());
+    ASSERT_TRUE(SnapshotIo::Save(*compact, golden_path).ok());
     GTEST_SKIP() << "regenerated " << golden_path;
   }
   ASSERT_TRUE(std::filesystem::exists(golden_path))
       << golden_path << " is missing — regenerate with SQP_REGEN_GOLDEN=1";
 
-  const auto loaded = LoadCompactSnapshot(golden_path);
+  const auto loaded = SnapshotIo::Load(golden_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto mapped = MapCompactSnapshot(golden_path);
+  const auto mapped = SnapshotIo::Map(golden_path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   EXPECT_EQ((*loaded)->version(), kGoldenVersion);
@@ -647,6 +702,21 @@ TEST(SnapshotGoldenTest, CommittedBlobMatchesFreshlyTrainedModel) {
       SeededCorpus(kGoldenSeed, kGoldenSessions, kGoldenVocabulary), 500);
   ExpectBitIdentical(*compact, **loaded, contexts, 10);
   ExpectBitIdentical(*compact, **mapped, contexts, 10);
+}
+
+TEST(SnapshotGoldenTest, SaveReproducesCommittedBytes) {
+  // The writer is pinned byte for byte: packing the golden corpus and
+  // saving it must reproduce the committed blob exactly — same section
+  // order, alignment padding and checksums.
+  const auto compact = BuildGoldenCompact();
+  EXPECT_EQ(compact->top_k(), 10u);  // META carries the packing top_k
+  TempFile file("golden_resave.blob");
+  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
+  const std::vector<uint8_t> saved = ReadAll(file.path());
+  const std::vector<uint8_t> committed =
+      ReadAll(std::string(SQP_TEST_DATA_DIR) + kGoldenRelPath);
+  EXPECT_EQ(saved.size(), committed.size());
+  EXPECT_TRUE(saved == committed) << "saved blob differs from the golden";
 }
 
 }  // namespace

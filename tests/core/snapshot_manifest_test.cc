@@ -301,5 +301,28 @@ TEST(ManifestGoldenTest, CommittedManifestBootsAndMatchesFreshFleet) {
   }
 }
 
+TEST(ManifestGoldenTest, SaveReproducesCommittedBytes) {
+  // The writers are pinned byte for byte: saving the freshly trained golden
+  // fleet under the golden file name must reproduce the committed manifest
+  // and both shard blobs exactly (the manifest stores the shard paths
+  // relative to its own name).
+  const auto trained =
+      TrainFleet(SeededCorpus(kGoldenSeed, kGoldenSessions, kGoldenVocabulary),
+                 kGoldenShards, kGoldenVersion);
+  TempDir dir;
+  const std::string name = std::string(kGoldenManifestRelPath).substr(1);
+  ASSERT_TRUE(SaveShardedSnapshots(trained.shards,
+                                   CompactOptions{.top_k = 10},
+                                   dir.file(name))
+                  .ok());
+  for (const std::string suffix : {"", ".shard0", ".shard1"}) {
+    const std::vector<uint8_t> saved = ReadAll(dir.file(name + suffix));
+    const std::vector<uint8_t> committed = ReadAll(
+        std::string(SQP_TEST_DATA_DIR) + kGoldenManifestRelPath + suffix);
+    EXPECT_EQ(saved.size(), committed.size()) << name << suffix;
+    EXPECT_TRUE(saved == committed) << name << suffix << " bytes differ";
+  }
+}
+
 }  // namespace
 }  // namespace sqp

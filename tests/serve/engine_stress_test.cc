@@ -86,8 +86,8 @@ TEST(EngineStressTest, ReadersAlwaysSeeFullyPublishedSnapshots) {
         BuildSnapshot(corpora.back(), snapshots.size() + 1);
     const auto compact =
         CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
-    ASSERT_TRUE(SaveCompactSnapshot(*compact, blob_path).ok());
-    auto mapped = MapCompactSnapshot(blob_path);
+    ASSERT_TRUE(SnapshotIo::Save(*compact, blob_path).ok());
+    auto mapped = SnapshotIo::Map(blob_path);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     snapshots.push_back(std::move(mapped.value()));
   }

@@ -69,7 +69,7 @@ std::vector<std::vector<QueryId>> TestContexts() {
 
 /// The sparse-path reference answers for `contexts`.
 std::vector<Recommendation> SparseReference(
-    const CompactServingBase& snapshot,
+    const CompactSnapshot& snapshot,
     const std::vector<std::vector<QueryId>>& contexts, size_t top_n) {
   ForceSparseGuard sparse;
   SnapshotScratch scratch;
@@ -85,7 +85,7 @@ std::vector<Recommendation> SparseReference(
 /// scratch across all contexts (so a stale accumulator generation would
 /// corrupt a later answer and fail).
 void ExpectDenseMatchesReference(
-    const CompactServingBase& snapshot,
+    const CompactSnapshot& snapshot,
     const std::vector<std::vector<QueryId>>& contexts, size_t top_n,
     const std::vector<Recommendation>& reference) {
   ASSERT_GT(snapshot.ScratchHint().dense_queries, 0u)
@@ -164,7 +164,7 @@ TEST(KernelEquivalenceTest, DenseWalkMatchesSparseReferenceWidePools) {
 
 TEST(KernelEquivalenceTest, MappedSnapshotServesDenseWalkIdentically) {
   // The zero-copy replica runs the same dense walk off mapped storage;
-  // its bind-time derivations (FinalizeDerived) must land it on the same
+  // its bind-time derivations (BindBlob) must land it on the same
   // answers as the owned snapshot.
   const auto compact =
       CompactSnapshot::FromSnapshot(*SharedFull(), CompactOptions{.top_k = 10});
@@ -172,8 +172,8 @@ TEST(KernelEquivalenceTest, MappedSnapshotServesDenseWalkIdentically) {
       (std::filesystem::temp_directory_path() /
        ("sqp_kernel_equiv_" + std::to_string(::getpid()) + ".blob"))
           .string();
-  ASSERT_TRUE(SaveCompactSnapshot(*compact, path).ok());
-  const auto mapped = MapCompactSnapshot(path);
+  ASSERT_TRUE(SnapshotIo::Save(*compact, path).ok());
+  const auto mapped = SnapshotIo::Map(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   const std::vector<std::vector<QueryId>> contexts = TestContexts();

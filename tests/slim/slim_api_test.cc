@@ -103,7 +103,7 @@ TEST(SlimApiTest, BitIdenticalTopTenToEngineOnGoldenBlob) {
   const std::vector<uint8_t> blob = ReadFileBytes(GoldenPath());
   ASSERT_FALSE(blob.empty());
 
-  const auto loaded = LoadCompactSnapshot(GoldenPath());
+  const auto loaded = SnapshotIo::Load(GoldenPath());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   SlimPredictorHandle slim(blob);
@@ -147,7 +147,7 @@ TEST(SlimApiTest, BitIdenticalTopTenToEngineOnGoldenBlob) {
 
 TEST(SlimApiTest, StatsMatchEngineCounters) {
   const std::vector<uint8_t> blob = ReadFileBytes(GoldenPath());
-  const auto loaded = LoadCompactSnapshot(GoldenPath());
+  const auto loaded = SnapshotIo::Load(GoldenPath());
   ASSERT_TRUE(loaded.ok());
 
   SlimPredictorHandle slim(blob);
@@ -180,7 +180,7 @@ bool EngineAccepts(const std::vector<uint8_t>& bytes,
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  const auto loaded = LoadCompactSnapshot(path);
+  const auto loaded = SnapshotIo::Load(path);
   std::filesystem::remove(path);
   if (!loaded.ok()) {
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
@@ -270,7 +270,7 @@ std::vector<uint8_t> WideBlobNamingId(uint32_t hostile_id,
       (std::filesystem::temp_directory_path() /
        ("sqp_slim_wide_" + std::to_string(::getpid()) + ".blob"))
           .string();
-  EXPECT_TRUE(SaveCompactSnapshot(*compact, path).ok());
+  EXPECT_TRUE(SnapshotIo::Save(*compact, path).ok());
   std::vector<uint8_t> blob = ReadFileBytes(path);
   std::filesystem::remove(path);
 
@@ -320,7 +320,7 @@ TEST(SlimApiTest, SparseWideIdSpaceStaysSmallAndAgreesWithEngine) {
     out.write(reinterpret_cast<const char*>(blob.data()),
               static_cast<std::streamsize>(blob.size()));
   }
-  const auto loaded = LoadCompactSnapshot(path);
+  const auto loaded = SnapshotIo::Load(path);
   std::filesystem::remove(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->ScratchHint().dense_queries, 0u);

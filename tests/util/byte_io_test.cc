@@ -1,17 +1,14 @@
-// The shared endian-safe byte I/O layer (util/byte_io.h) backs both
-// on-disk formats (VMM files, snapshot blobs): little-endian encoding must
-// be exact byte-for-byte, reads must fail cleanly on truncation (never
-// touch the output), and CRC32 must match the reference implementation.
+// The shared endian-safe byte helpers (util/byte_io.h) back every binary
+// format (snapshot blobs and manifests, wire frames, feedback segments):
+// little-endian stores and loads must be exact byte-for-byte, and CRC32
+// must match the reference implementation.
 
 #include "util/byte_io.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <limits>
-#include <sstream>
 #include <string>
-#include <vector>
 
 namespace sqp {
 namespace {
@@ -65,93 +62,6 @@ TEST(ByteIoTest, Crc32UpdateChainsLikeOneShot) {
     chained = Crc32Update(chained, data.data() + split, data.size() - split);
     EXPECT_EQ(chained, one_shot) << "split at " << split;
   }
-}
-
-TEST(ByteIoTest, WriterReaderRoundTripAllFieldTypes) {
-  std::stringstream stream;
-  ByteWriter writer(&stream);
-  writer.U8(0xAB);
-  writer.U16(0x1234);
-  writer.U32(0xDEADBEEFu);
-  writer.U64(0x0123456789ABCDEFull);
-  writer.I32(-123456);
-  writer.F64(-0.15625);  // exactly representable
-  writer.F64(std::numeric_limits<double>::infinity());
-  ASSERT_TRUE(writer.good());
-
-  ByteReader reader(&stream);
-  uint8_t u8 = 0;
-  uint16_t u16 = 0;
-  uint32_t u32 = 0;
-  uint64_t u64 = 0;
-  int32_t i32 = 0;
-  double f64 = 0.0, inf = 0.0;
-  ASSERT_TRUE(reader.U8(&u8));
-  ASSERT_TRUE(reader.U16(&u16));
-  ASSERT_TRUE(reader.U32(&u32));
-  ASSERT_TRUE(reader.U64(&u64));
-  ASSERT_TRUE(reader.I32(&i32));
-  ASSERT_TRUE(reader.F64(&f64));
-  ASSERT_TRUE(reader.F64(&inf));
-  EXPECT_EQ(u8, 0xAB);
-  EXPECT_EQ(u16, 0x1234);
-  EXPECT_EQ(u32, 0xDEADBEEFu);
-  EXPECT_EQ(u64, 0x0123456789ABCDEFull);
-  EXPECT_EQ(i32, -123456);
-  EXPECT_EQ(f64, -0.15625);
-  EXPECT_EQ(inf, std::numeric_limits<double>::infinity());
-}
-
-TEST(ByteIoTest, TruncatedReadsFailAndLeaveOutputUntouched) {
-  // One byte short of a U32: the read must return false and must not
-  // scribble on the destination.
-  std::stringstream stream;
-  stream.write("\x01\x02\x03", 3);
-  ByteReader reader(&stream);
-  uint32_t value = 0xCAFEBABEu;
-  EXPECT_FALSE(reader.U32(&value));
-  EXPECT_EQ(value, 0xCAFEBABEu);
-
-  // Empty stream: every field type fails.
-  std::stringstream empty;
-  ByteReader empty_reader(&empty);
-  uint8_t u8 = 7;
-  uint64_t u64 = 7;
-  double f64 = 7.0;
-  EXPECT_FALSE(empty_reader.U8(&u8));
-  EXPECT_FALSE(empty_reader.U64(&u64));
-  EXPECT_FALSE(empty_reader.F64(&f64));
-  EXPECT_EQ(u8, 7);
-  EXPECT_EQ(u64, 7u);
-  EXPECT_EQ(f64, 7.0);
-}
-
-TEST(ByteIoTest, ReaderStopsAtExactBoundary) {
-  std::stringstream stream;
-  ByteWriter writer(&stream);
-  writer.U32(42);
-  ByteReader reader(&stream);
-  uint32_t value = 0;
-  ASSERT_TRUE(reader.U32(&value));
-  EXPECT_EQ(value, 42u);
-  EXPECT_FALSE(reader.U32(&value));  // nothing left
-}
-
-TEST(ByteIoTest, ByteSwapInPlaceIsSelfInverse) {
-  std::vector<uint32_t> values = {0x01020304u, 0xAABBCCDDu, 0u, 0xFFFFFFFFu};
-  const std::vector<uint32_t> original = values;
-  ByteSwapInPlace(std::span<uint32_t>(values));
-  EXPECT_EQ(values[0], 0x04030201u);
-  ByteSwapInPlace(std::span<uint32_t>(values));
-  EXPECT_EQ(values, original);
-
-  std::vector<uint64_t> wide = {0x0102030405060708ull};
-  ByteSwapInPlace(std::span<uint64_t>(wide));
-  EXPECT_EQ(wide[0], 0x0807060504030201ull);
-
-  std::vector<uint16_t> narrow = {0x0102};
-  ByteSwapInPlace(std::span<uint16_t>(narrow));
-  EXPECT_EQ(narrow[0], 0x0201);
 }
 
 }  // namespace
