@@ -528,7 +528,6 @@ int main(int argc, char** argv) {
           // Closed loop: the training stream is the feedback log, not raw
           // stdin — clicked impressions (with their contexts) become the
           // appended sessions, and the watermark makes re-consumes no-ops.
-          (void)loop->log->Flush();
           const Result<size_t> consumed =
               retrainers->ConsumeFeedback(cli.feedback_log);
           if (!consumed.ok()) {
@@ -603,7 +602,6 @@ int main(int argc, char** argv) {
   flush_batch();
   if (cli.tail && retrainers != nullptr) {
     if (loop != nullptr) {
-      (void)loop->log->Flush();
       const Result<size_t> consumed =
           retrainers->ConsumeFeedback(cli.feedback_log);
       if (!consumed.ok()) {

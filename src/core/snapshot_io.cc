@@ -1,5 +1,10 @@
 #include "core/snapshot_io.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -7,14 +12,7 @@
 
 #include "core/blob_format.h"
 #include "util/byte_io.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SQP_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "util/file_io.h"
 
 namespace sqp {
 namespace {
@@ -32,21 +30,6 @@ Status IoError(const std::string& what, const std::string& path) {
 Status Corrupt(const std::string& what, const std::string& path) {
   return Status::InvalidArgument("corrupt snapshot blob (" + what +
                                  "): " + path);
-}
-
-Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return IoError("cannot open", path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return IoError("cannot stat", path);
-  in.seekg(0);
-  out->resize(static_cast<size_t>(size));
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(out->data()), size)) {
-    return IoError("short read", path);
-  }
-  return Status::OK();
 }
 
 /// Atomic publish shared by blob and manifest writers: a complete, durably
@@ -70,7 +53,6 @@ Status WriteFileAtomically(std::span<const uint8_t> bytes,
       return IoError("write failed", tmp_path);
     }
   }
-#ifdef SQP_HAVE_MMAP  // same platforms that have POSIX fds
   {
     const int fd = ::open(tmp_path.c_str(), O_WRONLY);
     if (fd < 0 || ::fsync(fd) != 0) {
@@ -81,14 +63,12 @@ Status WriteFileAtomically(std::span<const uint8_t> bytes,
     }
     ::close(fd);
   }
-#endif
   std::error_code ec;
   std::filesystem::rename(tmp_path, path, ec);
   if (ec) {
     std::filesystem::remove(tmp_path, ec);
     return IoError("rename failed", path);
   }
-#ifdef SQP_HAVE_MMAP
   // Make the rename itself durable: fsync the containing directory.
   const std::filesystem::path parent =
       std::filesystem::path(path).has_parent_path()
@@ -99,7 +79,6 @@ Status WriteFileAtomically(std::span<const uint8_t> bytes,
     ::fsync(dir_fd);  // best effort — the data itself is already durable
     ::close(dir_fd);
   }
-#endif
   return Status::OK();
 }
 
@@ -134,7 +113,6 @@ Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Load(
 
 Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Map(
     const std::string& path, const SnapshotLoadOptions& options) {
-#ifdef SQP_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return IoError("cannot open", path);
   struct stat st;
@@ -160,9 +138,6 @@ Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Map(
         ::munmap(const_cast<uint8_t*>(p), size);
       });
   return BindFile(path, std::move(mapping), size, /*mapped=*/true, options);
-#else
-  return Load(path, options);
-#endif
 }
 
 // ------------------------------------------------------------- manifests

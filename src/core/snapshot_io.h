@@ -14,7 +14,7 @@
 ///   - Load reads a file into an owned buffer and binds it;
 ///   - Map maps a file read-only (advising transparent huge pages) and
 ///     binds the mapping, so the replica serves straight out of the page
-///     cache; on hosts without POSIX mmap it is Load.
+///     cache (POSIX only, like the rest of the I/O layer).
 ///
 /// Binding verifies every section CRC32 by default and the structure
 /// always, and rejects corrupt or truncated input with a Status error —

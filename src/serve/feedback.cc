@@ -1,14 +1,24 @@
 #include "serve/feedback.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "serve/explorer.h"
 #include "util/byte_io.h"
+#include "util/file_io.h"
 
 namespace sqp {
 namespace {
@@ -30,54 +40,30 @@ constexpr uint8_t kRecordVersion = 1;
 constexpr uint32_t kMaxBodyBytes = 1u << 26;
 constexpr uint32_t kMaxListLen = 1u << 20;
 
-void AppendU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
+// Body sizes: an impression is [type][version] record_id
+// snapshot_version policy policy_param context_len served_len, then the
+// two lists; a click is [type][version] impression_record_id position.
+constexpr size_t kImpressionFixedBytes = 2 + 8 + 8 + 1 + 8 + 4 + 4;
+constexpr size_t kServedItemBytes = 4 + 8 + 8;
+constexpr size_t kClickBodyBytes = 2 + 8 + 4;
+// [u32 body_len] before and [u32 crc32(body)] after every body.
+constexpr size_t kFrameBytes = 8;
 
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  uint8_t b[4];
-  StoreLE32(b, v);
-  out->insert(out->end(), b, b + 4);
-}
+/// Cursor writing one record body in place (the caller sized it).
+struct BodyWriter {
+  uint8_t* p;
 
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  uint8_t b[8];
-  StoreLE64(b, v);
-  out->insert(out->end(), b, b + 8);
-}
-
-void AppendF64(std::vector<uint8_t>* out, double v) {
-  AppendU64(out, std::bit_cast<uint64_t>(v));
-}
-
-std::vector<uint8_t> EncodeImpressionBody(const FeedbackRecord& record) {
-  std::vector<uint8_t> body;
-  body.reserve(40 + record.context.size() * 4 + record.served.size() * 20);
-  AppendU8(&body, kRecordImpression);
-  AppendU8(&body, kRecordVersion);
-  AppendU64(&body, record.record_id);
-  AppendU64(&body, record.snapshot_version);
-  AppendU8(&body, static_cast<uint8_t>(record.policy));
-  AppendF64(&body, record.policy_param);
-  AppendU32(&body, static_cast<uint32_t>(record.context.size()));
-  AppendU32(&body, static_cast<uint32_t>(record.served.size()));
-  for (QueryId q : record.context) AppendU32(&body, q);
-  for (const ServedItem& item : record.served) {
-    AppendU32(&body, item.query);
-    AppendF64(&body, item.score);
-    AppendF64(&body, item.propensity);
+  void U8(uint8_t v) { *p++ = v; }
+  void U32(uint32_t v) {
+    StoreLE32(p, v);
+    p += 4;
   }
-  return body;
-}
-
-std::vector<uint8_t> EncodeClickBody(uint64_t impression_record_id,
-                                     uint32_t position) {
-  std::vector<uint8_t> body;
-  body.reserve(14);
-  AppendU8(&body, kRecordClick);
-  AppendU8(&body, kRecordVersion);
-  AppendU64(&body, impression_record_id);
-  AppendU32(&body, position);
-  return body;
-}
+  void U64(uint64_t v) {
+    StoreLE64(p, v);
+    p += 8;
+  }
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+};
 
 /// Cursor over one decoded record body (already CRC-validated).
 struct BodyCursor {
@@ -151,41 +137,39 @@ bool DecodeImpression(BodyCursor cur, FeedbackRecord* out) {
   return true;
 }
 
-SegmentScan ScanSegment(const std::string& path) {
+/// Parses one segment. In an `.open` segment (`sealed == false`) a zero
+/// length word is the writer's unwritten preallocated tail, so it ends
+/// the scan cleanly; anywhere else it is a torn record.
+SegmentScan ScanSegment(const std::string& path, bool sealed) {
   SegmentScan scan;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return scan;
-
-  uint8_t header[kSegmentHeaderBytes];
-  if (!in.read(reinterpret_cast<char*>(header), sizeof(header))) return scan;
-  if (LoadLE32(header) != kSegmentMagic ||
-      LoadLE16(header + 4) != kSegmentFormatVersion) {
+  std::vector<uint8_t> bytes;
+  if (!ReadWholeFile(path, &bytes).ok() ||
+      bytes.size() < kSegmentHeaderBytes ||
+      LoadLE32(bytes.data()) != kSegmentMagic ||
+      LoadLE16(bytes.data() + 4) != kSegmentFormatVersion) {
     return scan;
   }
   scan.header_ok = true;
-  scan.valid_bytes = kSegmentHeaderBytes;
 
-  std::vector<uint8_t> body;
-  for (;;) {
-    uint8_t len_bytes[4];
-    if (!in.read(reinterpret_cast<char*>(len_bytes), 4)) break;  // clean EOF
-    const uint32_t body_len = LoadLE32(len_bytes);
+  const uint8_t* const end = bytes.data() + bytes.size();
+  const uint8_t* p = bytes.data() + kSegmentHeaderBytes;
+  while (end - p >= 4) {  // fewer bytes than a length word: clean EOF
+    const uint32_t body_len = LoadLE32(p);
+    if (body_len == 0 && !sealed) break;  // unwritten space: clean end
     if (body_len < 2 || body_len > kMaxBodyBytes) {
       ++scan.torn_records;
       break;
     }
-    body.resize(body_len);
-    uint8_t crc_bytes[4];
-    if (!in.read(reinterpret_cast<char*>(body.data()), body_len) ||
-        !in.read(reinterpret_cast<char*>(crc_bytes), 4)) {
+    if (static_cast<size_t>(end - p) < kFrameBytes + body_len) {
       ++scan.torn_records;  // the tail record was torn mid-write
       break;
     }
-    if (Crc32(body.data(), body.size()) != LoadLE32(crc_bytes)) {
+    const uint8_t* body = p + 4;
+    if (Crc32(body, body_len) != LoadLE32(body + body_len)) {
       ++scan.torn_records;
       break;
     }
-    BodyCursor cur{body.data() + 2, body.data() + body.size()};
+    BodyCursor cur{body + 2, body + body_len};
     const uint8_t type = body[0];
     const uint8_t version = body[1];
     bool decoded = false;
@@ -210,8 +194,9 @@ SegmentScan ScanSegment(const std::string& path) {
       ++scan.torn_records;
       break;
     }
-    scan.valid_bytes += 8 + body_len;
+    p += kFrameBytes + body_len;
   }
+  scan.valid_bytes = static_cast<uint64_t>(p - bytes.data());
   return scan;
 }
 
@@ -263,9 +248,9 @@ FeedbackLog::FeedbackLog(FeedbackLogOptions options)
 
 FeedbackLog::~FeedbackLog() {
   std::lock_guard<std::mutex> lock(io_mu_);
-  if (out_.is_open()) out_.close();
-  // The .open segment stays behind; the next Open() seals its valid
-  // prefix, so nothing written before destruction is lost.
+  // The .open segment stays behind, truncated to its records; the next
+  // Open() seals it, so nothing written before destruction is lost.
+  (void)CloseSegment();
 }
 
 std::string FeedbackLog::SegmentPath(uint64_t seq, bool sealed) const {
@@ -314,7 +299,8 @@ Result<std::unique_ptr<FeedbackLog>> FeedbackLog::Open(
   uint64_t max_record_id = 0;
   for (uint64_t seq : sealed) {
     max_seq = std::max(max_seq, seq);
-    SegmentScan scan = ScanSegment(log->SegmentPath(seq, /*sealed=*/true));
+    SegmentScan scan =
+        ScanSegment(log->SegmentPath(seq, /*sealed=*/true), /*sealed=*/true);
     for (const FeedbackRecord& record : scan.impressions) {
       max_record_id = std::max(max_record_id, record.record_id);
     }
@@ -325,7 +311,7 @@ Result<std::unique_ptr<FeedbackLog>> FeedbackLog::Open(
   for (uint64_t seq : open_segs) {
     max_seq = std::max(max_seq, seq);
     const std::string open_path = log->SegmentPath(seq, /*sealed=*/false);
-    SegmentScan scan = ScanSegment(open_path);
+    SegmentScan scan = ScanSegment(open_path, /*sealed=*/false);
     const bool has_records = !scan.impressions.empty() || !scan.clicks.empty();
     if (!scan.header_ok || !has_records) {
       fs::remove(open_path, ec);
@@ -353,7 +339,7 @@ Result<std::unique_ptr<FeedbackLog>> FeedbackLog::Open(
   log->active_seq_ = max_seq + 1;
   {
     std::lock_guard<std::mutex> lock(log->io_mu_);
-    SQP_RETURN_IF_ERROR(log->StartSegment());
+    SQP_RETURN_IF_ERROR(log->StartSegment(0));
     // Enforce the retention bound immediately: a reopened log may have
     // inherited more sealed segments than options allow.
     while (log->sealed_seqs_.size() > log->options_.max_segments) {
@@ -365,69 +351,116 @@ Result<std::unique_ptr<FeedbackLog>> FeedbackLog::Open(
   return log;
 }
 
-Status FeedbackLog::StartSegment() {
+Status FeedbackLog::StartSegment(size_t framed) {
   const std::string path = SegmentPath(active_seq_, /*sealed=*/false);
-  out_.open(path, std::ios::binary | std::ios::trunc);
-  if (!out_) {
-    return Status::IOError("cannot open feedback segment " + path);
+  const size_t capacity =
+      std::max(options_.max_segment_bytes, kSegmentHeaderBytes + framed);
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) {
+    return Status::IOError("cannot open feedback segment " + path + ": " +
+                           std::strerror(errno));
   }
-  uint8_t header[kSegmentHeaderBytes];
-  StoreLE32(header, kSegmentMagic);
-  StoreLE16(header + 4, kSegmentFormatVersion);
-  StoreLE16(header + 6, 0);
-  out_.write(reinterpret_cast<const char*>(header), sizeof(header));
-  if (!out_) {
-    return Status::IOError("cannot write feedback segment header to " + path);
+  // Allocate the blocks up front: a store into a mapped hole on a full
+  // disk would be a SIGBUS, not an error.
+  const int err = ::posix_fallocate(fd, 0, static_cast<off_t>(capacity));
+  void* base = err == 0 ? ::mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                                 MAP_SHARED, fd, 0)
+                        : MAP_FAILED;
+  if (base == MAP_FAILED) {
+    const std::string why = std::strerror(err != 0 ? err : errno);
+    ::close(fd);
+    std::error_code ec;
+    fs::remove(path, ec);
+    return Status::IOError("cannot preallocate feedback segment " + path +
+                           ": " + why);
   }
+  fd_ = fd;
+  base_ = static_cast<uint8_t*>(base);
+  capacity_ = capacity;
+  StoreLE32(base_, kSegmentMagic);
+  StoreLE16(base_ + 4, kSegmentFormatVersion);
+  StoreLE16(base_ + 6, 0);
   active_bytes_ = kSegmentHeaderBytes;
   active_records_ = 0;
   return Status::OK();
 }
 
-Status FeedbackLog::SealLocked() {
-  if (active_records_ == 0) return Status::OK();
-  out_.flush();
-  out_.close();
-  if (out_.fail()) {
-    return Status::IOError("feedback segment close failed");
+Status FeedbackLog::CloseSegment() {
+  if (base_ == nullptr) return Status::OK();
+  // Drop the unwritten preallocated tail: the file is left holding
+  // exactly the bytes written, as a sealed segment must.
+  const bool truncated =
+      ::ftruncate(fd_, static_cast<off_t>(active_bytes_)) == 0;
+  ::munmap(base_, capacity_);
+  ::close(fd_);
+  fd_ = -1;
+  base_ = nullptr;
+  capacity_ = 0;
+  if (!truncated) {
+    return Status::IOError("cannot truncate feedback segment " +
+                           SegmentPath(active_seq_, /*sealed=*/false));
   }
-  std::error_code ec;
-  fs::rename(SegmentPath(active_seq_, false), SegmentPath(active_seq_, true),
-             ec);
-  if (ec) {
-    return Status::IOError("cannot seal feedback segment: " + ec.message());
-  }
-  sealed_seqs_.push_back(active_seq_);
-  segments_sealed_.fetch_add(1, std::memory_order_relaxed);
-  while (sealed_seqs_.size() > options_.max_segments) {
-    fs::remove(SegmentPath(sealed_seqs_.front(), true), ec);
-    sealed_seqs_.erase(sealed_seqs_.begin());
-    segments_deleted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  ++active_seq_;
-  return StartSegment();
+  return Status::OK();
 }
 
-Status FeedbackLog::AppendBody(const std::vector<uint8_t>& body,
-                               bool is_click) {
-  const uint64_t framed = 8 + body.size();
+Status FeedbackLog::SealLocked() {
+  if (active_records_ == 0) return Status::OK();
+  Status status = CloseSegment();
+  std::error_code ec;
+  if (status.ok()) {
+    fs::rename(SegmentPath(active_seq_, false), SegmentPath(active_seq_, true),
+               ec);
+    if (ec) {
+      status = Status::IOError("cannot seal feedback segment: " +
+                               ec.message());
+    }
+  }
+  if (status.ok()) {
+    sealed_seqs_.push_back(active_seq_);
+    segments_sealed_.fetch_add(1, std::memory_order_relaxed);
+    while (sealed_seqs_.size() > options_.max_segments) {
+      fs::remove(SegmentPath(sealed_seqs_.front(), true), ec);
+      sealed_seqs_.erase(sealed_seqs_.begin());
+      segments_deleted_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // Even when sealing failed the next segment gets a new number, so it
+  // never overwrites this one's records (the next Open() recovers them).
+  ++active_seq_;
+  active_records_ = 0;
+  SQP_RETURN_IF_ERROR(status);
+  return StartSegment(0);
+}
+
+template <typename Encode>
+Status FeedbackLog::AppendBody(size_t body_len, bool is_click,
+                               const Encode& encode) {
+  const size_t framed = kFrameBytes + body_len;
+  Status status;
   if (active_records_ > 0 &&
       active_bytes_ + framed > options_.max_segment_bytes) {
-    SQP_RETURN_IF_ERROR(SealLocked());
+    status = SealLocked();
   }
-  uint8_t trailer[8];
-  StoreLE32(trailer, static_cast<uint32_t>(body.size()));
-  StoreLE32(trailer + 4, Crc32(body.data(), body.size()));
-  out_.write(reinterpret_cast<const char*>(trailer), 4);
-  out_.write(reinterpret_cast<const char*>(body.data()),
-             static_cast<std::streamsize>(body.size()));
-  out_.write(reinterpret_cast<const char*>(trailer + 4), 4);
-  out_.flush();
-  if (!out_) {
+  // No segment (a start failed earlier), or a record too large for the
+  // empty one: (re)start it sized for the record.
+  if (status.ok() &&
+      (base_ == nullptr || active_bytes_ + framed > capacity_)) {
+    status = CloseSegment();
+    if (status.ok()) status = StartSegment(framed);
+  }
+  if (!status.ok()) {
     dropped_appends_.fetch_add(1, std::memory_order_relaxed);
-    out_.clear();
-    return Status::IOError("feedback append failed (record dropped)");
+    return status;
   }
+  uint8_t* const record = base_ + active_bytes_;
+  uint8_t* const body = record + 4;
+  encode(body);
+  StoreLE32(body + body_len, Crc32(body, body_len));
+  // The length word goes last: until it is stored, readers and crash
+  // recovery see this record's slot as the zero tail of the segment.
+  std::atomic_signal_fence(std::memory_order_release);
+  StoreLE32(record, static_cast<uint32_t>(body_len));
   active_bytes_ += framed;
   ++active_records_;
   (is_click ? clicks_appended_ : impressions_appended_)
@@ -435,13 +468,45 @@ Status FeedbackLog::AppendBody(const std::vector<uint8_t>& body,
   return Status::OK();
 }
 
+template <typename ItemAt>
+Status FeedbackLog::AppendImpressionFrom(uint64_t record_id,
+                                         uint64_t snapshot_version,
+                                         ExplorePolicy policy,
+                                         double policy_param,
+                                         std::span<const QueryId> context,
+                                         size_t served_len,
+                                         const ItemAt& item) {
+  const size_t body_len = kImpressionFixedBytes +
+                          context.size() * 4 + served_len * kServedItemBytes;
+  std::lock_guard<std::mutex> lock(io_mu_);
+  return AppendBody(body_len, /*is_click=*/false, [&](uint8_t* body) {
+    BodyWriter out{body};
+    out.U8(kRecordImpression);
+    out.U8(kRecordVersion);
+    out.U64(record_id);
+    out.U64(snapshot_version);
+    out.U8(static_cast<uint8_t>(policy));
+    out.F64(policy_param);
+    out.U32(static_cast<uint32_t>(context.size()));
+    out.U32(static_cast<uint32_t>(served_len));
+    for (QueryId q : context) out.U32(q);
+    for (size_t i = 0; i < served_len; ++i) {
+      const ServedItem served = item(i);
+      out.U32(served.query);
+      out.F64(served.score);
+      out.F64(served.propensity);
+    }
+  });
+}
+
 Status FeedbackLog::AppendImpression(const FeedbackRecord& record) {
   if (record.record_id == 0) {
     return Status::InvalidArgument("impression record_id must be > 0");
   }
-  const std::vector<uint8_t> body = EncodeImpressionBody(record);
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return AppendBody(body, /*is_click=*/false);
+  return AppendImpressionFrom(
+      record.record_id, record.snapshot_version, record.policy,
+      record.policy_param, record.context, record.served.size(),
+      [&](size_t i) { return record.served[i]; });
 }
 
 Status FeedbackLog::RecordClick(uint64_t impression_record_id,
@@ -449,25 +514,19 @@ Status FeedbackLog::RecordClick(uint64_t impression_record_id,
   if (impression_record_id == 0) {
     return Status::InvalidArgument("click impression_record_id must be > 0");
   }
-  const std::vector<uint8_t> body =
-      EncodeClickBody(impression_record_id, position);
   std::lock_guard<std::mutex> lock(io_mu_);
-  return AppendBody(body, /*is_click=*/true);
+  return AppendBody(kClickBodyBytes, /*is_click=*/true, [&](uint8_t* body) {
+    BodyWriter out{body};
+    out.U8(kRecordClick);
+    out.U8(kRecordVersion);
+    out.U64(impression_record_id);
+    out.U32(position);
+  });
 }
 
 Status FeedbackLog::Seal() {
   std::lock_guard<std::mutex> lock(io_mu_);
   return SealLocked();
-}
-
-Status FeedbackLog::Flush() {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  out_.flush();
-  if (!out_) {
-    out_.clear();
-    return Status::IOError("feedback flush failed");
-  }
-  return Status::OK();
 }
 
 FeedbackLogStats FeedbackLog::stats() const {
@@ -494,14 +553,14 @@ Result<std::vector<FeedbackRecord>> ReadFeedbackLog(const std::string& dir,
   std::error_code ec;
   if (!fs::exists(dir, ec)) return records;
 
-  std::vector<std::pair<uint64_t, std::string>> segments;
+  std::vector<std::tuple<uint64_t, std::string, bool>> segments;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     uint64_t seq = 0;
     bool sealed = false;
     if (!ParseSegmentName(entry.path().filename().string(), &seq, &sealed)) {
       continue;
     }
-    segments.emplace_back(seq, entry.path().string());
+    segments.emplace_back(seq, entry.path().string(), sealed);
   }
   if (ec) {
     return Status::IOError("cannot list feedback dir " + dir + ": " +
@@ -510,8 +569,8 @@ Result<std::vector<FeedbackRecord>> ReadFeedbackLog(const std::string& dir,
   std::sort(segments.begin(), segments.end());
 
   std::vector<ClickEvent> clicks;
-  for (const auto& [seq, path] : segments) {
-    SegmentScan scan = ScanSegment(path);
+  for (const auto& [seq, path, sealed] : segments) {
+    SegmentScan scan = ScanSegment(path, sealed);
     rep->torn_records += scan.torn_records;
     rep->impressions += scan.impressions.size();
     rep->clicks += scan.clicks.size();
@@ -584,21 +643,15 @@ uint64_t FeedbackHook::OnServed(std::span<const QueryId> context,
 
   if (log == nullptr) return 0;
 
-  FeedbackRecord record;
-  record.record_id = record_id;
-  record.snapshot_version = served_version;
-  record.policy =
-      explorer != nullptr ? explorer->options().policy : ExplorePolicy::kNone;
-  record.policy_param = explorer != nullptr ? explorer->options().param : 0.0;
-  record.context.assign(context.begin(), context.end());
-  record.served.resize(rec->queries.size());
-  for (size_t i = 0; i < rec->queries.size(); ++i) {
-    record.served[i].query = rec->queries[i].query;
-    record.served[i].score = rec->queries[i].score;
-    record.served[i].propensity = propensities[i];
-  }
   // Serving never fails on a log error: the drop is counted in stats().
-  (void)log->AppendImpression(record);
+  const std::vector<ScoredQuery>& served = rec->queries;
+  (void)log->AppendImpressionFrom(
+      record_id, served_version,
+      explorer != nullptr ? explorer->options().policy : ExplorePolicy::kNone,
+      explorer != nullptr ? explorer->options().param : 0.0, context,
+      served.size(), [&](size_t i) {
+        return ServedItem{served[i].query, served[i].score, propensities[i]};
+      });
   return record_id;
 }
 

@@ -18,8 +18,14 @@
 ///    [u32 body_len][body][u32 crc32(body)] via util/byte_io — a torn or
 ///    corrupt tail record is detected and dropped on read, never served
 ///    as garbage;
-///  - the active segment `feedback.<seq>.open` is sealed by an atomic
-///    rename to `feedback.<seq>.seg` when it reaches max_segment_bytes;
+///  - the active segment `feedback.<seq>.open` is preallocated and mapped
+///    shared: an append stores the body and CRC into the mapping and the
+///    length word last, so a record is in the page cache (visible to
+///    readers, surviving a process crash) once the append returns, and
+///    unwritten space reads as a zero length word;
+///  - the active segment is truncated to its written bytes and sealed by
+///    an atomic rename to `feedback.<seq>.seg` when it reaches
+///    max_segment_bytes;
 ///  - at most max_segments sealed segments are retained (oldest deleted
 ///    on rotation), so the log's disk footprint is bounded regardless of
 ///    traffic.
@@ -32,8 +38,8 @@
 /// (enforced by bench/closed_loop and tests/serve/closed_loop_test.cc).
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -111,7 +117,7 @@ struct FeedbackLogOptions {
 struct FeedbackLogStats {
   uint64_t impressions_appended = 0;
   uint64_t clicks_appended = 0;
-  /// Appends that failed at the stream level (disk full, unlinked dir).
+  /// Appends that failed to reach a segment (disk full, unlinked dir).
   /// Serving never fails on a log error — the record is dropped and
   /// counted here.
   uint64_t dropped_appends = 0;
@@ -134,14 +140,15 @@ struct FeedbackReadReport {
 
 /// The bounded append-only feedback log writer. Thread-safe: any number
 /// of serving threads may append concurrently (appends serialize on one
-/// mutex — the serving hot path writes one small record per request, see
-/// BENCH_feedback.json for the measured cost).
+/// mutex — the serving hot path copies one small record into the mapped
+/// segment per request, see BENCH_feedback.json for the measured cost).
+/// Every append is visible to ReadFeedbackLog when it returns.
 class FeedbackLog {
  public:
   /// Opens (or creates) the log in options.dir. An `.open` segment left
   /// behind by a crashed process is recovered: its valid prefix is sealed
-  /// (torn tail truncated) and a fresh active segment is started; record
-  /// ids continue after the largest recovered id.
+  /// (torn or unwritten tail truncated) and a fresh active segment is
+  /// started; record ids continue after the largest recovered id.
   static Result<std::unique_ptr<FeedbackLog>> Open(FeedbackLogOptions options);
 
   ~FeedbackLog();
@@ -163,34 +170,47 @@ class FeedbackLog {
   /// Appends a click record referencing a previously served impression.
   Status RecordClick(uint64_t impression_record_id, uint32_t position);
 
-  /// Seals the active segment (atomic rename to `.seg`) if it holds any
-  /// records. The next append starts a fresh segment. Idempotent.
+  /// Seals the active segment (truncate to its records, atomic rename to
+  /// `.seg`) if it holds any records, and starts a fresh one. Idempotent.
   Status Seal();
-
-  /// Flushes the active segment's stream buffer.
-  Status Flush();
 
   const FeedbackLogOptions& options() const { return options_; }
   FeedbackLogStats stats() const;
 
  private:
+  friend struct FeedbackHook;
+
   explicit FeedbackLog(FeedbackLogOptions options);
 
   std::string SegmentPath(uint64_t seq, bool sealed) const;
-  /// Opens feedback.<active_seq_>.open and writes the segment header.
-  /// io_mu_ must be held.
-  Status StartSegment();
-  /// Appends one framed record body; rotates first when the segment is
-  /// full. io_mu_ must be held.
-  Status AppendBody(const std::vector<uint8_t>& body, bool is_click);
-  /// Seal + prune. io_mu_ must be held.
+  /// Creates feedback.<active_seq_>.open, preallocates it to
+  /// max(max_segment_bytes, header + `framed`), maps it shared and writes
+  /// the segment header. io_mu_ must be held and no segment mapped.
+  Status StartSegment(size_t framed);
+  /// Truncates the mapped segment to its written bytes, unmaps and closes
+  /// it. No-op when nothing is mapped. io_mu_ must be held.
+  Status CloseSegment();
+  /// Appends one impression, encoded straight into the segment; `item(i)`
+  /// returns served slot i as a ServedItem. Defined in feedback.cc.
+  template <typename ItemAt>
+  Status AppendImpressionFrom(uint64_t record_id, uint64_t snapshot_version,
+                              ExplorePolicy policy, double policy_param,
+                              std::span<const QueryId> context,
+                              size_t served_len, const ItemAt& item);
+  /// Frames one `body_len`-byte record that `encode(uint8_t*)` writes,
+  /// rotating or starting a segment first as needed. io_mu_ must be held.
+  template <typename Encode>
+  Status AppendBody(size_t body_len, bool is_click, const Encode& encode);
+  /// Seal + prune + start the next segment. io_mu_ must be held.
   Status SealLocked();
 
   FeedbackLogOptions options_;
   std::atomic<uint64_t> next_record_id_{1};
 
   mutable std::mutex io_mu_;
-  std::ofstream out_;
+  int fd_ = -1;
+  uint8_t* base_ = nullptr;  // the active segment's mapping
+  size_t capacity_ = 0;      // its mapped (preallocated) length
   uint64_t active_seq_ = 0;
   uint64_t active_bytes_ = 0;
   uint64_t active_records_ = 0;
@@ -207,7 +227,9 @@ class FeedbackLog {
 /// order and returns the *joined* impressions — clicks folded into their
 /// impression's `clicked_position` — sorted by record id. Torn or corrupt
 /// records end their segment's scan (counted in the report); other
-/// segments are unaffected. An empty or missing directory yields an empty
+/// segments are unaffected. In an `.open` segment a zero length word is
+/// the unwritten preallocated tail: a clean end, not a torn record. A
+/// live, unsealed log reads every record appended so far. An empty or missing directory yields an empty
 /// vector, not an error (a fresh deployment has no feedback yet).
 Result<std::vector<FeedbackRecord>> ReadFeedbackLog(
     const std::string& dir, FeedbackReadReport* report = nullptr);

@@ -50,7 +50,11 @@ inline uint64_t LoadLE64(const uint8_t* p) {
 // ----------------------------------------------------------------- CRC32
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of one buffer.
-/// Crc32("123456789") == 0xCBF43926.
+/// Crc32("123456789") == 0xCBF43926. Computed slicing-by-8 over
+/// constant-initialized tables: portable scalar code, no ISA dispatch,
+/// no C++ runtime (the slim predictor links it), and bit-for-bit the
+/// values of the byte-at-a-time definition, so every stored checksum
+/// (blobs, manifests, wire frames, feedback records) is unchanged.
 uint32_t Crc32(const void* data, size_t size);
 
 /// Incremental form: feed `crc` the previous return value (or 0 for the

@@ -175,7 +175,6 @@ TEST(ClosedLoopTest, HookLogsImpressionsWithGreedyPropensities) {
   }
   ASSERT_GT(covered, 0u);
   ASSERT_TRUE(log->get()->RecordClick(record_ids[0], 0).ok());
-  ASSERT_TRUE(log->get()->Flush().ok());
 
   const auto records = ReadFeedbackLog(dir.str());
   ASSERT_TRUE(records.ok());
@@ -222,7 +221,6 @@ TEST(ClosedLoopTest, ExploringHookLogsTheRerankedListItServed) {
     }
   }
   ASSERT_FALSE(served_lists.empty());
-  ASSERT_TRUE(log->get()->Flush().ok());
 
   const auto records = ReadFeedbackLog(dir.str());
   ASSERT_TRUE(records.ok());

@@ -3,11 +3,14 @@
 // survives a roundtrip byte-exactly; a torn or corrupt tail is detected
 // and dropped, never decoded as garbage; rotation keeps the disk
 // footprint bounded; a reopened log continues record ids where the
-// previous writer stopped; and the committed golden segment pins the
-// on-disk byte layout (docs/FEEDBACK.md) against format drift.
+// previous writer stopped; a writer killed without running destructors
+// loses nothing it appended; a live log reads back every record without
+// a seal; and the committed golden segment pins the on-disk byte layout
+// (docs/FEEDBACK.md) against format drift.
 
 #include "serve/feedback.h"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -86,7 +89,6 @@ TEST(FeedbackLogTest, RoundtripJoinsClicksFirstClickWins) {
   ASSERT_TRUE((*log)->RecordClick(id1, 0).ok());
   // Click referencing an impression that was never logged.
   ASSERT_TRUE((*log)->RecordClick(999, 0).ok());
-  ASSERT_TRUE((*log)->Flush().ok());
 
   FeedbackReadReport report;
   const auto records = ReadFeedbackLog(dir.str(), &report);
@@ -261,7 +263,6 @@ TEST(FeedbackLogTest, ReopenRecoversOpenSegmentAndContinuesRecordIds) {
                   ->AppendImpression(
                       MakeImpression(4, {7}, ThreeItems()))
                   .ok());
-  ASSERT_TRUE((*reopened)->Flush().ok());
 
   FeedbackReadReport report;
   const auto records = ReadFeedbackLog(dir.str(), &report);
@@ -270,6 +271,117 @@ TEST(FeedbackLogTest, ReopenRecoversOpenSegmentAndContinuesRecordIds) {
   EXPECT_EQ(report.torn_records, 0u);  // the torn tail was truncated away
   EXPECT_EQ((*records)[0].record_id, 1u);
   EXPECT_EQ((*records)[3].record_id, 4u);
+}
+
+TEST(FeedbackLogTest, CrashedWriterLosesNoAppendedRecord) {
+  TempDir dir;
+  constexpr uint64_t kImpressions = 25;
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The child appends and dies without running any destructor, so
+    // nothing is flushed, truncated or sealed after the last append.
+    auto log = FeedbackLog::Open({.dir = dir.str()});
+    if (!log.ok()) ::_exit(2);
+    for (uint64_t i = 0; i < kImpressions; ++i) {
+      const uint64_t id = (*log)->NextRecordId();
+      if (!(*log)->AppendImpression(MakeImpression(id, {1, 2}, ThreeItems()))
+               .ok()) {
+        ::_exit(3);
+      }
+      if (id % 3 == 0 && !(*log)->RecordClick(id, id % 2).ok()) ::_exit(4);
+    }
+    ::_exit(0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), 0);
+
+  auto reopened = FeedbackLog::Open({.dir = dir.str()});
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->NextRecordId(), kImpressions + 1);
+
+  FeedbackReadReport report;
+  const auto records = ReadFeedbackLog(dir.str(), &report);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), kImpressions);
+  EXPECT_EQ(report.torn_records, 0u);
+  EXPECT_EQ(report.clicks, kImpressions / 3);
+  EXPECT_EQ(report.unmatched_clicks, 0u);
+  for (uint64_t i = 0; i < kImpressions; ++i) {
+    const FeedbackRecord& record = (*records)[i];
+    FeedbackRecord want = MakeImpression(i + 1, {1, 2}, ThreeItems());
+    if (want.record_id % 3 == 0) {
+      want.clicked_position = static_cast<uint32_t>(want.record_id % 2);
+    }
+    EXPECT_EQ(record, want);
+  }
+}
+
+TEST(FeedbackLogTest, LiveLogReadsEveryAppendedRecordWithoutSeal) {
+  TempDir dir;
+  auto log = FeedbackLog::Open({.dir = dir.str()});
+  ASSERT_TRUE(log.ok());
+  for (uint64_t n = 1; n <= 5; ++n) {
+    const uint64_t id = (*log)->NextRecordId();
+    ASSERT_TRUE(
+        (*log)->AppendImpression(MakeImpression(id, {4, 5}, ThreeItems()))
+            .ok());
+    ASSERT_TRUE((*log)->RecordClick(id, 1).ok());
+
+    // Read while the writer is live, after every append: nothing is
+    // sealed, flushed or closed in between.
+    FeedbackReadReport report;
+    const auto records = ReadFeedbackLog(dir.str(), &report);
+    ASSERT_TRUE(records.ok());
+    ASSERT_EQ(records->size(), n);
+    EXPECT_EQ(report.torn_records, 0u);
+    EXPECT_EQ(report.clicks, n);
+    EXPECT_EQ(records->back().record_id, id);
+    EXPECT_EQ(records->back().clicked_position, 1u);
+  }
+  EXPECT_EQ((*log)->stats().segments_sealed, 0u);
+}
+
+TEST(FeedbackLogTest, OversizedRecordLandsInASegmentOfItsOwn) {
+  TempDir dir;
+  FeedbackLogOptions options;
+  options.dir = dir.str();
+  options.max_segment_bytes = 128;
+  auto log = FeedbackLog::Open(options);
+  ASSERT_TRUE(log.ok());
+
+  // 100 context queries: a 35 + 400 + 60 byte body, far past the bound.
+  std::vector<QueryId> long_context(100);
+  for (size_t i = 0; i < long_context.size(); ++i) {
+    long_context[i] = static_cast<QueryId>(i + 1);
+  }
+  const std::vector<FeedbackRecord> written = {
+      MakeImpression(1, long_context, ThreeItems()),  // first in a segment
+      MakeImpression(2, {3}, ThreeItems()),
+      MakeImpression(3, long_context, ThreeItems()),  // after a small one
+  };
+  for (const FeedbackRecord& record : written) {
+    ASSERT_TRUE((*log)->AppendImpression(record).ok());
+  }
+  ASSERT_TRUE((*log)->Seal().ok());
+  EXPECT_EQ((*log)->stats().dropped_appends, 0u);
+
+  std::vector<uintmax_t> sealed_sizes;
+  for (const fs::path& f : SegmentFiles(dir.str())) {
+    if (f.extension() == ".seg") sealed_sizes.push_back(fs::file_size(f));
+  }
+  // Header + [len][body][crc] per segment, one record each.
+  const uintmax_t big = 8 + 8 + (35 + 4 * 100 + 20 * 3);
+  const uintmax_t small = 8 + 8 + (35 + 4 * 1 + 20 * 3);
+  EXPECT_EQ(sealed_sizes, (std::vector<uintmax_t>{big, small, big}));
+
+  FeedbackReadReport report;
+  const auto records = ReadFeedbackLog(dir.str(), &report);
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(*records, written);
+  EXPECT_EQ(report.torn_records, 0u);
 }
 
 TEST(FeedbackLogTest, SealIsIdempotentAndEmptySegmentsAreNotSealed) {
