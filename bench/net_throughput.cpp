@@ -208,7 +208,7 @@ int main() {
   std::vector<std::unique_ptr<RecommenderEngine>> loopback_engines;
   std::vector<const RecommenderEngine*> loopback_borrowed;
   for (size_t s = 0; s < kShards; ++s) {
-    reference.PublishShard(s, trained->shards[s]);
+    reference.shard(s)->Publish(trained->shards[s]);
     loopback_engines.push_back(std::make_unique<RecommenderEngine>(
         EngineOptions{.num_threads = 1}));
     loopback_engines.back()->Publish(trained->shards[s]);

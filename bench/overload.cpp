@@ -140,7 +140,7 @@ bool CheckNoOverloadEquivalence(
     ShardedEngine engine(
         ShardedEngineOptions{.num_shards = 2, .num_threads = 2});
     for (size_t s = 0; s < 2; ++s) {
-      engine.PublishShard(s, trained->shards[s]);
+      engine.shard(s)->Publish(trained->shards[s]);
     }
     const std::vector<Recommendation> unbounded =
         engine.RecommendMany(refs, 5, ServeOptions{}).results;

@@ -142,7 +142,7 @@ int main() {
         .num_shards = shards, .num_threads = std::min<size_t>(hardware, 4)});
     m.threads = engine.num_threads();
     for (size_t s = 0; s < shards; ++s) {
-      engine.PublishShard(s, trained->shards[s]);
+      engine.shard(s)->Publish(trained->shards[s]);
     }
 
     // Equivalence first (it is the claim the QPS numbers rest on).

@@ -340,9 +340,8 @@ int main(int argc, char** argv) {
       ExitIfError(engine->shard(0)->LoadAndPublish(cli.load_snapshot),
                   "cold-booting from " + cli.load_snapshot);
     }
-    const ShardedStats stats = engine->stats();
     std::cerr << "cold-booted " << engine->num_shards() << " shard(s) at v"
-              << stats.max_version << " from " << cli.load_snapshot
+              << std::ranges::max(engine->shard_versions()) << " from " << cli.load_snapshot
               << " in " << timer.ElapsedMillis() << " ms ("
               << dictionary.size() << " dictionary queries)\n";
   } else {
@@ -451,7 +450,7 @@ int main(int argc, char** argv) {
   };
   const auto live_version = [&] {
     return router != nullptr ? router->observed_fleet_version()
-                             : engine->stats().max_version;
+                             : std::ranges::max(engine->shard_versions());
   };
   uint64_t seen_version = live_version();
 
@@ -509,8 +508,8 @@ int main(int argc, char** argv) {
     if (now_live != seen_version) {
       std::cout << "-- model v" << now_live << " is live";
       if (engine != nullptr && engine->num_shards() > 1) {
-        std::cout << " (oldest shard v" << engine->stats().min_version
-                  << ")";
+        std::cout << " (oldest shard v"
+                  << std::ranges::min(engine->shard_versions()) << ")";
       }
       std::cout << " --\n";
       seen_version = now_live;

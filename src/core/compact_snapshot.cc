@@ -423,6 +423,10 @@ Recommendation CompactSnapshot::Recommend(std::span<const QueryId> context,
   const size_t k = m.num_components;
   if (scratch->matched.size() < k) scratch->matched.resize(k);
   if (scratch->weights.size() < k) scratch->weights.resize(k);
+  // A list never holds more distinct queries than the model has entries,
+  // so the clamp leaves every answer unchanged while a hostile top_n
+  // (a wire request may carry up to 2^32 - 1) cannot size the scratch.
+  top_n = std::min<size_t>(top_n, m.num_entries);
   if (scratch->topn_query.size() < top_n) scratch->topn_query.resize(top_n);
   if (scratch->topn_score.size() < top_n) scratch->topn_score.resize(top_n);
 

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "core/blob_format.h"
+#include "log/shard_partitioner.h"
 #include "util/byte_io.h"
 #include "util/file_io.h"
 
@@ -290,6 +291,30 @@ Status SnapshotIo::VerifyBlobRef(const ShardBlobRef& ref,
         "blob): " + blob_path);
   }
   return Status::OK();
+}
+
+Result<SnapshotManifest> SnapshotIo::LoadRoutableManifest(
+    const std::string& path) {
+  Result<SnapshotManifest> manifest = LoadManifest(path);
+  if (manifest.ok() &&
+      manifest->partition_function != kShardPartitionLastQueryFnv1a) {
+    return Status::InvalidArgument(
+        "manifest partition function " +
+        std::to_string(manifest->partition_function) +
+        " is not the last-query FNV-1a scheme this build routes with: " +
+        path);
+  }
+  return manifest;
+}
+
+Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::MapShard(
+    const SnapshotManifest& manifest, const std::string& manifest_path,
+    size_t s, const SnapshotLoadOptions& options) {
+  const ShardBlobRef& ref = manifest.shards[s];
+  const std::string blob_path =
+      ResolveAgainstManifest(manifest_path, ref.path);
+  SQP_RETURN_IF_ERROR(VerifyBlobRef(ref, blob_path));
+  return Map(blob_path, options);
 }
 
 Result<SnapshotFileKind> SnapshotIo::Probe(const std::string& path) {

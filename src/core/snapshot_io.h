@@ -149,6 +149,19 @@ class SnapshotIo {
   static Status VerifyBlobRef(const ShardBlobRef& ref,
                               const std::string& blob_path);
 
+  /// LoadManifest for a fleet this build can route: also refuses
+  /// (InvalidArgument) a partition function other than the last-query
+  /// FNV-1a scheme ShardOfContext computes.
+  static Result<SnapshotManifest> LoadRoutableManifest(
+      const std::string& path);
+
+  /// The per-shard step every manifest boot shares: resolves shard `s`'s
+  /// blob against `manifest_path`, checks it against its manifest pin
+  /// (VerifyBlobRef) and maps it. `s` must be < manifest.num_shards().
+  static Result<std::shared_ptr<const CompactSnapshot>> MapShard(
+      const SnapshotManifest& manifest, const std::string& manifest_path,
+      size_t s, const SnapshotLoadOptions& options = {});
+
   /// Classifies a snapshot artifact by its magic bytes; an error for
   /// unreadable files or unknown magic.
   static Result<SnapshotFileKind> Probe(const std::string& path);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/snapshot_io.h"
-#include "log/shard_partitioner.h"
 
 namespace sqp::net {
 namespace {
@@ -38,23 +37,17 @@ ShardServer::~ShardServer() { Stop(); }
 Status ShardServer::StartFromManifest(const std::string& manifest_path,
                                       uint32_t shard_index) {
   if (handler_) return Status::FailedPrecondition("server already started");
-  auto manifest = SnapshotIo::LoadManifest(manifest_path);
+  auto manifest = SnapshotIo::LoadRoutableManifest(manifest_path);
   if (!manifest.ok()) return manifest.status();
-  if (manifest->partition_function != kShardPartitionLastQueryFnv1a) {
-    return Status::InvalidArgument(
-        "manifest uses unknown partition function " +
-        std::to_string(manifest->partition_function));
-  }
   if (shard_index >= manifest->num_shards()) {
     return Status::InvalidArgument(
         "shard index " + std::to_string(shard_index) + " out of range for " +
         std::to_string(manifest->num_shards()) + "-shard manifest");
   }
-  const ShardBlobRef& ref = manifest->shards[shard_index];
-  const std::string blob_path = ResolveAgainstManifest(manifest_path, ref.path);
-  SQP_RETURN_IF_ERROR(SnapshotIo::VerifyBlobRef(ref, blob_path));
+  auto mapped = SnapshotIo::MapShard(*manifest, manifest_path, shard_index);
+  if (!mapped.ok()) return mapped.status();
   owned_engine_ = std::make_unique<RecommenderEngine>(options_.engine);
-  SQP_RETURN_IF_ERROR(owned_engine_->LoadAndPublish(blob_path));
+  owned_engine_->Publish(std::move(mapped.value()));
   fleet_version_ = manifest->version;
   fleet_num_shards_ = manifest->num_shards();
   shard_index_ = shard_index;

@@ -3,8 +3,9 @@
 
 /// Bounded two-lane admission control for the batch execution slot.
 ///
-/// Both engines fan batches out on a WorkerPool that runs one job at a
-/// time; before this queue existed, concurrent batch callers serialized on
+/// RecommenderEngine's one batch loop — which a ShardedEngine's batches
+/// run through too — fans batches out on a WorkerPool that runs one job
+/// at a time; before this queue existed, concurrent batch callers serialized on
 /// a bare mutex — an unbounded convoy with no fairness, no deadline
 /// awareness, and no way to tell the system was drowning. The admission
 /// queue replaces that mutex with an explicit waiting room:

@@ -143,7 +143,8 @@ struct BatchResult {
   size_t served = 0;
 
   /// Version of the snapshot that answered (single-engine batches; 0 for
-  /// sharded fleets, whose per-shard versions live in ShardedStats).
+  /// sharded fleets, whose per-shard versions are
+  /// ShardedEngine::shard_versions()).
   uint64_t served_version = 0;
 
   /// The admission decision for the batch as a whole: OK when the batch

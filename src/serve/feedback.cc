@@ -622,6 +622,26 @@ std::vector<AggregatedSession> SessionsFromFeedback(
   return sessions;
 }
 
+Result<size_t> FeedbackCursor::Consume(
+    const std::string& dir,
+    const std::function<void(std::vector<AggregatedSession>)>& append) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Result<std::vector<FeedbackRecord>> records = ReadFeedbackLog(dir);
+  if (!records.ok()) return records.status();
+  std::vector<FeedbackRecord> fresh;
+  uint64_t max_id = watermark_;
+  for (FeedbackRecord& record : *records) {
+    if (record.record_id <= watermark_) continue;
+    max_id = std::max(max_id, record.record_id);
+    fresh.push_back(std::move(record));
+  }
+  std::vector<AggregatedSession> sessions = SessionsFromFeedback(fresh);
+  const size_t consumed = sessions.size();
+  if (!sessions.empty()) append(std::move(sessions));
+  watermark_ = max_id;
+  return consumed;
+}
+
 uint64_t FeedbackHook::OnServed(std::span<const QueryId> context,
                                 uint64_t served_version,
                                 Recommendation* rec) const {

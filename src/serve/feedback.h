@@ -40,6 +40,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -242,6 +243,26 @@ Result<std::vector<FeedbackRecord>> ReadFeedbackLog(
 /// sessions directly (tested in tests/serve/closed_loop_test.cc).
 std::vector<AggregatedSession> SessionsFromFeedback(
     std::span<const FeedbackRecord> records);
+
+/// The consume side of the closed loop: one watermark (the largest record
+/// id already consumed) behind one mutex. Consume reads the log at `dir`,
+/// converts the clicked impressions past the watermark into sessions
+/// (SessionsFromFeedback), hands them to `append` under the cursor's lock
+/// (so two concurrent consumes never hand over the same records; not
+/// called when there are none) and advances the watermark past every
+/// record seen, clicked or not — so repeated calls over the same log are
+/// idempotent, and a click must be in the log by the time its impression
+/// is consumed. Returns the number of sessions handed over. Thread-safe.
+class FeedbackCursor {
+ public:
+  Result<size_t> Consume(
+      const std::string& dir,
+      const std::function<void(std::vector<AggregatedSession>)>& append);
+
+ private:
+  std::mutex mu_;
+  uint64_t watermark_ = 0;  // guarded by mu_
+};
 
 /// The serving-side hook carried by ServeOptions::feedback: reranks the
 /// served list through `explorer` (when set) and appends the impression

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/snapshot_io.h"
+#include "log/shard_partitioner.h"
 #include "serve/feedback.h"
 #include "util/timer.h"
 
@@ -24,7 +25,9 @@ size_t ResolveThreads(size_t requested) {
 /// against a given snapshot reserves every buffer to the snapshot's hint,
 /// so steady-state serving allocates nothing. Done lazily per
 /// (scratch, snapshot) pair — publish-time sizing would mutate lane
-/// scratch buffers that in-flight batches are still using.
+/// scratch buffers that in-flight batches are still using. A scratch
+/// hopping between a fleet's shards re-prepares on each hop; reserve only
+/// grows, so those settle into no-ops at the fleet-wide maxima.
 SnapshotScratch& PreparedFor(const ServingSnapshot* model,
                              SnapshotScratch& scratch) {
   if (scratch.prepared_for != model) {
@@ -37,8 +40,7 @@ SnapshotScratch& PreparedFor(const ServingSnapshot* model,
 }  // namespace
 
 RecommenderEngine::RecommenderEngine(EngineOptions options)
-    : options_(options),
-      pool_(ResolveThreads(options.num_threads)),
+    : pool_(ResolveThreads(options.num_threads)),
       admission_(options.admission) {
   lane_scratch_.resize(pool_.num_lanes());
 }
@@ -70,6 +72,16 @@ uint64_t RecommenderEngine::current_version() const {
 BatchResult RecommenderEngine::RecommendMany(
     std::span<const ContextRef> contexts, size_t top_n,
     const ServeOptions& options) const {
+  // One snapshot grab for the whole batch: even if a retrain publishes
+  // mid-batch, every result comes from the same model generation.
+  const std::shared_ptr<const ServingSnapshot> snapshot = CurrentSnapshot();
+  return ServeBatch({&snapshot, 1}, contexts, top_n, options);
+}
+
+BatchResult RecommenderEngine::ServeBatch(
+    std::span<const std::shared_ptr<const ServingSnapshot>> snapshots,
+    std::span<const ContextRef> contexts, size_t top_n,
+    const ServeOptions& options) const {
   const Deadline::Clock::time_point start = Deadline::Clock::now();
   const size_t n = contexts.size();
   BatchResult out;
@@ -87,34 +99,47 @@ BatchResult RecommenderEngine::RecommendMany(
               StatusCode::kDeadlineExceeded);
     return out;
   }
-
-  // One snapshot grab for the whole batch: even if a retrain publishes
-  // mid-batch, every result comes from the same model generation.
-  const std::shared_ptr<const ServingSnapshot> snapshot = CurrentSnapshot();
-  out.served_version = snapshot == nullptr ? 0 : snapshot->version();
-  if (snapshot == nullptr) {
+  if (std::ranges::none_of(snapshots,
+                           [](const auto& s) { return s != nullptr; })) {
     // No published model: uncovered-empty answers, with the per-item
     // status making the cause explicit.
     std::fill(out.statuses.begin(), out.statuses.end(),
               StatusCode::kUnavailable);
     return out;
   }
-  if (n == 0) {
-    out.effective_top_n = top_n;
-    return out;
-  }
+  const uint32_t num_shards = static_cast<uint32_t>(snapshots.size());
+  if (num_shards == 1) out.served_version = snapshots[0]->version();
+  if (n == 0) return out;
 
   const size_t effective_top_n =
       admission_.DegradedTopN(top_n, options.deadline);
   out.effective_top_n = effective_top_n;
   out.degraded = effective_top_n < top_n;
-  const ServingSnapshot* model = snapshot.get();
-  size_t expired_items = 0;
 
-  if (pool_.num_lanes() == 1 || n < options_.min_batch_fanout) {
+  const auto serve = [&](size_t i, SnapshotScratch& scratch) {
+    const ServingSnapshot* model =
+        snapshots[num_shards == 1 ? 0 : ShardOfContext(contexts[i],
+                                                       num_shards)]
+            .get();
+    if (model == nullptr) {
+      // Dead / never-published shard: uncovered-empty answer with an
+      // explicit status — healthy shards keep serving around it.
+      out.statuses[i] = StatusCode::kUnavailable;
+      return;
+    }
+    out.results[i] = model->Recommend(contexts[i], effective_top_n,
+                                      &PreparedFor(model, scratch));
+    if (options.feedback != nullptr) {
+      options.feedback->OnServed(contexts[i], model->version(),
+                                 &out.results[i]);
+    }
+  };
+
+  size_t expired_items = 0;
+  if (pool_.num_lanes() == 1 || n < kMinBatchFanout) {
     // Inline path: no slot contention, but the deadline still cuts the
     // batch short so a caller never blocks past it on a huge inline run.
-    SnapshotScratch& scratch = PreparedFor(model, ThreadScratch());
+    SnapshotScratch& scratch = ThreadScratch();
     for (size_t i = 0; i < n; ++i) {
       if (options.deadline.bounded() && (i & 31u) == 0 && i != 0 &&
           options.deadline.Expired()) {
@@ -124,12 +149,7 @@ BatchResult RecommenderEngine::RecommendMany(
         expired_items = n - i;
         break;
       }
-      out.results[i] = model->Recommend(contexts[i], effective_top_n,
-                                        &scratch);
-      if (options.feedback != nullptr) {
-        options.feedback->OnServed(contexts[i], out.served_version,
-                                   &out.results[i]);
-      }
+      serve(i, scratch);
     }
   } else {
     const Status admitted =
@@ -142,7 +162,7 @@ BatchResult RecommenderEngine::RecommendMany(
     std::atomic<bool> expired{false};
     const bool bounded = options.deadline.bounded();
     WallTimer service;
-    pool_.Run(n, [&, model](size_t i, size_t lane) {
+    pool_.Run(n, [&](size_t i, size_t lane) {
       if (bounded) {
         // Mid-batch deadline checks: one stride-32 clock read flips the
         // flag; every task after it returns its item unserved with an
@@ -157,23 +177,17 @@ BatchResult RecommenderEngine::RecommendMany(
           return;
         }
       }
-      out.results[i] = model->Recommend(
-          contexts[i], effective_top_n,
-          &PreparedFor(model, lane_scratch_[lane]));
-      if (options.feedback != nullptr) {
-        options.feedback->OnServed(contexts[i], out.served_version,
-                                   &out.results[i]);
-      }
+      serve(i, lane_scratch_[lane]);
     });
     if (expired.load(std::memory_order_relaxed)) {
-      for (const StatusCode code : out.statuses) {
-        if (code == StatusCode::kDeadlineExceeded) ++expired_items;
-      }
+      expired_items = static_cast<size_t>(std::ranges::count(
+          out.statuses, StatusCode::kDeadlineExceeded));
     }
     admission_.Release(n - expired_items, service.ElapsedSeconds() * 1e6);
   }
 
-  out.served = n - expired_items;
+  out.served =
+      static_cast<size_t>(std::ranges::count(out.statuses, StatusCode::kOk));
   const double latency_us =
       std::chrono::duration<double, std::micro>(Deadline::Clock::now() -
                                                 start)

@@ -85,15 +85,15 @@ class AtomicSnapshotPtr {
 #endif
 };
 
+/// Batches smaller than this run inline on the calling thread — fanning
+/// out a handful of microsecond-scale walks costs more than it buys.
+inline constexpr size_t kMinBatchFanout = 32;
+
 struct EngineOptions {
   /// Worker lanes for batched serving, including the calling thread
   /// (0 = hardware concurrency clamped to [1, 16]; explicit values are
   /// clamped to [1, 64]). Single-query Recommend never touches the pool.
   size_t num_threads = 0;
-
-  /// Batches smaller than this run inline on the calling thread — fanning
-  /// out a handful of microsecond-scale walks costs more than it buys.
-  size_t min_batch_fanout = 32;
 
   /// Admission-control knobs for the batch execution slot (lane bounds,
   /// EWMA estimator, degrade ladder). Defaults keep no-deadline traffic
@@ -191,7 +191,23 @@ class RecommenderEngine {
   EngineStats stats() const;
 
  private:
-  EngineOptions options_;
+  /// The one batch loop behind both engines' RecommendMany. Item i is
+  /// answered from snapshots[ShardOfContext(contexts[i], snapshots.size())]
+  /// (no routing hash when there is one snapshot); a null entry answers
+  /// its items kUnavailable, and all entries null answers the whole batch
+  /// so without touching the admission queue. The arrival check, degrade,
+  /// inline-vs-pool choice, admission, mid-batch cut, feedback hook and
+  /// counters all run on this engine's queue, pool and lane scratch.
+  /// served_version is the snapshot's version when there is exactly one.
+  BatchResult ServeBatch(
+      std::span<const std::shared_ptr<const ServingSnapshot>> snapshots,
+      std::span<const ContextRef> contexts, size_t top_n,
+      const ServeOptions& options) const;
+
+  /// A fleet runs its cross-shard batches through ServeBatch on an
+  /// unpublished engine of its own (serve/sharded_engine.h).
+  friend class ShardedEngine;
+
   AtomicSnapshotPtr snapshot_;
   mutable WorkerPool pool_;
   /// The batch execution slot: one job at a time on the pool; concurrent

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/snapshot_io.h"
-#include "serve/feedback.h"
 
 namespace sqp {
 
@@ -143,21 +142,10 @@ void Retrainer::AppendSessions(std::vector<AggregatedSession> sessions) {
 }
 
 Result<size_t> Retrainer::ConsumeFeedback(const std::string& dir) {
-  std::lock_guard<std::mutex> lock(feedback_mu_);
-  Result<std::vector<FeedbackRecord>> records = ReadFeedbackLog(dir);
-  if (!records.ok()) return records.status();
-  std::vector<FeedbackRecord> fresh;
-  uint64_t max_id = feedback_watermark_;
-  for (FeedbackRecord& record : *records) {
-    if (record.record_id <= feedback_watermark_) continue;
-    max_id = std::max(max_id, record.record_id);
-    fresh.push_back(std::move(record));
-  }
-  std::vector<AggregatedSession> sessions = SessionsFromFeedback(fresh);
-  const size_t appended = sessions.size();
-  if (!sessions.empty()) AppendSessions(std::move(sessions));
-  feedback_watermark_ = max_id;
-  return appended;
+  return feedback_.Consume(
+      dir, [this](std::vector<AggregatedSession> sessions) {
+        AppendSessions(std::move(sessions));
+      });
 }
 
 Status Retrainer::RetrainOnce() {

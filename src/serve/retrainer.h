@@ -14,6 +14,7 @@
 #include "core/compact_snapshot.h"
 #include "core/model_snapshot.h"
 #include "log/context_builder.h"
+#include "serve/feedback.h"
 #include "serve/recommender_engine.h"
 
 namespace sqp {
@@ -133,15 +134,11 @@ class Retrainer {
   /// Thread-safe; never blocks on a rebuild.
   void AppendSessions(std::vector<AggregatedSession> sessions);
 
-  /// Closes the serving loop: reads the feedback log at `dir`
-  /// (serve/feedback.h), converts clicked impressions newer than this
-  /// retrainer's consume watermark into sessions (SessionsFromFeedback)
-  /// and queues them via AppendSessions. Returns the number of sessions
-  /// queued. Repeated calls over the same log are idempotent — the
-  /// watermark advances past every record seen, clicked or not, so a
-  /// click must be in the log by the time its impression is consumed
-  /// (consume at session boundaries, as the CLI does; a click logged
-  /// after its impression was consumed is not retroactively folded in).
+  /// Closes the serving loop: queues the clicked impressions of the
+  /// feedback log at `dir` that this retrainer has not consumed yet via
+  /// AppendSessions, with FeedbackCursor's idempotence and click-before-
+  /// consume contract (serve/feedback.h; consume at session boundaries,
+  /// as the CLI does). Returns the number of sessions queued.
   /// Thread-safe; property-tested equal to appending the equivalent
   /// sessions directly.
   Result<size_t> ConsumeFeedback(const std::string& dir);
@@ -208,10 +205,8 @@ class Retrainer {
   Status last_status_;
   bool bootstrapped_ = false;
 
-  /// Serializes ConsumeFeedback calls and guards feedback_watermark_ (the
-  /// largest feedback record id already consumed).
-  mutable std::mutex feedback_mu_;
-  uint64_t feedback_watermark_ = 0;
+  /// ConsumeFeedback's watermark and its lock.
+  FeedbackCursor feedback_;
 
   /// Serializes rebuilds; corpus_, index_ and observed_max_id_ are only
   /// touched with this held.

@@ -1,22 +1,22 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <thread>
 #include <unordered_map>
 
 #include "core/pst.h"
-#include "serve/feedback.h"
-#include "util/timer.h"
 
 namespace sqp {
 namespace {
 
-size_t ResolvePoolThreads(size_t requested) {
-  if (requested != 0) return std::clamp<size_t>(requested, 1, 64);
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<size_t>(hw == 0 ? 1 : hw, 1, 16);
+Status CheckShardCount(const SnapshotManifest& manifest, size_t shards,
+                       const std::string& manifest_path) {
+  if (manifest.num_shards() == shards) return Status::OK();
+  return Status::InvalidArgument(
+      "manifest has " + std::to_string(manifest.num_shards()) +
+      " shards but the engine has " + std::to_string(shards) + ": " +
+      manifest_path);
 }
 
 /// The global root state of the undivided corpus: the prior over next
@@ -150,46 +150,35 @@ std::vector<double> FitShardedSigmas(
 // ----------------------------------------------------------------- engine
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
-    : options_(options),
-      pool_(ResolvePoolThreads(options.num_threads)),
-      admission_(options.admission) {
+    : batch_engine_(EngineOptions{.num_threads = options.num_threads}) {
   const size_t shards = std::clamp<size_t>(options.num_shards, 1, 4096);
   shards_.reserve(shards);
-  EngineOptions shard_options;
-  shard_options.num_threads = 1;
   for (size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<RecommenderEngine>(shard_options));
+    shards_.push_back(
+        std::make_unique<RecommenderEngine>(EngineOptions{.num_threads = 1}));
   }
-  lane_scratch_.resize(pool_.num_lanes());
 }
 
 Status ShardedEngine::LoadAndPublish(const std::string& manifest_path,
                                      const SnapshotLoadOptions& options) {
-  Result<SnapshotManifest> manifest = SnapshotIo::LoadManifest(manifest_path);
+  Result<SnapshotManifest> manifest =
+      SnapshotIo::LoadRoutableManifest(manifest_path);
   if (!manifest.ok()) return manifest.status();
-  if (manifest->num_shards() != shards_.size()) {
-    return Status::InvalidArgument(
-        "manifest has " + std::to_string(manifest->num_shards()) +
-        " shards but the engine has " + std::to_string(shards_.size()) +
-        ": " + manifest_path);
-  }
-  if (manifest->partition_function != kShardPartitionLastQueryFnv1a) {
-    return Status::InvalidArgument(
-        "manifest partition function " +
-        std::to_string(manifest->partition_function) +
-        " is not the last-query FNV-1a scheme this build routes with: " +
-        manifest_path);
-  }
+  return PublishManifest(*manifest, manifest_path, options);
+}
+
+Status ShardedEngine::PublishManifest(const SnapshotManifest& manifest,
+                                      const std::string& manifest_path,
+                                      const SnapshotLoadOptions& options) {
+  SQP_RETURN_IF_ERROR(
+      CheckShardCount(manifest, shards_.size(), manifest_path));
   // Stage everything before publishing anything: a fleet boot is all or
   // nothing, and a failure leaves the current snapshots serving.
   std::vector<std::shared_ptr<const CompactSnapshot>> staged;
   staged.reserve(shards_.size());
-  for (const ShardBlobRef& ref : manifest->shards) {
-    const std::string blob_path =
-        ResolveAgainstManifest(manifest_path, ref.path);
-    SQP_RETURN_IF_ERROR(SnapshotIo::VerifyBlobRef(ref, blob_path));
+  for (size_t s = 0; s < shards_.size(); ++s) {
     Result<std::shared_ptr<const CompactSnapshot>> mapped =
-        SnapshotIo::Map(blob_path, options);
+        SnapshotIo::MapShard(manifest, manifest_path, s, options);
     if (!mapped.ok()) return mapped.status();
     staged.push_back(std::move(mapped.value()));
   }
@@ -201,39 +190,21 @@ Status ShardedEngine::LoadAndPublish(const std::string& manifest_path,
 
 Result<FleetBootReport> ShardedEngine::LoadAndPublishAvailable(
     const std::string& manifest_path, const SnapshotLoadOptions& options) {
-  Result<SnapshotManifest> manifest = SnapshotIo::LoadManifest(manifest_path);
+  Result<SnapshotManifest> manifest =
+      SnapshotIo::LoadRoutableManifest(manifest_path);
   if (!manifest.ok()) return manifest.status();
-  if (manifest->num_shards() != shards_.size()) {
-    return Status::InvalidArgument(
-        "manifest has " + std::to_string(manifest->num_shards()) +
-        " shards but the engine has " + std::to_string(shards_.size()) +
-        ": " + manifest_path);
-  }
-  if (manifest->partition_function != kShardPartitionLastQueryFnv1a) {
-    return Status::InvalidArgument(
-        "manifest partition function " +
-        std::to_string(manifest->partition_function) +
-        " is not the last-query FNV-1a scheme this build routes with: " +
-        manifest_path);
-  }
+  SQP_RETURN_IF_ERROR(
+      CheckShardCount(*manifest, shards_.size(), manifest_path));
   FleetBootReport report;
   report.shard_status.reserve(shards_.size());
-  for (size_t s = 0; s < manifest->shards.size(); ++s) {
-    const ShardBlobRef& ref = manifest->shards[s];
-    const std::string blob_path =
-        ResolveAgainstManifest(manifest_path, ref.path);
-    Status status = SnapshotIo::VerifyBlobRef(ref, blob_path);
-    if (status.ok()) {
-      Result<std::shared_ptr<const CompactSnapshot>> mapped =
-          SnapshotIo::Map(blob_path, options);
-      if (mapped.ok()) {
-        shards_[s]->Publish(std::move(mapped.value()));
-        ++report.healthy_shards;
-      } else {
-        status = mapped.status();
-      }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Result<std::shared_ptr<const CompactSnapshot>> mapped =
+        SnapshotIo::MapShard(*manifest, manifest_path, s, options);
+    if (mapped.ok()) {
+      shards_[s]->Publish(std::move(mapped.value()));
+      ++report.healthy_shards;
     }
-    report.shard_status.push_back(std::move(status));
+    report.shard_status.push_back(mapped.status());
   }
   if (report.healthy_shards == 0) {
     for (const Status& status : report.shard_status) {
@@ -246,11 +217,13 @@ Result<FleetBootReport> ShardedEngine::LoadAndPublishAvailable(
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::BootFromManifest(
     const std::string& manifest_path, ShardedEngineOptions base,
     const SnapshotLoadOptions& load_options) {
-  Result<SnapshotManifest> manifest = SnapshotIo::LoadManifest(manifest_path);
+  Result<SnapshotManifest> manifest =
+      SnapshotIo::LoadRoutableManifest(manifest_path);
   if (!manifest.ok()) return manifest.status();
   base.num_shards = manifest->num_shards();
   auto engine = std::make_unique<ShardedEngine>(base);
-  SQP_RETURN_IF_ERROR(engine->LoadAndPublish(manifest_path, load_options));
+  SQP_RETURN_IF_ERROR(
+      engine->PublishManifest(*manifest, manifest_path, load_options));
   return Result<std::unique_ptr<ShardedEngine>>(std::move(engine));
 }
 
@@ -264,25 +237,6 @@ ServeResult ShardedEngine::Recommend(ContextRef context, size_t top_n,
 BatchResult ShardedEngine::RecommendMany(
     std::span<const ContextRef> contexts, size_t top_n,
     const ServeOptions& options) const {
-  const Deadline::Clock::time_point start = Deadline::Clock::now();
-  const size_t n = contexts.size();
-  BatchResult out;
-  out.results.resize(n);
-  out.statuses.assign(n, StatusCode::kOk);
-  out.effective_top_n = top_n;
-
-  batch_queries_.fetch_add(n, std::memory_order_relaxed);
-  batches_served_.fetch_add(1, std::memory_order_relaxed);
-
-  if (options.deadline.Expired(start)) {
-    admission_.CountShed(options.lane, StatusCode::kDeadlineExceeded);
-    out.admission = Status::DeadlineExceeded("deadline expired on arrival");
-    std::fill(out.statuses.begin(), out.statuses.end(),
-              StatusCode::kDeadlineExceeded);
-    return out;
-  }
-  if (n == 0) return out;
-
   // One snapshot grab per shard for the whole batch: a swap landing
   // mid-batch cannot mix generations within a shard's answers.
   std::vector<std::shared_ptr<const ServingSnapshot>> snapshots(
@@ -290,92 +244,9 @@ BatchResult ShardedEngine::RecommendMany(
   for (size_t s = 0; s < shards_.size(); ++s) {
     snapshots[s] = shards_[s]->CurrentSnapshot();
   }
-
-  const size_t effective_top_n =
-      admission_.DegradedTopN(top_n, options.deadline);
-  out.effective_top_n = effective_top_n;
-  out.degraded = effective_top_n < top_n;
-  size_t expired_items = 0;
-
-  const auto answer = [&](size_t i, SnapshotScratch* scratch) {
-    const ServingSnapshot* snapshot =
-        snapshots[OwningShard(contexts[i])].get();
-    if (snapshot != nullptr) {
-      // First-touch pre-sizing per routed shard; Prepare only ever grows
-      // capacities, so a scratch hopping between shards settles at the
-      // fleet-wide maxima and the re-checks become no-ops.
-      if (scratch->prepared_for != snapshot) {
-        scratch->Prepare(snapshot->ScratchHint());
-        scratch->prepared_for = snapshot;
-      }
-      out.results[i] =
-          snapshot->Recommend(contexts[i], effective_top_n, scratch);
-      if (options.feedback != nullptr) {
-        options.feedback->OnServed(contexts[i], snapshot->version(),
-                                   &out.results[i]);
-      }
-    } else {
-      // Dead / never-published shard: uncovered-empty answer with an
-      // explicit status — healthy shards keep serving around it.
-      out.statuses[i] = StatusCode::kUnavailable;
-    }
-  };
-
-  if (pool_.num_lanes() == 1 || n < options_.min_batch_fanout) {
-    SnapshotScratch& scratch = internal::ThreadScratch();
-    for (size_t i = 0; i < n; ++i) {
-      if (options.deadline.bounded() && (i & 31u) == 0 && i != 0 &&
-          options.deadline.Expired()) {
-        for (size_t j = i; j < n; ++j) {
-          out.statuses[j] = StatusCode::kDeadlineExceeded;
-        }
-        expired_items = n - i;
-        break;
-      }
-      answer(i, &scratch);
-    }
-  } else {
-    const Status admitted =
-        admission_.Admit(options.lane, options.deadline, n);
-    if (!admitted.ok()) {
-      std::fill(out.statuses.begin(), out.statuses.end(), admitted.code());
-      out.admission = admitted;
-      return out;
-    }
-    std::atomic<bool> expired{false};
-    const bool bounded = options.deadline.bounded();
-    WallTimer service;
-    pool_.Run(n, [&](size_t i, size_t lane) {
-      if (bounded) {
-        if (expired.load(std::memory_order_relaxed)) {
-          out.statuses[i] = StatusCode::kDeadlineExceeded;
-          return;
-        }
-        if ((i & 31u) == 0 && options.deadline.Expired()) {
-          expired.store(true, std::memory_order_relaxed);
-          out.statuses[i] = StatusCode::kDeadlineExceeded;
-          return;
-        }
-      }
-      answer(i, &lane_scratch_[lane]);
-    });
-    if (expired.load(std::memory_order_relaxed)) {
-      for (const StatusCode code : out.statuses) {
-        if (code == StatusCode::kDeadlineExceeded) ++expired_items;
-      }
-    }
-    admission_.Release(n - expired_items, service.ElapsedSeconds() * 1e6);
-  }
-
-  for (const StatusCode code : out.statuses) {
-    if (code == StatusCode::kOk) ++out.served;
-  }
-  const double latency_us =
-      std::chrono::duration<double, std::micro>(Deadline::Clock::now() -
-                                                start)
-          .count();
-  admission_.RecordServed(options.lane, latency_us, out.degraded,
-                          expired_items);
+  BatchResult out =
+      batch_engine_.ServeBatch(snapshots, contexts, top_n, options);
+  out.served_version = 0;
   return out;
 }
 
@@ -387,25 +258,15 @@ std::vector<uint64_t> ShardedEngine::shard_versions() const {
   return versions;
 }
 
-ShardedStats ShardedEngine::stats() const {
-  ShardedStats stats;
-  stats.shard_versions = shard_versions();
-  stats.min_version = stats.shard_versions.empty()
-                          ? 0
-                          : *std::min_element(stats.shard_versions.begin(),
-                                              stats.shard_versions.end());
-  stats.max_version = stats.shard_versions.empty()
-                          ? 0
-                          : *std::max_element(stats.shard_versions.begin(),
-                                              stats.shard_versions.end());
-  stats.queries_served = batch_queries_.load(std::memory_order_relaxed);
-  stats.admission = admission_.stats();
+EngineStats ShardedEngine::stats() const {
+  EngineStats stats = batch_engine_.stats();
   for (const auto& shard : shards_) {
     const EngineStats shard_stats = shard->stats();
     stats.queries_served += shard_stats.queries_served;
+    stats.batches_served += shard_stats.batches_served;
+    stats.snapshots_published += shard_stats.snapshots_published;
     stats.admission.MergeFrom(shard_stats.admission);
   }
-  stats.batches_served = batches_served_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -581,7 +442,7 @@ Status ShardedRetrainerSet::Bootstrap(std::vector<AggregatedSession> corpus) {
     // persist — the trained (empty) snapshot directly; the retrainer
     // bootstraps lazily on the shard's first routed sessions.
     if (trained->corpora[s].empty()) {
-      engine_->PublishShard(s, trained->shards[s]);
+      engine_->shard(s)->Publish(trained->shards[s]);
       if (!options.persist_path.empty()) {
         note_error(SnapshotIo::Save(
             *CompactSnapshot::FromSnapshot(*trained->shards[s],
@@ -656,21 +517,10 @@ void ShardedRetrainerSet::AppendSessions(
 }
 
 Result<size_t> ShardedRetrainerSet::ConsumeFeedback(const std::string& dir) {
-  std::lock_guard<std::mutex> lock(feedback_mu_);
-  Result<std::vector<FeedbackRecord>> records = ReadFeedbackLog(dir);
-  if (!records.ok()) return records.status();
-  std::vector<FeedbackRecord> fresh;
-  uint64_t max_id = feedback_watermark_;
-  for (FeedbackRecord& record : *records) {
-    if (record.record_id <= feedback_watermark_) continue;
-    max_id = std::max(max_id, record.record_id);
-    fresh.push_back(std::move(record));
-  }
-  std::vector<AggregatedSession> sessions = SessionsFromFeedback(fresh);
-  const size_t routed = sessions.size();
-  if (!sessions.empty()) AppendSessions(sessions);
-  feedback_watermark_ = max_id;
-  return routed;
+  return feedback_.Consume(
+      dir, [this](std::vector<AggregatedSession> sessions) {
+        AppendSessions(sessions);
+      });
 }
 
 Status ShardedRetrainerSet::RetrainShard(size_t s) {

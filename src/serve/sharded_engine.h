@@ -39,7 +39,6 @@
 #include "log/shard_partitioner.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
-#include "serve/worker_pool.h"
 #include "util/status.h"
 
 namespace sqp {
@@ -51,37 +50,9 @@ struct ShardedEngineOptions {
   /// Worker lanes for cross-shard batched serving, including the calling
   /// thread (0 = hardware concurrency clamped to [1, 16]; explicit values
   /// clamped to [1, 64]). Shard engines themselves run single-lane — the
-  /// sharded front-end owns all batch parallelism, so lanes are not
+  /// fleet's batch engine owns all batch parallelism, so lanes are not
   /// multiplied by shards.
   size_t num_threads = 0;
-
-  /// Batches smaller than this run inline on the calling thread.
-  size_t min_batch_fanout = 32;
-
-  /// Admission-control knobs for the fleet's batch execution slot (see
-  /// serve/admission_queue.h). Shard engines keep their own (single-lane,
-  /// effectively idle) queues; all cross-shard batch admission happens
-  /// here.
-  AdmissionOptions admission;
-};
-
-/// Aggregate serving counters plus the per-shard snapshot versions. With
-/// independent shard rebuilds the versions may diverge; max_version -
-/// min_version is the fleet's staleness skew (bounded by however many
-/// rebuilds the slowest shard is behind — tested in
-/// tests/serve/sharded_engine_test.cc).
-struct ShardedStats {
-  uint64_t queries_served = 0;  // single + batched, across all shards
-  uint64_t batches_served = 0;  // sharded RecommendMany calls
-  uint64_t min_version = 0;
-  uint64_t max_version = 0;
-  std::vector<uint64_t> shard_versions;
-
-  /// Fleet-wide QoS counters: the front-end admission queue's lanes
-  /// summed with every shard engine's (which count deadline-aware
-  /// single-query traffic routed to them). The EWMA is the front-end
-  /// queue's.
-  AdmissionStats admission;
 };
 
 /// Per-shard outcome of a degraded fleet boot (LoadAndPublishAvailable).
@@ -101,8 +72,15 @@ struct FleetBootReport {
 /// (score desc, query asc) tie-breaking — the merged global top-N equals
 /// the single-engine output bit for bit.
 ///
+/// Batches run through RecommenderEngine's one batch loop on an
+/// unpublished engine the fleet owns: that engine's pool is the fleet's
+/// lanes and its admission queue the fleet's batch slot, so a fleet batch
+/// has exactly the admission / mid-batch-expiry / degrade semantics of a
+/// single-engine batch. Shard engines are single-lane and see none of the
+/// fleet's batches.
+///
 /// Thread-safety: mirrors RecommenderEngine — all const methods are safe
-/// from any number of threads concurrently with PublishShard /
+/// from any number of threads concurrently with shard(s)->Publish /
 /// LoadAndPublish from any other thread. A batch grabs each shard's
 /// snapshot once, so even a swap landing mid-batch cannot mix generations
 /// within one shard's answers.
@@ -114,7 +92,7 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   size_t num_shards() const { return shards_.size(); }
-  size_t num_threads() const { return pool_.num_lanes(); }
+  size_t num_threads() const { return batch_engine_.num_threads(); }
 
   /// The shard owning `context` (shard 0 for empty contexts, which are
   /// uncovered everywhere).
@@ -124,16 +102,10 @@ class ShardedEngine {
   }
 
   /// Direct access to one shard's engine — the seam a per-shard Retrainer
-  /// publishes through, and the hook for per-shard cold boots.
+  /// publishes through (shard(s)->Publish swaps one shard; readers of the
+  /// others are untouched), and the hook for per-shard cold boots.
   RecommenderEngine* shard(size_t s) { return shards_[s].get(); }
   const RecommenderEngine& shard(size_t s) const { return *shards_[s]; }
-
-  /// Publishes a snapshot to one shard; readers of other shards are
-  /// untouched (the independent-rebuild seam).
-  void PublishShard(size_t s,
-                    std::shared_ptr<const ServingSnapshot> snapshot) {
-    shards_[s]->Publish(std::move(snapshot));
-  }
 
   /// Fleet cold boot from a SnapshotManifest: verifies the manifest's
   /// shard count and partition function against this engine, checks every
@@ -168,32 +140,38 @@ class ShardedEngine {
   ServeResult Recommend(ContextRef context, size_t top_n,
                         const ServeOptions& options = {}) const;
 
-  /// The cross-shard batched path: grabs every shard's snapshot once,
-  /// fans the contexts out across the pool (each answered by its owning
-  /// shard's snapshot), with the same admission / mid-batch-expiry /
-  /// degrade semantics as RecommenderEngine::RecommendMany (per-item
-  /// outcomes in BatchResult::statuses; items owned by an unpublished
-  /// shard are kUnavailable). BatchResult::served_version is 0 —
-  /// per-shard versions live in stats().
+  /// The cross-shard batched path: grabs every shard's snapshot once and
+  /// serves the batch through the fleet's batch engine (see the class
+  /// comment); items owned by an unpublished shard are kUnavailable.
+  /// BatchResult::served_version is 0 — per-shard versions live in
+  /// shard_versions().
   BatchResult RecommendMany(std::span<const ContextRef> contexts,
                             size_t top_n,
                             const ServeOptions& options = {}) const;
 
   /// Per-shard snapshot versions (0 for never-published shards), index ==
-  /// shard id.
+  /// shard id. With independent shard rebuilds the versions may diverge;
+  /// max - min is the fleet's staleness skew (bounded by however many
+  /// rebuilds the slowest shard is behind — tested in
+  /// tests/serve/sharded_engine_test.cc).
   std::vector<uint64_t> shard_versions() const;
 
-  ShardedStats stats() const;
+  /// Fleet-wide counters: the batch engine's summed with every shard
+  /// engine's (which count single queries routed to them). The admission
+  /// lanes merge the same way; the EWMA is the batch engine's.
+  EngineStats stats() const;
 
  private:
-  ShardedEngineOptions options_;
+  /// Publishes every shard of an already-loaded routable manifest, all or
+  /// nothing (LoadAndPublish after its one manifest read).
+  Status PublishManifest(const SnapshotManifest& manifest,
+                         const std::string& manifest_path,
+                         const SnapshotLoadOptions& options);
+
   std::vector<std::unique_ptr<RecommenderEngine>> shards_;
-  mutable WorkerPool pool_;
-  /// The fleet's batch execution slot (see RecommenderEngine::admission_).
-  mutable AdmissionQueue admission_;
-  mutable std::vector<SnapshotScratch> lane_scratch_;
-  mutable std::atomic<uint64_t> batch_queries_{0};
-  mutable std::atomic<uint64_t> batches_served_{0};
+  /// Never published: its pool, admission queue and lane scratch serve
+  /// the fleet's cross-shard batches.
+  RecommenderEngine batch_engine_;
 };
 
 // --------------------------------------------------------------- training
@@ -311,13 +289,10 @@ class ShardedRetrainerSet {
   /// Thread-safe.
   void AppendSessions(const std::vector<AggregatedSession>& sessions);
 
-  /// Fleet spelling of Retrainer::ConsumeFeedback: reads the feedback log
-  /// at `dir`, converts clicked impressions past the set's consume
-  /// watermark into sessions and routes them through AppendSessions (so
-  /// each lands on exactly the shards whose counts it affects, with the
-  /// same lazy-bootstrap handling). Returns the number of sessions
-  /// routed. Idempotent per record id; same click-before-consume ordering
-  /// contract as the single-engine version. Thread-safe.
+  /// Fleet spelling of Retrainer::ConsumeFeedback: the sessions go
+  /// through AppendSessions, so each lands on exactly the shards whose
+  /// counts it affects. Returns the number of sessions routed.
+  /// Thread-safe.
   Result<size_t> ConsumeFeedback(const std::string& dir);
 
   /// Rebuilds and republishes one shard (no-op when nothing is pending
@@ -368,9 +343,8 @@ class ShardedRetrainerSet {
   /// yet — retained (never dropped) and retried with the next append.
   /// Guarded by append_mu_.
   std::vector<std::vector<AggregatedSession>> lazy_pending_;
-  /// Serializes ConsumeFeedback and guards the fleet's consume watermark.
-  std::mutex feedback_mu_;
-  uint64_t feedback_watermark_ = 0;
+  /// ConsumeFeedback's watermark and its lock.
+  FeedbackCursor feedback_;
   std::atomic<bool> refresh_enabled_{false};
   /// Serializes manifest rewrites and guards manifest_status_.
   mutable std::mutex manifest_mu_;

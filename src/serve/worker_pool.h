@@ -21,7 +21,8 @@ namespace sqp {
 /// single-threaded configuration pays no synchronization at all.
 ///
 /// One job runs at a time; concurrent Run calls must be serialized by the
-/// caller (RecommenderEngine holds a batch mutex around it). The task
+/// caller (RecommenderEngine runs a job only while it holds its admission
+/// queue's slot, serve/admission_queue.h). The task
 /// callback receives (task_index, lane) with lane < num_lanes and lane 0 the
 /// caller, so per-lane scratch needs no further locking.
 class WorkerPool {

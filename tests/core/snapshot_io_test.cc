@@ -719,5 +719,41 @@ TEST(SnapshotGoldenTest, SaveReproducesCommittedBytes) {
   EXPECT_TRUE(saved == committed) << "saved blob differs from the golden";
 }
 
+TEST(SnapshotGoldenTest, HostileTopNAnswersLikeNumEntriesInBoundedScratch) {
+  // A wire request may carry top_n up to 2^32 - 1. No list holds more
+  // distinct queries than the model has entries, so an oversized top_n
+  // must give exactly the num_entries answer — on the dense and the
+  // sparse merge alike — without sizing the ranked-list scratch past it.
+  const auto golden =
+      SnapshotIo::Map(std::string(SQP_TEST_DATA_DIR) + kGoldenRelPath);
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  const CompactSnapshot& model = **golden;
+  const size_t bound = model.num_entries();
+  const std::vector<std::vector<QueryId>> contexts = PrefixContexts(
+      SeededCorpus(kGoldenSeed, kGoldenSessions, kGoldenVocabulary), 200);
+  for (const bool sparse : {false, true}) {
+    internal::ForceSparseMergeForTest().store(sparse);
+    SnapshotScratch bounded, hostile;
+    size_t covered = 0;
+    for (const std::vector<QueryId>& context : contexts) {
+      const Recommendation want = model.Recommend(context, bound, &bounded);
+      const Recommendation got =
+          model.Recommend(context, size_t{1} << 24, &hostile);
+      ASSERT_EQ(want.covered, got.covered);
+      ASSERT_EQ(want.matched_length, got.matched_length);
+      ASSERT_EQ(want.queries.size(), got.queries.size());
+      for (size_t i = 0; i < want.queries.size(); ++i) {
+        EXPECT_EQ(want.queries[i].query, got.queries[i].query);
+        EXPECT_EQ(want.queries[i].score, got.queries[i].score);
+      }
+      covered += got.covered ? 1 : 0;
+    }
+    internal::ForceSparseMergeForTest().store(false);
+    EXPECT_GT(covered, 0u);
+    EXPECT_LE(hostile.topn_query.capacity(), bound);
+    EXPECT_LE(hostile.topn_score.capacity(), bound);
+  }
+}
+
 }  // namespace
 }  // namespace sqp

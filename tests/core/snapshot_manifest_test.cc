@@ -202,7 +202,7 @@ TEST(ManifestTest, StaleBlobPinIsRefused) {
   // The fleet boot is all-or-nothing: nothing publishes off a stale pin.
   ShardedEngine engine(ShardedEngineOptions{.num_shards = 2});
   EXPECT_FALSE(engine.LoadAndPublish(path).ok());
-  EXPECT_EQ(engine.stats().max_version, 0u);
+  EXPECT_EQ(std::ranges::max(engine.shard_versions()), 0u);
 }
 
 TEST(ManifestTest, ShardCountAndPartitionMismatchesAreRefused) {
@@ -224,7 +224,7 @@ TEST(ManifestTest, ShardCountAndPartitionMismatchesAreRefused) {
   ASSERT_TRUE(SnapshotIo::SaveManifest(altered, path).ok());
   ShardedEngine engine(ShardedEngineOptions{.num_shards = 2});
   EXPECT_FALSE(engine.LoadAndPublish(path).ok());
-  EXPECT_EQ(engine.stats().max_version, 0u);
+  EXPECT_EQ(std::ranges::max(engine.shard_versions()), 0u);
 }
 
 TEST(ManifestTest, ResolveAgainstManifestHandlesRelativeAndAbsolute) {
@@ -270,14 +270,14 @@ TEST(ManifestGoldenTest, CommittedManifestBootsAndMatchesFreshFleet) {
   auto booted = ShardedEngine::BootFromManifest(golden_path);
   ASSERT_TRUE(booted.ok()) << booted.status().ToString();
   ASSERT_EQ((*booted)->num_shards(), kGoldenShards);
-  EXPECT_EQ((*booted)->stats().max_version, kGoldenVersion);
+  EXPECT_EQ(std::ranges::max((*booted)->shard_versions()), kGoldenVersion);
 
   // Freshly trained + freshly packed must serve exactly what the golden
   // bytes serve (same compact top-K on both sides).
   ShardedEngine fresh(ShardedEngineOptions{.num_shards = kGoldenShards});
   for (size_t s = 0; s < kGoldenShards; ++s) {
-    fresh.PublishShard(s, CompactSnapshot::FromSnapshot(
-                              *trained.shards[s], CompactOptions{.top_k = 10}));
+    fresh.shard(s)->Publish(CompactSnapshot::FromSnapshot(
+        *trained.shards[s], CompactOptions{.top_k = 10}));
   }
 
   size_t checked = 0;

@@ -14,10 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "core/compact_snapshot.h"
 #include "net/loopback_transport.h"
+#include "net/request_handler.h"
 #include "net/router_client.h"
 #include "net/shard_server.h"
 #include "net/tcp_transport.h"
+#include "net/wire_format.h"
 #include "net_test_util.h"
 #include "serve/deadline.h"
 
@@ -178,7 +181,7 @@ TEST(NetServingTest, UnpublishedShardAnswersUnavailableLikeInProcess) {
 
   auto reference = std::make_unique<ShardedEngine>(
       ShardedEngineOptions{.num_shards = 2, .num_threads = 1});
-  reference->PublishShard(0, trained.shards[0]);
+  reference->shard(0)->Publish(trained.shards[0]);
 
   RouterClient router(2, LoopbackTransportFactory(fleet.borrowed, 1));
   const BatchResult batch = router.RecommendMany(AsRefs(contexts), 5);
@@ -267,6 +270,49 @@ TEST(NetServingTest, GracefulShardRestartReResolvesOntoNewManifest) {
     serve_test::ExpectSameRecommendation(expected[i], after.results[i]);
   }
   shard1.Stop();
+}
+
+TEST(NetServingTest, HostileTopNAnswersLikeNumEntriesWithoutAllocating) {
+  // top_n travels as a u32. UINT32_MAX must be served exactly like
+  // top_n = the model's entry count (no list can be longer) instead of
+  // sizing ~51 GB of ranked-list scratch on the serving thread.
+  const ShardedTrainResult trained = TrainFleet(1);
+  const auto compact =
+      CompactSnapshot::FromSnapshot(*trained.shards[0], CompactOptions{});
+  RecommenderEngine engine(EngineOptions{.num_threads = 1});
+  engine.Publish(compact);
+  const net::ShardRequestHandler handler(&engine, /*fleet_version=*/1);
+
+  const auto serve = [&](uint32_t top_n) {
+    net::WireRequest request;
+    request.request_id = top_n;
+    request.top_n = top_n;
+    request.contexts = FleetContexts(40);
+    std::vector<uint8_t> frame;
+    net::EncodeRequestFrame(request, &frame);
+    std::vector<uint8_t> response_frame;
+    SQP_CHECK_OK(handler.HandleRequest(
+        std::span<const uint8_t>(frame).subspan(net::kFramePreludeBytes),
+        &response_frame));
+    net::WireResponse response;
+    SQP_CHECK_OK(net::DecodeResponseBody(
+        std::span<const uint8_t>(response_frame)
+            .subspan(net::kFramePreludeBytes),
+        &response));
+    return response;
+  };
+  const uint32_t bound = static_cast<uint32_t>(compact->num_entries());
+  const net::WireResponse hostile = serve(UINT32_MAX);
+  const net::WireResponse bounded = serve(bound);
+  EXPECT_EQ(hostile.admission, StatusCode::kOk);
+  ASSERT_EQ(hostile.items.size(), bounded.items.size());
+  size_t covered = 0;
+  for (size_t i = 0; i < hostile.items.size(); ++i) {
+    EXPECT_TRUE(hostile.items[i] == bounded.items[i]) << "item " << i;
+    covered += hostile.items[i].covered ? 1 : 0;
+  }
+  EXPECT_GT(covered, 0u);
+  EXPECT_LE(internal::ThreadScratch().topn_query.capacity(), bound);
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ inline std::unique_ptr<ShardedEngine> PublishReferenceFleet(
       ShardedEngineOptions{.num_shards = trained.shards.size(),
                            .num_threads = 1});
   for (size_t s = 0; s < trained.shards.size(); ++s) {
-    engine->PublishShard(s, trained.shards[s]);
+    engine->shard(s)->Publish(trained.shards[s]);
   }
   return engine;
 }

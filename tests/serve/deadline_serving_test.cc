@@ -103,7 +103,7 @@ TEST(DeadlineServingTest, ShardedQosMatchesLegacyWithoutOverload) {
   ShardedEngine engine(
       ShardedEngineOptions{.num_shards = 4, .num_threads = 2});
   for (size_t s = 0; s < 4; ++s) {
-    engine.PublishShard(s, trained->shards[s]);
+    engine.shard(s)->Publish(trained->shards[s]);
   }
 
   const std::vector<std::vector<QueryId>> owned =
@@ -132,6 +132,65 @@ TEST(DeadlineServingTest, ShardedQosMatchesLegacyWithoutOverload) {
     const ServeResult served = engine.Recommend(contexts[i], 5, options);
     EXPECT_EQ(served.status, StatusCode::kOk);
     ExpectSameRecommendation(expected[i], served.recommendation);
+  }
+}
+
+// A fleet batch runs the single engine's batch loop, so with one shard the
+// two must agree on every BatchResult field but served_version (the fleet
+// reports per-shard versions instead) and on the counters — inline (31
+// items) and pooled (64), with no, a generous and an expired-on-arrival
+// deadline, published or not.
+TEST(DeadlineServingTest, OneShardFleetBatchEqualsSingleEngineBatch) {
+  const auto snapshot = BuildSnapshot(SharedCorpus().base, 3);
+  const std::vector<std::vector<QueryId>> seed =
+      CollectContexts(SharedCorpus().base, 64);
+  const Deadline expired =
+      Deadline::At(Deadline::Clock::now() - std::chrono::milliseconds(1));
+
+  for (const bool published : {true, false}) {
+    RecommenderEngine engine(EngineOptions{.num_threads = 4});
+    ShardedEngine fleet(
+        ShardedEngineOptions{.num_shards = 1, .num_threads = 4});
+    if (published) {
+      engine.Publish(snapshot);
+      fleet.shard(0)->Publish(snapshot);
+    }
+    size_t batches = 0;
+    size_t items = 0;
+    for (const size_t n : {kMinBatchFanout - 1, size_t{64}}) {
+      const std::vector<std::vector<QueryId>> contexts(
+          seed.begin(), seed.begin() + static_cast<ptrdiff_t>(n));
+      for (const Deadline& deadline :
+           {Deadline::None(), Generous(), expired}) {
+        ServeOptions options;
+        options.deadline = deadline;
+        const BatchResult want =
+            engine.RecommendMany(AsRefs(contexts), 5, options);
+        const BatchResult got =
+            fleet.RecommendMany(AsRefs(contexts), 5, options);
+        ++batches;
+        items += n;
+        EXPECT_EQ(got.admission.code(), want.admission.code());
+        EXPECT_EQ(got.served, want.served);
+        EXPECT_EQ(got.effective_top_n, want.effective_top_n);
+        EXPECT_EQ(got.degraded, want.degraded);
+        EXPECT_EQ(got.served_version, 0u);
+        EXPECT_EQ(want.served_version,
+                  published && !deadline.Expired() ? 3u : 0u);
+        ASSERT_EQ(got.statuses, want.statuses);
+        ASSERT_EQ(got.results.size(), want.results.size());
+        for (size_t i = 0; i < n; ++i) {
+          ExpectSameRecommendation(want.results[i], got.results[i]);
+        }
+        if (!published && !deadline.Expired()) {
+          EXPECT_EQ(want.statuses.front(), StatusCode::kUnavailable);
+        }
+      }
+    }
+    EXPECT_EQ(engine.stats().batches_served, batches);
+    EXPECT_EQ(fleet.stats().batches_served, batches);
+    EXPECT_EQ(engine.stats().queries_served, items);
+    EXPECT_EQ(fleet.stats().queries_served, items);
   }
 }
 
@@ -197,7 +256,7 @@ TEST(DeadlineServingTest, ShardWithNoSnapshotIsUnavailableOthersServe) {
   ShardedEngine engine(
       ShardedEngineOptions{.num_shards = 4, .num_threads = 2});
   for (size_t s = 1; s < 4; ++s) {
-    engine.PublishShard(s, trained->shards[s]);
+    engine.shard(s)->Publish(trained->shards[s]);
   }
 
   const std::vector<std::vector<QueryId>> owned =
@@ -384,7 +443,7 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
   while (!saw_degraded && giants_done.load() < 2) {
     ServeOptions options;
     options.deadline = Generous();
-    // 4 contexts < min_batch_fanout: runs inline, never queues, so this
+    // 4 contexts < kMinBatchFanout: runs inline, never queues, so this
     // probe can't deadlock no matter what the slot is doing.
     const BatchResult probe =
         engine.RecommendMany(AsRefs(small), 10, options);

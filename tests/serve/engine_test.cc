@@ -90,11 +90,13 @@ TEST(RecommenderEngineTest, BatchedMatchesSingleAcrossPoolConfigs) {
   }
 
   // Below the fan-out threshold the batch runs inline; results are the same.
-  RecommenderEngine engine(
-      EngineOptions{.num_threads = 4, .min_batch_fanout = 1 << 20});
+  RecommenderEngine engine(EngineOptions{.num_threads = 4});
   engine.Publish(snapshot);
+  const std::vector<std::vector<QueryId>> small(
+      contexts.begin(), contexts.begin() + (kMinBatchFanout - 1));
   const std::vector<Recommendation> inline_results =
-      engine.RecommendMany(AsRefs(contexts), 5).results;
+      engine.RecommendMany(AsRefs(small), 5).results;
+  ASSERT_EQ(inline_results.size(), small.size());
   for (size_t i = 0; i < inline_results.size(); ++i) {
     ExpectSameRecommendation(expected[i], inline_results[i]);
   }

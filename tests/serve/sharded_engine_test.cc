@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -105,7 +106,7 @@ TEST(ShardedEngineTest, TopNBitIdenticalToUnshardedForEveryShardCount) {
                                               .num_threads = 2});
     ASSERT_EQ(engine.num_shards(), num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
-      engine.PublishShard(s, trained.shards[s]);
+      engine.shard(s)->Publish(trained.shards[s]);
     }
 
     for (const std::vector<QueryId>& context : contexts) {
@@ -150,8 +151,8 @@ TEST(ShardedEngineTest, ManifestBootedFleetServesIdentically) {
     auto booted = ShardedEngine::BootFromManifest(manifest_path);
     ASSERT_TRUE(booted.ok()) << booted.status().ToString();
     ASSERT_EQ((*booted)->num_shards(), num_shards);
-    EXPECT_EQ((*booted)->stats().min_version, 3u);
-    EXPECT_EQ((*booted)->stats().max_version, 3u);
+    EXPECT_EQ(std::ranges::min((*booted)->shard_versions()), 3u);
+    EXPECT_EQ(std::ranges::max((*booted)->shard_versions()), 3u);
 
     // The mapped fleet serves exactly like the unsharded *compact*
     // snapshot (same top-K truncation on both sides).
@@ -167,7 +168,7 @@ TEST(ShardedEngineTest, ManifestBootedFleetServesIdentically) {
 TEST(ShardedEngineTest, EmptyAndUnknownContextsBehaveLikeUnsharded) {
   const ShardedTrainResult trained = TrainSharded(SharedCorpus().base, 4);
   ShardedEngine engine(ShardedEngineOptions{.num_shards = 4});
-  for (size_t s = 0; s < 4; ++s) engine.PublishShard(s, trained.shards[s]);
+  for (size_t s = 0; s < 4; ++s) engine.shard(s)->Publish(trained.shards[s]);
 
   EXPECT_FALSE(engine.Recommend({}, 5).recommendation.covered);
   const std::vector<QueryId> unknown = {kInvalidQueryId - 1};
@@ -181,7 +182,7 @@ TEST(ShardedEngineTest, UnpublishedShardAnswersUncovered) {
   // Publish every shard but 0: contexts owned by shard 0 must answer
   // uncovered (version 0), everything else normally — readers of healthy
   // shards are unaffected by a missing one.
-  for (size_t s = 1; s < 4; ++s) engine.PublishShard(s, trained.shards[s]);
+  for (size_t s = 1; s < 4; ++s) engine.shard(s)->Publish(trained.shards[s]);
 
   size_t unowned_covered = 0;
   for (const std::vector<QueryId>& context : CollectContexts(corpus, 300)) {
@@ -263,8 +264,8 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   EXPECT_EQ(retrainers.sigmas().size(), DefaultModel()
                                             .DefaultComponents(5)
                                             .size());
-  EXPECT_EQ(engine.stats().min_version, 1u);
-  EXPECT_EQ(engine.stats().max_version, 1u);
+  EXPECT_EQ(std::ranges::min(engine.shard_versions()), 1u);
+  EXPECT_EQ(std::ranges::max(engine.shard_versions()), 1u);
 
   // The bootstrapped fleet equals the unsharded model (the retrainers
   // rebuild under the pinned global sigmas).
@@ -302,10 +303,10 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   ASSERT_TRUE(retrainers.RetrainShard(target).ok());
 
   // Bounded skew: exactly the target advanced.
-  const ShardedStats stats = engine.stats();
-  EXPECT_EQ(stats.shard_versions[target], 2u);
-  EXPECT_EQ(stats.min_version, 1u);
-  EXPECT_EQ(stats.max_version, 2u);
+  const std::vector<uint64_t> versions = engine.shard_versions();
+  EXPECT_EQ(versions[target], 2u);
+  EXPECT_EQ(std::ranges::min(versions), 1u);
+  EXPECT_EQ(std::ranges::max(versions), 2u);
 
   // Non-target shards answer bit-identically to before the rebuild; the
   // target shard now serves the grown corpus (equal to an unsharded model
@@ -350,7 +351,7 @@ TEST(ShardedRetrainerSetTest, PersistedFleetColdBootsAfterShardRebuild) {
   {
     auto booted = ShardedEngine::BootFromManifest(manifest_path);
     ASSERT_TRUE(booted.ok()) << booted.status().ToString();
-    EXPECT_EQ((*booted)->stats().max_version, 1u);
+    EXPECT_EQ(std::ranges::max((*booted)->shard_versions()), 1u);
   }
 
   // Rebuild one shard: its blob on disk changes AND the manifest is
@@ -467,7 +468,7 @@ TEST(ShardedRetrainerSetTest, EmptyShardSlicesPersistAndBootstrapLazily) {
   auto booted = ShardedEngine::BootFromManifest(manifest_path);
   ASSERT_TRUE(booted.ok()) << booted.status().ToString();
   EXPECT_EQ((*booted)->num_shards(), kShards);
-  EXPECT_EQ(engine.stats().min_version, 1u);
+  EXPECT_EQ(std::ranges::min(engine.shard_versions()), 1u);
 
   // Route sessions to a shard whose slice was empty: query id 3 hashes
   // to shard 4 (see ShardPartitionerTest), owned by neither query 0 nor 1.
@@ -586,17 +587,17 @@ TEST(ShardedEngineTest, AllDeadBootReturnsTheFirstShardError) {
 TEST(ShardedEngineTest, StatsAggregateAcrossShards) {
   const ShardedTrainResult trained = TrainSharded(SharedCorpus().base, 2);
   ShardedEngine engine(ShardedEngineOptions{.num_shards = 2});
-  for (size_t s = 0; s < 2; ++s) engine.PublishShard(s, trained.shards[s]);
+  for (size_t s = 0; s < 2; ++s) engine.shard(s)->Publish(trained.shards[s]);
 
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 64);
   for (size_t i = 0; i < 10; ++i) engine.Recommend(contexts[i], 5);
   engine.RecommendMany(AsRefs(contexts), 5);
 
-  const ShardedStats stats = engine.stats();
+  const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries_served, 10u + contexts.size());
   EXPECT_EQ(stats.batches_served, 1u);
-  EXPECT_EQ(stats.shard_versions, std::vector<uint64_t>({1u, 1u}));
+  EXPECT_EQ(engine.shard_versions(), std::vector<uint64_t>({1u, 1u}));
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   ShardedEngine engine(
       ShardedEngineOptions{.num_shards = kShards, .num_threads = 2});
   for (size_t s = 0; s < kShards; ++s) {
-    engine.PublishShard(s, gen1->shards[s]);
+    engine.shard(s)->Publish(gen1->shards[s]);
   }
 
   // Contexts from both periods; precompute the acceptable answers: the
@@ -128,9 +128,9 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   // while everything above reads.
   for (size_t swap = 0; swap < 200; ++swap) {
     if (swap % 3 == 0) {
-      engine.PublishShard(kSwapShard, gen1->shards[kSwapShard]);
+      engine.shard(kSwapShard)->Publish(gen1->shards[kSwapShard]);
     } else {
-      engine.PublishShard(kSwapShard, swap_variants[swap % 2]);
+      engine.shard(kSwapShard)->Publish(swap_variants[swap % 2]);
     }
     std::this_thread::yield();
   }
