@@ -397,9 +397,7 @@ int main(int argc, char** argv) {
 
     size_t corpus_size = 0;
     for (size_t s = 0; s < retrainers->num_shards(); ++s) {
-      corpus_size += retrainers->shard_retrainer(s)->published_version() > 0
-                         ? retrainers->shard_retrainer(s)->corpus_size()
-                         : 0;
+      corpus_size += retrainers->shard_retrainer(s)->corpus_size();
     }
     std::cerr << " done (" << corpus_size
               << " sessions across shard corpora, " << dictionary.size()

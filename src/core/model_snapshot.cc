@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "log/shard_partitioner.h"
 #include "util/math_util.h"
 
 namespace sqp {
@@ -45,25 +46,6 @@ void RankTopN(std::vector<ScoredQuery>* merged, size_t top_n,
   }
   std::sort(merged->begin(), merged->end(), by_rank);
   rec->queries.assign(merged->begin(), merged->end());
-}
-
-std::vector<const AggregatedSession*> SelectWeightPool(
-    const std::vector<AggregatedSession>& sessions, size_t sample_size) {
-  // Pseudo-test sample: the most frequent multi-query sessions, with
-  // P(X_T) proportional to their aggregated frequency (Eq. 8/9).
-  std::vector<const AggregatedSession*> pool;
-  for (const AggregatedSession& s : sessions) {
-    if (s.queries.size() >= 2) pool.push_back(&s);
-  }
-  std::sort(pool.begin(), pool.end(),
-            [](const AggregatedSession* a, const AggregatedSession* b) {
-              if (a->frequency != b->frequency) {
-                return a->frequency > b->frequency;
-              }
-              return a->queries < b->queries;
-            });
-  if (pool.size() > sample_size) pool.resize(sample_size);
-  return pool;
 }
 
 size_t SharedIndexDepth(const MvmmOptions& options) {
@@ -117,6 +99,36 @@ void ComputeRawWeights(MixtureWeighting weighting,
 }
 
 namespace {
+
+/// One pseudo-test sequence of the sigma fit (Eq. 8/9): its normalized
+/// sampling weight plus per-component edit distances and generative
+/// probabilities.
+struct WeightSample {
+  double weight = 0.0;                // P(X_T), normalized by the fitter
+  std::vector<double> edit_distance;  // d_D(X_T) per component
+  std::vector<double> sequence_prob;  // \hat{P}_D(X_T) per component
+};
+
+/// The sigma-fit sample pool: the most frequent multi-query sessions,
+/// deterministically ordered (frequency desc, then lexicographic).
+std::vector<const AggregatedSession*> SelectWeightPool(
+    const std::vector<AggregatedSession>& sessions, size_t sample_size) {
+  // Pseudo-test sample: the most frequent multi-query sessions, with
+  // P(X_T) proportional to their aggregated frequency (Eq. 8/9).
+  std::vector<const AggregatedSession*> pool;
+  for (const AggregatedSession& s : sessions) {
+    if (s.queries.size() >= 2) pool.push_back(&s);
+  }
+  std::sort(pool.begin(), pool.end(),
+            [](const AggregatedSession* a, const AggregatedSession* b) {
+              if (a->frequency != b->frequency) {
+                return a->frequency > b->frequency;
+              }
+              return a->queries < b->queries;
+            });
+  if (pool.size() > sample_size) pool.resize(sample_size);
+  return pool;
+}
 
 /// f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X), evaluated off a
 /// (component, integer-distance) Gaussian lookup table.
@@ -203,8 +215,10 @@ void FitDerivatives(const std::vector<WeightSample>& samples,
   }
 }
 
-}  // namespace
-
+/// Maximizes f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X) by
+/// damped Newton with analytic derivatives (Eq. 7-10), with a backtracking
+/// gradient-ascent fallback. Normalizes the sample weights in place;
+/// `sigmas` carries the initial point and receives the fitted values.
 MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
                                    const MvmmOptions& options,
                                    std::vector<double>* sigmas) {
@@ -295,6 +309,100 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
   return report;
 }
 
+/// Eq. 3 chain of one pseudo-test session for every component, off one
+/// tree walk per prefix: all component states lie on the recorded path, so
+/// the smoothed conditional is computed once per distinct matched depth
+/// instead of once per component. The final prefix is the full context,
+/// whose matched depths also yield the edit distances (d = dropped prefix
+/// queries).
+void BuildWeightSample(const AggregatedSession& session,
+                       std::span<const ModelSnapshot* const> trees,
+                       const Pst::Node& root, const MvmmOptions& options,
+                       size_t vocabulary_size, WeightSample* sample) {
+  const size_t k = options.components.size();
+  const std::vector<QueryId>& q = session.queries;
+  sample->edit_distance.resize(k);
+  sample->sequence_prob.assign(k, 1.0);
+
+  thread_local std::vector<int32_t> path;
+  thread_local std::vector<size_t> matched;
+  thread_local std::vector<double> cond_at;  // per matched depth, 0 = root
+
+  const uint32_t num_trees = static_cast<uint32_t>(trees.size());
+  for (size_t i = 1; i < q.size(); ++i) {
+    const std::span<const QueryId> prefix(q.data(), i);
+    // Every matched state of the prefix lives in the tree owning it (an
+    // unsharded build has just the one).
+    const ModelSnapshot& tree =
+        num_trees == 1 ? *trees[0] : *trees[ShardOfContext(prefix, num_trees)];
+    const size_t depth = tree.SharedMatchDepths(prefix, &path, &matched);
+    const std::vector<Pst::Node>& nodes = tree.pst()->nodes();
+    cond_at.assign(depth + 1, -1.0);
+    for (size_t c = 0; c < k; ++c) {
+      const size_t m = matched[c];
+      const Pst::Node& state =
+          m == 0 ? root : nodes[static_cast<size_t>(path[m - 1])];
+      if (cond_at[m] < 0.0) {
+        cond_at[m] = SmoothedProb(state.nexts, state.total_count,
+                                  vocabulary_size, q[i]);
+      }
+      const size_t dropped = i - m;
+      const double escape =
+          dropped == 0
+              ? 1.0
+              : EscapeMass(state, dropped,
+                           options.components[c].default_escape);
+      sample->sequence_prob[c] *= escape * cond_at[m];
+    }
+    if (i + 1 == q.size()) {  // prefix == full context
+      for (size_t c = 0; c < k; ++c) {
+        sample->edit_distance[c] = static_cast<double>(i - matched[c]);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
+                        std::span<const ModelSnapshot* const> trees,
+                        const Pst::Node& root, const MvmmOptions& options,
+                        size_t vocabulary_size, std::vector<double>* sigmas) {
+  const std::vector<const AggregatedSession*> pool =
+      SelectWeightPool(sessions, options.weight_sample_size);
+  if (pool.empty()) return MvmmFitReport{};
+
+  std::vector<WeightSample> samples(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    samples[i].weight = static_cast<double>(pool[i]->frequency);
+  }
+  const auto build_sample = [&](size_t i) {
+    BuildWeightSample(*pool[i], trees, root, options, vocabulary_size,
+                      &samples[i]);
+  };
+  // Per-sample evaluation is independent and writes only its own slot, so
+  // sharding it across workers leaves the result bit-identical.
+  if (options.training_threads > 1 && samples.size() > 1) {
+    std::vector<std::thread> workers;
+    const size_t num_workers =
+        std::min(options.training_threads, samples.size());
+    std::atomic<size_t> next{0};
+    for (size_t w = 0; w < num_workers; ++w) {
+      workers.emplace_back([&] {
+        while (true) {
+          const size_t i = next.fetch_add(1);
+          if (i >= samples.size()) return;
+          build_sample(i);
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+  } else {
+    for (size_t i = 0; i < samples.size(); ++i) build_sample(i);
+  }
+  return FitSigmasFromSamples(&samples, options, sigmas);
+}
+
 }  // namespace internal
 
 std::vector<VmmOptions> MvmmOptions::DefaultComponents(size_t max_depth) {
@@ -373,7 +481,11 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Build(
     snapshot->sigmas_ = snapshot->options_.fixed_sigmas;
   } else if (snapshot->options_.weighting ==
              MixtureWeighting::kGaussianEditDistance) {
-    snapshot->FitSigmas(*data.sessions);
+    const ModelSnapshot* tree = snapshot.get();
+    snapshot->fit_report_ = internal::FitSigmas(
+        *data.sessions, std::span<const ModelSnapshot* const>(&tree, 1),
+        snapshot->pst_->root(), snapshot->options_, snapshot->vocabulary_size_,
+        &snapshot->sigmas_);
   }
 
   // Publish-time scratch sizing: the engines hand this to
@@ -442,80 +554,6 @@ void ModelSnapshot::RawWeights(size_t context_len,
                                std::vector<double>* weights) const {
   internal::ComputeRawWeights(options_.weighting, sigmas_, context_len,
                               matched, weights);
-}
-
-void ModelSnapshot::BuildWeightSample(const AggregatedSession& session,
-                                      internal::WeightSample* sample) const {
-  const size_t k = num_components();
-  const std::vector<QueryId>& q = session.queries;
-  sample->edit_distance.resize(k);
-  sample->sequence_prob.assign(k, 1.0);
-
-  thread_local std::vector<int32_t> path;
-  thread_local std::vector<size_t> matched;
-  thread_local std::vector<double> cond_at;  // per matched depth, 0 = root
-
-  // Eq. 3 chain for every component off one tree walk per prefix: all
-  // component states lie on the recorded path, so the smoothed conditional
-  // is computed once per distinct matched depth instead of once per
-  // component. The final prefix is the full context, whose matched depths
-  // also yield the edit distances (d = dropped prefix queries).
-  const std::vector<Pst::Node>& nodes = pst_->nodes();
-  for (size_t i = 1; i < q.size(); ++i) {
-    const std::span<const QueryId> prefix(q.data(), i);
-    const size_t depth = SharedMatchDepths(prefix, &path, &matched);
-    cond_at.assign(depth + 1, -1.0);
-    for (size_t c = 0; c < k; ++c) {
-      const size_t m = matched[c];
-      const Pst::Node& state =
-          m == 0 ? nodes[0] : nodes[static_cast<size_t>(path[m - 1])];
-      if (cond_at[m] < 0.0) {
-        cond_at[m] = internal::SmoothedProb(state.nexts, state.total_count,
-                                            vocabulary_size_, q[i]);
-      }
-      sample->sequence_prob[c] *= EscapeWeight(state, i, m, c) * cond_at[m];
-    }
-    if (i + 1 == q.size()) {  // prefix == full context
-      for (size_t c = 0; c < k; ++c) {
-        sample->edit_distance[c] = static_cast<double>(i - matched[c]);
-      }
-    }
-  }
-}
-
-void ModelSnapshot::FitSigmas(const std::vector<AggregatedSession>& sessions) {
-  fit_report_ = MvmmFitReport{};
-  const std::vector<const AggregatedSession*> pool =
-      internal::SelectWeightPool(sessions, options_.weight_sample_size);
-  if (pool.empty()) return;
-
-  std::vector<internal::WeightSample> samples(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) {
-    samples[i].weight = static_cast<double>(pool[i]->frequency);
-  }
-  // Per-sample evaluation is independent and writes only its own slot, so
-  // sharding it across workers leaves the result bit-identical.
-  if (options_.training_threads > 1 && samples.size() > 1) {
-    std::vector<std::thread> workers;
-    const size_t num_workers =
-        std::min(options_.training_threads, samples.size());
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= samples.size()) return;
-          BuildWeightSample(*pool[i], &samples[i]);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  } else {
-    for (size_t i = 0; i < samples.size(); ++i) {
-      BuildWeightSample(*pool[i], &samples[i]);
-    }
-  }
-  fit_report_ = internal::FitSigmasFromSamples(&samples, options_, &sigmas_);
 }
 
 std::vector<double> ModelSnapshot::MixtureWeights(

@@ -11,10 +11,6 @@
 
 namespace sqp {
 
-namespace internal {
-struct WeightSample;
-}  // namespace internal
-
 /// How MVMM weighs its components for an online context. The paper uses
 /// the Gaussian-of-edit-distance scheme (Eq. 4); the alternatives exist for
 /// ablation studies. The definition lives in the runtime-free walk layer
@@ -63,8 +59,8 @@ struct MvmmOptions {
 
   /// Worker threads for training (paper Section V-F.1). The trees come
   /// from one shared single-pass build; the threads shard the counting
-  /// pass and the sigma-fit sample sweep. 0 = sequential. Results are
-  /// identical either way.
+  /// pass (including Retrainer's incremental one) and the sigma-fit sample
+  /// sweep. 0 = sequential. Results are identical either way.
   size_t training_threads = 0;
 
   /// Returns the paper's default component set.
@@ -281,12 +277,6 @@ class ModelSnapshot final : public ServingSnapshot {
   double EscapeWeight(const Pst::Node& state, size_t context_len,
                       size_t matched, size_t component) const;
 
-  /// Eq. 3 chain for one pseudo-test session off shared-tree walks.
-  void BuildWeightSample(const AggregatedSession& session,
-                         internal::WeightSample* sample) const;
-
-  void FitSigmas(const std::vector<AggregatedSession>& sessions);
-
   MvmmOptions options_;
   std::shared_ptr<const Pst> pst_;
   std::vector<double> sigmas_;
@@ -297,29 +287,21 @@ class ModelSnapshot final : public ServingSnapshot {
 
 namespace internal {
 
-/// One pseudo-test sequence of the sigma fit (Eq. 8/9): its normalized
-/// sampling weight plus per-component edit distances and generative
-/// probabilities.
-struct WeightSample {
-  double weight = 0.0;                // P(X_T), normalized by the fitter
-  std::vector<double> edit_distance;  // d_D(X_T) per component
-  std::vector<double> sequence_prob;  // \hat{P}_D(X_T) per component
-};
-
-/// The sigma-fit sample pool: the most frequent multi-query sessions,
-/// deterministically ordered (frequency desc, then lexicographic).
-std::vector<const AggregatedSession*> SelectWeightPool(
-    const std::vector<AggregatedSession>& sessions, size_t sample_size);
-
-/// Maximizes f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X) by
-/// damped Newton with analytic derivatives (Eq. 7-10), with a backtracking
-/// gradient-ascent fallback. Normalizes the sample weights in place;
-/// `sigmas` carries the initial point and receives the fitted values.
-/// Shared by ModelSnapshot::Build and the sharded trainer
-/// (serve/sharded_engine.cc) so the two fits cannot drift.
-MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
-                                   const MvmmOptions& options,
-                                   std::vector<double>* sigmas);
+/// The sigma fit (paper Eq. 7-10): damped Newton over the Eq. 3 sample
+/// walks of the `options.weight_sample_size` most frequent multi-query
+/// `sessions`. Each prefix walks the one tree owning it,
+/// trees[ShardOfContext(prefix, trees.size())] — the snapshot's own tree in
+/// ModelSnapshot::Build, every shard tree in TrainShardedSnapshots — and a
+/// component matched at depth 0 reads `root`: the tree's own root, or the
+/// fleet's global root prior. A fleet therefore fits exactly the sigmas of
+/// the unsharded build. The walks run on `options.training_threads`
+/// workers with a bit-identical result for any count. `options.components`
+/// must be resolved; `sigmas` carries the initial point and receives the
+/// fitted values.
+MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
+                        std::span<const ModelSnapshot* const> trees,
+                        const Pst::Node& root, const MvmmOptions& options,
+                        size_t vocabulary_size, std::vector<double>* sigmas);
 
 /// Deduplicates (query, score) contributions by query and fills the top-N
 /// ranking (score desc, query asc). `raw` is scratch owned by the caller.

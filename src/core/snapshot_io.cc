@@ -343,4 +343,9 @@ std::string ResolveAgainstManifest(const std::string& manifest_path,
   return (base / shard).string();
 }
 
+std::string ShardBlobName(const std::string& manifest_path, size_t shard) {
+  return std::filesystem::path(manifest_path).filename().string() +
+         ".shard" + std::to_string(shard);
+}
+
 }  // namespace sqp

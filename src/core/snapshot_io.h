@@ -173,6 +173,12 @@ class SnapshotIo {
 std::string ResolveAgainstManifest(const std::string& manifest_path,
                                    const std::string& shard_path);
 
+/// The manifest-relative name of shard `shard`'s blob in a fleet whose
+/// manifest lives at `manifest_path`: "<manifest file name>.shard<k>". The
+/// one spelling every fleet writer stores and resolves (through
+/// ResolveAgainstManifest).
+std::string ShardBlobName(const std::string& manifest_path, size_t shard);
+
 }  // namespace sqp
 
 #endif  // SQP_CORE_SNAPSHOT_IO_H_

@@ -80,10 +80,6 @@ size_t Retrainer::EffectiveVocabulary() const {
   return static_cast<size_t>(observed_max_id_) + 1;
 }
 
-Status Retrainer::Bootstrap(std::vector<AggregatedSession> corpus) {
-  return Bootstrap(std::move(corpus), nullptr);
-}
-
 Status Retrainer::Bootstrap(std::vector<AggregatedSession> corpus,
                             std::shared_ptr<const ModelSnapshot> prebuilt) {
   std::lock_guard<std::mutex> retrain_lock(retrain_mu_);
@@ -93,8 +89,13 @@ Status Retrainer::Bootstrap(std::vector<AggregatedSession> corpus,
       return Status::FailedPrecondition("Retrainer already bootstrapped");
     }
   }
-  if (corpus.empty()) {
+  if (prebuilt == nullptr && corpus.empty()) {
     return Status::InvalidArgument("Bootstrap needs a non-empty corpus");
+  }
+  if (prebuilt != nullptr && prebuilt->version() != 1) {
+    return Status::InvalidArgument(
+        "Bootstrap's prebuilt snapshot must carry version 1, not " +
+        std::to_string(prebuilt->version()));
   }
   corpus_ = std::move(corpus);
   for (const AggregatedSession& session : corpus_) {
@@ -104,7 +105,7 @@ Status Retrainer::Bootstrap(std::vector<AggregatedSession> corpus,
   }
   index_.Build(corpus_, ContextIndex::Mode::kSubstring,
                internal::SharedIndexDepth(options_.model),
-               options_.count_workers);
+               options_.model.training_threads);
 
   std::shared_ptr<const ModelSnapshot> snapshot = std::move(prebuilt);
   if (snapshot == nullptr) {
@@ -171,7 +172,7 @@ Status Retrainer::RebuildAndPublish(std::vector<AggregatedSession> fresh) {
   // retrain_mu_ is held: corpus_, index_ and observed_max_id_ are ours.
   // Serving continues on the previous snapshot for this whole function;
   // the engine only learns about the new model in the final Publish.
-  index_.Append(fresh, options_.count_workers);
+  index_.Append(fresh, options_.model.training_threads);
   for (const AggregatedSession& session : fresh) {
     for (QueryId q : session.queries) {
       observed_max_id_ = std::max(observed_max_id_, q);
@@ -225,12 +226,7 @@ bool Retrainer::running() const { return !stop_.load(); }
 
 void Retrainer::BackgroundLoop() {
   while (!stop_.load()) {
-    size_t pending = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pending = pending_.size();
-    }
-    if (pending >= std::max<size_t>(1, options_.min_pending_sessions)) {
+    if (pending_sessions() > 0) {
       RetrainOnce();  // outcome lands in last_status()
     }
     std::unique_lock<std::mutex> lock(stop_mu_);

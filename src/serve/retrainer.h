@@ -30,14 +30,8 @@ struct RetrainerOptions {
   /// id space is known so retrained and from-scratch models agree exactly.
   size_t vocabulary_size = 0;
 
-  /// Worker shards for the incremental counting pass (ContextIndex::Append).
-  size_t count_workers = 1;
-
-  /// Background mode: retrain as soon as at least this many appended
-  /// sessions are pending.
-  size_t min_pending_sessions = 1;
-
-  /// Background mode: how often the worker checks for pending sessions.
+  /// Background mode: how often the worker checks for pending sessions
+  /// (it retrains whenever any are pending).
   std::chrono::milliseconds poll_interval{20};
 
   /// Publish each rebuild as a CompactSnapshot (CSR layout, top-K nexts,
@@ -118,17 +112,17 @@ class Retrainer {
   Retrainer(const Retrainer&) = delete;
   Retrainer& operator=(const Retrainer&) = delete;
 
-  /// Seeds the corpus, builds the counting index, and publishes snapshot
-  /// version 1. Must be called exactly once, before anything else.
-  Status Bootstrap(std::vector<AggregatedSession> corpus);
-
-  /// As Bootstrap, but publishes `prebuilt` — a snapshot already trained
-  /// on exactly `corpus` under this retrainer's model options (e.g. by
-  /// TrainShardedSnapshots) — instead of rebuilding it. The counting
-  /// index is still built so later appends extend it incrementally;
-  /// `prebuilt` must carry version 1.
+  /// Seeds the corpus, builds the counting index (with
+  /// model.training_threads workers, as every later incremental count),
+  /// and publishes snapshot version 1: `prebuilt` when given — a snapshot
+  /// already trained on exactly `corpus` under this retrainer's model
+  /// options, e.g. a shard of TrainShardedSnapshots — else one trained
+  /// here. `corpus` may be empty only with `prebuilt` (a shard whose
+  /// corpus slice is empty); a `prebuilt` not carrying version 1 is
+  /// InvalidArgument and publishes nothing. Must be called exactly once,
+  /// before anything else.
   Status Bootstrap(std::vector<AggregatedSession> corpus,
-                   std::shared_ptr<const ModelSnapshot> prebuilt);
+                   std::shared_ptr<const ModelSnapshot> prebuilt = nullptr);
 
   /// Queues freshly-observed sessions for the next retrain cycle.
   /// Thread-safe; never blocks on a rebuild.

@@ -1,8 +1,6 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <thread>
 #include <unordered_map>
 
 #include "core/pst.h"
@@ -23,10 +21,10 @@ Status CheckShardCount(const SnapshotManifest& manifest, size_t shards,
 /// queries that Pst::BuildImpl derives from the depth-1 entries, which
 /// algebraically equals the weighted occurrence count of every query
 /// across sessions with >= 2 queries. Per-shard roots pool only the
-/// shard's corpus slice, so the routed sigma fit below must consult this
-/// reconstruction whenever a component matches at depth 0. parent stays
-/// -1 so EscapeMass takes the same (count-independent) root branch as on
-/// the unsharded tree.
+/// shard's corpus slice, so the fleet's sigma fit (internal::FitSigmas)
+/// reads this reconstruction whenever a component matches at depth 0.
+/// parent stays -1 so EscapeMass takes the same (count-independent) root
+/// branch as on the unsharded tree.
 Pst::Node GlobalRootState(const std::vector<AggregatedSession>& corpus) {
   std::unordered_map<QueryId, uint64_t> prior;
   for (const AggregatedSession& session : corpus) {
@@ -47,102 +45,6 @@ Pst::Node GlobalRootState(const std::vector<AggregatedSession>& corpus) {
               return a.query < b.query;
             });
   return root;
-}
-
-/// ModelSnapshot::BuildWeightSample with the tree walk routed to the
-/// owning shard per prefix: every matched state of prefix [q1..qi] lives
-/// in shard(q_{i-1})'s tree (bit-identical to the unsharded tree there),
-/// and depth-0 matches read the reconstructed global root. Keeping the
-/// arithmetic order identical to the unsharded path makes the fitted
-/// sigmas — and with them every served score — exactly equal.
-void BuildWeightSampleSharded(
-    std::span<const std::shared_ptr<const ModelSnapshot>> shards,
-    const Pst::Node& global_root, const MvmmOptions& options,
-    size_t vocabulary_size, const AggregatedSession& session,
-    internal::WeightSample* sample) {
-  const size_t k = options.components.size();
-  const std::vector<QueryId>& q = session.queries;
-  sample->edit_distance.resize(k);
-  sample->sequence_prob.assign(k, 1.0);
-
-  thread_local std::vector<int32_t> path;
-  thread_local std::vector<size_t> matched;
-  thread_local std::vector<double> cond_at;
-
-  const uint32_t num_shards = static_cast<uint32_t>(shards.size());
-  for (size_t i = 1; i < q.size(); ++i) {
-    const std::span<const QueryId> prefix(q.data(), i);
-    const ModelSnapshot& owner =
-        *shards[ShardOfContext(prefix, num_shards)];
-    const size_t depth = owner.SharedMatchDepths(prefix, &path, &matched);
-    const std::vector<Pst::Node>& nodes = owner.pst()->nodes();
-    cond_at.assign(depth + 1, -1.0);
-    for (size_t c = 0; c < k; ++c) {
-      const size_t m = matched[c];
-      const Pst::Node& state =
-          m == 0 ? global_root : nodes[static_cast<size_t>(path[m - 1])];
-      if (cond_at[m] < 0.0) {
-        cond_at[m] = internal::SmoothedProb(state.nexts, state.total_count,
-                                            vocabulary_size, q[i]);
-      }
-      const size_t dropped = i - m;
-      const double escape =
-          dropped == 0 ? 1.0
-                       : internal::EscapeMass(
-                             state, dropped,
-                             options.components[c].default_escape);
-      sample->sequence_prob[c] *= escape * cond_at[m];
-    }
-    if (i + 1 == q.size()) {  // prefix == full context
-      for (size_t c = 0; c < k; ++c) {
-        sample->edit_distance[c] = static_cast<double>(i - matched[c]);
-      }
-    }
-  }
-}
-
-std::vector<double> FitShardedSigmas(
-    const std::vector<AggregatedSession>& corpus,
-    std::span<const std::shared_ptr<const ModelSnapshot>> shards,
-    const MvmmOptions& options, size_t vocabulary_size) {
-  std::vector<double> sigmas(options.components.size(),
-                             options.initial_sigma);
-  const std::vector<const AggregatedSession*> pool =
-      internal::SelectWeightPool(corpus, options.weight_sample_size);
-  if (pool.empty()) return sigmas;
-
-  const Pst::Node global_root = GlobalRootState(corpus);
-  std::vector<internal::WeightSample> samples(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) {
-    samples[i].weight = static_cast<double>(pool[i]->frequency);
-  }
-  // Per-sample evaluation is independent and writes only its own slot, so
-  // sharding it across workers leaves the result bit-identical — the same
-  // argument as the unsharded FitSigmas pass.
-  if (options.training_threads > 1 && samples.size() > 1) {
-    std::vector<std::thread> workers;
-    const size_t num_workers =
-        std::min(options.training_threads, samples.size());
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= samples.size()) return;
-          BuildWeightSampleSharded(shards, global_root, options,
-                                   vocabulary_size, *pool[i], &samples[i]);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  } else {
-    for (size_t i = 0; i < samples.size(); ++i) {
-      BuildWeightSampleSharded(shards, global_root, options,
-                               vocabulary_size, *pool[i], &samples[i]);
-    }
-  }
-  internal::FitSigmasFromSamples(&samples, options, &sigmas);
-  return sigmas;
 }
 
 }  // namespace
@@ -325,8 +227,15 @@ Result<ShardedTrainResult> TrainShardedSnapshots(
   }
 
   if (needs_global_fit) {
-    result.sigmas = FitShardedSigmas(corpus, result.shards, model,
-                                     result.vocabulary_size);
+    // The unsharded fit, each sample walk routed to its owning shard's
+    // tree: every such tree equals the unsharded tree on the contexts it
+    // owns, so the sigmas are the unsharded build's bit for bit.
+    std::vector<const ModelSnapshot*> trees;
+    trees.reserve(result.shards.size());
+    for (const auto& shard : result.shards) trees.push_back(shard.get());
+    result.sigmas.assign(k, model.initial_sigma);
+    internal::FitSigmas(corpus, trees, GlobalRootState(corpus), model,
+                        result.vocabulary_size, &result.sigmas);
     for (auto& shard : result.shards) {
       Result<std::shared_ptr<const ModelSnapshot>> stamped =
           shard->WithSigmas(result.sigmas);
@@ -343,15 +252,12 @@ Result<ShardedTrainResult> TrainShardedSnapshots(
 
 Status WriteManifestForShardBlobs(const std::string& manifest_path,
                                   size_t num_shards, uint64_t version) {
-  const std::string manifest_name =
-      std::filesystem::path(manifest_path).filename().string();
   SnapshotManifest manifest;
   manifest.partition_function = kShardPartitionLastQueryFnv1a;
   manifest.version = version;
   manifest.shards.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    const std::string relative =
-        manifest_name + ".shard" + std::to_string(s);
+    const std::string relative = ShardBlobName(manifest_path, s);
     Result<ShardBlobRef> ref = SnapshotIo::DescribeBlob(
         ResolveAgainstManifest(manifest_path, relative), relative);
     if (!ref.ok()) return ref.status();
@@ -366,14 +272,12 @@ Status SaveShardedSnapshots(
   if (shards.empty()) {
     return Status::InvalidArgument("SaveShardedSnapshots needs shards");
   }
-  const std::string manifest_name =
-      std::filesystem::path(manifest_path).filename().string();
   for (size_t s = 0; s < shards.size(); ++s) {
-    const std::string blob_path = ResolveAgainstManifest(
-        manifest_path, manifest_name + ".shard" + std::to_string(s));
     const std::shared_ptr<const CompactSnapshot> packed =
         CompactSnapshot::FromSnapshot(*shards[s], compact);
-    SQP_RETURN_IF_ERROR(SnapshotIo::Save(*packed, blob_path));
+    SQP_RETURN_IF_ERROR(SnapshotIo::Save(
+        *packed, ResolveAgainstManifest(manifest_path,
+                                        ShardBlobName(manifest_path, s))));
   }
   return WriteManifestForShardBlobs(manifest_path, shards.size(),
                                     shards.front()->version());
@@ -410,11 +314,7 @@ Status ShardedRetrainerSet::Bootstrap(std::vector<AggregatedSession> corpus) {
   sigmas_ = trained->sigmas;
 
   retrainers_.reserve(engine_->num_shards());
-  lazy_pending_.resize(engine_->num_shards());
   Status first_error;
-  const auto note_error = [&first_error](const Status& status) {
-    if (!status.ok() && first_error.ok()) first_error = status;
-  };
   for (size_t s = 0; s < engine_->num_shards(); ++s) {
     RetrainerOptions options = base_;
     options.model.fixed_sigmas = sigmas_;
@@ -422,8 +322,8 @@ Status ShardedRetrainerSet::Bootstrap(std::vector<AggregatedSession> corpus) {
     // caller's grow-with-interned-queries semantics for rebuilds (with
     // the sigmas pinned, |Q| no longer feeds any served score).
     if (!base_.persist_path.empty()) {
-      options.persist_path = base_.persist_path + ".shard" +
-                             std::to_string(s);
+      options.persist_path = ResolveAgainstManifest(
+          base_.persist_path, ShardBlobName(base_.persist_path, s));
       options.after_persist = [this] {
         // Bootstrap writes the initial manifest itself once every blob
         // exists; after that, each shard persist re-pins it. Background
@@ -436,26 +336,16 @@ Status ShardedRetrainerSet::Bootstrap(std::vector<AggregatedSession> corpus) {
     }
     retrainers_.push_back(
         std::make_unique<Retrainer>(engine_->shard(s), options));
-    // An empty shard slice is legal for serving (the shard answers
-    // uncovered, as the unsharded model would) but Retrainer requires a
-    // non-empty bootstrap corpus: publish — and, with persistence,
-    // persist — the trained (empty) snapshot directly; the retrainer
-    // bootstraps lazily on the shard's first routed sessions.
-    if (trained->corpora[s].empty()) {
-      engine_->shard(s)->Publish(trained->shards[s]);
-      if (!options.persist_path.empty()) {
-        note_error(SnapshotIo::Save(
-            *CompactSnapshot::FromSnapshot(*trained->shards[s],
-                                           base_.compact),
-            options.persist_path));
-      }
-      continue;
-    }
-    note_error(retrainers_.back()->Bootstrap(
-        std::move(trained->corpora[s]), std::move(trained->shards[s])));
+    // An empty slice bootstraps like any other: the shard publishes (and
+    // persists) its trained empty snapshot, answers uncovered as the
+    // unsharded model would, and folds its first routed sessions in at
+    // its next retrain.
+    const Status status = retrainers_.back()->Bootstrap(
+        std::move(trained->corpora[s]), std::move(trained->shards[s]));
+    if (!status.ok() && first_error.ok()) first_error = status;
   }
   if (!base_.persist_path.empty() && first_error.ok()) {
-    note_error(RefreshManifest());
+    first_error = RefreshManifest();
   }
   refresh_enabled_.store(true, std::memory_order_release);
   return first_error;
@@ -478,40 +368,12 @@ Status ShardedRetrainerSet::last_manifest_status() const {
   return manifest_status_;
 }
 
-Status ShardedRetrainerSet::LazyBootstrapShard(
-    size_t s, std::vector<AggregatedSession> corpus) {
-  const Status status = retrainers_[s]->Bootstrap(std::move(corpus));
-  if (status.ok() && workers_started_) retrainers_[s]->Start();
-  return status;
-}
-
 void ShardedRetrainerSet::AppendSessions(
     const std::vector<AggregatedSession>& sessions) {
-  std::lock_guard<std::mutex> lock(append_mu_);
-  const uint32_t num_shards = static_cast<uint32_t>(retrainers_.size());
-  std::vector<std::vector<AggregatedSession>> routed(num_shards);
-  for (const AggregatedSession& session : sessions) {
-    OwningShards(session, num_shards, &owners_scratch_);
-    for (const uint32_t shard : owners_scratch_) {
-      routed[shard].push_back(session);
-    }
-  }
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    if (routed[s].empty()) continue;
-    if (retrainers_[s]->published_version() == 0) {
-      // The shard bootstrapped with an empty slice; everything routed to
-      // it so far IS its corpus. One-time synchronous build of a tiny
-      // corpus — exact, because the base corpus contributed nothing to
-      // the contexts this shard owns. On failure the sessions stay in
-      // the stash and the bootstrap retries with the next append (the
-      // error itself lands in the retrainer's last_status()).
-      std::vector<AggregatedSession>& stash = lazy_pending_[s];
-      stash.insert(stash.end(),
-                   std::make_move_iterator(routed[s].begin()),
-                   std::make_move_iterator(routed[s].end()));
-      if (LazyBootstrapShard(s, stash).ok()) stash.clear();
-      continue;
-    }
+  std::vector<std::vector<AggregatedSession>> routed =
+      PartitionSessionsByShard(sessions,
+                               static_cast<uint32_t>(retrainers_.size()));
+  for (size_t s = 0; s < retrainers_.size(); ++s) {
     retrainers_[s]->AppendSessions(std::move(routed[s]));
   }
 }
@@ -524,9 +386,6 @@ Result<size_t> ShardedRetrainerSet::ConsumeFeedback(const std::string& dir) {
 }
 
 Status ShardedRetrainerSet::RetrainShard(size_t s) {
-  if (retrainers_[s]->published_version() == 0) {
-    return Status::OK();  // empty shard, nothing routed to it yet
-  }
   return retrainers_[s]->RetrainOnce();
 }
 
@@ -540,20 +399,10 @@ Status ShardedRetrainerSet::RetrainAll() {
 }
 
 void ShardedRetrainerSet::StartAll() {
-  std::lock_guard<std::mutex> lock(append_mu_);
-  workers_started_ = true;
-  for (const auto& retrainer : retrainers_) {
-    if (retrainer->published_version() > 0 && !retrainer->running()) {
-      retrainer->Start();
-    }
-  }
+  for (const auto& retrainer : retrainers_) retrainer->Start();
 }
 
 void ShardedRetrainerSet::StopAll() {
-  {
-    std::lock_guard<std::mutex> lock(append_mu_);
-    workers_started_ = false;
-  }
   for (const auto& retrainer : retrainers_) retrainer->Stop();
 }
 

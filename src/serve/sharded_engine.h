@@ -14,12 +14,12 @@
 /// unsharded model would (tested for shard counts {1, 2, 4, 7}).
 ///
 /// The per-component Gaussian widths are the one global quantity: the
-/// sharded trainer fits them ONCE over the full corpus by routing each
-/// pseudo-test walk of the Eq. 8-10 sample to the owning shard's tree,
-/// then stamps the same sigma vector onto every shard
-/// (ModelSnapshot::WithSigmas / MvmmOptions::fixed_sigmas). Rebuilding one
-/// shard keeps the fleet weight-consistent because rebuilds reuse the
-/// fixed vector.
+/// sharded trainer fits them ONCE over the full corpus with the unsharded
+/// build's own fit (internal::FitSigmas), each pseudo-test walk of the
+/// Eq. 8-10 sample routed to the owning shard's tree, then stamps the same
+/// sigma vector onto every shard (ModelSnapshot::WithSigmas /
+/// MvmmOptions::fixed_sigmas). Rebuilding one shard keeps the fleet
+/// weight-consistent because rebuilds reuse the fixed vector.
 ///
 /// Persistence: per-shard compact blobs (core/snapshot_io) indexed by a
 /// SnapshotManifest; a fleet cold-boots with one
@@ -212,9 +212,10 @@ struct ShardedTrainResult {
 
 /// Trains a sharded fleet from one corpus: partitions the sessions
 /// (log/shard_partitioner.h), builds every shard's shared-PST snapshot
-/// independently, fits the mixture sigmas ONCE over the full corpus by
-/// routing each sample walk to the owning shard's tree, and stamps the
-/// global vector onto every shard. The resulting fleet answers every
+/// independently, fits the mixture sigmas ONCE over the full corpus with
+/// ModelSnapshot::Build's fit (internal::FitSigmas, each sample walk
+/// routed to the owning shard's tree), and stamps the global vector onto
+/// every shard. The resulting fleet answers every
 /// context bit-identically to ModelSnapshot::Build on the undivided
 /// corpus (property-tested for shard counts {1, 2, 4, 7}).
 Result<ShardedTrainResult> TrainShardedSnapshots(
@@ -222,16 +223,17 @@ Result<ShardedTrainResult> TrainShardedSnapshots(
     const ShardedTrainOptions& options);
 
 /// Persists a trained fleet: one compact blob per shard at
-/// `manifest_path + ".shard<k>"` plus the SnapshotManifest at
-/// `manifest_path` (shard paths stored relative to it), everything written
-/// atomically. The manifest records `partition_function` =
-/// kShardPartitionLastQueryFnv1a and the version of shards[0].
+/// ShardBlobName(manifest_path, k) (`<manifest>.shard<k>`, core/snapshot_io)
+/// plus the SnapshotManifest at `manifest_path` (shard paths stored
+/// relative to it), everything written atomically. The manifest records
+/// `partition_function` = kShardPartitionLastQueryFnv1a and the version of
+/// shards[0].
 Status SaveShardedSnapshots(
     std::span<const std::shared_ptr<const ModelSnapshot>> shards,
     const CompactOptions& compact, const std::string& manifest_path);
 
 /// (Re)writes the manifest at `manifest_path` from the per-shard blobs
-/// already on disk at `manifest_path + ".shard<k>"` — e.g. after a
+/// already on disk at ShardBlobName(manifest_path, k) — e.g. after a
 /// ShardedRetrainerSet with persist_path == manifest_path republished
 /// some shards — re-pinning their current sizes and checksums. `version`
 /// tags the manifest (conventionally the newest shard version).
@@ -241,12 +243,12 @@ Status WriteManifestForShardBlobs(const std::string& manifest_path,
 // -------------------------------------------------------------- retraining
 
 /// Per-shard streaming retrain: one Retrainer per shard, each owning its
-/// shard's corpus slice and publishing through that shard's engine, all
-/// pinned to the bootstrap's global sigma fit so independently rebuilt
-/// shards stay weight-consistent with the rest of the fleet. Appended
-/// sessions are routed to exactly the shards whose counts they affect
-/// (OwningShards), so a shard rebuild folds in precisely the evidence the
-/// unsharded retrainer would have given it.
+/// shard's corpus slice (possibly empty) and publishing through that
+/// shard's engine, all pinned to the bootstrap's global sigma fit so
+/// independently rebuilt shards stay weight-consistent with the rest of
+/// the fleet. Appended sessions are routed to exactly the shards whose
+/// counts they affect (OwningShards), so a shard rebuild folds in
+/// precisely the evidence the unsharded retrainer would have given it.
 ///
 /// Shards rebuild independently: RetrainShard(s) advances one shard's
 /// version while the others keep serving their current snapshots — the
@@ -254,7 +256,7 @@ Status WriteManifestForShardBlobs(const std::string& manifest_path,
 /// the slowest shard is behind.
 ///
 /// Persistence: when `base.persist_path` is set it doubles as the
-/// manifest path — each shard persists to `persist_path + ".shard<s>"`,
+/// manifest path — each shard persists to its ShardBlobName blob,
 /// Bootstrap writes the initial manifest once every blob exists, and
 /// every later successful shard persist re-pins the manifest
 /// (Retrainer's after_persist hook), so the on-disk fleet stays
@@ -274,19 +276,19 @@ class ShardedRetrainerSet {
   ShardedRetrainerSet(const ShardedRetrainerSet&) = delete;
   ShardedRetrainerSet& operator=(const ShardedRetrainerSet&) = delete;
 
-  /// Trains the fleet once (TrainShardedSnapshots, global sigma fit),
-  /// seeds one Retrainer per shard with its corpus slice and the prebuilt
-  /// shard snapshot (no second tree build), and publishes version 1
-  /// everywhere — shards whose slice is empty publish (and, with
-  /// persistence, persist) the trained empty snapshot directly. Call
+  /// Trains the fleet once (TrainShardedSnapshots, global sigma fit) and
+  /// bootstraps every shard's Retrainer with its corpus slice and the
+  /// prebuilt shard snapshot (Retrainer::Bootstrap(corpus, prebuilt); no
+  /// second tree build), so every shard publishes — and, with
+  /// persistence, persists — version 1. A shard whose slice is empty
+  /// bootstraps the same way with its trained empty snapshot. Call
   /// exactly once.
   Status Bootstrap(std::vector<AggregatedSession> corpus);
 
   /// Routes freshly observed sessions to the owning shards' pending
-  /// queues. A shard that bootstrapped empty is lazily bootstrapped on
-  /// its first routed sessions (a one-time synchronous build of that
-  /// tiny corpus); otherwise this never blocks on a rebuild.
-  /// Thread-safe.
+  /// queues (PartitionSessionsByShard, the routing Bootstrap's training
+  /// pass used); each shard folds them in at its next retrain. Never
+  /// blocks on a rebuild. Thread-safe.
   void AppendSessions(const std::vector<AggregatedSession>& sessions);
 
   /// Fleet spelling of Retrainer::ConsumeFeedback: the sessions go
@@ -302,8 +304,7 @@ class ShardedRetrainerSet {
   /// RetrainShard over every shard; returns the first error.
   Status RetrainAll();
 
-  /// Starts/stops every shard's background worker (lazily bootstrapped
-  /// shards join the running set as they appear).
+  /// Starts/stops every shard's background worker.
   void StartAll();
   void StopAll();
 
@@ -328,21 +329,10 @@ class ShardedRetrainerSet {
   const std::vector<double>& sigmas() const { return sigmas_; }
 
  private:
-  /// Bootstraps one not-yet-bootstrapped retrainer with `corpus` and
-  /// starts its worker if StartAll already ran. append_mu_ must be held.
-  Status LazyBootstrapShard(size_t s, std::vector<AggregatedSession> corpus);
-
   ShardedEngine* engine_;
   RetrainerOptions base_;
   std::vector<std::unique_ptr<Retrainer>> retrainers_;
   std::vector<double> sigmas_;
-  std::vector<uint32_t> owners_scratch_;
-  std::mutex append_mu_;  // guards owners_scratch_ + lazy bootstraps
-  bool workers_started_ = false;  // guarded by append_mu_
-  /// Sessions routed to a shard whose lazy bootstrap has not succeeded
-  /// yet — retained (never dropped) and retried with the next append.
-  /// Guarded by append_mu_.
-  std::vector<std::vector<AggregatedSession>> lazy_pending_;
   /// ConsumeFeedback's watermark and its lock.
   FeedbackCursor feedback_;
   std::atomic<bool> refresh_enabled_{false};

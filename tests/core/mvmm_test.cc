@@ -271,7 +271,7 @@ TEST(MvmmModelTest, ParallelTrainingMatchesSequential) {
   ASSERT_TRUE(parallel.Train(MakeData(&sessions)).ok());
   ASSERT_EQ(sequential.sigmas().size(), parallel.sigmas().size());
   for (size_t i = 0; i < sequential.sigmas().size(); ++i) {
-    EXPECT_DOUBLE_EQ(sequential.sigmas()[i], parallel.sigmas()[i]);
+    EXPECT_EQ(sequential.sigmas()[i], parallel.sigmas()[i]);
   }
   for (const std::vector<QueryId>& context :
        {std::vector<QueryId>{kQ0}, std::vector<QueryId>{kQ1, kQ0},
@@ -281,7 +281,7 @@ TEST(MvmmModelTest, ParallelTrainingMatchesSequential) {
     ASSERT_EQ(a.queries.size(), b.queries.size());
     for (size_t i = 0; i < a.queries.size(); ++i) {
       EXPECT_EQ(a.queries[i].query, b.queries[i].query);
-      EXPECT_DOUBLE_EQ(a.queries[i].score, b.queries[i].score);
+      EXPECT_EQ(a.queries[i].score, b.queries[i].score);
     }
   }
 }

@@ -179,7 +179,7 @@ TEST(EngineStressTest, ReadersHammerWhileRealRetrainerSwaps) {
   RetrainerOptions options;
   options.model.default_max_depth = 5;
   options.vocabulary_size = kVocabularyBound;
-  options.count_workers = 2;
+  options.model.training_threads = 2;
   Retrainer retrainer(&engine, options);
   ASSERT_TRUE(retrainer.Bootstrap(SharedCorpus().base).ok());
 

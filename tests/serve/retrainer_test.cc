@@ -62,7 +62,7 @@ TEST(RetrainerTest, BootstrapPublishesVersionOneEquivalentToTrain) {
 TEST(RetrainerTest, RetrainEquivalentToFromScratchOnConcatenatedCorpus) {
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
   RetrainerOptions options = TestOptions();
-  options.count_workers = 4;  // incremental counting may be sharded too
+  options.model.training_threads = 4;  // incremental counting too
   Retrainer retrainer(&engine, options);
   ASSERT_TRUE(retrainer.Bootstrap(SharedCorpus().base).ok());
 
@@ -135,6 +135,36 @@ TEST(RetrainerTest, LifecycleErrorsAreReported) {
   EXPECT_FALSE(retrainer.Bootstrap({}).ok());  // empty corpus
   ASSERT_TRUE(retrainer.Bootstrap(SharedCorpus().base).ok());
   EXPECT_FALSE(retrainer.Bootstrap(SharedCorpus().base).ok());  // twice
+}
+
+TEST(RetrainerTest, PrebuiltBootstrapMustCarryVersionOne) {
+  // Regression: a prebuilt snapshot at version 7 used to serve as 7 while
+  // published_version() read 1, so the next rebuild published version 2
+  // and the served version went backwards.
+  const RetrainerOptions options = TestOptions();
+  TrainingData data;
+  data.sessions = &SharedCorpus().base;
+  data.vocabulary_size = kVocabularyBound;
+  auto stale = ModelSnapshot::Build(data, options.model, /*version=*/7);
+  ASSERT_TRUE(stale.ok());
+
+  RecommenderEngine engine(EngineOptions{.num_threads = 1});
+  Retrainer retrainer(&engine, options);
+  const Status status =
+      retrainer.Bootstrap(SharedCorpus().base, stale.value());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.CurrentSnapshot(), nullptr);  // nothing published
+  EXPECT_EQ(retrainer.published_version(), 0u);
+  EXPECT_EQ(retrainer.stats().rebuilds, 0u);
+
+  // The rejected call left the retrainer unbootstrapped.
+  auto fresh = ModelSnapshot::Build(data, options.model, /*version=*/1);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(retrainer.Bootstrap(SharedCorpus().base, fresh.value()).ok());
+  EXPECT_EQ(engine.current_version(), 1u);
+  retrainer.AppendSessions(SharedCorpus().drifted);
+  ASSERT_TRUE(retrainer.RetrainOnce().ok());
+  EXPECT_EQ(engine.current_version(), 2u);
 }
 
 TEST(RetrainerTest, PersistFailuresRetryWithBackoffThenRecover) {

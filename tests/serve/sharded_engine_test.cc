@@ -473,20 +473,22 @@ TEST(ShardedRetrainerSetTest, EmptyShardSlicesPersistAndBootstrapLazily) {
   // Route sessions to a shard whose slice was empty: query id 3 hashes
   // to shard 4 (see ShardPartitionerTest), owned by neither query 0 nor 1.
   const uint32_t lazy_shard = ShardOfQuery(3, kShards);
-  ASSERT_EQ(retrainers.shard_retrainer(lazy_shard)->published_version(), 0u)
+  ASSERT_EQ(retrainers.shard_retrainer(lazy_shard)->corpus_size(), 0u)
       << "test premise: shard owning query 3 bootstrapped empty";
+  ASSERT_EQ(retrainers.shard_retrainer(lazy_shard)->published_version(), 1u);
   const std::vector<QueryId> context = {3};
   EXPECT_FALSE(engine.Recommend(context, 5).recommendation.covered);
 
   retrainers.AppendSessions({AggregatedSession{{3, 4}, 4}});
-  // The lazy bootstrap is synchronous: the shard serves immediately.
-  EXPECT_GE(retrainers.shard_retrainer(lazy_shard)->published_version(), 1u);
+  // The empty shard folds its first sessions in at its next retrain.
+  ASSERT_TRUE(retrainers.RetrainShard(lazy_shard).ok());
+  EXPECT_EQ(retrainers.shard_retrainer(lazy_shard)->published_version(), 2u);
   const Recommendation rec = engine.Recommend(context, 5).recommendation;
   EXPECT_TRUE(rec.covered);
   ASSERT_FALSE(rec.queries.empty());
   EXPECT_EQ(rec.queries[0].query, 4u);
 
-  // The lazy publish also persisted + re-pinned the manifest.
+  // The retrain also persisted + re-pinned the manifest.
   auto rebooted = ShardedEngine::BootFromManifest(manifest_path);
   ASSERT_TRUE(rebooted.ok()) << rebooted.status().ToString();
   EXPECT_TRUE((*rebooted)->Recommend(context, 5).recommendation.covered);
