@@ -74,6 +74,8 @@ const char* BlobErrorMessage(BlobError error) {
       return "blob buffer not 8-byte aligned";
     case BlobError::kOutOfMemory:
       return "no memory for the derived tables";
+    case BlobError::kMixtureParameterRange:
+      return "sigma not finite and > 0, or escape not in [0, 1]";
   }
   return "unknown blob error";
 }
@@ -269,7 +271,11 @@ BlobError BindBlob(const uint8_t* blob, size_t size, bool verify_checksums,
   m.component_escape = SectionAs<double>(blob, *layout, kSecComponentEscape);
   m.num_components = layout->num_components;
 
-  err = ValidateBlobCountShifts(m.count_shift, layout->num_nodes);
+  err = ValidateBlobMixtureParameters(m.sigmas, m.component_escape,
+                                      m.num_components);
+  if (err == BlobError::kNone) {
+    err = ValidateBlobCountShifts(m.count_shift, layout->num_nodes);
+  }
   if (err == BlobError::kNone) {
     err = layout->narrow_ids ? ValidatePools(m, m.narrow, *layout)
                              : ValidatePools(m, m.wide, *layout);

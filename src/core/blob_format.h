@@ -124,6 +124,7 @@ enum class BlobError : int {
   kRootIndexRange,
   kMisalignedBuffer,
   kOutOfMemory,
+  kMixtureParameterRange,
 };
 
 /// Static description of `error` (never null; stable storage).
@@ -222,6 +223,22 @@ inline BlobError ValidateBlobCountShifts(const uint8_t* count_shift,
   return BlobError::kNone;
 }
 
+/// The mixture parameters the walk scores with: every sigma finite and
+/// > 0 (serving::ValidSigma), every escape finite and in [0, 1]. A CRC
+/// only proves the bytes are the ones written, not that they are usable:
+/// a zero or NaN sigma would serve NaN scores, and an infinite one would
+/// silently take the depth fallback.
+inline BlobError ValidateBlobMixtureParameters(const double* sigmas,
+                                               const double* escapes,
+                                               size_t num_components) {
+  for (size_t c = 0; c < num_components; ++c) {
+    if (!ValidSigma(sigmas[c]) || !(escapes[c] >= 0.0 && escapes[c] <= 1.0)) {
+      return BlobError::kMixtureParameterRange;
+    }
+  }
+  return BlobError::kNone;
+}
+
 // ------------------------------------------------------------------ bind
 
 /// Caller memory for BindBlob's derived tables, requested once the layout
@@ -237,9 +254,10 @@ using BlobBindMemory = bool (*)(void* context, size_t escape_pow_doubles,
 /// The one bind of a blob, shared by the engine and slim. In order:
 /// ParseBlobLayout (section CRCs only when `verify_checksums`); rejects a
 /// `blob` base that is not 8-byte aligned; points `*model` at the sections
-/// in place; runs ValidateBlobCountShifts and ValidateBlobStructure; asks
-/// `memory` for the derived tables and runs FinalizeModelRef. So nothing
-/// derives from, or serves, arrays that failed validation. On kNone
+/// in place; runs ValidateBlobMixtureParameters, ValidateBlobCountShifts
+/// and ValidateBlobStructure; asks `memory` for the derived tables and
+/// runs FinalizeModelRef. So nothing derives from, or serves, arrays that
+/// failed validation. On kNone
 /// `*layout` holds the decoded META and `*model` serves straight out of
 /// `blob`, which must stay alive and unchanged as long as `*model`; on any
 /// error `*model` is untouched.

@@ -209,11 +209,8 @@ bool VectorBindMemory(void* context, size_t escape_pow_doubles,
 std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     const ModelSnapshot& full, const CompactOptions& options) {
   const size_t num_components = full.options().components.size();
-  std::vector<double> component_escape;
-  component_escape.reserve(num_components);
-  for (const VmmOptions& component : full.options().components) {
-    component_escape.push_back(component.default_escape);
-  }
+  // The format keeps one escape per component; every one is kDefaultEscape.
+  const std::vector<double> component_escape(num_components, kDefaultEscape);
 
   const Pst& pst = *full.pst();
   const std::vector<Pst::Node>& nodes = pst.nodes();

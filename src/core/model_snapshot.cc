@@ -57,48 +57,16 @@ size_t SharedIndexDepth(const MvmmOptions& options) {
   return shared_depth;
 }
 
-void ComputeRawWeights(MixtureWeighting weighting,
-                       const std::vector<double>& sigmas, size_t context_len,
-                       const std::vector<size_t>& matched,
-                       std::vector<double>* weights) {
-  const size_t k = matched.size();
-  weights->assign(k, 0.0);
-  switch (weighting) {
-    case MixtureWeighting::kGaussianEditDistance: {
-      for (size_t c = 0; c < k; ++c) {
-        // The matched state's context is the trailing matched[c] queries of
-        // the online context, so the edit distance degenerates to the
-        // number of dropped prefix queries.
-        const double d = static_cast<double>(context_len - matched[c]);
-        (*weights)[c] = GaussianPdf(d, sigmas[c]);
-      }
-      // With a tightly fitted sigma the Gaussian can underflow for every
-      // component (all matches far from the context); fall back to
-      // weighting by match depth so the mixture stays well defined.
-      double total = 0.0;
-      for (double w : *weights) total += w;
-      if (total <= 1e-280) {
-        for (size_t c = 0; c < k; ++c) {
-          (*weights)[c] = 1.0 + static_cast<double>(matched[c]);
-        }
-      }
-      break;
-    }
-    case MixtureWeighting::kUniform:
-      weights->assign(k, 1.0);
-      break;
-    case MixtureWeighting::kLongestMatch: {
-      size_t best = 0;
-      for (size_t m : matched) best = std::max(best, m);
-      for (size_t c = 0; c < k; ++c) {
-        (*weights)[c] = matched[c] == best ? 1.0 : 0.0;
-      }
-      break;
-    }
-  }
-}
-
 namespace {
+
+/// Training sequences (most frequent first) the sigma fit samples.
+constexpr size_t kSigmaFitSampleSize = 2000;
+/// Newton iterations of the sigma fit (Eq. 10).
+constexpr size_t kMaxNewtonIterations = 25;
+/// The sigma fit stops once an accepted step improves the objective by
+/// less than this relative amount — Newton converges in a handful of
+/// iterations and the remaining budget buys only noise-level gains.
+constexpr double kSigmaFitTolerance = 1e-9;
 
 /// One pseudo-test sequence of the sigma fit (Eq. 8/9): its normalized
 /// sampling weight plus per-component edit distances and generative
@@ -220,7 +188,6 @@ void FitDerivatives(const std::vector<WeightSample>& samples,
 /// gradient-ascent fallback. Normalizes the sample weights in place;
 /// `sigmas` carries the initial point and receives the fitted values.
 MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
-                                   const MvmmOptions& options,
                                    std::vector<double>* sigmas) {
   MvmmFitReport report;
   if (samples->empty()) return report;
@@ -247,7 +214,7 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
   report.initial_objective = f;
   std::vector<double> grad;
   std::vector<double> hessian;
-  for (size_t iter = 0; iter < options.max_newton_iterations; ++iter) {
+  for (size_t iter = 0; iter < kMaxNewtonIterations; ++iter) {
     const double f_before = f;
     FitDerivatives(*samples, *sigmas, max_d, &grad, &hessian);
     double grad_norm = 0.0;
@@ -266,8 +233,7 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
       for (int attempt = 0; attempt < 8 && !accepted; ++attempt) {
         std::vector<double> trial = *sigmas;
         for (size_t i = 0; i < k; ++i) {
-          trial[i] = std::max(options.min_sigma,
-                              trial[i] - damping * step[i]);
+          trial[i] = std::max(kMinSigma, trial[i] - damping * step[i]);
         }
         const double ft = Objective(*samples, trial, max_d);
         if (ft > f) {
@@ -285,7 +251,7 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
       for (int attempt = 0; attempt < 12 && !accepted; ++attempt) {
         std::vector<double> trial = *sigmas;
         for (size_t i = 0; i < k; ++i) {
-          trial[i] = std::max(options.min_sigma, trial[i] + lr * grad[i]);
+          trial[i] = std::max(kMinSigma, trial[i] + lr * grad[i]);
         }
         const double ft = Objective(*samples, trial, max_d);
         if (ft > f) {
@@ -300,8 +266,7 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
     if (!accepted) break;  // converged (no improving step)
     // Converged: the accepted step no longer moves the objective.
     const double improvement = f - f_before;
-    if (improvement <
-        options.convergence_tolerance * (1.0 + std::fabs(f_before))) {
+    if (improvement < kSigmaFitTolerance * (1.0 + std::fabs(f_before))) {
       break;
     }
   }
@@ -347,11 +312,7 @@ void BuildWeightSample(const AggregatedSession& session,
                                   vocabulary_size, q[i]);
       }
       const size_t dropped = i - m;
-      const double escape =
-          dropped == 0
-              ? 1.0
-              : EscapeMass(state, dropped,
-                           options.components[c].default_escape);
+      const double escape = dropped == 0 ? 1.0 : EscapeMass(state, dropped);
       sample->sequence_prob[c] *= escape * cond_at[m];
     }
     if (i + 1 == q.size()) {  // prefix == full context
@@ -369,7 +330,7 @@ MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
                         const Pst::Node& root, const MvmmOptions& options,
                         size_t vocabulary_size, std::vector<double>* sigmas) {
   const std::vector<const AggregatedSession*> pool =
-      SelectWeightPool(sessions, options.weight_sample_size);
+      SelectWeightPool(sessions, kSigmaFitSampleSize);
   if (pool.empty()) return MvmmFitReport{};
 
   std::vector<WeightSample> samples(pool.size());
@@ -400,10 +361,24 @@ MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
   } else {
     for (size_t i = 0; i < samples.size(); ++i) build_sample(i);
   }
-  return FitSigmasFromSamples(&samples, options, sigmas);
+  return FitSigmasFromSamples(&samples, sigmas);
 }
 
 }  // namespace internal
+
+namespace {
+
+/// Every width a snapshot serves with must be one the Gaussian accepts.
+Status CheckSigmas(const std::vector<double>& sigmas) {
+  for (double sigma : sigmas) {
+    if (!serving::ValidSigma(sigma)) {
+      return Status::InvalidArgument("sigma must be finite and > 0");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 std::vector<VmmOptions> MvmmOptions::DefaultComponents(size_t max_depth) {
   // Paper Section IV-C.2 trains "K D-bounded VMM models, {P_D, D=1..K}",
@@ -472,12 +447,13 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Build(
   SQP_RETURN_IF_ERROR(shared->BuildShared(*index, views));
   snapshot->pst_ = std::move(shared);
 
-  snapshot->sigmas_.assign(k, snapshot->options_.initial_sigma);
+  snapshot->sigmas_.assign(k, internal::kInitialSigma);
   if (!snapshot->options_.fixed_sigmas.empty()) {
     if (snapshot->options_.fixed_sigmas.size() != k) {
       return Status::InvalidArgument(
           "fixed_sigmas must match the component count");
     }
+    SQP_RETURN_IF_ERROR(CheckSigmas(snapshot->options_.fixed_sigmas));
     snapshot->sigmas_ = snapshot->options_.fixed_sigmas;
   } else if (snapshot->options_.weighting ==
              MixtureWeighting::kGaussianEditDistance) {
@@ -515,6 +491,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::WithSigmas(
     return Status::InvalidArgument(
         "WithSigmas must supply one sigma per component");
   }
+  SQP_RETURN_IF_ERROR(CheckSigmas(sigmas));
   std::shared_ptr<ModelSnapshot> out(new ModelSnapshot(*this));
   out->sigmas_ = std::move(sigmas);
   return std::shared_ptr<const ModelSnapshot>(std::move(out));
@@ -541,28 +518,20 @@ size_t ModelSnapshot::SharedMatchDepths(std::span<const QueryId> context,
   return depth;
 }
 
-double ModelSnapshot::EscapeWeight(const Pst::Node& state, size_t context_len,
-                                   size_t matched, size_t component) const {
-  const size_t dropped = context_len - matched;
-  if (dropped == 0) return 1.0;
-  return internal::EscapeMass(
-      state, dropped, options_.components[component].default_escape);
-}
-
-void ModelSnapshot::RawWeights(size_t context_len,
-                               const std::vector<size_t>& matched,
-                               std::vector<double>* weights) const {
-  internal::ComputeRawWeights(options_.weighting, sigmas_, context_len,
-                              matched, weights);
+void ModelSnapshot::Weights(size_t context_len,
+                            SnapshotScratch* scratch) const {
+  const size_t k = num_components();
+  scratch->weights.resize(k);
+  serving::ComputeWeights(options_.weighting, sigmas_.data(), k, context_len,
+                          scratch->matched.data(), scratch->weights.data());
+  serving::NormalizeWeights(scratch->weights.data(), k);
 }
 
 std::vector<double> ModelSnapshot::MixtureWeights(
     std::span<const QueryId> context, SnapshotScratch* scratch) const {
   SharedMatchDepths(context, &scratch->path, &scratch->matched);
-  std::vector<double> weights;
-  RawWeights(context.size(), scratch->matched, &weights);
-  NormalizeInPlace(&weights);
-  return weights;
+  Weights(context.size(), scratch);
+  return scratch->weights;
 }
 
 Recommendation ModelSnapshot::Recommend(std::span<const QueryId> context,
@@ -578,9 +547,8 @@ Recommendation ModelSnapshot::Recommend(std::span<const QueryId> context,
 
   const size_t depth = SharedMatchDepths(context, &path, &matched);
   if (depth == 0) return rec;  // uncovered, like its components
-  std::vector<double>& weights = scratch->weights;
-  RawWeights(context.size(), matched, &weights);
-  NormalizeInPlace(&weights);
+  Weights(context.size(), scratch);
+  const std::vector<double>& weights = scratch->weights;
 
   // Combine escape-weighted generative scores across components (paper
   // Section IV-C.3: predicted queries of all components are re-ranked
@@ -598,12 +566,12 @@ Recommendation ModelSnapshot::Recommend(std::span<const QueryId> context,
   for (size_t c = 0; c < num_components(); ++c) {
     if (weights[c] <= 0.0 || matched[c] == 0) continue;
     const Pst::Node& state = nodes[static_cast<size_t>(path[matched[c] - 1])];
+    const size_t dropped = context.size() - matched[c];
     double lw = weights[c] *
-                EscapeWeight(state, context.size(), matched[c], c);
-    const double esc = options_.components[c].default_escape;
+                (dropped == 0 ? 1.0 : internal::EscapeMass(state, dropped));
     for (size_t d = matched[c]; d >= 1; --d) {
       level_weight[d - 1] += lw;
-      lw *= esc;
+      lw *= kDefaultEscape;
     }
   }
   for (size_t d = 0; d < depth; ++d) {
@@ -639,9 +607,8 @@ double ModelSnapshot::ConditionalProb(std::span<const QueryId> context,
   std::vector<size_t>& matched = scratch->matched;
   std::vector<double>& cond_at = scratch->cond_at;
   const size_t depth = SharedMatchDepths(context, &path, &matched);
-  std::vector<double>& weights = scratch->weights;
-  RawWeights(context.size(), matched, &weights);
-  NormalizeInPlace(&weights);
+  Weights(context.size(), scratch);
+  const std::vector<double>& weights = scratch->weights;
   const std::vector<Pst::Node>& nodes = pst_->nodes();
   cond_at.assign(depth + 1, -1.0);
   double p = 0.0;

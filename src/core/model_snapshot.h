@@ -20,7 +20,10 @@ using MixtureWeighting = serving::MixtureWeighting;
 
 /// Configuration of the Mixture Variable Memory Markov model (paper
 /// Section IV-C). The default component set mirrors the paper's experiment:
-/// 11 VMMs with epsilon in {0.0, 0.01, ..., 0.1}.
+/// 11 VMMs with epsilon in {0.0, 0.01, ..., 0.1}. The sigma fit itself
+/// (Eq. 7-10) has no settings: the paper fits the widths, it does not tune
+/// the fit, so its sample size, iteration cap, tolerance, floor and
+/// starting point are constants of core/model_snapshot.
 struct MvmmOptions {
   /// Component VMM configurations. Empty = the paper's 11-epsilon default.
   std::vector<VmmOptions> components;
@@ -31,30 +34,12 @@ struct MvmmOptions {
   /// Depth bound applied to default components (0 = unbounded).
   size_t default_max_depth = 0;
 
-  /// Number of training sequences (most frequent first) used to fit the
-  /// per-component Gaussian widths sigma_D.
-  size_t weight_sample_size = 2000;
-
-  /// Newton iterations for the sigma fit (Eq. 10).
-  size_t max_newton_iterations = 25;
-
-  /// The sigma fit stops once an accepted step improves the objective by
-  /// less than this relative amount — Newton converges in a handful of
-  /// iterations and the remaining budget buys only noise-level gains.
-  double convergence_tolerance = 1e-9;
-
-  /// Lower clamp on sigma (the Gaussian degenerates below this).
-  double min_sigma = 0.05;
-
-  /// Initial sigma for every component.
-  double initial_sigma = 1.0;
-
-  /// When non-empty (size == component count), the Gaussian widths are
-  /// taken verbatim and the per-corpus Newton fit is skipped. This is how
-  /// a sharded deployment keeps every shard serving with ONE globally
-  /// fitted sigma vector (serve/sharded_engine.h) and how a shard rebuild
-  /// stays weight-consistent with the rest of the fleet; it also lets
-  /// ablations replay a previously fitted weighting exactly.
+  /// When non-empty (one finite, positive width per component), the
+  /// Gaussian widths are taken verbatim and the per-corpus Newton fit is
+  /// skipped. This is how a sharded deployment keeps every shard serving
+  /// with ONE globally fitted sigma vector (serve/sharded_engine.h) and how
+  /// a shard rebuild stays weight-consistent with the rest of the fleet; it
+  /// also lets ablations replay a previously fitted weighting exactly.
   std::vector<double> fixed_sigmas;
 
   /// Worker threads for training (paper Section V-F.1). The trees come
@@ -219,14 +204,17 @@ class ModelSnapshot final : public ServingSnapshot {
   /// Trains a snapshot from `data`. `options.components` (or the default
   /// set) must fit in Pst::kMaxViews — the snapshot is always a shared-tree
   /// build. `version` tags the corpus/dictionary state the snapshot reflects
-  /// (e.g. a retrain generation); it is carried, not interpreted.
+  /// (e.g. a retrain generation); it is carried, not interpreted. A
+  /// mis-sized `fixed_sigmas`, or one holding a width that is not finite
+  /// and > 0, is InvalidArgument.
   static Result<std::shared_ptr<const ModelSnapshot>> Build(
       const TrainingData& data, const MvmmOptions& options,
       uint64_t version = 0);
 
   /// A snapshot sharing this snapshot's tree (the Pst is shared_ptr-owned,
   /// so no node is copied) but serving with `sigmas` instead of the fitted
-  /// ones. Returns InvalidArgument on a component-count mismatch. The
+  /// ones. Returns InvalidArgument on a component-count mismatch or a width
+  /// that is not finite and > 0 (as Build does for fixed_sigmas). The
   /// sharded trainer uses this to stamp one global sigma fit onto
   /// independently built per-shard trees.
   Result<std::shared_ptr<const ModelSnapshot>> WithSigmas(
@@ -268,14 +256,10 @@ class ModelSnapshot final : public ServingSnapshot {
  private:
   ModelSnapshot() = default;
 
-  /// Unnormalized component weights under the configured weighting scheme.
-  void RawWeights(size_t context_len, const std::vector<size_t>& matched,
-                  std::vector<double>* weights) const;
-
-  /// Escape weight of component c for a state matched at `matched` of
-  /// `context_len` queries (Eq. 5-6, as VmmModel::Match).
-  double EscapeWeight(const Pst::Node& state, size_t context_len,
-                      size_t matched, size_t component) const;
+  /// Normalized component weights under the configured weighting scheme
+  /// (serving::ComputeWeights + NormalizeWeights) into scratch->weights,
+  /// for a context of `context_len` queries matched as scratch->matched.
+  void Weights(size_t context_len, SnapshotScratch* scratch) const;
 
   MvmmOptions options_;
   std::shared_ptr<const Pst> pst_;
@@ -287,17 +271,22 @@ class ModelSnapshot final : public ServingSnapshot {
 
 namespace internal {
 
+/// Starting point of the sigma fit, for every component.
+inline constexpr double kInitialSigma = 1.0;
+/// Lower clamp on a fitted sigma (the Gaussian degenerates below this).
+inline constexpr double kMinSigma = 0.05;
+
 /// The sigma fit (paper Eq. 7-10): damped Newton over the Eq. 3 sample
-/// walks of the `options.weight_sample_size` most frequent multi-query
-/// `sessions`. Each prefix walks the one tree owning it,
+/// walks of the most frequent multi-query `sessions`. Each prefix walks
+/// the one tree owning it,
 /// trees[ShardOfContext(prefix, trees.size())] — the snapshot's own tree in
 /// ModelSnapshot::Build, every shard tree in TrainShardedSnapshots — and a
 /// component matched at depth 0 reads `root`: the tree's own root, or the
 /// fleet's global root prior. A fleet therefore fits exactly the sigmas of
 /// the unsharded build. The walks run on `options.training_threads`
 /// workers with a bit-identical result for any count. `options.components`
-/// must be resolved; `sigmas` carries the initial point and receives the
-/// fitted values.
+/// must be resolved; `sigmas` carries the initial point (kInitialSigma
+/// each) and receives the fitted values, each >= kMinSigma.
 MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
                         std::span<const ModelSnapshot* const> trees,
                         const Pst::Node& root, const MvmmOptions& options,
@@ -328,14 +317,6 @@ inline SnapshotScratch& ThreadScratch() {
 /// Depth a shared kSubstring ContextIndex must cover for `options`'
 /// components (0 = unbounded), i.e. the deepest component bound.
 size_t SharedIndexDepth(const MvmmOptions& options);
-
-/// Unnormalized per-component weights for a context of `context_len`
-/// queries whose component matched lengths are `matched` (Eq. 4 plus the
-/// ablation variants, including the all-underflow depth fallback).
-void ComputeRawWeights(MixtureWeighting weighting,
-                       const std::vector<double>& sigmas, size_t context_len,
-                       const std::vector<size_t>& matched,
-                       std::vector<double>* weights);
 
 }  // namespace internal
 }  // namespace sqp

@@ -12,23 +12,14 @@ MvmmModel::MvmmModel(MvmmOptions options) : options_(std::move(options)) {
 }
 
 Status MvmmModel::Train(const TrainingData& data) {
-  components_.clear();
   snapshot_.reset();
   // All trained state is built off to the side as an immutable snapshot
   // (one counting pass, one maximal multi-view tree, one sigma fit; more
   // than Pst::kMaxViews components is InvalidArgument) and the model
-  // serves by delegating to it. The component models adopt views of the
-  // snapshot's tree so callers can still inspect per-component structure.
+  // serves by delegating to it.
   Result<std::shared_ptr<const ModelSnapshot>> built =
       ModelSnapshot::Build(data, options_, /*version=*/0);
   if (!built.ok()) return built.status();
-  std::vector<std::unique_ptr<VmmModel>> components;
-  for (size_t c = 0; c < options_.components.size(); ++c) {
-    components.push_back(std::make_unique<VmmModel>(options_.components[c]));
-    SQP_RETURN_IF_ERROR(components.back()->TrainFromSharedPst(
-        built.value()->pst(), c, data.vocabulary_size));
-  }
-  components_ = std::move(components);
   snapshot_ = std::move(built.value());
   return Status::OK();
 }

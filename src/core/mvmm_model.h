@@ -17,9 +17,9 @@ namespace sqp {
 /// Gaussian widths are learned offline by Newton iteration on the KL
 /// redundancy objective (Eq. 7-10).
 ///
-/// Training builds ONE maximal shared tree (Pst::BuildShared) and derives
-/// every component as a view of that tree; the trained state lives in an
-/// immutable ModelSnapshot (see core/model_snapshot.h), which online
+/// Training builds ONE maximal shared tree (Pst::BuildShared) in which
+/// every component is a view; the trained state lives in an immutable
+/// ModelSnapshot (see core/model_snapshot.h), which online
 /// prediction walks once per query with per-thread scratch — the same
 /// snapshot type the serving layer (src/serve/) swaps atomically. The
 /// model is a PredictionModel adapter over that snapshot: every query
@@ -44,9 +44,6 @@ class MvmmModel : public PredictionModel {
   /// Per-context mixture weights (normalized); exposed for tests/benches.
   std::vector<double> MixtureWeights(std::span<const QueryId> context) const;
 
-  const std::vector<std::unique_ptr<VmmModel>>& components() const {
-    return components_;
-  }
   /// Fitted Gaussian widths, one per component (empty until trained).
   const std::vector<double>& sigmas() const;
   /// Diagnostics of the sigma fit (default until trained).
@@ -65,7 +62,6 @@ class MvmmModel : public PredictionModel {
 
  private:
   MvmmOptions options_;
-  std::vector<std::unique_ptr<VmmModel>> components_;
   std::shared_ptr<const ModelSnapshot> snapshot_;
 };
 

@@ -90,7 +90,10 @@ class Pst {
   /// View-restricted walk over a shared tree: only descends into nodes
   /// whose mask contains `view`. Because view membership is closed under
   /// the parent (suffix) relation, this is equivalent to matching against
-  /// the view's standalone tree.
+  /// the view's standalone tree. Serving reads the masks off one MatchPath
+  /// instead (ModelSnapshot::SharedMatchDepths); this walk and the view_*
+  /// accounting below are the reference the shared-view property tests
+  /// check the shared build against.
   const Node* MatchLongestSuffixView(std::span<const QueryId> context,
                                      size_t view,
                                      size_t* matched_length) const;

@@ -209,6 +209,14 @@ size_t MatchPath(const ModelRef& m, const uint32_t* context, size_t len,
 /// True iff the model can match at least the last context query.
 bool Covers(const ModelRef& m, const uint32_t* context, size_t len);
 
+/// True iff `sigma` is a width the mixture can serve with: finite and > 0.
+/// Every sigma reaches the walk through this check — ModelSnapshot::Build
+/// and WithSigmas for the full model, BindBlob for a blob — so
+/// GaussianPdf below needs none.
+inline bool ValidSigma(double sigma) {
+  return sigma > 0.0 && std::isfinite(sigma);
+}
+
 /// Gaussian density N(x; 0, sigma) — the walk-layer twin of
 /// util/math_util's GaussianPdf (same constant, same operations, so the
 /// two are bit-identical; no SQP_CHECK so the layer stays abort-free).
@@ -229,7 +237,7 @@ void ComputeWeights(MixtureWeighting weighting, const double* sigmas,
 /// Normalizes `weights[0..k)` to sum to 1. No-op if the sum is <= 0.
 void NormalizeWeights(double* weights, size_t k);
 
-/// default_escape[component]^power via the derived table; beyond the cap
+/// component_escape[component]^power via the derived table; beyond the cap
 /// the chain is extended by multiplication (bit-identical to the loop).
 double EscapePow(const ModelRef& m, size_t component, size_t power);
 

@@ -146,6 +146,7 @@ Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Map(
 namespace {
 
 constexpr size_t kManifestFixedHeader = 8 + 4 + 4 + 4 + 8;  // pre-shard bytes
+constexpr size_t kManifestRowHeader = 8 + 4 + 4;  // size, crc, path length
 constexpr uint32_t kMaxManifestShards = 4096;
 constexpr uint32_t kMaxManifestPathLen = 4096;
 
@@ -164,36 +165,27 @@ Status SnapshotIo::SaveManifest(const SnapshotManifest& manifest,
   if (manifest.shards.size() > kMaxManifestShards) {
     return Status::InvalidArgument("manifest shard count exceeds limit");
   }
-  std::vector<uint8_t> bytes;
-  const auto append = [&bytes](const void* data, size_t size) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    bytes.insert(bytes.end(), p, p + size);
-  };
-  const auto append_u32 = [&](uint32_t v) {
-    uint8_t b[4];
-    StoreLE32(b, v);
-    append(b, sizeof(b));
-  };
-  const auto append_u64 = [&](uint64_t v) {
-    uint8_t b[8];
-    StoreLE64(b, v);
-    append(b, sizeof(b));
-  };
-  append(kManifestMagic, sizeof(kManifestMagic));
-  append_u32(kManifestFormatVersion);
-  append_u32(manifest.partition_function);
-  append_u32(manifest.num_shards());
-  append_u64(manifest.version);
+  size_t size = kManifestFixedHeader + 4;  // + the trailing CRC
   for (const ShardBlobRef& shard : manifest.shards) {
     if (shard.path.empty() || shard.path.size() > kMaxManifestPathLen) {
       return Status::InvalidArgument("manifest shard path empty or too long");
     }
-    append_u64(shard.file_size);
-    append_u32(shard.header_crc);
-    append_u32(static_cast<uint32_t>(shard.path.size()));
-    append(shard.path.data(), shard.path.size());
+    size += kManifestRowHeader + shard.path.size();
   }
-  append_u32(Crc32(bytes.data(), bytes.size()));
+  std::vector<uint8_t> bytes(size);
+  ByteWriter w(bytes.data());
+  w.Bytes(kManifestMagic, sizeof(kManifestMagic));
+  w.U32(kManifestFormatVersion);
+  w.U32(manifest.partition_function);
+  w.U32(manifest.num_shards());
+  w.U64(manifest.version);
+  for (const ShardBlobRef& shard : manifest.shards) {
+    w.U64(shard.file_size);
+    w.U32(shard.header_crc);
+    w.U32(static_cast<uint32_t>(shard.path.size()));
+    w.Bytes(shard.path.data(), shard.path.size());
+  }
+  w.U32(Crc32(bytes.data(), size - 4));
   return WriteFileAtomically(bytes, path);
 }
 
@@ -211,7 +203,12 @@ Result<SnapshotManifest> SnapshotIo::LoadManifest(const std::string& path) {
   if (trailer != Crc32(bytes.data(), bytes.size() - 4)) {
     return CorruptManifest("checksum mismatch", path);
   }
-  const uint32_t format_version = LoadLE32(bytes.data() + 8);
+  // The size check above guarantees the fixed header; past it, the reader
+  // bounds every shard row by the bytes before the trailing CRC.
+  ByteReader r(bytes.data() + sizeof(kManifestMagic),
+               bytes.size() - sizeof(kManifestMagic) - 4);
+  uint32_t format_version = 0;
+  r.U32(&format_version);
   if (format_version != kManifestFormatVersion) {
     return Status::InvalidArgument(
         "unsupported manifest format version " +
@@ -219,34 +216,30 @@ Result<SnapshotManifest> SnapshotIo::LoadManifest(const std::string& path) {
         std::to_string(kManifestFormatVersion) + "): " + path);
   }
   SnapshotManifest out;
-  out.partition_function = LoadLE32(bytes.data() + 12);
-  const uint32_t num_shards = LoadLE32(bytes.data() + 16);
-  out.version = LoadLE64(bytes.data() + 20);
+  uint32_t num_shards = 0;
+  r.U32(&out.partition_function);
+  r.U32(&num_shards);
+  r.U64(&out.version);
   if (num_shards == 0 || num_shards > kMaxManifestShards) {
     return CorruptManifest("implausible shard count", path);
   }
-  size_t cursor = kManifestFixedHeader;
-  const size_t payload_end = bytes.size() - 4;
   out.shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    if (payload_end - cursor < 16) {
+    ShardBlobRef shard;
+    uint32_t path_len = 0;
+    if (!r.U64(&shard.file_size) || !r.U32(&shard.header_crc) ||
+        !r.U32(&path_len)) {
       return CorruptManifest("truncated shard row", path);
     }
-    ShardBlobRef shard;
-    shard.file_size = LoadLE64(bytes.data() + cursor);
-    shard.header_crc = LoadLE32(bytes.data() + cursor + 8);
-    const uint32_t path_len = LoadLE32(bytes.data() + cursor + 12);
-    cursor += 16;
+    const uint8_t* path_bytes = nullptr;
     if (path_len == 0 || path_len > kMaxManifestPathLen ||
-        payload_end - cursor < path_len) {
+        !r.Bytes(path_len, &path_bytes)) {
       return CorruptManifest("implausible shard path length", path);
     }
-    shard.path.assign(reinterpret_cast<const char*>(bytes.data() + cursor),
-                      path_len);
-    cursor += path_len;
+    shard.path.assign(reinterpret_cast<const char*>(path_bytes), path_len);
     out.shards.push_back(std::move(shard));
   }
-  if (cursor != payload_end) {
+  if (r.remaining() != 0) {
     return CorruptManifest("trailing bytes after shard rows", path);
   }
   return out;

@@ -22,16 +22,15 @@ std::string MakeName(const VmmOptions& options) {
 
 namespace internal {
 
-double EscapeMass(const Pst::Node& state, size_t dropped,
-                  double default_escape) {
+double EscapeMass(const Pst::Node& state, size_t dropped) {
   double escape = 1.0;
-  for (size_t i = 0; i + 1 < dropped; ++i) escape *= default_escape;
+  for (size_t i = 0; i + 1 < dropped; ++i) escape *= kDefaultEscape;
   if (state.total_count > 0 && state.start_count > 0 &&
       state.parent >= 0) {  // a real state with observed session starts
     escape *= static_cast<double>(state.start_count) /
               static_cast<double>(state.total_count);
   } else {
-    escape *= default_escape;
+    escape *= kDefaultEscape;
   }
   return escape;
 }
@@ -44,16 +43,14 @@ VmmModel::VmmModel(VmmOptions options)
 Status VmmModel::Train(const TrainingData& data) {
   SQP_RETURN_IF_ERROR(internal::ValidateTrainingData(data));
   vocabulary_size_ = data.vocabulary_size;
-  shared_pst_.reset();
-  view_ = 0;
 
   PstOptions pst_options;
   pst_options.epsilon = options_.epsilon;
   pst_options.max_depth = options_.max_depth;
   pst_options.min_support = options_.min_support;
 
-  // Reuse a shared counting pass when compatible (MVMM components share
-  // one); otherwise count locally.
+  // Reuse a caller's counting pass when compatible; otherwise count
+  // locally.
   const ContextIndex* index = data.substring_index;
   const bool compatible =
       index != nullptr && index->CoversSubstringDepth(options_.max_depth);
@@ -68,40 +65,18 @@ Status VmmModel::Train(const TrainingData& data) {
   return Status::OK();
 }
 
-Status VmmModel::TrainFromSharedPst(std::shared_ptr<const Pst> shared,
-                                    size_t view, size_t vocabulary_size) {
-  if (shared == nullptr || !shared->is_shared() ||
-      view >= shared->num_views()) {
-    return Status::InvalidArgument("invalid shared PST view");
-  }
-  if (vocabulary_size == 0) {
-    return Status::InvalidArgument("vocabulary_size must be > 0");
-  }
-  pst_ = Pst();
-  shared_pst_ = std::move(shared);
-  view_ = view;
-  vocabulary_size_ = vocabulary_size;
-  trained_ = true;
-  return Status::OK();
-}
-
 VmmMatch VmmModel::Match(std::span<const QueryId> context) const {
   SQP_CHECK(trained_);
   VmmMatch match;
-  const Pst& tree = pst();
-  match.state =
-      shared_pst_ ? tree.MatchLongestSuffixView(context, view_,
-                                                &match.matched_length)
-                  : tree.MatchLongestSuffix(context, &match.matched_length);
+  match.state = pst_.MatchLongestSuffix(context, &match.matched_length);
   // Escape mass for the context disparity (Eq. 5-6): one escape step per
   // dropped prefix query. Intermediate suffixes are not PST states (that is
   // why they were dropped), so their Eq. 6 ratio is unavailable after
-  // training; they contribute the configured default. The final step lands
+  // training; they contribute kDefaultEscape. The final step lands
   // on the matched state, whose Eq. 6 ratio start_count/total_count we have.
   const size_t dropped = context.size() - match.matched_length;
   if (dropped > 0) {
-    match.escape_weight =
-        internal::EscapeMass(*match.state, dropped, options_.default_escape);
+    match.escape_weight = internal::EscapeMass(*match.state, dropped);
   }
   return match;
 }
@@ -122,11 +97,7 @@ Recommendation VmmModel::Recommend(std::span<const QueryId> context,
 bool VmmModel::Covers(std::span<const QueryId> context) const {
   if (!trained_ || context.empty()) return false;
   size_t matched = 0;
-  if (shared_pst_) {
-    shared_pst_->MatchLongestSuffixView(context, view_, &matched);
-  } else {
-    pst_.MatchLongestSuffix(context, &matched);
-  }
+  pst_.MatchLongestSuffix(context, &matched);
   return matched >= 1;
 }
 
@@ -157,15 +128,9 @@ double VmmModel::SequenceProb(std::span<const QueryId> sequence) const {
 ModelStats VmmModel::Stats() const {
   ModelStats stats;
   stats.name = std::string(Name());
-  if (shared_pst_) {
-    stats.num_states = shared_pst_->view_num_states(view_);
-    stats.num_entries = shared_pst_->view_num_entries(view_);
-    stats.memory_bytes = shared_pst_->view_memory_bytes(view_);
-  } else {
-    stats.num_states = pst_.size();
-    stats.num_entries = pst_.num_entries();
-    stats.memory_bytes = pst_.memory_bytes();
-  }
+  stats.num_states = pst_.size();
+  stats.num_entries = pst_.num_entries();
+  stats.memory_bytes = pst_.memory_bytes();
   return stats;
 }
 

@@ -1,8 +1,6 @@
 #ifndef SQP_CORE_VMM_MODEL_H_
 #define SQP_CORE_VMM_MODEL_H_
 
-#include <memory>
-
 #include "core/prediction_model.h"
 #include "core/pst.h"
 
@@ -18,12 +16,14 @@ struct VmmOptions {
   size_t max_depth = 0;
   /// Minimum weighted support for a candidate context.
   uint64_t min_support = 1;
-  /// Escape probability used when the suffix being escaped into was itself
-  /// never observed, so Eq. 6 has an empty denominator. Only affects the
-  /// generative weight seen by the MVMM mixture, never the within-model
-  /// ranking.
-  double default_escape = 0.1;
 };
+
+/// Escape probability used when the suffix being escaped into was itself
+/// never observed, so Eq. 6 has an empty denominator. Only affects the
+/// generative weight seen by the MVMM mixture, never the within-model
+/// ranking. The compact blob still stores it once per component (a frozen
+/// format section), always with this value.
+inline constexpr double kDefaultEscape = 0.1;
 
 /// Result of matching a context against the VMM: the state used for
 /// prediction plus the escape mass accumulated while bridging the context
@@ -39,33 +39,23 @@ struct VmmMatch {
 namespace internal {
 
 /// Escape mass of Eq. 5-6 for a state reached after dropping `dropped` > 0
-/// prefix queries: one default-escape factor per intermediate drop, then
-/// the matched state's start_count/total_count ratio (or the default when
-/// the state has no observed session starts / is the root). Shared by
+/// prefix queries: one kDefaultEscape factor per intermediate drop, then
+/// the matched state's start_count/total_count ratio (or kDefaultEscape
+/// when the state has no observed session starts / is the root). Shared by
 /// VmmModel::Match and the MVMM shared-tree path so the two cannot drift.
-double EscapeMass(const Pst::Node& state, size_t dropped,
-                  double default_escape);
+double EscapeMass(const Pst::Node& state, size_t dropped);
 
 }  // namespace internal
 
-/// Variable Memory Markov model for sequential query prediction.
-///
-/// A VMM either owns its tree (standalone Train) or serves as one *view* of
-/// a shared multi-view tree built by Pst::BuildShared — the MVMM training
-/// path, where 11 components share a single node pool and differ only in
-/// per-node membership bits.
+/// Variable Memory Markov model for sequential query prediction, over the
+/// PST it builds and owns. (The MVMM does not train VmmModels: its
+/// components are views of one shared tree inside a ModelSnapshot.)
 class VmmModel : public PredictionModel {
  public:
   explicit VmmModel(VmmOptions options = {});
 
   std::string_view Name() const override { return name_; }
   Status Train(const TrainingData& data) override;
-
-  /// Adopts view `view` of a shared tree built by Pst::BuildShared with
-  /// this model's options at position `view`. The tree is shared (and kept
-  /// alive) by all sibling components.
-  Status TrainFromSharedPst(std::shared_ptr<const Pst> shared, size_t view,
-                            size_t vocabulary_size);
 
   Recommendation Recommend(std::span<const QueryId> context,
                            size_t top_n) const override;
@@ -83,21 +73,14 @@ class VmmModel : public PredictionModel {
   /// probability 1 (paper footnote 3). Used by the MVMM weight learner.
   double SequenceProb(std::span<const QueryId> sequence) const;
 
-  /// The active tree: the owned standalone tree, or the shared tree when
-  /// this model is a view (callers seeing the shared tree must respect the
-  /// view masks; prefer Match/Recommend, which already do).
-  const Pst& pst() const { return shared_pst_ ? *shared_pst_ : pst_; }
-  bool is_shared_view() const { return shared_pst_ != nullptr; }
-  size_t view_index() const { return view_; }
+  const Pst& pst() const { return pst_; }
   const VmmOptions& options() const { return options_; }
   size_t vocabulary_size() const { return vocabulary_size_; }
 
  private:
   VmmOptions options_;
   std::string name_;
-  Pst pst_;                                // owned (standalone) tree
-  std::shared_ptr<const Pst> shared_pst_;  // shared multi-view tree
-  size_t view_ = 0;
+  Pst pst_;
   size_t vocabulary_size_ = 0;
   bool trained_ = false;
 };

@@ -27,9 +27,8 @@ namespace sqp::net {
 /// time, which is the contract TcpTransport has too.
 class LoopbackTransport final : public Transport {
  public:
-  LoopbackTransport(const RecommenderEngine* engine, uint64_t fleet_version,
-                    size_t max_body_bytes = kMaxFrameBodyBytes)
-      : handler_(engine, fleet_version), assembler_(max_body_bytes) {}
+  LoopbackTransport(const RecommenderEngine* engine, uint64_t fleet_version)
+      : handler_(engine, fleet_version) {}
 
   Status Write(std::span<const uint8_t> data) override;
   Result<size_t> Read(uint8_t* out, size_t max) override;

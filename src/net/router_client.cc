@@ -35,7 +35,7 @@ Result<WireResponse> RouterClient::Exchange(uint32_t shard,
       last = written;
       continue;
     }
-    FrameAssembler assembler(options_.max_frame_body_bytes);
+    FrameAssembler assembler;
     FrameHeader header;
     std::vector<uint8_t> body;
     uint8_t buf[16 * 1024];

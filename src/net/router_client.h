@@ -24,9 +24,6 @@ struct RouterOptions {
   /// immediately, because resending bytes cannot fix a corrupt stream.
   int max_attempts = 2;
 
-  /// Frame-body cap enforced on responses.
-  size_t max_frame_body_bytes = kMaxFrameBodyBytes;
-
   /// When nonzero, every request pins this manifest version and a shard
   /// serving a different one answers kFailedPrecondition (see
   /// ShardRequestHandler). 0 = serve whatever is published.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/snapshot_io.h"
+#include "net/wire_format.h"
 
 namespace sqp::net {
 namespace {
@@ -17,8 +18,7 @@ namespace {
 /// Per-connection state: reassembly of the inbound stream and the
 /// outbound bytes not yet accepted by the socket.
 struct Connection {
-  explicit Connection(OwnedFd fd, size_t max_body)
-      : fd(std::move(fd)), assembler(max_body) {}
+  explicit Connection(OwnedFd fd) : fd(std::move(fd)) {}
   OwnedFd fd;
   FrameAssembler assembler;
   std::vector<uint8_t> out;
@@ -166,8 +166,7 @@ void ShardServer::EventLoop() {
           if (!accepted.ok()) break;
           int cfd = accepted->get();
           if (!SetNonBlocking(cfd).ok()) continue;
-          conns.emplace(cfd, Connection(std::move(*accepted),
-                                        options_.max_frame_body_bytes));
+          conns.emplace(cfd, Connection(std::move(*accepted)));
           add(cfd, EPOLLIN);
           connections_accepted_.fetch_add(1, std::memory_order_relaxed);
         }

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "net/request_handler.h"
-#include "net/wire_format.h"
 #include "serve/recommender_engine.h"
 #include "util/socket.h"
 #include "util/status.h"
@@ -27,9 +26,6 @@ struct ShardServerOptions {
   /// admission queue still applies its deadline/lane policy to pool-sized
   /// batches when more lanes are configured.
   EngineOptions engine = {.num_threads = 1};
-
-  /// Frame-body cap enforced on incoming requests.
-  size_t max_frame_body_bytes = kMaxFrameBodyBytes;
 
   /// Optional closed-loop hook (serve/feedback.h): every request this
   /// server serves is passed through it (exploration rerank + impression

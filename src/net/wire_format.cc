@@ -1,6 +1,5 @@
 #include "net/wire_format.h"
 
-#include <bit>
 #include <cstring>
 
 #include "util/byte_io.h"
@@ -8,75 +7,23 @@
 namespace sqp::net {
 namespace {
 
-// ---------------------------------------------------------------- encode
-
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  uint8_t b[2];
-  StoreLE16(b, v);
-  out->insert(out->end(), b, b + sizeof(b));
-}
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  uint8_t b[4];
-  StoreLE32(b, v);
-  out->insert(out->end(), b, b + sizeof(b));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  uint8_t b[8];
-  StoreLE64(b, v);
-  out->insert(out->end(), b, b + sizeof(b));
-}
-
-/// Bounds-checked little-endian reader over a frame body. Every getter
-/// returns false instead of reading past the span.
-class ByteCursor {
- public:
-  explicit ByteCursor(std::span<const uint8_t> data) : data_(data) {}
-
-  bool U8(uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = data_[pos_++];
-    return true;
-  }
-  bool U16(uint16_t* v) {
-    if (remaining() < 2) return false;
-    *v = LoadLE16(data_.data() + pos_);
-    pos_ += 2;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = LoadLE32(data_.data() + pos_);
-    pos_ += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (remaining() < 8) return false;
-    *v = LoadLE64(data_.data() + pos_);
-    pos_ += 8;
-    return true;
-  }
-  bool F64(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
-    return true;
-  }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
+// Fixed body field sizes: the request header (request id, deadline,
+// fleet version, lane + 3 reserved, top_n, context count) and a context's
+// length word; the response header (request id, fleet version, admission,
+// degraded, reserved u16, effective top_n, item count), an item header
+// (status, covered, reserved u16, matched length, query count) and one
+// scored query (id, score bits).
+constexpr size_t kRequestHeaderBytes = 8 + 8 + 8 + 4 + 4 + 4;
+constexpr size_t kContextHeaderBytes = 4;
+constexpr size_t kResponseHeaderBytes = 8 + 8 + 1 + 1 + 2 + 4 + 4;
+constexpr size_t kItemHeaderBytes = 1 + 1 + 2 + 4 + 4;
+constexpr size_t kScoredQueryBytes = 4 + 8;
 
 Status Malformed(const char* what) {
   return Status::DataLoss(std::string("malformed frame body: ") + what);
 }
 
-/// Writes the 16-byte prelude in front of the body already appended at
+/// Writes the 16-byte prelude in front of the body already written at
 /// out[16..], then stamps size + CRC.
 void FinishFrame(FrameType type, std::vector<uint8_t>* out) {
   uint8_t* p = out->data();
@@ -132,51 +79,59 @@ bool StatusFromWire(uint8_t wire, StatusCode* out) {
 
 void EncodeRequestFrame(const WireRequest& request,
                         std::vector<uint8_t>* out) {
-  out->clear();
-  out->resize(kFramePreludeBytes);
-  PutU64(out, request.request_id);
-  PutU64(out, request.deadline_remaining_us);
-  PutU64(out, request.expected_fleet_version);
-  PutU8(out, static_cast<uint8_t>(request.lane));
-  PutU8(out, 0);
-  PutU8(out, 0);
-  PutU8(out, 0);
-  PutU32(out, request.top_n);
-  PutU32(out, static_cast<uint32_t>(request.contexts.size()));
+  size_t body_size = kRequestHeaderBytes;
   for (const auto& context : request.contexts) {
-    PutU32(out, static_cast<uint32_t>(context.size()));
-    for (QueryId id : context) PutU32(out, id);
+    body_size += kContextHeaderBytes + 4 * context.size();
+  }
+  out->resize(kFramePreludeBytes + body_size);
+  ByteWriter w(out->data() + kFramePreludeBytes);
+  w.U64(request.request_id);
+  w.U64(request.deadline_remaining_us);
+  w.U64(request.expected_fleet_version);
+  w.U8(static_cast<uint8_t>(request.lane));
+  w.U8(0);
+  w.U8(0);
+  w.U8(0);
+  w.U32(request.top_n);
+  w.U32(static_cast<uint32_t>(request.contexts.size()));
+  for (const auto& context : request.contexts) {
+    w.U32(static_cast<uint32_t>(context.size()));
+    for (QueryId id : context) w.U32(id);
   }
   FinishFrame(FrameType::kRequest, out);
 }
 
 void EncodeResponseFrame(const WireResponse& response,
                          std::vector<uint8_t>* out) {
-  out->clear();
-  out->resize(kFramePreludeBytes);
-  PutU64(out, response.request_id);
-  PutU64(out, response.fleet_version);
-  PutU8(out, WireStatusOf(response.admission));
-  PutU8(out, response.degraded ? 1 : 0);
-  PutU16(out, 0);
-  PutU32(out, response.effective_top_n);
-  PutU32(out, static_cast<uint32_t>(response.items.size()));
+  size_t body_size = kResponseHeaderBytes;
   for (const WireItem& item : response.items) {
-    PutU8(out, WireStatusOf(item.status));
-    PutU8(out, item.covered ? 1 : 0);
-    PutU16(out, 0);
-    PutU32(out, item.matched_length);
-    PutU32(out, static_cast<uint32_t>(item.queries.size()));
+    body_size += kItemHeaderBytes + kScoredQueryBytes * item.queries.size();
+  }
+  out->resize(kFramePreludeBytes + body_size);
+  ByteWriter w(out->data() + kFramePreludeBytes);
+  w.U64(response.request_id);
+  w.U64(response.fleet_version);
+  w.U8(WireStatusOf(response.admission));
+  w.U8(response.degraded ? 1 : 0);
+  w.U16(0);
+  w.U32(response.effective_top_n);
+  w.U32(static_cast<uint32_t>(response.items.size()));
+  for (const WireItem& item : response.items) {
+    w.U8(WireStatusOf(item.status));
+    w.U8(item.covered ? 1 : 0);
+    w.U16(0);
+    w.U32(item.matched_length);
+    w.U32(static_cast<uint32_t>(item.queries.size()));
     for (const ScoredQuery& sq : item.queries) {
-      PutU32(out, sq.query);
-      PutU64(out, std::bit_cast<uint64_t>(sq.score));
+      w.U32(sq.query);
+      w.F64(sq.score);
     }
   }
   FinishFrame(FrameType::kResponse, out);
 }
 
 Status DecodeRequestBody(std::span<const uint8_t> body, WireRequest* out) {
-  ByteCursor cursor(body);
+  ByteReader cursor(body.data(), body.size());
   WireRequest request;
   uint8_t lane, r0, r1, r2;
   uint32_t num_contexts;
@@ -193,9 +148,9 @@ Status DecodeRequestBody(std::span<const uint8_t> body, WireRequest* out) {
   if ((r0 | r1 | r2) != 0) return Malformed("nonzero reserved byte");
   if (request.top_n == 0) return Malformed("top_n is zero");
   request.lane = static_cast<QosLane>(lane);
-  // Each context costs at least 4 bytes, so this bound makes a hostile
-  // count harmless before any reserve.
-  if (num_contexts > cursor.remaining() / 4) {
+  // Each context costs at least its length word, so this bound makes a
+  // hostile count harmless before any reserve.
+  if (num_contexts > cursor.remaining() / kContextHeaderBytes) {
     return Malformed("context count exceeds body");
   }
   request.contexts.resize(num_contexts);
@@ -216,7 +171,7 @@ Status DecodeRequestBody(std::span<const uint8_t> body, WireRequest* out) {
 }
 
 Status DecodeResponseBody(std::span<const uint8_t> body, WireResponse* out) {
-  ByteCursor cursor(body);
+  ByteReader cursor(body.data(), body.size());
   WireResponse response;
   uint8_t admission, degraded;
   uint16_t reserved;
@@ -233,8 +188,8 @@ Status DecodeResponseBody(std::span<const uint8_t> body, WireResponse* out) {
   if (degraded > 1) return Malformed("degraded flag out of range");
   if (reserved != 0) return Malformed("nonzero reserved bytes");
   response.degraded = degraded == 1;
-  // Each item costs at least 12 bytes.
-  if (num_items > cursor.remaining() / 12) {
+  // Each item costs at least its header.
+  if (num_items > cursor.remaining() / kItemHeaderBytes) {
     return Malformed("item count exceeds body");
   }
   response.items.resize(num_items);
@@ -253,8 +208,7 @@ Status DecodeResponseBody(std::span<const uint8_t> body, WireResponse* out) {
     if (covered > 1) return Malformed("covered flag out of range");
     if (item_reserved != 0) return Malformed("nonzero reserved bytes");
     item.covered = covered == 1;
-    // Each scored query costs 12 bytes.
-    if (num_queries > cursor.remaining() / 12) {
+    if (num_queries > cursor.remaining() / kScoredQueryBytes) {
       return Malformed("query count exceeds body");
     }
     item.queries.resize(num_queries);
@@ -285,7 +239,7 @@ Status FrameAssembler::ValidatePrelude(const uint8_t* p) {
   }
   if (p[7] != 0) return Status::DataLoss("nonzero reserved prelude byte");
   const uint32_t body_size = LoadLE32(p + 8);
-  if (body_size > max_body_bytes_) {
+  if (body_size > kMaxFrameBodyBytes) {
     return Status::DataLoss("frame body of " + std::to_string(body_size) +
                             " bytes exceeds limit");
   }

@@ -58,8 +58,9 @@ namespace sqp::net {
 inline constexpr uint8_t kWireMagic[4] = {'S', 'Q', 'P', 'W'};
 inline constexpr uint16_t kWireProtocolVersion = 1;
 inline constexpr size_t kFramePreludeBytes = 16;
-/// Upper bound on a frame body; a length prefix above this is corruption
-/// (or an unreasonable request) and kills the connection.
+/// Upper bound on a frame body, enforced by every FrameAssembler (server
+/// requests, router responses, loopback); a length prefix above this is
+/// corruption (or an unreasonable request) and kills the connection.
 inline constexpr size_t kMaxFrameBodyBytes = 16u << 20;
 inline constexpr uint64_t kUnboundedDeadlineMicros = ~uint64_t{0};
 
@@ -129,14 +130,11 @@ Status DecodeResponseBody(std::span<const uint8_t> body, WireResponse* out);
 /// transport produced (a single byte is fine), then drain complete frames
 /// with Next(). The prelude is validated as soon as its 16 bytes arrive —
 /// garbage magic, an unsupported version, an unknown frame type, a
-/// nonzero reserved byte or an oversized body length poison the stream
-/// with a sticky kDataLoss, because after framing is lost no later byte
-/// can be trusted.
+/// nonzero reserved byte or a body length above kMaxFrameBodyBytes poison
+/// the stream with a sticky kDataLoss, because after framing is lost no
+/// later byte can be trusted.
 class FrameAssembler {
  public:
-  explicit FrameAssembler(size_t max_body_bytes = kMaxFrameBodyBytes)
-      : max_body_bytes_(max_body_bytes) {}
-
   /// Appends stream bytes. Returns the sticky stream status.
   Status Feed(std::span<const uint8_t> bytes);
 
@@ -151,7 +149,6 @@ class FrameAssembler {
  private:
   Status ValidatePrelude(const uint8_t* prelude);
 
-  size_t max_body_bytes_;
   std::vector<uint8_t> buffer_;
   size_t consumed_ = 0;
   bool have_header_ = false;

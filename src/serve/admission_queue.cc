@@ -35,23 +35,14 @@ void AdmissionStats::MergeFrom(const AdmissionStats& other) {
   }
 }
 
-AdmissionQueue::AdmissionQueue(AdmissionOptions options)
-    : options_(options), ewma_us_per_item_(options.initial_service_us_per_item) {
+AdmissionQueue::AdmissionQueue(AdmissionOptions options) : options_(options) {
   options_.interactive_capacity =
       std::max<size_t>(1, options_.interactive_capacity);
   options_.bulk_capacity = std::max<size_t>(1, options_.bulk_capacity);
-  if (options_.ewma_alpha <= 0.0 || options_.ewma_alpha > 1.0) {
-    options_.ewma_alpha = 0.2;
-  }
-  if (!(ewma_us_per_item_ > 0.0)) ewma_us_per_item_ = 0.5;
   const double total_capacity = static_cast<double>(
       options_.interactive_capacity + options_.bulk_capacity);
-  degrade_threshold_jobs_ =
-      options_.degrade_pressure >= 1.0
-          ? SIZE_MAX
-          : std::max<size_t>(
-                1, static_cast<size_t>(std::ceil(
-                       options_.degrade_pressure * total_capacity)));
+  degrade_threshold_jobs_ = std::max<size_t>(
+      1, static_cast<size_t>(std::ceil(kDegradePressure * total_capacity)));
 }
 
 double AdmissionQueue::ItemsAheadLocked(QosLane lane) const {
@@ -142,21 +133,21 @@ void AdmissionQueue::Release(size_t items_served, double service_us) {
   running_items_ = 0;
   if (items_served > 0 && service_us > 0.0) {
     const double per_item = service_us / static_cast<double>(items_served);
-    ewma_us_per_item_ = options_.ewma_alpha * per_item +
-                        (1.0 - options_.ewma_alpha) * ewma_us_per_item_;
+    ewma_us_per_item_ = kServiceEwmaAlpha * per_item +
+                        (1.0 - kServiceEwmaAlpha) * ewma_us_per_item_;
   }
   MaybeGrantLocked();
 }
 
 size_t AdmissionQueue::DegradedTopN(size_t top_n,
                                     const Deadline& deadline) const {
-  if (!deadline.bounded() || top_n <= options_.degrade_min_top_n) {
+  if (!deadline.bounded() || top_n <= kDegradeMinTopN) {
     return top_n;
   }
   if (waiting_jobs_total_.load(kRelaxed) < degrade_threshold_jobs_) {
     return top_n;
   }
-  return std::max(options_.degrade_min_top_n, top_n / 2);
+  return std::max(kDegradeMinTopN, top_n / 2);
 }
 
 void AdmissionQueue::RecordServed(QosLane lane, double latency_us,

@@ -61,29 +61,28 @@ inline constexpr size_t kLatencyBuckets = 20;
 /// Returns the histogram bucket for a latency in microseconds.
 size_t LatencyBucket(double latency_us);
 
+/// Smoothing factor of the per-item service-time EWMA that drives
+/// shed-on-arrival (higher = adapts faster, noisier).
+inline constexpr double kServiceEwmaAlpha = 0.2;
+
+/// Seed of that EWMA before the first job completes. Deliberately small:
+/// the queue starts permissive and tightens as it observes real service
+/// times.
+inline constexpr double kInitialServiceUsPerItem = 0.5;
+
+/// Degrade ladder: when the total waiting-job count reaches this fraction
+/// of total capacity, deadline-carrying requests are served with a halved
+/// top_n (floored at kDegradeMinTopN) instead of being shed.
+inline constexpr double kDegradePressure = 0.5;
+inline constexpr size_t kDegradeMinTopN = 3;
+
 struct AdmissionOptions {
   /// Maximum waiting jobs per lane; a deadline-carrying job arriving at a
   /// full lane is shed with kResourceExhausted. Unbounded-deadline jobs
   /// are never shed and may exceed the bound (they keep the blocking
-  /// contract).
+  /// contract). The degrade threshold scales with their sum.
   size_t interactive_capacity = 64;
   size_t bulk_capacity = 16;
-
-  /// Smoothing factor for the per-item service-time EWMA that drives
-  /// shed-on-arrival (higher = adapts faster, noisier).
-  double ewma_alpha = 0.2;
-
-  /// Seed for the EWMA before the first job completes. Deliberately
-  /// small: the queue starts permissive and tightens as it observes real
-  /// service times.
-  double initial_service_us_per_item = 0.5;
-
-  /// Degrade ladder: when the total waiting-job count reaches this
-  /// fraction of total capacity, deadline-carrying requests are served
-  /// with a halved top_n (floored at degrade_min_top_n) instead of being
-  /// shed. Set >= 1.0 to disable degradation.
-  double degrade_pressure = 0.5;
-  size_t degrade_min_top_n = 3;
 };
 
 /// Monotonic per-lane QoS counters (a plain snapshot copy; see
@@ -190,7 +189,7 @@ class AdmissionQueue {
   std::array<size_t, kNumQosLanes> waiting_items_{};
   bool busy_ = false;
   size_t running_items_ = 0;
-  double ewma_us_per_item_;  // guarded by mu_
+  double ewma_us_per_item_ = kInitialServiceUsPerItem;  // guarded by mu_
 
   /// Lock-free mirror of the total waiting-job count so the inline
   /// serving paths can read degrade pressure without touching mu_.

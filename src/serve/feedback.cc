@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -49,52 +48,6 @@ constexpr size_t kClickBodyBytes = 2 + 8 + 4;
 // [u32 body_len] before and [u32 crc32(body)] after every body.
 constexpr size_t kFrameBytes = 8;
 
-/// Cursor writing one record body in place (the caller sized it).
-struct BodyWriter {
-  uint8_t* p;
-
-  void U8(uint8_t v) { *p++ = v; }
-  void U32(uint32_t v) {
-    StoreLE32(p, v);
-    p += 4;
-  }
-  void U64(uint64_t v) {
-    StoreLE64(p, v);
-    p += 8;
-  }
-  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
-};
-
-/// Cursor over one decoded record body (already CRC-validated).
-struct BodyCursor {
-  const uint8_t* p;
-  const uint8_t* end;
-
-  bool U8(uint8_t* v) {
-    if (end - p < 1) return false;
-    *v = *p++;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (end - p < 4) return false;
-    *v = LoadLE32(p);
-    p += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (end - p < 8) return false;
-    *v = LoadLE64(p);
-    p += 8;
-    return true;
-  }
-  bool F64(double* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = std::bit_cast<double>(u);
-    return true;
-  }
-};
-
 struct ClickEvent {
   uint64_t impression_record_id;
   uint32_t position;
@@ -110,7 +63,7 @@ struct SegmentScan {
   bool header_ok = false;
 };
 
-bool DecodeImpression(BodyCursor cur, FeedbackRecord* out) {
+bool DecodeImpression(ByteReader cur, FeedbackRecord* out) {
   uint8_t policy = 0;
   uint32_t context_len = 0;
   uint32_t served_len = 0;
@@ -121,10 +74,13 @@ bool DecodeImpression(BodyCursor cur, FeedbackRecord* out) {
   }
   if (context_len > kMaxListLen || served_len > kMaxListLen) return false;
   out->policy = static_cast<ExplorePolicy>(policy);
+  // Each list is bounded by the bytes left before it is sized.
+  if (context_len > cur.remaining() / 4) return false;
   out->context.resize(context_len);
   for (uint32_t i = 0; i < context_len; ++i) {
     if (!cur.U32(&out->context[i])) return false;
   }
+  if (served_len > cur.remaining() / kServedItemBytes) return false;
   out->served.resize(served_len);
   for (uint32_t i = 0; i < served_len; ++i) {
     ServedItem& item = out->served[i];
@@ -169,7 +125,7 @@ SegmentScan ScanSegment(const std::string& path, bool sealed) {
       ++scan.torn_records;
       break;
     }
-    BodyCursor cur{body + 2, body + body_len};
+    ByteReader cur(body + 2, body_len - 2);
     const uint8_t type = body[0];
     const uint8_t version = body[1];
     bool decoded = false;
@@ -480,7 +436,7 @@ Status FeedbackLog::AppendImpressionFrom(uint64_t record_id,
                           context.size() * 4 + served_len * kServedItemBytes;
   std::lock_guard<std::mutex> lock(io_mu_);
   return AppendBody(body_len, /*is_click=*/false, [&](uint8_t* body) {
-    BodyWriter out{body};
+    ByteWriter out(body);
     out.U8(kRecordImpression);
     out.U8(kRecordVersion);
     out.U64(record_id);
@@ -516,7 +472,7 @@ Status FeedbackLog::RecordClick(uint64_t impression_record_id,
   }
   std::lock_guard<std::mutex> lock(io_mu_);
   return AppendBody(kClickBodyBytes, /*is_click=*/true, [&](uint8_t* body) {
-    BodyWriter out{body};
+    ByteWriter out(body);
     out.U8(kRecordClick);
     out.U8(kRecordVersion);
     out.U64(impression_record_id);

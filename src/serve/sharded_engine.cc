@@ -211,7 +211,7 @@ Result<ShardedTrainResult> TrainShardedSnapshots(
   // each shard by its own slice and break the exact-equality guarantee.
   MvmmOptions shard_model = model;
   if (needs_global_fit) {
-    shard_model.fixed_sigmas.assign(k, model.initial_sigma);
+    shard_model.fixed_sigmas.assign(k, internal::kInitialSigma);
   }
 
   result.corpora = PartitionSessionsByShard(corpus, options.num_shards);
@@ -233,7 +233,7 @@ Result<ShardedTrainResult> TrainShardedSnapshots(
     std::vector<const ModelSnapshot*> trees;
     trees.reserve(result.shards.size());
     for (const auto& shard : result.shards) trees.push_back(shard.get());
-    result.sigmas.assign(k, model.initial_sigma);
+    result.sigmas.assign(k, internal::kInitialSigma);
     internal::FitSigmas(corpus, trees, GlobalRootState(corpus), model,
                         result.vocabulary_size, &result.sigmas);
     for (auto& shard : result.shards) {

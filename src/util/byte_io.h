@@ -6,10 +6,13 @@
 /// serve/feedback log segments): multi-byte fields are stored and loaded
 /// little-endian regardless of host order, and CRC-32 covers section
 /// checksums. Having exactly one set of byte-level helpers keeps the
-/// formats from drifting apart.
+/// formats from drifting apart. Nothing here allocates or needs the C++
+/// runtime, so the slim predictor may link any of it.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace sqp {
 
@@ -46,6 +49,89 @@ inline uint64_t LoadLE64(const uint8_t* p) {
   return static_cast<uint64_t>(LoadLE32(p)) |
          (static_cast<uint64_t>(LoadLE32(p + 4)) << 32);
 }
+
+// ---------------------------------------------------------------- cursors
+
+/// Writes consecutive little-endian fields at a raw pointer. The caller
+/// sizes the destination for every field first; nothing is checked.
+class ByteWriter {
+ public:
+  explicit ByteWriter(uint8_t* p) : p_(p) {}
+
+  void U8(uint8_t v) { *p_++ = v; }
+  void U16(uint16_t v) {
+    StoreLE16(p_, v);
+    p_ += 2;
+  }
+  void U32(uint32_t v) {
+    StoreLE32(p_, v);
+    p_ += 4;
+  }
+  void U64(uint64_t v) {
+    StoreLE64(p_, v);
+    p_ += 8;
+  }
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+  void Bytes(const void* data, size_t size) {
+    std::memcpy(p_, data, size);
+    p_ += size;
+  }
+
+ private:
+  uint8_t* p_;
+};
+
+/// Reads consecutive little-endian fields from [data, data + size). Every
+/// getter returns false, and consumes nothing, rather than read past the
+/// end; a caller bounds a length field by remaining() before it sizes a
+/// container from it.
+class ByteReader {
+ public:
+  ByteReader(const uint8_t* data, size_t size)
+      : p_(data), end_(data + size) {}
+
+  bool U8(uint8_t* v) {
+    if (remaining() < 1) return false;
+    *v = *p_++;
+    return true;
+  }
+  bool U16(uint16_t* v) {
+    if (remaining() < 2) return false;
+    *v = LoadLE16(p_);
+    p_ += 2;
+    return true;
+  }
+  bool U32(uint32_t* v) {
+    if (remaining() < 4) return false;
+    *v = LoadLE32(p_);
+    p_ += 4;
+    return true;
+  }
+  bool U64(uint64_t* v) {
+    if (remaining() < 8) return false;
+    *v = LoadLE64(p_);
+    p_ += 8;
+    return true;
+  }
+  bool F64(double* v) {
+    uint64_t bits = 0;
+    if (!U64(&bits)) return false;
+    *v = std::bit_cast<double>(bits);
+    return true;
+  }
+  /// Points `*data` at the next `size` bytes and consumes them.
+  bool Bytes(size_t size, const uint8_t** data) {
+    if (remaining() < size) return false;
+    *data = p_;
+    p_ += size;
+    return true;
+  }
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+
+ private:
+  const uint8_t* p_;
+  const uint8_t* end_;
+};
 
 // ----------------------------------------------------------------- CRC32
 

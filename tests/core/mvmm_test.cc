@@ -57,7 +57,7 @@ TEST(MvmmModelTest, TrainsElevenComponentsByDefault) {
   const auto sessions = TableIISessions();
   MvmmModel model;
   ASSERT_TRUE(model.Train(MakeData(&sessions)).ok());
-  EXPECT_EQ(model.components().size(), 11u);
+  EXPECT_EQ(model.snapshot()->num_components(), 11u);
   EXPECT_EQ(model.sigmas().size(), 11u);
 }
 
@@ -68,8 +68,8 @@ TEST(MvmmModelTest, CustomComponents) {
   const auto sessions = TableIISessions();
   MvmmModel model(options);
   ASSERT_TRUE(model.Train(MakeData(&sessions)).ok());
-  ASSERT_EQ(model.components().size(), 2u);
-  EXPECT_EQ(model.components()[0]->options().max_depth, 1u);
+  ASSERT_EQ(model.snapshot()->num_components(), 2u);
+  EXPECT_EQ(model.options().components[0].max_depth, 1u);
 }
 
 TEST(MvmmModelTest, SigmaFitImprovesObjective) {
@@ -86,7 +86,7 @@ TEST(MvmmModelTest, SigmasStayAboveFloor) {
   MvmmModel model;
   ASSERT_TRUE(model.Train(MakeData(&sessions)).ok());
   for (double sigma : model.sigmas()) {
-    EXPECT_GE(sigma, model.options().min_sigma);
+    EXPECT_GE(sigma, internal::kMinSigma);
   }
 }
 
@@ -158,12 +158,13 @@ TEST(MvmmModelTest, MergedStatsBoundedByComponentSum) {
   const ModelStats stats = model.Stats();
   EXPECT_EQ(stats.name, "MVMM");
 
+  const std::shared_ptr<const Pst>& shared = model.shared_pst();
   uint64_t max_component_states = 0;
   uint64_t total_component_bytes = 0;
-  for (const auto& component : model.components()) {
-    const ModelStats cs = component->Stats();
-    max_component_states = std::max(max_component_states, cs.num_states);
-    total_component_bytes += cs.memory_bytes;
+  for (size_t c = 0; c < model.snapshot()->num_components(); ++c) {
+    max_component_states =
+        std::max(max_component_states, shared->view_num_states(c));
+    total_component_bytes += shared->view_memory_bytes(c);
   }
   // The merged PST has as many nodes as the largest component (all
   // components' nodes are subsets of the epsilon = 0 tree) and costs far
@@ -206,17 +207,10 @@ TEST(MvmmModelTest, MergedStatsDescribeTheRealSharedStructure) {
   }
   EXPECT_EQ(stats.memory_bytes, expected);
 
-  // The mask vector is exactly one entry per node, every node belongs to
-  // at least one component, and the per-view accounting sums to the
-  // components' own stats.
+  // The mask vector is exactly one entry per node, and every node belongs
+  // to at least one component.
   ASSERT_EQ(shared->view_masks().size(), shared->size());
   for (Pst::ViewMask mask : shared->view_masks()) EXPECT_NE(mask, 0u);
-  for (size_t c = 0; c < model.components().size(); ++c) {
-    const ModelStats cs = model.components()[c]->Stats();
-    EXPECT_EQ(cs.num_states, shared->view_num_states(c));
-    EXPECT_EQ(cs.num_entries, shared->view_num_entries(c));
-    EXPECT_EQ(cs.memory_bytes, shared->view_memory_bytes(c));
-  }
 }
 
 TEST(MvmmModelTest, FallbackBeyondMaskWidthStillServes) {
@@ -236,7 +230,6 @@ TEST(MvmmModelTest, FallbackBeyondMaskWidthStillServes) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(model.snapshot(), nullptr);
   EXPECT_EQ(model.shared_pst(), nullptr);
-  EXPECT_TRUE(model.components().empty());
   EXPECT_TRUE(model.sigmas().empty());
   EXPECT_FALSE(model.Covers(std::vector<QueryId>{kQ0}));
   EXPECT_FALSE(model.Recommend(std::vector<QueryId>{kQ1, kQ0}, 2).covered);

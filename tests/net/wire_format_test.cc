@@ -191,10 +191,11 @@ TEST(FrameAssemblerTest, DrainsPipelinedFramesInOrder) {
 TEST(FrameAssemblerTest, RejectsOversizedBodyLength) {
   std::vector<uint8_t> frame;
   EncodeRequestFrame(CanonicalRequest(), &frame);
-  // Claim a body just over the assembler's cap; the prelude alone must
-  // poison the stream — no amount of further bytes may produce a frame.
-  FrameAssembler assembler(/*max_body_bytes=*/1024);
-  StoreLE32(frame.data() + 8, 1025);
+  // Claim a body just over the frame cap; the prelude alone must poison
+  // the stream, before any body byte is buffered — no amount of further
+  // bytes may produce a frame.
+  FrameAssembler assembler;
+  StoreLE32(frame.data() + 8, static_cast<uint32_t>(kMaxFrameBodyBytes + 1));
   Status fed = assembler.Feed(frame);
   EXPECT_EQ(fed.code(), StatusCode::kDataLoss) << fed.ToString();
   FrameHeader header;

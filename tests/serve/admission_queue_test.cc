@@ -49,9 +49,11 @@ TEST(AdmissionQueueTest, ShedsOnArrivalWhenDeadlineAlreadyExpired) {
 }
 
 TEST(AdmissionQueueTest, ShedsOnArrivalWhenEstimateOverrunsDeadline) {
-  AdmissionOptions options;
-  options.initial_service_us_per_item = 1e6;  // 1 s per item
-  AdmissionQueue queue(options);
+  AdmissionQueue queue;
+  // One observed job of 5 s for 1 item: 0.2 * 5e6 + 0.8 * 0.5 puts the
+  // estimate at ~1 s per item.
+  ASSERT_TRUE(queue.Admit(QosLane::kBulk, Deadline::None(), 1).ok());
+  queue.Release(1, 5e6);
   // 100 items at 1 s each cannot finish within 10 ms.
   const Status status =
       queue.Admit(QosLane::kBulk, Deadline::After(milliseconds(10)), 100);
@@ -160,26 +162,21 @@ TEST(AdmissionQueueTest, FifoWithinOneLane) {
 }
 
 TEST(AdmissionQueueTest, ReleaseFeedsTheEwmaEstimate) {
-  AdmissionOptions options;
-  options.initial_service_us_per_item = 0.5;
-  options.ewma_alpha = 0.5;
-  AdmissionQueue queue(options);
+  AdmissionQueue queue;
   ASSERT_TRUE(queue.Admit(QosLane::kBulk, Deadline::None(), 10).ok());
   queue.Release(10, 1000.0);  // 100 us/item observed
-  // 0.5 * 100 + 0.5 * 0.5 = 50.25
-  EXPECT_NEAR(queue.stats().ewma_service_us_per_item, 50.25, 1e-9);
+  // 0.2 * 100 + 0.8 * 0.5 = 20.4
+  EXPECT_NEAR(queue.stats().ewma_service_us_per_item, 20.4, 1e-9);
   // A fully expired job (0 served) must not poison the estimate.
   ASSERT_TRUE(queue.Admit(QosLane::kBulk, Deadline::None(), 10).ok());
   queue.Release(0, 1000.0);
-  EXPECT_NEAR(queue.stats().ewma_service_us_per_item, 50.25, 1e-9);
+  EXPECT_NEAR(queue.stats().ewma_service_us_per_item, 20.4, 1e-9);
 }
 
 TEST(AdmissionQueueTest, DegradeLadderHalvesTopNUnderPressure) {
   AdmissionOptions options;
   options.interactive_capacity = 1;
-  options.bulk_capacity = 1;
-  options.degrade_pressure = 0.5;  // one waiting job is enough
-  options.degrade_min_top_n = 3;
+  options.bulk_capacity = 1;  // kDegradePressure: one waiting job is enough
   AdmissionQueue queue(options);
 
   // Idle: full top_n for everyone.

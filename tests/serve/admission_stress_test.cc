@@ -28,7 +28,7 @@ using serve_test::SameRecommendation;
 using serve_test::SharedCorpus;
 
 constexpr size_t kVocabularyBound = 1 << 20;
-// degrade_min_top_n (3) == the serving top_n, so degradation can trigger
+// kDegradeMinTopN (3) == the serving top_n, so degradation can trigger
 // without changing answer shapes — kOk answers stay bit-comparable.
 constexpr size_t kTopN = 3;
 

@@ -410,7 +410,6 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
   engine_options.admission.interactive_capacity = 1;
   engine_options.admission.bulk_capacity = 1;
   // Threshold = ceil(0.5 * 2) = 1 waiting job triggers the ladder.
-  engine_options.admission.degrade_pressure = 0.5;
   RecommenderEngine engine(engine_options);
   engine.Publish(BuildSnapshot(SharedCorpus().base, 1));
 

@@ -3,6 +3,7 @@
 // (recommendations, conditionals, sigmas, stats), and MvmmModel itself now
 // serves by delegating to the snapshot it trained.
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -93,6 +94,31 @@ TEST(ModelSnapshotTest, RejectsMoreComponentsThanViewMask) {
   const Result<std::shared_ptr<const ModelSnapshot>> built =
       ModelSnapshot::Build(DataFor(SharedCorpus().base), options);
   EXPECT_FALSE(built.ok());
+}
+
+TEST(ModelSnapshotTest, RejectsFixedSigmasTheGaussianCannotTake) {
+  // A zero or NaN width would serve NaN scores (and abort the full walk's
+  // Gaussian): Build and WithSigmas refuse it up front, as BindBlob does
+  // for a blob.
+  const std::vector<AggregatedSession> sessions = {{{1, 2, 3}, 5},
+                                                   {{2, 3}, 3}};
+  const TrainingData data = DataFor(sessions);
+  const Result<std::shared_ptr<const ModelSnapshot>> fitted =
+      ModelSnapshot::Build(data, MvmmOptions{});
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  const size_t k = (*fitted)->num_components();
+  for (const double bad : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> sigmas(k, 1.0);
+    sigmas[k - 1] = bad;
+    MvmmOptions options;
+    options.fixed_sigmas = sigmas;
+    EXPECT_EQ(ModelSnapshot::Build(data, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ((*fitted)->WithSigmas(sigmas).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(ModelSnapshotTest, ReusesCompatibleSharedIndex) {

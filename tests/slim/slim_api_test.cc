@@ -21,9 +21,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -240,6 +242,66 @@ TEST(SlimApiTest, GarbageBuffersAreRejected) {
   EXPECT_EQ(slim.status(), SQP_STATUS_INVALID_ARGUMENT);
 }
 
+/// Re-seals `blob` after an edit inside section `id`: that section's CRC,
+/// the section-table CRC and the header CRC, so the edit reaches the
+/// validators behind every checksum.
+void ResealSection(std::vector<uint8_t>* blob, serving::BlobSectionId id) {
+  uint8_t* const data = blob->data();
+  const uint32_t section_count = LoadLE32(data + 12);
+  uint8_t* table = data + serving::kBlobHeaderSize;
+  for (uint32_t i = 0; i < section_count; ++i) {
+    uint8_t* row = table + i * serving::kBlobSectionRowSize;
+    if (LoadLE32(row) == id) {
+      StoreLE32(row + 4, Crc32(data + LoadLE64(row + 8), LoadLE64(row + 16)));
+    }
+  }
+  StoreLE32(data + 24,
+            Crc32(table, section_count * serving::kBlobSectionRowSize));
+  StoreLE32(data + 60, Crc32(data, 60));
+}
+
+TEST(SlimApiTest, HostileMixtureParametersAreRefusedByBothReaders) {
+  // CRC-valid but unusable mixture parameters: a sigma that is not finite
+  // and > 0 would score NaN or silently take the depth fallback, an escape
+  // outside [0, 1] would weigh shallower states wrongly. Both readers
+  // must refuse them as invalid input.
+  const std::vector<uint8_t> golden = ReadFileBytes(GoldenPath());
+  serving::BlobLayout layout;
+  ASSERT_EQ(serving::ParseBlobLayout(golden.data(), golden.size(),
+                                     /*verify_checksums=*/true, &layout),
+            serving::BlobError::kNone);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    serving::BlobSectionId section;
+    double value;
+  } cases[] = {
+      {serving::kSecSigmas, 0.0},
+      {serving::kSecSigmas, nan},
+      {serving::kSecSigmas, -1.0},
+      {serving::kSecSigmas, inf},
+      {serving::kSecComponentEscape, nan},
+      {serving::kSecComponentEscape, -0.5},
+      {serving::kSecComponentEscape, 2.0},
+  };
+  for (const auto& c : cases) {
+    const std::string tag = "section" + std::to_string(c.section) + "=" +
+                            std::to_string(c.value);
+    std::vector<uint8_t> blob = golden;
+    StoreLE64(blob.data() + layout.sections[c.section].offset,
+              std::bit_cast<uint64_t>(c.value));
+    ResealSection(&blob, c.section);
+    serving::BlobLayout patched;
+    ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(),
+                                       /*verify_checksums=*/true, &patched),
+              serving::BlobError::kNone)
+        << tag << ": the patch must pass every checksum";
+    SlimPredictorHandle slim(blob);
+    EXPECT_EQ(slim.status(), SQP_STATUS_INVALID_ARGUMENT) << tag;
+    EXPECT_FALSE(EngineAccepts(blob, tag)) << tag;
+  }
+}
+
 /// A valid blob of a small wide-id model with the first nexts entry of its
 /// first depth-1 node rewritten to `hostile_id` and the section,
 /// section-table and header CRCs re-sealed — a few KB that parse and
@@ -283,22 +345,10 @@ std::vector<uint8_t> WideBlobNamingId(uint32_t hostile_id,
       blob.data() + layout.sections[serving::kSecNextBegin].offset;
   const uint32_t entry = LoadLE32(next_begin + 4);  // node 1's first entry
   EXPECT_LT(entry, LoadLE32(next_begin + 8));       // ... which exists
-  const serving::BlobSectionRef next_query =
-      layout.sections[serving::kSecNextQuery];
-  StoreLE32(blob.data() + next_query.offset + 4 * entry, hostile_id);
-
-  const uint32_t section_count = LoadLE32(blob.data() + 12);
-  uint8_t* table = blob.data() + serving::kBlobHeaderSize;
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint8_t* row = table + i * serving::kBlobSectionRowSize;
-    if (LoadLE32(row) == serving::kSecNextQuery) {
-      StoreLE32(row + 4, Crc32(blob.data() + next_query.offset,
-                               next_query.size));
-    }
-  }
-  StoreLE32(blob.data() + 24,
-            Crc32(table, section_count * serving::kBlobSectionRowSize));
-  StoreLE32(blob.data() + 60, Crc32(blob.data(), 60));
+  StoreLE32(blob.data() + layout.sections[serving::kSecNextQuery].offset +
+                4 * entry,
+            hostile_id);
+  ResealSection(&blob, serving::kSecNextQuery);
   return blob;
 }
 
