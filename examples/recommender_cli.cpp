@@ -1,6 +1,6 @@
 // Interactive query recommender driving the concurrent serving subsystem:
 // trains an MVMM snapshot on a synthetic corpus (or cold-boots one from a
-// persisted blob or sharded-fleet manifest), publishes it to the serving
+// persisted fleet manifest), publishes it to the serving
 // engine, then reads query sessions from stdin and prints top-5
 // recommendations after every query — the paper's "online query
 // recommendation phase", served the way production would serve it.
@@ -30,9 +30,11 @@
 //                 with the dictionary sidecar at PATH.dict. PATH is
 //                 always a manifest, whatever the shard count
 //   --load-snapshot PATH
-//                 skip training entirely: cold-boot from the artifact at
-//                 PATH — a single blob boots one engine, a manifest boots
-//                 a sharded fleet (shard count comes from the manifest).
+//                 skip training entirely: cold-boot from the manifest
+//                 --save-snapshot wrote at PATH (shard count comes from
+//                 the manifest; every shard blob is checked against its
+//                 manifest pin and section CRCs). A shard blob or any
+//                 other file is refused.
 //                 Flags the cold boot would ignore (--tail,
 //                 --save-snapshot, --compact, --shards) are rejected with
 //                 an explicit error, never silently dropped — see
@@ -47,17 +49,17 @@
 //                 interactive traffic under load)
 //   --serve-port P
 //                 network serving mode (requires --load-snapshot): instead
-//                 of answering stdin, expose the cold-booted artifact over
+//                 of answering stdin, expose the cold-booted fleet over
 //                 TCP — one ShardServer per manifest shard on ports
-//                 P..P+N-1 (a single blob serves one shard on P). Runs
-//                 until stdin reaches EOF. Deadlines and lanes arrive
-//                 per-request in the wire frame header
+//                 P..P+N-1. Runs until stdin reaches EOF. Deadlines and
+//                 lanes arrive per-request in the wire frame header
 //   --connect HOST:P
 //                 network client mode (requires --load-snapshot for the
-//                 dictionary + shard count): the stdin loop is served by a
-//                 RouterClient fanning requests across the fleet started
-//                 with --serve-port at HOST, ports P..P+N-1. Answers are
-//                 bit-identical to serving the same artifact in-process
+//                 manifest's shard count + dictionary): the stdin loop is
+//                 served by a RouterClient fanning requests across the
+//                 fleet started with --serve-port at HOST, ports
+//                 P..P+N-1. Answers are bit-identical to serving the same
+//                 manifest in-process
 //   --feedback-log DIR
 //                 closed-loop serving: every served answer is appended to
 //                 the bounded crash-safe feedback log in DIR as an
@@ -122,8 +124,8 @@ void PrintUsage() {
                "                       [--serve-port P | --connect HOST:P]\n"
                "                       [--feedback-log DIR "
                "[--explore POLICY:PARAM]]\n"
-               "(--load-snapshot cold-boots a read-only replica from a blob "
-               "or manifest and\n"
+               "(--load-snapshot cold-boots a read-only replica from the "
+               "manifest --save-snapshot wrote and\n"
                " rejects flags it would ignore: --tail, --save-snapshot, "
                "--compact, --shards;\n"
                " --serve-port exposes the artifact over TCP, --connect "
@@ -139,6 +141,23 @@ void ExitIfError(const Status& status, const std::string& what) {
   if (status.ok()) return;
   std::cerr << "error: " << what << ": " << status.ToString() << "\n";
   std::exit(1);
+}
+
+/// The manifest --load-snapshot names, for the network modes that need
+/// only its shard count (each ShardServer boots its own shard off it).
+SnapshotManifest ReadManifestOrExit(const std::string& path) {
+  Result<SnapshotManifest> manifest = SnapshotIo::LoadRoutableManifest(path);
+  ExitIfError(manifest.status(), "reading the manifest " + path);
+  return std::move(manifest.value());
+}
+
+/// The `.dict` sidecar --save-snapshot writes next to the manifest.
+void LoadDictionaryOrExit(const std::string& manifest_path,
+                          QueryDictionary* dictionary) {
+  ExitIfError(LoadDictionary(manifest_path + ".dict", dictionary),
+              "loading the dictionary sidecar " + manifest_path +
+                  ".dict (persisted next to the manifest by "
+                  "--save-snapshot)");
 }
 
 /// The closed-loop state both serving modes share: the feedback log, the
@@ -199,48 +218,25 @@ void PrintRecommendation(const QueryDictionary& dictionary,
   }
 }
 
-/// --serve-port: stand the artifact up as a TCP fleet (one ShardServer
+/// --serve-port: stand the manifest's fleet up over TCP (one ShardServer
 /// per shard, consecutive ports) and block until stdin closes — the
 /// process-per-shard topology, runnable as N processes with one shard
 /// each or, as here, one process hosting the whole fleet.
 int RunServeMode(const RecommenderCliConfig& cli) {
-  const Result<SnapshotFileKind> kind = SnapshotIo::Probe(cli.load_snapshot);
-  ExitIfError(kind.status(), "classifying " + cli.load_snapshot);
-
+  const SnapshotManifest manifest = ReadManifestOrExit(cli.load_snapshot);
   // One shared closed-loop hook for the whole fleet: every shard server
   // logs into the same directory with fleet-unique record ids.
   const std::unique_ptr<ClosedLoop> loop = OpenClosedLoop(cli);
   std::vector<std::unique_ptr<net::ShardServer>> servers;
-  std::unique_ptr<RecommenderEngine> blob_engine;  // single-blob mode
-  if (*kind == SnapshotFileKind::kManifest) {
-    const auto manifest = SnapshotIo::LoadManifest(cli.load_snapshot);
-    ExitIfError(manifest.status(), "reading the manifest");
-    for (uint32_t s = 0; s < manifest->num_shards(); ++s) {
-      net::ShardServerOptions options;
-      options.host = "0.0.0.0";
-      options.port = static_cast<uint16_t>(cli.serve_port + s);
-      options.engine.num_threads = cli.threads;
-      options.feedback = loop != nullptr ? &loop->hook : nullptr;
-      auto server = std::make_unique<net::ShardServer>(options);
-      ExitIfError(server->StartFromManifest(cli.load_snapshot, s),
-                  "starting shard " + std::to_string(s));
-      servers.push_back(std::move(server));
-    }
-  } else {
-    blob_engine = std::make_unique<RecommenderEngine>(
-        EngineOptions{.num_threads = cli.threads});
-    ExitIfError(blob_engine->LoadAndPublish(cli.load_snapshot),
-                "cold-booting from " + cli.load_snapshot);
+  for (uint32_t s = 0; s < manifest.num_shards(); ++s) {
     net::ShardServerOptions options;
     options.host = "0.0.0.0";
-    options.port = cli.serve_port;
+    options.port = static_cast<uint16_t>(cli.serve_port + s);
     options.engine.num_threads = cli.threads;
     options.feedback = loop != nullptr ? &loop->hook : nullptr;
     auto server = std::make_unique<net::ShardServer>(options);
-    ExitIfError(
-        server->StartWithEngine(blob_engine.get(),
-                                blob_engine->current_version()),
-        "starting the server");
+    ExitIfError(server->StartFromManifest(cli.load_snapshot, s),
+                "starting shard " + std::to_string(s));
     servers.push_back(std::move(server));
   }
   for (const auto& server : servers) {
@@ -293,19 +289,12 @@ int main(int argc, char** argv) {
   std::vector<AggregatedSession> example_sessions;
 
   if (!cli.connect_host.empty()) {
-    // Network client: the artifact supplies the dictionary and the fleet
-    // shape; the answers come over TCP from a --serve-port fleet.
-    ExitIfError(LoadDictionary(cli.load_snapshot + ".dict", &dictionary),
-                "loading the dictionary sidecar " + cli.load_snapshot +
-                    ".dict");
-    const Result<SnapshotFileKind> kind = SnapshotIo::Probe(cli.load_snapshot);
-    ExitIfError(kind.status(), "classifying " + cli.load_snapshot);
-    uint32_t fleet_shards = 1;
-    if (*kind == SnapshotFileKind::kManifest) {
-      const auto manifest = SnapshotIo::LoadManifest(cli.load_snapshot);
-      ExitIfError(manifest.status(), "reading the manifest");
-      fleet_shards = manifest->num_shards();
-    }
+    // Network client: the manifest supplies the fleet shape and its
+    // sidecar the dictionary; the answers come over TCP from a
+    // --serve-port fleet.
+    const uint32_t fleet_shards =
+        ReadManifestOrExit(cli.load_snapshot).num_shards();
+    LoadDictionaryOrExit(cli.load_snapshot, &dictionary);
     std::vector<uint16_t> ports;
     for (uint32_t s = 0; s < fleet_shards; ++s) {
       ports.push_back(static_cast<uint16_t>(cli.connect_port + s));
@@ -317,29 +306,17 @@ int main(int argc, char** argv) {
               << (cli.connect_port + fleet_shards - 1) << " ("
               << dictionary.size() << " dictionary queries)\n";
   } else if (!cli.load_snapshot.empty()) {
-    // Cold boot: the model comes straight off the persisted artifact, no
-    // synthesis, no training. A manifest boots a fleet sized by the file.
+    // Cold boot: the model comes straight off the persisted manifest, no
+    // synthesis, no training; the fleet is sized by the file.
     WallTimer timer;
-    ExitIfError(LoadDictionary(cli.load_snapshot + ".dict", &dictionary),
-                "loading the dictionary sidecar " + cli.load_snapshot +
-                    ".dict (persisted next to the snapshot by "
-                    "--save-snapshot)");
-    const Result<SnapshotFileKind> kind = SnapshotIo::Probe(cli.load_snapshot);
-    ExitIfError(kind.status(), "classifying " + cli.load_snapshot);
-    ShardedEngineOptions engine_options;
-    engine_options.num_threads = cli.threads;
-    if (*kind == SnapshotFileKind::kManifest) {
-      Result<std::unique_ptr<ShardedEngine>> booted =
-          ShardedEngine::BootFromManifest(cli.load_snapshot, engine_options);
-      ExitIfError(booted.status(),
-                  "cold-booting the fleet from " + cli.load_snapshot);
-      engine = std::move(booted.value());
-    } else {
-      engine_options.num_shards = 1;
-      engine = std::make_unique<ShardedEngine>(engine_options);
-      ExitIfError(engine->shard(0)->LoadAndPublish(cli.load_snapshot),
-                  "cold-booting from " + cli.load_snapshot);
-    }
+    Result<std::unique_ptr<ShardedEngine>> booted =
+        ShardedEngine::BootFromManifest(
+            cli.load_snapshot,
+            ShardedEngineOptions{.num_threads = cli.threads});
+    ExitIfError(booted.status(),
+                "cold-booting the fleet from " + cli.load_snapshot);
+    engine = std::move(booted.value());
+    LoadDictionaryOrExit(cli.load_snapshot, &dictionary);
     std::cerr << "cold-booted " << engine->num_shards() << " shard(s) at v"
               << std::ranges::max(engine->shard_versions()) << " from " << cli.load_snapshot
               << " in " << timer.ElapsedMillis() << " ms ("

@@ -81,7 +81,7 @@ const char* BlobErrorMessage(BlobError error) {
 }
 
 BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
-                          bool verify_checksums, BlobLayout* out) {
+                          BlobLayout* out) {
   if (size < kBlobHeaderSize) return BlobError::kTruncatedHeader;
   if (std::memcmp(blob, kBlobMagic, sizeof(kBlobMagic)) != 0) {
     return BlobError::kBadMagic;
@@ -134,12 +134,10 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
 
   for (uint32_t id = 1; id <= kBlobNumKnownSections; ++id) {
     if (!present[id]) return BlobError::kMissingSection;
-    if (verify_checksums) {
-      const BlobSectionRef& sec = out->sections[id];
-      if (crc_of[id] != Crc32(blob + sec.offset,
-                              static_cast<size_t>(sec.size))) {
-        return BlobError::kSectionCrc;
-      }
+    const BlobSectionRef& sec = out->sections[id];
+    if (crc_of[id] !=
+        Crc32(blob + sec.offset, static_cast<size_t>(sec.size))) {
+      return BlobError::kSectionCrc;
     }
   }
 
@@ -236,10 +234,10 @@ BlobError ValidatePools(const ModelRef& m, const PoolsRef<QT, NT>& pools,
 
 }  // namespace
 
-BlobError BindBlob(const uint8_t* blob, size_t size, bool verify_checksums,
-                   BlobBindMemory memory, void* memory_context,
-                   BlobLayout* layout, ModelRef* model) {
-  BlobError err = ParseBlobLayout(blob, size, verify_checksums, layout);
+BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
+                   void* memory_context, BlobLayout* layout,
+                   ModelRef* model) {
+  BlobError err = ParseBlobLayout(blob, size, layout);
   if (err != BlobError::kNone) return err;
   if (reinterpret_cast<uintptr_t>(blob) % 8 != 0) {
     return BlobError::kMisalignedBuffer;

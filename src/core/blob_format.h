@@ -161,11 +161,12 @@ struct BlobLayout {
 /// Parses and validates header, section table, META and section sizes of
 /// a blob entirely in place. Every length and offset is checked against
 /// `size` before any section byte is touched: corrupt or truncated input
-/// yields a BlobError, never a read past the buffer. Does NOT check the
-/// structural invariants of the CSR arrays — BindBlob runs
-/// ValidateBlobStructure before anything serves them.
+/// yields a BlobError, never a read past the buffer. Verifies the header,
+/// section-table and every section CRC32. Does NOT check the structural
+/// invariants of the CSR arrays — BindBlob runs ValidateBlobStructure
+/// before anything serves them.
 BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
-                          bool verify_checksums, BlobLayout* out);
+                          BlobLayout* out);
 
 // --------------------------------------------- structural validation
 
@@ -252,7 +253,7 @@ using BlobBindMemory = bool (*)(void* context, size_t escape_pow_doubles,
                                 uint32_t** depth_scratch);
 
 /// The one bind of a blob, shared by the engine and slim. In order:
-/// ParseBlobLayout (section CRCs only when `verify_checksums`); rejects a
+/// ParseBlobLayout (every CRC included); rejects a
 /// `blob` base that is not 8-byte aligned; points `*model` at the sections
 /// in place; runs ValidateBlobMixtureParameters, ValidateBlobCountShifts
 /// and ValidateBlobStructure; asks `memory` for the derived tables and
@@ -261,8 +262,8 @@ using BlobBindMemory = bool (*)(void* context, size_t escape_pow_doubles,
 /// `*layout` holds the decoded META and `*model` serves straight out of
 /// `blob`, which must stay alive and unchanged as long as `*model`; on any
 /// error `*model` is untouched.
-BlobError BindBlob(const uint8_t* blob, size_t size, bool verify_checksums,
-                   BlobBindMemory memory, void* memory_context,
+BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
+                   void* memory_context,
                    BlobLayout* layout, ModelRef* model);
 
 }  // namespace sqp::serving

@@ -343,23 +343,22 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   };
   auto blob = std::make_shared<std::vector<uint8_t>>(AssembleBlob(sections));
 
-  // The CRCs were computed just above, so only structure is re-checked.
-  Result<std::shared_ptr<const CompactSnapshot>> bound = FromBlob(
-      std::shared_ptr<const uint8_t>(blob, blob->data()), blob->size(),
-      /*mapped=*/false, /*verify_checksums=*/false);
+  // The self-bind runs the same checks, CRCs included, as every load.
+  Result<std::shared_ptr<const CompactSnapshot>> bound =
+      FromBlob(std::shared_ptr<const uint8_t>(blob, blob->data()),
+               blob->size(), /*mapped=*/false);
   SQP_CHECK(bound.ok());
   return std::move(bound.value());
 }
 
 Result<std::shared_ptr<const CompactSnapshot>> CompactSnapshot::FromBlob(
-    std::shared_ptr<const uint8_t> bytes, size_t size, bool mapped,
-    bool verify_checksums) {
+    std::shared_ptr<const uint8_t> bytes, size_t size, bool mapped) {
   std::shared_ptr<CompactSnapshot> out(new CompactSnapshot());
   BindMemory memory{&out->escape_pow_, {}};
   serving::BlobLayout layout;
   const serving::BlobError err =
-      serving::BindBlob(bytes.get(), size, verify_checksums, VectorBindMemory,
-                        &memory, &layout, &out->model_);
+      serving::BindBlob(bytes.get(), size, VectorBindMemory, &memory,
+                        &layout, &out->model_);
   if (err == serving::BlobError::kVersionMismatch) {
     return Status::InvalidArgument(
         "unsupported snapshot format version " +

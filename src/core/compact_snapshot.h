@@ -107,15 +107,14 @@ class CompactSnapshot final : public ServingSnapshot {
       const ModelSnapshot& full, const CompactOptions& options = {});
 
   /// Serves the v1 blob of `size` bytes at `bytes` in place, after
-  /// serving::BindBlob parsed and validated it (section CRCs too when
-  /// `verify_checksums`). `bytes` must be 8-byte aligned and stay
+  /// serving::BindBlob parsed and validated it, every section CRC
+  /// included. `bytes` must be 8-byte aligned and stay
   /// unchanged; the snapshot holds it, so its deleter (freeing a heap
   /// buffer or unmapping a file) runs when the snapshot dies. `mapped`
   /// only names the backing in Stats(). Any malformed blob is
   /// InvalidArgument.
   static Result<std::shared_ptr<const CompactSnapshot>> FromBlob(
-      std::shared_ptr<const uint8_t> bytes, size_t size, bool mapped,
-      bool verify_checksums);
+      std::shared_ptr<const uint8_t> bytes, size_t size, bool mapped);
 
   /// Mixture recommendation over the CSR tree; the same walk and Eq. 4/5
   /// ranking as ModelSnapshot::Recommend, off the quantized counts.

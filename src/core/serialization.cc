@@ -2,18 +2,19 @@
 
 #include <fstream>
 
+#include "util/file_io.h"
+
 namespace sqp {
 
 Status SaveDictionary(const QueryDictionary& dictionary,
                       const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) return Status::IOError("cannot open " + path);
+  std::string text;
   for (size_t id = 0; id < dictionary.size(); ++id) {
-    out << dictionary.Text(static_cast<QueryId>(id)) << '\n';
+    text += dictionary.Text(static_cast<QueryId>(id));
+    text += '\n';
   }
-  out.flush();
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return WriteFileAtomically(
+      {reinterpret_cast<const uint8_t*>(text.data()), text.size()}, path);
 }
 
 Status LoadDictionary(const std::string& path, QueryDictionary* dictionary) {

@@ -9,7 +9,9 @@
 namespace sqp {
 
 /// Persists the query dictionary (one normalized query per line, in id
-/// order) next to a persisted snapshot (the CLI's `.dict` sidecar).
+/// order) next to a persisted snapshot (the CLI's `.dict` sidecar),
+/// atomically like the blobs and the manifest beside it
+/// (WriteFileAtomically in util/file_io.h).
 Status SaveDictionary(const QueryDictionary& dictionary,
                       const std::string& path);
 

@@ -33,63 +33,12 @@ Status Corrupt(const std::string& what, const std::string& path) {
                                  "): " + path);
 }
 
-/// Atomic publish shared by blob and manifest writers: a complete, durably
-/// flushed write to a sibling tmp file, then one rename. Readers (and
-/// crashed writers) never see a partial file, and — because the data is
-/// fsync'ed before the rename — a crash right after publishing cannot
-/// replace a previously good file with unflushed pages.
-Status WriteFileAtomically(std::span<const uint8_t> bytes,
-                           const std::string& path) {
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) return IoError("cannot open", tmp_path);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      return IoError("write failed", tmp_path);
-    }
-  }
-  {
-    const int fd = ::open(tmp_path.c_str(), O_WRONLY);
-    if (fd < 0 || ::fsync(fd) != 0) {
-      if (fd >= 0) ::close(fd);
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      return IoError("fsync failed", tmp_path);
-    }
-    ::close(fd);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
-    return IoError("rename failed", path);
-  }
-  // Make the rename itself durable: fsync the containing directory.
-  const std::filesystem::path parent =
-      std::filesystem::path(path).has_parent_path()
-          ? std::filesystem::path(path).parent_path()
-          : std::filesystem::path(".");
-  const int dir_fd = ::open(parent.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);  // best effort — the data itself is already durable
-    ::close(dir_fd);
-  }
-  return Status::OK();
-}
-
 /// Binds the blob `bytes` read from `path`; errors name the file.
 Result<std::shared_ptr<const CompactSnapshot>> BindFile(
     const std::string& path, std::shared_ptr<const uint8_t> bytes,
-    size_t size, bool mapped, const SnapshotLoadOptions& options) {
+    size_t size, bool mapped) {
   Result<std::shared_ptr<const CompactSnapshot>> bound =
-      CompactSnapshot::FromBlob(std::move(bytes), size, mapped,
-                                options.verify_checksums);
+      CompactSnapshot::FromBlob(std::move(bytes), size, mapped);
   if (!bound.ok()) {
     return Status(bound.status().code(),
                   bound.status().message() + ": " + path);
@@ -97,23 +46,14 @@ Result<std::shared_ptr<const CompactSnapshot>> BindFile(
   return bound;
 }
 
-}  // namespace
+/// A read-only private mapping of a whole file, unmapped when the last
+/// reference dies.
+struct FileMapping {
+  std::shared_ptr<const uint8_t> bytes;
+  size_t size = 0;
+};
 
-Status SnapshotIo::Save(const CompactSnapshot& snapshot,
-                        const std::string& path) {
-  return WriteFileAtomically(snapshot.blob_bytes(), path);
-}
-
-Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Load(
-    const std::string& path, const SnapshotLoadOptions& options) {
-  auto bytes = std::make_shared<std::vector<uint8_t>>();
-  SQP_RETURN_IF_ERROR(ReadWholeFile(path, bytes.get()));
-  return BindFile(path, std::shared_ptr<const uint8_t>(bytes, bytes->data()),
-                  bytes->size(), /*mapped=*/false, options);
-}
-
-Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Map(
-    const std::string& path, const SnapshotLoadOptions& options) {
+Result<FileMapping> MapFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return IoError("cannot open", path);
   struct stat st;
@@ -134,11 +74,36 @@ Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Map(
   // from fewer dTLB misses; a kernel without THP just refuses the advice.
   ::madvise(base, size, MADV_HUGEPAGE);
 #endif
-  std::shared_ptr<const uint8_t> mapping(
+  FileMapping mapping;
+  mapping.size = size;
+  mapping.bytes = std::shared_ptr<const uint8_t>(
       static_cast<const uint8_t*>(base), [size](const uint8_t* p) {
         ::munmap(const_cast<uint8_t*>(p), size);
       });
-  return BindFile(path, std::move(mapping), size, /*mapped=*/true, options);
+  return mapping;
+}
+
+}  // namespace
+
+Status SnapshotIo::Save(const CompactSnapshot& snapshot,
+                        const std::string& path) {
+  return WriteFileAtomically(snapshot.blob_bytes(), path);
+}
+
+Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Load(
+    const std::string& path) {
+  auto bytes = std::make_shared<std::vector<uint8_t>>();
+  SQP_RETURN_IF_ERROR(ReadWholeFile(path, bytes.get()));
+  return BindFile(path, std::shared_ptr<const uint8_t>(bytes, bytes->data()),
+                  bytes->size(), /*mapped=*/false);
+}
+
+Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::Map(
+    const std::string& path) {
+  Result<FileMapping> mapping = MapFile(path);
+  if (!mapping.ok()) return mapping.status();
+  return BindFile(path, std::move(mapping->bytes), mapping->size,
+                  /*mapped=*/true);
 }
 
 // ------------------------------------------------------------- manifests
@@ -273,19 +238,6 @@ Result<ShardBlobRef> SnapshotIo::DescribeBlob(const std::string& blob_path,
   return ref;
 }
 
-Status SnapshotIo::VerifyBlobRef(const ShardBlobRef& ref,
-                                 const std::string& blob_path) {
-  Result<ShardBlobRef> actual = DescribeBlob(blob_path, ref.path);
-  if (!actual.ok()) return actual.status();
-  if (actual->file_size != ref.file_size ||
-      actual->header_crc != ref.header_crc) {
-    return Status::InvalidArgument(
-        "snapshot blob does not match its manifest pin (stale or foreign "
-        "blob): " + blob_path);
-  }
-  return Status::OK();
-}
-
 Result<SnapshotManifest> SnapshotIo::LoadRoutableManifest(
     const std::string& path) {
   Result<SnapshotManifest> manifest = LoadManifest(path);
@@ -302,29 +254,22 @@ Result<SnapshotManifest> SnapshotIo::LoadRoutableManifest(
 
 Result<std::shared_ptr<const CompactSnapshot>> SnapshotIo::MapShard(
     const SnapshotManifest& manifest, const std::string& manifest_path,
-    size_t s, const SnapshotLoadOptions& options) {
+    size_t s) {
   const ShardBlobRef& ref = manifest.shards[s];
   const std::string blob_path =
       ResolveAgainstManifest(manifest_path, ref.path);
-  SQP_RETURN_IF_ERROR(VerifyBlobRef(ref, blob_path));
-  return Map(blob_path, options);
-}
-
-Result<SnapshotFileKind> SnapshotIo::Probe(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return IoError("cannot open", path);
-  char magic[8] = {};
-  if (!in.read(magic, sizeof(magic))) {
-    return Status::InvalidArgument("file too short to classify: " + path);
+  Result<FileMapping> mapping = MapFile(blob_path);
+  if (!mapping.ok()) return mapping.status();
+  // The pin is checked on the very bytes that will serve: a blob renamed
+  // over the path after this point cannot slip in under the old pin.
+  if (mapping->size != ref.file_size || mapping->size < kHeaderSize ||
+      LoadLE32(mapping->bytes.get() + 60) != ref.header_crc) {
+    return Status::InvalidArgument(
+        "snapshot blob does not match its manifest pin (stale or foreign "
+        "blob): " + blob_path);
   }
-  if (std::memcmp(magic, kSnapshotMagic, sizeof(kSnapshotMagic)) == 0) {
-    return SnapshotFileKind::kBlob;
-  }
-  if (std::memcmp(magic, kManifestMagic, sizeof(kManifestMagic)) == 0) {
-    return SnapshotFileKind::kManifest;
-  }
-  return Status::InvalidArgument(
-      "not a snapshot blob or manifest (unknown magic): " + path);
+  return BindFile(blob_path, std::move(mapping->bytes), mapping->size,
+                  /*mapped=*/true);
 }
 
 std::string ResolveAgainstManifest(const std::string& manifest_path,

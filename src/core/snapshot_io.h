@@ -16,9 +16,9 @@
 ///     binds the mapping, so the replica serves straight out of the page
 ///     cache (POSIX only, like the rest of the I/O layer).
 ///
-/// Binding verifies every section CRC32 by default and the structure
-/// always, and rejects corrupt or truncated input with a Status error —
-/// never undefined behavior. The full layout diagram lives in
+/// Every bind verifies every section CRC32 and the structure, and rejects
+/// corrupt or truncated input with a Status error — never undefined
+/// behavior. The full layout diagram lives in
 /// docs/ARCHITECTURE.md.
 ///
 /// The format version is a compatibility contract: readers accept exactly
@@ -58,8 +58,8 @@ inline constexpr char kManifestMagic[8] = {'S', 'Q', 'P', 'M',
 /// pin is the blob's size plus its own header CRC32: the header covers the
 /// section-table checksum, the table covers every section checksum, so two
 /// blobs with equal (size, header_crc) have equal content with CRC
-/// confidence — and verifying the pin costs a 64-byte read, not a full
-/// blob pass.
+/// confidence — and MapShard compares the pin against the header of the
+/// very mapping it then serves.
 struct ShardBlobRef {
   std::string path;
   uint64_t file_size = 0;
@@ -68,10 +68,11 @@ struct ShardBlobRef {
 
 /// The fleet boot artifact of a sharded deployment: a versioned,
 /// checksummed index of per-shard snapshot blobs plus the partition
-/// function that routed the training corpus. ShardedEngine::LoadAndPublish
-/// (serve/sharded_engine.h) cold-boots every shard from one manifest and
-/// refuses shard-count or partition-function mismatches — the manifest is
-/// the single source of truth for how the id space was split.
+/// function that routed the training corpus. ShardedEngine::BootFromManifest
+/// (serve/sharded_engine.h) sizes a fleet from one manifest, cold-boots
+/// every shard and refuses a partition function it cannot route with —
+/// the manifest is the single source of truth for how the id space was
+/// split.
 ///
 /// On-disk layout (little-endian, written atomically like blobs):
 ///   magic "SQPMANI1" | u32 format version | u32 partition function id
@@ -89,18 +90,6 @@ struct SnapshotManifest {
   }
 };
 
-/// What kind of snapshot artifact a file is, by magic. Lets callers (e.g.
-/// recommender_cli --load-snapshot) accept either and route accordingly.
-enum class SnapshotFileKind { kBlob, kManifest };
-
-struct SnapshotLoadOptions {
-  /// Verify every section CRC32 before trusting the payload (one
-  /// sequential pass over the blob — still orders of magnitude cheaper
-  /// than retraining). Structural validation (bounds, CSR monotonicity,
-  /// id ranges) always runs regardless. Leave on outside benchmarks.
-  bool verify_checksums = true;
-};
-
 /// Save / load / map entry points for the snapshot blob format.
 class SnapshotIo {
  public:
@@ -115,14 +104,14 @@ class SnapshotIo {
   /// the snapshot serves from, independent of the file afterwards. Serves
   /// bit-identically to the snapshot Save was given.
   static Result<std::shared_ptr<const CompactSnapshot>> Load(
-      const std::string& path, const SnapshotLoadOptions& options = {});
+      const std::string& path);
 
   /// Restores a blob zero-copy: maps the file read-only, validates it and
   /// serves straight out of the mapping, which the snapshot unmaps when it
   /// dies. The cold-boot path for serving replicas (bench/coldstart
   /// measures it against train-from-scratch).
   static Result<std::shared_ptr<const CompactSnapshot>> Map(
-      const std::string& path, const SnapshotLoadOptions& options = {});
+      const std::string& path);
 
   // ----- sharded-fleet manifests -----
 
@@ -133,7 +122,7 @@ class SnapshotIo {
 
   /// Restores and validates a manifest: magic, format version, CRC32
   /// trailer and structural sanity. Does NOT touch the referenced blobs —
-  /// pair with VerifyBlobRef / SnapshotIo::Map per shard.
+  /// pair with MapShard per shard.
   static Result<SnapshotManifest> LoadManifest(const std::string& path);
 
   /// Builds the manifest row for an existing blob: reads its header,
@@ -143,12 +132,6 @@ class SnapshotIo {
   static Result<ShardBlobRef> DescribeBlob(const std::string& blob_path,
                                            const std::string& stored_path);
 
-  /// Checks (64-byte read) that the blob at `blob_path` is the one `ref`
-  /// pinned: same size, same header CRC. Catches a stale or foreign blob
-  /// swapped under a manifest even when checksum verification is off.
-  static Status VerifyBlobRef(const ShardBlobRef& ref,
-                              const std::string& blob_path);
-
   /// LoadManifest for a fleet this build can route: also refuses
   /// (InvalidArgument) a partition function other than the last-query
   /// FNV-1a scheme ShardOfContext computes.
@@ -156,15 +139,13 @@ class SnapshotIo {
       const std::string& path);
 
   /// The per-shard step every manifest boot shares: resolves shard `s`'s
-  /// blob against `manifest_path`, checks it against its manifest pin
-  /// (VerifyBlobRef) and maps it. `s` must be < manifest.num_shards().
+  /// blob against `manifest_path`, maps it once, checks the mapped bytes
+  /// against the shard's manifest pin (size and header CRC; a stale or
+  /// foreign blob is InvalidArgument) and binds the same mapping, section
+  /// CRCs included. `s` must be < manifest.num_shards().
   static Result<std::shared_ptr<const CompactSnapshot>> MapShard(
       const SnapshotManifest& manifest, const std::string& manifest_path,
-      size_t s, const SnapshotLoadOptions& options = {});
-
-  /// Classifies a snapshot artifact by its magic bytes; an error for
-  /// unreadable files or unknown magic.
-  static Result<SnapshotFileKind> Probe(const std::string& path);
+      size_t s);
 };
 
 /// Resolves a manifest-relative shard path against the manifest location

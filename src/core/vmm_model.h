@@ -70,7 +70,9 @@ class VmmModel : public PredictionModel {
 
   /// Generative probability of a full query sequence (Eq. 3), including
   /// escape penalties on context disparities; the first query contributes
-  /// probability 1 (paper footnote 3). Used by the MVMM weight learner.
+  /// probability 1 (paper footnote 3). The MVMM sigma fit
+  /// (internal::FitSigmas) does not call it: it walks the serving
+  /// snapshot's trees instead.
   double SequenceProb(std::span<const QueryId> sequence) const;
 
   const Pst& pst() const { return pst_; }

@@ -46,6 +46,16 @@ Status ShardServer::StartFromManifest(const std::string& manifest_path,
   }
   auto mapped = SnapshotIo::MapShard(*manifest, manifest_path, shard_index);
   if (!mapped.ok()) return mapped.status();
+  auto listener = ListenTcp(options_.host, options_.port);
+  if (!listener.ok()) return listener.status();
+  SQP_RETURN_IF_ERROR(SetNonBlocking(listener->get()));
+  auto port = BoundPort(listener->get());
+  if (!port.ok()) return port.status();
+  OwnedFd wake(::eventfd(0, EFD_NONBLOCK));
+  if (!wake.valid()) return Status::IOError("eventfd failed");
+
+  // Every fallible step is behind us: only now does the server take on
+  // state, so a failed start leaves it startable.
   owned_engine_ = std::make_unique<RecommenderEngine>(options_.engine);
   owned_engine_->Publish(std::move(mapped.value()));
   fleet_version_ = manifest->version;
@@ -53,31 +63,9 @@ Status ShardServer::StartFromManifest(const std::string& manifest_path,
   shard_index_ = shard_index;
   handler_ = std::make_unique<ShardRequestHandler>(
       owned_engine_.get(), fleet_version_, options_.feedback);
-  return Start();
-}
-
-Status ShardServer::StartWithEngine(const RecommenderEngine* engine,
-                                    uint64_t fleet_version,
-                                    uint32_t shard_index) {
-  if (handler_) return Status::FailedPrecondition("server already started");
-  fleet_version_ = fleet_version;
-  fleet_num_shards_ = 1;
-  shard_index_ = shard_index;
-  handler_ = std::make_unique<ShardRequestHandler>(engine, fleet_version,
-                                                   options_.feedback);
-  return Start();
-}
-
-Status ShardServer::Start() {
-  auto listener = ListenTcp(options_.host, options_.port);
-  if (!listener.ok()) return listener.status();
   listener_ = std::move(*listener);
-  SQP_RETURN_IF_ERROR(SetNonBlocking(listener_.get()));
-  auto port = BoundPort(listener_.get());
-  if (!port.ok()) return port.status();
+  wake_ = std::move(wake);
   port_ = *port;
-  wake_ = OwnedFd(::eventfd(0, EFD_NONBLOCK));
-  if (!wake_.valid()) return Status::IOError("eventfd failed");
   stopping_.store(false, std::memory_order_relaxed);
   loop_ = std::thread([this] { EventLoop(); });
   return Status::OK();

@@ -59,18 +59,14 @@ class ShardServer {
   ShardServer& operator=(const ShardServer&) = delete;
 
   /// Cold-boots shard `shard_index` of the fleet pinned by
-  /// `manifest_path` (zero-copy map of its blob, exactly like
-  /// ShardedEngine::LoadAndPublish does in-process) and starts accepting
-  /// connections. The manifest's model version becomes the fleet version
-  /// echoed in every response.
+  /// `manifest_path` into the server's own engine (SnapshotIo::MapShard,
+  /// the per-shard step of ShardedEngine::BootFromManifest) and starts
+  /// accepting connections. The manifest's model version becomes the
+  /// fleet version echoed in every response. A start that fails (bad
+  /// artifact, port in use) leaves the server as it was, so it can be
+  /// retried; a started server refuses a second start.
   Status StartFromManifest(const std::string& manifest_path,
                            uint32_t shard_index);
-
-  /// Serves an externally owned, already published engine (a single-blob
-  /// deployment, or tests that built their snapshot in memory). `engine`
-  /// must outlive the server.
-  Status StartWithEngine(const RecommenderEngine* engine,
-                         uint64_t fleet_version, uint32_t shard_index = 0);
 
   /// Stops accepting, closes every connection and joins the event loop.
   /// Idempotent; the destructor calls it.
@@ -80,12 +76,11 @@ class ShardServer {
   uint16_t port() const { return port_; }
   uint32_t shard_index() const { return shard_index_; }
   uint64_t fleet_version() const { return fleet_version_; }
-  /// Shard count of the manifest served, 1 for StartWithEngine.
+  /// Shard count of the manifest served (1 before a start).
   uint32_t fleet_num_shards() const { return fleet_num_shards_; }
   ShardServerStats stats() const;
 
  private:
-  Status Start();
   void EventLoop();
 
   ShardServerOptions options_;

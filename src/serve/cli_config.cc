@@ -153,7 +153,7 @@ Result<RecommenderCliConfig> ParseRecommenderCliArgs(
   }
 
   // The network tier: both modes resolve the fleet shape and the
-  // dictionary off a persisted artifact, so they require --load-snapshot;
+  // dictionary off a persisted manifest, so they require --load-snapshot;
   // flags the chosen mode would silently ignore are rejected loudly.
   if (config.serve_port != 0 && connect_given) {
     return Status::InvalidArgument(
@@ -164,7 +164,7 @@ Result<RecommenderCliConfig> ParseRecommenderCliArgs(
     if (config.load_snapshot.empty()) {
       return Status::InvalidArgument(
           "--serve-port requires --load-snapshot: a shard server "
-          "cold-boots the fleet artifact it serves");
+          "cold-boots the fleet manifest it serves");
     }
     if (batch_given || deadline_given || lane_given) {
       return Status::InvalidArgument(
@@ -200,7 +200,7 @@ Result<RecommenderCliConfig> ParseRecommenderCliArgs(
     if (config.load_snapshot.empty()) {
       return Status::InvalidArgument(
           "--connect requires --load-snapshot: the client resolves the "
-          "shard count and the dictionary off the fleet artifact");
+          "shard count and the dictionary off the fleet manifest");
     }
     if (threads_given) {
       return Status::InvalidArgument(

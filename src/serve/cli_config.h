@@ -23,6 +23,9 @@ struct RecommenderCliConfig {
   size_t shards = 1;   // engine shards, [1, 4096]
   bool tail = false;
   bool compact = false;
+  /// Both name a fleet manifest: --save-snapshot writes it (shard blobs at
+  /// PATH.shard<k>, dictionary at PATH.dict), --load-snapshot boots from
+  /// it, in-process or behind --serve-port/--connect.
   std::string save_snapshot;
   std::string load_snapshot;
 
@@ -33,7 +36,7 @@ struct RecommenderCliConfig {
   /// Admission priority lane for served requests.
   QosLane lane = QosLane::kInteractive;
 
-  /// Network serving mode: expose the cold-booted artifact over TCP (one
+  /// Network serving mode: expose the cold-booted fleet over TCP (one
   /// ShardServer per shard on ports serve_port..serve_port+N-1) instead
   /// of answering stdin. 0 = off.
   uint16_t serve_port = 0;
@@ -63,13 +66,13 @@ struct RecommenderCliConfig {
 /// rejects combinations where a flag would be ignored:
 ///  - --load-snapshot with --tail or --save-snapshot (a cold-booted
 ///    replica has no training corpus to retrain or persist),
-///  - --load-snapshot with --compact (a persisted blob already IS the
-///    compact layout; the flag would change nothing),
+///  - --load-snapshot with --compact (a persisted fleet's shard blobs
+///    already are the compact layout; the flag would change nothing),
 ///  - --load-snapshot with --shards (the shard count comes from the
 ///    manifest, not the command line),
 ///  - --serve-port and --connect each require --load-snapshot (both sides
 ///    of the network tier resolve the fleet shape and the dictionary off
-///    the persisted artifact) and are mutually exclusive,
+///    the persisted manifest) and are mutually exclusive,
 ///  - --serve-port with --batch/--deadline-us/--lane (a shard server has
 ///    no stdin loop; QoS travels per-request from the connecting router),
 ///  - --connect with --threads (the router is a single-connection client;

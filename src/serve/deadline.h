@@ -3,10 +3,10 @@
 
 /// The serving-layer QoS vocabulary: a monotonic-clock deadline, the two
 /// admission priority lanes, and the request/response types the
-/// deadline-aware Recommend/RecommendMany overloads speak. This header
-/// defines the contract the upcoming cross-process `net/` tier will expose
-/// on the wire, so it stays free of queue implementation detail
-/// (serve/admission_queue.h holds that).
+/// deadline-aware Recommend/RecommendMany overloads speak. The `net/`
+/// tier carries the same contract across processes (the wire frame header
+/// holds the deadline budget and the lane), so this header stays free of
+/// queue implementation detail (serve/admission_queue.h holds that).
 
 #include <chrono>
 #include <cstddef>

@@ -185,20 +185,6 @@ bool ParseSegmentName(const std::string& name, uint64_t* seq, bool* sealed) {
 
 }  // namespace
 
-const char* ExplorePolicyName(ExplorePolicy policy) {
-  switch (policy) {
-    case ExplorePolicy::kNone:
-      return "none";
-    case ExplorePolicy::kEpsilonGreedy:
-      return "epsilon";
-    case ExplorePolicy::kSoftmax:
-      return "softmax";
-    case ExplorePolicy::kBag:
-      return "bag";
-  }
-  return "unknown";
-}
-
 FeedbackLog::FeedbackLog(FeedbackLogOptions options)
     : options_(std::move(options)) {}
 

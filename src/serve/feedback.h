@@ -65,8 +65,6 @@ enum class ExplorePolicy : uint8_t {
   kBag = 3,
 };
 
-const char* ExplorePolicyName(ExplorePolicy policy);
-
 /// One served slot of an impression: the query, the model score it was
 /// served with, and the probability the exploration policy had of putting
 /// this item at slot 1 (the "sampling propensity" — 1.0 at slot 1 and 0.0

@@ -8,15 +8,6 @@
 namespace sqp {
 namespace {
 
-Status CheckShardCount(const SnapshotManifest& manifest, size_t shards,
-                       const std::string& manifest_path) {
-  if (manifest.num_shards() == shards) return Status::OK();
-  return Status::InvalidArgument(
-      "manifest has " + std::to_string(manifest.num_shards()) +
-      " shards but the engine has " + std::to_string(shards) + ": " +
-      manifest_path);
-}
-
 /// The global root state of the undivided corpus: the prior over next
 /// queries that Pst::BuildImpl derives from the depth-1 entries, which
 /// algebraically equals the weighted occurrence count of every query
@@ -61,71 +52,20 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   }
 }
 
-Status ShardedEngine::LoadAndPublish(const std::string& manifest_path,
-                                     const SnapshotLoadOptions& options) {
-  Result<SnapshotManifest> manifest =
-      SnapshotIo::LoadRoutableManifest(manifest_path);
-  if (!manifest.ok()) return manifest.status();
-  return PublishManifest(*manifest, manifest_path, options);
-}
-
-Status ShardedEngine::PublishManifest(const SnapshotManifest& manifest,
-                                      const std::string& manifest_path,
-                                      const SnapshotLoadOptions& options) {
-  SQP_RETURN_IF_ERROR(
-      CheckShardCount(manifest, shards_.size(), manifest_path));
-  // Stage everything before publishing anything: a fleet boot is all or
-  // nothing, and a failure leaves the current snapshots serving.
-  std::vector<std::shared_ptr<const CompactSnapshot>> staged;
-  staged.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Result<std::shared_ptr<const CompactSnapshot>> mapped =
-        SnapshotIo::MapShard(manifest, manifest_path, s, options);
-    if (!mapped.ok()) return mapped.status();
-    staged.push_back(std::move(mapped.value()));
-  }
-  for (size_t s = 0; s < staged.size(); ++s) {
-    shards_[s]->Publish(std::move(staged[s]));
-  }
-  return Status::OK();
-}
-
-Result<FleetBootReport> ShardedEngine::LoadAndPublishAvailable(
-    const std::string& manifest_path, const SnapshotLoadOptions& options) {
-  Result<SnapshotManifest> manifest =
-      SnapshotIo::LoadRoutableManifest(manifest_path);
-  if (!manifest.ok()) return manifest.status();
-  SQP_RETURN_IF_ERROR(
-      CheckShardCount(*manifest, shards_.size(), manifest_path));
-  FleetBootReport report;
-  report.shard_status.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Result<std::shared_ptr<const CompactSnapshot>> mapped =
-        SnapshotIo::MapShard(*manifest, manifest_path, s, options);
-    if (mapped.ok()) {
-      shards_[s]->Publish(std::move(mapped.value()));
-      ++report.healthy_shards;
-    }
-    report.shard_status.push_back(mapped.status());
-  }
-  if (report.healthy_shards == 0) {
-    for (const Status& status : report.shard_status) {
-      if (!status.ok()) return status;
-    }
-  }
-  return report;
-}
-
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::BootFromManifest(
-    const std::string& manifest_path, ShardedEngineOptions base,
-    const SnapshotLoadOptions& load_options) {
+    const std::string& manifest_path, ShardedEngineOptions base) {
   Result<SnapshotManifest> manifest =
       SnapshotIo::LoadRoutableManifest(manifest_path);
   if (!manifest.ok()) return manifest.status();
   base.num_shards = manifest->num_shards();
   auto engine = std::make_unique<ShardedEngine>(base);
-  SQP_RETURN_IF_ERROR(
-      engine->PublishManifest(*manifest, manifest_path, load_options));
+  // All or nothing: a shard that fails drops the half-booted engine.
+  for (size_t s = 0; s < engine->num_shards(); ++s) {
+    Result<std::shared_ptr<const CompactSnapshot>> mapped =
+        SnapshotIo::MapShard(*manifest, manifest_path, s);
+    if (!mapped.ok()) return mapped.status();
+    engine->shards_[s]->Publish(std::move(mapped.value()));
+  }
   return Result<std::unique_ptr<ShardedEngine>>(std::move(engine));
 }
 

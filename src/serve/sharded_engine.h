@@ -23,7 +23,7 @@
 ///
 /// Persistence: per-shard compact blobs (core/snapshot_io) indexed by a
 /// SnapshotManifest; a fleet cold-boots with one
-/// ShardedEngine::LoadAndPublish(manifest) call.
+/// ShardedEngine::BootFromManifest(manifest) call.
 
 #include <atomic>
 #include <memory>
@@ -55,16 +55,6 @@ struct ShardedEngineOptions {
   size_t num_threads = 0;
 };
 
-/// Per-shard outcome of a degraded fleet boot (LoadAndPublishAvailable).
-struct FleetBootReport {
-  /// Shards that verified, mapped and published.
-  size_t healthy_shards = 0;
-
-  /// Index == shard id; OK for published shards, the verify/map error for
-  /// dead ones (which keep whatever snapshot they had — typically none).
-  std::vector<Status> shard_status;
-};
-
 /// The sharded serving front-end: routes every request to the shard owning
 /// its context and reassembles batch results positionally. Because each
 /// context is answered entirely by its owning shard — which serves the
@@ -80,8 +70,8 @@ struct FleetBootReport {
 /// fleet's batches.
 ///
 /// Thread-safety: mirrors RecommenderEngine — all const methods are safe
-/// from any number of threads concurrently with shard(s)->Publish /
-/// LoadAndPublish from any other thread. A batch grabs each shard's
+/// from any number of threads concurrently with shard(s)->Publish from
+/// any other thread. A batch grabs each shard's
 /// snapshot once, so even a swap landing mid-batch cannot mix generations
 /// within one shard's answers.
 class ShardedEngine {
@@ -103,35 +93,18 @@ class ShardedEngine {
 
   /// Direct access to one shard's engine — the seam a per-shard Retrainer
   /// publishes through (shard(s)->Publish swaps one shard; readers of the
-  /// others are untouched), and the hook for per-shard cold boots.
+  /// others are untouched).
   RecommenderEngine* shard(size_t s) { return shards_[s].get(); }
   const RecommenderEngine& shard(size_t s) const { return *shards_[s]; }
 
-  /// Fleet cold boot from a SnapshotManifest: verifies the manifest's
-  /// shard count and partition function against this engine, checks every
-  /// blob against its manifest pin, maps all shards zero-copy, and only
-  /// then publishes — on any failure nothing is published and the current
-  /// snapshots stay live.
-  Status LoadAndPublish(const std::string& manifest_path,
-                        const SnapshotLoadOptions& options = {});
-
-  /// Degraded fleet boot: like LoadAndPublish, but a shard whose blob
-  /// fails verification or mapping does not sink the fleet — every
-  /// healthy shard is published and keeps serving its routed traffic,
-  /// while the dead shard stays unpublished (its contexts answer
-  /// uncovered-empty, kUnavailable through the deadline-aware API). The
-  /// manifest itself must still be valid and match this engine; the
-  /// per-shard outcomes land in the report. At least one healthy shard is
-  /// required (an all-dead boot returns the first shard's error).
-  Result<FleetBootReport> LoadAndPublishAvailable(
-      const std::string& manifest_path,
-      const SnapshotLoadOptions& options = {});
-
-  /// Sizes a fresh engine from the manifest (shard count comes from the
-  /// file) and cold-boots it. `base.num_shards` is ignored.
+  /// The fleet cold boot, the one way a fleet loads persisted state:
+  /// reads the manifest (refusing a partition function this build cannot
+  /// route), sizes a fresh engine from its shard count (`base.num_shards`
+  /// is ignored) and publishes every shard through SnapshotIo::MapShard
+  /// (manifest pin and section CRCs checked). All or nothing: on any
+  /// failure no engine is returned.
   static Result<std::unique_ptr<ShardedEngine>> BootFromManifest(
-      const std::string& manifest_path, ShardedEngineOptions base = {},
-      const SnapshotLoadOptions& load_options = {});
+      const std::string& manifest_path, ShardedEngineOptions base = {});
 
   /// The single-query path: one routing decision, then the owning shard
   /// engine's Recommend (its counters, deadline handling and scratch
@@ -162,12 +135,6 @@ class ShardedEngine {
   EngineStats stats() const;
 
  private:
-  /// Publishes every shard of an already-loaded routable manifest, all or
-  /// nothing (LoadAndPublish after its one manifest read).
-  Status PublishManifest(const SnapshotManifest& manifest,
-                         const std::string& manifest_path,
-                         const SnapshotLoadOptions& options);
-
   std::vector<std::unique_ptr<RecommenderEngine>> shards_;
   /// Never published: its pool, admission queue and lane scratch serve
   /// the fleet's cross-shard batches.

@@ -92,9 +92,9 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   serving::BlobLayout layout;
   serving::ModelRef m;
   BindMemory memory;
-  const serving::BlobError err = serving::BindBlob(
-      static_cast<const uint8_t*>(blob), blob_size,
-      /*verify_checksums=*/true, MallocBindMemory, &memory, &layout, &m);
+  const serving::BlobError err =
+      serving::BindBlob(static_cast<const uint8_t*>(blob), blob_size,
+                        MallocBindMemory, &memory, &layout, &m);
   std::free(memory.depth_scratch);
   if (err != serving::BlobError::kNone) {
     std::free(memory.escape_pow);

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +41,33 @@ TEST_F(SerializationTest, DictionaryRoundTrip) {
     EXPECT_EQ(loaded.Text(static_cast<QueryId>(id)),
               dict.Text(static_cast<QueryId>(id)));
   }
+}
+
+TEST_F(SerializationTest, DictionaryResaveLeavesOpenReadersTheOldFile) {
+  // The sidecar is replaced by rename, never rewritten in place: a reader
+  // that opened the old dictionary keeps reading all of it, and no
+  // temporary file is left behind.
+  QueryDictionary old_dict;
+  old_dict.Intern("kidney stones");
+  old_dict.Intern("kidney stone symptoms");
+  old_dict.Intern("nokia n73");
+  ASSERT_TRUE(SaveDictionary(old_dict, path_).ok());
+  std::ifstream reader(path_);
+  ASSERT_TRUE(reader.is_open());
+
+  QueryDictionary new_dict;
+  new_dict.Intern("java");
+  ASSERT_TRUE(SaveDictionary(new_dict, path_).ok());
+  EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
+
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(reader, line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       "kidney stones", "kidney stone symptoms", "nokia n73"}));
+  QueryDictionary reloaded;
+  ASSERT_TRUE(LoadDictionary(path_, &reloaded).ok());
+  ASSERT_EQ(reloaded.size(), 1u);
+  EXPECT_EQ(reloaded.Text(0), "java");
 }
 
 TEST_F(SerializationTest, DictionaryLoadMissingFileFails) {

@@ -21,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "blob_test_util.h"
+#include "core/blob_format.h"
 #include "core/compact_snapshot.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
@@ -329,18 +331,6 @@ TEST(SnapshotIoTest, BlobCarriesItsOwnCorpusVersion) {
   EXPECT_EQ(engine.current_version(), 42u);
 }
 
-TEST(SnapshotIoTest, SkippingChecksumsStillServesIdentically) {
-  const std::vector<AggregatedSession> corpus = SeededCorpus(13, 300, 90);
-  const auto full = BuildFull(corpus, 1, 1 << 10);
-  const auto compact = CompactSnapshot::FromSnapshot(*full);
-  TempFile file("nocrc.blob");
-  ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
-  const auto mapped =
-      SnapshotIo::Map(file.path(), {.verify_checksums = false});
-  ASSERT_TRUE(mapped.ok());
-  ExpectBitIdentical(*compact, **mapped, PrefixContexts(corpus, 200), 10);
-}
-
 TEST(SnapshotIoTest, HugepageOptionsServeIdenticallyWhateverTheBacking) {
   // Map always advises transparent huge pages; the advice only changes
   // how the mapping's memory is backed, never the served bytes. Whether
@@ -486,9 +476,9 @@ TEST(SnapshotIoTest, TruncatedBlobsAreRejected) {
 }
 
 TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
-  // With checksum verification off, the structural pass must still refuse
-  // a blob whose edge pool points outside the node table — the invariant
-  // the serving walk's memory-safety rests on.
+  // A blob whose edge pool points outside the node table, re-sealed so
+  // every checksum passes: the structural pass alone must refuse it — the
+  // invariant the serving walk's memory-safety rests on.
   const std::vector<AggregatedSession> corpus = SeededCorpus(6, 150, 60);
   const auto full = BuildFull(corpus, 1, 1 << 10, /*max_depth=*/3);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
@@ -497,21 +487,20 @@ TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
   ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   std::vector<uint8_t> blob = ReadAll(file.path());
 
-  // Locate the edge_child section (id 14) and point its first edge at a
-  // node id far past the table.
-  const uint32_t section_count = LoadLE32(blob.data() + 12);
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint8_t* row = blob.data() + 64 + i * 24;
-    if (LoadLE32(row) == 14) {
-      const uint64_t offset = LoadLE64(row + 8);
-      StoreLE16(blob.data() + offset, 0xFFFF);
-      break;
-    }
-  }
+  // Point the first edge of the edge_child section at a node id far past
+  // the table.
+  serving::BlobLayout layout;
+  ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
+            serving::BlobError::kNone);
+  ASSERT_TRUE(layout.narrow_ids);
+  StoreLE16(blob.data() + layout.sections[serving::kSecEdgeChild].offset,
+            0xFFFF);
+  ResealSection(&blob, serving::kSecEdgeChild);
+  ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
+            serving::BlobError::kNone);
   WriteAll(file.path(), blob);
-  const SnapshotLoadOptions no_verify{.verify_checksums = false};
-  EXPECT_FALSE(SnapshotIo::Load(file.path(), no_verify).ok());
-  EXPECT_FALSE(SnapshotIo::Map(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path()).ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path()).ok());
 }
 
 TEST(SnapshotIoTest, StructuralValidationCatchesSpikedCsrOffset) {
@@ -527,20 +516,19 @@ TEST(SnapshotIoTest, StructuralValidationCatchesSpikedCsrOffset) {
   ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   std::vector<uint8_t> blob = ReadAll(file.path());
 
-  // Locate the child_begin section (id 5) and spike the offset of node 1.
-  const uint32_t section_count = LoadLE32(blob.data() + 12);
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint8_t* row = blob.data() + 64 + i * 24;
-    if (LoadLE32(row) == 5) {
-      const uint64_t offset = LoadLE64(row + 8);
-      StoreLE32(blob.data() + offset + 4, 0x00F00000u);
-      break;
-    }
-  }
+  // Spike the child_begin offset of node 1 and re-seal, so only the
+  // structural pass stands between the spike and the walk.
+  serving::BlobLayout layout;
+  ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
+            serving::BlobError::kNone);
+  StoreLE32(blob.data() + layout.sections[serving::kSecChildBegin].offset + 4,
+            0x00F00000u);
+  ResealSection(&blob, serving::kSecChildBegin);
+  ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
+            serving::BlobError::kNone);
   WriteAll(file.path(), blob);
-  const SnapshotLoadOptions no_verify{.verify_checksums = false};
-  EXPECT_FALSE(SnapshotIo::Load(file.path(), no_verify).ok());
-  EXPECT_FALSE(SnapshotIo::Map(file.path(), no_verify).ok());
+  EXPECT_FALSE(SnapshotIo::Load(file.path()).ok());
+  EXPECT_FALSE(SnapshotIo::Map(file.path()).ok());
 }
 
 // ------------------------------------------------- serving-stack suite

@@ -1,5 +1,5 @@
 // The SnapshotManifest format suite: round-trips, corruption/truncation
-// rejection, blob-pin verification, artifact probing — and the committed
+// rejection, blob-pin and payload verification at boot — and the committed
 // golden 2-shard manifest that pins the manifest format (and the partition
 // function behind it) as a compatibility contract, exactly like
 // golden_snapshot_v1.blob pins the blob format.
@@ -15,8 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "core/blob_format.h"
 #include "core/compact_snapshot.h"
 #include "core/snapshot_io.h"
+#include "net/shard_server.h"
 #include "serve/sharded_engine.h"
 #include "util/byte_io.h"
 
@@ -121,28 +123,10 @@ TEST(ManifestTest, SaveLoadRoundTrip) {
                                                     loaded->shards[s].path);
     EXPECT_EQ(loaded->shards[s].file_size,
               std::filesystem::file_size(blob));
-    EXPECT_TRUE(SnapshotIo::VerifyBlobRef(loaded->shards[s], blob).ok());
+    const auto mapped = SnapshotIo::MapShard(*loaded, path, s);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_EQ((*mapped)->version(), 7u);
   }
-}
-
-TEST(ManifestTest, ProbeClassifiesArtifacts) {
-  TempDir dir;
-  const auto trained = TrainFleet(SeededCorpus(52, 200, 60), 2, 1);
-  const std::string manifest = dir.file("p.manifest");
-  ASSERT_TRUE(
-      SaveShardedSnapshots(trained.shards, CompactOptions{}, manifest).ok());
-
-  auto kind = SnapshotIo::Probe(manifest);
-  ASSERT_TRUE(kind.ok());
-  EXPECT_EQ(*kind, SnapshotFileKind::kManifest);
-  kind = SnapshotIo::Probe(manifest + ".shard0");
-  ASSERT_TRUE(kind.ok());
-  EXPECT_EQ(*kind, SnapshotFileKind::kBlob);
-
-  const std::string junk = dir.file("junk");
-  WriteAll(junk, std::vector<uint8_t>(64, 0x41));
-  EXPECT_FALSE(SnapshotIo::Probe(junk).ok());
-  EXPECT_FALSE(SnapshotIo::Probe(dir.file("missing")).ok());
 }
 
 TEST(ManifestTest, CorruptOrTruncatedManifestsAreRejected) {
@@ -194,15 +178,38 @@ TEST(ManifestTest, StaleBlobPinIsRefused) {
 
   const auto manifest = SnapshotIo::LoadManifest(path);
   ASSERT_TRUE(manifest.ok());
-  EXPECT_TRUE(
-      SnapshotIo::VerifyBlobRef(manifest->shards[0], path + ".shard0").ok());
-  EXPECT_FALSE(
-      SnapshotIo::VerifyBlobRef(manifest->shards[1], path + ".shard1").ok());
+  EXPECT_TRUE(SnapshotIo::MapShard(*manifest, path, 0).ok());
+  const auto stale = SnapshotIo::MapShard(*manifest, path, 1);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_NE(stale.status().message().find("manifest pin"), std::string::npos)
+      << stale.status().ToString();
 
-  // The fleet boot is all-or-nothing: nothing publishes off a stale pin.
-  ShardedEngine engine(ShardedEngineOptions{.num_shards = 2});
-  EXPECT_FALSE(engine.LoadAndPublish(path).ok());
-  EXPECT_EQ(std::ranges::max(engine.shard_versions()), 0u);
+  // The fleet boot is all-or-nothing: no fleet boots off a stale pin.
+  EXPECT_FALSE(ShardedEngine::BootFromManifest(path).ok());
+
+  // A blob whose pin still matches but whose payload has one flipped
+  // bit: the pin only covers the header, so the section CRCs every boot
+  // verifies must catch it — in-process and in a shard server alike.
+  ASSERT_TRUE(
+      SaveShardedSnapshots(trained.shards, CompactOptions{}, path).ok());
+  const auto repinned = SnapshotIo::LoadManifest(path);
+  ASSERT_TRUE(repinned.ok());
+  std::vector<uint8_t> blob = ReadAll(path + ".shard0");
+  serving::BlobLayout layout;
+  ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
+            serving::BlobError::kNone);
+  blob[layout.sections[serving::kSecSigmas].offset] ^= 0x01;
+  WriteAll(path + ".shard0", blob);
+  ASSERT_EQ(repinned->shards[0].file_size, blob.size());
+  ASSERT_EQ(repinned->shards[0].header_crc, LoadLE32(blob.data() + 60));
+  const auto flipped = ShardedEngine::BootFromManifest(path);
+  ASSERT_FALSE(flipped.ok());
+  EXPECT_NE(flipped.status().message().find("checksum"), std::string::npos)
+      << flipped.status().ToString();
+  net::ShardServer server;
+  EXPECT_FALSE(server.StartFromManifest(path, 0).ok());
+  EXPECT_TRUE(server.StartFromManifest(path, 1).ok());
+  server.Stop();
 }
 
 TEST(ManifestTest, ShardCountAndPartitionMismatchesAreRefused) {
@@ -212,9 +219,14 @@ TEST(ManifestTest, ShardCountAndPartitionMismatchesAreRefused) {
   ASSERT_TRUE(
       SaveShardedSnapshots(trained.shards, CompactOptions{}, path).ok());
 
-  // Engine sized differently than the manifest.
-  ShardedEngine wrong_count(ShardedEngineOptions{.num_shards = 3});
-  EXPECT_FALSE(wrong_count.LoadAndPublish(path).ok());
+  // A fleet takes its shard count from the manifest; a shard server
+  // asking for a shard the manifest does not have is refused.
+  auto booted = ShardedEngine::BootFromManifest(
+      path, ShardedEngineOptions{.num_shards = 3});
+  ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+  EXPECT_EQ((*booted)->num_shards(), 2u);
+  net::ShardServer server;
+  EXPECT_FALSE(server.StartFromManifest(path, 2).ok());
 
   // Unknown partition function id.
   auto manifest = SnapshotIo::LoadManifest(path);
@@ -222,9 +234,8 @@ TEST(ManifestTest, ShardCountAndPartitionMismatchesAreRefused) {
   SnapshotManifest altered = *manifest;
   altered.partition_function = 999;
   ASSERT_TRUE(SnapshotIo::SaveManifest(altered, path).ok());
-  ShardedEngine engine(ShardedEngineOptions{.num_shards = 2});
-  EXPECT_FALSE(engine.LoadAndPublish(path).ok());
-  EXPECT_EQ(std::ranges::max(engine.shard_versions()), 0u);
+  EXPECT_FALSE(ShardedEngine::BootFromManifest(path).ok());
+  EXPECT_FALSE(server.StartFromManifest(path, 0).ok());
 }
 
 TEST(ManifestTest, ResolveAgainstManifestHandlesRelativeAndAbsolute) {

@@ -184,10 +184,13 @@ TEST(FaultInjectionTest, DataLossNeverRetries) {
 
 TEST(FaultInjectionTest, ServerDropsGarbageConnectionAndKeepsServing) {
   const Fixture& fixture = SharedFixture();
-  ShardServer server;
+  TempDir dir("garbage");
+  const std::string manifest = dir.file("fleet.manifest");
   ASSERT_TRUE(
-      server.StartWithEngine(fixture.fleet.borrowed[0], /*fleet_version=*/1)
+      SaveShardedSnapshots(fixture.trained.shards, CompactOptions{}, manifest)
           .ok());
+  ShardServer server;
+  ASSERT_TRUE(server.StartFromManifest(manifest, 0).ok());
 
   // A peer speaking garbage: the server must close exactly that
   // connection (we observe EOF) and count it dropped.

@@ -23,6 +23,7 @@
 #include "net/wire_format.h"
 #include "net_test_util.h"
 #include "serve/deadline.h"
+#include "util/socket.h"
 
 namespace sqp::net_test {
 namespace {
@@ -270,6 +271,39 @@ TEST(NetServingTest, GracefulShardRestartReResolvesOntoNewManifest) {
     serve_test::ExpectSameRecommendation(expected[i], after.results[i]);
   }
   shard1.Stop();
+}
+
+TEST(NetServingTest, FailedStartLeavesTheServerStartable) {
+  TempDir dir("failed_start");
+  const std::string manifest = dir.file("fleet.manifest");
+  const ShardedTrainResult trained = TrainFleet(1);
+  ASSERT_TRUE(
+      SaveShardedSnapshots(trained.shards, CompactOptions{}, manifest).ok());
+
+  // Another listener holds the port: the start fails on bind.
+  auto blocker = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(blocker.ok());
+  const auto port = BoundPort(blocker->get());
+  ASSERT_TRUE(port.ok());
+  ShardServer server(ShardServerOptions{.port = *port});
+  const Status first = server.StartFromManifest(manifest, 0);
+  EXPECT_EQ(first.code(), StatusCode::kIOError) << first.ToString();
+
+  // Once the port is free, the same server starts and serves.
+  blocker->Reset();
+  const Status retry = server.StartFromManifest(manifest, 0);
+  ASSERT_TRUE(retry.ok()) << retry.ToString();
+  EXPECT_EQ(server.port(), *port);
+  const auto contexts = FleetContexts(100);
+  RouterClient router(1, TcpTransportFactory("127.0.0.1", {server.port()}));
+  const BatchResult batch = router.RecommendMany(AsRefs(contexts), 5);
+  EXPECT_TRUE(batch.admission.ok());
+  EXPECT_EQ(batch.served, contexts.size());
+
+  // A started server refuses a second start.
+  EXPECT_EQ(server.StartFromManifest(manifest, 0).code(),
+            StatusCode::kFailedPrecondition);
+  server.Stop();
 }
 
 TEST(NetServingTest, HostileTopNAnswersLikeNumEntriesWithoutAllocating) {

@@ -494,96 +494,6 @@ TEST(ShardedRetrainerSetTest, EmptyShardSlicesPersistAndBootstrapLazily) {
   EXPECT_TRUE((*rebooted)->Recommend(context, 5).recommendation.covered);
 }
 
-// --------------------------------------------------- partial-fleet boots
-
-TEST(ShardedEngineTest, FleetBootsDegradedAroundOneDeadShard) {
-  const std::vector<AggregatedSession>& corpus = SharedCorpus().base;
-  constexpr size_t kShards = 4;
-  const ShardedTrainResult trained =
-      TrainSharded(corpus, kShards, /*version=*/2);
-  TempDir dir;
-  const std::string manifest_path = dir.file("fleet.manifest");
-  ASSERT_TRUE(SaveShardedSnapshots(trained.shards,
-                                   CompactOptions{.top_k = 10},
-                                   manifest_path)
-                  .ok());
-
-  // Kill shard 1's blob (truncate it) WITHOUT touching the manifest: the
-  // strict boot refuses the whole fleet, the degraded boot serves around
-  // the hole.
-  const std::string dead_blob = manifest_path + ".shard1";
-  ASSERT_TRUE(std::filesystem::exists(dead_blob));
-  std::filesystem::resize_file(dead_blob,
-                               std::filesystem::file_size(dead_blob) / 2);
-
-  ShardedEngine strict(ShardedEngineOptions{.num_shards = kShards});
-  EXPECT_FALSE(strict.LoadAndPublish(manifest_path).ok());
-  EXPECT_EQ(strict.shard_versions(), std::vector<uint64_t>(kShards, 0u));
-
-  ShardedEngine engine(ShardedEngineOptions{.num_shards = kShards});
-  auto report = engine.LoadAndPublishAvailable(manifest_path);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->healthy_shards, kShards - 1);
-  ASSERT_EQ(report->shard_status.size(), kShards);
-  for (size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(report->shard_status[s].ok(), s != 1) << "shard " << s;
-  }
-
-  // Healthy shards serve bit-identically to the full compact model; the
-  // dead shard's contexts answer uncovered-empty and kUnavailable, with an
-  // unbounded and a bounded deadline alike.
-  const auto full = BuildUnsharded(corpus, /*version=*/2);
-  const auto full_compact =
-      CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10});
-  SnapshotScratch scratch;
-  size_t healthy_checked = 0;
-  size_t dead_checked = 0;
-  for (const std::vector<QueryId>& context : CollectContexts(corpus, 300)) {
-    const ServeResult served = engine.Recommend(context, 10);
-    const Recommendation& got = served.recommendation;
-    if (engine.OwningShard(context) == 1) {
-      EXPECT_FALSE(got.covered);
-      EXPECT_TRUE(got.queries.empty());
-      EXPECT_EQ(served.status, StatusCode::kUnavailable);
-      ServeOptions qos;
-      qos.deadline = Deadline::After(std::chrono::seconds(30));
-      EXPECT_EQ(engine.Recommend(context, 10, qos).status,
-                StatusCode::kUnavailable);
-      ++dead_checked;
-    } else {
-      ExpectSameRecommendation(full_compact->Recommend(context, 10, &scratch),
-                               got);
-      ++healthy_checked;
-    }
-  }
-  EXPECT_GT(healthy_checked, 0u);
-  EXPECT_GT(dead_checked, 0u);
-
-  // Healing the blob lets the SAME engine boot the full fleet strictly.
-  ASSERT_TRUE(SaveShardedSnapshots(trained.shards,
-                                   CompactOptions{.top_k = 10},
-                                   manifest_path)
-                  .ok());
-  ASSERT_TRUE(engine.LoadAndPublish(manifest_path).ok());
-  EXPECT_EQ(engine.shard_versions(), std::vector<uint64_t>(kShards, 2u));
-}
-
-TEST(ShardedEngineTest, AllDeadBootReturnsTheFirstShardError) {
-  const ShardedTrainResult trained = TrainSharded(SharedCorpus().base, 2);
-  TempDir dir;
-  const std::string manifest_path = dir.file("fleet.manifest");
-  ASSERT_TRUE(SaveShardedSnapshots(trained.shards, CompactOptions{},
-                                   manifest_path)
-                  .ok());
-  for (size_t s = 0; s < 2; ++s) {
-    std::filesystem::remove(manifest_path + ".shard" + std::to_string(s));
-  }
-  ShardedEngine engine(ShardedEngineOptions{.num_shards = 2});
-  const auto report = engine.LoadAndPublishAvailable(manifest_path);
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(engine.shard_versions(), std::vector<uint64_t>(2, 0u));
-}
-
 // ------------------------------------------------------------------ stats
 
 TEST(ShardedEngineTest, StatsAggregateAcrossShards) {

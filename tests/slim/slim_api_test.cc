@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "../core/blob_test_util.h"
 #include "core/blob_format.h"
 #include "core/compact_snapshot.h"
 #include "core/snapshot_io.h"
@@ -242,24 +243,6 @@ TEST(SlimApiTest, GarbageBuffersAreRejected) {
   EXPECT_EQ(slim.status(), SQP_STATUS_INVALID_ARGUMENT);
 }
 
-/// Re-seals `blob` after an edit inside section `id`: that section's CRC,
-/// the section-table CRC and the header CRC, so the edit reaches the
-/// validators behind every checksum.
-void ResealSection(std::vector<uint8_t>* blob, serving::BlobSectionId id) {
-  uint8_t* const data = blob->data();
-  const uint32_t section_count = LoadLE32(data + 12);
-  uint8_t* table = data + serving::kBlobHeaderSize;
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint8_t* row = table + i * serving::kBlobSectionRowSize;
-    if (LoadLE32(row) == id) {
-      StoreLE32(row + 4, Crc32(data + LoadLE64(row + 8), LoadLE64(row + 16)));
-    }
-  }
-  StoreLE32(data + 24,
-            Crc32(table, section_count * serving::kBlobSectionRowSize));
-  StoreLE32(data + 60, Crc32(data, 60));
-}
-
 TEST(SlimApiTest, HostileMixtureParametersAreRefusedByBothReaders) {
   // CRC-valid but unusable mixture parameters: a sigma that is not finite
   // and > 0 would score NaN or silently take the depth fallback, an escape
@@ -267,8 +250,7 @@ TEST(SlimApiTest, HostileMixtureParametersAreRefusedByBothReaders) {
   // must refuse them as invalid input.
   const std::vector<uint8_t> golden = ReadFileBytes(GoldenPath());
   serving::BlobLayout layout;
-  ASSERT_EQ(serving::ParseBlobLayout(golden.data(), golden.size(),
-                                     /*verify_checksums=*/true, &layout),
+  ASSERT_EQ(serving::ParseBlobLayout(golden.data(), golden.size(), &layout),
             serving::BlobError::kNone);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -292,8 +274,7 @@ TEST(SlimApiTest, HostileMixtureParametersAreRefusedByBothReaders) {
               std::bit_cast<uint64_t>(c.value));
     ResealSection(&blob, c.section);
     serving::BlobLayout patched;
-    ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(),
-                                       /*verify_checksums=*/true, &patched),
+    ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &patched),
               serving::BlobError::kNone)
         << tag << ": the patch must pass every checksum";
     SlimPredictorHandle slim(blob);
@@ -337,8 +318,7 @@ std::vector<uint8_t> WideBlobNamingId(uint32_t hostile_id,
   std::filesystem::remove(path);
 
   serving::BlobLayout layout;
-  EXPECT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(),
-                                     /*verify_checksums=*/true, &layout),
+  EXPECT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
             serving::BlobError::kNone);
   EXPECT_FALSE(layout.narrow_ids);
   const uint8_t* next_begin =
