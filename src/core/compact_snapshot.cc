@@ -60,73 +60,79 @@ uint8_t BlockShift(uint64_t max_count) {
 /// The root keeps nothing: serving never reads the root's nexts (ranking
 /// levels are non-root path nodes), so packing them would be dead weight.
 ///
-/// Cost: when any node truncates, pass (b) runs one full Recommend per
-/// tree node — O(n * top_k * depth) on top of the model build. That is
-/// the price of the preservation property; both passes are skipped
-/// entirely when no node exceeds top_k.
+/// Only a *truncated* node (more than top_k nexts) can hold an entry the
+/// base slice left out; every other node keeps all its entries whatever
+/// (b) and (c) do. So (b) runs only for nodes with a truncated node on
+/// their parent chain (the levels it pins into) and pins only into
+/// truncated nodes, and (c) propagates only into truncated parents.
+///
+/// Cost: one full Recommend per node whose parent chain holds a
+/// truncated node — O(m * top_k * depth) for m such nodes, on top of the
+/// model build; nothing at all when no node exceeds top_k.
 std::vector<std::vector<uint32_t>> KeptEntries(const ModelSnapshot& full,
                                                size_t top_k) {
   const std::vector<Pst::Node>& nodes = full.pst()->nodes();
   const size_t n = nodes.size();
+  std::vector<uint8_t> truncated(n, 0);
+  // A truncated node on the parent chain, the node itself included.
+  std::vector<uint8_t> chain_truncated(n, 0);
   std::vector<std::vector<uint8_t>> flag(n);
-  bool any_truncated = false;
   for (size_t id = 1; id < n; ++id) {
-    flag[id].assign(nodes[id].nexts.size(), 0);
-    const size_t base = std::min(top_k, nodes[id].nexts.size());
-    std::fill(flag[id].begin(), flag[id].begin() + base, 1);
-    any_truncated |= base < nodes[id].nexts.size();
+    const size_t size = nodes[id].nexts.size();
+    truncated[id] = size > top_k;
+    chain_truncated[id] =
+        truncated[id] | chain_truncated[static_cast<size_t>(nodes[id].parent)];
+    if (truncated[id]) {
+      flag[id].assign(size, 0);
+      std::fill(flag[id].begin(), flag[id].begin() + top_k, 1);
+    }
   }
 
-  // Lazily-built (query -> entry index) maps, shared by passes (b)/(c).
+  // Lazily-built (query -> entry index) maps of the truncated nodes,
+  // shared by passes (b)/(c).
   std::vector<std::unordered_map<QueryId, uint32_t>> index_of(n);
-  const auto entry_index = [&](size_t node, QueryId query) -> int64_t {
+  const auto pin = [&](size_t node, QueryId query) {
     std::unordered_map<QueryId, uint32_t>& map = index_of[node];
-    if (map.empty() && !nodes[node].nexts.empty()) {
+    if (map.empty()) {
       map.reserve(nodes[node].nexts.size());
       for (uint32_t i = 0; i < nodes[node].nexts.size(); ++i) {
         map.emplace(nodes[node].nexts[i].query, i);
       }
     }
     const auto it = map.find(query);
-    return it == map.end() ? -1 : static_cast<int64_t>(it->second);
+    if (it != map.end()) flag[node][it->second] = 1;
   };
 
   // (b) aggregate closure; (c) ancestor closure, as a reverse sweep that
   // sees every descendant before its ancestor (node ids are
-  // parent-before-child). Both are no-ops when nothing was truncated.
-  if (any_truncated) {
-    SnapshotScratch scratch;
-    for (size_t id = 1; id < n; ++id) {
-      const Recommendation rec =
-          full.Recommend(nodes[id].context, top_k, &scratch);
-      for (const ScoredQuery& sq : rec.queries) {
-        for (int32_t a = static_cast<int32_t>(id); a > 0;
-             a = nodes[static_cast<size_t>(a)].parent) {
-          const int64_t i = entry_index(static_cast<size_t>(a), sq.query);
-          if (i >= 0) {
-            flag[static_cast<size_t>(a)][static_cast<size_t>(i)] = 1;
-          }
+  // parent-before-child).
+  SnapshotScratch scratch;
+  for (size_t id = 1; id < n; ++id) {
+    if (!chain_truncated[id]) continue;
+    const Recommendation rec =
+        full.Recommend(nodes[id].context, top_k, &scratch);
+    for (const ScoredQuery& sq : rec.queries) {
+      for (int32_t a = static_cast<int32_t>(id); a > 0;
+           a = nodes[static_cast<size_t>(a)].parent) {
+        if (truncated[static_cast<size_t>(a)]) {
+          pin(static_cast<size_t>(a), sq.query);
         }
       }
     }
-    for (size_t id = n; id-- > 1;) {
-      const int32_t parent = nodes[id].parent;
-      if (parent <= 0) continue;
-      for (uint32_t i = 0; i < flag[id].size(); ++i) {
-        if (!flag[id][i]) continue;
-        const int64_t j = entry_index(static_cast<size_t>(parent),
-                                      nodes[id].nexts[i].query);
-        if (j >= 0) {
-          flag[static_cast<size_t>(parent)][static_cast<size_t>(j)] = 1;
-        }
-      }
+  }
+  for (size_t id = n; id-- > 1;) {
+    const int32_t parent = nodes[id].parent;
+    if (parent <= 0 || !truncated[static_cast<size_t>(parent)]) continue;
+    for (uint32_t i = 0; i < nodes[id].nexts.size(); ++i) {
+      if (truncated[id] && !flag[id][i]) continue;
+      pin(static_cast<size_t>(parent), nodes[id].nexts[i].query);
     }
   }
 
   std::vector<std::vector<uint32_t>> kept(n);
   for (size_t id = 1; id < n; ++id) {
-    for (uint32_t i = 0; i < flag[id].size(); ++i) {
-      if (flag[id][i]) kept[id].push_back(i);
+    for (uint32_t i = 0; i < nodes[id].nexts.size(); ++i) {
+      if (!truncated[id] || flag[id][i]) kept[id].push_back(i);
     }
   }
   return kept;

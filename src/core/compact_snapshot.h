@@ -34,6 +34,8 @@ struct CompactOptions {
   /// than the ones keeping it, in which case it serves with the deep
   /// contribution understated; the aggregate closure in KeptEntries pins
   /// the full model's own served lists to make that rare.) 0 = keep all.
+  /// Packing costs one full-model Recommend per node with a node of more
+  /// than top_k nexts on its parent chain, and none when no node has.
   /// Serving top-N lists are preserved for N <= top_k on the bench corpora
   /// (tested; tab07_memory_footprint tracks the exact agreement rate in
   /// BENCH_memory.json).

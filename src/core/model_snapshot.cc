@@ -68,13 +68,20 @@ constexpr size_t kMaxNewtonIterations = 25;
 /// iterations and the remaining budget buys only noise-level gains.
 constexpr double kSigmaFitTolerance = 1e-9;
 
-/// One pseudo-test sequence of the sigma fit (Eq. 8/9): its normalized
-/// sampling weight plus per-component edit distances and generative
-/// probabilities.
-struct WeightSample {
-  double weight = 0.0;                // P(X_T), normalized by the fitter
-  std::vector<double> edit_distance;  // d_D(X_T) per component
-  std::vector<double> sequence_prob;  // \hat{P}_D(X_T) per component
+/// The pseudo-test sequences of one sigma fit (Eq. 8/9) as one flat
+/// table, built and owned by that fit: per sample its sampling weight, and
+/// per (sample, component), row-major, the Gaussian table offset
+/// `c * stride + d_D(X_T)` and the generative probability \hat{P}_D(X_T).
+/// Edit distances are dropped-prefix counts — small integers — so the fit
+/// evaluators read g(d; sigma_D) off (component, distance) lookup tables
+/// of `stride` = largest distance + 1 entries per component.
+struct FitTable {
+  size_t k = 0;
+  size_t stride = 1;
+  std::vector<double> weight;    // P(X_T), normalized by the fitter
+  std::vector<uint32_t> offset;  // holds d_D(X_T) until the stride is known
+  std::vector<double> prob;
+  size_t size() const { return weight.size(); }
 };
 
 /// The sigma-fit sample pool: the most frequent multi-query sessions,
@@ -87,47 +94,46 @@ std::vector<const AggregatedSession*> SelectWeightPool(
   for (const AggregatedSession& s : sessions) {
     if (s.queries.size() >= 2) pool.push_back(&s);
   }
-  std::sort(pool.begin(), pool.end(),
-            [](const AggregatedSession* a, const AggregatedSession* b) {
-              if (a->frequency != b->frequency) {
-                return a->frequency > b->frequency;
-              }
-              return a->queries < b->queries;
-            });
-  if (pool.size() > sample_size) pool.resize(sample_size);
+  // The order is total on session content, so the kept prefix is the
+  // same samples a full sort would keep.
+  const size_t kept = std::min(pool.size(), sample_size);
+  std::partial_sort(
+      pool.begin(), pool.begin() + static_cast<ptrdiff_t>(kept), pool.end(),
+      [](const AggregatedSession* a, const AggregatedSession* b) {
+        if (a->frequency != b->frequency) return a->frequency > b->frequency;
+        return a->queries < b->queries;
+      });
+  pool.resize(kept);
   return pool;
 }
 
 /// f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X), evaluated off a
 /// (component, integer-distance) Gaussian lookup table.
-double Objective(const std::vector<WeightSample>& samples,
-                 const std::vector<double>& sigmas, size_t max_d) {
-  const size_t k = sigmas.size();
-  const size_t stride = max_d + 1;
+double Objective(const FitTable& table, const std::vector<double>& sigmas) {
+  const size_t k = table.k;
+  const size_t stride = table.stride;
   thread_local std::vector<double> g_table;
   g_table.assign(k * stride, 0.0);
   for (size_t c = 0; c < k; ++c) {
-    for (size_t d = 0; d <= max_d; ++d) {
+    for (size_t d = 0; d < stride; ++d) {
       g_table[c * stride + d] = GaussianPdf(static_cast<double>(d), sigmas[c]);
     }
   }
   double f = 0.0;
-  for (const WeightSample& s : samples) {
+  for (size_t s = 0; s < table.size(); ++s) {
+    const uint32_t* offset = table.offset.data() + s * k;
+    const double* prob = table.prob.data() + s * k;
     double mix = 0.0;
-    for (size_t c = 0; c < k; ++c) {
-      mix += g_table[c * stride + static_cast<size_t>(s.edit_distance[c])] *
-             s.sequence_prob[c];
-    }
+    for (size_t c = 0; c < k; ++c) mix += g_table[offset[c]] * prob[c];
     if (mix <= 0.0) mix = 1e-300;
-    f += s.weight * std::log(mix);
+    f += table.weight[s] * std::log(mix);
   }
   return f;
 }
 
 /// Fused analytic gradient and analytic Hessian (row-major k x k) in a
 /// single pass over the samples.
-void FitDerivatives(const std::vector<WeightSample>& samples,
-                    const std::vector<double>& sigmas, size_t max_d,
+void FitDerivatives(const FitTable& table, const std::vector<double>& sigmas,
                     std::vector<double>* gradient,
                     std::vector<double>* hessian) {
   // For f = sum_X w log m, m = sum_c g_c P_c:
@@ -135,8 +141,8 @@ void FitDerivatives(const std::vector<WeightSample>& samples,
   //   H_cj = sum_X w [ delta_cj g_c'' P_c / m - (g_c' P_c)(g_j' P_j) / m^2 ]
   // with g' = g (d^2/s^3 - 1/s) and g'' = g ((d^2/s^3 - 1/s)^2
   //                                          - 3 d^2/s^4 + 1/s^2).
-  const size_t k = sigmas.size();
-  const size_t stride = max_d + 1;
+  const size_t k = table.k;
+  const size_t stride = table.stride;
   thread_local std::vector<double> g_table;   // g
   thread_local std::vector<double> gp_table;  // g'
   thread_local std::vector<double> gt_table;  // g''
@@ -145,7 +151,7 @@ void FitDerivatives(const std::vector<WeightSample>& samples,
   gt_table.assign(k * stride, 0.0);
   for (size_t c = 0; c < k; ++c) {
     const double sigma = sigmas[c];
-    for (size_t di = 0; di <= max_d; ++di) {
+    for (size_t di = 0; di < stride; ++di) {
       const double d = static_cast<double>(di);
       const double g = GaussianPdf(d, sigma);
       const double a = d * d / (sigma * sigma * sigma) - 1.0 / sigma;
@@ -161,21 +167,21 @@ void FitDerivatives(const std::vector<WeightSample>& samples,
   gradient->assign(k, 0.0);
   hessian->assign(k * k, 0.0);
   std::vector<double> u(k);  // g_c' P_c
-  for (const WeightSample& s : samples) {
+  for (size_t s = 0; s < table.size(); ++s) {
+    const uint32_t* offset = table.offset.data() + s * k;
+    const double* prob = table.prob.data() + s * k;
+    const double weight = table.weight[s];
     double mix = 0.0;
     for (size_t c = 0; c < k; ++c) {
-      const size_t di = static_cast<size_t>(s.edit_distance[c]);
-      u[c] = gp_table[c * stride + di] * s.sequence_prob[c];
-      mix += g_table[c * stride + di] * s.sequence_prob[c];
+      u[c] = gp_table[offset[c]] * prob[c];
+      mix += g_table[offset[c]] * prob[c];
     }
     if (mix <= 0.0) continue;
     const double inv = 1.0 / mix;
     for (size_t c = 0; c < k; ++c) {
-      const size_t di = static_cast<size_t>(s.edit_distance[c]);
-      (*gradient)[c] += s.weight * u[c] * inv;
-      (*hessian)[c * k + c] +=
-          s.weight * gt_table[c * stride + di] * s.sequence_prob[c] * inv;
-      const double scaled = s.weight * u[c] * inv * inv;
+      (*gradient)[c] += weight * u[c] * inv;
+      (*hessian)[c * k + c] += weight * gt_table[offset[c]] * prob[c] * inv;
+      const double scaled = weight * u[c] * inv * inv;
       for (size_t j = 0; j < k; ++j) {
         (*hessian)[c * k + j] -= scaled * u[j];
       }
@@ -185,38 +191,36 @@ void FitDerivatives(const std::vector<WeightSample>& samples,
 
 /// Maximizes f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X) by
 /// damped Newton with analytic derivatives (Eq. 7-10), with a backtracking
-/// gradient-ascent fallback. Normalizes the sample weights in place;
-/// `sigmas` carries the initial point and receives the fitted values.
-MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
+/// gradient-ascent fallback. Normalizes the sample weights and turns the
+/// edit distances into table offsets, in place; `sigmas` carries the
+/// initial point and receives the fitted values.
+MvmmFitReport FitSigmasFromSamples(FitTable* table,
                                    std::vector<double>* sigmas) {
   MvmmFitReport report;
-  if (samples->empty()) return report;
+  if (table->size() == 0) return report;
   const size_t k = sigmas->size();
 
   double weight_total = 0.0;
-  for (const WeightSample& s : *samples) weight_total += s.weight;
-  for (WeightSample& s : *samples) s.weight /= weight_total;
+  for (double w : table->weight) weight_total += w;
+  for (double& w : table->weight) w /= weight_total;
 
-  // Edit distances are dropped-prefix counts: small integers. The fit
-  // evaluators run off (component, distance) lookup tables sized by the
-  // largest observed distance.
-  size_t max_d = 0;
-  for (const WeightSample& s : *samples) {
-    for (double d : s.edit_distance) {
-      max_d = std::max(max_d, static_cast<size_t>(d));
-    }
+  uint32_t max_d = 0;
+  for (uint32_t d : table->offset) max_d = std::max(max_d, d);
+  table->stride = size_t{max_d} + 1;
+  for (size_t i = 0; i < table->offset.size(); ++i) {
+    table->offset[i] += static_cast<uint32_t>((i % k) * table->stride);
   }
 
   // Damped Newton with the analytic Hessian (one pass over the samples per
   // iteration); gradient-ascent fallback keeps every accepted step an
   // improvement.
-  double f = Objective(*samples, *sigmas, max_d);
+  double f = Objective(*table, *sigmas);
   report.initial_objective = f;
   std::vector<double> grad;
   std::vector<double> hessian;
   for (size_t iter = 0; iter < kMaxNewtonIterations; ++iter) {
     const double f_before = f;
-    FitDerivatives(*samples, *sigmas, max_d, &grad, &hessian);
+    FitDerivatives(*table, *sigmas, &grad, &hessian);
     double grad_norm = 0.0;
     for (double g : grad) grad_norm += g * g;
     grad_norm = std::sqrt(grad_norm);
@@ -235,7 +239,7 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
         for (size_t i = 0; i < k; ++i) {
           trial[i] = std::max(kMinSigma, trial[i] - damping * step[i]);
         }
-        const double ft = Objective(*samples, trial, max_d);
+        const double ft = Objective(*table, trial);
         if (ft > f) {
           *sigmas = std::move(trial);
           f = ft;
@@ -253,7 +257,7 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
         for (size_t i = 0; i < k; ++i) {
           trial[i] = std::max(kMinSigma, trial[i] + lr * grad[i]);
         }
-        const double ft = Objective(*samples, trial, max_d);
+        const double ft = Objective(*table, trial);
         if (ft > f) {
           *sigmas = std::move(trial);
           f = ft;
@@ -279,15 +283,15 @@ MvmmFitReport FitSigmasFromSamples(std::vector<WeightSample>* samples,
 /// the smoothed conditional is computed once per distinct matched depth
 /// instead of once per component. The final prefix is the full context,
 /// whose matched depths also yield the edit distances (d = dropped prefix
-/// queries).
+/// queries). Writes the session's k distances and probabilities.
 void BuildWeightSample(const AggregatedSession& session,
                        std::span<const ModelSnapshot* const> trees,
                        const Pst::Node& root, const MvmmOptions& options,
-                       size_t vocabulary_size, WeightSample* sample) {
+                       size_t vocabulary_size, uint32_t* edit_distance,
+                       double* sequence_prob) {
   const size_t k = options.components.size();
   const std::vector<QueryId>& q = session.queries;
-  sample->edit_distance.resize(k);
-  sample->sequence_prob.assign(k, 1.0);
+  std::fill(sequence_prob, sequence_prob + k, 1.0);
 
   thread_local std::vector<int32_t> path;
   thread_local std::vector<size_t> matched;
@@ -313,11 +317,11 @@ void BuildWeightSample(const AggregatedSession& session,
       }
       const size_t dropped = i - m;
       const double escape = dropped == 0 ? 1.0 : EscapeMass(state, dropped);
-      sample->sequence_prob[c] *= escape * cond_at[m];
+      sequence_prob[c] *= escape * cond_at[m];
     }
     if (i + 1 == q.size()) {  // prefix == full context
       for (size_t c = 0; c < k; ++c) {
-        sample->edit_distance[c] = static_cast<double>(i - matched[c]);
+        edit_distance[c] = static_cast<uint32_t>(i - matched[c]);
       }
     }
   }
@@ -333,35 +337,40 @@ MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
       SelectWeightPool(sessions, kSigmaFitSampleSize);
   if (pool.empty()) return MvmmFitReport{};
 
-  std::vector<WeightSample> samples(pool.size());
+  const size_t k = options.components.size();
+  FitTable table;
+  table.k = k;
+  table.weight.resize(pool.size());
+  table.offset.resize(pool.size() * k);
+  table.prob.resize(pool.size() * k);
   for (size_t i = 0; i < pool.size(); ++i) {
-    samples[i].weight = static_cast<double>(pool[i]->frequency);
+    table.weight[i] = static_cast<double>(pool[i]->frequency);
   }
   const auto build_sample = [&](size_t i) {
     BuildWeightSample(*pool[i], trees, root, options, vocabulary_size,
-                      &samples[i]);
+                      table.offset.data() + i * k, table.prob.data() + i * k);
   };
-  // Per-sample evaluation is independent and writes only its own slot, so
+  // Per-sample evaluation is independent and writes only its own rows, so
   // sharding it across workers leaves the result bit-identical.
-  if (options.training_threads > 1 && samples.size() > 1) {
+  if (options.training_threads > 1 && pool.size() > 1) {
     std::vector<std::thread> workers;
     const size_t num_workers =
-        std::min(options.training_threads, samples.size());
+        std::min(options.training_threads, pool.size());
     std::atomic<size_t> next{0};
     for (size_t w = 0; w < num_workers; ++w) {
       workers.emplace_back([&] {
         while (true) {
           const size_t i = next.fetch_add(1);
-          if (i >= samples.size()) return;
+          if (i >= pool.size()) return;
           build_sample(i);
         }
       });
     }
     for (std::thread& worker : workers) worker.join();
   } else {
-    for (size_t i = 0; i < samples.size(); ++i) build_sample(i);
+    for (size_t i = 0; i < pool.size(); ++i) build_sample(i);
   }
-  return FitSigmasFromSamples(&samples, sigmas);
+  return FitSigmasFromSamples(&table, sigmas);
 }
 
 }  // namespace internal

@@ -183,6 +183,79 @@ bool ParseSegmentName(const std::string& name, uint64_t* seq, bool* sealed) {
   return true;
 }
 
+/// ReadFeedbackLog's reader, minus the sealed segments numbered below
+/// `skip_sealed_below` (0 reads everything). `next_unread` receives the
+/// first segment number at or past `skip_sealed_below` that this read did
+/// not fully read as a sealed segment: every segment below it was sealed
+/// when read, and sealed segments never change.
+Result<std::vector<FeedbackRecord>> ReadSegments(const std::string& dir,
+                                                 uint64_t skip_sealed_below,
+                                                 FeedbackReadReport* rep,
+                                                 uint64_t* next_unread) {
+  *rep = FeedbackReadReport{};
+  *next_unread = skip_sealed_below;
+  std::vector<FeedbackRecord> records;
+  std::error_code ec;
+  if (!fs::exists(dir, ec)) return records;
+
+  std::vector<std::tuple<uint64_t, std::string, bool>> segments;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    uint64_t seq = 0;
+    bool sealed = false;
+    if (!ParseSegmentName(entry.path().filename().string(), &seq, &sealed)) {
+      continue;
+    }
+    if (sealed && seq < skip_sealed_below) continue;
+    segments.emplace_back(seq, entry.path().string(), sealed);
+  }
+  if (ec) {
+    return Status::IOError("cannot list feedback dir " + dir + ": " +
+                           ec.message());
+  }
+  std::sort(segments.begin(), segments.end());
+
+  std::vector<ClickEvent> clicks;
+  // An `.open` segment may still grow, and a sealed one that failed to
+  // read (renamed or deleted under us) may read differently next time:
+  // the next read starts at the first of either.
+  bool all_sealed_so_far = true;
+  for (const auto& [seq, path, sealed] : segments) {
+    SegmentScan scan = ScanSegment(path, sealed);
+    all_sealed_so_far = all_sealed_so_far && sealed && scan.header_ok;
+    if (all_sealed_so_far) *next_unread = seq + 1;
+    rep->torn_records += scan.torn_records;
+    rep->impressions += scan.impressions.size();
+    rep->clicks += scan.clicks.size();
+    for (FeedbackRecord& record : scan.impressions) {
+      records.push_back(std::move(record));
+    }
+    clicks.insert(clicks.end(), scan.clicks.begin(), scan.clicks.end());
+  }
+
+  std::sort(records.begin(), records.end(),
+            [](const FeedbackRecord& a, const FeedbackRecord& b) {
+              return a.record_id < b.record_id;
+            });
+
+  std::unordered_map<uint64_t, size_t> by_id;
+  by_id.reserve(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    by_id.emplace(records[i].record_id, i);
+  }
+  for (const ClickEvent& click : clicks) {
+    auto it = by_id.find(click.impression_record_id);
+    if (it == by_id.end()) {
+      ++rep->unmatched_clicks;
+      continue;
+    }
+    // First click wins: duplicates (retries, replays) don't move it.
+    if (records[it->second].clicked_position == kFeedbackNoClick) {
+      records[it->second].clicked_position = click.position;
+    }
+  }
+  return records;
+}
+
 }  // namespace
 
 FeedbackLog::FeedbackLog(FeedbackLogOptions options)
@@ -488,62 +561,9 @@ FeedbackLogStats FeedbackLog::stats() const {
 Result<std::vector<FeedbackRecord>> ReadFeedbackLog(const std::string& dir,
                                                     FeedbackReadReport* report) {
   FeedbackReadReport local;
-  FeedbackReadReport* rep = report ? report : &local;
-  *rep = FeedbackReadReport{};
-
-  std::vector<FeedbackRecord> records;
-  std::error_code ec;
-  if (!fs::exists(dir, ec)) return records;
-
-  std::vector<std::tuple<uint64_t, std::string, bool>> segments;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    uint64_t seq = 0;
-    bool sealed = false;
-    if (!ParseSegmentName(entry.path().filename().string(), &seq, &sealed)) {
-      continue;
-    }
-    segments.emplace_back(seq, entry.path().string(), sealed);
-  }
-  if (ec) {
-    return Status::IOError("cannot list feedback dir " + dir + ": " +
-                           ec.message());
-  }
-  std::sort(segments.begin(), segments.end());
-
-  std::vector<ClickEvent> clicks;
-  for (const auto& [seq, path, sealed] : segments) {
-    SegmentScan scan = ScanSegment(path, sealed);
-    rep->torn_records += scan.torn_records;
-    rep->impressions += scan.impressions.size();
-    rep->clicks += scan.clicks.size();
-    for (FeedbackRecord& record : scan.impressions) {
-      records.push_back(std::move(record));
-    }
-    clicks.insert(clicks.end(), scan.clicks.begin(), scan.clicks.end());
-  }
-
-  std::sort(records.begin(), records.end(),
-            [](const FeedbackRecord& a, const FeedbackRecord& b) {
-              return a.record_id < b.record_id;
-            });
-
-  std::unordered_map<uint64_t, size_t> by_id;
-  by_id.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    by_id.emplace(records[i].record_id, i);
-  }
-  for (const ClickEvent& click : clicks) {
-    auto it = by_id.find(click.impression_record_id);
-    if (it == by_id.end()) {
-      ++rep->unmatched_clicks;
-      continue;
-    }
-    // First click wins: duplicates (retries, replays) don't move it.
-    if (records[it->second].clicked_position == kFeedbackNoClick) {
-      records[it->second].clicked_position = click.position;
-    }
-  }
-  return records;
+  uint64_t next_unread = 0;
+  return ReadSegments(dir, /*skip_sealed_below=*/0, report ? report : &local,
+                      &next_unread);
 }
 
 std::vector<AggregatedSession> SessionsFromFeedback(
@@ -568,7 +588,14 @@ Result<size_t> FeedbackCursor::Consume(
     const std::string& dir,
     const std::function<void(std::vector<AggregatedSession>)>& append) {
   std::lock_guard<std::mutex> lock(mu_);
-  Result<std::vector<FeedbackRecord>> records = ReadFeedbackLog(dir);
+  if (dir != dir_) {
+    dir_ = dir;
+    next_segment_ = 0;
+  }
+  FeedbackReadReport report;
+  uint64_t next_segment = 0;
+  Result<std::vector<FeedbackRecord>> records =
+      ReadSegments(dir, next_segment_, &report, &next_segment);
   if (!records.ok()) return records.status();
   std::vector<FeedbackRecord> fresh;
   uint64_t max_id = watermark_;
@@ -581,6 +608,7 @@ Result<size_t> FeedbackCursor::Consume(
   const size_t consumed = sessions.size();
   if (!sessions.empty()) append(std::move(sessions));
   watermark_ = max_id;
+  next_segment_ = next_segment;
   return consumed;
 }
 

@@ -251,6 +251,16 @@ std::vector<AggregatedSession> SessionsFromFeedback(
 /// record seen, clicked or not — so repeated calls over the same log are
 /// idempotent, and a click must be in the log by the time its impression
 /// is consumed. Returns the number of sessions handed over. Thread-safe.
+///
+/// Each sealed segment is read once: the cursor also keeps the `dir` it
+/// read and the first segment number it has not fully read as a sealed
+/// segment, and skips the sealed segments below it. That hands over
+/// exactly what re-reading the whole log would, because sealed segments
+/// never change, every record of a fully read segment is at or below the
+/// watermark, and a click is appended after its impression (so it lands
+/// in the same or a later segment). An `.open` segment is read again once
+/// sealed, as is one that FeedbackLog::Open recovered; a different `dir`
+/// starts from segment 0. The skip point moves only on a successful read.
 class FeedbackCursor {
  public:
   Result<size_t> Consume(
@@ -259,7 +269,9 @@ class FeedbackCursor {
 
  private:
   std::mutex mu_;
-  uint64_t watermark_ = 0;  // guarded by mu_
+  uint64_t watermark_ = 0;     // guarded by mu_
+  std::string dir_;            // guarded by mu_
+  uint64_t next_segment_ = 0;  // guarded by mu_; valid for dir_
 };
 
 /// The serving-side hook carried by ServeOptions::feedback: reranks the

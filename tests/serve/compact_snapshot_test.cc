@@ -4,15 +4,22 @@
 // the footprint by a large factor, and plug into the engine/retrainer
 // publish seam unchanged.
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/blob_format.h"
 #include "core/compact_snapshot.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
 #include "serve_test_util.h"
+#include "util/byte_io.h"
 
 namespace sqp {
 namespace {
@@ -71,6 +78,117 @@ TEST(CompactSnapshotTest, TopKTruncationPreservesTopNForNUpToK) {
     }
   }
   EXPECT_GT(covered, 0u);
+}
+
+TEST(CompactSnapshotTest, EveryNodeContextServesTheFullTopKExactly) {
+  // The aggregate closure pins the full model's top-K at every node's own
+  // context. The pack computes it only along chains that hold a truncated
+  // node (more than top_k nexts): elsewhere nothing can be left out. At
+  // top_k = 4 this corpus has both kinds of chain, so every node context —
+  // under a truncated ancestor or not — must serve the full top-K list,
+  // ids and score bits (every count here fits 16 bits).
+  constexpr size_t kTopK = 4;
+  const ModelSnapshot& full = *SharedFull();
+  const auto compact =
+      CompactSnapshot::FromSnapshot(full, CompactOptions{.top_k = kTopK});
+  const std::vector<Pst::Node>& nodes = full.pst()->nodes();
+  std::vector<uint8_t> chain_truncated(nodes.size(), 0);
+  size_t truncated_chains = 0;
+  size_t untruncated_chains = 0;
+  SnapshotScratch scratch;
+  for (size_t id = 1; id < nodes.size(); ++id) {
+    chain_truncated[id] =
+        nodes[id].nexts.size() > kTopK ||
+        chain_truncated[static_cast<size_t>(nodes[id].parent)];
+    ++(chain_truncated[id] ? truncated_chains : untruncated_chains);
+    const Recommendation want =
+        full.Recommend(nodes[id].context, kTopK, &scratch);
+    const Recommendation got =
+        compact->Recommend(nodes[id].context, kTopK, &scratch);
+    ASSERT_EQ(want.covered, got.covered) << "node " << id;
+    ASSERT_EQ(want.queries.size(), got.queries.size()) << "node " << id;
+    for (size_t i = 0; i < want.queries.size(); ++i) {
+      EXPECT_EQ(want.queries[i].query, got.queries[i].query)
+          << "node " << id << " rank " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(want.queries[i].score),
+                std::bit_cast<uint64_t>(got.queries[i].score))
+          << "node " << id << " rank " << i;
+    }
+  }
+  EXPECT_GT(truncated_chains, 0u);
+  EXPECT_GT(untruncated_chains, 0u);
+}
+
+/// Every node's kept next queries, read back out of the blob's sections.
+std::vector<std::set<QueryId>> KeptQueries(const CompactSnapshot& compact) {
+  const std::span<const uint8_t> blob = compact.blob_bytes();
+  serving::BlobLayout layout;
+  SQP_CHECK(serving::ParseBlobLayout(blob.data(), blob.size(), &layout) ==
+            serving::BlobError::kNone);
+  const uint8_t* next_begin =
+      blob.data() + layout.sections[serving::kSecNextBegin].offset;
+  const uint8_t* pool =
+      blob.data() + layout.sections[serving::kSecNextQuery].offset;
+  std::vector<std::set<QueryId>> kept(layout.num_nodes);
+  for (size_t id = 0; id < layout.num_nodes; ++id) {
+    for (uint32_t e = LoadLE32(next_begin + 4 * id);
+         e < LoadLE32(next_begin + 4 * (id + 1)); ++e) {
+      kept[id].insert(layout.narrow_ids ? LoadLE16(pool + 2 * e)
+                                        : LoadLE32(pool + 4 * e));
+    }
+  }
+  return kept;
+}
+
+TEST(CompactSnapshotTest, TruncatingPackKeepsExactlyTheClosure) {
+  // The pack runs the closures only where a truncated node can be
+  // touched. It must keep exactly what the closures give when computed
+  // everywhere: (a) each node's top-K, (b) the full top-K at every node's
+  // context pinned at every level of its chain that lists it, and (c) the
+  // ancestor closure.
+  const ModelSnapshot& full = *SharedFull();
+  const std::vector<Pst::Node>& nodes = full.pst()->nodes();
+  for (const size_t top_k : {size_t{2}, size_t{4}, size_t{10}}) {
+    std::vector<std::set<QueryId>> want(nodes.size());
+    const auto lists = [&](size_t node, QueryId query) {
+      for (const NextQueryCount& nc : nodes[node].nexts) {
+        if (nc.query == query) return true;
+      }
+      return false;
+    };
+    SnapshotScratch scratch;
+    for (size_t id = 1; id < nodes.size(); ++id) {
+      for (size_t i = 0; i < std::min(top_k, nodes[id].nexts.size()); ++i) {
+        want[id].insert(nodes[id].nexts[i].query);
+      }
+      const Recommendation rec =
+          full.Recommend(nodes[id].context, top_k, &scratch);
+      for (const ScoredQuery& sq : rec.queries) {
+        for (int32_t a = static_cast<int32_t>(id); a > 0;
+             a = nodes[static_cast<size_t>(a)].parent) {
+          if (lists(static_cast<size_t>(a), sq.query)) {
+            want[static_cast<size_t>(a)].insert(sq.query);
+          }
+        }
+      }
+    }
+    for (size_t id = nodes.size(); id-- > 1;) {
+      const int32_t parent = nodes[id].parent;
+      if (parent <= 0) continue;
+      for (const QueryId query : want[id]) {
+        if (lists(static_cast<size_t>(parent), query)) {
+          want[static_cast<size_t>(parent)].insert(query);
+        }
+      }
+    }
+
+    const std::vector<std::set<QueryId>> kept = KeptQueries(
+        *CompactSnapshot::FromSnapshot(full, CompactOptions{.top_k = top_k}));
+    ASSERT_EQ(kept.size(), nodes.size());
+    for (size_t id = 0; id < nodes.size(); ++id) {
+      EXPECT_EQ(kept[id], want[id]) << "node " << id << " top_k " << top_k;
+    }
+  }
 }
 
 TEST(CompactSnapshotTest, QuantizedServingIsBitExactWhenCountsFit16Bits) {

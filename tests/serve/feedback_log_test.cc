@@ -13,9 +13,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -424,6 +427,128 @@ TEST(FeedbackLogTest, SessionsFromFeedbackSkipsUnusableRecords) {
   EXPECT_EQ(sessions[0].queries, (std::vector<QueryId>{1, 2, 11}));
   EXPECT_EQ(sessions[0].frequency, 1u);
   EXPECT_EQ(sessions[1].queries, (std::vector<QueryId>{5, 10}));
+}
+
+/// FeedbackCursor reads each sealed segment once. Over many rounds it
+/// must hand over exactly what a reference that re-reads the whole log
+/// hands over (ReadFeedbackLog, then SessionsFromFeedback past the same
+/// watermark), through: clicks landing in a later segment than their
+/// impression, live reads of an `.open` segment that later grows and is
+/// sealed, torn `.open` segments that Open re-seals, retention deleting
+/// old segments, and the cursor moving to a second directory and back.
+TEST(FeedbackLogTest, CursorReadsEachSealedSegmentOnceAndMatchesAFullReread) {
+  TempDir dirs[2];
+  const auto open_log = [&](size_t d) {
+    FeedbackLogOptions options;
+    options.dir = dirs[d].str();
+    options.max_segment_bytes = 256;  // about two impressions per segment
+    options.max_segments = 6;
+    auto log = FeedbackLog::Open(options);
+    SQP_CHECK(log.ok());
+    return std::move(log.value());
+  };
+  const auto tear_open_segment = [&](size_t d) {
+    for (const fs::path& f : SegmentFiles(dirs[d].str())) {
+      if (f.extension() == ".open") {
+        fs::resize_file(f, fs::file_size(f) - 3);
+        return;
+      }
+    }
+    FAIL() << "no .open segment to tear";
+  };
+
+  FeedbackCursor cursor;
+  uint64_t reference_watermark = 0;
+  size_t handed_over = 0;
+  // One consume through the cursor and through the reference; returns
+  // the number of sessions handed over.
+  const auto consume = [&](size_t d) -> size_t {
+    std::vector<AggregatedSession> got;
+    const auto consumed = cursor.Consume(
+        dirs[d].str(),
+        [&](std::vector<AggregatedSession> sessions) { got = sessions; });
+    EXPECT_TRUE(consumed.ok());
+    const auto records = ReadFeedbackLog(dirs[d].str());
+    EXPECT_TRUE(records.ok());
+    std::vector<FeedbackRecord> fresh;
+    uint64_t max_id = reference_watermark;
+    for (const FeedbackRecord& record : *records) {
+      if (record.record_id <= reference_watermark) continue;
+      max_id = std::max(max_id, record.record_id);
+      fresh.push_back(record);
+    }
+    reference_watermark = max_id;
+    const std::vector<AggregatedSession> want = SessionsFromFeedback(fresh);
+    EXPECT_EQ(*consumed, want.size());
+    EXPECT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].queries, want[i].queries) << "session " << i;
+      EXPECT_EQ(got[i].frequency, want[i].frequency) << "session " << i;
+    }
+    handed_over += want.size();
+    return want.size();
+  };
+
+  std::unique_ptr<FeedbackLog> logs[2] = {open_log(0), open_log(1)};
+  std::vector<uint64_t> unclicked[2];  // impressions to click next round
+  std::mt19937 rng(20261018);
+  uint64_t next_id = 1;  // one id sequence across both directories
+  size_t late_clicks = 0;
+  for (size_t round = 0; round < 48; ++round) {
+    // Rounds 0-23 and 36-47 write dir 0, rounds 24-35 dir 1.
+    const size_t d = round >= 24 && round < 36 ? 1 : 0;
+    FeedbackLog& log = *logs[d];
+    // Last round's deferred clicks: an even round sealed after them, so
+    // each lands in a later segment than its impression.
+    for (const uint64_t id : unclicked[d]) {
+      ASSERT_TRUE(log.RecordClick(id, static_cast<uint32_t>(id % 3)).ok());
+      late_clicks += round % 2 == 1 ? 1 : 0;
+    }
+    unclicked[d].clear();
+    const size_t impressions = 1 + rng() % 4;
+    for (size_t i = 0; i < impressions; ++i) {
+      std::vector<QueryId> context(1 + rng() % 3);
+      for (QueryId& q : context) q = 1 + static_cast<QueryId>(rng() % 20);
+      const uint64_t id = next_id++;
+      ASSERT_TRUE(
+          log.AppendImpression(MakeImpression(id, context, ThreeItems())).ok());
+      switch (rng() % 3) {
+        case 0:
+          ASSERT_TRUE(log.RecordClick(id, static_cast<uint32_t>(rng() % 3))
+                          .ok());
+          break;
+        case 1:
+          unclicked[d].push_back(id);
+          break;
+        default:
+          break;  // never clicked
+      }
+    }
+    // Odd rounds read the `.open` segment live; the next round appends to
+    // it and seals it.
+    if (round % 2 == 0) {
+      ASSERT_TRUE(log.Seal().ok());
+    }
+
+    if (round == 10 || round == 30) {
+      // A writer dies with records in its `.open` segment; the cursor
+      // reads it, the tail tears, and Open re-seals the valid prefix.
+      logs[d].reset();
+      consume(d);
+      tear_open_segment(d);
+      logs[d] = open_log(d);
+    } else if (round == 16) {
+      // The same without a read in between.
+      logs[d].reset();
+      tear_open_segment(d);
+      logs[d] = open_log(d);
+    }
+    consume(d);
+    EXPECT_EQ(consume(d), 0u) << "round " << round;  // idempotent
+  }
+  EXPECT_GT(late_clicks, 0u);
+  EXPECT_GT(handed_over, 20u);
+  EXPECT_GT(logs[0]->stats().segments_deleted, 0u);  // retention ran
 }
 
 TEST(FeedbackLogTest, RejectsInvalidAppendsAndOptions) {

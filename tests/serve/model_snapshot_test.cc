@@ -3,8 +3,11 @@
 // (recommendations, conditionals, sigmas, stats), and MvmmModel itself now
 // serves by delegating to the snapshot it trained.
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +147,61 @@ TEST(ModelSnapshotTest, ReusesCompatibleSharedIndex) {
   }
   EXPECT_EQ(from_scratch.value()->Stats().num_states,
             from_index.value()->Stats().num_states);
+}
+
+/// Everything one sigma fit reads belongs to that fit: fitting corpus A,
+/// then B, then A again on one thread — and then A grown by B in place, as
+/// a retrainer grows its corpus — gives each fit exactly the sigma bits
+/// and report of a fit on a thread that never fitted anything else.
+TEST(ModelSnapshotTest, SigmaFitDependsOnlyOnItsOwnCorpus) {
+  struct Fit {
+    std::vector<double> sigmas;
+    MvmmFitReport report;
+  };
+  const auto fit = [](const std::vector<AggregatedSession>& sessions) {
+    const auto built = ModelSnapshot::Build(DataFor(sessions), TestOptions());
+    SQP_CHECK(built.ok());
+    return Fit{built.value()->sigmas(), built.value()->fit_report()};
+  };
+  const auto fit_on_fresh_thread =
+      [&](const std::vector<AggregatedSession>& sessions) {
+        Fit out;
+        std::thread([&] { out = fit(sessions); }).join();
+        return out;
+      };
+  const auto bits = [](double value) { return std::bit_cast<uint64_t>(value); };
+  const auto expect_same = [&](const Fit& want, const Fit& got) {
+    ASSERT_EQ(want.sigmas.size(), got.sigmas.size());
+    for (size_t c = 0; c < want.sigmas.size(); ++c) {
+      EXPECT_EQ(bits(want.sigmas[c]), bits(got.sigmas[c])) << "sigma " << c;
+    }
+    EXPECT_EQ(want.report.iterations, got.report.iterations);
+    EXPECT_EQ(bits(want.report.initial_objective),
+              bits(got.report.initial_objective));
+    EXPECT_EQ(bits(want.report.final_objective),
+              bits(got.report.final_objective));
+    EXPECT_EQ(want.report.used_newton, got.report.used_newton);
+  };
+
+  const std::vector<AggregatedSession>& a = SharedCorpus().base;
+  const std::vector<AggregatedSession>& b = SharedCorpus().drifted;
+  const Fit fresh_a = fit_on_fresh_thread(a);
+  const Fit fresh_b = fit_on_fresh_thread(b);
+  // The corpora fit differently, so a row left over from one shows up in
+  // the other.
+  ASSERT_NE(bits(fresh_a.report.initial_objective),
+            bits(fresh_b.report.initial_objective));
+  expect_same(fresh_a, fit(a));
+  expect_same(fresh_b, fit(b));
+  expect_same(fresh_a, fit(a));
+
+  std::vector<AggregatedSession> grown;
+  grown.reserve(a.size() + b.size());  // grows in place: one address
+  grown.assign(a.begin(), a.end());
+  expect_same(fresh_a, fit(grown));
+  grown.insert(grown.end(), b.begin(), b.end());
+  const Fit fresh_grown = fit_on_fresh_thread(grown);
+  expect_same(fresh_grown, fit(grown));
 }
 
 }  // namespace
