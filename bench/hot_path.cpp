@@ -1,8 +1,11 @@
 // Hot-path bench for the compact serving walk: the end-to-end dense walk
 // with its cost split into descent (MatchedDepth) vs score+merge, the
 // legacy sparse sort-merge for comparison, and a self-reported speedup row
-// (dense over sparse). Emits BENCH_hotpath.json (see bench/README.md) as
-// the tracked perf surface of the walk.
+// (dense over sparse). The two variants run in interleaved rounds that
+// alternate which goes first; every reported figure is the median over
+// rounds, and the speedup is the ratio of the two medians. Emits
+// BENCH_hotpath.json (see bench/README.md) as the tracked perf surface of
+// the walk.
 //
 // The binary also self-enforces the correctness bar: before any timing is
 // reported it replays every context through the dense walk and requires
@@ -12,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compact_snapshot.h"
@@ -52,44 +56,61 @@ struct WalkCost {
   double qps = 0.0;
 };
 
-WalkCost MeasureWalk(const CompactSnapshot& snapshot,
-                     const std::vector<std::vector<QueryId>>& contexts,
-                     double seconds) {
-  SnapshotScratch scratch;
-  size_t cursor = 0;
-  uint64_t served = 0;
-  WallTimer timer;
-  while (timer.ElapsedSeconds() < seconds) {
-    for (size_t burst = 0; burst < 256; ++burst) {
-      const Recommendation rec =
-          snapshot.Recommend(contexts[cursor], 5, &scratch);
-      (void)rec;
-      cursor = (cursor + 1) % contexts.size();
-      ++served;
-    }
-  }
-  WalkCost cost;
-  const double total = timer.ElapsedSeconds();
-  cost.recommend_ns = total * 1e9 / static_cast<double>(served);
-  cost.qps = static_cast<double>(served) / total;
+/// The two variants run in alternating rounds until kTotalSeconds have
+/// passed, with at least kMinRounds each. Each pair of rounds swaps which
+/// variant goes first, so drift on the machine (clock frequency,
+/// neighbours) lands on both variants instead of on whichever ran second.
+constexpr double kTotalSeconds = 1.8;
+constexpr size_t kMinRounds = 5;
+/// Queries per round, rounded up to whole passes over the contexts so
+/// every round of either variant serves the identical context mix.
+constexpr size_t kRoundQueries = 1 << 14;
 
-  // Descent-only probe over the same context stream: the walk minus the
-  // scoring and ranking. The difference is the score+merge share.
-  uint64_t matched = 0;
-  cursor = 0;
-  uint64_t probes = 0;
-  WallTimer match_timer;
-  while (match_timer.ElapsedSeconds() < seconds * 0.5) {
-    for (size_t burst = 0; burst < 256; ++burst) {
-      matched += snapshot.MatchedDepth(contexts[cursor]);
-      cursor = (cursor + 1) % contexts.size();
-      ++probes;
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2.0;
+}
+
+/// Field-wise median of per-round costs.
+WalkCost MedianCost(const std::vector<WalkCost>& rounds) {
+  const auto median_of = [&rounds](double WalkCost::*field) {
+    std::vector<double> values;
+    for (const WalkCost& round : rounds) values.push_back(round.*field);
+    return Median(std::move(values));
+  };
+  return WalkCost{.recommend_ns = median_of(&WalkCost::recommend_ns),
+                  .match_ns = median_of(&WalkCost::match_ns),
+                  .qps = median_of(&WalkCost::qps)};
+}
+
+/// One round: `passes` walks over every context, then as many descent-only
+/// passes (MatchedDepth: the walk minus the scoring and ranking; the
+/// difference is the score+merge share).
+WalkCost MeasureRound(const CompactSnapshot& snapshot,
+                      const std::vector<std::vector<QueryId>>& contexts,
+                      size_t passes, SnapshotScratch* scratch,
+                      uint64_t* matched) {
+  const double queries = static_cast<double>(passes * contexts.size());
+  WallTimer timer;
+  for (size_t pass = 0; pass < passes; ++pass) {
+    for (const std::vector<QueryId>& context : contexts) {
+      const Recommendation rec = snapshot.Recommend(context, 5, scratch);
+      (void)rec;
     }
   }
-  cost.match_ns =
-      match_timer.ElapsedSeconds() * 1e9 / static_cast<double>(probes);
-  if (matched == 0) std::fprintf(stderr, "warning: no context matched\n");
-  return cost;
+  const double walk_seconds = timer.ElapsedSeconds();
+  WallTimer match_timer;
+  for (size_t pass = 0; pass < passes; ++pass) {
+    for (const std::vector<QueryId>& context : contexts) {
+      *matched += snapshot.MatchedDepth(context);
+    }
+  }
+  const double match_seconds = match_timer.ElapsedSeconds();
+  return WalkCost{.recommend_ns = walk_seconds * 1e9 / queries,
+                  .match_ns = match_seconds * 1e9 / queries,
+                  .qps = queries / walk_seconds};
 }
 
 // -------------------------------------------------- equivalence check
@@ -194,8 +215,9 @@ int main() {
   std::printf("equivalence (dense vs sparse): %s\n\n",
               equivalent ? "ok" : "FAILED");
 
-  // The end-to-end walk, dense then the legacy sparse sort-merge, each
-  // split into descent (MatchedDepth) and score+merge.
+  // The end-to-end walk, dense and the legacy sparse sort-merge, each
+  // split into descent (MatchedDepth) and score+merge. Rows report the
+  // per-round medians.
   const auto add_walk_row = [&rows](const char* variant,
                                     const WalkCost& cost) {
     Row r;
@@ -210,11 +232,36 @@ int main() {
                 "score+merge=%.0fns qps=%.0f\n",
                 variant, r.recommend_ns, r.match_ns, r.merge_score_ns, r.qps);
   };
-  const WalkCost dense = MeasureWalk(*compact, contexts, /*seconds=*/0.6);
+  std::vector<WalkCost> dense_rounds;
+  std::vector<WalkCost> sparse_rounds;
+  {
+    const size_t passes =
+        (kRoundQueries + contexts.size() - 1) / contexts.size();
+    SnapshotScratch dense_scratch;
+    SnapshotScratch sparse_scratch;
+    uint64_t matched = 0;
+    WallTimer total;
+    for (size_t pair = 0; total.ElapsedSeconds() < kTotalSeconds ||
+                          dense_rounds.size() < kMinRounds;
+         ++pair) {
+      for (size_t turn = 0; turn < 2; ++turn) {
+        const bool sparse_turn = (pair + turn) % 2 == 1;
+        internal::ForceSparseMergeForTest().store(sparse_turn);
+        (sparse_turn ? sparse_rounds : dense_rounds)
+            .push_back(MeasureRound(*compact, contexts, passes,
+                                    sparse_turn ? &sparse_scratch
+                                                : &dense_scratch,
+                                    &matched));
+      }
+    }
+    internal::ForceSparseMergeForTest().store(false);
+    if (matched == 0) std::fprintf(stderr, "warning: no context matched\n");
+    std::printf("%zu rounds per variant, %zu queries each\n",
+                dense_rounds.size(), passes * contexts.size());
+  }
+  const WalkCost dense = MedianCost(dense_rounds);
+  const WalkCost sparse = MedianCost(sparse_rounds);
   add_walk_row("dense", dense);
-  internal::ForceSparseMergeForTest().store(true);
-  const WalkCost sparse = MeasureWalk(*compact, contexts, /*seconds=*/0.6);
-  internal::ForceSparseMergeForTest().store(false);
   add_walk_row("sparse", sparse);
 
   {

@@ -1,10 +1,10 @@
 // Serving-layer throughput/latency bench: batch RecommendMany QPS as the
 // engine's worker-lane count grows, single-query Recommend latency
-// percentiles, the same two off the CompactSnapshot serving layout (the
-// quantized/truncated variant must serve within a few percent of the full
-// snapshot), and both again while a live Retrainer rebuilds and swaps
-// snapshots underneath the readers. Emits BENCH_serve.json (see
-// bench/README.md) as the tracked perf surface of the serve/ subsystem.
+// percentiles, and single-query latency again while a live Retrainer
+// rebuilds and swaps snapshots underneath the readers. Every row serves
+// the CompactSnapshot blob, the one model the engine serves. Emits
+// BENCH_serve.json (see bench/README.md) as the tracked perf surface of the
+// serve/ subsystem.
 //
 // Thread-scaling expectations depend on the machine: lanes beyond the
 // physical core count (e.g. the 8-lane row on a 1-core container) measure
@@ -59,7 +59,7 @@ std::vector<std::vector<QueryId>> Contexts(const Harness& harness) {
 }
 
 /// Batched QPS at a fixed engine lane count, over `seconds` of wall time.
-Measurement MeasureBatchQps(const std::shared_ptr<const ServingSnapshot>& model,
+Measurement MeasureBatchQps(const std::shared_ptr<const CompactSnapshot>& model,
                             const std::vector<std::vector<QueryId>>& contexts,
                             size_t threads, size_t batch, double seconds) {
   RecommenderEngine engine(EngineOptions{.num_threads = threads});
@@ -152,12 +152,14 @@ int main() {
   const size_t hardware = std::max<unsigned>(1, std::thread::hardware_concurrency());
   std::printf("hardware threads: %zu\n\n", hardware);
 
-  // One snapshot for all read-only phases, built like the harness MVMM.
+  // One blob for all read-only phases, packed from a snapshot built like
+  // the harness MVMM.
   MvmmOptions options;
   options.default_max_depth = harness.config().vmm_max_depth;
   auto built = ModelSnapshot::Build(harness.training_data(), options, 1);
   SQP_CHECK(built.ok());
-  const std::shared_ptr<const ModelSnapshot> model = built.value();
+  const std::shared_ptr<const CompactSnapshot> model =
+      CompactSnapshot::FromSnapshot(**built);
   const std::vector<std::vector<QueryId>> contexts = Contexts(harness);
   SQP_CHECK(!contexts.empty());
 
@@ -172,37 +174,13 @@ int main() {
     measurements.push_back(m);
   }
 
-  // Phase 1b: the same single-lane batch workload off the compact serving
-  // layout — the claim is that the quantized/truncated variant serves
-  // within a few percent of the full snapshot (compare against the
-  // threads=1 batch_qps row).
-  const std::shared_ptr<const CompactSnapshot> compact =
-      CompactSnapshot::FromSnapshot(*model, CompactOptions{});
-  {
-    Measurement m = MeasureBatchQps(compact, contexts, /*threads=*/1,
-                                    /*batch=*/256, /*seconds=*/0.8);
-    m.name = "batch_qps_compact";
-    std::printf("batch_compact  threads=%zu  batch=%zu  qps=%.0f\n",
-                m.threads, m.batch, m.qps);
-    measurements.push_back(m);
-  }
-
-  // Phase 2: single-query latency, steady snapshot — full, then compact.
+  // Phase 2: single-query latency, steady snapshot.
   {
     RecommenderEngine engine(EngineOptions{.num_threads = 1});
     engine.Publish(model);
     Measurement m = MeasureSingleLatency(&engine, contexts, /*seconds=*/1.0,
                                          "single_latency");
     std::printf("single_latency qps=%.0f  p50=%.3fus  p99=%.3fus\n", m.qps,
-                m.p50_us, m.p99_us);
-    measurements.push_back(m);
-  }
-  {
-    RecommenderEngine engine(EngineOptions{.num_threads = 1});
-    engine.Publish(compact);
-    Measurement m = MeasureSingleLatency(&engine, contexts, /*seconds=*/1.0,
-                                         "single_latency_compact");
-    std::printf("single_compact qps=%.0f  p50=%.3fus  p99=%.3fus\n", m.qps,
                 m.p50_us, m.p99_us);
     measurements.push_back(m);
   }

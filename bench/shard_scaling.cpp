@@ -107,12 +107,14 @@ int main() {
       std::max<unsigned>(1, std::thread::hardware_concurrency());
   std::printf("hardware threads: %zu\n\n", hardware);
 
-  // The unsharded reference: the exact model every fleet must reproduce.
+  // The unsharded reference: the blob every fleet must reproduce (shard
+  // engines serve their own packed blobs).
   MvmmOptions options;
   options.default_max_depth = harness.config().vmm_max_depth;
   auto built = ModelSnapshot::Build(harness.training_data(), options, 1);
   SQP_CHECK(built.ok());
-  const std::shared_ptr<const ModelSnapshot> reference = built.value();
+  const std::shared_ptr<const CompactSnapshot> reference =
+      CompactSnapshot::FromSnapshot(**built);
   const std::vector<std::vector<QueryId>> contexts = Contexts(harness);
   SQP_CHECK(!contexts.empty());
 

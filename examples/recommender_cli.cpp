@@ -1,7 +1,7 @@
 // Interactive query recommender driving the concurrent serving subsystem:
-// trains an MVMM snapshot on a synthetic corpus (or cold-boots one from a
-// persisted fleet manifest), publishes it to the serving
-// engine, then reads query sessions from stdin and prints top-5
+// trains an MVMM snapshot on a synthetic corpus and publishes its compact
+// serving blob to the engine (or cold-boots the blobs of a persisted fleet
+// manifest), then reads query sessions from stdin and prints top-5
 // recommendations after every query — the paper's "online query
 // recommendation phase", served the way production would serve it.
 //
@@ -21,8 +21,6 @@
 //                 background; unseen queries join the vocabulary live.
 //                 With --shards, each session reaches exactly the shards
 //                 whose counts it affects and shards rebuild independently
-//   --compact     publish compact serving snapshots (CSR layout, top-16
-//                 nexts, 16-bit quantized counts) instead of the full model
 //   --save-snapshot PATH
 //                 persist every published rebuild (atomic tmp+rename):
 //                 per-shard blobs at PATH.shard<k> — one at the default
@@ -36,7 +34,7 @@
 //                 manifest pin and section CRCs). A shard blob or any
 //                 other file is refused.
 //                 Flags the cold boot would ignore (--tail,
-//                 --save-snapshot, --compact, --shards) are rejected with
+//                 --save-snapshot, --shards) are rejected with
 //                 an explicit error, never silently dropped — see
 //                 serve/cli_config.h for the validation contract.
 //   --deadline-us N
@@ -117,7 +115,7 @@ using namespace sqp;
 void PrintUsage() {
   std::cerr << "usage: recommender_cli [--threads N] [--batch N] "
                "[--shards N] [--tail]\n"
-               "                       [--compact] [--save-snapshot PATH | "
+               "                       [--save-snapshot PATH | "
                "--load-snapshot PATH]\n"
                "                       [--deadline-us N] "
                "[--lane interactive|bulk]\n"
@@ -127,7 +125,7 @@ void PrintUsage() {
                "(--load-snapshot cold-boots a read-only replica from the "
                "manifest --save-snapshot wrote and\n"
                " rejects flags it would ignore: --tail, --save-snapshot, "
-               "--compact, --shards;\n"
+               "--shards;\n"
                " --serve-port exposes the artifact over TCP, --connect "
                "serves stdin through a\n"
                " router fanning across such a fleet — both require "
@@ -353,7 +351,6 @@ int main(int argc, char** argv) {
     retrain_options.model.default_max_depth = 5;
     retrain_options.vocabulary_size = 0;  // grow with live-interned queries
     retrain_options.poll_interval = std::chrono::milliseconds(50);
-    retrain_options.publish_compact = cli.compact;
     retrain_options.persist_path = cli.save_snapshot;
     retrainers = std::make_unique<ShardedRetrainerSet>(engine.get(),
                                                        retrain_options);
@@ -387,7 +384,6 @@ int main(int argc, char** argv) {
   } else {
     std::cerr << "serving with " << engine->num_shards() << " shard(s), "
               << engine->num_threads() << " lane(s), batch " << cli.batch
-              << (cli.compact ? ", compact snapshots" : "")
               << (!cli.load_snapshot.empty() ? ", mmap-booted snapshot(s)"
                                              : "")
               << (cli.tail ? ", live retraining on session tails" : "")

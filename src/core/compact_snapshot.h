@@ -94,11 +94,15 @@ struct CompactOptions {
 /// one blob serve bit-identically.
 ///
 /// It is built *from* a trained ModelSnapshot (same node ids, sigmas and
-/// weighting) and publishes through the identical RecommenderEngine seam;
-/// readers cannot tell which variant answered beyond the truncation.
-/// Serving-only: ConditionalProb / MixtureWeights / retraining stay on the
-/// full ModelSnapshot, which keeps exact counts.
-class CompactSnapshot final : public ServingSnapshot {
+/// weighting) and is the one model engines serve: RecommenderEngine,
+/// ShardedEngine and the retrainer's publish all hold
+/// shared_ptr<const CompactSnapshot>. Serving-only: ConditionalProb /
+/// MixtureWeights / retraining stay on the full ModelSnapshot, which keeps
+/// exact counts and is the reference this walk is tested against.
+///
+/// Thread-safety: a snapshot is deeply immutable; any number of threads may
+/// call the const methods concurrently with one SnapshotScratch per thread.
+class CompactSnapshot {
  public:
   /// Packs `full` into the compact layout and writes it as v1 blob bytes
   /// (the exact bytes SnapshotIo::Save persists). The result carries the
@@ -121,9 +125,10 @@ class CompactSnapshot final : public ServingSnapshot {
   /// Mixture recommendation over the CSR tree; the same walk and Eq. 4/5
   /// ranking as ModelSnapshot::Recommend, off the quantized counts.
   Recommendation Recommend(std::span<const QueryId> context, size_t top_n,
-                           SnapshotScratch* scratch) const override;
+                           SnapshotScratch* scratch) const;
 
-  bool Covers(std::span<const QueryId> context) const override;
+  /// True iff at least one component matches a non-root state.
+  bool Covers(std::span<const QueryId> context) const;
 
   /// Longest-suffix matched depth of `context` — the descent without the
   /// ranking. Exposed so benches can split one request's cost into walk
@@ -131,13 +136,20 @@ class CompactSnapshot final : public ServingSnapshot {
   /// so like Recommend it allocates nothing in steady state.
   size_t MatchedDepth(std::span<const QueryId> context) const;
 
-  /// Pre-sizing hint for the dense-accumulator walk (see ServingSnapshot).
-  ScratchSizing ScratchHint() const override;
+  /// Scratch capacities one request against this blob can need, so an
+  /// engine pre-sizes its per-lane scratches once per published generation
+  /// (SnapshotScratch::Prepare). Purely a sizing hint.
+  ScratchSizing ScratchHint() const;
 
   /// Table VII accounting: exact bytes of the served arrays plus sigmas
   /// and escapes (every blob section but META; header, section table and
   /// alignment padding excluded), identical for every backing.
-  ModelStats Stats() const override;
+  ModelStats Stats() const;
+
+  /// The corpus/dictionary generation this blob reflects (the packed
+  /// ModelSnapshot's version, stored in the blob). Carried, never
+  /// interpreted.
+  uint64_t version() const { return version_; }
 
   size_t num_nodes() const { return model_.num_nodes; }
   uint64_t num_entries() const { return model_.num_entries; }
@@ -156,6 +168,7 @@ class CompactSnapshot final : public ServingSnapshot {
   std::shared_ptr<const uint8_t> bytes_;
   size_t size_ = 0;
   bool mapped_ = false;
+  uint64_t version_ = 0;
   uint64_t top_k_ = 0;
   uint64_t memory_bytes_ = 0;
   /// The walk layer's raw-pointer view of the blob: every Recommend /
@@ -167,10 +180,12 @@ class CompactSnapshot final : public ServingSnapshot {
   std::vector<double> escape_pow_;
 };
 
-/// The compact walk's former base-class name, kept as an alias:
-/// perfbench/src/common.cc dynamic-casts to it, and the benchmark sources
-/// stay unchanged between the revisions a benchmark run compares.
+// Former type names, kept so the benchmark sources stay unchanged between
+// the revisions a benchmark run compares:
+// perfbench/src/common.cc dynamic-casts to CompactServingBase.
 using CompactServingBase = CompactSnapshot;
+// perfbench/src/common.h and closed_loop.cc hold snapshots as ServingSnapshot.
+using ServingSnapshot = CompactSnapshot;
 
 }  // namespace sqp
 

@@ -473,24 +473,6 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Build(
         &snapshot->sigmas_);
   }
 
-  // Publish-time scratch sizing: the engines hand this to
-  // SnapshotScratch::Prepare so steady-state serving never grows a buffer.
-  {
-    const std::vector<Pst::Node>& nodes = snapshot->pst_->nodes();
-    size_t max_depth = 0;
-    uint64_t entries = 0;
-    for (const Pst::Node& node : nodes) {
-      max_depth = std::max(max_depth, node.context.size());
-      entries += node.nexts.size();
-    }
-    snapshot->scratch_hint_ = ScratchSizing{
-        .path_depth = max_depth,
-        .num_components = k,
-        .raw_entries =
-            static_cast<size_t>(std::min<uint64_t>(entries, 4096)),
-        .dense_queries = 0,  // the full walk ranks via sort-merge
-    };
-  }
   return std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
 }
 

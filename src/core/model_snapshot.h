@@ -60,12 +60,12 @@ struct MvmmFitReport {
   bool used_newton = false;  // false = fell back to gradient ascent only
 };
 
-/// What a snapshot knows about the scratch capacity its inference needs:
-/// published alongside the snapshot so serving threads can reserve every
-/// per-thread buffer up front instead of growing them across the first
-/// requests (ServingSnapshot::ScratchHint / SnapshotScratch::Prepare).
-/// Defined in the walk layer (core/serving_walk.h), where the compact
-/// model computes it, so slim callers size scratch without engine headers.
+/// What a served blob knows about the scratch capacity its inference needs,
+/// so serving threads can reserve every per-thread buffer up front instead
+/// of growing them across the first requests (CompactSnapshot::ScratchHint
+/// / SnapshotScratch::Prepare). Defined in the walk layer
+/// (core/serving_walk.h), where the blob bind computes it, so slim callers
+/// size scratch without engine headers.
 using ScratchSizing = serving::ScratchSizing;
 
 /// Vector-backed storage behind a serving::DenseAccumulator view: the
@@ -119,7 +119,7 @@ struct SnapshotScratch {
   std::vector<double> cond_at;
   std::vector<ScoredQuery> raw;
   /// Storage behind the compact walk's epoch-stamped dense accumulator
-  /// (core/serving_walk.h); unused by the full snapshot.
+  /// (core/serving_walk.h); unused by the reference walk.
   AccumulatorStorage acc;
   /// Sparse-merge candidate buffer and ranked-list staging of the compact
   /// walk (the raw-pointer walk layer scores into these).
@@ -145,61 +145,17 @@ struct SnapshotScratch {
   }
 };
 
-/// The serving contract every publishable model variant implements: an
-/// *immutable*, fully-built recommendation state tagged with the corpus
-/// version it was trained against. RecommenderEngine publishes
-/// shared_ptr<const ServingSnapshot> through one atomic swap, so both the
-/// full ModelSnapshot and the quantized CompactSnapshot ride the same seam.
+/// An immutable, fully-trained MVMM: the shared multi-view PST, the fitted
+/// per-component sigma weights, and the corpus/dictionary version it was
+/// trained against. It is the trainer and the exact reference walk (paper
+/// Section IV-C); engines never serve it. Retrainer packs each build into a
+/// CompactSnapshot and publishes that blob; a keep-all pack answers
+/// bit-identically to Recommend here whenever its counts fit 16 bits.
 ///
-/// Thread-safety contract (the invariant every scaling PR builds on):
-///  - After construction a snapshot is deeply immutable; any number of
-///    threads may call the const methods concurrently with one
-///    SnapshotScratch per thread and no other synchronization.
-///  - A query is answered from exactly one fully-built snapshot: readers
-///    never observe a model mid-build, because a snapshot only becomes
-///    reachable by being published *after* its builder returned.
-class ServingSnapshot {
- public:
-  virtual ~ServingSnapshot() = default;
-
-  /// Ranked top-N next-query recommendation for `context` (the user's
-  /// session so far, oldest first). Uncovered contexts yield an empty,
-  /// covered=false result. Safe from any thread; `scratch` must not be
-  /// shared between concurrent calls.
-  virtual Recommendation Recommend(std::span<const QueryId> context,
-                                   size_t top_n,
-                                   SnapshotScratch* scratch) const = 0;
-
-  /// True iff at least one component matches a non-root state. Safe from
-  /// any thread.
-  virtual bool Covers(std::span<const QueryId> context) const = 0;
-
-  /// Size accounting of this serving variant (paper Table VII), computed
-  /// through core/memory_accounting.h so full and compact footprints are
-  /// directly comparable.
-  virtual ModelStats Stats() const = 0;
-
-  /// The corpus/dictionary generation this snapshot reflects (e.g. a
-  /// retrain counter). Carried, never interpreted.
-  uint64_t version() const { return version_; }
-
-  /// Scratch capacities one request against this snapshot can need, so an
-  /// engine can pre-size its per-lane scratches once per published
-  /// generation (see SnapshotScratch::Prepare). Purely a sizing hint —
-  /// zeros are always safe.
-  virtual ScratchSizing ScratchHint() const { return {}; }
-
- protected:
-  uint64_t version_ = 0;
-};
-
-/// An immutable, fully-trained MVMM serving state: the shared multi-view
-/// PST, the fitted per-component sigma weights, and the corpus/dictionary
-/// version it was trained against. Built off to the side (possibly on a
-/// background thread) and published to readers by swapping a
-/// shared_ptr<const ServingSnapshot>; readers hold no hidden mutable state
-/// beyond their SnapshotScratch (see the ServingSnapshot contract).
-class ModelSnapshot final : public ServingSnapshot {
+/// Thread-safety: after Build returns a snapshot is deeply immutable; any
+/// number of threads may call the const methods concurrently with one
+/// SnapshotScratch per thread and no other synchronization.
+class ModelSnapshot {
  public:
   /// Trains a snapshot from `data`. `options.components` (or the default
   /// set) must fit in Pst::kMaxViews — the snapshot is always a shared-tree
@@ -222,7 +178,7 @@ class ModelSnapshot final : public ServingSnapshot {
 
   /// Mixture recommendation over the shared tree (paper Section IV-C.3).
   Recommendation Recommend(std::span<const QueryId> context, size_t top_n,
-                           SnapshotScratch* scratch) const override;
+                           SnapshotScratch* scratch) const;
 
   /// Smoothed mixture conditional P(next | context). Full-precision only:
   /// the compact serving variant drops the exact counts this needs.
@@ -230,15 +186,18 @@ class ModelSnapshot final : public ServingSnapshot {
                          SnapshotScratch* scratch) const;
 
   /// True iff at least one component matches a non-root state.
-  bool Covers(std::span<const QueryId> context) const override;
+  bool Covers(std::span<const QueryId> context) const;
 
   /// Normalized per-component mixture weights for `context`.
   std::vector<double> MixtureWeights(std::span<const QueryId> context,
                                      SnapshotScratch* scratch) const;
 
   /// Merged-tree accounting (paper Table VII / Section V-F.2).
-  ModelStats Stats() const override;
-  ScratchSizing ScratchHint() const override { return scratch_hint_; }
+  ModelStats Stats() const;
+
+  /// The corpus/dictionary generation this snapshot reflects (e.g. a
+  /// retrain counter). Carried, never interpreted.
+  uint64_t version() const { return version_; }
   const std::shared_ptr<const Pst>& pst() const { return pst_; }
   const std::vector<double>& sigmas() const { return sigmas_; }
   const MvmmFitReport& fit_report() const { return fit_report_; }
@@ -266,7 +225,7 @@ class ModelSnapshot final : public ServingSnapshot {
   std::vector<double> sigmas_;
   MvmmFitReport fit_report_;
   size_t vocabulary_size_ = 0;
-  ScratchSizing scratch_hint_;
+  uint64_t version_ = 0;
 };
 
 namespace internal {

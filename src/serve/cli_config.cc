@@ -45,8 +45,6 @@ Result<RecommenderCliConfig> ParseRecommenderCliArgs(
     std::string value;
     if (arg == "--tail") {
       config.tail = true;
-    } else if (arg == "--compact") {
-      config.compact = true;
     } else if (arg == "--threads") {
       SQP_RETURN_IF_ERROR(value_of(arg, &value));
       SQP_RETURN_IF_ERROR(ParseCount(arg, value, 64, &config.threads));
@@ -139,11 +137,6 @@ Result<RecommenderCliConfig> ParseRecommenderCliArgs(
           "--load-snapshot is incompatible with --save-snapshot: a "
           "cold-booted replica never rebuilds, so there is nothing new to "
           "persist");
-    }
-    if (config.compact) {
-      return Status::InvalidArgument(
-          "--compact is ignored with --load-snapshot: a persisted blob "
-          "already is the compact serving layout");
     }
     if (shards_given) {
       return Status::InvalidArgument(

@@ -22,7 +22,6 @@ struct RecommenderCliConfig {
   size_t batch = 1;    // contexts buffered per RecommendMany, [1, 65536]
   size_t shards = 1;   // engine shards, [1, 4096]
   bool tail = false;
-  bool compact = false;
   /// Both name a fleet manifest: --save-snapshot writes it (shard blobs at
   /// PATH.shard<k>, dictionary at PATH.dict), --load-snapshot boots from
   /// it, in-process or behind --serve-port/--connect.
@@ -66,8 +65,6 @@ struct RecommenderCliConfig {
 /// rejects combinations where a flag would be ignored:
 ///  - --load-snapshot with --tail or --save-snapshot (a cold-booted
 ///    replica has no training corpus to retrain or persist),
-///  - --load-snapshot with --compact (a persisted fleet's shard blobs
-///    already are the compact layout; the flag would change nothing),
 ///  - --load-snapshot with --shards (the shard count comes from the
 ///    manifest, not the command line),
 ///  - --serve-port and --connect each require --load-snapshot (both sides

@@ -28,7 +28,7 @@ size_t ResolveThreads(size_t requested) {
 /// scratch buffers that in-flight batches are still using. A scratch
 /// hopping between a fleet's shards re-prepares on each hop; reserve only
 /// grows, so those settle into no-ops at the fleet-wide maxima.
-SnapshotScratch& PreparedFor(const ServingSnapshot* model,
+SnapshotScratch& PreparedFor(const CompactSnapshot* model,
                              SnapshotScratch& scratch) {
   if (scratch.prepared_for != model) {
     scratch.Prepare(model->ScratchHint());
@@ -46,9 +46,13 @@ RecommenderEngine::RecommenderEngine(EngineOptions options)
 }
 
 void RecommenderEngine::Publish(
-    std::shared_ptr<const ServingSnapshot> snapshot) {
+    std::shared_ptr<const CompactSnapshot> snapshot) {
   snapshot_.store(std::move(snapshot));
   snapshots_published_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void RecommenderEngine::Publish(std::shared_ptr<const ModelSnapshot> model) {
+  Publish(CompactSnapshot::FromSnapshot(*model));
 }
 
 Status RecommenderEngine::LoadAndPublish(const std::string& path) {
@@ -59,13 +63,13 @@ Status RecommenderEngine::LoadAndPublish(const std::string& path) {
   return Status::OK();
 }
 
-std::shared_ptr<const ServingSnapshot> RecommenderEngine::CurrentSnapshot()
+std::shared_ptr<const CompactSnapshot> RecommenderEngine::CurrentSnapshot()
     const {
   return snapshot_.load();
 }
 
 uint64_t RecommenderEngine::current_version() const {
-  const std::shared_ptr<const ServingSnapshot> snapshot = CurrentSnapshot();
+  const std::shared_ptr<const CompactSnapshot> snapshot = CurrentSnapshot();
   return snapshot == nullptr ? 0 : snapshot->version();
 }
 
@@ -74,12 +78,12 @@ BatchResult RecommenderEngine::RecommendMany(
     const ServeOptions& options) const {
   // One snapshot grab for the whole batch: even if a retrain publishes
   // mid-batch, every result comes from the same model generation.
-  const std::shared_ptr<const ServingSnapshot> snapshot = CurrentSnapshot();
+  const std::shared_ptr<const CompactSnapshot> snapshot = CurrentSnapshot();
   return ServeBatch({&snapshot, 1}, contexts, top_n, options);
 }
 
 BatchResult RecommenderEngine::ServeBatch(
-    std::span<const std::shared_ptr<const ServingSnapshot>> snapshots,
+    std::span<const std::shared_ptr<const CompactSnapshot>> snapshots,
     std::span<const ContextRef> contexts, size_t top_n,
     const ServeOptions& options) const {
   const Deadline::Clock::time_point start = Deadline::Clock::now();
@@ -117,7 +121,7 @@ BatchResult RecommenderEngine::ServeBatch(
   out.degraded = effective_top_n < top_n;
 
   const auto serve = [&](size_t i, SnapshotScratch& scratch) {
-    const ServingSnapshot* model =
+    const CompactSnapshot* model =
         snapshots[num_shards == 1 ? 0 : ShardOfContext(contexts[i],
                                                        num_shards)]
             .get();
@@ -210,7 +214,7 @@ ServeResult RecommenderEngine::Recommend(ContextRef context, size_t top_n,
     // no degrade check, no QoS accounting (an unbounded request is
     // by contract never shed or degraded, so there is nothing to record
     // that the serving counters above don't already).
-    const std::shared_ptr<const ServingSnapshot> snapshot =
+    const std::shared_ptr<const CompactSnapshot> snapshot =
         CurrentSnapshot();
     if (snapshot == nullptr) {
       out.status = StatusCode::kUnavailable;
@@ -231,7 +235,7 @@ ServeResult RecommenderEngine::Recommend(ContextRef context, size_t top_n,
     out.status = StatusCode::kDeadlineExceeded;
     return out;
   }
-  const std::shared_ptr<const ServingSnapshot> snapshot = CurrentSnapshot();
+  const std::shared_ptr<const CompactSnapshot> snapshot = CurrentSnapshot();
   if (snapshot == nullptr) {
     out.status = StatusCode::kUnavailable;
     return out;

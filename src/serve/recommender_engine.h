@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/compact_snapshot.h"
 #include "core/model_snapshot.h"
 #include "serve/admission_queue.h"
 #include "serve/deadline.h"
@@ -52,7 +53,7 @@ inline std::vector<ContextRef> AsRefs(
 /// races elsewhere.
 class AtomicSnapshotPtr {
  public:
-  std::shared_ptr<const ServingSnapshot> load() const {
+  std::shared_ptr<const CompactSnapshot> load() const {
 #ifdef SQP_THREAD_SANITIZER
     std::lock_guard<std::mutex> lock(mu_);
     return ptr_;
@@ -61,11 +62,11 @@ class AtomicSnapshotPtr {
 #endif
   }
 
-  void store(std::shared_ptr<const ServingSnapshot> snapshot) {
+  void store(std::shared_ptr<const CompactSnapshot> snapshot) {
 #ifdef SQP_THREAD_SANITIZER
     // Swap under the lock but let the displaced snapshot (potentially the
     // last reference to a whole model) destruct outside it.
-    std::shared_ptr<const ServingSnapshot> old;
+    std::shared_ptr<const CompactSnapshot> old;
     {
       std::lock_guard<std::mutex> lock(mu_);
       old = std::move(ptr_);
@@ -79,9 +80,9 @@ class AtomicSnapshotPtr {
  private:
 #ifdef SQP_THREAD_SANITIZER
   mutable std::mutex mu_;
-  std::shared_ptr<const ServingSnapshot> ptr_;
+  std::shared_ptr<const CompactSnapshot> ptr_;
 #else
-  std::atomic<std::shared_ptr<const ServingSnapshot>> ptr_;
+  std::atomic<std::shared_ptr<const CompactSnapshot>> ptr_;
 #endif
 };
 
@@ -118,8 +119,9 @@ struct EngineStats {
 /// The concurrent serving front-end of the recommender: any number of
 /// threads call Recommend / RecommendMany while retraining publishes fresh
 /// snapshots through a lock-free atomic shared_ptr swap. The engine serves
-/// any ServingSnapshot variant — the full ModelSnapshot or the quantized
-/// CompactSnapshot — through the identical seam; readers never know which.
+/// one model type, the CompactSnapshot blob (core/compact_snapshot.h), with
+/// direct calls; the full ModelSnapshot is the trainer and reference and is
+/// packed before it is published.
 ///
 /// Consistency contract (the one-published-snapshot invariant): every query
 /// is answered from exactly one fully-built, fully-published snapshot — a
@@ -139,12 +141,16 @@ class RecommenderEngine {
   RecommenderEngine(const RecommenderEngine&) = delete;
   RecommenderEngine& operator=(const RecommenderEngine&) = delete;
 
-  /// Atomically swaps the serving snapshot. Callers build the snapshot off
-  /// to the side (ModelSnapshot::Build, optionally re-packed by
-  /// CompactSnapshot::FromSnapshot, typically via a Retrainer) and publish
-  /// it here; in-flight queries finish on the snapshot they grabbed. Safe
-  /// from any thread; never blocks readers.
-  void Publish(std::shared_ptr<const ServingSnapshot> snapshot);
+  /// Atomically swaps the serving snapshot. Callers build the blob off to
+  /// the side (ModelSnapshot::Build packed by CompactSnapshot::FromSnapshot,
+  /// typically via a Retrainer, or a SnapshotIo load) and publish it here;
+  /// in-flight queries finish on the snapshot they grabbed. Safe from any
+  /// thread; never blocks readers.
+  void Publish(std::shared_ptr<const CompactSnapshot> snapshot);
+
+  /// Publish(CompactSnapshot::FromSnapshot(*model)): the default-layout pack.
+  /// Kept for perfbench/tests/perfbench_tests.cc, which publishes a model.
+  void Publish(std::shared_ptr<const ModelSnapshot> model);
 
   /// Cold-boot path: maps a persisted compact snapshot blob (written by
   /// core/snapshot_io — e.g. a Retrainer with persist_path set, or
@@ -157,7 +163,7 @@ class RecommenderEngine {
 
   /// The currently-published snapshot (null before the first Publish).
   /// Safe from any thread.
-  std::shared_ptr<const ServingSnapshot> CurrentSnapshot() const;
+  std::shared_ptr<const CompactSnapshot> CurrentSnapshot() const;
 
   /// Version of the current snapshot, 0 before the first Publish.
   uint64_t current_version() const;
@@ -200,7 +206,7 @@ class RecommenderEngine {
   /// counters all run on this engine's queue, pool and lane scratch.
   /// served_version is the snapshot's version when there is exactly one.
   BatchResult ServeBatch(
-      std::span<const std::shared_ptr<const ServingSnapshot>> snapshots,
+      std::span<const std::shared_ptr<const CompactSnapshot>> snapshots,
       std::span<const ContextRef> contexts, size_t top_n,
       const ServeOptions& options) const;
 

@@ -18,20 +18,12 @@ Retrainer::Retrainer(RecommenderEngine* engine, RetrainerOptions options)
 
 Retrainer::~Retrainer() { Stop(); }
 
-Status Retrainer::PublishAndPersist(
-    std::shared_ptr<const ModelSnapshot> full, uint64_t version) {
-  // The compact re-pack is needed when it is the published variant or
-  // when a blob must be persisted (the on-disk format IS the compact
-  // layout); one pack serves both purposes.
-  std::shared_ptr<const CompactSnapshot> compact;
-  if (options_.publish_compact || !options_.persist_path.empty()) {
-    compact = CompactSnapshot::FromSnapshot(*full, options_.compact);
-  }
-  if (options_.publish_compact) {
-    engine_->Publish(compact);
-  } else {
-    engine_->Publish(std::move(full));
-  }
+Status Retrainer::PublishAndPersist(const ModelSnapshot& full,
+                                    uint64_t version) {
+  // One pack: the engine serves these bytes and persist writes them.
+  const std::shared_ptr<const CompactSnapshot> blob =
+      CompactSnapshot::FromSnapshot(full);
+  engine_->Publish(blob);
   rebuilds_.fetch_add(1, std::memory_order_relaxed);
   // The published version must be visible the moment the engine swap is
   // live — before the persist loop and before after_persist — so hook
@@ -47,11 +39,11 @@ Status Retrainer::PublishAndPersist(
     // (full disk, slow rename) must not silently drop this rebuild's
     // blob. The publish above is already live either way.
     Status persist;
-    std::chrono::milliseconds backoff = options_.persist_retry_backoff;
+    std::chrono::milliseconds backoff = kPersistRetryBackoff;
     for (size_t attempt = 0;; ++attempt) {
-      persist = SnapshotIo::Save(*compact, options_.persist_path);
+      persist = SnapshotIo::Save(*blob, options_.persist_path);
       if (persist.ok()) break;
-      if (attempt >= options_.persist_max_retries) {
+      if (attempt >= kPersistMaxRetries) {
         persist_failures_.fetch_add(1, std::memory_order_relaxed);
         return persist;
       }
@@ -125,7 +117,7 @@ Status Retrainer::Bootstrap(std::vector<AggregatedSession> corpus,
   }
   // Serving goes live even if persistence fails; the persist status is
   // surfaced to the caller and in last_status().
-  const Status persist = PublishAndPersist(std::move(snapshot), /*version=*/1);
+  const Status persist = PublishAndPersist(*snapshot, /*version=*/1);
   {
     std::lock_guard<std::mutex> lock(mu_);
     bootstrapped_ = true;
@@ -197,7 +189,7 @@ Status Retrainer::RebuildAndPublish(std::vector<AggregatedSession> fresh) {
     return built.status();
   }
 
-  return PublishAndPersist(std::move(built.value()), next_version);
+  return PublishAndPersist(**built, next_version);
 }
 
 void Retrainer::Start() {

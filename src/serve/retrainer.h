@@ -19,6 +19,15 @@
 
 namespace sqp {
 
+/// Persist failures retry this many times (beyond the first attempt) with
+/// exponential backoff before the cycle gives up, so a transient full disk
+/// or slow NFS rename does not silently drop a rebuild's blob. The publish
+/// itself is never rolled back; after_persist fires only once a persist
+/// succeeds.
+inline constexpr size_t kPersistMaxRetries = 3;
+/// Backoff before the first persist retry; doubles on each later one.
+inline constexpr std::chrono::milliseconds kPersistRetryBackoff{10};
+
 struct RetrainerOptions {
   /// Model configuration for every snapshot this retrainer builds. An empty
   /// component list is normalized to the paper's default set at
@@ -34,24 +43,11 @@ struct RetrainerOptions {
   /// (it retrains whenever any are pending).
   std::chrono::milliseconds poll_interval{20};
 
-  /// Publish each rebuild as a CompactSnapshot (CSR layout, top-K nexts,
-  /// 16-bit quantized probabilities) instead of the full ModelSnapshot —
-  /// the serving-only deployment of the ROADMAP "Memory" item. The rebuild
-  /// itself still trains the full model (retraining needs exact counts);
-  /// only the published serving state is re-packed.
-  bool publish_compact = false;
-
-  /// Layout parameters used when publish_compact is set and for persisted
-  /// blobs (persist_path).
-  CompactOptions compact;
-
   /// When non-empty, every published rebuild (Bootstrap and each retrain
-  /// cycle) is also written here as a compact snapshot blob
-  /// (core/snapshot_io format), atomically via tmp+rename — a crash or a
-  /// concurrent cold-booting replica never observes a partial file. The
-  /// persisted state is always the CompactSnapshot re-pack of the rebuild
-  /// (the blob format is the compact layout) regardless of
-  /// publish_compact; serving replicas boot from it with
+  /// cycle) is also written here as its snapshot blob (core/snapshot_io
+  /// format) — the very bytes the engine serves — atomically via
+  /// tmp+rename, so a crash or a concurrent cold-booting replica never
+  /// observes a partial file. Serving replicas boot from it with
   /// RecommenderEngine::LoadAndPublish without retraining. A persist
   /// failure is reported through the returned Status / last_status() but
   /// does not roll back the in-memory publish.
@@ -64,15 +60,8 @@ struct RetrainerOptions {
   /// rebuild path blocks on it).
   std::function<void()> after_persist;
 
-  /// Persist failures retry this many times (beyond the first attempt)
-  /// with exponential backoff before the cycle gives up — a transient
-  /// full disk or slow NFS rename no longer silently drops a rebuild's
-  /// blob. The publish itself is never rolled back; after_persist fires
-  /// only once a persist succeeds.
-  size_t persist_max_retries = 3;
-
-  /// Backoff before the first retry; doubles on each subsequent one.
-  std::chrono::milliseconds persist_retry_backoff{10};
+  /// Unread; kept because perfbench/src/closed_loop.cc sets it.
+  bool publish_compact = false;
 };
 
 /// Rebuild/persist counters (monotonic since construction).
@@ -85,10 +74,10 @@ struct RetrainerStats {
 
 /// The streaming retrain/swap engine: consumes appended session batches,
 /// extends the counting index incrementally (no from-scratch recount),
-/// rebuilds the shared PST + sigma fit off to the side, and publishes the
-/// resulting immutable snapshot to a RecommenderEngine atomically — the
-/// full ModelSnapshot, or its CompactSnapshot re-pack when
-/// RetrainerOptions::publish_compact is set.
+/// rebuilds the shared PST + sigma fit off to the side, packs the full
+/// ModelSnapshot once into its CompactSnapshot blob (default layout), and
+/// publishes that blob to a RecommenderEngine atomically; with a
+/// persist_path the same bytes go to disk.
 /// Serving is never blocked: readers keep answering from the previous
 /// snapshot for the whole rebuild.
 ///
@@ -171,15 +160,14 @@ class Retrainer {
   Status RebuildAndPublish(std::vector<AggregatedSession> fresh);
   void BackgroundLoop();
   size_t EffectiveVocabulary() const;
-  /// Publishes `full` (or its compact re-pack when publish_compact is set)
-  /// to the engine, advances published_version() to `version` as soon as
-  /// the swap is live (persist failures never roll a publish back, so the
-  /// version moves with the publish — and after_persist observers see the
-  /// version the blob they are pinning carries), then persists the compact
-  /// re-pack to persist_path if configured. Returns the persist status;
-  /// the publish itself cannot fail.
-  Status PublishAndPersist(std::shared_ptr<const ModelSnapshot> full,
-                           uint64_t version);
+  /// Packs `full` once, publishes the blob to the engine, advances
+  /// published_version() to `version` as soon as the swap is live (persist
+  /// failures never roll a publish back, so the version moves with the
+  /// publish — and after_persist observers see the version the blob they
+  /// are pinning carries), then persists the same blob to persist_path if
+  /// configured. Returns the persist status; the publish itself cannot
+  /// fail.
+  Status PublishAndPersist(const ModelSnapshot& full, uint64_t version);
 
   RecommenderEngine* engine_;
   RetrainerOptions options_;

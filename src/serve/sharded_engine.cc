@@ -81,7 +81,7 @@ BatchResult ShardedEngine::RecommendMany(
     const ServeOptions& options) const {
   // One snapshot grab per shard for the whole batch: a swap landing
   // mid-batch cannot mix generations within a shard's answers.
-  std::vector<std::shared_ptr<const ServingSnapshot>> snapshots(
+  std::vector<std::shared_ptr<const CompactSnapshot>> snapshots(
       shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     snapshots[s] = shards_[s]->CurrentSnapshot();

@@ -3,8 +3,8 @@
 
 /// Sharded serving: the query-id space is partitioned across N independent
 /// RecommenderEngine shards (log/shard_partitioner.h routes by the
-/// context's most recent query), each serving its own snapshot through the
-/// usual atomic-swap seam. The load-bearing property is *bit-identical
+/// context's most recent query), each serving its own packed blob through
+/// the usual atomic swap. The load-bearing property is *bit-identical
 /// output*: the suffix-keyed PST walk for a context only ever visits nodes
 /// whose newest query is context.back(), every such node's counts, KL
 /// growth decision and view mask depend only on data from sessions where
@@ -195,6 +195,7 @@ Result<ShardedTrainResult> TrainShardedSnapshots(
 /// relative to it), everything written atomically. The manifest records
 /// `partition_function` = kShardPartitionLastQueryFnv1a and the version of
 /// shards[0].
+/// `compact` is kept for perfbench/src/interactive_tcp.cc's CompactOptions{}.
 Status SaveShardedSnapshots(
     std::span<const std::shared_ptr<const ModelSnapshot>> shards,
     const CompactOptions& compact, const std::string& manifest_path);

@@ -116,8 +116,9 @@ class TempFile {
   std::string path_;
 };
 
-void ExpectBitIdentical(const ServingSnapshot& expected,
-                        const ServingSnapshot& actual,
+/// `expected` and `actual` are each a ModelSnapshot or a CompactSnapshot.
+template <typename Expected, typename Actual>
+void ExpectBitIdentical(const Expected& expected, const Actual& actual,
                         const std::vector<std::vector<QueryId>>& contexts,
                         size_t top_n) {
   SnapshotScratch scratch;
@@ -562,7 +563,7 @@ TEST(SnapshotIoTest, EngineColdBootsFromBlobAndKeepsServingOnBadReload) {
   std::vector<uint8_t> blob = ReadAll(file.path());
   blob[blob.size() / 2] ^= 0xFF;
   WriteAll(file.path(), blob);
-  const std::shared_ptr<const ServingSnapshot> before =
+  const std::shared_ptr<const CompactSnapshot> before =
       engine.CurrentSnapshot();
   EXPECT_FALSE(engine.LoadAndPublish(file.path()).ok());
   EXPECT_EQ(engine.CurrentSnapshot().get(), before.get());
@@ -578,8 +579,6 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
   RetrainerOptions options;
   options.model.default_max_depth = 4;
   options.vocabulary_size = 1 << 10;
-  options.publish_compact = true;
-  options.compact.top_k = 10;
   options.persist_path = file.path();
   Retrainer retrainer(&engine, options);
   ASSERT_TRUE(retrainer.Bootstrap(base).ok());
@@ -590,8 +589,8 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
     const auto mapped = SnapshotIo::Map(file.path());
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_EQ((*mapped)->version(), 1u);
-    const auto published = std::dynamic_pointer_cast<const CompactSnapshot>(
-        engine.CurrentSnapshot());
+    const std::shared_ptr<const CompactSnapshot> published =
+        engine.CurrentSnapshot();
     ASSERT_NE(published, nullptr);
     ExpectBitIdentical(*published, **mapped, PrefixContexts(base, 150), 10);
   }
@@ -618,27 +617,6 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
       }
     }
   }
-}
-
-TEST(SnapshotIoTest, PersistWithFullPublishStillWritesCompactBlob) {
-  // persist_path without publish_compact: readers get the full snapshot,
-  // the disk gets the compact re-pack.
-  const std::vector<AggregatedSession> base = SeededCorpus(30, 300, 80);
-  TempFile file("fullpublish.blob");
-  RecommenderEngine engine(EngineOptions{.num_threads = 1});
-  RetrainerOptions options;
-  options.model.default_max_depth = 4;
-  options.vocabulary_size = 1 << 10;
-  options.persist_path = file.path();
-  Retrainer retrainer(&engine, options);
-  ASSERT_TRUE(retrainer.Bootstrap(base).ok());
-
-  EXPECT_NE(std::dynamic_pointer_cast<const ModelSnapshot>(
-                engine.CurrentSnapshot()),
-            nullptr);
-  const auto mapped = SnapshotIo::Map(file.path());
-  ASSERT_TRUE(mapped.ok());
-  EXPECT_EQ((*mapped)->version(), 1u);
 }
 
 // ------------------------------------------------ format compatibility

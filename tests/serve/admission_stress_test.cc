@@ -32,7 +32,8 @@ constexpr size_t kVocabularyBound = 1 << 20;
 // without changing answer shapes — kOk answers stay bit-comparable.
 constexpr size_t kTopN = 3;
 
-std::shared_ptr<const ModelSnapshot> BuildSnapshot(
+/// The served blob of a model trained on `sessions`.
+std::shared_ptr<const CompactSnapshot> BuildSnapshot(
     const std::vector<AggregatedSession>& sessions, uint64_t version) {
   TrainingData data;
   data.sessions = &sessions;
@@ -41,7 +42,7 @@ std::shared_ptr<const ModelSnapshot> BuildSnapshot(
   options.default_max_depth = 5;
   auto built = ModelSnapshot::Build(data, options, version);
   SQP_CHECK(built.ok());
-  return built.value();
+  return CompactSnapshot::FromSnapshot(**built);
 }
 
 bool OkOrShed(StatusCode code) {
@@ -53,7 +54,7 @@ TEST(AdmissionStressTest, ShedAdmitAndPublishRaceCleanly) {
   std::vector<AggregatedSession> grown = SharedCorpus().base;
   grown.insert(grown.end(), SharedCorpus().drifted.begin(),
                SharedCorpus().drifted.end());
-  const std::vector<std::shared_ptr<const ModelSnapshot>> snapshots = {
+  const std::vector<std::shared_ptr<const CompactSnapshot>> snapshots = {
       BuildSnapshot(SharedCorpus().base, 1), BuildSnapshot(grown, 2)};
 
   const std::vector<std::vector<QueryId>> contexts =

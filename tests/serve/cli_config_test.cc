@@ -23,16 +23,14 @@ TEST(CliConfigTest, DefaultsAndBasicFlags) {
   EXPECT_EQ(config->batch, 1u);
   EXPECT_EQ(config->shards, 1u);
   EXPECT_FALSE(config->tail);
-  EXPECT_FALSE(config->compact);
 
   const auto parsed = Parse({"--threads", "8", "--batch", "64", "--shards",
-                             "4", "--tail", "--compact"});
+                             "4", "--tail"});
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->threads, 8u);
   EXPECT_EQ(parsed->batch, 64u);
   EXPECT_EQ(parsed->shards, 4u);
   EXPECT_TRUE(parsed->tail);
-  EXPECT_TRUE(parsed->compact);
 }
 
 TEST(CliConfigTest, LaterFlagsOverrideEarlierOnes) {
@@ -45,6 +43,11 @@ TEST(CliConfigTest, UnknownFlagsAndBadCountsAreNamedInTheError) {
   auto bad = Parse({"--frobnicate"});
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("--frobnicate"), std::string::npos);
+
+  // The CLI always serves the packed blob; there is no --compact switch.
+  bad = Parse({"--compact"});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("--compact"), std::string::npos);
 
   bad = Parse({"--threads"});
   ASSERT_FALSE(bad.ok());
@@ -70,7 +73,6 @@ TEST(CliConfigTest, LoadSnapshotRejectsIgnoredFlags) {
       {{"--load-snapshot", "x.blob", "--tail"}, "--tail"},
       {{"--load-snapshot", "x.blob", "--save-snapshot", "y.blob"},
        "--save-snapshot"},
-      {{"--load-snapshot", "x.blob", "--compact"}, "--compact"},
       {{"--load-snapshot", "x.manifest", "--shards", "2"}, "--shards"},
   };
   for (const auto& test : cases) {
@@ -165,7 +167,7 @@ TEST(CliConfigTest, ServeAndConnectModesRejectIgnoredFlags) {
 
   // A shard server has no stdin loop: client-side batching/QoS flags
   // would be silently ignored.
-  for (const std::vector<std::string> extra :
+  for (const std::vector<std::string>& extra :
        {std::vector<std::string>{"--batch", "8"},
         std::vector<std::string>{"--deadline-us", "100"},
         std::vector<std::string>{"--lane", "bulk"}}) {

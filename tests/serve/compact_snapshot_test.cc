@@ -1,8 +1,8 @@
 // Equivalence suite for the compact serving snapshot: the CSR/top-K/16-bit
 // re-pack must preserve the served rankings (top-N identical to the full
 // ModelSnapshot for N <= K), track full-precision scores tightly, shrink
-// the footprint by a large factor, and plug into the engine/retrainer
-// publish seam unchanged.
+// the footprint by a large factor, and be what the engine and the
+// retrainer publish.
 
 #include <algorithm>
 #include <bit>
@@ -319,26 +319,32 @@ TEST(CompactSnapshotTest, UnboundedKKeepsEveryServedEntry) {
                 SharedFull()->pst()->root().nexts.size());
 }
 
-TEST(CompactSnapshotTest, EnginePublishesEitherVariantThroughOneSeam) {
-  const auto compact =
-      CompactSnapshot::FromSnapshot(*SharedFull(), CompactOptions{.top_k = 10});
+TEST(CompactSnapshotTest, EnginePublishingAModelServesItsDefaultPack) {
+  // Publish(model) packs at the default layout: the engine holds exactly
+  // the blob FromSnapshot writes and answers as that blob does.
+  const auto packed = CompactSnapshot::FromSnapshot(*SharedFull());
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
-
   engine.Publish(SharedFull());
+  ASSERT_NE(engine.CurrentSnapshot(), nullptr);
+  EXPECT_TRUE(std::ranges::equal(engine.CurrentSnapshot()->blob_bytes(),
+                                 packed->blob_bytes()));
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 32);
   SnapshotScratch scratch;
   for (const std::vector<QueryId>& context : contexts) {
     serve_test::ExpectSameRecommendation(
-        SharedFull()->Recommend(context, 5, &scratch),
+        packed->Recommend(context, 5, &scratch),
         engine.Recommend(context, 5).recommendation);
   }
 
-  engine.Publish(compact);  // hot swap full -> compact, readers unchanged
-  EXPECT_EQ(engine.CurrentSnapshot().get(), compact.get());
+  // A hot swap to another layout: readers follow the new blob.
+  const auto top10 =
+      CompactSnapshot::FromSnapshot(*SharedFull(), CompactOptions{.top_k = 10});
+  engine.Publish(top10);
+  EXPECT_EQ(engine.CurrentSnapshot().get(), top10.get());
   for (const std::vector<QueryId>& context : contexts) {
     serve_test::ExpectSameRecommendation(
-        compact->Recommend(context, 5, &scratch),
+        top10->Recommend(context, 5, &scratch),
         engine.Recommend(context, 5).recommendation);
   }
 }
@@ -348,23 +354,26 @@ TEST(CompactSnapshotTest, RetrainerPublishesCompactRebuilds) {
   RetrainerOptions options;
   options.model.default_max_depth = 5;
   options.vocabulary_size = kVocabularyBound;
-  options.publish_compact = true;
-  options.compact.top_k = 10;
   Retrainer retrainer(&engine, options);
   ASSERT_TRUE(retrainer.Bootstrap(SharedCorpus().base).ok());
 
-  // The published serving state is the compact variant of the bootstrap
-  // model: identical rankings to the full reference, compact type/footprint.
-  const auto published = std::dynamic_pointer_cast<const CompactSnapshot>(
-      engine.CurrentSnapshot());
+  // The published serving state is the default pack of the bootstrap
+  // model, and it keeps the full reference's top-5 lists (N <= top_k).
+  const std::shared_ptr<const CompactSnapshot> published =
+      engine.CurrentSnapshot();
   ASSERT_NE(published, nullptr);
   EXPECT_EQ(published->version(), 1u);
+  EXPECT_TRUE(std::ranges::equal(
+      published->blob_bytes(),
+      CompactSnapshot::FromSnapshot(*SharedFull())->blob_bytes()));
   SnapshotScratch scratch;
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().base, 64)) {
     const Recommendation full =
         SharedFull()->Recommend(context, 5, &scratch);
     const Recommendation served = engine.Recommend(context, 5).recommendation;
+    serve_test::ExpectSameRecommendation(
+        published->Recommend(context, 5, &scratch), served);
     ASSERT_EQ(full.covered, served.covered);
     ASSERT_EQ(full.queries.size(), served.queries.size());
     for (size_t i = 0; i < full.queries.size(); ++i) {
@@ -372,13 +381,11 @@ TEST(CompactSnapshotTest, RetrainerPublishesCompactRebuilds) {
     }
   }
 
-  // A retrain cycle publishes the next compact generation.
+  // A retrain cycle publishes the next generation's pack.
   retrainer.AppendSessions(SharedCorpus().drifted);
   ASSERT_TRUE(retrainer.RetrainOnce().ok());
   EXPECT_EQ(engine.current_version(), 2u);
-  EXPECT_NE(std::dynamic_pointer_cast<const CompactSnapshot>(
-                engine.CurrentSnapshot()),
-            nullptr);
+  EXPECT_NE(engine.CurrentSnapshot().get(), published.get());
 }
 
 }  // namespace

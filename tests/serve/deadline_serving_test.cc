@@ -26,7 +26,8 @@ using serve_test::SharedCorpus;
 
 constexpr size_t kVocabularyBound = 1 << 20;
 
-std::shared_ptr<const ModelSnapshot> BuildSnapshot(
+/// The served blob of a model trained on `sessions`.
+std::shared_ptr<const CompactSnapshot> BuildSnapshot(
     const std::vector<AggregatedSession>& sessions, uint64_t version) {
   TrainingData data;
   data.sessions = &sessions;
@@ -35,7 +36,7 @@ std::shared_ptr<const ModelSnapshot> BuildSnapshot(
   options.default_max_depth = 5;
   auto built = ModelSnapshot::Build(data, options, version);
   SQP_CHECK(built.ok());
-  return built.value();
+  return CompactSnapshot::FromSnapshot(**built);
 }
 
 Deadline Generous() { return Deadline::After(std::chrono::seconds(30)); }

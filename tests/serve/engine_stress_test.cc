@@ -58,22 +58,17 @@ TEST(EngineStressTest, ReadersAlwaysSeeFullyPublishedSnapshots) {
                  drifted.end());
     corpora.push_back(grown);
   }
-  // Generation 2 is a compact re-pack and generation 4 a memory-mapped
-  // blob restored from disk, so the swap loop keeps hot-swapping
-  // full -> compact -> full -> mapped serving variants underneath the
-  // readers — the publish seam must not care which variant is live, and a
-  // cold-booted (mmap) replica must behave like any other snapshot under
+  // Generations 1 and 3 are default packs, generation 2 a top-10 pack and
+  // generation 4 a memory-mapped blob restored from disk, so the swap loop
+  // keeps hot-swapping owned layouts and a mapping underneath the readers:
+  // a cold-booted (mmap) replica must behave like any other snapshot under
   // concurrent readers.
-  std::vector<std::shared_ptr<const ServingSnapshot>> snapshots;
+  std::vector<std::shared_ptr<const CompactSnapshot>> snapshots;
   for (size_t i = 0; i < corpora.size(); ++i) {
     const std::shared_ptr<const ModelSnapshot> full =
         BuildSnapshot(corpora[i], i + 1);
-    if (i == 1) {
-      snapshots.push_back(
-          CompactSnapshot::FromSnapshot(*full, CompactOptions{.top_k = 10}));
-    } else {
-      snapshots.push_back(full);
-    }
+    snapshots.push_back(CompactSnapshot::FromSnapshot(
+        *full, i == 1 ? CompactOptions{.top_k = 10} : CompactOptions{}));
   }
   // Process-unique path: concurrent ctest runs (e.g. release and ASan
   // trees on one machine) must not race on one blob file.

@@ -1,6 +1,6 @@
 // RecommenderEngine basics: snapshot publish/swap semantics, single-query
-// serving parity with the underlying snapshot, and batched RecommendMany
-// parity across pool configurations.
+// serving parity with the published blob, and batched RecommendMany parity
+// across pool configurations.
 
 #include <memory>
 #include <vector>
@@ -19,7 +19,8 @@ using serve_test::SharedCorpus;
 
 constexpr size_t kVocabularyBound = 1 << 20;
 
-std::shared_ptr<const ModelSnapshot> BuildSnapshot(
+/// The served blob of a model trained on `sessions`.
+std::shared_ptr<const CompactSnapshot> BuildSnapshot(
     const std::vector<AggregatedSession>& sessions, uint64_t version) {
   TrainingData data;
   data.sessions = &sessions;
@@ -28,7 +29,7 @@ std::shared_ptr<const ModelSnapshot> BuildSnapshot(
   options.default_max_depth = 5;
   auto built = ModelSnapshot::Build(data, options, version);
   SQP_CHECK(built.ok());
-  return built.value();
+  return CompactSnapshot::FromSnapshot(**built);
 }
 
 TEST(RecommenderEngineTest, UnpublishedEngineServesEmpty) {

@@ -1,21 +1,27 @@
 // The streaming retrain/swap engine. The load-bearing property: appending a
-// drifted log slice and completing one retrain cycle must yield a snapshot
-// equivalent to a from-scratch MvmmModel::Train on the concatenated corpus
-// — the incremental counting path (ContextIndex::Append) and the shared
+// drifted log slice and completing one retrain cycle must publish the very
+// blob a from-scratch ModelSnapshot::Build on the concatenated corpus packs
+// to — the incremental counting path (ContextIndex::Append) and the shared
 // rebuild consume the same canonical entries either way.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/mvmm_model.h"
+#include "core/compact_snapshot.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
 #include "serve_test_util.h"
@@ -36,6 +42,29 @@ RetrainerOptions TestOptions() {
   return options;
 }
 
+/// The blob a from-scratch build on `corpus` packs to, at `version`.
+std::shared_ptr<const CompactSnapshot> FromScratchBlob(
+    const std::vector<AggregatedSession>& corpus, uint64_t version) {
+  MvmmOptions model_options;
+  model_options.default_max_depth = 5;
+  TrainingData data;
+  data.sessions = &corpus;
+  data.vocabulary_size = kVocabularyBound;
+  auto built = ModelSnapshot::Build(data, model_options, version);
+  EXPECT_TRUE(built.ok());
+  return built.ok() ? CompactSnapshot::FromSnapshot(**built) : nullptr;
+}
+
+bool SameBytes(std::span<const uint8_t> a, std::span<const uint8_t> b) {
+  return std::ranges::equal(a, b);
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
 TEST(RetrainerTest, BootstrapPublishesVersionOneEquivalentToTrain) {
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
   Retrainer retrainer(&engine, TestOptions());
@@ -44,17 +73,15 @@ TEST(RetrainerTest, BootstrapPublishesVersionOneEquivalentToTrain) {
   EXPECT_EQ(engine.current_version(), 1u);
   EXPECT_EQ(retrainer.corpus_size(), SharedCorpus().base.size());
 
-  MvmmOptions model_options;
-  model_options.default_max_depth = 5;
-  MvmmModel reference(model_options);
-  TrainingData data;
-  data.sessions = &SharedCorpus().base;
-  data.vocabulary_size = kVocabularyBound;
-  ASSERT_TRUE(reference.Train(data).ok());
-
+  const auto expected = FromScratchBlob(SharedCorpus().base, 1);
+  ASSERT_NE(expected, nullptr);
+  ASSERT_NE(engine.CurrentSnapshot(), nullptr);
+  EXPECT_TRUE(SameBytes(engine.CurrentSnapshot()->blob_bytes(),
+                        expected->blob_bytes()));
+  SnapshotScratch scratch;
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().base, 200)) {
-    ExpectSameRecommendation(reference.Recommend(context, 5),
+    ExpectSameRecommendation(expected->Recommend(context, 5, &scratch),
                              engine.Recommend(context, 5).recommendation);
   }
 }
@@ -75,53 +102,71 @@ TEST(RetrainerTest, RetrainEquivalentToFromScratchOnConcatenatedCorpus) {
   EXPECT_EQ(retrainer.corpus_size(),
             SharedCorpus().base.size() + SharedCorpus().drifted.size());
 
-  // From-scratch reference on the concatenation, same options.
+  // From-scratch reference on the concatenation, same options: the
+  // published blob must be its pack byte for byte (tree, counts, sigmas
+  // and version).
   std::vector<AggregatedSession> concatenated = SharedCorpus().base;
   concatenated.insert(concatenated.end(), SharedCorpus().drifted.begin(),
                       SharedCorpus().drifted.end());
-  MvmmOptions model_options;
-  model_options.default_max_depth = 5;
-  MvmmModel reference(model_options);
-  TrainingData data;
-  data.sessions = &concatenated;
-  data.vocabulary_size = kVocabularyBound;
-  ASSERT_TRUE(reference.Train(data).ok());
-
-  const std::shared_ptr<const ModelSnapshot> published =
-      std::dynamic_pointer_cast<const ModelSnapshot>(engine.CurrentSnapshot());
+  const auto expected = FromScratchBlob(concatenated, /*version=*/2);
+  ASSERT_NE(expected, nullptr);
+  const std::shared_ptr<const CompactSnapshot> published =
+      engine.CurrentSnapshot();
   ASSERT_NE(published, nullptr);
-
-  // Sigmas and structure must agree exactly...
-  ASSERT_EQ(published->sigmas().size(), reference.sigmas().size());
-  for (size_t i = 0; i < published->sigmas().size(); ++i) {
-    EXPECT_DOUBLE_EQ(published->sigmas()[i], reference.sigmas()[i]);
-  }
-  EXPECT_EQ(published->Stats().num_states, reference.Stats().num_states);
-  EXPECT_EQ(published->Stats().num_entries, reference.Stats().num_entries);
+  EXPECT_TRUE(SameBytes(published->blob_bytes(), expected->blob_bytes()));
 
   // ...and so must the served recommendations, on both stale and drifted
   // contexts (the drifted slice is what the retrain absorbed).
+  SnapshotScratch scratch;
   size_t covered = 0;
   for (const std::vector<QueryId>& context :
        CollectContexts(concatenated, 250)) {
-    const Recommendation expected = reference.Recommend(context, 5);
-    ExpectSameRecommendation(expected,
+    const Recommendation want = expected->Recommend(context, 5, &scratch);
+    ExpectSameRecommendation(want,
                              engine.Recommend(context, 5).recommendation);
-    covered += expected.covered ? 1 : 0;
+    covered += want.covered ? 1 : 0;
   }
   for (const std::vector<QueryId>& context :
        CollectContexts(SharedCorpus().drifted, 150)) {
-    ExpectSameRecommendation(reference.Recommend(context, 5),
+    ExpectSameRecommendation(expected->Recommend(context, 5, &scratch),
                              engine.Recommend(context, 5).recommendation);
   }
   EXPECT_GT(covered, 0u);
+}
+
+TEST(RetrainerTest, PublishesExactlyTheBytesItPersists) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("sqp_retrainer_same_bytes_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(root);
+  const std::string persist_path = (root / "model.blob").string();
+
+  RecommenderEngine engine(EngineOptions{.num_threads = 1});
+  RetrainerOptions options = TestOptions();
+  options.persist_path = persist_path;
+  Retrainer retrainer(&engine, options);
+
+  ASSERT_TRUE(retrainer.Bootstrap(SharedCorpus().base).ok());
+  ASSERT_NE(engine.CurrentSnapshot(), nullptr);
+  EXPECT_EQ(engine.current_version(), 1u);
+  EXPECT_TRUE(SameBytes(engine.CurrentSnapshot()->blob_bytes(),
+                        ReadFile(persist_path)));
+
+  retrainer.AppendSessions(SharedCorpus().drifted);
+  ASSERT_TRUE(retrainer.RetrainOnce().ok());
+  EXPECT_EQ(engine.current_version(), 2u);
+  EXPECT_TRUE(SameBytes(engine.CurrentSnapshot()->blob_bytes(),
+                        ReadFile(persist_path)));
+
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
 }
 
 TEST(RetrainerTest, RetrainOnceWithoutPendingIsANoop) {
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
   Retrainer retrainer(&engine, TestOptions());
   ASSERT_TRUE(retrainer.Bootstrap(SharedCorpus().base).ok());
-  const std::shared_ptr<const ServingSnapshot> before =
+  const std::shared_ptr<const CompactSnapshot> before =
       engine.CurrentSnapshot();
   ASSERT_TRUE(retrainer.RetrainOnce().ok());
   EXPECT_EQ(retrainer.published_version(), 1u);
@@ -181,8 +226,6 @@ TEST(RetrainerTest, PersistFailuresRetryWithBackoffThenRecover) {
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
   RetrainerOptions options = TestOptions();
   options.persist_path = persist_path;
-  options.persist_max_retries = 2;
-  options.persist_retry_backoff = std::chrono::milliseconds(1);
   Retrainer retrainer(&engine, options);
 
   // Bootstrap: the rebuild publishes (serving goes live), the persist
@@ -195,7 +238,7 @@ TEST(RetrainerTest, PersistFailuresRetryWithBackoffThenRecover) {
 
   RetrainerStats stats = retrainer.stats();
   EXPECT_EQ(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.persist_retries, 2u);  // persist_max_retries extra tries
+  EXPECT_EQ(stats.persist_retries, kPersistMaxRetries);  // extra tries
   EXPECT_EQ(stats.persist_failures, 1u);
   EXPECT_EQ(stats.retrain_failures, 0u);
 
@@ -209,7 +252,8 @@ TEST(RetrainerTest, PersistFailuresRetryWithBackoffThenRecover) {
 
   stats = retrainer.stats();
   EXPECT_EQ(stats.rebuilds, 2u);
-  EXPECT_EQ(stats.persist_retries, 2u);   // unchanged: no new failures
+  EXPECT_EQ(stats.persist_retries,
+            kPersistMaxRetries);  // unchanged: no new failures
   EXPECT_EQ(stats.persist_failures, 1u);
   EXPECT_EQ(stats.retrain_failures, 0u);
 
@@ -242,8 +286,6 @@ TEST(RetrainerTest, AfterPersistHookSeesNewVersionAcrossRetriedPersist) {
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
   RetrainerOptions options = TestOptions();
   options.persist_path = persist_path;
-  options.persist_max_retries = 20;
-  options.persist_retry_backoff = std::chrono::milliseconds(5);
   Retrainer* observed = nullptr;
   options.after_persist = [&] {
     hook_fires.fetch_add(1);
@@ -273,7 +315,10 @@ TEST(RetrainerTest, AfterPersistHookSeesNewVersionAcrossRetriedPersist) {
   ASSERT_TRUE(hooked.RetrainOnce().ok());
   heal.join();
 
+  // The heal lands after the first failed attempt, before the last retry.
+  static_assert(kPersistMaxRetries >= 2);
   EXPECT_GE(hooked.stats().persist_retries, 1u);
+  EXPECT_LE(hooked.stats().persist_retries, kPersistMaxRetries);
   EXPECT_EQ(hooked.stats().persist_failures, 0u);
   EXPECT_EQ(hook_fires.load(), 2u);  // once per successful persist
   EXPECT_EQ(hook_version.load(), 2u);  // the version the blob carries

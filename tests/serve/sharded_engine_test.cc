@@ -88,6 +88,9 @@ class TempDir {
 TEST(ShardedEngineTest, TopNBitIdenticalToUnshardedForEveryShardCount) {
   const std::vector<AggregatedSession>& corpus = SharedCorpus().base;
   const auto full = BuildUnsharded(corpus);
+  // Shard engines serve their shards' packed blobs; the reference is the
+  // unsharded model's blob at the same layout.
+  const auto unsharded = CompactSnapshot::FromSnapshot(*full);
   // Covered and drifted (partially uncovered) contexts alike must agree.
   std::vector<std::vector<QueryId>> contexts = CollectContexts(corpus, 500);
   const auto drifted = CollectContexts(SharedCorpus().drifted, 200);
@@ -110,7 +113,7 @@ TEST(ShardedEngineTest, TopNBitIdenticalToUnshardedForEveryShardCount) {
     }
 
     for (const std::vector<QueryId>& context : contexts) {
-      const Recommendation want = full->Recommend(context, 10, &scratch);
+      const Recommendation want = unsharded->Recommend(context, 10, &scratch);
       ExpectSameRecommendation(want,
                                engine.Recommend(context, 10).recommendation);
     }
@@ -121,7 +124,8 @@ TEST(ShardedEngineTest, TopNBitIdenticalToUnshardedForEveryShardCount) {
         engine.RecommendMany(AsRefs(contexts), 10).results;
     ASSERT_EQ(batch.size(), contexts.size());
     for (size_t i = 0; i < contexts.size(); ++i) {
-      const Recommendation want = full->Recommend(contexts[i], 10, &scratch);
+      const Recommendation want =
+          unsharded->Recommend(contexts[i], 10, &scratch);
       ExpectSameRecommendation(want, batch[i]);
     }
   }
@@ -267,14 +271,15 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   EXPECT_EQ(std::ranges::min(engine.shard_versions()), 1u);
   EXPECT_EQ(std::ranges::max(engine.shard_versions()), 1u);
 
-  // The bootstrapped fleet equals the unsharded model (the retrainers
-  // rebuild under the pinned global sigmas).
-  const auto full = BuildUnsharded(SharedCorpus().base);
+  // The bootstrapped fleet equals the unsharded model's blob (the
+  // retrainers rebuild under the pinned global sigmas).
+  const auto unsharded =
+      CompactSnapshot::FromSnapshot(*BuildUnsharded(SharedCorpus().base));
   SnapshotScratch scratch;
   const std::vector<std::vector<QueryId>> contexts =
       CollectContexts(SharedCorpus().base, 300);
   for (const std::vector<QueryId>& context : contexts) {
-    ExpectSameRecommendation(full->Recommend(context, 10, &scratch),
+    ExpectSameRecommendation(unsharded->Recommend(context, 10, &scratch),
                              engine.Recommend(context, 10).recommendation);
   }
 
@@ -321,13 +326,14 @@ TEST(ShardedRetrainerSetTest, OneShardRebuildsWhileOthersStayBitFrozen) {
   pinned.fixed_sigmas = retrainers.sigmas();
   auto grown_full = ModelSnapshot::Build(grown_data, pinned, 2);
   ASSERT_TRUE(grown_full.ok());
+  const auto grown_blob = CompactSnapshot::FromSnapshot(**grown_full);
 
   for (size_t i = 0; i < contexts.size(); ++i) {
     const Recommendation now =
         engine.Recommend(contexts[i], 10).recommendation;
     if (engine.OwningShard(contexts[i]) == target) {
       ExpectSameRecommendation(
-          (*grown_full)->Recommend(contexts[i], 10, &scratch), now);
+          grown_blob->Recommend(contexts[i], 10, &scratch), now);
     } else {
       ExpectSameRecommendation(before[i], now);
     }

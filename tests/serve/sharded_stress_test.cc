@@ -30,8 +30,8 @@ constexpr uint32_t kShards = 4;
 TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   // Generation 1: the fleet trained on the base corpus. Generation 2 (for
   // the swapped shard only): trained on base + drifted under the same
-  // pinned global sigmas, published alternately as the full snapshot and
-  // its compact re-pack.
+  // pinned global sigmas, published alternately as its default pack and a
+  // top-8 pack.
   ShardedTrainOptions train;
   train.model.default_max_depth = 5;
   train.num_shards = kShards;
@@ -48,15 +48,19 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   ASSERT_TRUE(gen2.ok());
 
   constexpr uint32_t kSwapShard = 1;
-  const std::shared_ptr<const ServingSnapshot> swap_variants[2] = {
-      gen2->shards[kSwapShard],
+  const std::shared_ptr<const CompactSnapshot> swap_variants[2] = {
+      CompactSnapshot::FromSnapshot(*gen2->shards[kSwapShard]),
       CompactSnapshot::FromSnapshot(*gen2->shards[kSwapShard],
                                     CompactOptions{.top_k = 8})};
+  std::vector<std::shared_ptr<const CompactSnapshot>> gen1_blobs;
+  for (const auto& shard : gen1->shards) {
+    gen1_blobs.push_back(CompactSnapshot::FromSnapshot(*shard));
+  }
 
   ShardedEngine engine(
       ShardedEngineOptions{.num_shards = kShards, .num_threads = 2});
   for (size_t s = 0; s < kShards; ++s) {
-    engine.shard(s)->Publish(gen1->shards[s]);
+    engine.shard(s)->Publish(gen1_blobs[s]);
   }
 
   // Contexts from both periods; precompute the acceptable answers: the
@@ -75,13 +79,13 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
       expected[i].shard = engine.OwningShard(contexts[i]);
       if (expected[i].shard == kSwapShard) {
         expected[i].valid.push_back(
-            gen1->shards[kSwapShard]->Recommend(contexts[i], 5, &scratch));
+            gen1_blobs[kSwapShard]->Recommend(contexts[i], 5, &scratch));
         for (const auto& variant : swap_variants) {
           expected[i].valid.push_back(
               variant->Recommend(contexts[i], 5, &scratch));
         }
       } else {
-        expected[i].stable = gen1->shards[expected[i].shard]->Recommend(
+        expected[i].stable = gen1_blobs[expected[i].shard]->Recommend(
             contexts[i], 5, &scratch);
       }
     }
@@ -128,7 +132,7 @@ TEST(ShardedStressTest, SwappingOneShardNeverDisturbsCrossShardBatches) {
   // while everything above reads.
   for (size_t swap = 0; swap < 200; ++swap) {
     if (swap % 3 == 0) {
-      engine.shard(kSwapShard)->Publish(gen1->shards[kSwapShard]);
+      engine.shard(kSwapShard)->Publish(gen1_blobs[kSwapShard]);
     } else {
       engine.shard(kSwapShard)->Publish(swap_variants[swap % 2]);
     }
