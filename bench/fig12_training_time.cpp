@@ -4,7 +4,9 @@
 // pair-wise / N-gram because of PST construction.
 //
 // Implemented with google-benchmark: one benchmark per (model, data
-// fraction), a single training run per measurement.
+// fraction), a single training run per measurement. MVMM rows also carry
+// the sigma fit's ascent steps and whether it stopped by its convergence
+// test (fit_iterations, fit_converged).
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/mvmm_model.h"
 #include "harness.h"
 #include "json_report.h"
 
@@ -96,6 +99,11 @@ void BM_Train(benchmark::State& state) {
   const sqp::ModelStats stats = model->Stats();
   state.counters["model_states"] = static_cast<double>(stats.num_states);
   state.counters["model_bytes"] = static_cast<double>(stats.memory_bytes);
+  if (const auto* mvmm = dynamic_cast<const sqp::MvmmModel*>(model.get())) {
+    const sqp::MvmmFitReport& fit = mvmm->fit_report();
+    state.counters["fit_iterations"] = static_cast<double>(fit.iterations);
+    state.counters["fit_converged"] = fit.converged ? 1.0 : 0.0;
+  }
 }
 
 }  // namespace

@@ -20,7 +20,9 @@ Harness& SharedHarness() {
   return *harness;
 }
 
-/// Covered test contexts of each length, cycled through during timing.
+/// The first 4,096 ground-truth test contexts of length <= 5, covered by
+/// the model or not (most are uncovered at the default corpus), cycled
+/// through during timing.
 const std::vector<std::vector<QueryId>>& Contexts() {
   static std::vector<std::vector<QueryId>>* contexts = [] {
     auto* out = new std::vector<std::vector<QueryId>>();

@@ -48,7 +48,11 @@ double Percentile(std::vector<double>* sorted_in_place, double q) {
   return (*sorted_in_place)[at];
 }
 
-/// Covered test contexts (length <= 5), as in latency_online_prediction.
+/// The first 4,096 ground-truth test contexts of length <= 5, as in
+/// latency_online_prediction, covered by the model or not: test contexts
+/// drift from training, and at the default 50k corpus 2,848 of them are
+/// uncovered and take the walk's short miss path. Every row mixes both
+/// kinds and carries the covered share (CoveredShare).
 std::vector<std::vector<QueryId>> Contexts(const Harness& harness) {
   std::vector<std::vector<QueryId>> out;
   for (const auto& entry : harness.truth()) {
@@ -56,6 +60,17 @@ std::vector<std::vector<QueryId>> Contexts(const Harness& harness) {
     if (out.size() >= 4096) break;
   }
   return out;
+}
+
+/// Fraction of `contexts` the model answers (Recommendation::covered).
+double CoveredShare(const CompactSnapshot& model,
+                    const std::vector<std::vector<QueryId>>& contexts) {
+  SnapshotScratch scratch;
+  size_t covered = 0;
+  for (const std::vector<QueryId>& context : contexts) {
+    covered += model.Recommend(context, 5, &scratch).covered ? 1 : 0;
+  }
+  return static_cast<double>(covered) / static_cast<double>(contexts.size());
 }
 
 /// Batched QPS at a fixed engine lane count, over `seconds` of wall time.
@@ -118,7 +133,7 @@ Measurement MeasureSingleLatency(RecommenderEngine* engine,
 }
 
 void WriteJson(const std::vector<Measurement>& measurements,
-               size_t hardware_threads) {
+               size_t hardware_threads, double covered_share) {
   std::FILE* out = std::fopen("BENCH_serve.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_serve.json\n");
@@ -130,10 +145,12 @@ void WriteJson(const std::vector<Measurement>& measurements,
     std::fprintf(out,
                  "  {\"name\": \"%s\", \"threads\": %zu, \"batch\": %zu, "
                  "\"qps\": %.1f, \"p50_us\": %.3f, \"p99_us\": %.3f, "
-                 "\"snapshot_swaps\": %llu, \"hardware_threads\": %zu}%s\n",
+                 "\"snapshot_swaps\": %llu, \"hardware_threads\": %zu, "
+                 "\"covered_share\": %.4f}%s\n",
                  m.name.c_str(), m.threads, m.batch, m.qps, m.p50_us,
                  m.p99_us, static_cast<unsigned long long>(m.snapshot_swaps),
-                 hardware_threads, i + 1 == measurements.size() ? "" : ",");
+                 hardware_threads, covered_share,
+                 i + 1 == measurements.size() ? "" : ",");
   }
   std::fprintf(out, "]\n");
   std::fclose(out);
@@ -162,6 +179,9 @@ int main() {
       CompactSnapshot::FromSnapshot(**built);
   const std::vector<std::vector<QueryId>> contexts = Contexts(harness);
   SQP_CHECK(!contexts.empty());
+  const double covered_share = CoveredShare(*model, contexts);
+  std::printf("contexts: %zu, covered share %.4f\n\n", contexts.size(),
+              covered_share);
 
   std::vector<Measurement> measurements;
 
@@ -226,6 +246,6 @@ int main() {
     measurements.push_back(m);
   }
 
-  WriteJson(measurements, hardware);
+  WriteJson(measurements, hardware, covered_share);
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <unordered_map>
 
 #include "core/blob_format.h"
 #include "core/pst.h"
@@ -16,6 +15,131 @@ namespace internal {
 std::atomic<bool>& ForceSparseMergeForTest() {
   static std::atomic<bool> force{false};
   return force;
+}
+
+NodeTopK::NodeTopK(const ModelSnapshot& full, size_t scan_limit)
+    : full_(full),
+      nodes_(full.pst()->nodes()),
+      scan_limit_(scan_limit),
+      index_(nodes_.size()) {}
+
+int64_t NodeTopK::IndexOf(size_t node, QueryId query) {
+  const std::vector<NextQueryCount>& nexts = nodes_[node].nexts;
+  if (nexts.size() <= scan_limit_) {
+    for (size_t i = 0; i < nexts.size(); ++i) {
+      if (nexts[i].query == query) return static_cast<int64_t>(i);
+    }
+    return -1;
+  }
+  std::vector<std::pair<QueryId, uint32_t>>& map = index_[node];
+  if (map.empty()) {
+    map.reserve(nexts.size());
+    for (uint32_t i = 0; i < nexts.size(); ++i) {
+      map.emplace_back(nexts[i].query, i);
+    }
+    std::sort(map.begin(), map.end());
+  }
+  const auto it = std::lower_bound(
+      map.begin(), map.end(), query,
+      [](const std::pair<QueryId, uint32_t>& e, QueryId q) {
+        return e.first < q;
+      });
+  if (it == map.end() || it->first != query) return -1;
+  return it->second;
+}
+
+const std::vector<ScoredQuery>& NodeTopK::TopK(size_t node, size_t k) {
+  top_.clear();
+  const std::vector<QueryId>& context = nodes_[node].context;
+  if (k == 0) return top_;
+
+  // The level weights exactly as ModelSnapshot::Recommend computes them:
+  // the normalized mixture weights of the matched components, each spread
+  // down its matched state's suffix chain at escape-discounted weight.
+  const size_t depth = full_.SharedMatchDepths(context, &path_, &matched_);
+  const size_t num_components = full_.num_components();
+  weights_.resize(num_components);
+  serving::ComputeWeights(full_.options().weighting, full_.sigmas().data(),
+                          num_components, context.size(), matched_.data(),
+                          weights_.data());
+  serving::NormalizeWeights(weights_.data(), num_components);
+  level_weight_.assign(depth, 0.0);
+  for (size_t c = 0; c < num_components; ++c) {
+    if (weights_[c] <= 0.0 || matched_[c] == 0) continue;
+    const Pst::Node& state =
+        nodes_[static_cast<size_t>(path_[matched_[c] - 1])];
+    const size_t dropped = context.size() - matched_[c];
+    double lw = weights_[c] * (dropped == 0 ? 1.0 : EscapeMass(state, dropped));
+    for (size_t d = matched_[c]; d >= 1; --d) {
+      level_weight_[d - 1] += lw;
+      lw *= kDefaultEscape;
+    }
+  }
+  levels_.clear();
+  for (size_t d = 0; d < depth; ++d) {
+    const size_t id = static_cast<size_t>(path_[d]);
+    if (level_weight_[d] <= 0.0 || nodes_[id].total_count == 0) continue;
+    levels_.push_back(Level{
+        id, level_weight_[d] / static_cast<double>(nodes_[id].total_count),
+        0});
+  }
+
+  // Level order is MergeAndRank's push order, so the sums are its bits.
+  const auto exact_score = [&](QueryId query) {
+    double score = 0.0;
+    for (const Level& level : levels_) {
+      const int64_t at = IndexOf(level.node, query);
+      if (at < 0) continue;
+      score += level.scale *
+               static_cast<double>(
+                   nodes_[level.node].nexts[static_cast<size_t>(at)].count);
+    }
+    return score;
+  };
+  // RankTopN's strict total order; the heap front is the worst kept entry.
+  const auto by_rank = [](const ScoredQuery& a, const ScoredQuery& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.query < b.query;
+  };
+  if (++epoch_ == 0) {  // wrapped: stale stamps could read as seen
+    std::fill(seen_.begin(), seen_.end(), 0u);
+    epoch_ = 1;
+  }
+  while (true) {
+    bool advanced = false;
+    for (Level& level : levels_) {
+      const std::vector<NextQueryCount>& nexts = nodes_[level.node].nexts;
+      if (level.cursor == nexts.size()) continue;
+      advanced = true;
+      const QueryId query = nexts[level.cursor++].query;
+      if (query >= seen_.size()) seen_.resize(size_t{query} + 1, 0u);
+      if (seen_[query] == epoch_) continue;
+      seen_[query] = epoch_;
+      const ScoredQuery candidate{query, exact_score(query)};
+      if (top_.size() < k) {
+        top_.push_back(candidate);
+        std::push_heap(top_.begin(), top_.end(), by_rank);
+      } else if (by_rank(candidate, top_.front())) {
+        std::pop_heap(top_.begin(), top_.end(), by_rank);
+        top_.back() = candidate;
+        std::push_heap(top_.begin(), top_.end(), by_rank);
+      }
+    }
+    if (!advanced) break;
+    if (top_.size() < k) continue;
+    // No query unseen so far can score above the threshold: each of its
+    // counts is at most the count under its level's cursor.
+    double threshold = 0.0;
+    for (const Level& level : levels_) {
+      const std::vector<NextQueryCount>& nexts = nodes_[level.node].nexts;
+      if (level.cursor == nexts.size()) continue;
+      threshold +=
+          level.scale * static_cast<double>(nexts[level.cursor].count);
+    }
+    if (top_.front().score > threshold) break;
+  }
+  std::sort(top_.begin(), top_.end(), by_rank);
+  return top_;
 }
 }  // namespace internal
 
@@ -66,9 +190,10 @@ uint8_t BlockShift(uint64_t max_count) {
 /// their parent chain (the levels it pins into) and pins only into
 /// truncated nodes, and (c) propagates only into truncated parents.
 ///
-/// Cost: one full Recommend per node whose parent chain holds a
-/// truncated node — O(m * top_k * depth) for m such nodes, on top of the
-/// model build; nothing at all when no node exceeds top_k.
+/// Cost: one internal::NodeTopK per node whose parent chain holds a
+/// truncated node — a threshold-algorithm scan of the path levels' count
+/// heads, not the full walk — on top of the model build; nothing at all
+/// when no node exceeds top_k.
 std::vector<std::vector<uint32_t>> KeptEntries(const ModelSnapshot& full,
                                                size_t top_k) {
   const std::vector<Pst::Node>& nodes = full.pst()->nodes();
@@ -88,30 +213,20 @@ std::vector<std::vector<uint32_t>> KeptEntries(const ModelSnapshot& full,
     }
   }
 
-  // Lazily-built (query -> entry index) maps of the truncated nodes,
-  // shared by passes (b)/(c).
-  std::vector<std::unordered_map<QueryId, uint32_t>> index_of(n);
+  // The truncated nodes are exactly the ones NodeTopK reads through its
+  // query -> index maps, which passes (b)/(c) share for pinning.
+  internal::NodeTopK exact(full, top_k);
   const auto pin = [&](size_t node, QueryId query) {
-    std::unordered_map<QueryId, uint32_t>& map = index_of[node];
-    if (map.empty()) {
-      map.reserve(nodes[node].nexts.size());
-      for (uint32_t i = 0; i < nodes[node].nexts.size(); ++i) {
-        map.emplace(nodes[node].nexts[i].query, i);
-      }
-    }
-    const auto it = map.find(query);
-    if (it != map.end()) flag[node][it->second] = 1;
+    const int64_t at = exact.IndexOf(node, query);
+    if (at >= 0) flag[node][static_cast<size_t>(at)] = 1;
   };
 
   // (b) aggregate closure; (c) ancestor closure, as a reverse sweep that
   // sees every descendant before its ancestor (node ids are
   // parent-before-child).
-  SnapshotScratch scratch;
   for (size_t id = 1; id < n; ++id) {
     if (!chain_truncated[id]) continue;
-    const Recommendation rec =
-        full.Recommend(nodes[id].context, top_k, &scratch);
-    for (const ScoredQuery& sq : rec.queries) {
+    for (const ScoredQuery& sq : exact.TopK(id, top_k)) {
       for (int32_t a = static_cast<int32_t>(id); a > 0;
            a = nodes[static_cast<size_t>(a)].parent) {
         if (truncated[static_cast<size_t>(a)]) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/model_snapshot.h"
@@ -19,6 +20,58 @@ namespace internal {
 /// kernel equivalence suite uses it to pin the dense walk bit-identical
 /// to that reference; production code never touches it.
 std::atomic<bool>& ForceSparseMergeForTest();
+
+/// The exact top-K of the full model at a tree node's own context, without
+/// the full walk: ModelSnapshot::Recommend(nodes[node].context, k) pushes
+/// every nexts entry of every path level and sorts them, which costs
+/// ~25 us per call under a head node at 1M sessions. This runs the
+/// threshold algorithm (Fagin, Lotem and Naor, "Optimal aggregation
+/// algorithms for middleware", PODS 2001) over the path levels'
+/// count-sorted nexts instead: round-robin sorted access, each new query
+/// scored exactly by random access into every level, and a stop once the
+/// K-th exact score is strictly greater than the threshold
+/// sum_d scale_d * count_d[cursor_d] (summed in level order), which bounds
+/// the score of every query not yet seen. Scores are summed in the level
+/// order of MergeAndRank, so the list equals Recommend's in ids, order and
+/// score bits. The truncating pack (KeptEntries) runs it once per node
+/// under a truncated node.
+///
+/// Not thread-safe: one instance per thread; it borrows `full`.
+class NodeTopK {
+ public:
+  /// Random access reads nodes with more than `scan_limit` nexts through a
+  /// query -> index map built on first use, and scans the others.
+  NodeTopK(const ModelSnapshot& full, size_t scan_limit);
+
+  /// The ranked top-`k` (score desc, query asc) of
+  /// full.Recommend(nodes[node].context, k).queries; `node` > 0.
+  const std::vector<ScoredQuery>& TopK(size_t node, size_t k);
+
+  /// Index of `query` in nodes[node].nexts, or -1 if the node lists none.
+  int64_t IndexOf(size_t node, QueryId query);
+
+ private:
+  struct Level {
+    size_t node;
+    double scale;
+    size_t cursor;
+  };
+
+  const ModelSnapshot& full_;
+  const std::vector<Pst::Node>& nodes_;
+  const size_t scan_limit_;
+  /// Per node, (query, index) sorted by query; empty until first used.
+  std::vector<std::vector<std::pair<QueryId, uint32_t>>> index_;
+  /// seen_[query] == epoch_ iff TopK already scored `query` this call.
+  std::vector<uint32_t> seen_;
+  uint32_t epoch_ = 0;
+  std::vector<int32_t> path_;
+  std::vector<size_t> matched_;
+  std::vector<double> weights_;
+  std::vector<double> level_weight_;
+  std::vector<Level> levels_;
+  std::vector<ScoredQuery> top_;
+};
 }  // namespace internal
 
 /// Parameters of the compact serving layout.
@@ -34,8 +87,9 @@ struct CompactOptions {
   /// than the ones keeping it, in which case it serves with the deep
   /// contribution understated; the aggregate closure in KeptEntries pins
   /// the full model's own served lists to make that rare.) 0 = keep all.
-  /// Packing costs one full-model Recommend per node with a node of more
-  /// than top_k nexts on its parent chain, and none when no node has.
+  /// Packing costs one exact top-K (internal::NodeTopK) per node with a
+  /// node of more than top_k nexts on its parent chain, and none when no
+  /// node has.
   /// Serving top-N lists are preserved for N <= top_k on the bench corpora
   /// (tested; tab07_memory_footprint tracks the exact agreement rate in
   /// BENCH_memory.json).

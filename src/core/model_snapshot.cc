@@ -61,24 +61,35 @@ namespace {
 
 /// Training sequences (most frequent first) the sigma fit samples.
 constexpr size_t kSigmaFitSampleSize = 2000;
-/// Newton iterations of the sigma fit (Eq. 10).
-constexpr size_t kMaxNewtonIterations = 25;
-/// The sigma fit stops once an accepted step improves the objective by
-/// less than this relative amount — Newton converges in a handful of
-/// iterations and the remaining budget buys only noise-level gains.
-constexpr double kSigmaFitTolerance = 1e-9;
+/// The sigma fit has converged once no projected-gradient step moves any
+/// log sigma by this much. The objective is a probability-weighted mean
+/// log-likelihood (sample weights sum to 1) and the parameters are log
+/// widths, so the test is scale-free: it reads nats per e-fold of sigma
+/// whatever the corpus size or the widths' magnitude. Past it the fit only
+/// creeps: with 1e-6 it ran into kMaxFitIterations on every retrain corpus
+/// of the closed-loop benchmark, while 1e-4 stops in 5-9 steps there.
+constexpr double kSigmaFitTolerance = 1e-4;
+/// Armijo sufficient-increase fraction and the backtracking budget of one
+/// ascent step (each backtrack halves the step).
+constexpr double kArmijoFraction = 1e-4;
+constexpr size_t kMaxBacktracks = 30;
+/// Bounds on the Barzilai-Borwein step length.
+constexpr double kMinStep = 1e-3;
+constexpr double kMaxStep = 1e3;
 
 /// The pseudo-test sequences of one sigma fit (Eq. 8/9) as one flat
-/// table, built and owned by that fit: per sample its sampling weight, and
-/// per (sample, component), row-major, the Gaussian table offset
-/// `c * stride + d_D(X_T)` and the generative probability \hat{P}_D(X_T).
-/// Edit distances are dropped-prefix counts — small integers — so the fit
-/// evaluators read g(d; sigma_D) off (component, distance) lookup tables
-/// of `stride` = largest distance + 1 entries per component.
+/// table, built and owned by that fit: per sample its sampling weight and
+/// context length, and per (sample, component), row-major, the Gaussian
+/// table offset `c * stride + d_D(X_T)` and the generative probability
+/// \hat{P}_D(X_T). Edit distances are dropped-prefix counts — small
+/// integers — so the fit evaluators read g(d; sigma_D) off (component,
+/// distance) lookup tables of `stride` = largest distance + 1 entries per
+/// component.
 struct FitTable {
   size_t k = 0;
   size_t stride = 1;
   std::vector<double> weight;    // P(X_T), normalized by the fitter
+  std::vector<uint32_t> length;  // online context length |X_T| - 1
   std::vector<uint32_t> offset;  // holds d_D(X_T) until the stride is known
   std::vector<double> prob;
   size_t size() const { return weight.size(); }
@@ -107,93 +118,87 @@ std::vector<const AggregatedSession*> SelectWeightPool(
   return pool;
 }
 
-/// f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X), evaluated off a
-/// (component, integer-distance) Gaussian lookup table.
-double Objective(const FitTable& table, const std::vector<double>& sigmas) {
-  const size_t k = table.k;
-  const size_t stride = table.stride;
-  thread_local std::vector<double> g_table;
-  g_table.assign(k * stride, 0.0);
-  for (size_t c = 0; c < k; ++c) {
-    for (size_t d = 0; d < stride; ++d) {
-      g_table[c * stride + d] = GaussianPdf(static_cast<double>(d), sigmas[c]);
-    }
-  }
-  double f = 0.0;
-  for (size_t s = 0; s < table.size(); ++s) {
-    const uint32_t* offset = table.offset.data() + s * k;
-    const double* prob = table.prob.data() + s * k;
-    double mix = 0.0;
-    for (size_t c = 0; c < k; ++c) mix += g_table[offset[c]] * prob[c];
-    if (mix <= 0.0) mix = 1e-300;
-    f += table.weight[s] * std::log(mix);
-  }
-  return f;
-}
+/// The objective of the sigma fit and its gradient in log sigma, over the
+/// mixture that is served: f = sum_X P(X) log sum_D w_D(X) P_D(X), with
+/// w_D the normalized Eq. 4 weights exactly as serving::ComputeWeights and
+/// NormalizeWeights produce them (the same GaussianPdf values, the same
+/// all-underflow fallback). Normalizing bounds f: the unnormalized pdf of
+/// the paper's Eq. 8 grows without bound as a sigma goes to 0.
+class FitObjective {
+ public:
+  explicit FitObjective(const FitTable& table) : table_(table) {}
 
-/// Fused analytic gradient and analytic Hessian (row-major k x k) in a
-/// single pass over the samples.
-void FitDerivatives(const FitTable& table, const std::vector<double>& sigmas,
-                    std::vector<double>* gradient,
-                    std::vector<double>* hessian) {
-  // For f = sum_X w log m, m = sum_c g_c P_c:
-  //   grad_c = sum_X w g_c' P_c / m
-  //   H_cj = sum_X w [ delta_cj g_c'' P_c / m - (g_c' P_c)(g_j' P_j) / m^2 ]
-  // with g' = g (d^2/s^3 - 1/s) and g'' = g ((d^2/s^3 - 1/s)^2
-  //                                          - 3 d^2/s^4 + 1/s^2).
-  const size_t k = table.k;
-  const size_t stride = table.stride;
-  thread_local std::vector<double> g_table;   // g
-  thread_local std::vector<double> gp_table;  // g'
-  thread_local std::vector<double> gt_table;  // g''
-  g_table.assign(k * stride, 0.0);
-  gp_table.assign(k * stride, 0.0);
-  gt_table.assign(k * stride, 0.0);
-  for (size_t c = 0; c < k; ++c) {
-    const double sigma = sigmas[c];
-    for (size_t di = 0; di < stride; ++di) {
-      const double d = static_cast<double>(di);
-      const double g = GaussianPdf(d, sigma);
-      const double a = d * d / (sigma * sigma * sigma) - 1.0 / sigma;
-      const double a_prime =
-          -3.0 * d * d / (sigma * sigma * sigma * sigma) +
-          1.0 / (sigma * sigma);
-      g_table[c * stride + di] = g;
-      gp_table[c * stride + di] = g * a;
-      gt_table[c * stride + di] = g * (a * a + a_prime);
-    }
-  }
-
-  gradient->assign(k, 0.0);
-  hessian->assign(k * k, 0.0);
-  std::vector<double> u(k);  // g_c' P_c
-  for (size_t s = 0; s < table.size(); ++s) {
-    const uint32_t* offset = table.offset.data() + s * k;
-    const double* prob = table.prob.data() + s * k;
-    const double weight = table.weight[s];
-    double mix = 0.0;
+  /// f at `sigmas`; fills `gradient` with df/d(log sigma_c). With
+  /// w = g / sum g and s_c = d log g_c / d log sigma_c = d_c^2/sigma_c^2 - 1,
+  /// df/d(log sigma_c) = sum_X P(X) w_c (P_c / m - 1) s_c, m = sum_D w_D P_D.
+  /// A sample on the underflow fallback has sigma-free weights and adds no
+  /// gradient.
+  double Evaluate(const std::vector<double>& sigmas,
+                  std::vector<double>* gradient) {
+    const size_t k = table_.k;
+    const size_t stride = table_.stride;
+    g_.resize(k * stride);
+    slope_.resize(k * stride);
     for (size_t c = 0; c < k; ++c) {
-      u[c] = gp_table[offset[c]] * prob[c];
-      mix += g_table[offset[c]] * prob[c];
-    }
-    if (mix <= 0.0) continue;
-    const double inv = 1.0 / mix;
-    for (size_t c = 0; c < k; ++c) {
-      (*gradient)[c] += weight * u[c] * inv;
-      (*hessian)[c * k + c] += weight * gt_table[offset[c]] * prob[c] * inv;
-      const double scaled = weight * u[c] * inv * inv;
-      for (size_t j = 0; j < k; ++j) {
-        (*hessian)[c * k + j] -= scaled * u[j];
+      const double inv_var = 1.0 / (sigmas[c] * sigmas[c]);
+      for (size_t d = 0; d < stride; ++d) {
+        const double dd = static_cast<double>(d);
+        g_[c * stride + d] = serving::GaussianPdf(dd, sigmas[c]);
+        slope_[c * stride + d] = dd * dd * inv_var - 1.0;
       }
     }
+    gradient->assign(k, 0.0);
+    w_.resize(k);
+    double f = 0.0;
+    for (size_t s = 0; s < table_.size(); ++s) {
+      const uint32_t* offset = table_.offset.data() + s * k;
+      const double* prob = table_.prob.data() + s * k;
+      double total = 0.0;
+      for (size_t c = 0; c < k; ++c) {
+        w_[c] = g_[offset[c]];
+        total += w_[c];
+      }
+      const bool fallback = total <= serving::kWeightUnderflow;
+      if (fallback) {
+        // serving::ComputeWeights' depth fallback: 1 + matched length.
+        total = 0.0;
+        for (size_t c = 0; c < k; ++c) {
+          const uint32_t d = offset[c] - static_cast<uint32_t>(c * stride);
+          w_[c] = 1.0 + static_cast<double>(table_.length[s] - d);
+          total += w_[c];
+        }
+      }
+      double mix = 0.0;
+      for (size_t c = 0; c < k; ++c) {
+        w_[c] /= total;
+        mix += w_[c] * prob[c];
+      }
+      if (mix <= 0.0) mix = 1e-300;
+      f += table_.weight[s] * std::log(mix);
+      if (fallback) continue;
+      const double inv_mix = 1.0 / mix;
+      for (size_t c = 0; c < k; ++c) {
+        (*gradient)[c] += table_.weight[s] * w_[c] *
+                          (prob[c] * inv_mix - 1.0) * slope_[offset[c]];
+      }
+    }
+    return f;
   }
-}
 
-/// Maximizes f(sigma) = sum_X P(X) log sum_D g(d_D; sigma_D) P_D(X) by
-/// damped Newton with analytic derivatives (Eq. 7-10), with a backtracking
-/// gradient-ascent fallback. Normalizes the sample weights and turns the
-/// edit distances into table offsets, in place; `sigmas` carries the
-/// initial point and receives the fitted values.
+ private:
+  const FitTable& table_;
+  std::vector<double> g_;      // g(d; sigma_c) per (component, distance)
+  std::vector<double> slope_;  // d log g / d log sigma, same layout
+  std::vector<double> w_;      // one sample's normalized weights
+};
+
+/// Maximizes the served-mixture objective (FitObjective) over log sigma in
+/// the box [log kMinSigma, log kMaxSigma] by projected gradient ascent with
+/// a Barzilai-Borwein step and Armijo backtracking, stopping once the
+/// projected gradient's max-norm is below kSigmaFitTolerance (see there).
+/// Normalizes the sample weights and turns the edit distances into table
+/// offsets, in place; `sigmas` carries the initial point and receives the
+/// fitted values.
 MvmmFitReport FitSigmasFromSamples(FitTable* table,
                                    std::vector<double>* sigmas) {
   MvmmFitReport report;
@@ -211,69 +216,83 @@ MvmmFitReport FitSigmasFromSamples(FitTable* table,
     table->offset[i] += static_cast<uint32_t>((i % k) * table->stride);
   }
 
-  // Damped Newton with the analytic Hessian (one pass over the samples per
-  // iteration); gradient-ascent fallback keeps every accepted step an
-  // improvement.
-  double f = Objective(*table, *sigmas);
-  report.initial_objective = f;
-  std::vector<double> grad;
-  std::vector<double> hessian;
-  for (size_t iter = 0; iter < kMaxNewtonIterations; ++iter) {
-    const double f_before = f;
-    FitDerivatives(*table, *sigmas, &grad, &hessian);
-    double grad_norm = 0.0;
-    for (double g : grad) grad_norm += g * g;
-    grad_norm = std::sqrt(grad_norm);
-    if (grad_norm < 1e-9) break;
+  // The fit runs in theta = log sigma; every evaluated (and the returned)
+  // width is clamp(exp(theta)), so the box holds in sigma bits too.
+  const double lo = std::log(kMinSigma);
+  const double hi = std::log(kMaxSigma);
+  const auto to_sigmas = [&](const std::vector<double>& theta,
+                             std::vector<double>* out) {
+    out->resize(k);
+    for (size_t c = 0; c < k; ++c) {
+      (*out)[c] = std::clamp(std::exp(theta[c]), kMinSigma, kMaxSigma);
+    }
+  };
+  std::vector<double> theta(k);
+  for (size_t c = 0; c < k; ++c) {
+    theta[c] = std::clamp(std::log((*sigmas)[c]), lo, hi);
+  }
 
-    std::vector<double> step;
-    bool have_newton =
-        SolveLinearSystem(hessian, grad, k, &step);  // H * step = grad
-    // At a maximum H is negative definite, so sigma_new = sigma - step
-    // (Eq. 10). Reject the Newton direction if it is not an ascent move.
-    bool accepted = false;
-    if (have_newton) {
-      double damping = 1.0;
-      for (int attempt = 0; attempt < 8 && !accepted; ++attempt) {
-        std::vector<double> trial = *sigmas;
-        for (size_t i = 0; i < k; ++i) {
-          trial[i] = std::max(kMinSigma, trial[i] - damping * step[i]);
-        }
-        const double ft = Objective(*table, trial);
-        if (ft > f) {
-          *sigmas = std::move(trial);
-          f = ft;
-          accepted = true;
-          report.used_newton = true;
-        }
-        damping *= 0.5;
-      }
+  FitObjective objective(*table);
+  std::vector<double> grad;
+  std::vector<double> trial(k);
+  std::vector<double> trial_grad;
+  std::vector<double> widths;
+  to_sigmas(theta, &widths);
+  double f = objective.Evaluate(widths, &grad);
+  report.evaluations = 1;
+  report.initial_objective = f;
+  double step = 1.0;
+  while (true) {
+    double projected = 0.0;
+    for (size_t c = 0; c < k; ++c) {
+      projected = std::max(
+          projected, std::fabs(std::clamp(theta[c] + grad[c], lo, hi) -
+                               theta[c]));
     }
-    if (!accepted) {
-      // Backtracking gradient ascent.
-      double lr = 0.5;
-      for (int attempt = 0; attempt < 12 && !accepted; ++attempt) {
-        std::vector<double> trial = *sigmas;
-        for (size_t i = 0; i < k; ++i) {
-          trial[i] = std::max(kMinSigma, trial[i] + lr * grad[i]);
-        }
-        const double ft = Objective(*table, trial);
-        if (ft > f) {
-          *sigmas = std::move(trial);
-          f = ft;
-          accepted = true;
-        }
-        lr *= 0.5;
-      }
-    }
-    ++report.iterations;
-    if (!accepted) break;  // converged (no improving step)
-    // Converged: the accepted step no longer moves the objective.
-    const double improvement = f - f_before;
-    if (improvement < kSigmaFitTolerance * (1.0 + std::fabs(f_before))) {
+    if (projected < kSigmaFitTolerance) {
+      report.converged = true;
       break;
     }
+    if (report.iterations == kMaxFitIterations) break;
+    ++report.iterations;
+
+    // Backtrack along the projection arc until the step gains at least
+    // kArmijoFraction of the first-order prediction.
+    bool accepted = false;
+    double ft = f;
+    for (size_t attempt = 0; attempt < kMaxBacktracks; ++attempt) {
+      double predicted = 0.0;
+      for (size_t c = 0; c < k; ++c) {
+        trial[c] = std::clamp(theta[c] + step * grad[c], lo, hi);
+        predicted += grad[c] * (trial[c] - theta[c]);
+      }
+      to_sigmas(trial, &widths);
+      ft = objective.Evaluate(widths, &trial_grad);
+      ++report.evaluations;
+      if (ft >= f + kArmijoFraction * predicted) {
+        accepted = true;
+        break;
+      }
+      step *= 0.5;
+    }
+    if (!accepted) break;  // no ascent left at double precision
+
+    // Barzilai-Borwein: step = s's / -s'y for s = theta step, y = gradient
+    // change (the ascent form of the BB1 length); a non-concave pair
+    // restarts at the longest step.
+    double ss = 0.0;
+    double sy = 0.0;
+    for (size_t c = 0; c < k; ++c) {
+      const double sc = trial[c] - theta[c];
+      ss += sc * sc;
+      sy += sc * (trial_grad[c] - grad[c]);
+    }
+    step = sy < 0.0 ? std::clamp(ss / -sy, kMinStep, kMaxStep) : kMaxStep;
+    theta.swap(trial);
+    grad.swap(trial_grad);
+    f = ft;
   }
+  to_sigmas(theta, sigmas);
   report.final_objective = f;
   return report;
 }
@@ -343,8 +362,10 @@ MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
   table.weight.resize(pool.size());
   table.offset.resize(pool.size() * k);
   table.prob.resize(pool.size() * k);
+  table.length.resize(pool.size());
   for (size_t i = 0; i < pool.size(); ++i) {
     table.weight[i] = static_cast<double>(pool[i]->frequency);
+    table.length[i] = static_cast<uint32_t>(pool[i]->queries.size() - 1);
   }
   const auto build_sample = [&](size_t i) {
     BuildWeightSample(*pool[i], trees, root, options, vocabulary_size,

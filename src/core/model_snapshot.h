@@ -22,7 +22,7 @@ using MixtureWeighting = serving::MixtureWeighting;
 /// Section IV-C). The default component set mirrors the paper's experiment:
 /// 11 VMMs with epsilon in {0.0, 0.01, ..., 0.1}. The sigma fit itself
 /// (Eq. 7-10) has no settings: the paper fits the widths, it does not tune
-/// the fit, so its sample size, iteration cap, tolerance, floor and
+/// the fit, so its sample size, iteration cap, tolerance, sigma box and
 /// starting point are constants of core/model_snapshot.
 struct MvmmOptions {
   /// Component VMM configurations. Empty = the paper's 11-epsilon default.
@@ -35,7 +35,7 @@ struct MvmmOptions {
   size_t default_max_depth = 0;
 
   /// When non-empty (one finite, positive width per component), the
-  /// Gaussian widths are taken verbatim and the per-corpus Newton fit is
+  /// Gaussian widths are taken verbatim and the per-corpus sigma fit is
   /// skipped. This is how a sharded deployment keeps every shard serving
   /// with ONE globally fitted sigma vector (serve/sharded_engine.h) and how
   /// a shard rebuild stays weight-consistent with the rest of the fleet; it
@@ -54,10 +54,13 @@ struct MvmmOptions {
 
 /// Diagnostics from the sigma (mixture-weight) optimization.
 struct MvmmFitReport {
-  size_t iterations = 0;
+  size_t iterations = 0;   // ascent steps taken
+  size_t evaluations = 0;  // objective (+ gradient) evaluations
   double initial_objective = 0.0;
   double final_objective = 0.0;
-  bool used_newton = false;  // false = fell back to gradient ascent only
+  /// True iff the fit stopped by its convergence test rather than at the
+  /// iteration cap or with no ascent step left.
+  bool converged = false;
 };
 
 /// What a served blob knows about the scratch capacity its inference needs,
@@ -232,10 +235,21 @@ namespace internal {
 
 /// Starting point of the sigma fit, for every component.
 inline constexpr double kInitialSigma = 1.0;
-/// Lower clamp on a fitted sigma (the Gaussian degenerates below this).
+/// The box every fitted sigma lies in. At kMinSigma a component that
+/// dropped one context query already weighs exp(-200) ~ 1e-87 of one
+/// that dropped none, so narrower widths only shrink negligible weights;
+/// at kMaxSigma every weight is within 2% of its peak for distances up to
+/// 20, the uniform-weighting limit.
 inline constexpr double kMinSigma = 0.05;
+inline constexpr double kMaxSigma = 100.0;
+/// Safety net on the sigma fit's ascent steps. The fit stops by its own
+/// convergence test, in 5 to 26 steps on the bench corpora and the
+/// corpora that grow them; the cap only bounds a pathological sample
+/// table.
+inline constexpr size_t kMaxFitIterations = 100;
 
-/// The sigma fit (paper Eq. 7-10): damped Newton over the Eq. 3 sample
+/// The sigma fit (paper Eq. 7-10): projected gradient ascent in log sigma
+/// on the served (normalized) mixture's log-likelihood of the Eq. 3 sample
 /// walks of the most frequent multi-query `sessions`. Each prefix walks
 /// the one tree owning it,
 /// trees[ShardOfContext(prefix, trees.size())] — the snapshot's own tree in
@@ -245,7 +259,7 @@ inline constexpr double kMinSigma = 0.05;
 /// the unsharded build. The walks run on `options.training_threads`
 /// workers with a bit-identical result for any count. `options.components`
 /// must be resolved; `sigmas` carries the initial point (kInitialSigma
-/// each) and receives the fitted values, each >= kMinSigma.
+/// each) and receives the fitted values, each in [kMinSigma, kMaxSigma].
 MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
                         std::span<const ModelSnapshot* const> trees,
                         const Pst::Node& root, const MvmmOptions& options,

@@ -14,8 +14,9 @@ namespace sqp {
 /// VMM components whose weights adapt to the online context. For a context
 /// s, component D contributes weight proportional to a Gaussian of the edit
 /// distance between s and the state s_D the component matched (Eq. 4); the
-/// Gaussian widths are learned offline by Newton iteration on the KL
-/// redundancy objective (Eq. 7-10).
+/// Gaussian widths are learned offline on the KL redundancy objective
+/// (Eq. 7-10), fitted to the normalized mixture that is served (see
+/// internal::FitSigmas).
 ///
 /// Training builds ONE maximal shared tree (Pst::BuildShared) in which
 /// every component is a view; the trained state lives in an immutable

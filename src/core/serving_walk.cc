@@ -357,7 +357,7 @@ void ComputeWeights(MixtureWeighting weighting, const double* sigmas,
       // weighting by match depth so the mixture stays well defined.
       double total = 0.0;
       for (size_t c = 0; c < k; ++c) total += weights[c];
-      if (total <= 1e-280) {
+      if (total <= kWeightUnderflow) {
         for (size_t c = 0; c < k; ++c) {
           weights[c] = 1.0 + static_cast<double>(matched[c]);
         }

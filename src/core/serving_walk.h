@@ -46,7 +46,7 @@ namespace sqp::serving {
 /// `sqp::MixtureWeighting`. The enumerator order is persisted in snapshot
 /// blobs (META weighting u32) — append, never reorder.
 enum class MixtureWeighting {
-  kGaussianEditDistance,  // paper Eq. 4, sigmas learned by Newton iteration
+  kGaussianEditDistance,  // paper Eq. 4, sigmas learned by the fit
   kUniform,               // every component weighs the same
   kLongestMatch,          // all weight on the deepest-matching component(s)
 };
@@ -225,6 +225,10 @@ inline double GaussianPdf(double x, double sigma) {
   const double z = x / sigma;
   return kInvSqrt2Pi / sigma * std::exp(-0.5 * z * z);
 }
+
+/// Below this total the Gaussian weights of a context count as all
+/// underflowed, and ComputeWeights falls back to weighting by match depth.
+inline constexpr double kWeightUnderflow = 1e-280;
 
 /// Unnormalized per-component weights (paper Eq. 4 plus the ablation
 /// variants, including the all-underflow depth fallback). `matched` and

@@ -193,45 +193,48 @@ void ContextIndex::Finalize() {
     node.edges_end = 0;
   }
 
-  // Flatten the count table into per-node next lists, grouped by node.
-  struct Triple {
-    int32_t node;
-    QueryId next;
-    uint64_t count;
-  };
-  std::vector<Triple> triples;
-  triples.reserve(counts_.size());
-  counts_.ForEach([&](uint64_t key, uint64_t count) {
-    triples.push_back(Triple{static_cast<int32_t>(key >> 32),
-                             static_cast<QueryId>(key), count});
+  // Flatten the count table into per-node next lists: one counting pass
+  // sizes each node's bucket, a second scatters the (next, count) pairs
+  // into it. A bucket holds its node's pairs in table order, but SortNexts
+  // orders every list totally (count desc, query asc), so the entries do
+  // not depend on that order.
+  std::vector<uint32_t> bucket(trie_.size() + 1, 0);
+  counts_.ForEach([&](uint64_t key, uint64_t /*count*/) {
+    ++bucket[static_cast<size_t>(key >> 32) + 1];
   });
-  std::sort(triples.begin(), triples.end(),
-            [](const Triple& a, const Triple& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.next < b.next;
-            });
+  for (size_t node = 0; node < trie_.size(); ++node) {
+    bucket[node + 1] += bucket[node];
+  }
+  std::vector<NextQueryCount> flat(counts_.size());
+  {
+    std::vector<uint32_t> fill(bucket.begin(), bucket.end() - 1);
+    counts_.ForEach([&](uint64_t key, uint64_t count) {
+      flat[fill[static_cast<size_t>(key >> 32)]++] =
+          NextQueryCount{static_cast<QueryId>(key), count};
+    });
+  }
 
   // Materialize one ContextEntry per counted node. Walking node -> root
   // collects edge labels oldest-first, which is the context orientation.
   entries_.reserve(counts_.size() / 2 + 1);
-  for (size_t i = 0; i < triples.size();) {
-    const int32_t node = triples[i].node;
+  for (size_t node = 0; node < trie_.size(); ++node) {
+    if (bucket[node] == bucket[node + 1]) continue;
     ContextEntry entry;
-    entry.context.resize(trie_[static_cast<size_t>(node)].depth);
+    entry.context.resize(trie_[node].depth);
     size_t pos = 0;
-    for (int32_t walk = node; walk > 0;
+    for (int32_t walk = static_cast<int32_t>(node); walk > 0;
          walk = trie_[static_cast<size_t>(walk)].parent) {
       entry.context[pos++] = trie_[static_cast<size_t>(walk)].edge;
     }
-    while (i < triples.size() && triples[i].node == node) {
-      entry.nexts.push_back(NextQueryCount{triples[i].next, triples[i].count});
-      entry.total_count += triples[i].count;
-      ++i;
+    entry.nexts.assign(flat.begin() + bucket[node],
+                       flat.begin() + bucket[node + 1]);
+    for (const NextQueryCount& nc : entry.nexts) {
+      entry.total_count += nc.count;
     }
     SortNexts(&entry.nexts);
-    entry.start_count = trie_[static_cast<size_t>(node)].start_count;
+    entry.start_count = trie_[node].start_count;
     total_occurrences_ += entry.total_count;
-    entry_nodes_.push_back(node);
+    entry_nodes_.push_back(static_cast<int32_t>(node));
     entries_.push_back(std::move(entry));
   }
 

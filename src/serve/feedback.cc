@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <system_error>
 #include <tuple>
 #include <unordered_map>
@@ -17,7 +19,6 @@
 
 #include "serve/explorer.h"
 #include "util/byte_io.h"
-#include "util/file_io.h"
 
 namespace sqp {
 namespace {
@@ -93,34 +94,85 @@ bool DecodeImpression(ByteReader cur, FeedbackRecord* out) {
   return true;
 }
 
-/// Parses one segment. In an `.open` segment (`sealed == false`) a zero
-/// length word is the writer's unwritten preallocated tail, so it ends
-/// the scan cleanly; anywhere else it is a torn record.
+/// First read of an `.open` segment, and the least any later read asks
+/// for. A live writer preallocates its segment to max_segment_bytes
+/// (1 MiB by default) and the scan stops at the zero tail, so a fresh
+/// segment costs one chunk, not the whole preallocation.
+constexpr size_t kOpenReadChunk = 64 * 1024;
+
+/// A segment file read from the front on demand, so a scan reads only as
+/// far as it parses.
+class SegmentFile {
+ public:
+  bool Open(const std::string& path) {
+    in_.open(path, std::ios::binary | std::ios::ate);
+    if (!in_.is_open()) return false;
+    const std::streamoff size = in_.tellg();
+    in_.seekg(0);
+    if (size < 0 || !in_) return false;
+    size_ = static_cast<size_t>(size);
+    return true;
+  }
+
+  /// Makes the first `n` bytes of the file available (fewer if the file
+  /// is shorter) and returns how many are. Reads at least kOpenReadChunk
+  /// at a time.
+  size_t Fill(size_t n) {
+    n = std::min(n, size_);
+    while (bytes_.size() < n) {
+      const size_t have = bytes_.size();
+      const size_t want =
+          std::min(std::max(kOpenReadChunk, n - have), size_ - have);
+      bytes_.resize(have + want);
+      in_.read(reinterpret_cast<char*>(bytes_.data() + have),
+               static_cast<std::streamsize>(want));
+      const size_t got = static_cast<size_t>(in_.gcount());
+      bytes_.resize(have + got);
+      if (got < want) size_ = n = bytes_.size();  // shrank under us
+    }
+    return n;
+  }
+
+  const uint8_t* data() const { return bytes_.data(); }
+
+ private:
+  std::ifstream in_;
+  std::vector<uint8_t> bytes_;
+  size_t size_ = 0;  // file size at Open
+};
+
+/// Parses one segment. A sealed segment is read whole. In an `.open`
+/// segment (`sealed == false`) a zero length word is the writer's
+/// unwritten preallocated tail, so it ends the scan cleanly and nothing
+/// past it is read; anywhere else it is a torn record.
 SegmentScan ScanSegment(const std::string& path, bool sealed) {
   SegmentScan scan;
-  std::vector<uint8_t> bytes;
-  if (!ReadWholeFile(path, &bytes).ok() ||
-      bytes.size() < kSegmentHeaderBytes ||
-      LoadLE32(bytes.data()) != kSegmentMagic ||
-      LoadLE16(bytes.data() + 4) != kSegmentFormatVersion) {
+  SegmentFile file;
+  if (!file.Open(path)) return scan;
+  if (sealed) file.Fill(std::numeric_limits<size_t>::max());
+  if (file.Fill(kSegmentHeaderBytes) < kSegmentHeaderBytes ||
+      LoadLE32(file.data()) != kSegmentMagic ||
+      LoadLE16(file.data() + 4) != kSegmentFormatVersion) {
     return scan;
   }
   scan.header_ok = true;
 
-  const uint8_t* const end = bytes.data() + bytes.size();
-  const uint8_t* p = bytes.data() + kSegmentHeaderBytes;
-  while (end - p >= 4) {  // fewer bytes than a length word: clean EOF
-    const uint32_t body_len = LoadLE32(p);
+  // Fill(pos + n) - pos is the number of bytes available from `pos`, up
+  // to n; `pos` itself is always available.
+  size_t pos = kSegmentHeaderBytes;
+  while (file.Fill(pos + 4) - pos >= 4) {  // no full length word: clean EOF
+    const uint32_t body_len = LoadLE32(file.data() + pos);
     if (body_len == 0 && !sealed) break;  // unwritten space: clean end
     if (body_len < 2 || body_len > kMaxBodyBytes) {
       ++scan.torn_records;
       break;
     }
-    if (static_cast<size_t>(end - p) < kFrameBytes + body_len) {
+    if (file.Fill(pos + kFrameBytes + body_len) - pos <
+        kFrameBytes + body_len) {
       ++scan.torn_records;  // the tail record was torn mid-write
       break;
     }
-    const uint8_t* body = p + 4;
+    const uint8_t* body = file.data() + pos + 4;
     if (Crc32(body, body_len) != LoadLE32(body + body_len)) {
       ++scan.torn_records;
       break;
@@ -150,9 +202,9 @@ SegmentScan ScanSegment(const std::string& path, bool sealed) {
       ++scan.torn_records;
       break;
     }
-    p += kFrameBytes + body_len;
+    pos += kFrameBytes + body_len;
   }
-  scan.valid_bytes = static_cast<uint64_t>(p - bytes.data());
+  scan.valid_bytes = pos;
   return scan;
 }
 

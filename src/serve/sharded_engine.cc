@@ -147,7 +147,7 @@ Result<ShardedTrainResult> TrainShardedSnapshots(
 
   // Per-shard builds always run with pinned sigmas: either the caller's
   // vector, or a placeholder replaced by the global fit below. The
-  // per-corpus Newton fit must never run per shard — that would weight
+  // per-corpus sigma fit must never run per shard — that would weight
   // each shard by its own slice and break the exact-equality guarantee.
   MvmmOptions shard_model = model;
   if (needs_global_fit) {

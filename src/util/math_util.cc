@@ -58,43 +58,6 @@ double GaussianPdf(double x, double sigma) {
   return kInvSqrt2Pi / sigma * std::exp(-0.5 * z * z);
 }
 
-bool SolveLinearSystem(std::vector<double> a, std::vector<double> b, size_t n,
-                       std::vector<double>* x) {
-  SQP_CHECK(a.size() == n * n);
-  SQP_CHECK(b.size() == n);
-  for (size_t col = 0; col < n; ++col) {
-    // Partial pivot.
-    size_t pivot = col;
-    double best = std::fabs(a[col * n + col]);
-    for (size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(a[r * n + col]);
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-14) return false;
-    if (pivot != col) {
-      for (size_t c = 0; c < n; ++c) std::swap(a[pivot * n + c], a[col * n + c]);
-      std::swap(b[pivot], b[col]);
-    }
-    const double inv = 1.0 / a[col * n + col];
-    for (size_t r = col + 1; r < n; ++r) {
-      const double f = a[r * n + col] * inv;
-      if (f == 0.0) continue;
-      for (size_t c = col; c < n; ++c) a[r * n + c] -= f * a[col * n + c];
-      b[r] -= f * b[col];
-    }
-  }
-  x->assign(n, 0.0);
-  for (size_t ri = n; ri-- > 0;) {
-    double v = b[ri];
-    for (size_t c = ri + 1; c < n; ++c) v -= a[ri * n + c] * (*x)[c];
-    (*x)[ri] = v / a[ri * n + ri];
-  }
-  return true;
-}
-
 double EstimatePowerLawAlpha(
     const std::vector<std::pair<double, double>>& value_and_count,
     double x_min) {

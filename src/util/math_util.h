@@ -26,12 +26,6 @@ void NormalizeInPlace(std::vector<double>* values);
 /// Gaussian density N(x; 0, sigma).
 double GaussianPdf(double x, double sigma);
 
-/// Solves the dense linear system `a * x = b` (n x n, row major) by Gaussian
-/// elimination with partial pivoting. Returns false if the matrix is
-/// (numerically) singular. Used by the MVMM Newton step on the sigma vector.
-bool SolveLinearSystem(std::vector<double> a, std::vector<double> b, size_t n,
-                       std::vector<double>* x);
-
 /// Maximum-likelihood estimate of a discrete power-law exponent alpha for
 /// samples x >= x_min (Clauset et al. continuous approximation,
 /// alpha = 1 + n / sum ln(x_i / (x_min - 0.5))). Counts are supplied as

@@ -289,7 +289,7 @@ TEST(MvmmModelTest, UniformWeightingIsUniform) {
   for (double w : weights) {
     EXPECT_NEAR(w, 1.0 / static_cast<double>(weights.size()), 1e-12);
   }
-  // No Newton fit runs under uniform weighting.
+  // No sigma fit runs under uniform weighting.
   EXPECT_EQ(model.fit_report().iterations, 0u);
 }
 

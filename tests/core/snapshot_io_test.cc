@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -683,6 +684,78 @@ TEST(SnapshotGoldenTest, SaveReproducesCommittedBytes) {
       ReadAll(std::string(SQP_TEST_DATA_DIR) + kGoldenRelPath);
   EXPECT_EQ(saved.size(), committed.size());
   EXPECT_TRUE(saved == committed) << "saved blob differs from the golden";
+}
+
+TEST(SnapshotGoldenTest, SigmaFitConvergesOnTheGoldenCorpus) {
+  // The fit stops by its own convergence test, before the safety cap, and
+  // every width it hands the blob lies in the sigma box.
+  const auto full = BuildFull(
+      SeededCorpus(kGoldenSeed, kGoldenSessions, kGoldenVocabulary),
+      kGoldenVersion, 1 << 10);
+  const MvmmFitReport& report = full->fit_report();
+  EXPECT_TRUE(report.converged);
+  EXPECT_GT(report.iterations, 0u);
+  EXPECT_LT(report.iterations, internal::kMaxFitIterations);
+  EXPECT_GE(report.final_objective, report.initial_objective);
+  for (const double sigma : full->sigmas()) {
+    EXPECT_TRUE(serving::ValidSigma(sigma));
+    EXPECT_GE(sigma, internal::kMinSigma);
+    EXPECT_LE(sigma, internal::kMaxSigma);
+  }
+}
+
+/// internal::NodeTopK at every node equals the reference walk at the
+/// node's own context, in ids, order and score bits, for every K. A scan
+/// limit of 4 sends nodes both ways: through the query -> index map and
+/// through the scan.
+void ExpectNodeTopKIsTheReferenceTopK(const ModelSnapshot& full) {
+  const std::vector<Pst::Node>& nodes = full.pst()->nodes();
+  SnapshotScratch scratch;
+  size_t mapped = 0;
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{16},
+                         size_t{64}}) {
+    internal::NodeTopK exact(full, /*scan_limit=*/4);
+    for (size_t id = 1; id < nodes.size(); ++id) {
+      mapped += k == 1 && nodes[id].nexts.size() > 4 ? 1 : 0;
+      const Recommendation want =
+          full.Recommend(nodes[id].context, k, &scratch);
+      const std::vector<ScoredQuery>& got = exact.TopK(id, k);
+      ASSERT_EQ(want.queries.size(), got.size()) << "node " << id << " k " << k;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(want.queries[i].query, got[i].query)
+            << "node " << id << " k " << k << " rank " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(want.queries[i].score),
+                  std::bit_cast<uint64_t>(got[i].score))
+            << "node " << id << " k " << k << " rank " << i;
+      }
+    }
+  }
+  EXPECT_GT(mapped, 0u);
+}
+
+TEST(SnapshotGoldenTest, NodeTopKIsTheReferenceTopKAtEveryNode) {
+  std::vector<AggregatedSession> corpus =
+      SeededCorpus(kGoldenSeed, kGoldenSessions, kGoldenVocabulary);
+  const auto golden = BuildFull(corpus, kGoldenVersion, 1 << 10);
+  ExpectNodeTopKIsTheReferenceTopK(*golden);
+
+  // Grow the corpus as the feedback loop does: one session per served
+  // list, its context plus the query clicked at a rotating position.
+  SnapshotScratch scratch;
+  const std::vector<std::vector<QueryId>> contexts =
+      PrefixContexts(corpus, 600);
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    const Recommendation served = golden->Recommend(contexts[i], 5, &scratch);
+    if (served.queries.empty()) continue;
+    AggregatedSession session;
+    session.queries = contexts[i];
+    session.queries.push_back(
+        served.queries[i % served.queries.size()].query);
+    session.frequency = 1;
+    corpus.push_back(std::move(session));
+  }
+  ExpectNodeTopKIsTheReferenceTopK(
+      *BuildFull(corpus, kGoldenVersion + 1, 1 << 10));
 }
 
 TEST(SnapshotGoldenTest, HostileTopNAnswersLikeNumEntriesInBoundedScratch) {

@@ -347,6 +347,59 @@ TEST(FeedbackLogTest, LiveLogReadsEveryAppendedRecordWithoutSeal) {
   EXPECT_EQ((*log)->stats().segments_sealed, 0u);
 }
 
+/// A live writer preallocates its `.open` segment, and a read stops at the
+/// zero tail, pulling the file in chunks. At every record count — records
+/// straddling a chunk boundary included — a fresh cursor over the live
+/// segment hands over exactly what a full read of the log gives.
+TEST(FeedbackLogTest, CursorOverALiveOpenSegmentMatchesAFullRead) {
+  TempDir dir;
+  auto log = FeedbackLog::Open({.dir = dir.str()});
+  ASSERT_TRUE(log.ok());
+  // ~700-byte impressions: 300 of them span several 64 KiB chunks.
+  std::vector<QueryId> context(150);
+  for (size_t i = 0; i < context.size(); ++i) {
+    context[i] = static_cast<QueryId>(i + 1);
+  }
+  for (uint64_t n = 1; n <= 300; ++n) {
+    const uint64_t id = (*log)->NextRecordId();
+    context[0] = static_cast<QueryId>(1000 + n);
+    ASSERT_TRUE(
+        (*log)->AppendImpression(MakeImpression(id, context, ThreeItems()))
+            .ok());
+    if (n % 4 != 0) {
+      ASSERT_TRUE((*log)->RecordClick(id, static_cast<uint32_t>(n % 3)).ok());
+    }
+
+    FeedbackReadReport report;
+    const auto records = ReadFeedbackLog(dir.str(), &report);
+    ASSERT_TRUE(records.ok());
+    ASSERT_EQ(records->size(), n);
+    EXPECT_EQ(report.torn_records, 0u);
+    EXPECT_EQ(report.clicks, n - n / 4);
+
+    FeedbackCursor cursor;
+    std::vector<AggregatedSession> got;
+    const auto consumed = cursor.Consume(
+        dir.str(),
+        [&](std::vector<AggregatedSession> sessions) { got = sessions; });
+    ASSERT_TRUE(consumed.ok());
+    const std::vector<AggregatedSession> want = SessionsFromFeedback(*records);
+    EXPECT_EQ(*consumed, want.size());
+    ASSERT_EQ(got.size(), want.size()) << n << " records";
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].queries, want[i].queries) << n << " records";
+      EXPECT_EQ(got[i].frequency, want[i].frequency) << n << " records";
+    }
+  }
+  // Everything went to the one live segment, which still has a zero tail.
+  EXPECT_EQ((*log)->stats().segments_sealed, 0u);
+  const std::vector<fs::path> files = SegmentFiles(dir.str());
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].extension(), ".open");
+  EXPECT_EQ(fs::file_size(files[0]), FeedbackLogOptions{}.max_segment_bytes);
+  EXPECT_GT(fs::file_size(files[0]), (*log)->stats().active_segment_bytes);
+}
+
 TEST(FeedbackLogTest, OversizedRecordLandsInASegmentOfItsOwn) {
   TempDir dir;
   FeedbackLogOptions options;

@@ -14,6 +14,7 @@
 
 #include "core/model_snapshot.h"
 #include "core/mvmm_model.h"
+#include "log/data_reduction.h"
 #include "serve_test_util.h"
 
 namespace sqp {
@@ -149,6 +150,81 @@ TEST(ModelSnapshotTest, ReusesCompatibleSharedIndex) {
             from_index.value()->Stats().num_states);
 }
 
+/// The bench corpus recipe (bench/harness.cc) at `train_sessions` raw
+/// training sessions: the reduced training split, and a drifted test
+/// split a quarter its size that grows it.
+struct BenchRecipeCorpus {
+  std::vector<AggregatedSession> train;
+  std::vector<AggregatedSession> test;
+};
+
+BenchRecipeCorpus MakeBenchRecipeCorpus(size_t train_sessions) {
+  Vocabulary vocabulary(
+      VocabularyConfig{.num_terms = 2500, .synonym_fraction = 0.3}, 20091);
+  TopicModel topics(&vocabulary, TopicModelConfig{}, 20092);
+  const size_t head =
+      static_cast<size_t>(0.7 * static_cast<double>(topics.num_intents()));
+  QueryDictionary dictionary;
+  const auto period = [&](size_t sessions, double novel_fraction,
+                          uint64_t seed) {
+    SynthesizerConfig config;
+    config.num_sessions = sessions;
+    config.num_machines = sessions / 25 + 1;
+    config.session.head_intents = head;
+    config.session.novel_fraction = novel_fraction;
+    const SynthCorpus corpus =
+        LogSynthesizer(&topics, config).Synthesize(seed, nullptr);
+    std::vector<Session> segmented;
+    SQP_CHECK_OK(
+        SessionSegmenter().Segment(corpus.records, &dictionary, &segmented));
+    SessionAggregator aggregator;
+    aggregator.Add(segmented);
+    return aggregator.Finish();
+  };
+  ReductionOptions reduction;
+  reduction.min_frequency_exclusive = 1;
+  reduction.max_session_length = 10;
+  BenchRecipeCorpus out;
+  out.train = ReduceSessions(period(train_sessions, 0.0, 20093), reduction,
+                             nullptr);
+  reduction.min_frequency_exclusive = 0;
+  out.test = ReduceSessions(period(train_sessions / 4, 0.35, 20094),
+                            reduction, nullptr);
+  return out;
+}
+
+/// The sigma fit stops by its own convergence test, before the safety
+/// cap, and keeps every width in the sigma box: on the bench-recipe
+/// training corpus at the default 50k sessions and at 200k, and on each of
+/// the ten corpora that grow it by a tenth of its drifted test split, as a
+/// retrainer grows its corpus.
+TEST(ModelSnapshotTest, SigmaFitConvergesOnGrowingCorpora) {
+  for (const size_t train_sessions : {size_t{50000}, size_t{200000}}) {
+    const BenchRecipeCorpus corpus = MakeBenchRecipeCorpus(train_sessions);
+    std::vector<AggregatedSession> grown = corpus.train;
+    for (size_t step = 0; step <= 10; ++step) {
+      const size_t begin = corpus.test.size() * (step == 0 ? 0 : step - 1) / 10;
+      const size_t end = corpus.test.size() * step / 10;
+      grown.insert(grown.end(),
+                   corpus.test.begin() + static_cast<ptrdiff_t>(begin),
+                   corpus.test.begin() + static_cast<ptrdiff_t>(end));
+      const auto built = ModelSnapshot::Build(DataFor(grown), TestOptions());
+      ASSERT_TRUE(built.ok());
+      const MvmmFitReport& report = built.value()->fit_report();
+      EXPECT_TRUE(report.converged)
+          << train_sessions << " sessions, step " << step;
+      EXPECT_LT(report.iterations, internal::kMaxFitIterations)
+          << train_sessions << " sessions, step " << step;
+      EXPECT_GE(report.final_objective, report.initial_objective);
+      for (const double sigma : built.value()->sigmas()) {
+        EXPECT_TRUE(serving::ValidSigma(sigma));
+        EXPECT_GE(sigma, internal::kMinSigma);
+        EXPECT_LE(sigma, internal::kMaxSigma);
+      }
+    }
+  }
+}
+
 /// Everything one sigma fit reads belongs to that fit: fitting corpus A,
 /// then B, then A again on one thread — and then A grown by B in place, as
 /// a retrainer grows its corpus — gives each fit exactly the sigma bits
@@ -180,7 +256,7 @@ TEST(ModelSnapshotTest, SigmaFitDependsOnlyOnItsOwnCorpus) {
               bits(got.report.initial_objective));
     EXPECT_EQ(bits(want.report.final_objective),
               bits(got.report.final_objective));
-    EXPECT_EQ(want.report.used_newton, got.report.used_newton);
+    EXPECT_EQ(want.report.converged, got.report.converged);
   };
 
   const std::vector<AggregatedSession>& a = SharedCorpus().base;

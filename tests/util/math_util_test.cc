@@ -104,43 +104,6 @@ TEST(GaussianPdfTest, WiderSigmaFlatter) {
   EXPECT_LT(GaussianPdf(0.0, 3.0), GaussianPdf(0.0, 0.5));
 }
 
-TEST(SolveLinearSystemTest, Identity) {
-  std::vector<double> a{1, 0, 0, 1};
-  std::vector<double> b{3, 4};
-  std::vector<double> x;
-  ASSERT_TRUE(SolveLinearSystem(a, b, 2, &x));
-  EXPECT_NEAR(x[0], 3.0, 1e-12);
-  EXPECT_NEAR(x[1], 4.0, 1e-12);
-}
-
-TEST(SolveLinearSystemTest, General3x3) {
-  // A = [[2,1,0],[1,3,1],[0,1,2]], b = A * [1,2,3].
-  std::vector<double> a{2, 1, 0, 1, 3, 1, 0, 1, 2};
-  std::vector<double> b{4, 10, 8};
-  std::vector<double> x;
-  ASSERT_TRUE(SolveLinearSystem(a, b, 3, &x));
-  EXPECT_NEAR(x[0], 1.0, 1e-9);
-  EXPECT_NEAR(x[1], 2.0, 1e-9);
-  EXPECT_NEAR(x[2], 3.0, 1e-9);
-}
-
-TEST(SolveLinearSystemTest, RequiresPivoting) {
-  // Leading zero forces a row swap.
-  std::vector<double> a{0, 1, 1, 0};
-  std::vector<double> b{5, 7};
-  std::vector<double> x;
-  ASSERT_TRUE(SolveLinearSystem(a, b, 2, &x));
-  EXPECT_NEAR(x[0], 7.0, 1e-12);
-  EXPECT_NEAR(x[1], 5.0, 1e-12);
-}
-
-TEST(SolveLinearSystemTest, SingularFails) {
-  std::vector<double> a{1, 2, 2, 4};
-  std::vector<double> b{1, 2};
-  std::vector<double> x;
-  EXPECT_FALSE(SolveLinearSystem(a, b, 2, &x));
-}
-
 TEST(PowerLawAlphaTest, RecoversSyntheticExponent) {
   // Build a discrete power law with alpha = 2.0: count(f) ~ f^-2.
   std::vector<std::pair<double, double>> samples;
