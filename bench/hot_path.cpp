@@ -1,16 +1,16 @@
 // Hot-path bench for the compact serving walk: the end-to-end dense walk
 // with its cost split into descent (MatchedDepth) vs score+merge, the
-// legacy sparse sort-merge for comparison, and a self-reported speedup row
-// (dense over sparse). The two variants run in interleaved rounds that
-// alternate which goes first; every reported figure is the median over
-// rounds, and the speedup is the ratio of the two medians. Emits
-// BENCH_hotpath.json (see bench/README.md) as the tracked perf surface of
-// the walk.
+// reference sort-merge (tests/core/sort_merge_reference.h, the "sparse"
+// variant) for comparison, and a self-reported speedup row (dense over
+// sparse). The two variants run in interleaved rounds that alternate which
+// goes first; every reported figure is the median over rounds, and the
+// speedup is the ratio of the two medians. Emits BENCH_hotpath.json (see
+// bench/README.md) as the tracked perf surface of the walk.
 //
 // The binary also self-enforces the correctness bar: before any timing is
 // reported it replays every context through the dense walk and requires
-// bit-identical recommendations to the legacy sparse path, exiting nonzero
-// on any mismatch.
+// bit-identical recommendations to the reference sort-merge, exiting
+// nonzero on any mismatch.
 
 #include <algorithm>
 #include <cstdio>
@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "../tests/core/sort_merge_reference.h"
 #include "core/compact_snapshot.h"
 #include "harness.h"
 #include "util/timer.h"
@@ -88,18 +89,19 @@ WalkCost MedianCost(const std::vector<WalkCost>& rounds) {
                   .qps = median_of(&WalkCost::qps)};
 }
 
-/// One round: `passes` walks over every context, then as many descent-only
-/// passes (MatchedDepth: the walk minus the scoring and ranking; the
-/// difference is the score+merge share).
+/// One round: `passes` walks (`recommend`) over every context, then as
+/// many descent-only passes (MatchedDepth: the walk minus the scoring and
+/// ranking; the difference is the score+merge share).
+template <typename Recommend>
 WalkCost MeasureRound(const CompactSnapshot& snapshot,
                       const std::vector<std::vector<QueryId>>& contexts,
-                      size_t passes, SnapshotScratch* scratch,
+                      size_t passes, const Recommend& recommend,
                       uint64_t* matched) {
   const double queries = static_cast<double>(passes * contexts.size());
   WallTimer timer;
   for (size_t pass = 0; pass < passes; ++pass) {
     for (const std::vector<QueryId>& context : contexts) {
-      const Recommendation rec = snapshot.Recommend(context, 5, scratch);
+      const Recommendation rec = recommend(context);
       (void)rec;
     }
   }
@@ -119,16 +121,14 @@ WalkCost MeasureRound(const CompactSnapshot& snapshot,
 // -------------------------------------------------- equivalence check
 
 bool DenseMatchesSparse(
-    const CompactSnapshot& snapshot,
+    const CompactSnapshot& snapshot, test::SortMergeReference* sort_merge,
     const std::vector<std::vector<QueryId>>& contexts) {
   SnapshotScratch scratch;
   std::vector<Recommendation> reference;
   reference.reserve(contexts.size());
-  internal::ForceSparseMergeForTest().store(true);
   for (const std::vector<QueryId>& context : contexts) {
-    reference.push_back(snapshot.Recommend(context, 10, &scratch));
+    reference.push_back(sort_merge->Recommend(context, 10));
   }
-  internal::ForceSparseMergeForTest().store(false);
 
   const auto same = [](const Recommendation& a, const Recommendation& b) {
     if (a.covered != b.covered || a.matched_length != b.matched_length ||
@@ -153,7 +153,7 @@ bool DenseMatchesSparse(
   if (mismatches != 0) {
     std::fprintf(stderr,
                  "EQUIVALENCE FAILURE: %zu/%zu contexts diverged from the "
-                 "sparse reference\n",
+                 "reference sort-merge\n",
                  mismatches, contexts.size());
   }
   return mismatches == 0;
@@ -195,7 +195,7 @@ int main() {
   Harness harness;
   sqp::bench::PrintBanner(
       harness, "compact-walk hot path (dense accumulation)",
-      "the dense walk serves bit-identically to the legacy sparse "
+      "the dense walk serves bit-identically to the reference "
       "sort-merge and beats it");
 
   MvmmOptions options;
@@ -220,19 +220,20 @@ int main() {
   std::vector<Row> rows;
 
   // Correctness first: no timing is worth reporting off a wrong walk.
-  const bool equivalent = DenseMatchesSparse(*compact, contexts);
+  test::SortMergeReference sort_merge(compact);
+  const bool equivalent = DenseMatchesSparse(*compact, &sort_merge, contexts);
   {
     Row r;
     r.name = "hotpath_equivalence";
     r.ok = equivalent ? 1 : 0;
     rows.push_back(r);
   }
-  std::printf("equivalence (dense vs sparse): %s\n\n",
+  std::printf("equivalence (dense vs sort-merge): %s\n\n",
               equivalent ? "ok" : "FAILED");
 
-  // The end-to-end walk, dense and the legacy sparse sort-merge, each
-  // split into descent (MatchedDepth) and score+merge. Rows report the
-  // per-round medians.
+  // The end-to-end walk, dense and the reference sort-merge, each split
+  // into descent (MatchedDepth) and score+merge. Rows report the per-round
+  // medians.
   const auto add_walk_row = [&rows](const char* variant,
                                     const WalkCost& cost) {
     Row r;
@@ -253,23 +254,27 @@ int main() {
     const size_t passes =
         (kRoundQueries + contexts.size() - 1) / contexts.size();
     SnapshotScratch dense_scratch;
-    SnapshotScratch sparse_scratch;
+    const auto dense_walk = [&](const std::vector<QueryId>& context) {
+      return compact->Recommend(context, 5, &dense_scratch);
+    };
+    const auto sparse_walk = [&](const std::vector<QueryId>& context) {
+      return sort_merge.Recommend(context, 5);
+    };
     uint64_t matched = 0;
     WallTimer total;
     for (size_t pair = 0; total.ElapsedSeconds() < kTotalSeconds ||
                           dense_rounds.size() < kMinRounds;
          ++pair) {
       for (size_t turn = 0; turn < 2; ++turn) {
-        const bool sparse_turn = (pair + turn) % 2 == 1;
-        internal::ForceSparseMergeForTest().store(sparse_turn);
-        (sparse_turn ? sparse_rounds : dense_rounds)
-            .push_back(MeasureRound(*compact, contexts, passes,
-                                    sparse_turn ? &sparse_scratch
-                                                : &dense_scratch,
-                                    &matched));
+        if ((pair + turn) % 2 == 1) {
+          sparse_rounds.push_back(
+              MeasureRound(*compact, contexts, passes, sparse_walk, &matched));
+        } else {
+          dense_rounds.push_back(
+              MeasureRound(*compact, contexts, passes, dense_walk, &matched));
+        }
       }
     }
-    internal::ForceSparseMergeForTest().store(false);
     if (matched == 0) std::fprintf(stderr, "warning: no context matched\n");
     std::printf("%zu rounds per variant, %zu queries each\n",
                 dense_rounds.size(), passes * contexts.size());

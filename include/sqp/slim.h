@@ -73,7 +73,9 @@ typedef struct sqp_slim_stats_t {
   uint64_t num_entries;      /* next-query entries (candidates) */
   uint64_t num_edges;        /* child edges */
   uint32_t num_components;   /* mixture components */
-  uint32_t dense_merge;      /* 1 = dense accumulation, 0 = sort-merge */
+  uint32_t dense_merge;      /* always 1: every blob is served by dense
+                              * accumulation over its local query ids
+                              * (kept for ABI stability) */
   uint64_t resident_bytes;   /* bytes the predictor allocated at create
                               * (excludes the caller-owned blob) */
 } sqp_slim_stats_t;

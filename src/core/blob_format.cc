@@ -76,6 +76,14 @@ const char* BlobErrorMessage(BlobError error) {
       return "no memory for the derived tables";
     case BlobError::kMixtureParameterRange:
       return "sigma not finite and > 0, or escape not in [0, 1]";
+    case BlobError::kNextQueryRange:
+      return "local next-query id not below the local id count";
+    case BlobError::kNextGlobalOrder:
+      return "local-to-global query table not strictly ascending";
+    case BlobError::kRootEdgeRun:
+      return "root edge run not empty";
+    case BlobError::kEdgeBackward:
+      return "edge child not greater than its node";
   }
   return "unknown blob error";
 }
@@ -154,6 +162,7 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
   out->num_edges = LoadLE64(meta + 40);
   out->root_index_size = LoadLE64(meta + 48);
   out->num_components = LoadLE32(meta + 56);
+  out->num_next_queries = LoadLE32(meta + 60);
   if (weighting > static_cast<uint32_t>(MixtureWeighting::kLongestMatch)) {
     return BlobError::kUnknownWeighting;
   }
@@ -196,7 +205,8 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
       !expect_size(kSecNextCode, 2 * out->num_entries) ||
       !expect_size(kSecEdgeQuery, id_width * out->num_edges) ||
       !expect_size(kSecEdgeChild, id_width * out->num_edges) ||
-      !expect_size(kSecRootIndex, id_width * out->root_index_size)) {
+      !expect_size(kSecRootIndex, id_width * out->root_index_size) ||
+      !expect_size(kSecNextGlobal, id_width * out->num_next_queries)) {
     return BlobError::kSectionSizeMismatch;
   }
   return BlobError::kNone;
@@ -217,19 +227,11 @@ const T* SectionAs(const uint8_t* blob, const BlobLayout& layout,
 template <typename QT, typename NT>
 PoolsRef<QT, NT> PoolsAt(const uint8_t* blob, const BlobLayout& layout) {
   return PoolsRef<QT, NT>{SectionAs<QT>(blob, layout, kSecNextQuery),
+                          SectionAs<QT>(blob, layout, kSecNextGlobal),
                           SectionAs<QT>(blob, layout, kSecEdgeQuery),
                           SectionAs<NT>(blob, layout, kSecEdgeChild),
                           SectionAs<NT>(blob, layout, kSecRootIndex),
                           static_cast<size_t>(layout.root_index_size)};
-}
-
-template <typename QT, typename NT>
-BlobError ValidatePools(const ModelRef& m, const PoolsRef<QT, NT>& pools,
-                        const BlobLayout& layout) {
-  return ValidateBlobStructure<QT, NT>(
-      m.next_begin, m.child_begin, pools.edge_query, pools.edge_child,
-      pools.root_child_by_query, layout.root_index_size, layout.num_nodes,
-      layout.num_entries, layout.num_edges);
 }
 
 }  // namespace
@@ -258,6 +260,7 @@ BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
   m.num_nodes = static_cast<size_t>(layout->num_nodes);
   m.num_entries = static_cast<size_t>(layout->num_entries);
   m.num_edges = static_cast<size_t>(layout->num_edges);
+  m.num_next_queries = layout->num_next_queries;
   m.narrow_ids = layout->narrow_ids;
   if (layout->narrow_ids) {
     m.narrow = PoolsAt<uint16_t, uint16_t>(blob, *layout);
@@ -275,8 +278,8 @@ BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
     err = ValidateBlobCountShifts(m.count_shift, layout->num_nodes);
   }
   if (err == BlobError::kNone) {
-    err = layout->narrow_ids ? ValidatePools(m, m.narrow, *layout)
-                             : ValidatePools(m, m.wide, *layout);
+    err = layout->narrow_ids ? ValidateBlobStructure(m, m.narrow)
+                             : ValidateBlobStructure(m, m.wide);
   }
   if (err != BlobError::kNone) return err;
 

@@ -54,8 +54,11 @@ inline constexpr size_t kBlobSectionAlignment = 64;
 inline constexpr size_t kBlobMetaSize = 64;
 inline constexpr uint32_t kBlobMaxSections = 64;
 
-/// On-disk format version this build writes and accepts.
-inline constexpr uint32_t kBlobFormatVersion = 1;
+/// On-disk format version this build writes and accepts: the one format
+/// version constant of the snapshot blob. Version 2 stores blob-local
+/// next-query ids with a local-to-global table (kSecNextGlobal) and keeps
+/// the root's children only in the root index.
+inline constexpr uint32_t kBlobFormatVersion = 2;
 
 /// The 8-byte magic at offset 0 of every snapshot blob.
 inline constexpr char kBlobMagic[8] = {'S', 'Q', 'P', 'S', 'N', 'A', 'P', '1'};
@@ -80,8 +83,9 @@ enum BlobSectionId : uint32_t {
   kSecEdgeQuery = 13,
   kSecEdgeChild = 14,
   kSecRootIndex = 15,
+  kSecNextGlobal = 16,  // v2: local next-query id -> global id
 };
-inline constexpr uint32_t kBlobNumKnownSections = 15;
+inline constexpr uint32_t kBlobNumKnownSections = 16;
 
 /// META section flags.
 inline constexpr uint32_t kBlobFlagNarrowIds = 1u << 0;
@@ -125,6 +129,10 @@ enum class BlobError : int {
   kMisalignedBuffer,
   kOutOfMemory,
   kMixtureParameterRange,
+  kNextQueryRange,
+  kNextGlobalOrder,
+  kRootEdgeRun,
+  kEdgeBackward,
 };
 
 /// Static description of `error` (never null; stable storage).
@@ -155,6 +163,7 @@ struct BlobLayout {
   uint64_t num_edges = 0;
   uint64_t root_index_size = 0;
   uint32_t num_components = 0;
+  uint32_t num_next_queries = 0;  // L
   BlobSectionRef sections[kBlobNumKnownSections + 1];
 };
 
@@ -173,43 +182,58 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
 /// Structural invariants the serving walk relies on, checked over the
 /// section arrays so a validated blob can never push the walk out of
 /// bounds: CSR offsets nondecreasing with the META totals as final
-/// values, child/root ids inside the node table, per-node edge queries
-/// strictly ascending (the walk binary-searches them).
+/// values; an empty root edge run (the root's children live only in the
+/// root index); per-node edge queries strictly ascending (the walk
+/// binary-searches them); every edge child inside the node table and
+/// larger than its node (so the graph is acyclic and FinalizeModelRef's
+/// one forward depth sweep is exact); root-index ids inside the node
+/// table; every local next-query id below L; and the local-to-global table
+/// strictly ascending (so local order is global order and the ranking
+/// tie-break holds).
 template <typename QT, typename NT>
-BlobError ValidateBlobStructure(const uint32_t* next_begin,
-                                const uint32_t* child_begin,
-                                const QT* edge_query, const NT* edge_child,
-                                const NT* root_index,
-                                uint64_t root_index_size, uint64_t num_nodes,
-                                uint64_t num_entries, uint64_t num_edges) {
+BlobError ValidateBlobStructure(const ModelRef& m,
+                                const PoolsRef<QT, NT>& pools) {
+  const uint32_t* next_begin = m.next_begin;
+  const uint32_t* child_begin = m.child_begin;
   if (next_begin[0] != 0 || child_begin[0] != 0) return BlobError::kCsrStart;
-  if (next_begin[num_nodes] != num_entries ||
-      child_begin[num_nodes] != num_edges) {
+  if (next_begin[m.num_nodes] != m.num_entries ||
+      child_begin[m.num_nodes] != m.num_edges) {
     return BlobError::kCsrTerminal;
   }
   // Offsets first, edges second: full monotonicity (plus the terminal
   // values above) bounds every CSR slice, so the edge walk below cannot
   // index past the pools even on input where only a later offset is bad.
-  for (uint64_t i = 0; i < num_nodes; ++i) {
+  for (size_t i = 0; i < m.num_nodes; ++i) {
     if (next_begin[i] > next_begin[i + 1] ||
         child_begin[i] > child_begin[i + 1]) {
       return BlobError::kCsrNotMonotone;
     }
   }
-  for (uint64_t i = 0; i < num_nodes; ++i) {
+  if (child_begin[1] != 0) return BlobError::kRootEdgeRun;
+  for (size_t i = 1; i < m.num_nodes; ++i) {
     for (uint32_t e = child_begin[i]; e < child_begin[i + 1]; ++e) {
-      if (e + 1 < child_begin[i + 1] && edge_query[e] >= edge_query[e + 1]) {
+      if (e + 1 < child_begin[i + 1] &&
+          pools.edge_query[e] >= pools.edge_query[e + 1]) {
         return BlobError::kEdgeOrder;
       }
-      const uint64_t child = edge_child[e];
-      if (child == 0 || child >= num_nodes) {
-        return BlobError::kEdgeChildRange;
-      }
+      const uint64_t child = pools.edge_child[e];
+      if (child >= m.num_nodes) return BlobError::kEdgeChildRange;
+      if (child <= i) return BlobError::kEdgeBackward;
     }
   }
-  for (uint64_t i = 0; i < root_index_size; ++i) {
-    if (static_cast<uint64_t>(root_index[i]) >= num_nodes) {
+  for (size_t i = 0; i < pools.root_index_size; ++i) {
+    if (static_cast<uint64_t>(pools.root_child_by_query[i]) >= m.num_nodes) {
       return BlobError::kRootIndexRange;
+    }
+  }
+  for (size_t i = 0; i < m.num_entries; ++i) {
+    if (pools.next_query[i] >= m.num_next_queries) {
+      return BlobError::kNextQueryRange;
+    }
+  }
+  for (size_t i = 1; i < m.num_next_queries; ++i) {
+    if (pools.next_global[i - 1] >= pools.next_global[i]) {
+      return BlobError::kNextGlobalOrder;
     }
   }
   return BlobError::kNone;

@@ -12,11 +12,6 @@
 namespace sqp {
 
 namespace internal {
-std::atomic<bool>& ForceSparseMergeForTest() {
-  static std::atomic<bool> force{false};
-  return force;
-}
-
 NodeTopK::NodeTopK(const ModelSnapshot& full, size_t scan_limit)
     : full_(full),
       nodes_(full.pst()->nodes()),
@@ -359,7 +354,8 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   std::vector<uint8_t> count_shift;
   std::vector<uint16_t> mask16, next_code;
   std::vector<Pst::ViewMask> mask64;
-  std::vector<uint32_t> next_query, edge_query, edge_child, root_index;
+  std::vector<uint32_t> next_query, next_global, edge_query, edge_child,
+      root_index;
   next_begin.reserve(n + 1);
   child_begin.reserve(n + 1);
   total_count.reserve(n);
@@ -405,6 +401,8 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
       next_code.push_back(static_cast<uint16_t>(code == 0 ? 1 : code));
     }
 
+    // The root's children go to the root index only.
+    if (id == 0) continue;
     for (const Pst::Edge& edge : node.children) {
       edge_query.push_back(edge.query);
       edge_child.push_back(static_cast<uint32_t>(edge.child));
@@ -413,13 +411,26 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   next_begin.push_back(static_cast<uint32_t>(next_code.size()));
   child_begin.push_back(static_cast<uint32_t>(edge_query.size()));
 
-  // Dense root fan-out, as in the full tree (absent = node 0).
-  const uint32_t root_edges = child_begin[1];
-  if (root_edges > 0) {
-    root_index.assign(static_cast<size_t>(edge_query[root_edges - 1]) + 1, 0);
-    for (uint32_t e = 0; e < root_edges; ++e) {
-      root_index[edge_query[e]] = edge_child[e];
+  // Dense root fan-out, as in the full tree (absent = node 0); the root's
+  // children are query-ascending.
+  const std::vector<Pst::Edge>& root_edges = nodes[0].children;
+  if (!root_edges.empty()) {
+    root_index.assign(static_cast<size_t>(root_edges.back().query) + 1, 0);
+    for (const Pst::Edge& edge : root_edges) {
+      root_index[edge.query] = static_cast<uint32_t>(edge.child);
     }
+  }
+
+  // Blob-local next-query ids: the distinct kept queries in ascending
+  // global order, so ranking by local id is ranking by global id.
+  next_global = next_query;
+  std::sort(next_global.begin(), next_global.end());
+  next_global.erase(std::unique(next_global.begin(), next_global.end()),
+                    next_global.end());
+  for (uint32_t& query : next_query) {
+    query = static_cast<uint32_t>(
+        std::lower_bound(next_global.begin(), next_global.end(), query) -
+        next_global.begin());
   }
 
   std::vector<uint8_t> meta(serving::kBlobMetaSize, 0);
@@ -434,10 +445,11 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   StoreLE64(meta.data() + 40, edge_query.size());
   StoreLE64(meta.data() + 48, root_index.size());
   StoreLE32(meta.data() + 56, static_cast<uint32_t>(num_components));
+  StoreLE32(meta.data() + 60, static_cast<uint32_t>(next_global.size()));
 
-  // The v1 section order; NextCode closes the blob after the id pools.
+  // The v2 section order; NextCode closes the blob after the id pools.
   using enum serving::BlobSectionId;
-  std::vector<uint16_t> narrowed[4];
+  std::vector<uint16_t> narrowed[5];
   const auto pool = [narrow_ids](serving::BlobSectionId id,
                                  const std::vector<uint32_t>& ids,
                                  std::vector<uint16_t>* narrow) {
@@ -457,9 +469,10 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
       Section(kSecMask16, mask16),
       Section(kSecMask64, mask64),
       pool(kSecNextQuery, next_query, &narrowed[0]),
-      pool(kSecEdgeQuery, edge_query, &narrowed[1]),
-      pool(kSecEdgeChild, edge_child, &narrowed[2]),
-      pool(kSecRootIndex, root_index, &narrowed[3]),
+      pool(kSecNextGlobal, next_global, &narrowed[1]),
+      pool(kSecEdgeQuery, edge_query, &narrowed[2]),
+      pool(kSecEdgeChild, edge_child, &narrowed[3]),
+      pool(kSecRootIndex, root_index, &narrowed[4]),
       Section(kSecNextCode, next_code),
   };
   auto blob = std::make_shared<std::vector<uint8_t>>(AssembleBlob(sections));
@@ -506,8 +519,7 @@ Result<std::shared_ptr<const CompactSnapshot>> CompactSnapshot::FromBlob(
 
 size_t CompactSnapshot::MatchedDepth(
     std::span<const QueryId> context) const {
-  const size_t path_cap = std::min(
-      context.size(), std::max<size_t>(model_.sizing.path_depth, 64));
+  const size_t path_cap = std::min(context.size(), model_.sizing.path_depth);
   // The serving path buffer of this thread, as Recommend would use it:
   // steady-state descents allocate nothing.
   std::vector<int32_t>& path = internal::ThreadScratch().path;
@@ -528,11 +540,9 @@ Recommendation CompactSnapshot::Recommend(std::span<const QueryId> context,
   const serving::ModelRef& m = model_;
 
   // Per-request capacity top-up off the bind-time sizing — all no-ops in
-  // steady state once Prepare() warmed the scratch. The path capacity
-  // floor covers adversarial mapped blobs whose depth sweep under-reports
-  // (cyclic CSR graphs); every well-formed model fits sizing.path_depth.
-  const size_t path_cap = std::min(
-      context.size(), std::max<size_t>(m.sizing.path_depth, 64));
+  // steady state once Prepare() warmed the scratch. The bind rejects back
+  // edges, so sizing.path_depth is exact for every bound blob.
+  const size_t path_cap = std::min(context.size(), m.sizing.path_depth);
   if (scratch->path.size() < path_cap) scratch->path.resize(path_cap);
   if (scratch->level_weight.size() < path_cap) {
     scratch->level_weight.resize(path_cap);
@@ -540,10 +550,10 @@ Recommendation CompactSnapshot::Recommend(std::span<const QueryId> context,
   const size_t k = m.num_components;
   if (scratch->matched.size() < k) scratch->matched.resize(k);
   if (scratch->weights.size() < k) scratch->weights.resize(k);
-  // A list never holds more distinct queries than the model has entries,
+  // A list never holds more distinct queries than the blob's L local ids,
   // so the clamp leaves every answer unchanged while a hostile top_n
   // (a wire request may carry up to 2^32 - 1) cannot size the scratch.
-  top_n = std::min<size_t>(top_n, m.num_entries);
+  top_n = std::min<size_t>(top_n, m.num_next_queries);
   if (scratch->topn_query.size() < top_n) scratch->topn_query.resize(top_n);
   if (scratch->topn_score.size() < top_n) scratch->topn_score.resize(top_n);
 
@@ -553,26 +563,12 @@ Recommendation CompactSnapshot::Recommend(std::span<const QueryId> context,
   ws.matched = scratch->matched.data();
   ws.weights = scratch->weights.data();
   ws.level_weight = scratch->level_weight.data();
-
-  const bool use_dense =
-      m.dense_merge &&
-      !internal::ForceSparseMergeForTest().load(std::memory_order_relaxed);
-  serving::DenseAccumulator acc;
-  if (use_dense) {
-    acc = scratch->acc.BeginGeneration(m.sizing.dense_queries);
-    ws.acc = &acc;
-  } else {
-    // The sparse sort-merge path can surface every packed entry at once;
-    // num_entries is a true bound (path nodes are distinct in a tree).
-    if (scratch->walk_raw.size() < m.num_entries) {
-      scratch->walk_raw.resize(m.num_entries);
-    }
-    ws.raw = scratch->walk_raw.data();
-    ws.raw_capacity = scratch->walk_raw.size();
-  }
+  serving::DenseAccumulator acc =
+      scratch->acc.BeginGeneration(m.sizing.dense_queries);
+  ws.acc = &acc;
 
   const serving::WalkResult result = serving::RecommendTopN(
-      m, context.data(), context.size(), top_n, use_dense, &ws,
+      m, context.data(), context.size(), top_n, &ws,
       scratch->topn_query.data(), scratch->topn_score.data());
   if (!result.covered) return rec;
   rec.covered = true;

@@ -1,7 +1,6 @@
 #ifndef SQP_CORE_COMPACT_SNAPSHOT_H_
 #define SQP_CORE_COMPACT_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -15,12 +14,6 @@
 namespace sqp {
 
 namespace internal {
-/// Test hook: when set, the compact walk ranks through the legacy
-/// push_back + sort-merge path instead of the dense accumulator. The
-/// kernel equivalence suite uses it to pin the dense walk bit-identical
-/// to that reference; production code never touches it.
-std::atomic<bool>& ForceSparseMergeForTest();
-
 /// The exact top-K of the full model at a tree node's own context, without
 /// the full walk: ModelSnapshot::Recommend(nodes[node].context, k) pushes
 /// every nexts entry of every path level and sorts them, which costs
@@ -121,15 +114,23 @@ struct CompactOptions {
 ///   nexts pool (top-K per node, count-descending; the root's prior is
 ///   not packed — serving never reads it):
 ///     next_query  u16/u32  +  next_code u16 (count >> shift) = 4-6 B / entry
-///   edge pool (all children, query-ascending):
+///   next_query holds blob-local ids 0..L-1, numbered in ascending global
+///   order over the L distinct queries the pool names, and a table maps
+///   them back:
+///     next_global u16/u32  local id -> global id               2-4 B / id
+///   (the dense accumulator therefore has L slots, whatever ids the blob
+///   names, and ranking by local id is ranking by global id)
+///   edge pool (non-root children, query-ascending, each child id larger
+///   than its node; the root's children are only in the root index):
 ///     edge_query  u16/u32  +  edge_child u16/i32             = 4-8 B / edge
+///   root index (dense over the root's child queries, 0 = absent)
 ///   (id widths are adaptive: whenever every query id and node id fits 16
 ///   bits — true for corpora up to 65k distinct queries / tree nodes — the
-///   pools and the dense root index store 16-bit ids)
+///   pools, the table and the root index store 16-bit ids)
 ///
 /// versus ~96 B of Pst::Node header plus 16 B per entry in the full tree.
 ///
-/// Storage: a CompactSnapshot IS its v1 blob (core/blob_format.h) — the
+/// Storage: a CompactSnapshot IS its v2 blob (core/blob_format.h) — the
 /// arrays above are sections of one byte buffer, served in place through
 /// the serving::ModelRef that serving::BindBlob points at them, the same
 /// bind the slim embedded predictor runs. The bytes are either owned (a
@@ -158,7 +159,7 @@ struct CompactOptions {
 /// call the const methods concurrently with one SnapshotScratch per thread.
 class CompactSnapshot {
  public:
-  /// Packs `full` into the compact layout and writes it as v1 blob bytes
+  /// Packs `full` into the compact layout and writes it as v2 blob bytes
   /// (the exact bytes SnapshotIo::Save persists). The result carries the
   /// same version tag and serves the same recommendations up to
   /// ancestor-closed top-K truncation and block-scaled 16-bit count
@@ -166,7 +167,7 @@ class CompactSnapshot {
   static std::shared_ptr<const CompactSnapshot> FromSnapshot(
       const ModelSnapshot& full, const CompactOptions& options = {});
 
-  /// Serves the v1 blob of `size` bytes at `bytes` in place, after
+  /// Serves the v2 blob of `size` bytes at `bytes` in place, after
   /// serving::BindBlob parsed and validated it, every section CRC
   /// included. `bytes` must be 8-byte aligned and stay
   /// unchanged; the snapshot holds it, so its deleter (freeing a heap
@@ -213,7 +214,7 @@ class CompactSnapshot {
   std::vector<double> sigmas() const {
     return {model_.sigmas, model_.sigmas + model_.num_components};
   }
-  /// The whole v1 blob (header, section table, padding and sections).
+  /// The whole v2 blob (header, section table, padding and sections).
   std::span<const uint8_t> blob_bytes() const { return {bytes_.get(), size_}; }
 
  private:

@@ -124,9 +124,8 @@ struct SnapshotScratch {
   /// Storage behind the compact walk's epoch-stamped dense accumulator
   /// (core/serving_walk.h); unused by the reference walk.
   AccumulatorStorage acc;
-  /// Sparse-merge candidate buffer and ranked-list staging of the compact
-  /// walk (the raw-pointer walk layer scores into these).
-  std::vector<serving::RawHit> walk_raw;
+  /// Ranked-list staging of the compact walk (the raw-pointer walk layer
+  /// ranks into these).
   std::vector<uint32_t> topn_query;
   std::vector<double> topn_score;
   /// Identity of the snapshot this scratch was last Prepare()d for (the
@@ -142,8 +141,6 @@ struct SnapshotScratch {
     cond_at.reserve(sizing.path_depth + 1);
     matched.reserve(sizing.num_components);
     weights.reserve(sizing.num_components);
-    raw.reserve(sizing.raw_entries);
-    walk_raw.reserve(sizing.raw_entries);
     acc.Reserve(sizing.dense_queries);
   }
 };

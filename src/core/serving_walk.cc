@@ -6,7 +6,7 @@
 //
 // Discipline: no allocation, no exceptions, no statics with dynamic
 // initializers, no iostreams. <algorithm> is used for the header-only
-// lower_bound/sort/min/max; <cmath> for libm.
+// lower_bound/min/max; <cmath> for libm.
 
 #include "core/serving_walk.h"
 
@@ -30,7 +30,8 @@ inline int32_t RootChildIn(const PoolsRef<QT, NT>& pools, uint32_t query) {
 }
 
 /// Child of non-root `node` along `query` in the CSR edge pool, or -1.
-/// The root is served by RootChildIn, which keeps this loop branch-lean.
+/// The root's children live only in the root index (RootChildIn); its
+/// edge run is empty.
 template <typename QT, typename NT>
 inline int32_t FindChildIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
                            int32_t node, uint32_t query) {
@@ -115,8 +116,8 @@ struct TopNSink {
 template <typename QT, typename NT>
 WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
                        const uint32_t* context, size_t len, size_t top_n,
-                       bool use_dense, WalkScratch* scratch,
-                       uint32_t* out_queries, double* out_scores) {
+                       WalkScratch* scratch, uint32_t* out_queries,
+                       double* out_scores) {
   WalkResult result;
   if (len == 0) return result;
 
@@ -160,85 +161,42 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
     }
   }
 
-  if (use_dense) {
-    // Dense level-major accumulation: each level's nexts run streams into
-    // the epoch-stamped per-query array — no per-entry push and no
-    // sort-merge. Summing per query in level order is exactly the order
-    // the (stable) sort-merge sums in, and ldexp folds the dequantization
-    // shift into the scale exactly (power-of-two scaling), so one widening
-    // conversion and one multiply per entry reproduce the sparse path's
-    // scores and top-N lists bit for bit.
-    DenseAccumulator* acc = scratch->acc;
-    for (size_t d = 0; d < depth; ++d) {
-      if (level_weight[d] <= 0.0) continue;
-      const size_t node = static_cast<size_t>(path[d]);
-      if (m.total_count[node] == 0) continue;
-      if (d + 1 < depth) {
-        // Warm the next level's slice while this one streams.
-        const size_t nn = static_cast<size_t>(path[d + 1]);
-        PrefetchRead(pools.next_query + m.next_begin[nn]);
-        PrefetchRead(m.next_code + m.next_begin[nn]);
-      }
-      const double scale =
-          std::ldexp(level_weight[d] / static_cast<double>(m.total_count[node]),
-                     m.count_shift[node]);
-      const uint32_t end = m.next_begin[node + 1];
-      for (uint32_t i = m.next_begin[node]; i < end; ++i) {
-        acc->Add(pools.next_query[i],
-                 scale * static_cast<double>(m.next_code[i]));
-      }
-    }
-    if (acc->touched_count == 0) return result;
-    TopNSink sink{out_queries, out_scores, top_n};
-    for (size_t i = 0; i < acc->touched_count; ++i) {
-      const uint32_t q = acc->touched[i];
-      sink.Offer(q, acc->score[q]);
-    }
-    result.count = sink.count;
-    result.matched_length = depth;
-    result.covered = true;
-    return result;
-  }
-
-  // Sparse sort-merge: per-entry push, order-preserving sort by
-  // (query, seq), run summation in push order. Kept as the fallback for
-  // sparse wide id spaces and as the reference the kernel equivalence
-  // suite pins the dense walk against.
-  RawHit* raw = scratch->raw;
-  size_t num_raw = 0;
+  // Dense level-major accumulation: each level's nexts run streams into
+  // the epoch-stamped per-local-id array. Summing per query in level order
+  // is exactly the order a stable sort-merge sums in, and ldexp folds the
+  // dequantization shift into the scale exactly (power-of-two scaling), so
+  // one widening conversion and one multiply per entry reproduce
+  // scale * (code << shift) bit for bit.
+  DenseAccumulator* acc = scratch->acc;
   for (size_t d = 0; d < depth; ++d) {
     if (level_weight[d] <= 0.0) continue;
     const size_t node = static_cast<size_t>(path[d]);
     if (m.total_count[node] == 0) continue;
+    if (d + 1 < depth) {
+      // Warm the next level's slice while this one streams.
+      const size_t nn = static_cast<size_t>(path[d + 1]);
+      PrefetchRead(pools.next_query + m.next_begin[nn]);
+      PrefetchRead(m.next_code + m.next_begin[nn]);
+    }
     const double scale =
-        level_weight[d] / static_cast<double>(m.total_count[node]);
-    const uint8_t shift = m.count_shift[node];
-    const uint32_t begin = m.next_begin[node];
+        std::ldexp(level_weight[d] / static_cast<double>(m.total_count[node]),
+                   m.count_shift[node]);
     const uint32_t end = m.next_begin[node + 1];
-    for (uint32_t i = begin; i < end && num_raw < scratch->raw_capacity;
-         ++i) {
-      const uint64_t count = static_cast<uint64_t>(m.next_code[i]) << shift;
-      raw[num_raw] = RawHit{static_cast<uint32_t>(pools.next_query[i]),
-                            static_cast<uint32_t>(num_raw),
-                            scale * static_cast<double>(count)};
-      ++num_raw;
+    for (uint32_t i = m.next_begin[node]; i < end; ++i) {
+      acc->Add(pools.next_query[i],
+               scale * static_cast<double>(m.next_code[i]));
     }
   }
-  if (num_raw == 0) return result;
-
-  // (query asc, seq asc) == the legacy stable_sort-by-query order.
-  std::sort(raw, raw + num_raw, [](const RawHit& a, const RawHit& b) {
-    if (a.query != b.query) return a.query < b.query;
-    return a.seq < b.seq;
-  });
+  if (acc->touched_count == 0) return result;
+  // Rank local ids (their order is the global order), then map only the
+  // winners.
   TopNSink sink{out_queries, out_scores, top_n};
-  for (size_t i = 0; i < num_raw;) {
-    const uint32_t query = raw[i].query;
-    double score = raw[i].score;
-    for (++i; i < num_raw && raw[i].query == query; ++i) {
-      score += raw[i].score;
-    }
-    sink.Offer(query, score);
+  for (size_t i = 0; i < acc->touched_count; ++i) {
+    const uint32_t q = acc->touched[i];
+    sink.Offer(q, acc->score[q]);
+  }
+  for (size_t i = 0; i < sink.count; ++i) {
+    out_queries[i] = pools.next_global[out_queries[i]];
   }
   result.count = sink.count;
   result.matched_length = depth;
@@ -263,67 +221,38 @@ void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
   }
   m->escape_pow = escape_pow_storage;
 
-  // Dense-accumulator bound: one past the largest query id in the nexts
-  // pool. Blob query ids are not range-validated, so a few-KB wide blob
-  // can claim an arbitrarily sparse id space; the dense array is sized
-  // only while it stays proportional to the model (kDenseQueryFloor), the
-  // walk otherwise keeps the sort-merge.
-  uint64_t bound = 0;
-  if (m->narrow_ids) {
-    for (size_t i = 0; i < m->num_entries; ++i) {
-      bound = std::max(bound,
-                       static_cast<uint64_t>(m->narrow.next_query[i]) + 1);
-    }
-  } else {
-    for (size_t i = 0; i < m->num_entries; ++i) {
-      bound = std::max(bound,
-                       static_cast<uint64_t>(m->wide.next_query[i]) + 1);
-    }
-  }
-  m->scored_query_bound = bound;
-  m->dense_merge =
-      bound <= std::max<uint64_t>(kDenseQueryFloor, m->num_entries);
-
-  // The derivations below stay in-bounds even on malformed CSR offsets
-  // (a bad blob would merely mis-size hints); BindBlob validates the
-  // structure before it calls this.
-  m->max_next_run = 0;
-  for (size_t node = 0; node < m->num_nodes; ++node) {
-    if (m->next_begin[node + 1] > m->next_begin[node]) {
-      m->max_next_run = std::max(
-          m->max_next_run, m->next_begin[node + 1] - m->next_begin[node]);
-    }
-  }
-
-  // Tree depth for path-array pre-sizing: ids are parent-before-child in
-  // every well-formed layout, so one forward sweep settles all depths.
+  // Tree depth for path-array sizing. Every validated edge points from a
+  // node to a larger id, so one forward sweep, seeded at depth 1 from the
+  // root index and taking the max over parents, settles each node's
+  // longest chain before any of its children is reached.
   size_t max_depth = 0;
   if (m->num_nodes > 0 && depth_scratch != nullptr) {
     for (size_t i = 0; i < m->num_nodes; ++i) depth_scratch[i] = 0;
-    const auto sweep = [&](const auto* edge_child) {
-      for (size_t node = 0; node < m->num_nodes; ++node) {
-        const size_t end =
-            std::min<size_t>(m->child_begin[node + 1], m->num_edges);
-        for (size_t e = m->child_begin[node]; e < end; ++e) {
-          const size_t child = static_cast<size_t>(edge_child[e]);
-          if (child > node && child < m->num_nodes) {
-            depth_scratch[child] = depth_scratch[node] + 1;
-            max_depth = std::max<size_t>(max_depth, depth_scratch[child]);
-          }
+    const auto sweep = [&](const auto& pools) {
+      for (size_t q = 0; q < pools.root_index_size; ++q) {
+        const size_t child = static_cast<size_t>(pools.root_child_by_query[q]);
+        if (child != 0) depth_scratch[child] = 1;
+      }
+      for (size_t node = 1; node < m->num_nodes; ++node) {
+        if (depth_scratch[node] == 0) continue;  // unreachable
+        max_depth = std::max<size_t>(max_depth, depth_scratch[node]);
+        for (size_t e = m->child_begin[node]; e < m->child_begin[node + 1];
+             ++e) {
+          const size_t child = static_cast<size_t>(pools.edge_child[e]);
+          depth_scratch[child] =
+              std::max(depth_scratch[child], depth_scratch[node] + 1);
         }
       }
     };
     if (m->narrow_ids) {
-      sweep(m->narrow.edge_child);
+      sweep(m->narrow);
     } else {
-      sweep(m->wide.edge_child);
+      sweep(m->wide);
     }
   }
   m->sizing.path_depth = max_depth;
   m->sizing.num_components = k;
-  m->sizing.raw_entries = std::min<size_t>(m->num_entries, size_t{4096});
-  m->sizing.dense_queries =
-      m->dense_merge ? static_cast<size_t>(m->scored_query_bound) : 0;
+  m->sizing.dense_queries = m->num_next_queries;
 }
 
 size_t MatchPath(const ModelRef& m, const uint32_t* context, size_t len,
@@ -415,14 +344,12 @@ double EscapeWeight(const ModelRef& m, int32_t node, size_t dropped,
 }
 
 WalkResult RecommendTopN(const ModelRef& m, const uint32_t* context,
-                         size_t len, size_t top_n, bool use_dense,
-                         WalkScratch* scratch, uint32_t* out_queries,
-                         double* out_scores) {
-  return m.narrow_ids
-             ? RecommendIn(m, m.narrow, context, len, top_n, use_dense,
-                           scratch, out_queries, out_scores)
-             : RecommendIn(m, m.wide, context, len, top_n, use_dense,
-                           scratch, out_queries, out_scores);
+                         size_t len, size_t top_n, WalkScratch* scratch,
+                         uint32_t* out_queries, double* out_scores) {
+  return m.narrow_ids ? RecommendIn(m, m.narrow, context, len, top_n, scratch,
+                                    out_queries, out_scores)
+                      : RecommendIn(m, m.wide, context, len, top_n, scratch,
+                                    out_queries, out_scores);
 }
 
 }  // namespace sqp::serving

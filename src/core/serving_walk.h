@@ -24,9 +24,16 @@
 /// equivalence is pinned by tests/slim/ and the golden blob sweep, which
 /// serve the same blob through both consumers and compare score bits.
 ///
+/// One accumulation strategy: every request sums into a dense per-query
+/// array of L slots, where L is the number of distinct next queries the
+/// blob stores (its nexts pool holds blob-local ids 0..L-1), so the array
+/// is proportional to the blob whatever global ids it names. A sort-merge
+/// ranking is kept only as a test reference
+/// (tests/core/sort_merge_reference.h).
+///
 /// Freestanding-ish discipline (keep it that way):
-///   - headers: C standard headers plus <algorithm> (lower_bound / sort
-///     are header-only) and <cmath> (libm) only;
+///   - headers: C standard headers plus <algorithm> (lower_bound / min /
+///     max are header-only) and <cmath> (libm) only;
 ///   - no std::vector/string (operator new is a libstdc++ symbol), no
 ///     std::stable_sort (allocates), no function-local statics with
 ///     dynamic initializers (__cxa_guard), no exceptions/RTTI.
@@ -56,10 +63,9 @@ enum class MixtureWeighting {
 /// consumer — engine scratch pools and slim's create-time arena alike —
 /// can size every per-thread buffer up front and serve allocation-free.
 struct ScratchSizing {
-  size_t path_depth = 0;      // longest possible matched path
+  size_t path_depth = 0;      // longest matched path (exact: edges go forward)
   size_t num_components = 0;  // mixture component count
-  size_t raw_entries = 0;     // candidate list bound for one request
-  size_t dense_queries = 0;   // dense-accumulator slots (0 = unused)
+  size_t dense_queries = 0;   // dense-accumulator slots: the blob's L
 };
 
 /// Epoch-stamped dense per-query score accumulator over caller-owned
@@ -120,10 +126,14 @@ inline void PrefetchRead(const void* address) {
 
 /// Width-parameterized raw-pointer views of the compact id pools. `QT`
 /// holds query ids, `NT` node ids; the root index uses node id 0 (never a
-/// child) as its absent sentinel.
+/// child) as its absent sentinel. The nexts pool holds blob-local query ids
+/// 0..L-1, numbered in ascending global-id order; `next_global` maps them
+/// back. Edge queries and the root index hold global ids, because the
+/// descent matches context ids against them.
 template <typename QT, typename NT>
 struct PoolsRef {
-  const QT* next_query = nullptr;   // num_entries
+  const QT* next_query = nullptr;   // num_entries, local ids
+  const QT* next_global = nullptr;  // num_next_queries, strictly ascending
   const QT* edge_query = nullptr;   // num_edges
   const NT* edge_child = nullptr;   // num_edges
   const NT* root_child_by_query = nullptr;  // root_index_size
@@ -133,14 +143,6 @@ struct PoolsRef {
 /// Escape power tables cover powers up to this cap; beyond it the chain is
 /// extended by plain multiplication (bit-identical to the pre-table loop).
 inline constexpr size_t kEscapePowCap = 64;
-
-/// Dense accumulation sizes an O(id space) per-thread array, so it is
-/// used only while that array stays proportional to the model itself:
-/// scored_query_bound <= max(kDenseQueryFloor, num_entries). Every narrow
-/// (16-bit) model qualifies; a sparse wide id space (e.g. a tiny blob
-/// naming one id near 2^32) falls back to the sort-merge, which ranks
-/// bit-identically.
-inline constexpr uint64_t kDenseQueryFloor = uint64_t{1} << 16;
 
 /// One compact model, as raw pointers into caller-owned storage (an owned
 /// blob buffer, a memory-mapped blob, or a caller-provided buffer — the
@@ -164,6 +166,8 @@ struct ModelRef {
   size_t num_nodes = 0;
   size_t num_entries = 0;
   size_t num_edges = 0;
+  /// L: the distinct next queries of the nexts pool (local ids 0..L-1).
+  size_t num_next_queries = 0;
   bool narrow_ids = false;
   PoolsRef<uint16_t, uint16_t> narrow;
   PoolsRef<uint32_t, uint32_t> wide;
@@ -179,30 +183,23 @@ struct ModelRef {
   /// Escape power tables, row-major k x (kEscapePowCap + 1):
   /// escape_pow[c * (cap+1) + j] = component_escape[c]^j.
   const double* escape_pow = nullptr;
-  /// One past the largest query id in the nexts pool: the dense
-  /// accumulator's slot count.
-  uint64_t scored_query_bound = 0;
-  /// Largest per-node nexts run (scratch sizing).
-  uint32_t max_next_run = 0;
-  bool dense_merge = true;
   ScratchSizing sizing;
 };
 
 /// Computes the derived block of `m` off its bound arrays: the escape
 /// power tables (written into `escape_pow_storage`, which the caller owns
 /// and must size num_components * (kEscapePowCap + 1) and keep alive as
-/// long as `m`), the dense-accumulator bound, and the scratch sizing.
-/// `depth_scratch` is a num_nodes-sized work array used only during the
-/// call (may be null when num_nodes == 0). BindBlob runs it only on
-/// validated arrays; it still stays in-bounds on malformed CSR offsets
-/// (a bad blob would merely mis-size hints).
+/// long as `m`) and the scratch sizing. `depth_scratch` is a
+/// num_nodes-sized work array used only during the call (may be null when
+/// num_nodes == 0). BindBlob runs it only on validated arrays, whose edges
+/// all point forward, so the depth sweep is exact.
 void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
                       uint32_t* depth_scratch);
 
 /// Longest-suffix walk recording the matched chain into `path` (capacity
-/// `path_capacity`; sizing.path_depth bounds the depth of every
-/// well-formed model, and the walk additionally never writes past the
-/// capacity). Returns the matched depth.
+/// `path_capacity`; sizing.path_depth bounds the depth of every validated
+/// model, and the walk never writes past the capacity). Returns the
+/// matched depth.
 size_t MatchPath(const ModelRef& m, const uint32_t* context, size_t len,
                  int32_t* path, size_t path_capacity);
 
@@ -249,31 +246,17 @@ double EscapePow(const ModelRef& m, size_t component, size_t power);
 double EscapeWeight(const ModelRef& m, int32_t node, size_t dropped,
                     size_t component);
 
-/// One candidate of the sparse (sort-merge) ranking path. `seq` is the
-/// push sequence number: sorting by (query, seq) reproduces the
-/// stable-sort-by-query order without std::stable_sort's allocation, so
-/// contributions sum in exactly the legacy order and the merged doubles
-/// are bit-identical.
-struct RawHit {
-  uint32_t query = 0;
-  uint32_t seq = 0;
-  double score = 0.0;
-};
-
 /// Caller-owned mutable state of one request. Capacities the caller must
 /// provide (see ScratchSizing): path/level_weight >= path_capacity slots,
-/// matched/weights >= num_components, raw >= raw_capacity RawHits (sparse
-/// path only; sizing.raw_entries bounds it for well-formed models), acc
-/// prepared over sizing.dense_queries slots with BeginGeneration already
-/// called for this request (dense path only).
+/// matched/weights >= num_components, and acc prepared over
+/// sizing.dense_queries slots with BeginGeneration already called for this
+/// request.
 struct WalkScratch {
   int32_t* path = nullptr;
   size_t path_capacity = 0;
   size_t* matched = nullptr;
   double* weights = nullptr;
   double* level_weight = nullptr;
-  RawHit* raw = nullptr;
-  size_t raw_capacity = 0;
   DenseAccumulator* acc = nullptr;
 };
 
@@ -285,15 +268,13 @@ struct WalkResult {
 
 /// One full recommendation: longest-suffix match, Eq. 4/5 mixture
 /// weighting, escape-weighted per-level accumulation over the CSR nexts
-/// slices, and top-N ranking (score desc, query asc) into the caller's
-/// arrays (capacity `top_n` each). `use_dense` selects the dense
-/// epoch-stamped accumulation (requires scratch->acc) over the sparse
-/// sort-merge (requires scratch->raw); both rank identically — the engine
-/// keeps a test hook on the choice, slim follows m.dense_merge.
+/// slices into the dense accumulator (one slot per local id), and top-N
+/// ranking (score desc, query asc) into the caller's arrays (capacity
+/// `top_n` each). Only the ranked winners are mapped to global ids; local
+/// order is global order, so the ranking is the global one.
 WalkResult RecommendTopN(const ModelRef& m, const uint32_t* context,
-                         size_t len, size_t top_n, bool use_dense,
-                         WalkScratch* scratch, uint32_t* out_queries,
-                         double* out_scores);
+                         size_t len, size_t top_n, WalkScratch* scratch,
+                         uint32_t* out_queries, double* out_scores);
 
 }  // namespace sqp::serving
 

@@ -18,10 +18,6 @@
 namespace sqp {
 namespace {
 
-static_assert(kSnapshotFormatVersion == serving::kBlobFormatVersion,
-              "snapshot_io and blob_format disagree on the format version");
-static_assert(sizeof(kSnapshotMagic) == sizeof(serving::kBlobMagic));
-
 constexpr size_t kHeaderSize = serving::kBlobHeaderSize;
 
 Status IoError(const std::string& what, const std::string& path) {
@@ -218,7 +214,8 @@ Result<ShardBlobRef> SnapshotIo::DescribeBlob(const std::string& blob_path,
   if (!in.read(reinterpret_cast<char*>(header), kHeaderSize)) {
     return Corrupt("shorter than the file header", blob_path);
   }
-  if (std::memcmp(header, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+  if (std::memcmp(header, serving::kBlobMagic, sizeof(serving::kBlobMagic)) !=
+      0) {
     return Corrupt("bad magic", blob_path);
   }
   ShardBlobRef ref;

@@ -22,8 +22,9 @@
 /// docs/ARCHITECTURE.md.
 ///
 /// The format version is a compatibility contract: readers accept exactly
-/// kSnapshotFormatVersion and CI pins a committed golden blob (see
-/// tests/data/) so silent layout drift fails the build. The snapshot
+/// serving::kBlobFormatVersion (core/blob_format.h) and CI pins a
+/// committed golden blob (see tests/data/) so silent layout drift fails
+/// the build. The snapshot
 /// manifest of a sharded fleet is defined here too.
 
 #include <cstdint>
@@ -35,13 +36,6 @@
 #include "util/status.h"
 
 namespace sqp {
-
-/// On-disk format version this build writes and accepts.
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
-
-/// The 8-byte magic at offset 0 of every snapshot blob.
-inline constexpr char kSnapshotMagic[8] = {'S', 'Q', 'P', 'S',
-                                           'N', 'A', 'P', '1'};
 
 /// Manifest format version this build writes and accepts (a contract of
 /// its own, pinned by a committed golden manifest in CI exactly like the

@@ -22,12 +22,6 @@ namespace serving = sqp::serving;
 
 namespace {
 
-// Matches the engine's defensive path-capacity floor
-// (core/compact_snapshot.cc): request path capacity is
-// min(context_len, max(sizing.path_depth, kPathCapacityFloor)), so both
-// consumers truncate adversarial inputs identically.
-constexpr size_t kPathCapacityFloor = 64;
-
 // One aligned sub-allocation of the create-time arena. All carved types
 // have alignment <= 8, so rounding every segment to 8 keeps them aligned.
 size_t Aligned(size_t bytes) { return (bytes + 7) & ~size_t{7}; }
@@ -73,8 +67,6 @@ struct sqp_slim_predictor {
   size_t* matched = nullptr;
   double* weights = nullptr;
   double* level_weight = nullptr;
-  serving::RawHit* raw = nullptr;
-  size_t raw_capacity = 0;
   serving::DenseAccumulator acc;
 
   double* escape_pow = nullptr;  // owned (FinalizeModelRef storage)
@@ -105,12 +97,11 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   const size_t pow_doubles =
       m.num_components * (serving::kEscapePowCap + 1);
 
-  const size_t path_capacity =
-      m.sizing.path_depth > kPathCapacityFloor ? m.sizing.path_depth
-                                               : kPathCapacityFloor;
+  // The bind rejects back edges, so path_depth is exact: the same
+  // capacity the engine gives a request, min(context_len, path_depth).
+  const size_t path_capacity = m.sizing.path_depth;
   const size_t k = m.num_components;
-  const size_t dense_slots = m.dense_merge ? m.sizing.dense_queries : 0;
-  const size_t raw_capacity = m.dense_merge ? 0 : m.num_entries;
+  const size_t dense_slots = m.sizing.dense_queries;
   const size_t arena_bytes =
       Aligned(path_capacity * sizeof(int32_t)) +
       Aligned(path_capacity * sizeof(double)) +  // level_weight
@@ -118,8 +109,7 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
       Aligned(k * sizeof(double)) +              // weights
       Aligned(dense_slots * sizeof(double)) +    // acc.score
       Aligned(dense_slots * sizeof(uint32_t)) +  // acc.stamp
-      Aligned(dense_slots * sizeof(uint32_t)) +  // acc.touched
-      Aligned(raw_capacity * sizeof(serving::RawHit));
+      Aligned(dense_slots * sizeof(uint32_t));   // acc.touched
 
   sqp_slim_predictor* p = static_cast<sqp_slim_predictor*>(
       std::malloc(sizeof(sqp_slim_predictor)));
@@ -150,8 +140,6 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   p->acc.capacity = dense_slots;
   // Stamps must start zeroed: 0 is never a live epoch.
   std::memset(p->acc.stamp, 0, dense_slots * sizeof(uint32_t));
-  p->raw = Carve<serving::RawHit>(&cursor, raw_capacity);
-  p->raw_capacity = raw_capacity;
 
   *out_predictor = p;
   return SQP_STATUS_OK;
@@ -174,7 +162,6 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_recommend(
   }
   if (context_len == 0) return SQP_STATUS_NOT_FOUND;
 
-  const serving::ModelRef& m = predictor->model;
   serving::WalkScratch ws;
   ws.path = predictor->path;
   ws.path_capacity = context_len < predictor->path_capacity
@@ -183,19 +170,14 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_recommend(
   ws.matched = predictor->matched;
   ws.weights = predictor->weights;
   ws.level_weight = predictor->level_weight;
-  if (m.dense_merge) {
-    predictor->acc.BeginGeneration();
-    ws.acc = &predictor->acc;
-  } else {
-    ws.raw = predictor->raw;
-    ws.raw_capacity = predictor->raw_capacity;
-  }
+  predictor->acc.BeginGeneration();
+  ws.acc = &predictor->acc;
 
   // Ranking writes straight into the caller's arrays — no copy, no
   // allocation.
-  const serving::WalkResult result =
-      serving::RecommendTopN(m, context, context_len, top_n, m.dense_merge,
-                             &ws, out_queries, out_scores);
+  const serving::WalkResult result = serving::RecommendTopN(
+      predictor->model, context, context_len, top_n, &ws, out_queries,
+      out_scores);
 
   if (!result.covered) return SQP_STATUS_NOT_FOUND;
   *out_count = result.count;
@@ -218,7 +200,7 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_stats(
   stats.num_entries = predictor->model.num_entries;
   stats.num_edges = predictor->model.num_edges;
   stats.num_components = static_cast<uint32_t>(predictor->model.num_components);
-  stats.dense_merge = predictor->model.dense_merge ? 1u : 0u;
+  stats.dense_merge = 1u;  // the one accumulation strategy
   stats.resident_bytes = predictor->resident_bytes;
   const size_t copy_bytes = out_stats->struct_size < sizeof(stats)
                                 ? out_stats->struct_size

@@ -2,9 +2,9 @@
 // (serving::DenseAccumulator over the engine's AccumulatorStorage): its
 // generation semantics — stale generations must never leak into a new
 // one, including across the uint32 epoch wraparound and when the storage
-// regrows for a larger model. The end-to-end property (dense walk ==
-// sparse sort-merge, bit for bit) lives in
-// tests/serve/kernel_equivalence_test.cc.
+// regrows for a larger model — and FinalizeModelRef's scratch sizing. The
+// end-to-end property (dense walk == sort-merge reference, bit for bit)
+// lives in tests/serve/kernel_equivalence_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -87,44 +87,51 @@ TEST(DenseAccumulatorTest, LargerBoundRegrowsWithoutStaleLeaks) {
   EXPECT_EQ(TouchedOf(acc), (std::vector<uint32_t>{12, 2}));
 }
 
-/// FinalizeModelRef over a root-only wide-id model whose one nexts run
-/// names `next_query`. Returns the dense slot count it sizes scratch for
-/// (0 = the walk keeps the sort-merge).
-size_t DenseSlotsFor(const std::vector<uint32_t>& next_query) {
-  const uint32_t n = static_cast<uint32_t>(next_query.size());
-  const uint32_t next_begin[2] = {0, n};
+TEST(DenseAccumulatorTest, DenseSlotsAreTheLocalIdCountWhateverTheGlobalIds) {
+  // A root-only wide-id model whose one nexts run names two queries, one
+  // near 2^24: the accumulator has one slot per local id, not per global
+  // id, so it stays two slots wide.
+  const uint32_t next_begin[2] = {0, 2};
   const uint32_t child_begin[2] = {0, 0};
-  const uint32_t total_count[1] = {1};
-  const std::vector<uint16_t> codes(n, 1);
+  const uint32_t next_query[2] = {0, 1};
+  const uint32_t next_global[2] = {70000, (1u << 24) - 2};
   serving::ModelRef m;
   m.next_begin = next_begin;
   m.child_begin = child_begin;
-  m.total_count = total_count;
-  m.next_code = codes.data();
   m.num_nodes = 1;
-  m.num_entries = n;
-  m.wide.next_query = next_query.data();
+  m.num_entries = 2;
+  m.num_next_queries = 2;
+  m.wide.next_query = next_query;
+  m.wide.next_global = next_global;
   uint32_t depth_scratch[1];
   serving::FinalizeModelRef(&m, /*escape_pow_storage=*/nullptr,
                             depth_scratch);
-  EXPECT_EQ(m.dense_merge, m.sizing.dense_queries > 0);
-  return m.sizing.dense_queries;
+  EXPECT_EQ(m.sizing.dense_queries, 2u);
+  EXPECT_EQ(m.sizing.path_depth, 0u);
 }
 
-TEST(DenseAccumulatorTest, DenseOnlyWhileTheArrayIsProportionalToTheModel) {
-  // Any id space up to 2^16 slots is dense, whatever the entry count.
-  EXPECT_EQ(DenseSlotsFor({3, 65535}), 65536u);
-
-  // A handful of entries naming one id near 2^24 must not size a 2^24-slot
-  // array per thread: the walk keeps the sort-merge and reserves nothing.
-  EXPECT_EQ(DenseSlotsFor({70000, (1u << 24) - 2}), 0u);
-
-  // Past the floor, dense needs at least as many entries as slots.
-  std::vector<uint32_t> ids(70001);
-  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  EXPECT_EQ(DenseSlotsFor(ids), 70001u);
-  ids.back() = 70001;
-  EXPECT_EQ(DenseSlotsFor(ids), 0u);
+TEST(ServingWalkTest, PathDepthIsTheLongestChainOverEveryParent) {
+  // Node 4 has two parents: node 2 at depth 2 and node 3 at depth 1. The
+  // deeper parent has the smaller id, so a sweep that let the last parent
+  // win would size node 4 at depth 2; the bound path is three deep.
+  //   root --q1--> 1 --q2--> 2 --q4--> 4
+  //   root --q3--> 3 --q4--> 4
+  const uint32_t child_begin[6] = {0, 0, 1, 2, 3, 3};
+  const uint32_t edge_query[3] = {2, 4, 4};
+  const uint32_t edge_child[3] = {2, 4, 4};
+  const uint32_t root_index[4] = {0, 1, 0, 3};
+  serving::ModelRef m;
+  m.child_begin = child_begin;
+  m.num_nodes = 5;
+  m.num_edges = 3;
+  m.wide.edge_query = edge_query;
+  m.wide.edge_child = edge_child;
+  m.wide.root_child_by_query = root_index;
+  m.wide.root_index_size = 4;
+  uint32_t depth_scratch[5];
+  serving::FinalizeModelRef(&m, /*escape_pow_storage=*/nullptr,
+                            depth_scratch);
+  EXPECT_EQ(m.sizing.path_depth, 3u);
 }
 
 }  // namespace

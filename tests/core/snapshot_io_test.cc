@@ -27,6 +27,7 @@
 #include "core/compact_snapshot.h"
 #include "serve/recommender_engine.h"
 #include "serve/retrainer.h"
+#include "sort_merge_reference.h"
 #include "sqp/slim.h"
 #include "util/byte_io.h"
 
@@ -275,6 +276,26 @@ TEST(SnapshotIoTest, WideIdPoolsRoundTrip) {
       PrefixContexts(corpus, 300);
   ExpectBitIdentical(*compact, **loaded, contexts, 5);
   ExpectBitIdentical(*compact, **mapped, contexts, 5);
+
+  // The mapped wide blob's dense walk is the reference sort-merge's, bit
+  // for bit.
+  test::SortMergeReference reference(*mapped);
+  SnapshotScratch scratch;
+  size_t covered = 0;
+  for (const std::vector<QueryId>& context : contexts) {
+    const Recommendation want = reference.Recommend(context, 5);
+    const Recommendation got = (*mapped)->Recommend(context, 5, &scratch);
+    ASSERT_EQ(want.covered, got.covered);
+    ASSERT_EQ(want.matched_length, got.matched_length);
+    ASSERT_EQ(want.queries.size(), got.queries.size());
+    for (size_t i = 0; i < want.queries.size(); ++i) {
+      EXPECT_EQ(want.queries[i].query, got.queries[i].query);
+      EXPECT_EQ(std::bit_cast<uint64_t>(want.queries[i].score),
+                std::bit_cast<uint64_t>(got.queries[i].score));
+    }
+    covered += got.covered ? 1 : 0;
+  }
+  EXPECT_GT(covered, 0u);
 }
 
 TEST(SnapshotIoTest, MinimalModelsRoundTrip) {
@@ -624,12 +645,12 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
 
 /// The committed golden blob: regenerate with
 ///   SQP_REGEN_GOLDEN=1 ./sqp_core_tests --gtest_filter='*Golden*'
-/// and commit the file together with a kSnapshotFormatVersion bump
+/// and commit the file together with a serving::kBlobFormatVersion bump
 /// whenever the format intentionally changes. CI runs this test in a
 /// dedicated job: if the current reader cannot reproduce the freshly
 /// trained model's top-10 lists from the golden bytes, the format drifted
 /// silently and the build fails.
-constexpr char kGoldenRelPath[] = "/golden_snapshot_v1.blob";
+constexpr char kGoldenRelPath[] = "/golden_snapshot_v2.blob";
 constexpr uint64_t kGoldenSeed = 77;
 constexpr size_t kGoldenSessions = 500;
 constexpr QueryId kGoldenVocabulary = 100;
@@ -760,9 +781,9 @@ TEST(SnapshotGoldenTest, NodeTopKIsTheReferenceTopKAtEveryNode) {
 
 TEST(SnapshotGoldenTest, HostileTopNAnswersLikeNumEntriesInBoundedScratch) {
   // A wire request may carry top_n up to 2^32 - 1. No list holds more
-  // distinct queries than the model has entries, so an oversized top_n
-  // must give exactly the num_entries answer — on the dense and the
-  // sparse merge alike — without sizing the ranked-list scratch past it.
+  // distinct queries than the blob's L local ids (at most num_entries), so
+  // an oversized top_n must give exactly the num_entries answer without
+  // sizing the ranked-list scratch past it.
   const auto golden =
       SnapshotIo::Map(std::string(SQP_TEST_DATA_DIR) + kGoldenRelPath);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
@@ -770,28 +791,24 @@ TEST(SnapshotGoldenTest, HostileTopNAnswersLikeNumEntriesInBoundedScratch) {
   const size_t bound = model.num_entries();
   const std::vector<std::vector<QueryId>> contexts = PrefixContexts(
       SeededCorpus(kGoldenSeed, kGoldenSessions, kGoldenVocabulary), 200);
-  for (const bool sparse : {false, true}) {
-    internal::ForceSparseMergeForTest().store(sparse);
-    SnapshotScratch bounded, hostile;
-    size_t covered = 0;
-    for (const std::vector<QueryId>& context : contexts) {
-      const Recommendation want = model.Recommend(context, bound, &bounded);
-      const Recommendation got =
-          model.Recommend(context, size_t{1} << 24, &hostile);
-      ASSERT_EQ(want.covered, got.covered);
-      ASSERT_EQ(want.matched_length, got.matched_length);
-      ASSERT_EQ(want.queries.size(), got.queries.size());
-      for (size_t i = 0; i < want.queries.size(); ++i) {
-        EXPECT_EQ(want.queries[i].query, got.queries[i].query);
-        EXPECT_EQ(want.queries[i].score, got.queries[i].score);
-      }
-      covered += got.covered ? 1 : 0;
+  SnapshotScratch bounded, hostile;
+  size_t covered = 0;
+  for (const std::vector<QueryId>& context : contexts) {
+    const Recommendation want = model.Recommend(context, bound, &bounded);
+    const Recommendation got =
+        model.Recommend(context, size_t{1} << 24, &hostile);
+    ASSERT_EQ(want.covered, got.covered);
+    ASSERT_EQ(want.matched_length, got.matched_length);
+    ASSERT_EQ(want.queries.size(), got.queries.size());
+    for (size_t i = 0; i < want.queries.size(); ++i) {
+      EXPECT_EQ(want.queries[i].query, got.queries[i].query);
+      EXPECT_EQ(want.queries[i].score, got.queries[i].score);
     }
-    internal::ForceSparseMergeForTest().store(false);
-    EXPECT_GT(covered, 0u);
-    EXPECT_LE(hostile.topn_query.capacity(), bound);
-    EXPECT_LE(hostile.topn_score.capacity(), bound);
+    covered += got.covered ? 1 : 0;
   }
+  EXPECT_GT(covered, 0u);
+  EXPECT_LE(hostile.topn_query.capacity(), bound);
+  EXPECT_LE(hostile.topn_score.capacity(), bound);
 }
 
 }  // namespace

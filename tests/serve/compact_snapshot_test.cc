@@ -129,12 +129,17 @@ std::vector<std::set<QueryId>> KeptQueries(const CompactSnapshot& compact) {
       blob.data() + layout.sections[serving::kSecNextBegin].offset;
   const uint8_t* pool =
       blob.data() + layout.sections[serving::kSecNextQuery].offset;
+  const uint8_t* global =
+      blob.data() + layout.sections[serving::kSecNextGlobal].offset;
+  // The pool holds blob-local ids; the table maps them to global ids.
+  const auto load = [&layout](const uint8_t* ids, size_t i) -> QueryId {
+    return layout.narrow_ids ? LoadLE16(ids + 2 * i) : LoadLE32(ids + 4 * i);
+  };
   std::vector<std::set<QueryId>> kept(layout.num_nodes);
   for (size_t id = 0; id < layout.num_nodes; ++id) {
     for (uint32_t e = LoadLE32(next_begin + 4 * id);
          e < LoadLE32(next_begin + 4 * (id + 1)); ++e) {
-      kept[id].insert(layout.narrow_ids ? LoadLE16(pool + 2 * e)
-                                        : LoadLE32(pool + 4 * e));
+      kept[id].insert(load(global, load(pool, e)));
     }
   }
   return kept;

@@ -1,9 +1,9 @@
 // Property suite pinning the dense-accumulator serving walk to the
-// sort-merge reference: the compact snapshot's recommendations (scores,
-// order, tie-breaks, covered flags) must be bit-identical to the legacy
-// push_back + sort-merge path — across synthetic corpora, narrow and wide
-// id pools, owned and mapped storage, and reused scratch (the
-// generation-reset property end to end).
+// sort-merge reference (tests/core/sort_merge_reference.h): the compact
+// snapshot's recommendations (scores, order, tie-breaks, covered flags)
+// must be bit-identical to the push_back + sort-merge ranking — across
+// synthetic corpora, narrow and wide id pools, owned and mapped storage,
+// and reused scratch (the generation-reset property end to end).
 
 #include <gtest/gtest.h>
 
@@ -11,9 +11,12 @@
 
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "../core/sort_merge_reference.h"
+#include "core/blob_format.h"
 #include "core/compact_snapshot.h"
 #include "core/snapshot_io.h"
 #include "serve_test_util.h"
@@ -26,19 +29,6 @@ using serve_test::SameRecommendation;
 using serve_test::SharedCorpus;
 
 constexpr size_t kVocabularyBound = 1 << 20;
-
-/// Routes the compact walk through the legacy sparse merge for one scope.
-class ForceSparseGuard {
- public:
-  ForceSparseGuard() {
-    internal::ForceSparseMergeForTest().store(true,
-                                              std::memory_order_relaxed);
-  }
-  ~ForceSparseGuard() {
-    internal::ForceSparseMergeForTest().store(false,
-                                              std::memory_order_relaxed);
-  }
-};
 
 std::shared_ptr<const ModelSnapshot> BuildFull(
     const std::vector<AggregatedSession>& sessions, uint64_t version = 1) {
@@ -67,18 +57,26 @@ std::vector<std::vector<QueryId>> TestContexts() {
   return contexts;
 }
 
-/// The sparse-path reference answers for `contexts`.
+/// The sort-merge reference answers for `contexts`.
 std::vector<Recommendation> SparseReference(
-    const CompactSnapshot& snapshot,
+    std::shared_ptr<const CompactSnapshot> snapshot,
     const std::vector<std::vector<QueryId>>& contexts, size_t top_n) {
-  ForceSparseGuard sparse;
-  SnapshotScratch scratch;
+  test::SortMergeReference reference(std::move(snapshot));
   std::vector<Recommendation> out;
   out.reserve(contexts.size());
   for (const std::vector<QueryId>& context : contexts) {
-    out.push_back(snapshot.Recommend(context, top_n, &scratch));
+    out.push_back(reference.Recommend(context, top_n));
   }
   return out;
+}
+
+/// L, the blob's local next-query id count, off its META.
+uint64_t LocalQueryCount(const CompactSnapshot& snapshot) {
+  const std::span<const uint8_t> blob = snapshot.blob_bytes();
+  serving::BlobLayout layout;
+  SQP_CHECK(serving::ParseBlobLayout(blob.data(), blob.size(), &layout) ==
+            serving::BlobError::kNone);
+  return layout.num_next_queries;
 }
 
 /// Asserts the dense walk reproduces `reference` bit-for-bit, reusing one
@@ -88,8 +86,9 @@ void ExpectDenseMatchesReference(
     const CompactSnapshot& snapshot,
     const std::vector<std::vector<QueryId>>& contexts, size_t top_n,
     const std::vector<Recommendation>& reference) {
-  ASSERT_GT(snapshot.ScratchHint().dense_queries, 0u)
-      << "the snapshot must actually take the dense walk";
+  ASSERT_EQ(snapshot.ScratchHint().dense_queries,
+            LocalQueryCount(snapshot))
+      << "the dense accumulator has one slot per blob-local query id";
   SnapshotScratch scratch;
   size_t mismatches = 0;
   for (size_t i = 0; i < contexts.size(); ++i) {
@@ -110,7 +109,7 @@ TEST(KernelEquivalenceTest, DenseWalkMatchesSparseReferenceNarrowPools) {
     const std::vector<std::vector<QueryId>> contexts = TestContexts();
     for (const size_t top_n : {size_t{1}, size_t{10}}) {
       const std::vector<Recommendation> reference =
-          SparseReference(*compact, contexts, top_n);
+          SparseReference(compact, contexts, top_n);
       ExpectDenseMatchesReference(*compact, contexts, top_n,
                                               reference);
     }
@@ -134,10 +133,9 @@ TEST(KernelEquivalenceTest, DenseWalkMatchesFullModelBitExactly) {
 }
 
 TEST(KernelEquivalenceTest, DenseWalkMatchesSparseReferenceWidePools) {
-  // Query id 65535 forces the wide (u32) pools while the id space stays
-  // inside the dense floor (2^16 slots), so the wide walk still takes the
-  // dense accumulator. (A wide id space much larger than the model keeps
-  // the sort-merge; tests/slim covers that fallback.)
+  // Query id 65535 forces the wide (u32) pools; the dense accumulator
+  // still has only L slots, one per distinct next query. (tests/slim
+  // covers a table naming an id near 2^24.)
   const QueryId base = 65531;
   const std::vector<AggregatedSession> sessions = {
       {{base, base + 1, base + 2}, 5},
@@ -158,7 +156,7 @@ TEST(KernelEquivalenceTest, DenseWalkMatchesSparseReferenceWidePools) {
     }
   }
   const std::vector<Recommendation> reference =
-      SparseReference(*compact, contexts, 5);
+      SparseReference(compact, contexts, 5);
   ExpectDenseMatchesReference(*compact, contexts, 5, reference);
 }
 
@@ -178,8 +176,9 @@ TEST(KernelEquivalenceTest, MappedSnapshotServesDenseWalkIdentically) {
 
   const std::vector<std::vector<QueryId>> contexts = TestContexts();
   const std::vector<Recommendation> reference =
-      SparseReference(*compact, contexts, 10);
+      SparseReference(*mapped, contexts, 10);
   ExpectDenseMatchesReference(**mapped, contexts, 10, reference);
+  ExpectDenseMatchesReference(*compact, contexts, 10, reference);
 
   std::error_code ec;
   std::filesystem::remove(path, ec);

@@ -26,6 +26,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,7 +42,7 @@
 namespace sqp {
 namespace {
 
-constexpr char kGoldenRelPath[] = "/golden_snapshot_v1.blob";
+constexpr char kGoldenRelPath[] = "/golden_snapshot_v2.blob";
 constexpr uint64_t kGoldenSeed = 77;
 constexpr size_t kGoldenSessions = 500;
 constexpr QueryId kGoldenVocabulary = 100;
@@ -283,12 +285,13 @@ TEST(SlimApiTest, HostileMixtureParametersAreRefusedByBothReaders) {
   }
 }
 
-/// A valid blob of a small wide-id model with the first nexts entry of its
-/// first depth-1 node rewritten to `hostile_id` and the section,
+/// A valid blob of a small wide-id model whose local-to-global table's
+/// last entry (query 65535) is rewritten to `hostile_id`, with the section,
 /// section-table and header CRCs re-sealed — a few KB that parse and
 /// validate cleanly yet name one id far beyond the model's size. Query
 /// 65535 only ever ends a session, so it widens the id pools without
-/// growing the root index.
+/// growing the root index, and it is the largest id, so the table stays
+/// strictly ascending.
 std::vector<uint8_t> WideBlobNamingId(uint32_t hostile_id,
                                       std::vector<std::vector<QueryId>>*
                                           contexts) {
@@ -309,37 +312,34 @@ std::vector<uint8_t> WideBlobNamingId(uint32_t hostile_id,
   EXPECT_TRUE(full.ok());
   const auto compact =
       CompactSnapshot::FromSnapshot(**full, CompactOptions{.top_k = 0});
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("sqp_slim_wide_" + std::to_string(::getpid()) + ".blob"))
-          .string();
-  EXPECT_TRUE(SnapshotIo::Save(*compact, path).ok());
-  std::vector<uint8_t> blob = ReadFileBytes(path);
-  std::filesystem::remove(path);
+  const std::span<const uint8_t> bytes = compact->blob_bytes();
+  std::vector<uint8_t> blob(bytes.begin(), bytes.end());
 
   serving::BlobLayout layout;
   EXPECT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
             serving::BlobError::kNone);
   EXPECT_FALSE(layout.narrow_ids);
-  const uint8_t* next_begin =
-      blob.data() + layout.sections[serving::kSecNextBegin].offset;
-  const uint32_t entry = LoadLE32(next_begin + 4);  // node 1's first entry
-  EXPECT_LT(entry, LoadLE32(next_begin + 8));       // ... which exists
-  StoreLE32(blob.data() + layout.sections[serving::kSecNextQuery].offset +
-                4 * entry,
-            hostile_id);
-  ResealSection(&blob, serving::kSecNextQuery);
+  uint8_t* last_global = blob.data() +
+                         layout.sections[serving::kSecNextGlobal].offset +
+                         4 * (layout.num_next_queries - 1);
+  EXPECT_EQ(LoadLE32(last_global), 65535u);
+  StoreLE32(last_global, hostile_id);
+  ResealSection(&blob, serving::kSecNextGlobal);
   return blob;
 }
 
 TEST(SlimApiTest, SparseWideIdSpaceStaysSmallAndAgreesWithEngine) {
-  // Dense accumulation would size 2^24 slots (256 MiB of score, stamp and
-  // touched arrays) for this few-KB blob; both consumers must instead keep
-  // the sort-merge and still serve the same answers.
+  // A global id space of 2^24 would mean 2^24 slots (256 MiB of score,
+  // stamp and touched arrays) for this few-KB blob if the accumulator were
+  // indexed by global id. It is indexed by the blob's L local ids, so both
+  // consumers bind it dense with L slots and serve the same answers.
   constexpr uint32_t kHostileId = (1u << 24) - 2;
   std::vector<std::vector<QueryId>> contexts;
   const std::vector<uint8_t> blob = WideBlobNamingId(kHostileId, &contexts);
   ASSERT_LT(blob.size(), 16u << 10);
+  serving::BlobLayout layout;
+  ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
+            serving::BlobError::kNone);
 
   const std::string path =
       (std::filesystem::temp_directory_path() /
@@ -353,14 +353,14 @@ TEST(SlimApiTest, SparseWideIdSpaceStaysSmallAndAgreesWithEngine) {
   const auto loaded = SnapshotIo::Load(path);
   std::filesystem::remove(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->ScratchHint().dense_queries, 0u);
+  EXPECT_EQ((*loaded)->ScratchHint().dense_queries, layout.num_next_queries);
 
   SlimPredictorHandle slim(blob);
   ASSERT_EQ(slim.status(), SQP_STATUS_OK);
   sqp_slim_stats_t stats;
   stats.struct_size = sizeof(stats);
   ASSERT_EQ(sqp_slim_stats(slim.get(), &stats), SQP_STATUS_OK);
-  EXPECT_EQ(stats.dense_merge, 0u);
+  EXPECT_EQ(stats.dense_merge, 1u);
   EXPECT_LT(stats.resident_bytes, uint64_t{1} << 20);
 
   SnapshotScratch scratch;
@@ -386,6 +386,108 @@ TEST(SlimApiTest, SparseWideIdSpaceStaysSmallAndAgreesWithEngine) {
     }
   }
   EXPECT_TRUE(served_hostile) << "the patched entry was never served";
+}
+
+/// The BlobError serving::BindBlob gives `blob`.
+serving::BlobError BindError(const std::vector<uint8_t>& blob) {
+  struct Memory {
+    std::vector<double> escape_pow;
+    std::vector<uint32_t> depth;
+  } memory;
+  const auto allocate = [](void* context, size_t escape_pow_doubles,
+                           size_t num_nodes, double** escape_pow,
+                           uint32_t** depth_scratch) {
+    Memory* m = static_cast<Memory*>(context);
+    m->escape_pow.resize(escape_pow_doubles);
+    m->depth.resize(num_nodes);
+    *escape_pow = m->escape_pow.data();
+    *depth_scratch = m->depth.data();
+    return true;
+  };
+  serving::BlobLayout layout;
+  serving::ModelRef model;
+  return serving::BindBlob(blob.data(), blob.size(), allocate, &memory,
+                           &layout, &model);
+}
+
+TEST(SlimApiTest, HostileV2StructureGivesItsOwnErrorInBothReaders) {
+  // CRC-valid blobs that break one v2 invariant each. BindBlob must name
+  // the broken invariant, and the engine (InvalidArgument, with the same
+  // message) and slim (SQP_STATUS_INVALID_ARGUMENT) must both refuse it.
+  const std::vector<uint8_t> golden = ReadFileBytes(GoldenPath());
+  serving::BlobLayout layout;
+  ASSERT_EQ(serving::ParseBlobLayout(golden.data(), golden.size(), &layout),
+            serving::BlobError::kNone);
+  ASSERT_TRUE(layout.narrow_ids);
+  ASSERT_GT(layout.num_next_queries, 1u);
+  const auto at = [&layout](std::vector<uint8_t>* blob,
+                            serving::BlobSectionId id) {
+    return blob->data() + layout.sections[id].offset;
+  };
+  // The first node with children: it owns edge 0, the root's run is empty.
+  size_t first_parent = 1;
+  while (LoadLE32(golden.data() +
+                  layout.sections[serving::kSecChildBegin].offset +
+                  4 * (first_parent + 1)) == 0) {
+    ++first_parent;
+  }
+  ASSERT_EQ(first_parent, 1u) << "node 1 must have children";
+
+  const struct {
+    const char* name;
+    serving::BlobSectionId section;
+    void (*patch)(uint8_t* section, const serving::BlobLayout& layout);
+    serving::BlobError want;
+  } cases[] = {
+      {"local next id >= L", serving::kSecNextQuery,
+       [](uint8_t* pool, const serving::BlobLayout& l) {
+         StoreLE16(pool, static_cast<uint16_t>(l.num_next_queries));
+       },
+       serving::BlobError::kNextQueryRange},
+      {"table not strictly ascending", serving::kSecNextGlobal,
+       [](uint8_t* table, const serving::BlobLayout&) {
+         StoreLE16(table + 2, LoadLE16(table));
+       },
+       serving::BlobError::kNextGlobalOrder},
+      {"non-empty root edge run", serving::kSecChildBegin,
+       [](uint8_t* child_begin, const serving::BlobLayout&) {
+         // Hand node 1's children to the root.
+         StoreLE32(child_begin + 4, LoadLE32(child_begin + 8));
+       },
+       serving::BlobError::kRootEdgeRun},
+      {"edge child <= its node", serving::kSecEdgeChild,
+       [](uint8_t* edge_child, const serving::BlobLayout&) {
+         StoreLE16(edge_child, 1);  // node 1 -> node 1: a cycle
+       },
+       serving::BlobError::kEdgeBackward},
+      {"v1 blob", serving::kSecMeta,
+       [](uint8_t*, const serving::BlobLayout&) {},
+       serving::BlobError::kVersionMismatch},
+  };
+  for (const auto& c : cases) {
+    std::vector<uint8_t> blob = golden;
+    c.patch(at(&blob, c.section), layout);
+    if (c.want == serving::BlobError::kVersionMismatch) {
+      StoreLE32(blob.data() + 8, 1);
+    }
+    ResealSection(&blob, c.section);
+    EXPECT_EQ(BindError(blob), c.want) << c.name;
+    SlimPredictorHandle slim(blob);
+    EXPECT_EQ(slim.status(), SQP_STATUS_INVALID_ARGUMENT) << c.name;
+    EXPECT_FALSE(EngineAccepts(blob, "v2_structure")) << c.name;
+    auto copy = std::make_shared<std::vector<uint8_t>>(blob);
+    const auto bound = CompactSnapshot::FromBlob(
+        std::shared_ptr<const uint8_t>(copy, copy->data()), copy->size(),
+        /*mapped=*/false);
+    ASSERT_FALSE(bound.ok()) << c.name;
+    EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument) << c.name;
+    if (c.want != serving::BlobError::kVersionMismatch) {
+      EXPECT_NE(bound.status().message().find(
+                    serving::BlobErrorMessage(c.want)),
+                std::string::npos)
+          << c.name << ": " << bound.status().ToString();
+    }
+  }
 }
 
 // ------------------------------------------------------------ C hygiene
