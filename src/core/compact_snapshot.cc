@@ -48,34 +48,16 @@ const std::vector<ScoredQuery>& NodeTopK::TopK(size_t node, size_t k) {
   const std::vector<QueryId>& context = nodes_[node].context;
   if (k == 0) return top_;
 
-  // The level weights exactly as ModelSnapshot::Recommend computes them:
-  // the normalized mixture weights of the matched components, each spread
-  // down its matched state's suffix chain at escape-discounted weight.
-  const size_t depth = full_.SharedMatchDepths(context, &path_, &matched_);
-  const size_t num_components = full_.num_components();
-  weights_.resize(num_components);
-  serving::ComputeWeights(full_.options().weighting, full_.sigmas().data(),
-                          num_components, context.size(), matched_.data(),
-                          weights_.data());
-  serving::NormalizeWeights(weights_.data(), num_components);
-  level_weight_.assign(depth, 0.0);
-  for (size_t c = 0; c < num_components; ++c) {
-    if (weights_[c] <= 0.0 || matched_[c] == 0) continue;
-    const Pst::Node& state =
-        nodes_[static_cast<size_t>(path_[matched_[c] - 1])];
-    const size_t dropped = context.size() - matched_[c];
-    double lw = weights_[c] * (dropped == 0 ? 1.0 : EscapeMass(state, dropped));
-    for (size_t d = matched_[c]; d >= 1; --d) {
-      level_weight_[d - 1] += lw;
-      lw *= kDefaultEscape;
-    }
-  }
+  // The level weights exactly as ModelSnapshot::Recommend computes them.
+  const size_t depth = full_.LevelWeights(context, &scratch_);
+  const std::vector<int32_t>& path = scratch_.path;
+  const std::vector<double>& level_weight = scratch_.level_weight;
   levels_.clear();
   for (size_t d = 0; d < depth; ++d) {
-    const size_t id = static_cast<size_t>(path_[d]);
-    if (level_weight_[d] <= 0.0 || nodes_[id].total_count == 0) continue;
+    const size_t id = static_cast<size_t>(path[d]);
+    if (level_weight[d] <= 0.0 || nodes_[id].total_count == 0) continue;
     levels_.push_back(Level{
-        id, level_weight_[d] / static_cast<double>(nodes_[id].total_count),
+        id, level_weight[d] / static_cast<double>(nodes_[id].total_count),
         0});
   }
 

@@ -58,10 +58,7 @@ class NodeTopK {
   /// seen_[query] == epoch_ iff TopK already scored `query` this call.
   std::vector<uint32_t> seen_;
   uint32_t epoch_ = 0;
-  std::vector<int32_t> path_;
-  std::vector<size_t> matched_;
-  std::vector<double> weights_;
-  std::vector<double> level_weight_;
+  SnapshotScratch scratch_;
   std::vector<Level> levels_;
   std::vector<ScoredQuery> top_;
 };

@@ -1,9 +1,7 @@
 #include "core/model_snapshot.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
 
 #include "log/shard_partitioner.h"
 #include "util/math_util.h"
@@ -303,18 +301,20 @@ MvmmFitReport FitSigmasFromSamples(FitTable* table,
 /// instead of once per component. The final prefix is the full context,
 /// whose matched depths also yield the edit distances (d = dropped prefix
 /// queries). Writes the session's k distances and probabilities.
+/// `scratch` holds the caller's reusable walk buffers.
 void BuildWeightSample(const AggregatedSession& session,
                        std::span<const ModelSnapshot* const> trees,
                        const Pst::Node& root, const MvmmOptions& options,
-                       size_t vocabulary_size, uint32_t* edit_distance,
-                       double* sequence_prob) {
+                       size_t vocabulary_size, SnapshotScratch* scratch,
+                       uint32_t* edit_distance, double* sequence_prob) {
   const size_t k = options.components.size();
   const std::vector<QueryId>& q = session.queries;
   std::fill(sequence_prob, sequence_prob + k, 1.0);
 
-  thread_local std::vector<int32_t> path;
-  thread_local std::vector<size_t> matched;
-  thread_local std::vector<double> cond_at;  // per matched depth, 0 = root
+  std::vector<int32_t>& path = scratch->path;
+  std::vector<size_t>& matched = scratch->matched;
+  // Per matched depth, 0 = root.
+  std::vector<double>& cond_at = scratch->cond_at;
 
   const uint32_t num_trees = static_cast<uint32_t>(trees.size());
   for (size_t i = 1; i < q.size(); ++i) {
@@ -367,29 +367,11 @@ MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
     table.weight[i] = static_cast<double>(pool[i]->frequency);
     table.length[i] = static_cast<uint32_t>(pool[i]->queries.size() - 1);
   }
-  const auto build_sample = [&](size_t i) {
+  SnapshotScratch scratch;
+  for (size_t i = 0; i < pool.size(); ++i) {
     BuildWeightSample(*pool[i], trees, root, options, vocabulary_size,
-                      table.offset.data() + i * k, table.prob.data() + i * k);
-  };
-  // Per-sample evaluation is independent and writes only its own rows, so
-  // sharding it across workers leaves the result bit-identical.
-  if (options.training_threads > 1 && pool.size() > 1) {
-    std::vector<std::thread> workers;
-    const size_t num_workers =
-        std::min(options.training_threads, pool.size());
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1);
-          if (i >= pool.size()) return;
-          build_sample(i);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  } else {
-    for (size_t i = 0; i < pool.size(); ++i) build_sample(i);
+                      &scratch, table.offset.data() + i * k,
+                      table.prob.data() + i * k);
   }
   return FitSigmasFromSamples(&table, sigmas);
 }
@@ -459,8 +441,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Build(
       index != nullptr && index->CoversSubstringDepth(need_depth);
   ContextIndex local;
   if (!compatible) {
-    local.Build(*data.sessions, ContextIndex::Mode::kSubstring, need_depth,
-                snapshot->options_.training_threads);
+    local.Build(*data.sessions, ContextIndex::Mode::kSubstring, need_depth);
     index = &local;
   }
 
@@ -546,35 +527,17 @@ std::vector<double> ModelSnapshot::MixtureWeights(
   return scratch->weights;
 }
 
-Recommendation ModelSnapshot::Recommend(std::span<const QueryId> context,
-                                        size_t top_n,
-                                        SnapshotScratch* scratch) const {
-  Recommendation rec;
-  if (context.empty()) return rec;
-
+size_t ModelSnapshot::LevelWeights(std::span<const QueryId> context,
+                                   SnapshotScratch* scratch) const {
   std::vector<int32_t>& path = scratch->path;
   std::vector<size_t>& matched = scratch->matched;
   std::vector<double>& level_weight = scratch->level_weight;
-  std::vector<ScoredQuery>& raw = scratch->raw;
-
   const size_t depth = SharedMatchDepths(context, &path, &matched);
-  if (depth == 0) return rec;  // uncovered, like its components
+  level_weight.assign(depth, 0.0);
+  if (depth == 0) return 0;  // uncovered, like its components
   Weights(context.size(), scratch);
   const std::vector<double>& weights = scratch->weights;
-
-  // Combine escape-weighted generative scores across components (paper
-  // Section IV-C.3: predicted queries of all components are re-ranked
-  // w.r.t. generative probabilities and model weights). Each component
-  // also contributes its matched state's suffix ancestors at
-  // escape-discounted weight (Eq. 5 applied to ranking): deep states often
-  // carry very few continuations, and the recursion fills the list with
-  // shallower-context candidates without disturbing the deep ranking.
-  // All matched states are nested suffixes of the context, so the per-level
-  // weights accumulate on one path and every state's count list is touched
-  // exactly once — no per-call hash map.
-  raw.clear();
   const std::vector<Pst::Node>& nodes = pst_->nodes();
-  level_weight.assign(depth, 0.0);
   for (size_t c = 0; c < num_components(); ++c) {
     if (weights[c] <= 0.0 || matched[c] == 0) continue;
     const Pst::Node& state = nodes[static_cast<size_t>(path[matched[c] - 1])];
@@ -586,6 +549,32 @@ Recommendation ModelSnapshot::Recommend(std::span<const QueryId> context,
       lw *= kDefaultEscape;
     }
   }
+  return depth;
+}
+
+Recommendation ModelSnapshot::Recommend(std::span<const QueryId> context,
+                                        size_t top_n,
+                                        SnapshotScratch* scratch) const {
+  Recommendation rec;
+  if (context.empty()) return rec;
+
+  // Combine escape-weighted generative scores across components (paper
+  // Section IV-C.3: predicted queries of all components are re-ranked
+  // w.r.t. generative probabilities and model weights). Each component
+  // also contributes its matched state's suffix ancestors at
+  // escape-discounted weight (Eq. 5 applied to ranking): deep states often
+  // carry very few continuations, and the recursion fills the list with
+  // shallower-context candidates without disturbing the deep ranking.
+  // All matched states are nested suffixes of the context, so the per-level
+  // weights accumulate on one path and every state's count list is touched
+  // exactly once — no per-call hash map.
+  const size_t depth = LevelWeights(context, scratch);
+  if (depth == 0) return rec;
+  const std::vector<int32_t>& path = scratch->path;
+  const std::vector<double>& level_weight = scratch->level_weight;
+  std::vector<ScoredQuery>& raw = scratch->raw;
+  raw.clear();
+  const std::vector<Pst::Node>& nodes = pst_->nodes();
   for (size_t d = 0; d < depth; ++d) {
     if (level_weight[d] <= 0.0) continue;
     const Pst::Node& node = nodes[static_cast<size_t>(path[d])];

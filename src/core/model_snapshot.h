@@ -42,10 +42,7 @@ struct MvmmOptions {
   /// also lets ablations replay a previously fitted weighting exactly.
   std::vector<double> fixed_sigmas;
 
-  /// Worker threads for training (paper Section V-F.1). The trees come
-  /// from one shared single-pass build; the threads shard the counting
-  /// pass (including Retrainer's incremental one) and the sigma-fit sample
-  /// sweep. 0 = sequential. Results are identical either way.
+  /// Unread: training is one sequential pass. Kept for perfbench.
   size_t training_threads = 0;
 
   /// Returns the paper's default component set.
@@ -205,6 +202,15 @@ class ModelSnapshot {
   size_t vocabulary_size() const { return vocabulary_size_; }
   size_t num_components() const { return options_.components.size(); }
 
+  /// Per-level mixture weights of `context` (paper Eq. 4-6): the
+  /// normalized component weights, each spread down its matched state's
+  /// suffix chain at escape-discounted weight. Fills scratch->path,
+  /// matched, weights and level_weight (level_weight[d] weighs path[d])
+  /// and returns the full-tree match depth; at depth 0 the weights are
+  /// left unset and level_weight is empty.
+  size_t LevelWeights(std::span<const QueryId> context,
+                      SnapshotScratch* scratch) const;
+
   /// One shared-tree walk: fills `path` with the matched chain and
   /// `matched` with each component's matched length (the deepest path node
   /// carrying the component's view bit). Returns the full-tree match depth.
@@ -248,15 +254,14 @@ inline constexpr size_t kMaxFitIterations = 100;
 /// The sigma fit (paper Eq. 7-10): projected gradient ascent in log sigma
 /// on the served (normalized) mixture's log-likelihood of the Eq. 3 sample
 /// walks of the most frequent multi-query `sessions`. Each prefix walks
-/// the one tree owning it,
-/// trees[ShardOfContext(prefix, trees.size())] — the snapshot's own tree in
-/// ModelSnapshot::Build, every shard tree in TrainShardedSnapshots — and a
-/// component matched at depth 0 reads `root`: the tree's own root, or the
-/// fleet's global root prior. A fleet therefore fits exactly the sigmas of
-/// the unsharded build. The walks run on `options.training_threads`
-/// workers with a bit-identical result for any count. `options.components`
-/// must be resolved; `sigmas` carries the initial point (kInitialSigma
-/// each) and receives the fitted values, each in [kMinSigma, kMaxSigma].
+/// the one tree owning it, trees[ShardOfContext(prefix, trees.size())] —
+/// the snapshot's own tree in ModelSnapshot::Build, every shard tree in
+/// TrainShardedSnapshots — and a component matched at depth 0 reads
+/// `root`: the tree's own root, or the fleet's global root prior. A fleet
+/// therefore fits exactly the sigmas of the unsharded build.
+/// `options.components` must be resolved; `sigmas` carries the initial
+/// point (kInitialSigma each) and receives the fitted values, each in
+/// [kMinSigma, kMaxSigma].
 MvmmFitReport FitSigmas(const std::vector<AggregatedSession>& sessions,
                         std::span<const ModelSnapshot* const> trees,
                         const Pst::Node& root, const MvmmOptions& options,

@@ -214,9 +214,8 @@ inline bool ValidSigma(double sigma) {
   return sigma > 0.0 && std::isfinite(sigma);
 }
 
-/// Gaussian density N(x; 0, sigma) — the walk-layer twin of
-/// util/math_util's GaussianPdf (same constant, same operations, so the
-/// two are bit-identical; no SQP_CHECK so the layer stays abort-free).
+/// Gaussian density N(x; 0, sigma); no SQP_CHECK so the layer stays
+/// abort-free.
 inline double GaussianPdf(double x, double sigma) {
   constexpr double kInvSqrt2Pi = 0.3989422804014327;
   const double z = x / sigma;

@@ -1,7 +1,6 @@
 #include "log/context_builder.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "util/edge_search.h"
 #include "util/status.h"
@@ -22,133 +21,59 @@ uint64_t PackKey(int32_t node, QueryId query) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(node)) << 32) | query;
 }
 
-/// The single counting pass shared by the main-trie and per-shard counters.
-/// `descend(node, q)` walks/creates the child edge, `count(node, next, f)`
-/// accumulates a weighted continuation, `start(node, f)` a session-start
-/// occurrence.
-template <typename DescendFn, typename CountFn, typename StartFn>
-void CountPass(std::span<const AggregatedSession> sessions,
-               ContextIndex::Mode mode, size_t max_context_length,
-               DescendFn&& descend, CountFn&& count, StartFn&& start) {
+}  // namespace
+
+int32_t ContextIndex::Descend(int32_t from, QueryId q) {
+  uint64_t& slot = children_[PackKey(from, q)];
+  if (slot == 0) {  // node 0 is the root and never a child: 0 = absent
+    TrieNode node;
+    node.parent = from;
+    node.edge = q;
+    node.depth = trie_[static_cast<size_t>(from)].depth + 1;
+    slot = trie_.size();
+    trie_.push_back(node);
+  }
+  return static_cast<int32_t>(slot);
+}
+
+void ContextIndex::CountSessions(
+    const std::vector<AggregatedSession>& sessions) {
   for (const AggregatedSession& session : sessions) {
     const std::vector<QueryId>& q = session.queries;
     if (q.size() < 2) continue;  // no prediction evidence
+    const uint64_t f = session.frequency;
     // `end` indexes the predicted query; the context is q[start..end).
     for (size_t end = 1; end < q.size(); ++end) {
-      const size_t max_len =
-          max_context_length == 0 ? end : std::min(end, max_context_length);
-      if (mode == ContextIndex::Mode::kPrefix) {
+      if (mode_ == Mode::kPrefix) {
         // Only the full prefix [0, end), walked newest query first.
-        if (max_context_length != 0 && end > max_context_length) continue;
+        if (max_context_length_ != 0 && end > max_context_length_) continue;
         int32_t node = 0;
         for (size_t back = 0; back < end; ++back) {
-          node = descend(node, q[end - 1 - back]);
+          node = Descend(node, q[end - 1 - back]);
         }
-        count(node, q[end], session.frequency);
-        start(node, session.frequency);  // prefixes start the session
+        counts_[PackKey(node, q[end])] += f;
+        // Prefixes start the session.
+        trie_[static_cast<size_t>(node)].start_count += f;
       } else {
         // Each extra length extends the previous walk by one older query,
         // so every substring occurrence costs exactly one trie step.
+        const size_t max_len = max_context_length_ == 0
+                                   ? end
+                                   : std::min(end, max_context_length_);
         int32_t node = 0;
         for (size_t len = 1; len <= max_len; ++len) {
-          node = descend(node, q[end - len]);
-          count(node, q[end], session.frequency);
-          if (end == len) start(node, session.frequency);
+          node = Descend(node, q[end - len]);
+          counts_[PackKey(node, q[end])] += f;
+          if (end == len) trie_[static_cast<size_t>(node)].start_count += f;
         }
       }
     }
   }
 }
 
-}  // namespace
-
-int32_t ContextIndex::DescendIn(std::vector<TrieNode>* trie,
-                                FlatU64Map* children, int32_t from,
-                                QueryId q) {
-  uint64_t& slot = (*children)[PackKey(from, q)];
-  if (slot == 0) {  // node 0 is the root and never a child: 0 = absent
-    TrieNode node;
-    node.parent = from;
-    node.edge = q;
-    node.depth = (*trie)[static_cast<size_t>(from)].depth + 1;
-    slot = trie->size();
-    trie->push_back(node);
-  }
-  return static_cast<int32_t>(slot);
-}
-
-void ContextIndex::CountSessions(std::span<const AggregatedSession> sessions) {
-  CountPass(
-      sessions, mode_, max_context_length_,
-      [this](int32_t node, QueryId q) { return Descend(node, q); },
-      [this](int32_t node, QueryId next, uint64_t frequency) {
-        counts_[PackKey(node, next)] += frequency;
-      },
-      [this](int32_t node, uint64_t frequency) {
-        trie_[static_cast<size_t>(node)].start_count += frequency;
-      });
-}
-
-void ContextIndex::CountSessionsSharded(
-    const std::vector<AggregatedSession>& sessions, size_t num_workers) {
-  const size_t workers =
-      std::max<size_t>(1, std::min(num_workers, sessions.size()));
-  std::vector<CountShard> shards(workers);
-  const size_t block = (sessions.size() + workers - 1) / workers;
-  const auto count_shard = [&](size_t w) {
-    CountShard& shard = shards[w];
-    shard.trie.emplace_back();  // local root
-    const size_t begin = w * block;
-    const size_t end = std::min(sessions.size(), begin + block);
-    const auto descend = [&shard](int32_t from, QueryId q) {
-      return DescendIn(&shard.trie, &shard.children, from, q);
-    };
-    CountPass(
-        std::span<const AggregatedSession>(sessions.data() + begin,
-                                           end - begin),
-        mode_, max_context_length_, descend,
-        [&shard](int32_t node, QueryId next, uint64_t frequency) {
-          shard.counts[PackKey(node, next)] += frequency;
-        },
-        [&shard](int32_t node, uint64_t frequency) {
-          shard.trie[static_cast<size_t>(node)].start_count += frequency;
-        });
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (size_t w = 1; w < workers; ++w) {
-    threads.emplace_back(count_shard, w);
-  }
-  count_shard(0);
-  for (std::thread& thread : threads) thread.join();
-  // Sequential merge in worker order: addition is associative and
-  // commutative, so the merged counts equal the single-threaded pass no
-  // matter how the sessions were sharded.
-  for (const CountShard& shard : shards) MergeShard(shard);
-}
-
-void ContextIndex::MergeShard(const CountShard& shard) {
-  std::vector<int32_t> to_global(shard.trie.size(), -1);
-  to_global[0] = 0;
-  trie_[0].start_count += shard.trie[0].start_count;
-  for (size_t i = 1; i < shard.trie.size(); ++i) {
-    // Local parents precede their children (insertion order), so the
-    // parent's global id is already known.
-    const TrieNode& local = shard.trie[i];
-    const int32_t global =
-        Descend(to_global[static_cast<size_t>(local.parent)], local.edge);
-    trie_[static_cast<size_t>(global)].start_count += local.start_count;
-    to_global[i] = global;
-  }
-  shard.counts.ForEach([&](uint64_t key, uint64_t count) {
-    const int32_t node = to_global[static_cast<size_t>(key >> 32)];
-    counts_[PackKey(node, static_cast<QueryId>(key))] += count;
-  });
-}
-
 void ContextIndex::Build(const std::vector<AggregatedSession>& sessions,
                          Mode mode, size_t max_context_length,
-                         size_t num_workers) {
+                         size_t /*num_workers*/) {
   trie_.clear();
   edges_.clear();
   entries_.clear();
@@ -160,25 +85,15 @@ void ContextIndex::Build(const std::vector<AggregatedSession>& sessions,
   total_occurrences_ = 0;
 
   trie_.emplace_back();  // root: empty context
-
-  if (num_workers > 1 && sessions.size() > 1) {
-    CountSessionsSharded(sessions, num_workers);
-  } else {
-    CountSessions(sessions);
-  }
+  CountSessions(sessions);
   Finalize();
   built_ = true;
 }
 
-void ContextIndex::Append(const std::vector<AggregatedSession>& sessions,
-                          size_t num_workers) {
+void ContextIndex::Append(const std::vector<AggregatedSession>& sessions) {
   SQP_CHECK(built_);  // Append extends an existing Build
   if (sessions.empty()) return;
-  if (num_workers > 1 && sessions.size() > 1) {
-    CountSessionsSharded(sessions, num_workers);
-  } else {
-    CountSessions(sessions);
-  }
+  CountSessions(sessions);
   Finalize();
 }
 
@@ -241,7 +156,8 @@ void ContextIndex::Finalize() {
   // Canonical (length, lexicographic) entry order, fixed once at build time.
   // Contexts are unique, so the order (and with it every downstream
   // structure, e.g. a PST built from the sorted entries) is independent of
-  // trie node numbering — and therefore of the counting worker count.
+  // trie node numbering — and therefore of how the sessions were batched
+  // across Build and Append.
   std::vector<int32_t> order(entries_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int32_t>(i);
   std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {

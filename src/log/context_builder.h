@@ -47,14 +47,8 @@ class ContextIndex {
   ContextIndex() = default;
 
   /// Builds the index. `max_context_length` bounds the indexed context
-  /// length (0 = unbounded). Existing contents are discarded.
-  ///
-  /// `num_workers` > 1 shards the counting pass across that many threads:
-  /// each worker counts a contiguous block of sessions into its own arena
-  /// trie + flat tables, and the per-worker tables are merged associatively.
-  /// The resulting index is equivalent for every worker count — entries,
-  /// counts, lookups and any PST built from it are bit-identical; only the
-  /// internal trie node numbering may differ.
+  /// length (0 = unbounded). Existing contents are discarded. The fourth
+  /// parameter is unread; kept for perfbench.
   void Build(const std::vector<AggregatedSession>& sessions, Mode mode,
              size_t max_context_length = 0, size_t num_workers = 1);
 
@@ -64,8 +58,7 @@ class ContextIndex {
   /// child arrays are then re-finalized. Equivalent to a from-scratch Build
   /// over the concatenation of every session batch seen so far. Requires a
   /// prior Build.
-  void Append(const std::vector<AggregatedSession>& sessions,
-              size_t num_workers = 1);
+  void Append(const std::vector<AggregatedSession>& sessions);
 
   /// Returns the entry for `context`, or nullptr if unseen. Walks the trie;
   /// no key materialization.
@@ -139,34 +132,15 @@ class ContextIndex {
     uint32_t edges_end = 0;
   };
 
-  /// One worker's partial count over a session shard: a private arena trie
-  /// plus private flat tables, merged into the main structures afterwards.
-  struct CountShard {
-    std::vector<TrieNode> trie;
-    FlatU64Map children;
-    FlatU64Map counts;
-  };
-
   int32_t FindChild(int32_t node, QueryId query) const;
 
-  /// Walks (creating on demand) the child of `from` along `q` in the given
-  /// arena trie, mirrored in its (parent, query) -> child table. The single
-  /// definition of node creation, shared by the main trie and the
-  /// per-worker shards so their invariants cannot drift.
-  static int32_t DescendIn(std::vector<TrieNode>* trie, FlatU64Map* children,
-                           int32_t from, QueryId q);
+  /// Walks (creating on demand) the child of `from` along `q`, mirrored in
+  /// the persistent (parent, query) -> child table.
+  int32_t Descend(int32_t from, QueryId q);
 
-  /// DescendIn over the main trie and the persistent `children_` table.
-  int32_t Descend(int32_t from, QueryId q) {
-    return DescendIn(&trie_, &children_, from, q);
-  }
-
-  /// Counts `sessions` into the main trie + persistent tables
-  /// (single-threaded) or into per-worker shards merged afterwards.
-  void CountSessions(std::span<const AggregatedSession> sessions);
-  void CountSessionsSharded(const std::vector<AggregatedSession>& sessions,
-                            size_t num_workers);
-  void MergeShard(const CountShard& shard);
+  /// The one counting pass: counts `sessions` into the main trie and the
+  /// persistent tables.
+  void CountSessions(const std::vector<AggregatedSession>& sessions);
 
   /// Rebuilds entries_/entry_nodes_/CSR edges/total_occurrences_ from the
   /// main trie and the persistent count table. Idempotent; called after

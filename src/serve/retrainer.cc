@@ -96,8 +96,7 @@ Status Retrainer::Bootstrap(std::vector<AggregatedSession> corpus,
     }
   }
   index_.Build(corpus_, ContextIndex::Mode::kSubstring,
-               internal::SharedIndexDepth(options_.model),
-               options_.model.training_threads);
+               internal::SharedIndexDepth(options_.model));
 
   std::shared_ptr<const ModelSnapshot> snapshot = std::move(prebuilt);
   if (snapshot == nullptr) {
@@ -164,7 +163,7 @@ Status Retrainer::RebuildAndPublish(std::vector<AggregatedSession> fresh) {
   // retrain_mu_ is held: corpus_, index_ and observed_max_id_ are ours.
   // Serving continues on the previous snapshot for this whole function;
   // the engine only learns about the new model in the final Publish.
-  index_.Append(fresh, options_.model.training_threads);
+  index_.Append(fresh);
   for (const AggregatedSession& session : fresh) {
     for (QueryId q : session.queries) {
       observed_max_id_ = std::max(observed_max_id_, q);

@@ -101,12 +101,11 @@ class Retrainer {
   Retrainer(const Retrainer&) = delete;
   Retrainer& operator=(const Retrainer&) = delete;
 
-  /// Seeds the corpus, builds the counting index (with
-  /// model.training_threads workers, as every later incremental count),
-  /// and publishes snapshot version 1: `prebuilt` when given — a snapshot
-  /// already trained on exactly `corpus` under this retrainer's model
-  /// options, e.g. a shard of TrainShardedSnapshots — else one trained
-  /// here. `corpus` may be empty only with `prebuilt` (a shard whose
+  /// Seeds the corpus, builds the counting index that every later retrain
+  /// extends, and publishes snapshot version 1: `prebuilt` when given — a
+  /// snapshot already trained on exactly `corpus` under this retrainer's
+  /// model options, e.g. a shard of TrainShardedSnapshots — else one
+  /// trained here. `corpus` may be empty only with `prebuilt` (a shard whose
   /// corpus slice is empty); a `prebuilt` not carrying version 1 is
   /// InvalidArgument and publishes nothing. Must be called exactly once,
   /// before anything else.

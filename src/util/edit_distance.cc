@@ -4,10 +4,8 @@
 #include <vector>
 
 namespace sqp {
-namespace {
 
-template <typename Seq>
-size_t LevenshteinImpl(const Seq& a, const Seq& b) {
+size_t EditDistance(std::string_view a, std::string_view b) {
   const size_t n = a.size();
   const size_t m = b.size();
   if (n == 0) return m;
@@ -23,16 +21,6 @@ size_t LevenshteinImpl(const Seq& a, const Seq& b) {
     std::swap(prev, cur);
   }
   return prev[m];
-}
-
-}  // namespace
-
-size_t EditDistance(std::span<const uint32_t> a, std::span<const uint32_t> b) {
-  return LevenshteinImpl(a, b);
-}
-
-size_t EditDistance(std::string_view a, std::string_view b) {
-  return LevenshteinImpl(a, b);
 }
 
 }  // namespace sqp

@@ -1,17 +1,10 @@
 #ifndef SQP_UTIL_EDIT_DISTANCE_H_
 #define SQP_UTIL_EDIT_DISTANCE_H_
 
-#include <cstdint>
-#include <span>
+#include <cstddef>
 #include <string_view>
 
 namespace sqp {
-
-/// Levenshtein distance between two query-id sequences (unit costs for
-/// insert/delete/substitute). Used by the MVMM mixture weights (Eq. 4 of the
-/// paper): d = edit distance between the online context and the state a VMM
-/// component matched.
-size_t EditDistance(std::span<const uint32_t> a, std::span<const uint32_t> b);
 
 /// Levenshtein distance between two strings (character granularity); used by
 /// the synthetic spelling-change pattern and its tests.

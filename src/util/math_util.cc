@@ -51,13 +51,6 @@ void NormalizeInPlace(std::vector<double>* values) {
   for (double& v : *values) v /= total;
 }
 
-double GaussianPdf(double x, double sigma) {
-  SQP_CHECK(sigma > 0.0);
-  static const double kInvSqrt2Pi = 0.3989422804014327;
-  const double z = x / sigma;
-  return kInvSqrt2Pi / sigma * std::exp(-0.5 * z * z);
-}
-
 double EstimatePowerLawAlpha(
     const std::vector<std::pair<double, double>>& value_and_count,
     double x_min) {

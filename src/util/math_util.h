@@ -23,9 +23,6 @@ double KlDivergenceLog10(std::span<const double> p, std::span<const double> q,
 /// Normalizes `values` in place to sum to 1. No-op if the sum is <= 0.
 void NormalizeInPlace(std::vector<double>* values);
 
-/// Gaussian density N(x; 0, sigma).
-double GaussianPdf(double x, double sigma);
-
 /// Maximum-likelihood estimate of a discrete power-law exponent alpha for
 /// samples x >= x_min (Clauset et al. continuous approximation,
 /// alpha = 1 + n / sum ln(x_i / (x_min - 0.5))). Counts are supplied as

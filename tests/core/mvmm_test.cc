@@ -254,31 +254,6 @@ TEST(MvmmModelTest, UncoveredContextEmptyRecommendation) {
   EXPECT_TRUE(rec.queries.empty());
 }
 
-TEST(MvmmModelTest, ParallelTrainingMatchesSequential) {
-  const auto sessions = TableIISessions();
-  MvmmModel sequential;
-  MvmmOptions parallel_options;
-  parallel_options.training_threads = 4;
-  MvmmModel parallel(parallel_options);
-  ASSERT_TRUE(sequential.Train(MakeData(&sessions)).ok());
-  ASSERT_TRUE(parallel.Train(MakeData(&sessions)).ok());
-  ASSERT_EQ(sequential.sigmas().size(), parallel.sigmas().size());
-  for (size_t i = 0; i < sequential.sigmas().size(); ++i) {
-    EXPECT_EQ(sequential.sigmas()[i], parallel.sigmas()[i]);
-  }
-  for (const std::vector<QueryId>& context :
-       {std::vector<QueryId>{kQ0}, std::vector<QueryId>{kQ1, kQ0},
-        std::vector<QueryId>{kQ1, kQ1}}) {
-    const Recommendation a = sequential.Recommend(context, 2);
-    const Recommendation b = parallel.Recommend(context, 2);
-    ASSERT_EQ(a.queries.size(), b.queries.size());
-    for (size_t i = 0; i < a.queries.size(); ++i) {
-      EXPECT_EQ(a.queries[i].query, b.queries[i].query);
-      EXPECT_EQ(a.queries[i].score, b.queries[i].score);
-    }
-  }
-}
-
 TEST(MvmmModelTest, UniformWeightingIsUniform) {
   const auto sessions = TableIISessions();
   MvmmOptions options;

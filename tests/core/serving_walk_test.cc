@@ -1,10 +1,10 @@
-// Unit suite for the walk layer's epoch-stamped dense accumulator
-// (serving::DenseAccumulator over the engine's AccumulatorStorage): its
+// Unit suite for the walk layer: the epoch-stamped dense accumulator
+// (serving::DenseAccumulator over the engine's AccumulatorStorage) and its
 // generation semantics — stale generations must never leak into a new
 // one, including across the uint32 epoch wraparound and when the storage
-// regrows for a larger model — and FinalizeModelRef's scratch sizing. The
-// end-to-end property (dense walk == sort-merge reference, bit for bit)
-// lives in tests/serve/kernel_equivalence_test.cc.
+// regrows for a larger model — FinalizeModelRef's scratch sizing, and the
+// Eq. 4 Gaussian. The end-to-end property (dense walk == sort-merge
+// reference, bit for bit) lives in tests/serve/kernel_equivalence_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -132,6 +132,18 @@ TEST(ServingWalkTest, PathDepthIsTheLongestChainOverEveryParent) {
   serving::FinalizeModelRef(&m, /*escape_pow_storage=*/nullptr,
                             depth_scratch);
   EXPECT_EQ(m.sizing.path_depth, 3u);
+}
+
+TEST(GaussianPdfTest, PeakAtZero) {
+  using serving::GaussianPdf;
+  EXPECT_NEAR(GaussianPdf(0.0, 1.0), 0.3989422804014327, 1e-12);
+  EXPECT_GT(GaussianPdf(0.0, 1.0), GaussianPdf(1.0, 1.0));
+}
+
+TEST(GaussianPdfTest, WiderSigmaFlatter) {
+  using serving::GaussianPdf;
+  EXPECT_GT(GaussianPdf(3.0, 3.0), GaussianPdf(3.0, 0.5));
+  EXPECT_LT(GaussianPdf(0.0, 3.0), GaussianPdf(0.0, 0.5));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Sharded parallel counting and incremental append must be indistinguishable
-// from the single-threaded from-scratch pass: identical entries (contexts,
-// continuation counts, start counts), identical lookups, and identical PSTs
-// built from the index, for any worker count and any batch split.
+// Incremental append must be indistinguishable from the from-scratch pass:
+// identical entries (contexts, continuation counts, start counts),
+// identical lookups, and identical PSTs built from the index, for any
+// batch split.
 
 #include <vector>
 
@@ -51,7 +51,7 @@ void ExpectSameIndex(const ContextIndex& expected, const ContextIndex& actual,
       EXPECT_EQ(e.nexts[j].query, a.nexts[j].query) << "entry " << i;
       EXPECT_EQ(e.nexts[j].count, a.nexts[j].count) << "entry " << i;
     }
-    // Trie numbering may differ between worker counts; the trie walk
+    // Trie numbering may differ between batch splits; the trie walk
     // (Lookup) must nevertheless resolve every context to the same entry.
     const ContextEntry* looked = actual.Lookup(e.context);
     ASSERT_NE(looked, nullptr) << "entry " << i;
@@ -86,47 +86,7 @@ void ExpectSamePst(const Pst& expected, const Pst& actual) {
   }
 }
 
-TEST(ParallelCountTest, ShardedBuildMatchesSingleThreaded) {
-  const std::vector<AggregatedSession> sessions = MakeSessions(131, 600);
-  for (const ContextIndex::Mode mode :
-       {ContextIndex::Mode::kPrefix, ContextIndex::Mode::kSubstring}) {
-    for (const size_t max_length : {size_t{0}, size_t{3}}) {
-      ContextIndex baseline;
-      baseline.Build(sessions, mode, max_length, /*num_workers=*/1);
-      for (const size_t workers : {size_t{2}, size_t{8}}) {
-        ContextIndex sharded;
-        sharded.Build(sessions, mode, max_length, workers);
-        ExpectSameIndex(baseline, sharded,
-                        "mode=" + std::to_string(static_cast<int>(mode)) +
-                            " depth=" + std::to_string(max_length) +
-                            " workers=" + std::to_string(workers));
-      }
-    }
-  }
-}
-
-TEST(ParallelCountTest, ShardedBuildYieldsIdenticalSharedPst) {
-  const std::vector<AggregatedSession> sessions = MakeSessions(223, 800);
-  ContextIndex baseline;
-  baseline.Build(sessions, ContextIndex::Mode::kSubstring, 0,
-                 /*num_workers=*/1);
-  ContextIndex sharded;
-  sharded.Build(sessions, ContextIndex::Mode::kSubstring, 0,
-                /*num_workers=*/8);
-
-  const std::vector<PstOptions> views = {
-      PstOptions{.epsilon = 0.0, .max_depth = 3, .min_support = 1},
-      PstOptions{.epsilon = 0.05, .max_depth = 5, .min_support = 1},
-      PstOptions{.epsilon = 0.1, .max_depth = 5, .min_support = 2},
-  };
-  Pst expected;
-  ASSERT_TRUE(expected.BuildShared(baseline, views).ok());
-  Pst actual;
-  ASSERT_TRUE(actual.BuildShared(sharded, views).ok());
-  ExpectSamePst(expected, actual);
-}
-
-TEST(ParallelCountTest, AppendMatchesFromScratchBuild) {
+TEST(IncrementalCountTest, AppendMatchesFromScratchBuild) {
   const std::vector<AggregatedSession> all = MakeSessions(317, 900);
   const size_t cut1 = 500;
   const size_t cut2 = 750;
@@ -145,18 +105,14 @@ TEST(ParallelCountTest, AppendMatchesFromScratchBuild) {
     incremental.Append(second);
     incremental.Append(third);
     ExpectSameIndex(reference, incremental, "sequential append");
-
-    // Appending in parallel shards, onto a parallel-built base, changes
-    // nothing either.
-    ContextIndex parallel;
-    parallel.Build(first, mode, /*max_context_length=*/5, /*num_workers=*/4);
-    parallel.Append(second, /*num_workers=*/8);
-    parallel.Append(third, /*num_workers=*/2);
-    ExpectSameIndex(reference, parallel, "parallel append");
   }
+
+  ContextIndex empty;
+  empty.Build({}, ContextIndex::Mode::kSubstring, 0);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
-TEST(ParallelCountTest, AppendExtendsLookupsAndPst) {
+TEST(IncrementalCountTest, AppendExtendsLookupsAndPst) {
   const std::vector<AggregatedSession> base = MakeSessions(401, 400);
   const std::vector<AggregatedSession> extra = MakeSessions(402, 300);
   std::vector<AggregatedSession> all = base;
@@ -176,20 +132,6 @@ TEST(ParallelCountTest, AppendExtendsLookupsAndPst) {
   Pst actual;
   ASSERT_TRUE(actual.BuildShared(incremental, views).ok());
   ExpectSamePst(expected, actual);
-}
-
-TEST(ParallelCountTest, WorkerCountBeyondSessionsIsSafe) {
-  const std::vector<AggregatedSession> sessions = MakeSessions(551, 3);
-  ContextIndex baseline;
-  baseline.Build(sessions, ContextIndex::Mode::kSubstring, 0);
-  ContextIndex sharded;
-  sharded.Build(sessions, ContextIndex::Mode::kSubstring, 0,
-                /*num_workers=*/16);
-  ExpectSameIndex(baseline, sharded, "workers > sessions");
-
-  ContextIndex empty;
-  empty.Build({}, ContextIndex::Mode::kSubstring, 0, /*num_workers=*/8);
-  EXPECT_EQ(empty.size(), 0u);
 }
 
 }  // namespace

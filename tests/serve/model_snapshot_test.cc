@@ -128,8 +128,7 @@ TEST(ModelSnapshotTest, RejectsFixedSigmasTheGaussianCannotTake) {
 TEST(ModelSnapshotTest, ReusesCompatibleSharedIndex) {
   const std::vector<AggregatedSession>& sessions = SharedCorpus().base;
   ContextIndex index;
-  index.Build(sessions, ContextIndex::Mode::kSubstring, 5,
-              /*num_workers=*/4);
+  index.Build(sessions, ContextIndex::Mode::kSubstring, 5);
   TrainingData with_index = DataFor(sessions);
   with_index.substring_index = &index;
 

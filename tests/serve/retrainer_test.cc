@@ -88,9 +88,7 @@ TEST(RetrainerTest, BootstrapPublishesVersionOneEquivalentToTrain) {
 
 TEST(RetrainerTest, RetrainEquivalentToFromScratchOnConcatenatedCorpus) {
   RecommenderEngine engine(EngineOptions{.num_threads = 1});
-  RetrainerOptions options = TestOptions();
-  options.model.training_threads = 4;  // incremental counting too
-  Retrainer retrainer(&engine, options);
+  Retrainer retrainer(&engine, TestOptions());
   ASSERT_TRUE(retrainer.Bootstrap(SharedCorpus().base).ok());
 
   retrainer.AppendSessions(SharedCorpus().drifted);

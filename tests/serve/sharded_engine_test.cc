@@ -50,10 +50,6 @@ ShardedTrainResult TrainSharded(const std::vector<AggregatedSession>& corpus,
                                 uint32_t num_shards, uint64_t version = 1) {
   ShardedTrainOptions options;
   options.model = DefaultModel();
-  // Train the fleets with workers while the unsharded reference stays
-  // sequential: the parallel counting pass and the parallel routed sigma
-  // fit both claim bit-identical results, so equivalence must survive.
-  options.model.training_threads = 2;
   options.num_shards = num_shards;
   options.vocabulary_size = kVocabularyBound;
   options.version = version;

@@ -36,54 +36,5 @@ TEST(StringEditDistanceTest, Symmetry) {
   }
 }
 
-TEST(IdEditDistanceTest, EmptySequences) {
-  std::vector<uint32_t> empty;
-  std::vector<uint32_t> abc{1, 2, 3};
-  EXPECT_EQ(EditDistance(std::span<const uint32_t>(empty),
-                         std::span<const uint32_t>(empty)),
-            0u);
-  EXPECT_EQ(EditDistance(std::span<const uint32_t>(abc),
-                         std::span<const uint32_t>(empty)),
-            3u);
-}
-
-TEST(IdEditDistanceTest, SuffixDistanceIsLengthDifference) {
-  // The MVMM case: matched state is a suffix of the context.
-  std::vector<uint32_t> context{5, 6, 7, 8};
-  std::vector<uint32_t> suffix{7, 8};
-  EXPECT_EQ(EditDistance(std::span<const uint32_t>(context),
-                         std::span<const uint32_t>(suffix)),
-            2u);
-}
-
-TEST(IdEditDistanceTest, SubstitutionCountsOne) {
-  std::vector<uint32_t> a{1, 2, 3};
-  std::vector<uint32_t> b{1, 9, 3};
-  EXPECT_EQ(EditDistance(std::span<const uint32_t>(a),
-                         std::span<const uint32_t>(b)),
-            1u);
-}
-
-TEST(IdEditDistanceTest, TriangleInequalityHolds) {
-  std::vector<uint32_t> a{1, 2, 3, 4};
-  std::vector<uint32_t> b{2, 3, 4, 5};
-  std::vector<uint32_t> c{9, 9};
-  const size_t ab = EditDistance(std::span<const uint32_t>(a),
-                                 std::span<const uint32_t>(b));
-  const size_t bc = EditDistance(std::span<const uint32_t>(b),
-                                 std::span<const uint32_t>(c));
-  const size_t ac = EditDistance(std::span<const uint32_t>(a),
-                                 std::span<const uint32_t>(c));
-  EXPECT_LE(ac, ab + bc);
-}
-
-TEST(IdEditDistanceTest, BoundedByMaxLength) {
-  std::vector<uint32_t> a{1, 2, 3, 4, 5};
-  std::vector<uint32_t> b{6, 7};
-  EXPECT_LE(EditDistance(std::span<const uint32_t>(a),
-                         std::span<const uint32_t>(b)),
-            5u);
-}
-
 }  // namespace
 }  // namespace sqp

@@ -94,16 +94,6 @@ TEST(NormalizeInPlaceTest, ZeroSumIsNoOp) {
   EXPECT_DOUBLE_EQ(v[0], 0.0);
 }
 
-TEST(GaussianPdfTest, PeakAtZero) {
-  EXPECT_NEAR(GaussianPdf(0.0, 1.0), 0.3989422804014327, 1e-12);
-  EXPECT_GT(GaussianPdf(0.0, 1.0), GaussianPdf(1.0, 1.0));
-}
-
-TEST(GaussianPdfTest, WiderSigmaFlatter) {
-  EXPECT_GT(GaussianPdf(3.0, 3.0), GaussianPdf(3.0, 0.5));
-  EXPECT_LT(GaussianPdf(0.0, 3.0), GaussianPdf(0.0, 0.5));
-}
-
 TEST(PowerLawAlphaTest, RecoversSyntheticExponent) {
   // Build a discrete power law with alpha = 2.0: count(f) ~ f^-2.
   std::vector<std::pair<double, double>> samples;
