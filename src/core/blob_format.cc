@@ -73,9 +73,9 @@ const char* BlobErrorMessage(BlobError error) {
     case BlobError::kMisalignedBuffer:
       return "blob buffer not 8-byte aligned";
     case BlobError::kOutOfMemory:
-      return "no memory for the derived tables";
+      return "no memory for the depth sweep";
     case BlobError::kMixtureParameterRange:
-      return "sigma not finite and > 0, or escape not in [0, 1]";
+      return "sigma not finite and > 0";
     case BlobError::kNextQueryRange:
       return "local next-query id not below the local id count";
     case BlobError::kNextGlobalOrder:
@@ -189,18 +189,17 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
 
   // Every section size must match the META element counts exactly.
   const uint64_t id_width = out->narrow_ids ? 2 : 4;
+  const uint64_t mask_width = out->narrow_masks ? 2 : 8;
   const auto expect_size = [&](BlobSectionId id, uint64_t bytes) {
     return out->sections[id].size == bytes;
   };
   if (!expect_size(kSecSigmas, uint64_t{8} * out->num_components) ||
-      !expect_size(kSecComponentEscape, uint64_t{8} * out->num_components) ||
       !expect_size(kSecNextBegin, 4 * (out->num_nodes + 1)) ||
       !expect_size(kSecChildBegin, 4 * (out->num_nodes + 1)) ||
       !expect_size(kSecTotalCount, 4 * out->num_nodes) ||
       !expect_size(kSecStartCount, 4 * out->num_nodes) ||
       !expect_size(kSecCountShift, out->num_nodes) ||
-      !expect_size(kSecMask16, out->narrow_masks ? 2 * out->num_nodes : 0) ||
-      !expect_size(kSecMask64, out->narrow_masks ? 0 : 8 * out->num_nodes) ||
+      !expect_size(kSecMask, mask_width * out->num_nodes) ||
       !expect_size(kSecNextQuery, id_width * out->num_entries) ||
       !expect_size(kSecNextCode, 2 * out->num_entries) ||
       !expect_size(kSecEdgeQuery, id_width * out->num_edges) ||
@@ -252,9 +251,9 @@ BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
   m.start_count = SectionAs<uint32_t>(blob, *layout, kSecStartCount);
   m.count_shift = SectionAs<uint8_t>(blob, *layout, kSecCountShift);
   if (layout->narrow_masks) {
-    m.mask16 = SectionAs<uint16_t>(blob, *layout, kSecMask16);
+    m.mask16 = SectionAs<uint16_t>(blob, *layout, kSecMask);
   } else {
-    m.mask64 = SectionAs<uint64_t>(blob, *layout, kSecMask64);
+    m.mask64 = SectionAs<uint64_t>(blob, *layout, kSecMask);
   }
   m.next_code = SectionAs<uint16_t>(blob, *layout, kSecNextCode);
   m.num_nodes = static_cast<size_t>(layout->num_nodes);
@@ -269,11 +268,9 @@ BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
   }
   m.weighting = layout->weighting;
   m.sigmas = SectionAs<double>(blob, *layout, kSecSigmas);
-  m.component_escape = SectionAs<double>(blob, *layout, kSecComponentEscape);
   m.num_components = layout->num_components;
 
-  err = ValidateBlobMixtureParameters(m.sigmas, m.component_escape,
-                                      m.num_components);
+  err = ValidateBlobMixtureParameters(m.sigmas, m.num_components);
   if (err == BlobError::kNone) {
     err = ValidateBlobCountShifts(m.count_shift, layout->num_nodes);
   }
@@ -283,13 +280,9 @@ BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
   }
   if (err != BlobError::kNone) return err;
 
-  double* escape_pow = nullptr;
-  uint32_t* depth_scratch = nullptr;
-  if (!memory(memory_context, m.num_components * (kEscapePowCap + 1),
-              m.num_nodes, &escape_pow, &depth_scratch)) {
-    return BlobError::kOutOfMemory;
-  }
-  FinalizeModelRef(&m, escape_pow, depth_scratch);
+  uint32_t* depth_scratch = memory(memory_context, m.num_nodes);
+  if (depth_scratch == nullptr) return BlobError::kOutOfMemory;
+  FinalizeModelRef(&m, depth_scratch);
   *model = m;
   return BlobError::kNone;
 }

@@ -57,8 +57,10 @@ inline constexpr uint32_t kBlobMaxSections = 64;
 /// On-disk format version this build writes and accepts: the one format
 /// version constant of the snapshot blob. Version 2 stores blob-local
 /// next-query ids with a local-to-global table (kSecNextGlobal) and keeps
-/// the root's children only in the root index.
-inline constexpr uint32_t kBlobFormatVersion = 2;
+/// the root's children only in the root index. Version 3 stores only what
+/// varies between models: no escape section (the escape is the walk's
+/// constant serving::kEscape) and one mask section.
+inline constexpr uint32_t kBlobFormatVersion = 3;
 
 /// The 8-byte magic at offset 0 of every snapshot blob.
 inline constexpr char kBlobMagic[8] = {'S', 'Q', 'P', 'S', 'N', 'A', 'P', '1'};
@@ -70,22 +72,20 @@ inline constexpr char kBlobMagic[8] = {'S', 'Q', 'P', 'S', 'N', 'A', 'P', '1'};
 enum BlobSectionId : uint32_t {
   kSecMeta = 1,
   kSecSigmas = 2,
-  kSecComponentEscape = 3,
-  kSecNextBegin = 4,
-  kSecChildBegin = 5,
-  kSecTotalCount = 6,
-  kSecStartCount = 7,
-  kSecCountShift = 8,
-  kSecMask16 = 9,
-  kSecMask64 = 10,
-  kSecNextQuery = 11,
-  kSecNextCode = 12,
-  kSecEdgeQuery = 13,
-  kSecEdgeChild = 14,
-  kSecRootIndex = 15,
-  kSecNextGlobal = 16,  // v2: local next-query id -> global id
+  kSecNextBegin = 3,
+  kSecChildBegin = 4,
+  kSecTotalCount = 5,
+  kSecStartCount = 6,
+  kSecCountShift = 7,
+  kSecMask = 8,  // u16 with kBlobFlagNarrowMasks, else u64
+  kSecNextQuery = 9,
+  kSecNextGlobal = 10,  // local next-query id -> global id
+  kSecEdgeQuery = 11,
+  kSecEdgeChild = 12,
+  kSecRootIndex = 13,
+  kSecNextCode = 14,
 };
-inline constexpr uint32_t kBlobNumKnownSections = 16;
+inline constexpr uint32_t kBlobNumKnownSections = 14;
 
 /// META section flags.
 inline constexpr uint32_t kBlobFlagNarrowIds = 1u << 0;
@@ -249,40 +249,32 @@ inline BlobError ValidateBlobCountShifts(const uint8_t* count_shift,
 }
 
 /// The mixture parameters the walk scores with: every sigma finite and
-/// > 0 (serving::ValidSigma), every escape finite and in [0, 1]. A CRC
-/// only proves the bytes are the ones written, not that they are usable:
-/// a zero or NaN sigma would serve NaN scores, and an infinite one would
-/// silently take the depth fallback.
+/// > 0 (serving::ValidSigma). A CRC only proves the bytes are the ones
+/// written, not that they are usable: a zero or NaN sigma would serve NaN
+/// scores, and an infinite one would silently take the depth fallback.
 inline BlobError ValidateBlobMixtureParameters(const double* sigmas,
-                                               const double* escapes,
                                                size_t num_components) {
   for (size_t c = 0; c < num_components; ++c) {
-    if (!ValidSigma(sigmas[c]) || !(escapes[c] >= 0.0 && escapes[c] <= 1.0)) {
-      return BlobError::kMixtureParameterRange;
-    }
+    if (!ValidSigma(sigmas[c])) return BlobError::kMixtureParameterRange;
   }
   return BlobError::kNone;
 }
 
 // ------------------------------------------------------------------ bind
 
-/// Caller memory for BindBlob's derived tables, requested once the layout
-/// is parsed and validated: `escape_pow_doubles` doubles the bound
-/// ModelRef keeps pointing at (the caller owns them and keeps them alive
-/// as long as the ModelRef), and `num_nodes` words of work memory the
-/// caller may release as soon as BindBlob returns. Neither needs
-/// initializing. Returns false when the memory is unavailable.
-using BlobBindMemory = bool (*)(void* context, size_t escape_pow_doubles,
-                                size_t num_nodes, double** escape_pow,
-                                uint32_t** depth_scratch);
+/// Caller work memory for BindBlob's depth sweep, requested once the
+/// layout is parsed and validated: `num_nodes` uninitialized words the
+/// caller may release as soon as BindBlob returns. Returns null when the
+/// memory is unavailable.
+using BlobBindMemory = uint32_t* (*)(void* context, size_t num_nodes);
 
 /// The one bind of a blob, shared by the engine and slim. In order:
 /// ParseBlobLayout (every CRC included); rejects a
 /// `blob` base that is not 8-byte aligned; points `*model` at the sections
 /// in place; runs ValidateBlobMixtureParameters, ValidateBlobCountShifts
-/// and ValidateBlobStructure; asks `memory` for the derived tables and
-/// runs FinalizeModelRef. So nothing derives from, or serves, arrays that
-/// failed validation. On kNone
+/// and ValidateBlobStructure; asks `memory` for the depth sweep's work
+/// memory and runs FinalizeModelRef. So nothing derives from, or serves,
+/// arrays that failed validation. On kNone
 /// `*layout` holds the decoded META and `*model` serves straight out of
 /// `blob`, which must stay alive and unchanged as long as `*model`; on any
 /// error `*model` is untouched.

@@ -284,22 +284,13 @@ std::vector<uint8_t> AssembleBlob(std::span<const SectionBytes> sections) {
   return blob;
 }
 
-/// The engine's BindBlob memory: escape powers in the snapshot's vector,
-/// depth scratch in a vector that lives for the bind call.
-struct BindMemory {
-  std::vector<double>* escape_pow;
-  std::vector<uint32_t> depth_scratch;
-};
-
-bool VectorBindMemory(void* context, size_t escape_pow_doubles,
-                      size_t num_nodes, double** escape_pow,
-                      uint32_t** depth_scratch) {
-  BindMemory* memory = static_cast<BindMemory*>(context);
-  memory->escape_pow->resize(escape_pow_doubles);
-  memory->depth_scratch.resize(num_nodes);
-  *escape_pow = memory->escape_pow->data();
-  *depth_scratch = memory->depth_scratch.data();
-  return true;
+/// The engine's BindBlob memory: the depth scratch in a vector that lives
+/// for the bind call.
+uint32_t* VectorBindMemory(void* context, size_t num_nodes) {
+  std::vector<uint32_t>* depth_scratch =
+      static_cast<std::vector<uint32_t>*>(context);
+  depth_scratch->resize(num_nodes);
+  return depth_scratch->data();
 }
 
 }  // namespace
@@ -307,9 +298,6 @@ bool VectorBindMemory(void* context, size_t escape_pow_doubles,
 std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     const ModelSnapshot& full, const CompactOptions& options) {
   const size_t num_components = full.options().components.size();
-  // The format keeps one escape per component; every one is kDefaultEscape.
-  const std::vector<double> component_escape(num_components, kDefaultEscape);
-
   const Pst& pst = *full.pst();
   const std::vector<Pst::Node>& nodes = pst.nodes();
   const size_t n = nodes.size();
@@ -335,7 +323,7 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   std::vector<uint32_t> next_begin, child_begin, total_count, start_count;
   std::vector<uint8_t> count_shift;
   std::vector<uint16_t> mask16, next_code;
-  std::vector<Pst::ViewMask> mask64;
+  std::vector<Pst::ViewMask> mask64;  // the one mask section is one of these
   std::vector<uint32_t> next_query, next_global, edge_query, edge_child,
       root_index;
   next_begin.reserve(n + 1);
@@ -429,7 +417,7 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   StoreLE32(meta.data() + 56, static_cast<uint32_t>(num_components));
   StoreLE32(meta.data() + 60, static_cast<uint32_t>(next_global.size()));
 
-  // The v2 section order; NextCode closes the blob after the id pools.
+  // The v3 section order; NextCode closes the blob after the id pools.
   using enum serving::BlobSectionId;
   std::vector<uint16_t> narrowed[5];
   const auto pool = [narrow_ids](serving::BlobSectionId id,
@@ -442,14 +430,12 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   const SectionBytes sections[] = {
       Section(kSecMeta, meta),
       Section(kSecSigmas, full.sigmas()),
-      Section(kSecComponentEscape, component_escape),
       Section(kSecNextBegin, next_begin),
       Section(kSecChildBegin, child_begin),
       Section(kSecTotalCount, total_count),
       Section(kSecStartCount, start_count),
       Section(kSecCountShift, count_shift),
-      Section(kSecMask16, mask16),
-      Section(kSecMask64, mask64),
+      narrow_masks ? Section(kSecMask, mask16) : Section(kSecMask, mask64),
       pool(kSecNextQuery, next_query, &narrowed[0]),
       pool(kSecNextGlobal, next_global, &narrowed[1]),
       pool(kSecEdgeQuery, edge_query, &narrowed[2]),
@@ -470,10 +456,10 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
 Result<std::shared_ptr<const CompactSnapshot>> CompactSnapshot::FromBlob(
     std::shared_ptr<const uint8_t> bytes, size_t size, bool mapped) {
   std::shared_ptr<CompactSnapshot> out(new CompactSnapshot());
-  BindMemory memory{&out->escape_pow_, {}};
+  std::vector<uint32_t> depth_scratch;
   serving::BlobLayout layout;
   const serving::BlobError err =
-      serving::BindBlob(bytes.get(), size, VectorBindMemory, &memory,
+      serving::BindBlob(bytes.get(), size, VectorBindMemory, &depth_scratch,
                         &layout, &out->model_);
   if (err == serving::BlobError::kVersionMismatch) {
     return Status::InvalidArgument(
@@ -491,7 +477,7 @@ Result<std::shared_ptr<const CompactSnapshot>> CompactSnapshot::FromBlob(
   out->version_ = layout.snapshot_version;
   out->top_k_ = layout.top_k;
   // Table VII bytes: every section but META, i.e. the served arrays plus
-  // sigmas and escapes.
+  // sigmas.
   for (uint32_t id = serving::kSecSigmas; id <= serving::kBlobNumKnownSections;
        ++id) {
     out->memory_bytes_ += layout.sections[id].size;

@@ -127,7 +127,7 @@ struct CompactOptions {
 ///
 /// versus ~96 B of Pst::Node header plus 16 B per entry in the full tree.
 ///
-/// Storage: a CompactSnapshot IS its v2 blob (core/blob_format.h) — the
+/// Storage: a CompactSnapshot IS its v3 blob (core/blob_format.h) — the
 /// arrays above are sections of one byte buffer, served in place through
 /// the serving::ModelRef that serving::BindBlob points at them, the same
 /// bind the slim embedded predictor runs. The bytes are either owned (a
@@ -156,7 +156,7 @@ struct CompactOptions {
 /// call the const methods concurrently with one SnapshotScratch per thread.
 class CompactSnapshot {
  public:
-  /// Packs `full` into the compact layout and writes it as v2 blob bytes
+  /// Packs `full` into the compact layout and writes it as v3 blob bytes
   /// (the exact bytes SnapshotIo::Save persists). The result carries the
   /// same version tag and serves the same recommendations up to
   /// ancestor-closed top-K truncation and block-scaled 16-bit count
@@ -164,7 +164,7 @@ class CompactSnapshot {
   static std::shared_ptr<const CompactSnapshot> FromSnapshot(
       const ModelSnapshot& full, const CompactOptions& options = {});
 
-  /// Serves the v2 blob of `size` bytes at `bytes` in place, after
+  /// Serves the v3 blob of `size` bytes at `bytes` in place, after
   /// serving::BindBlob parsed and validated it, every section CRC
   /// included. `bytes` must be 8-byte aligned and stay
   /// unchanged; the snapshot holds it, so its deleter (freeing a heap
@@ -194,8 +194,8 @@ class CompactSnapshot {
   ScratchSizing ScratchHint() const;
 
   /// Table VII accounting: exact bytes of the served arrays plus sigmas
-  /// and escapes (every blob section but META; header, section table and
-  /// alignment padding excluded), identical for every backing.
+  /// (every blob section but META; header, section table and alignment
+  /// padding excluded), identical for every backing.
   ModelStats Stats() const;
 
   /// The corpus/dictionary generation this blob reflects (the packed
@@ -211,7 +211,7 @@ class CompactSnapshot {
   std::vector<double> sigmas() const {
     return {model_.sigmas, model_.sigmas + model_.num_components};
   }
-  /// The whole v2 blob (header, section table, padding and sections).
+  /// The whole v3 blob (header, section table, padding and sections).
   std::span<const uint8_t> blob_bytes() const { return {bytes_.get(), size_}; }
 
  private:
@@ -227,9 +227,6 @@ class CompactSnapshot {
   /// Covers / MatchedDepth call funnels through it, so the engine serves
   /// byte-for-byte the arithmetic the slim predictor serves.
   serving::ModelRef model_;
-  /// Backing storage of model_.escape_pow (row-major
-  /// k x (serving::kEscapePowCap + 1) power tables).
-  std::vector<double> escape_pow_;
 };
 
 // Former type names, kept so the benchmark sources stay unchanged between

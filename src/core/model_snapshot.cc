@@ -546,7 +546,7 @@ size_t ModelSnapshot::LevelWeights(std::span<const QueryId> context,
                 (dropped == 0 ? 1.0 : internal::EscapeMass(state, dropped));
     for (size_t d = matched[c]; d >= 1; --d) {
       level_weight[d - 1] += lw;
-      lw *= kDefaultEscape;
+      lw *= serving::kEscape;
     }
   }
   return depth;

@@ -153,11 +153,10 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
   for (size_t c = 0; c < k; ++c) {
     if (weights[c] <= 0.0 || matched[c] == 0) continue;
     const int32_t state = path[matched[c] - 1];
-    double lw = weights[c] * EscapeWeight(m, state, len - matched[c], c);
-    const double esc = m.component_escape[c];
+    double lw = weights[c] * EscapeWeight(m, state, len - matched[c]);
     for (size_t d = matched[c]; d >= 1; --d) {
       level_weight[d - 1] += lw;
-      lw *= esc;
+      lw *= kEscape;
     }
   }
 
@@ -206,21 +205,7 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
 
 }  // namespace
 
-void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
-                      uint32_t* depth_scratch) {
-  // Escape power tables: the same left-to-right multiply chain as the old
-  // per-request loop (1.0 * e * e * ...), so every looked-up power is
-  // bit-identical to what the loop produced.
-  const size_t k = m->num_components;
-  for (size_t c = 0; c < k; ++c) {
-    double* row = escape_pow_storage + c * (kEscapePowCap + 1);
-    row[0] = 1.0;
-    for (size_t j = 1; j <= kEscapePowCap; ++j) {
-      row[j] = row[j - 1] * m->component_escape[c];
-    }
-  }
-  m->escape_pow = escape_pow_storage;
-
+void FinalizeModelRef(ModelRef* m, uint32_t* depth_scratch) {
   // Tree depth for path-array sizing. Every validated edge points from a
   // node to a larger id, so one forward sweep, seeded at depth 1 from the
   // root index and taking the max over parents, settles each node's
@@ -251,7 +236,7 @@ void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
     }
   }
   m->sizing.path_depth = max_depth;
-  m->sizing.num_components = k;
+  m->sizing.num_components = m->num_components;
   m->sizing.dense_queries = m->num_next_queries;
 }
 
@@ -314,31 +299,28 @@ void NormalizeWeights(double* weights, size_t k) {
   for (size_t c = 0; c < k; ++c) weights[c] /= total;
 }
 
-double EscapePow(const ModelRef& m, size_t component, size_t power) {
-  const double* row = m.escape_pow + component * (kEscapePowCap + 1);
-  if (power <= kEscapePowCap) return row[power];
+double EscapePow(size_t power) {
+  if (power <= kEscapePowCap) return kEscapePow.value[power];
   // Contexts deeper than the table cap are vanishingly rare; extend the
   // chain from the table's last entry so the rounding sequence matches
-  // the pre-table loop exactly.
-  double escape = row[kEscapePowCap];
-  const double base = m.component_escape[component];
-  for (size_t j = kEscapePowCap; j < power; ++j) escape *= base;
+  // the loop exactly.
+  double escape = kEscapePow.value[kEscapePowCap];
+  for (size_t j = kEscapePowCap; j < power; ++j) escape *= kEscape;
   return escape;
 }
 
-double EscapeWeight(const ModelRef& m, int32_t node, size_t dropped,
-                    size_t component) {
+double EscapeWeight(const ModelRef& m, int32_t node, size_t dropped) {
   if (dropped == 0) return 1.0;
-  double escape = EscapePow(m, component, dropped - 1);
+  double escape = EscapePow(dropped - 1);
   const size_t id = static_cast<size_t>(node);
   // The same branch EscapeMass takes on exact counts: a real (non-root)
   // state with observed session starts contributes start/total, anything
-  // else the component default.
+  // else kEscape.
   if (node != 0 && m.total_count[id] > 0 && m.start_count[id] > 0) {
     escape *= static_cast<double>(m.start_count[id]) /
               static_cast<double>(m.total_count[id]);
   } else {
-    escape *= m.component_escape[component];
+    escape *= kEscape;
   }
   return escape;
 }

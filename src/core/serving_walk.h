@@ -140,14 +140,36 @@ struct PoolsRef {
   size_t root_index_size = 0;
 };
 
-/// Escape power tables cover powers up to this cap; beyond it the chain is
-/// extended by plain multiplication (bit-identical to the pre-table loop).
+/// The escape probability of a step into a suffix the data gives no Eq. 6
+/// ratio for (an intermediate dropped suffix, the root, or a state with no
+/// observed session start). An implementation constant of the walk, not a
+/// model parameter: no blob stores it.
+inline constexpr double kEscape = 0.1;
+
+/// kEscapePow covers powers up to this cap; beyond it the chain is
+/// extended by plain multiplication.
 inline constexpr size_t kEscapePowCap = 64;
+
+/// kEscapePow.value[j] = kEscape^j, built with the left-to-right chain
+/// 1.0 * e * e * ... that internal::EscapeMass multiplies, so every
+/// looked-up power is bit-identical to the loop. Constant-initialized.
+struct EscapePowTable {
+  double value[kEscapePowCap + 1];
+};
+inline constexpr EscapePowTable kEscapePow = [] {
+  EscapePowTable table{};
+  table.value[0] = 1.0;
+  for (size_t j = 1; j <= kEscapePowCap; ++j) {
+    table.value[j] = table.value[j - 1] * kEscape;
+  }
+  return table;
+}();
 
 /// One compact model, as raw pointers into caller-owned storage (an owned
 /// blob buffer, a memory-mapped blob, or a caller-provided buffer — the
 /// walk cannot tell). All arrays little-endian-decoded, host-order, naturally
-/// aligned. Exactly one of mask16/mask64 is non-null, and exactly one of
+/// aligned. Exactly one of mask16/mask64 is non-null (the blob's one mask
+/// section, at the width its narrow-mask flag gives), and exactly one of
 /// the narrow/wide pools is populated (`narrow_ids` says which).
 ///
 /// The `derived` block is computed once per model by FinalizeModelRef;
@@ -174,27 +196,19 @@ struct ModelRef {
 
   // Mixture state.
   MixtureWeighting weighting = MixtureWeighting::kGaussianEditDistance;
-  const double* sigmas = nullptr;            // num_components
-  const double* component_escape = nullptr;  // num_components
+  const double* sigmas = nullptr;  // num_components
   size_t num_components = 0;
 
   // ----- derived (FinalizeModelRef) -----
-
-  /// Escape power tables, row-major k x (kEscapePowCap + 1):
-  /// escape_pow[c * (cap+1) + j] = component_escape[c]^j.
-  const double* escape_pow = nullptr;
   ScratchSizing sizing;
 };
 
-/// Computes the derived block of `m` off its bound arrays: the escape
-/// power tables (written into `escape_pow_storage`, which the caller owns
-/// and must size num_components * (kEscapePowCap + 1) and keep alive as
-/// long as `m`) and the scratch sizing. `depth_scratch` is a
-/// num_nodes-sized work array used only during the call (may be null when
-/// num_nodes == 0). BindBlob runs it only on validated arrays, whose edges
-/// all point forward, so the depth sweep is exact.
-void FinalizeModelRef(ModelRef* m, double* escape_pow_storage,
-                      uint32_t* depth_scratch);
+/// Computes the derived block of `m` off its bound arrays: the scratch
+/// sizing. `depth_scratch` is a num_nodes-sized work array used only
+/// during the call (may be null when num_nodes == 0). BindBlob runs it
+/// only on validated arrays, whose edges all point forward, so the depth
+/// sweep is exact.
+void FinalizeModelRef(ModelRef* m, uint32_t* depth_scratch);
 
 /// Longest-suffix walk recording the matched chain into `path` (capacity
 /// `path_capacity`; sizing.path_depth bounds the depth of every validated
@@ -237,13 +251,12 @@ void ComputeWeights(MixtureWeighting weighting, const double* sigmas,
 /// Normalizes `weights[0..k)` to sum to 1. No-op if the sum is <= 0.
 void NormalizeWeights(double* weights, size_t k);
 
-/// component_escape[component]^power via the derived table; beyond the cap
-/// the chain is extended by multiplication (bit-identical to the loop).
-double EscapePow(const ModelRef& m, size_t component, size_t power);
+/// kEscape^power via kEscapePow; beyond the cap the chain is extended by
+/// multiplication (bit-identical to the loop).
+double EscapePow(size_t power);
 
 /// EscapeMass (Eq. 5-6) off the stored start/total counts.
-double EscapeWeight(const ModelRef& m, int32_t node, size_t dropped,
-                    size_t component);
+double EscapeWeight(const ModelRef& m, int32_t node, size_t dropped);
 
 /// Caller-owned mutable state of one request. Capacities the caller must
 /// provide (see ScratchSizing): path/level_weight >= path_capacity slots,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/serving_walk.h"
 #include "util/string_util.h"
 
 namespace sqp {
@@ -24,13 +25,13 @@ namespace internal {
 
 double EscapeMass(const Pst::Node& state, size_t dropped) {
   double escape = 1.0;
-  for (size_t i = 0; i + 1 < dropped; ++i) escape *= kDefaultEscape;
+  for (size_t i = 0; i + 1 < dropped; ++i) escape *= serving::kEscape;
   if (state.total_count > 0 && state.start_count > 0 &&
       state.parent >= 0) {  // a real state with observed session starts
     escape *= static_cast<double>(state.start_count) /
               static_cast<double>(state.total_count);
   } else {
-    escape *= kDefaultEscape;
+    escape *= serving::kEscape;
   }
   return escape;
 }
@@ -72,7 +73,7 @@ VmmMatch VmmModel::Match(std::span<const QueryId> context) const {
   // Escape mass for the context disparity (Eq. 5-6): one escape step per
   // dropped prefix query. Intermediate suffixes are not PST states (that is
   // why they were dropped), so their Eq. 6 ratio is unavailable after
-  // training; they contribute kDefaultEscape. The final step lands
+  // training; they contribute serving::kEscape. The final step lands
   // on the matched state, whose Eq. 6 ratio start_count/total_count we have.
   const size_t dropped = context.size() - match.matched_length;
   if (dropped > 0) {

@@ -18,13 +18,6 @@ struct VmmOptions {
   uint64_t min_support = 1;
 };
 
-/// Escape probability used when the suffix being escaped into was itself
-/// never observed, so Eq. 6 has an empty denominator. Only affects the
-/// generative weight seen by the MVMM mixture, never the within-model
-/// ranking. The compact blob still stores it once per component (a frozen
-/// format section), always with this value.
-inline constexpr double kDefaultEscape = 0.1;
-
 /// Result of matching a context against the VMM: the state used for
 /// prediction plus the escape mass accumulated while bridging the context
 /// disparity (paper Section IV-C.2(b)).
@@ -39,8 +32,8 @@ struct VmmMatch {
 namespace internal {
 
 /// Escape mass of Eq. 5-6 for a state reached after dropping `dropped` > 0
-/// prefix queries: one kDefaultEscape factor per intermediate drop, then
-/// the matched state's start_count/total_count ratio (or kDefaultEscape
+/// prefix queries: one serving::kEscape factor per intermediate drop, then
+/// the matched state's start_count/total_count ratio (or serving::kEscape
 /// when the state has no observed session starts / is the root). Shared by
 /// VmmModel::Match and the MVMM shared-tree path so the two cannot drift.
 double EscapeMass(const Pst::Node& state, size_t dropped);

@@ -203,46 +203,39 @@ BatchResult RecommenderEngine::ServeBatch(
 
 ServeResult RecommenderEngine::Recommend(ContextRef context, size_t top_n,
                                          const ServeOptions& options) const {
+  return ServeOne(snapshot_, context, top_n, options);
+}
+
+ServeResult RecommenderEngine::ServeOne(const AtomicSnapshotPtr& slot,
+                                        ContextRef context, size_t top_n,
+                                        const ServeOptions& options) const {
   ServeResult out;
   thread_local const size_t counter_slot =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) %
       kCounterShards;
   queries_served_[counter_slot].value.fetch_add(1,
                                                 std::memory_order_relaxed);
-  if (!options.deadline.bounded()) {
-    // Unbounded fast path — the single-query hot path: no clock reads,
-    // no degrade check, no QoS accounting (an unbounded request is
-    // by contract never shed or degraded, so there is nothing to record
-    // that the serving counters above don't already).
-    const std::shared_ptr<const CompactSnapshot> snapshot =
-        CurrentSnapshot();
-    if (snapshot == nullptr) {
-      out.status = StatusCode::kUnavailable;
+  // An unbounded request is by contract never shed or degraded, so it
+  // reads no clock and records nothing the serving counters above don't
+  // already: the single-query hot path.
+  const bool bounded = options.deadline.bounded();
+  Deadline::Clock::time_point start;
+  if (bounded) {
+    start = Deadline::Clock::now();
+    if (options.deadline.Expired(start)) {
+      admission_.CountShed(options.lane, StatusCode::kDeadlineExceeded);
+      out.status = StatusCode::kDeadlineExceeded;
       return out;
     }
-    out.served_version = snapshot->version();
-    out.recommendation = snapshot->Recommend(
-        context, top_n, &PreparedFor(snapshot.get(), ThreadScratch()));
-    if (options.feedback != nullptr) {
-      out.feedback_record_id = options.feedback->OnServed(
-          context, out.served_version, &out.recommendation);
-    }
-    return out;
   }
-  const Deadline::Clock::time_point start = Deadline::Clock::now();
-  if (options.deadline.Expired(start)) {
-    admission_.CountShed(options.lane, StatusCode::kDeadlineExceeded);
-    out.status = StatusCode::kDeadlineExceeded;
-    return out;
-  }
-  const std::shared_ptr<const CompactSnapshot> snapshot = CurrentSnapshot();
+  const std::shared_ptr<const CompactSnapshot> snapshot = slot.load();
   if (snapshot == nullptr) {
     out.status = StatusCode::kUnavailable;
     return out;
   }
   out.served_version = snapshot->version();
   const size_t effective_top_n =
-      admission_.DegradedTopN(top_n, options.deadline);
+      bounded ? admission_.DegradedTopN(top_n, options.deadline) : top_n;
   out.degraded = effective_top_n < top_n;
   out.recommendation = snapshot->Recommend(
       context, effective_top_n,
@@ -251,11 +244,13 @@ ServeResult RecommenderEngine::Recommend(ContextRef context, size_t top_n,
     out.feedback_record_id = options.feedback->OnServed(
         context, out.served_version, &out.recommendation);
   }
-  const double latency_us =
-      std::chrono::duration<double, std::micro>(Deadline::Clock::now() -
-                                                start)
-          .count();
-  admission_.RecordServed(options.lane, latency_us, out.degraded, 0);
+  if (bounded) {
+    const double latency_us =
+        std::chrono::duration<double, std::micro>(Deadline::Clock::now() -
+                                                  start)
+            .count();
+    admission_.RecordServed(options.lane, latency_us, out.degraded, 0);
+  }
   return out;
 }
 

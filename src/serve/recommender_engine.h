@@ -210,8 +210,16 @@ class RecommenderEngine {
       std::span<const ContextRef> contexts, size_t top_n,
       const ServeOptions& options) const;
 
-  /// A fleet runs its cross-shard batches through ServeBatch on an
-  /// unpublished engine of its own (serve/sharded_engine.h).
+  /// The one single-query loop behind both engines' Recommend: answers
+  /// `context` from the snapshot in `slot`, with the arrival check,
+  /// degrade, feedback hook and counters on this engine's queue. A bounded
+  /// request degrades when this engine's admission queue is backed up.
+  ServeResult ServeOne(const AtomicSnapshotPtr& slot, ContextRef context,
+                       size_t top_n, const ServeOptions& options) const;
+
+  /// A fleet runs its cross-shard batches through ServeBatch, and its
+  /// single queries through ServeOne, on an unpublished engine of its own
+  /// (serve/sharded_engine.h), so both see the queue its batches wait in.
   friend class ShardedEngine;
 
   AtomicSnapshotPtr snapshot_;

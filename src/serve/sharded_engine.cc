@@ -71,9 +71,11 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::BootFromManifest(
 
 ServeResult ShardedEngine::Recommend(ContextRef context, size_t top_n,
                                      const ServeOptions& options) const {
-  // The owning shard's engine handles the deadline check, degrade and
-  // QoS accounting; its counters roll up through stats().
-  return shards_[OwningShard(context)]->Recommend(context, top_n, options);
+  // The owning shard's snapshot, served on the batch engine: its admission
+  // queue holds the fleet's waiting batches, so a bounded query degrades
+  // under the same backlog a fleet batch does.
+  return batch_engine_.ServeOne(shards_[OwningShard(context)]->snapshot_,
+                                context, top_n, options);
 }
 
 BatchResult ShardedEngine::RecommendMany(

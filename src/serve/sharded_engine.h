@@ -66,8 +66,10 @@ struct ShardedEngineOptions {
 /// unpublished engine the fleet owns: that engine's pool is the fleet's
 /// lanes and its admission queue the fleet's batch slot, so a fleet batch
 /// has exactly the admission / mid-batch-expiry / degrade semantics of a
-/// single-engine batch. Shard engines are single-lane and see none of the
-/// fleet's batches.
+/// single-engine batch. Single queries run through the same engine's one
+/// single-query loop, on the owning shard's snapshot. Shard engines only
+/// hold the snapshots: they are single-lane and see none of the fleet's
+/// traffic.
 ///
 /// Thread-safety: mirrors RecommenderEngine — all const methods are safe
 /// from any number of threads concurrently with shard(s)->Publish from
@@ -106,10 +108,11 @@ class ShardedEngine {
   static Result<std::unique_ptr<ShardedEngine>> BootFromManifest(
       const std::string& manifest_path, ShardedEngineOptions base = {});
 
-  /// The single-query path: one routing decision, then the owning shard
-  /// engine's Recommend (its counters, deadline handling and scratch
-  /// included; kUnavailable if that shard has no published snapshot).
-  /// Unbounded deadlines ride the shard engine's clock-free fast path.
+  /// The single-query path: one routing decision, then the owning shard's
+  /// snapshot served through the fleet's batch engine, whose admission
+  /// queue holds the fleet's waiting batches — a bounded query degrades
+  /// under the backlog a fleet batch sees (kUnavailable if that shard has
+  /// no published snapshot). Unbounded deadlines read no clock.
   ServeResult Recommend(ContextRef context, size_t top_n,
                         const ServeOptions& options = {}) const;
 

@@ -33,24 +33,13 @@ T* Carve(uint8_t** cursor, size_t count) {
   return p;
 }
 
-/// BindBlob's derived-table memory, malloc'ed: the escape powers are
-/// kept by the predictor, the depth scratch is freed right after the bind.
-struct BindMemory {
-  double* escape_pow = nullptr;
-  uint32_t* depth_scratch = nullptr;
-};
-
-bool MallocBindMemory(void* context, size_t escape_pow_doubles,
-                      size_t num_nodes, double** escape_pow,
-                      uint32_t** depth_scratch) {
-  BindMemory* memory = static_cast<BindMemory*>(context);
-  memory->escape_pow =
-      static_cast<double*>(std::malloc(escape_pow_doubles * sizeof(double)));
-  memory->depth_scratch =
+/// BindBlob's depth-sweep memory, malloc'ed into `*context` and freed
+/// right after the bind.
+uint32_t* MallocBindMemory(void* context, size_t num_nodes) {
+  uint32_t** depth_scratch = static_cast<uint32_t**>(context);
+  *depth_scratch =
       static_cast<uint32_t*>(std::malloc(num_nodes * sizeof(uint32_t)));
-  *escape_pow = memory->escape_pow;
-  *depth_scratch = memory->depth_scratch;
-  return memory->escape_pow != nullptr && memory->depth_scratch != nullptr;
+  return *depth_scratch;
 }
 
 }  // namespace
@@ -69,8 +58,7 @@ struct sqp_slim_predictor {
   double* level_weight = nullptr;
   serving::DenseAccumulator acc;
 
-  double* escape_pow = nullptr;  // owned (FinalizeModelRef storage)
-  uint8_t* arena = nullptr;      // owned (scratch backing)
+  uint8_t* arena = nullptr;  // owned (scratch backing)
 };
 
 extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
@@ -83,19 +71,16 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   // out of the caller's buffer, never copied.
   serving::BlobLayout layout;
   serving::ModelRef m;
-  BindMemory memory;
+  uint32_t* depth_scratch = nullptr;
   const serving::BlobError err =
       serving::BindBlob(static_cast<const uint8_t*>(blob), blob_size,
-                        MallocBindMemory, &memory, &layout, &m);
-  std::free(memory.depth_scratch);
+                        MallocBindMemory, &depth_scratch, &layout, &m);
+  std::free(depth_scratch);
   if (err != serving::BlobError::kNone) {
-    std::free(memory.escape_pow);
     return err == serving::BlobError::kOutOfMemory
                ? SQP_STATUS_RESOURCE_EXHAUSTED
                : SQP_STATUS_INVALID_ARGUMENT;
   }
-  const size_t pow_doubles =
-      m.num_components * (serving::kEscapePowCap + 1);
 
   // The bind rejects back edges, so path_depth is exact: the same
   // capacity the engine gives a request, min(context_len, path_depth).
@@ -115,7 +100,6 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
       std::malloc(sizeof(sqp_slim_predictor)));
   uint8_t* arena = static_cast<uint8_t*>(std::malloc(arena_bytes));
   if (p == nullptr || arena == nullptr) {
-    std::free(memory.escape_pow);
     std::free(p);
     std::free(arena);
     return SQP_STATUS_RESOURCE_EXHAUSTED;
@@ -123,10 +107,8 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   *p = sqp_slim_predictor{};
   p->model = m;
   p->snapshot_version = layout.snapshot_version;
-  p->escape_pow = memory.escape_pow;
   p->arena = arena;
-  p->resident_bytes = sizeof(sqp_slim_predictor) +
-                      pow_doubles * sizeof(double) + arena_bytes;
+  p->resident_bytes = sizeof(sqp_slim_predictor) + arena_bytes;
 
   uint8_t* cursor = arena;
   p->path = Carve<int32_t>(&cursor, path_capacity);
@@ -211,7 +193,6 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_stats(
 
 extern "C" SQP_SLIM_API void sqp_slim_destroy(sqp_slim_predictor* predictor) {
   if (predictor == nullptr) return;
-  std::free(predictor->escape_pow);
   std::free(predictor->arena);
   std::free(predictor);
 }

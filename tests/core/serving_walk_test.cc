@@ -2,12 +2,14 @@
 // (serving::DenseAccumulator over the engine's AccumulatorStorage) and its
 // generation semantics — stale generations must never leak into a new
 // one, including across the uint32 epoch wraparound and when the storage
-// regrows for a larger model — FinalizeModelRef's scratch sizing, and the
-// Eq. 4 Gaussian. The end-to-end property (dense walk == sort-merge
-// reference, bit for bit) lives in tests/serve/kernel_equivalence_test.cc.
+// regrows for a larger model — FinalizeModelRef's scratch sizing, the
+// constant escape-power table, and the Eq. 4 Gaussian. The end-to-end
+// property (dense walk == sort-merge reference, bit for bit) lives in
+// tests/serve/kernel_equivalence_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -104,8 +106,7 @@ TEST(DenseAccumulatorTest, DenseSlotsAreTheLocalIdCountWhateverTheGlobalIds) {
   m.wide.next_query = next_query;
   m.wide.next_global = next_global;
   uint32_t depth_scratch[1];
-  serving::FinalizeModelRef(&m, /*escape_pow_storage=*/nullptr,
-                            depth_scratch);
+  serving::FinalizeModelRef(&m, depth_scratch);
   EXPECT_EQ(m.sizing.dense_queries, 2u);
   EXPECT_EQ(m.sizing.path_depth, 0u);
 }
@@ -129,9 +130,48 @@ TEST(ServingWalkTest, PathDepthIsTheLongestChainOverEveryParent) {
   m.wide.root_child_by_query = root_index;
   m.wide.root_index_size = 4;
   uint32_t depth_scratch[5];
-  serving::FinalizeModelRef(&m, /*escape_pow_storage=*/nullptr,
-                            depth_scratch);
+  serving::FinalizeModelRef(&m, depth_scratch);
   EXPECT_EQ(m.sizing.path_depth, 3u);
+}
+
+TEST(EscapePowTest, TableIsTheRuntimeChainBitForBit) {
+  // The compile-time table must hold exactly what a run-time multiply
+  // chain gives; a volatile base keeps the compiler from folding the chain.
+  volatile double base = serving::kEscape;
+  double chain = 1.0;
+  for (size_t j = 0; j <= serving::kEscapePowCap; ++j) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(serving::kEscapePow.value[j]),
+              std::bit_cast<uint64_t>(chain))
+        << "power " << j;
+    chain *= base;
+  }
+}
+
+TEST(EscapePowTest, EscapeWeightIsEscapeMassPastTheCap) {
+  // Node 1 is a real state with observed session starts (Eq. 6 ratio);
+  // the root takes the constant escape. Past kEscapePowCap the walk
+  // extends the table, and must still equal the full model's EscapeMass.
+  const uint32_t total_count[2] = {0, 7};
+  const uint32_t start_count[2] = {0, 3};
+  serving::ModelRef m;
+  m.total_count = total_count;
+  m.start_count = start_count;
+  m.num_nodes = 2;
+  Pst::Node root;
+  Pst::Node state;
+  state.total_count = 7;
+  state.start_count = 3;
+  state.parent = 0;
+  const size_t cap = serving::kEscapePowCap;
+  for (const size_t dropped : {size_t{1}, size_t{2}, cap, cap + 1, cap + 2,
+                               cap + 3, 3 * cap}) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(serving::EscapeWeight(m, 1, dropped)),
+              std::bit_cast<uint64_t>(internal::EscapeMass(state, dropped)))
+        << "state, dropped " << dropped;
+    EXPECT_EQ(std::bit_cast<uint64_t>(serving::EscapeWeight(m, 0, dropped)),
+              std::bit_cast<uint64_t>(internal::EscapeMass(root, dropped)))
+        << "root, dropped " << dropped;
+  }
 }
 
 TEST(GaussianPdfTest, PeakAtZero) {

@@ -650,7 +650,7 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
 /// dedicated job: if the current reader cannot reproduce the freshly
 /// trained model's top-10 lists from the golden bytes, the format drifted
 /// silently and the build fails.
-constexpr char kGoldenRelPath[] = "/golden_snapshot_v2.blob";
+constexpr char kGoldenRelPath[] = "/golden_snapshot_v3.blob";
 constexpr uint64_t kGoldenSeed = 77;
 constexpr size_t kGoldenSessions = 500;
 constexpr QueryId kGoldenVocabulary = 100;

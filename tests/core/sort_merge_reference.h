@@ -55,15 +55,10 @@ class SortMergeReference {
     double score = 0.0;
   };
 
-  static bool BindMemory(void* context, size_t escape_pow_doubles,
-                         size_t num_nodes, double** escape_pow,
-                         uint32_t** depth_scratch) {
+  static uint32_t* BindMemory(void* context, size_t num_nodes) {
     SortMergeReference* self = static_cast<SortMergeReference*>(context);
-    self->escape_pow_.resize(escape_pow_doubles);
     self->depth_scratch_.resize(num_nodes);
-    *escape_pow = self->escape_pow_.data();
-    *depth_scratch = self->depth_scratch_.data();
-    return true;
+    return self->depth_scratch_.data();
   }
 
   template <typename QT, typename NT>
@@ -93,10 +88,10 @@ class SortMergeReference {
       if (weights_[c] <= 0.0 || matched_[c] == 0) continue;
       const int32_t state = path_[matched_[c] - 1];
       double lw =
-          weights_[c] * serving::EscapeWeight(m, state, len - matched_[c], c);
+          weights_[c] * serving::EscapeWeight(m, state, len - matched_[c]);
       for (size_t d = matched_[c]; d >= 1; --d) {
         level_weight_[d - 1] += lw;
-        lw *= m.component_escape[c];
+        lw *= serving::kEscape;
       }
     }
 
@@ -147,7 +142,6 @@ class SortMergeReference {
 
   std::shared_ptr<const CompactSnapshot> snapshot_;  // owns the blob bytes
   serving::ModelRef model_;
-  std::vector<double> escape_pow_;
   std::vector<uint32_t> depth_scratch_;
   std::vector<int32_t> path_;
   std::vector<size_t> matched_;

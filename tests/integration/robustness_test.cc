@@ -14,6 +14,7 @@
 #include "log/log_io.h"
 #include "log/session_segmenter.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace sqp {
 namespace {
@@ -138,7 +139,8 @@ TEST(AdversarialCorpusTest, MessyRecordStreamSegments) {
     RawLogRecord r;
     r.machine_id = rng.UniformInt(5) + 1;
     r.timestamp_ms = static_cast<int64_t>(rng.UniformInt(50)) * 60000;
-    r.query = "q" + std::to_string(rng.UniformInt(20));
+    r.query = StrFormat("q%llu",
+                        static_cast<unsigned long long>(rng.UniformInt(20)));
     records.push_back(std::move(r));
   }
   QueryDictionary dict_a;

@@ -128,7 +128,8 @@ TEST_F(LogIoTest, LargeBatchRoundTrip) {
     RawLogRecord r;
     r.machine_id = static_cast<uint64_t>(i);
     r.timestamp_ms = i;
-    r.query = "q" + std::to_string(i % 97);
+    r.query = "q";
+    r.query += std::to_string(i % 97);
     records.push_back(std::move(r));
   }
   ASSERT_TRUE(WriteLogFile(path_, records).ok());

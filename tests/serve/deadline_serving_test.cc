@@ -473,5 +473,80 @@ TEST(DeadlineServingTest, BoundedRequestsDegradeTopNUnderPressure) {
   EXPECT_EQ(after.effective_top_n, 10u);
 }
 
+/// Queues kBacklog unbounded bulk batches on `engine` — past the default
+/// admission queue's degrade threshold, half of its 80 slots — and probes
+/// bounded single queries while they wait. True once a probe comes back
+/// degraded to the ladder's top_n.
+template <typename Engine>
+bool SingleQueryDegradesUnderBatchBacklog(const Engine& engine) {
+  constexpr size_t kBacklog = 45;
+  const std::vector<std::vector<QueryId>> seed =
+      CollectContexts(SharedCorpus().base, 4000);
+  std::vector<std::vector<QueryId>> batch;
+  for (int rep = 0; rep < 5; ++rep) {
+    batch.insert(batch.end(), seed.begin(), seed.end());
+  }
+  const std::vector<ContextRef> refs = AsRefs(batch);
+  std::atomic<size_t> done{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kBacklog);
+  for (size_t t = 0; t < kBacklog; ++t) {
+    threads.emplace_back([&] {
+      ServeOptions bulk;
+      bulk.lane = QosLane::kBulk;
+      engine.RecommendMany(refs, 10, bulk);
+      done.fetch_add(1);
+    });
+  }
+  bool saw_degraded = false;
+  while (!saw_degraded && done.load() < kBacklog) {
+    ServeOptions options;
+    options.deadline = Generous();
+    const ServeResult probe = engine.Recommend(seed[0], 10, options);
+    if (probe.degraded) {
+      EXPECT_EQ(probe.status, StatusCode::kOk);
+      EXPECT_LE(probe.recommendation.queries.size(), 5u);
+      saw_degraded = true;
+    }
+  }
+  for (std::thread& thread : threads) thread.join();
+  return saw_degraded;
+}
+
+TEST(DeadlineServingTest, BoundedSingleQueriesDegradeUnderBatchBacklog) {
+  // A fleet's single queries and its batches share one admission queue,
+  // as an engine's do: a backlog of waiting fleet batches degrades a
+  // bounded fleet.Recommend exactly as it degrades an engine's Recommend.
+  const auto snapshot = BuildSnapshot(SharedCorpus().base, 1);
+  RecommenderEngine engine(EngineOptions{.num_threads = 2});
+  engine.Publish(snapshot);
+  ShardedEngine fleet(
+      ShardedEngineOptions{.num_shards = 2, .num_threads = 2});
+  for (size_t s = 0; s < fleet.num_shards(); ++s) {
+    fleet.shard(s)->Publish(snapshot);
+  }
+  // The backlog races its own drain, so give each engine a few tries.
+  const auto degrades = [](const auto& serving) {
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      if (SingleQueryDegradesUnderBatchBacklog(serving)) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(degrades(engine)) << "engine single query never degraded";
+  EXPECT_TRUE(degrades(fleet)) << "fleet single query never degraded";
+  EXPECT_GT(engine.stats().admission.lane(QosLane::kInteractive).degraded,
+            0u);
+  EXPECT_GT(fleet.stats().admission.lane(QosLane::kInteractive).degraded,
+            0u);
+
+  // Backlog gone: bounded single queries serve the full top_n again.
+  ServeOptions options;
+  options.deadline = Generous();
+  const std::vector<QueryId> context =
+      CollectContexts(SharedCorpus().base, 1)[0];
+  EXPECT_FALSE(engine.Recommend(context, 10, options).degraded);
+  EXPECT_FALSE(fleet.Recommend(context, 10, options).degraded);
+}
+
 }  // namespace
 }  // namespace sqp

@@ -42,7 +42,7 @@
 namespace sqp {
 namespace {
 
-constexpr char kGoldenRelPath[] = "/golden_snapshot_v2.blob";
+constexpr char kGoldenRelPath[] = "/golden_snapshot_v3.blob";
 constexpr uint64_t kGoldenSeed = 77;
 constexpr size_t kGoldenSessions = 500;
 constexpr QueryId kGoldenVocabulary = 100;
@@ -247,9 +247,8 @@ TEST(SlimApiTest, GarbageBuffersAreRejected) {
 
 TEST(SlimApiTest, HostileMixtureParametersAreRefusedByBothReaders) {
   // CRC-valid but unusable mixture parameters: a sigma that is not finite
-  // and > 0 would score NaN or silently take the depth fallback, an escape
-  // outside [0, 1] would weigh shallower states wrongly. Both readers
-  // must refuse them as invalid input.
+  // and > 0 would score NaN or silently take the depth fallback. Both
+  // readers must refuse it as invalid input.
   const std::vector<uint8_t> golden = ReadFileBytes(GoldenPath());
   serving::BlobLayout layout;
   ASSERT_EQ(serving::ParseBlobLayout(golden.data(), golden.size(), &layout),
@@ -264,9 +263,6 @@ TEST(SlimApiTest, HostileMixtureParametersAreRefusedByBothReaders) {
       {serving::kSecSigmas, nan},
       {serving::kSecSigmas, -1.0},
       {serving::kSecSigmas, inf},
-      {serving::kSecComponentEscape, nan},
-      {serving::kSecComponentEscape, -0.5},
-      {serving::kSecComponentEscape, 2.0},
   };
   for (const auto& c : cases) {
     const std::string tag = "section" + std::to_string(c.section) + "=" +
@@ -390,23 +386,15 @@ TEST(SlimApiTest, SparseWideIdSpaceStaysSmallAndAgreesWithEngine) {
 
 /// The BlobError serving::BindBlob gives `blob`.
 serving::BlobError BindError(const std::vector<uint8_t>& blob) {
-  struct Memory {
-    std::vector<double> escape_pow;
-    std::vector<uint32_t> depth;
-  } memory;
-  const auto allocate = [](void* context, size_t escape_pow_doubles,
-                           size_t num_nodes, double** escape_pow,
-                           uint32_t** depth_scratch) {
-    Memory* m = static_cast<Memory*>(context);
-    m->escape_pow.resize(escape_pow_doubles);
-    m->depth.resize(num_nodes);
-    *escape_pow = m->escape_pow.data();
-    *depth_scratch = m->depth.data();
-    return true;
+  std::vector<uint32_t> depth;
+  const auto allocate = [](void* context, size_t num_nodes) {
+    std::vector<uint32_t>* depth = static_cast<std::vector<uint32_t>*>(context);
+    depth->resize(num_nodes);
+    return depth->data();
   };
   serving::BlobLayout layout;
   serving::ModelRef model;
-  return serving::BindBlob(blob.data(), blob.size(), allocate, &memory,
+  return serving::BindBlob(blob.data(), blob.size(), allocate, &depth,
                            &layout, &model);
 }
 
@@ -460,7 +448,7 @@ TEST(SlimApiTest, HostileV2StructureGivesItsOwnErrorInBothReaders) {
          StoreLE16(edge_child, 1);  // node 1 -> node 1: a cycle
        },
        serving::BlobError::kEdgeBackward},
-      {"v1 blob", serving::kSecMeta,
+      {"v2 blob", serving::kSecMeta,
        [](uint8_t*, const serving::BlobLayout&) {},
        serving::BlobError::kVersionMismatch},
   };
@@ -468,7 +456,7 @@ TEST(SlimApiTest, HostileV2StructureGivesItsOwnErrorInBothReaders) {
     std::vector<uint8_t> blob = golden;
     c.patch(at(&blob, c.section), layout);
     if (c.want == serving::BlobError::kVersionMismatch) {
-      StoreLE32(blob.data() + 8, 1);
+      StoreLE32(blob.data() + 8, 2);  // the retired format
     }
     ResealSection(&blob, c.section);
     EXPECT_EQ(BindError(blob), c.want) << c.name;
