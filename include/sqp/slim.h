@@ -23,9 +23,10 @@
  *   predictor reads the model arrays in place and never copies them.
  * - The buffer must be at least 8-byte aligned (any malloc'd or mmap'ed
  *   buffer is).
- * - All allocation happens inside sqp_slim_create_from_buffer (a few
- *   malloc calls for the bind's work memory and request scratch, sized
- *   from the model). sqp_slim_recommend never allocates.
+ * - All allocation happens inside sqp_slim_create_from_buffer: two
+ *   malloc calls, for the handle and its request scratch, sized from the
+ *   model (the bind itself allocates nothing). sqp_slim_recommend never
+ *   allocates.
  * - A predictor serves ONE request at a time (the request scratch lives
  *   in the handle). For concurrency, create one predictor per thread —
  *   they can share the same blob buffer.

@@ -47,7 +47,8 @@ const char* BlobErrorMessage(BlobError error) {
     case BlobError::kNodeCount:
       return "implausible node count";
     case BlobError::kEntryCount:
-      return "entry/edge count exceeds CSR offset width";
+      return "entry count exceeds CSR offset width, or edges not fewer "
+             "than nodes";
     case BlobError::kComponentCount:
       return "implausible component count";
     case BlobError::kNarrowMaskComponents:
@@ -66,14 +67,10 @@ const char* BlobErrorMessage(BlobError error) {
       return "CSR offsets not monotone";
     case BlobError::kEdgeOrder:
       return "edge queries not strictly ascending";
-    case BlobError::kEdgeChildRange:
-      return "edge child id out of range";
     case BlobError::kRootIndexRange:
       return "root index id out of range";
     case BlobError::kMisalignedBuffer:
       return "blob buffer not 8-byte aligned";
-    case BlobError::kOutOfMemory:
-      return "no memory for the depth sweep";
     case BlobError::kMixtureParameterRange:
       return "sigma not finite and > 0";
     case BlobError::kNextQueryRange:
@@ -83,7 +80,7 @@ const char* BlobErrorMessage(BlobError error) {
     case BlobError::kRootEdgeRun:
       return "root edge run not empty";
     case BlobError::kEdgeBackward:
-      return "edge child not greater than its node";
+      return "edge run does not start past its node";
   }
   return "unknown blob error";
 }
@@ -174,7 +171,7 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
     return BlobError::kNodeCount;
   }
   if (out->num_entries > uint64_t{0xffffffff} ||
-      out->num_edges > uint64_t{0xffffffff}) {
+      out->num_edges >= out->num_nodes) {
     return BlobError::kEntryCount;
   }
   if (out->num_components == 0 || out->num_components > 64) {
@@ -203,7 +200,6 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
       !expect_size(kSecNextQuery, id_width * out->num_entries) ||
       !expect_size(kSecNextCode, 2 * out->num_entries) ||
       !expect_size(kSecEdgeQuery, id_width * out->num_edges) ||
-      !expect_size(kSecEdgeChild, id_width * out->num_edges) ||
       !expect_size(kSecRootIndex, id_width * out->root_index_size) ||
       !expect_size(kSecNextGlobal, id_width * out->num_next_queries)) {
     return BlobError::kSectionSizeMismatch;
@@ -223,20 +219,18 @@ const T* SectionAs(const uint8_t* blob, const BlobLayout& layout,
       blob + static_cast<size_t>(layout.sections[id].offset));
 }
 
-template <typename QT, typename NT>
-PoolsRef<QT, NT> PoolsAt(const uint8_t* blob, const BlobLayout& layout) {
-  return PoolsRef<QT, NT>{SectionAs<QT>(blob, layout, kSecNextQuery),
-                          SectionAs<QT>(blob, layout, kSecNextGlobal),
-                          SectionAs<QT>(blob, layout, kSecEdgeQuery),
-                          SectionAs<NT>(blob, layout, kSecEdgeChild),
-                          SectionAs<NT>(blob, layout, kSecRootIndex),
-                          static_cast<size_t>(layout.root_index_size)};
+template <typename T>
+PoolsRef<T> PoolsAt(const uint8_t* blob, const BlobLayout& layout) {
+  return PoolsRef<T>{SectionAs<T>(blob, layout, kSecNextQuery),
+                     SectionAs<T>(blob, layout, kSecNextGlobal),
+                     SectionAs<T>(blob, layout, kSecEdgeQuery),
+                     SectionAs<T>(blob, layout, kSecRootIndex),
+                     static_cast<size_t>(layout.root_index_size)};
 }
 
 }  // namespace
 
-BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
-                   void* memory_context, BlobLayout* layout,
+BlobError BindBlob(const uint8_t* blob, size_t size, BlobLayout* layout,
                    ModelRef* model) {
   BlobError err = ParseBlobLayout(blob, size, layout);
   if (err != BlobError::kNone) return err;
@@ -262,9 +256,9 @@ BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
   m.num_next_queries = layout->num_next_queries;
   m.narrow_ids = layout->narrow_ids;
   if (layout->narrow_ids) {
-    m.narrow = PoolsAt<uint16_t, uint16_t>(blob, *layout);
+    m.narrow = PoolsAt<uint16_t>(blob, *layout);
   } else {
-    m.wide = PoolsAt<uint32_t, uint32_t>(blob, *layout);
+    m.wide = PoolsAt<uint32_t>(blob, *layout);
   }
   m.weighting = layout->weighting;
   m.sigmas = SectionAs<double>(blob, *layout, kSecSigmas);
@@ -280,9 +274,7 @@ BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
   }
   if (err != BlobError::kNone) return err;
 
-  uint32_t* depth_scratch = memory(memory_context, m.num_nodes);
-  if (depth_scratch == nullptr) return BlobError::kOutOfMemory;
-  FinalizeModelRef(&m, depth_scratch);
+  FinalizeModelRef(&m);
   *model = m;
   return BlobError::kNone;
 }

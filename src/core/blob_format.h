@@ -59,8 +59,10 @@ inline constexpr uint32_t kBlobMaxSections = 64;
 /// next-query ids with a local-to-global table (kSecNextGlobal) and keeps
 /// the root's children only in the root index. Version 3 stores only what
 /// varies between models: no escape section (the escape is the walk's
-/// constant serving::kEscape) and one mask section.
-inline constexpr uint32_t kBlobFormatVersion = 3;
+/// constant serving::kEscape) and one mask section. Version 4 numbers the
+/// nodes breadth-first, so a child's id is computed from its edge's index
+/// and no blob stores one.
+inline constexpr uint32_t kBlobFormatVersion = 4;
 
 /// The 8-byte magic at offset 0 of every snapshot blob.
 inline constexpr char kBlobMagic[8] = {'S', 'Q', 'P', 'S', 'N', 'A', 'P', '1'};
@@ -81,11 +83,10 @@ enum BlobSectionId : uint32_t {
   kSecNextQuery = 9,
   kSecNextGlobal = 10,  // local next-query id -> global id
   kSecEdgeQuery = 11,
-  kSecEdgeChild = 12,
-  kSecRootIndex = 13,
-  kSecNextCode = 14,
+  kSecRootIndex = 12,
+  kSecNextCode = 13,
 };
-inline constexpr uint32_t kBlobNumKnownSections = 14;
+inline constexpr uint32_t kBlobNumKnownSections = 13;
 
 /// META section flags.
 inline constexpr uint32_t kBlobFlagNarrowIds = 1u << 0;
@@ -124,10 +125,8 @@ enum class BlobError : int {
   kCsrTerminal,
   kCsrNotMonotone,
   kEdgeOrder,
-  kEdgeChildRange,
   kRootIndexRange,
   kMisalignedBuffer,
-  kOutOfMemory,
   kMixtureParameterRange,
   kNextQueryRange,
   kNextGlobalOrder,
@@ -184,15 +183,17 @@ BlobError ParseBlobLayout(const uint8_t* blob, size_t size,
 /// bounds: CSR offsets nondecreasing with the META totals as final
 /// values; an empty root edge run (the root's children live only in the
 /// root index); per-node edge queries strictly ascending (the walk
-/// binary-searches them); every edge child inside the node table and
-/// larger than its node (so the graph is acyclic and FinalizeModelRef's
-/// one forward depth sweep is exact); root-index ids inside the node
-/// table; every local next-query id below L; and the local-to-global table
-/// strictly ascending (so local order is global order and the ranking
-/// tie-break holds).
-template <typename QT, typename NT>
-BlobError ValidateBlobStructure(const ModelRef& m,
-                                const PoolsRef<QT, NT>& pools) {
+/// binary-searches them); root-index ids below base; every local
+/// next-query id below L; and the local-to-global table strictly ascending
+/// (so local order is global order and the ranking tie-break holds).
+///
+/// Edge e leads to node base + e, where base = num_nodes - num_edges
+/// (ParseBlobLayout has checked num_edges < num_nodes, so base >= 1). Node
+/// i >= 1 must have base + child_begin[i] > i (kEdgeBackward): its children
+/// then come after it, and by the terminal offset they end at num_nodes.
+/// FinalizeModelRef's level count relies on both (see its proof).
+template <typename T>
+BlobError ValidateBlobStructure(const ModelRef& m, const PoolsRef<T>& pools) {
   const uint32_t* next_begin = m.next_begin;
   const uint32_t* child_begin = m.child_begin;
   if (next_begin[0] != 0 || child_begin[0] != 0) return BlobError::kCsrStart;
@@ -210,19 +211,17 @@ BlobError ValidateBlobStructure(const ModelRef& m,
     }
   }
   if (child_begin[1] != 0) return BlobError::kRootEdgeRun;
+  const size_t base = m.num_nodes - m.num_edges;
   for (size_t i = 1; i < m.num_nodes; ++i) {
-    for (uint32_t e = child_begin[i]; e < child_begin[i + 1]; ++e) {
-      if (e + 1 < child_begin[i + 1] &&
-          pools.edge_query[e] >= pools.edge_query[e + 1]) {
+    if (base + child_begin[i] <= i) return BlobError::kEdgeBackward;
+    for (uint32_t e = child_begin[i]; e + 1 < child_begin[i + 1]; ++e) {
+      if (pools.edge_query[e] >= pools.edge_query[e + 1]) {
         return BlobError::kEdgeOrder;
       }
-      const uint64_t child = pools.edge_child[e];
-      if (child >= m.num_nodes) return BlobError::kEdgeChildRange;
-      if (child <= i) return BlobError::kEdgeBackward;
     }
   }
   for (size_t i = 0; i < pools.root_index_size; ++i) {
-    if (static_cast<uint64_t>(pools.root_child_by_query[i]) >= m.num_nodes) {
+    if (static_cast<size_t>(pools.root_child_by_query[i]) >= base) {
       return BlobError::kRootIndexRange;
     }
   }
@@ -262,25 +261,17 @@ inline BlobError ValidateBlobMixtureParameters(const double* sigmas,
 
 // ------------------------------------------------------------------ bind
 
-/// Caller work memory for BindBlob's depth sweep, requested once the
-/// layout is parsed and validated: `num_nodes` uninitialized words the
-/// caller may release as soon as BindBlob returns. Returns null when the
-/// memory is unavailable.
-using BlobBindMemory = uint32_t* (*)(void* context, size_t num_nodes);
-
 /// The one bind of a blob, shared by the engine and slim. In order:
-/// ParseBlobLayout (every CRC included); rejects a
-/// `blob` base that is not 8-byte aligned; points `*model` at the sections
-/// in place; runs ValidateBlobMixtureParameters, ValidateBlobCountShifts
-/// and ValidateBlobStructure; asks `memory` for the depth sweep's work
-/// memory and runs FinalizeModelRef. So nothing derives from, or serves,
-/// arrays that failed validation. On kNone
-/// `*layout` holds the decoded META and `*model` serves straight out of
-/// `blob`, which must stay alive and unchanged as long as `*model`; on any
-/// error `*model` is untouched.
-BlobError BindBlob(const uint8_t* blob, size_t size, BlobBindMemory memory,
-                   void* memory_context,
-                   BlobLayout* layout, ModelRef* model);
+/// ParseBlobLayout (every CRC included); rejects a `blob` base that is not
+/// 8-byte aligned; points `*model` at the sections in place; runs
+/// ValidateBlobMixtureParameters, ValidateBlobCountShifts and
+/// ValidateBlobStructure; then FinalizeModelRef. So nothing derives from,
+/// or serves, arrays that failed validation, and the bind allocates
+/// nothing. On kNone `*layout` holds the decoded META and `*model` serves
+/// straight out of `blob`, which must stay alive and unchanged as long as
+/// `*model`; on any error `*model` is untouched.
+BlobError BindBlob(const uint8_t* blob, size_t size, BlobLayout* layout,
+                   ModelRef* model);
 
 }  // namespace sqp::serving
 

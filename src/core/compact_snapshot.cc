@@ -284,15 +284,6 @@ std::vector<uint8_t> AssembleBlob(std::span<const SectionBytes> sections) {
   return blob;
 }
 
-/// The engine's BindBlob memory: the depth scratch in a vector that lives
-/// for the bind call.
-uint32_t* VectorBindMemory(void* context, size_t num_nodes) {
-  std::vector<uint32_t>* depth_scratch =
-      static_cast<std::vector<uint32_t>*>(context);
-  depth_scratch->resize(num_nodes);
-  return depth_scratch->data();
-}
-
 }  // namespace
 
 std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
@@ -324,8 +315,7 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   std::vector<uint8_t> count_shift;
   std::vector<uint16_t> mask16, next_code;
   std::vector<Pst::ViewMask> mask64;  // the one mask section is one of these
-  std::vector<uint32_t> next_query, next_global, edge_query, edge_child,
-      root_index;
+  std::vector<uint32_t> next_query, next_global, edge_query, root_index;
   next_begin.reserve(n + 1);
   child_begin.reserve(n + 1);
   total_count.reserve(n);
@@ -337,6 +327,7 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
     mask64.reserve(n);
   }
 
+  const size_t base = 1 + nodes[0].children.size();
   const std::vector<std::vector<uint32_t>> kept =
       KeptEntries(full, options.top_k == 0
                             ? std::numeric_limits<size_t>::max()
@@ -371,11 +362,13 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
       next_code.push_back(static_cast<uint16_t>(code == 0 ? 1 : code));
     }
 
-    // The root's children go to the root index only.
+    // The root's children go to the root index only. Pst ids are
+    // breadth-first, so edge e leads to node base + e and no child id is
+    // stored.
     if (id == 0) continue;
     for (const Pst::Edge& edge : node.children) {
+      SQP_CHECK(static_cast<size_t>(edge.child) == base + edge_query.size());
       edge_query.push_back(edge.query);
-      edge_child.push_back(static_cast<uint32_t>(edge.child));
     }
   }
   next_begin.push_back(static_cast<uint32_t>(next_code.size()));
@@ -417,9 +410,9 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
   StoreLE32(meta.data() + 56, static_cast<uint32_t>(num_components));
   StoreLE32(meta.data() + 60, static_cast<uint32_t>(next_global.size()));
 
-  // The v3 section order; NextCode closes the blob after the id pools.
+  // The v4 section order; NextCode closes the blob after the id pools.
   using enum serving::BlobSectionId;
-  std::vector<uint16_t> narrowed[5];
+  std::vector<uint16_t> narrowed[4];
   const auto pool = [narrow_ids](serving::BlobSectionId id,
                                  const std::vector<uint32_t>& ids,
                                  std::vector<uint16_t>* narrow) {
@@ -439,8 +432,7 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
       pool(kSecNextQuery, next_query, &narrowed[0]),
       pool(kSecNextGlobal, next_global, &narrowed[1]),
       pool(kSecEdgeQuery, edge_query, &narrowed[2]),
-      pool(kSecEdgeChild, edge_child, &narrowed[3]),
-      pool(kSecRootIndex, root_index, &narrowed[4]),
+      pool(kSecRootIndex, root_index, &narrowed[3]),
       Section(kSecNextCode, next_code),
   };
   auto blob = std::make_shared<std::vector<uint8_t>>(AssembleBlob(sections));
@@ -456,11 +448,9 @@ std::shared_ptr<const CompactSnapshot> CompactSnapshot::FromSnapshot(
 Result<std::shared_ptr<const CompactSnapshot>> CompactSnapshot::FromBlob(
     std::shared_ptr<const uint8_t> bytes, size_t size, bool mapped) {
   std::shared_ptr<CompactSnapshot> out(new CompactSnapshot());
-  std::vector<uint32_t> depth_scratch;
   serving::BlobLayout layout;
   const serving::BlobError err =
-      serving::BindBlob(bytes.get(), size, VectorBindMemory, &depth_scratch,
-                        &layout, &out->model_);
+      serving::BindBlob(bytes.get(), size, &layout, &out->model_);
   if (err == serving::BlobError::kVersionMismatch) {
     return Status::InvalidArgument(
         "unsupported snapshot format version " +
@@ -508,8 +498,8 @@ Recommendation CompactSnapshot::Recommend(std::span<const QueryId> context,
   const serving::ModelRef& m = model_;
 
   // Per-request capacity top-up off the bind-time sizing — all no-ops in
-  // steady state once Prepare() warmed the scratch. The bind rejects back
-  // edges, so sizing.path_depth is exact for every bound blob.
+  // steady state once Prepare() warmed the scratch. sizing.path_depth, the
+  // blob's level count, bounds every matched path of a bound blob.
   const size_t path_cap = std::min(context.size(), m.sizing.path_depth);
   if (scratch->path.size() < path_cap) scratch->path.resize(path_cap);
   if (scratch->level_weight.size() < path_cap) {

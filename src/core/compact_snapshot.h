@@ -117,9 +117,12 @@ struct CompactOptions {
 ///     next_global u16/u32  local id -> global id               2-4 B / id
 ///   (the dense accumulator therefore has L slots, whatever ids the blob
 ///   names, and ranking by local id is ranking by global id)
-///   edge pool (non-root children, query-ascending, each child id larger
-///   than its node; the root's children are only in the root index):
-///     edge_query  u16/u32  +  edge_child u16/i32             = 4-8 B / edge
+///   edge pool (non-root children, query-ascending per node; the root's
+///   children are only in the root index):
+///     edge_query  u16/u32                                    = 2-4 B / edge
+///   (node ids are breadth-first — the root, its children in query order,
+///   then each node's children in node order — so edge e leads to node
+///   num_nodes - num_edges + e and no child id is stored)
 ///   root index (dense over the root's child queries, 0 = absent)
 ///   (id widths are adaptive: whenever every query id and node id fits 16
 ///   bits — true for corpora up to 65k distinct queries / tree nodes — the
@@ -127,7 +130,7 @@ struct CompactOptions {
 ///
 /// versus ~96 B of Pst::Node header plus 16 B per entry in the full tree.
 ///
-/// Storage: a CompactSnapshot IS its v3 blob (core/blob_format.h) — the
+/// Storage: a CompactSnapshot IS its blob (core/blob_format.h) — the
 /// arrays above are sections of one byte buffer, served in place through
 /// the serving::ModelRef that serving::BindBlob points at them, the same
 /// bind the slim embedded predictor runs. The bytes are either owned (a
@@ -156,7 +159,7 @@ struct CompactOptions {
 /// call the const methods concurrently with one SnapshotScratch per thread.
 class CompactSnapshot {
  public:
-  /// Packs `full` into the compact layout and writes it as v3 blob bytes
+  /// Packs `full` into the compact layout and writes it as blob bytes
   /// (the exact bytes SnapshotIo::Save persists). The result carries the
   /// same version tag and serves the same recommendations up to
   /// ancestor-closed top-K truncation and block-scaled 16-bit count
@@ -164,7 +167,7 @@ class CompactSnapshot {
   static std::shared_ptr<const CompactSnapshot> FromSnapshot(
       const ModelSnapshot& full, const CompactOptions& options = {});
 
-  /// Serves the v3 blob of `size` bytes at `bytes` in place, after
+  /// Serves the blob of `size` bytes at `bytes` in place, after
   /// serving::BindBlob parsed and validated it, every section CRC
   /// included. `bytes` must be 8-byte aligned and stay
   /// unchanged; the snapshot holds it, so its deleter (freeing a heap
@@ -211,7 +214,7 @@ class CompactSnapshot {
   std::vector<double> sigmas() const {
     return {model_.sigmas, model_.sigmas + model_.num_components};
   }
-  /// The whole v3 blob (header, section table, padding and sections).
+  /// The whole blob (header, section table, padding and sections).
   std::span<const uint8_t> blob_bytes() const { return {bytes_.get(), size_}; }
 
  private:

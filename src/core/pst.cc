@@ -164,7 +164,8 @@ Status Pst::BuildImpl(const ContextIndex& index,
   // re-hashing context vectors: the trie parent of a context is its PST
   // parent, so both the parent entry (for the KL statistic) and the parent
   // node id come straight from the arena. Entries arrive in (length, lex)
-  // order, so parents are materialized before their children.
+  // order, so candidate ids put parents before their children; the kept
+  // nodes are renumbered breadth-first at the end.
   std::vector<int32_t> node_of_trie(index.num_trie_nodes(), -1);
   node_of_trie[0] = 0;
   std::vector<double> growth_kl(1, 0.0);  // parallel to nodes_
@@ -241,44 +242,43 @@ Status Pst::BuildImpl(const ContextIndex& index,
     }
   }
 
-  // Compact away nodes no view accepted (parent-before-child order makes
-  // this a single remapping pass).
-  bool needs_compaction = false;
-  for (size_t id = 1; id < nodes_.size(); ++id) {
-    if (masks[id] == 0) {
-      needs_compaction = true;
-      break;
-    }
-  }
-  if (needs_compaction) {
-    std::vector<Node> kept;
-    std::vector<ViewMask> kept_masks;
-    std::vector<int32_t> remap(nodes_.size(), -1);
-    kept.reserve(nodes_.size());
-    kept_masks.reserve(nodes_.size());
-    for (size_t id = 0; id < nodes_.size(); ++id) {
-      if (id != 0 && masks[id] == 0) continue;
-      remap[id] = static_cast<int32_t>(kept.size());
-      Node node = std::move(nodes_[id]);
-      if (node.parent >= 0) {
-        node.parent = remap[static_cast<size_t>(node.parent)];
-      }
-      kept.push_back(std::move(node));
-      kept_masks.push_back(masks[id]);
-    }
-    nodes_ = std::move(kept);
-    masks = std::move(kept_masks);
-  }
-
+  // Renumber breadth-first and drop the nodes no view accepted: the root,
+  // its children in ascending query order, then each node's children in
+  // node order, query-ascending. Membership is ancestor-closed, so the
+  // sweep from the root reaches every accepted node, and parents keep
+  // preceding their children.
   RebuildChildren();
-  if (shared) view_masks_ = std::move(masks);
+  std::vector<int32_t> order{0};  // order[k] = candidate id of node k
+  for (size_t k = 0; k < order.size(); ++k) {
+    for (const Edge& edge : nodes_[static_cast<size_t>(order[k])].children) {
+      if (masks[static_cast<size_t>(edge.child)] != 0) {
+        order.push_back(edge.child);
+      }
+    }
+  }
+  std::vector<int32_t> renumbered(nodes_.size(), -1);
+  std::vector<Node> kept(order.size());
+  std::vector<ViewMask> kept_masks(order.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    const size_t id = static_cast<size_t>(order[k]);
+    renumbered[id] = static_cast<int32_t>(k);
+    kept[k] = std::move(nodes_[id]);
+    if (kept[k].parent >= 0) {
+      kept[k].parent = renumbered[static_cast<size_t>(kept[k].parent)];
+    }
+    kept_masks[k] = masks[id];
+  }
+  nodes_ = std::move(kept);
+  RebuildChildren();
+  if (shared) view_masks_ = std::move(kept_masks);
   return Status::OK();
 }
 
 void Pst::RebuildChildren() {
   for (Node& node : nodes_) node.children.clear();
-  // Nodes are in (length, lex) order, so each parent receives its edges in
-  // ascending query order — the sorted-edge invariant holds by construction.
+  // Siblings appear in ascending query order in every node order this runs
+  // over — the build's (length, lex) candidates and the breadth-first ids —
+  // so each parent receives its edges sorted by query.
   for (size_t i = 1; i < nodes_.size(); ++i) {
     nodes_[static_cast<size_t>(nodes_[i].parent)].children.push_back(
         Edge{nodes_[i].context.front(), static_cast<int32_t>(i)});

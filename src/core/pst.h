@@ -38,6 +38,12 @@ struct PstOptions {
 /// most recent query toward older ones. The suffix-closure invariant holds:
 /// if s is a node, every suffix of s is a node.
 ///
+/// Node ids are breadth-first: the root is 0, its children are 1..R in
+/// ascending query order, then come each node's children in node order,
+/// query-ascending. So parents precede children and siblings take
+/// consecutive ids, which lets the compact blob compute a child's id from
+/// its edge's index instead of storing it.
+///
 /// A Pst can also be built as a *shared* tree covering several component
 /// configurations at once (Pst::BuildShared): one maximal node pool plus a
 /// per-node bitmask recording which components ("views") would have built

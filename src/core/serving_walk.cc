@@ -22,8 +22,8 @@ inline uint64_t MaskOf(const ModelRef& m, size_t node) {
 
 /// Depth-1 step: the root's dense fan-out index, one O(1) array load
 /// (absent = node 0 = -1).
-template <typename QT, typename NT>
-inline int32_t RootChildIn(const PoolsRef<QT, NT>& pools, uint32_t query) {
+template <typename T>
+inline int32_t RootChildIn(const PoolsRef<T>& pools, uint32_t query) {
   if (query >= pools.root_index_size) return -1;
   const int32_t child = static_cast<int32_t>(pools.root_child_by_query[query]);
   return child == 0 ? -1 : child;
@@ -31,28 +31,27 @@ inline int32_t RootChildIn(const PoolsRef<QT, NT>& pools, uint32_t query) {
 
 /// Child of non-root `node` along `query` in the CSR edge pool, or -1.
 /// The root's children live only in the root index (RootChildIn); its
-/// edge run is empty.
-template <typename QT, typename NT>
-inline int32_t FindChildIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
+/// edge run is empty. Edge e leads to node num_nodes - num_edges + e.
+template <typename T>
+inline int32_t FindChildIn(const ModelRef& m, const PoolsRef<T>& pools,
                            int32_t node, uint32_t query) {
-  // A query past QT's range is in no pool of this width; narrowing it
+  // A query past T's range is in no pool of this width; narrowing it
   // would alias a smaller id.
-  if (query != static_cast<QT>(query)) return -1;
-  const uint32_t begin = m.child_begin[static_cast<size_t>(node)];
-  const uint32_t end = m.child_begin[static_cast<size_t>(node) + 1];
-  const QT* first = pools.edge_query + begin;
-  const QT* last = pools.edge_query + end;
-  const QT* at = std::lower_bound(first, last, static_cast<QT>(query));
-  if (at == last || *at != static_cast<QT>(query)) return -1;
-  return static_cast<int32_t>(
-      pools.edge_child[static_cast<size_t>(begin + (at - first))]);
+  if (query != static_cast<T>(query)) return -1;
+  const T* first = pools.edge_query + m.child_begin[static_cast<size_t>(node)];
+  const T* last =
+      pools.edge_query + m.child_begin[static_cast<size_t>(node) + 1];
+  const T* at = std::lower_bound(first, last, static_cast<T>(query));
+  if (at == last || *at != static_cast<T>(query)) return -1;
+  return static_cast<int32_t>(m.num_nodes - m.num_edges +
+                              static_cast<size_t>(at - pools.edge_query));
 }
 
 /// Longest-suffix walk recording the matched chain. Prefetches each
 /// matched node's edge run and nexts slice so the binary search and the
 /// scoring pass hit warm lines.
-template <typename QT, typename NT>
-size_t MatchPathIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
+template <typename T>
+size_t MatchPathIn(const ModelRef& m, const PoolsRef<T>& pools,
                    const uint32_t* context, size_t len, int32_t* path,
                    size_t path_capacity) {
   if (len == 0 || path_capacity == 0) return 0;
@@ -113,8 +112,8 @@ struct TopNSink {
   }
 };
 
-template <typename QT, typename NT>
-WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
+template <typename T>
+WalkResult RecommendIn(const ModelRef& m, const PoolsRef<T>& pools,
                        const uint32_t* context, size_t len, size_t top_n,
                        WalkScratch* scratch, uint32_t* out_queries,
                        double* out_scores) {
@@ -205,37 +204,28 @@ WalkResult RecommendIn(const ModelRef& m, const PoolsRef<QT, NT>& pools,
 
 }  // namespace
 
-void FinalizeModelRef(ModelRef* m, uint32_t* depth_scratch) {
-  // Tree depth for path-array sizing. Every validated edge points from a
-  // node to a larger id, so one forward sweep, seeded at depth 1 from the
-  // root index and taking the max over parents, settles each node's
-  // longest chain before any of its children is reached.
-  size_t max_depth = 0;
-  if (m->num_nodes > 0 && depth_scratch != nullptr) {
-    for (size_t i = 0; i < m->num_nodes; ++i) depth_scratch[i] = 0;
-    const auto sweep = [&](const auto& pools) {
-      for (size_t q = 0; q < pools.root_index_size; ++q) {
-        const size_t child = static_cast<size_t>(pools.root_child_by_query[q]);
-        if (child != 0) depth_scratch[child] = 1;
-      }
-      for (size_t node = 1; node < m->num_nodes; ++node) {
-        if (depth_scratch[node] == 0) continue;  // unreachable
-        max_depth = std::max<size_t>(max_depth, depth_scratch[node]);
-        for (size_t e = m->child_begin[node]; e < m->child_begin[node + 1];
-             ++e) {
-          const size_t child = static_cast<size_t>(pools.edge_child[e]);
-          depth_scratch[child] =
-              std::max(depth_scratch[child], depth_scratch[node] + 1);
-        }
-      }
-    };
-    if (m->narrow_ids) {
-      sweep(m->narrow);
-    } else {
-      sweep(m->wide);
-    }
+void FinalizeModelRef(ModelRef* m) {
+  // Path-array sizing: the number of tree levels. Let base = num_nodes -
+  // num_edges, E_0 = 1 and E_j = base + child_begin[E_{j-1}]; E_1 = base,
+  // since the root's edge run is empty. Level j is [E_{j-1}, E_j).
+  //
+  // Every matched chain n_1, n_2, ... has n_j in level j. n_1 is a root
+  // index id, in [1, base). If n_j is in [E_{j-1}, E_j), its child is
+  // base + e for an edge e of n_j, and the nondecreasing offsets give
+  // child_begin[E_{j-1}] <= child_begin[n_j] <= e < child_begin[n_j + 1]
+  // <= child_begin[E_j], so n_{j+1} is in [E_j, E_{j+1}). A chain of depth
+  // d thus meets d nonempty levels: the count bounds every chain.
+  //
+  // The count terminates: for E_j < num_nodes, ValidateBlobStructure's
+  // base + child_begin[i] > i gives E_{j+1} > E_j, and num_nodes is a fixed
+  // point (child_begin[num_nodes] == num_edges). On a breadth-first tree
+  // level j holds exactly the nodes at depth j, so the count is exact.
+  const size_t base = m->num_nodes - m->num_edges;
+  size_t levels = 0;
+  for (size_t end = 1; end < m->num_nodes; ++levels) {
+    end = base + m->child_begin[end];
   }
-  m->sizing.path_depth = max_depth;
+  m->sizing.path_depth = levels;
   m->sizing.num_components = m->num_components;
   m->sizing.dense_queries = m->num_next_queries;
 }

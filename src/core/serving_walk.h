@@ -63,7 +63,7 @@ enum class MixtureWeighting {
 /// consumer — engine scratch pools and slim's create-time arena alike —
 /// can size every per-thread buffer up front and serve allocation-free.
 struct ScratchSizing {
-  size_t path_depth = 0;      // longest matched path (exact: edges go forward)
+  size_t path_depth = 0;      // tree levels: bounds every matched path
   size_t num_components = 0;  // mixture component count
   size_t dense_queries = 0;   // dense-accumulator slots: the blob's L
 };
@@ -124,19 +124,20 @@ inline void PrefetchRead(const void* address) {
 #endif
 }
 
-/// Width-parameterized raw-pointer views of the compact id pools. `QT`
-/// holds query ids, `NT` node ids; the root index uses node id 0 (never a
-/// child) as its absent sentinel. The nexts pool holds blob-local query ids
-/// 0..L-1, numbered in ascending global-id order; `next_global` maps them
-/// back. Edge queries and the root index hold global ids, because the
-/// descent matches context ids against them.
-template <typename QT, typename NT>
+/// Width-parameterized raw-pointer views of the compact id pools: `T`
+/// holds the query ids and the root index's node ids alike. The root index
+/// uses node id 0 (never a child) as its absent sentinel. The nexts pool
+/// holds blob-local query ids 0..L-1, numbered in ascending global-id
+/// order; `next_global` maps them back. Edge queries and the root index
+/// match context ids, so they hold global ids. No pool holds a child id:
+/// nodes are numbered breadth-first, so edge e leads to node
+/// num_nodes - num_edges + e.
+template <typename T>
 struct PoolsRef {
-  const QT* next_query = nullptr;   // num_entries, local ids
-  const QT* next_global = nullptr;  // num_next_queries, strictly ascending
-  const QT* edge_query = nullptr;   // num_edges
-  const NT* edge_child = nullptr;   // num_edges
-  const NT* root_child_by_query = nullptr;  // root_index_size
+  const T* next_query = nullptr;   // num_entries, local ids
+  const T* next_global = nullptr;  // num_next_queries, strictly ascending
+  const T* edge_query = nullptr;   // num_edges
+  const T* root_child_by_query = nullptr;  // root_index_size
   size_t root_index_size = 0;
 };
 
@@ -191,8 +192,8 @@ struct ModelRef {
   /// L: the distinct next queries of the nexts pool (local ids 0..L-1).
   size_t num_next_queries = 0;
   bool narrow_ids = false;
-  PoolsRef<uint16_t, uint16_t> narrow;
-  PoolsRef<uint32_t, uint32_t> wide;
+  PoolsRef<uint16_t> narrow;
+  PoolsRef<uint32_t> wide;
 
   // Mixture state.
   MixtureWeighting weighting = MixtureWeighting::kGaussianEditDistance;
@@ -204,11 +205,10 @@ struct ModelRef {
 };
 
 /// Computes the derived block of `m` off its bound arrays: the scratch
-/// sizing. `depth_scratch` is a num_nodes-sized work array used only
-/// during the call (may be null when num_nodes == 0). BindBlob runs it
-/// only on validated arrays, whose edges all point forward, so the depth
-/// sweep is exact.
-void FinalizeModelRef(ModelRef* m, uint32_t* depth_scratch);
+/// sizing, with O(1) working state. BindBlob runs it only on arrays that
+/// passed ValidateBlobStructure, which the level count needs to terminate
+/// and to bound every matched path.
+void FinalizeModelRef(ModelRef* m);
 
 /// Longest-suffix walk recording the matched chain into `path` (capacity
 /// `path_capacity`; sizing.path_depth bounds the depth of every validated

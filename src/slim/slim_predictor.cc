@@ -33,15 +33,6 @@ T* Carve(uint8_t** cursor, size_t count) {
   return p;
 }
 
-/// BindBlob's depth-sweep memory, malloc'ed into `*context` and freed
-/// right after the bind.
-uint32_t* MallocBindMemory(void* context, size_t num_nodes) {
-  uint32_t** depth_scratch = static_cast<uint32_t**>(context);
-  *depth_scratch =
-      static_cast<uint32_t*>(std::malloc(num_nodes * sizeof(uint32_t)));
-  return *depth_scratch;
-}
-
 }  // namespace
 
 struct sqp_slim_predictor {
@@ -71,19 +62,13 @@ extern "C" SQP_SLIM_API sqp_status_t sqp_slim_create_from_buffer(
   // out of the caller's buffer, never copied.
   serving::BlobLayout layout;
   serving::ModelRef m;
-  uint32_t* depth_scratch = nullptr;
-  const serving::BlobError err =
-      serving::BindBlob(static_cast<const uint8_t*>(blob), blob_size,
-                        MallocBindMemory, &depth_scratch, &layout, &m);
-  std::free(depth_scratch);
-  if (err != serving::BlobError::kNone) {
-    return err == serving::BlobError::kOutOfMemory
-               ? SQP_STATUS_RESOURCE_EXHAUSTED
-               : SQP_STATUS_INVALID_ARGUMENT;
+  if (serving::BindBlob(static_cast<const uint8_t*>(blob), blob_size,
+                        &layout, &m) != serving::BlobError::kNone) {
+    return SQP_STATUS_INVALID_ARGUMENT;
   }
 
-  // The bind rejects back edges, so path_depth is exact: the same
-  // capacity the engine gives a request, min(context_len, path_depth).
+  // path_depth bounds every matched path: the same capacity the engine
+  // gives a request, min(context_len, path_depth).
   const size_t path_capacity = m.sizing.path_depth;
   const size_t k = m.num_components;
   const size_t dense_slots = m.sizing.dense_queries;

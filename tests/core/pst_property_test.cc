@@ -2,7 +2,9 @@
 // min_support x corpus seed): structural invariants that must hold for
 // every valid configuration, checked on randomly generated corpora.
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +32,26 @@ std::vector<AggregatedSession> RandomCorpus(uint64_t seed, size_t vocab,
     sessions.push_back(std::move(session));
   }
   return sessions;
+}
+
+/// The numbering the compact blob computes child ids from: the root's
+/// children are 1..R, parent ids are nondecreasing in node id, and
+/// siblings take consecutive ids in ascending edge query.
+void ExpectBreadthFirstIds(const Pst& pst) {
+  const std::vector<Pst::Node>& nodes = pst.nodes();
+  const std::vector<Pst::Edge>& root_edges = nodes[0].children;
+  for (size_t k = 0; k < root_edges.size(); ++k) {
+    EXPECT_EQ(root_edges[k].child, static_cast<int32_t>(k + 1));
+  }
+  for (size_t i = 2; i < nodes.size(); ++i) {
+    EXPECT_LE(nodes[i - 1].parent, nodes[i].parent) << "node " << i;
+  }
+  for (const Pst::Node& node : nodes) {
+    for (size_t k = 1; k < node.children.size(); ++k) {
+      EXPECT_LT(node.children[k - 1].query, node.children[k].query);
+      EXPECT_EQ(node.children[k].child, node.children[k - 1].child + 1);
+    }
+  }
 }
 
 using PstParam = std::tuple<double /*epsilon*/, size_t /*max_depth*/,
@@ -166,6 +188,28 @@ TEST_P(PstPropertyTest, RebuildIsDeterministic) {
   for (size_t i = 0; i < pst_.size(); ++i) {
     EXPECT_EQ(again.nodes()[i].context, pst_.nodes()[i].context);
     EXPECT_EQ(again.nodes()[i].total_count, pst_.nodes()[i].total_count);
+  }
+}
+
+TEST_P(PstPropertyTest, NodeIdsAreBreadthFirst) {
+  {
+    SCOPED_TRACE("standalone");
+    ExpectBreadthFirstIds(pst_);
+  }
+  const PstOptions views[] = {
+      options_,
+      PstOptions{.epsilon = 0.0, .max_depth = 3},
+      PstOptions{.epsilon = 0.2, .max_depth = 0, .min_support = 2},
+  };
+  Pst shared;
+  SQP_CHECK_OK(shared.BuildShared(index_, views));
+  {
+    SCOPED_TRACE("shared");
+    ExpectBreadthFirstIds(shared);
+  }
+  for (size_t v = 0; v < shared.num_views(); ++v) {
+    SCOPED_TRACE("view " + std::to_string(v));
+    ExpectBreadthFirstIds(shared.ExtractView(v));
   }
 }
 

@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <random>
+#include <utility>
 #include <vector>
 
+#include "core/blob_format.h"
 #include "core/model_snapshot.h"
 #include "core/serving_walk.h"
 
@@ -105,33 +109,119 @@ TEST(DenseAccumulatorTest, DenseSlotsAreTheLocalIdCountWhateverTheGlobalIds) {
   m.num_next_queries = 2;
   m.wide.next_query = next_query;
   m.wide.next_global = next_global;
-  uint32_t depth_scratch[1];
-  serving::FinalizeModelRef(&m, depth_scratch);
+  serving::FinalizeModelRef(&m);
   EXPECT_EQ(m.sizing.dense_queries, 2u);
   EXPECT_EQ(m.sizing.path_depth, 0u);
 }
 
-TEST(ServingWalkTest, PathDepthIsTheLongestChainOverEveryParent) {
-  // Node 4 has two parents: node 2 at depth 2 and node 3 at depth 1. The
-  // deeper parent has the smaller id, so a sweep that let the last parent
-  // win would size node 4 at depth 2; the bound path is three deep.
-  //   root --q1--> 1 --q2--> 2 --q4--> 4
-  //   root --q3--> 3 --q4--> 4
-  const uint32_t child_begin[6] = {0, 0, 1, 2, 3, 3};
-  const uint32_t edge_query[3] = {2, 4, 4};
-  const uint32_t edge_child[3] = {2, 4, 4};
-  const uint32_t root_index[4] = {0, 1, 0, 3};
-  serving::ModelRef m;
-  m.child_begin = child_begin;
-  m.num_nodes = 5;
-  m.num_edges = 3;
-  m.wide.edge_query = edge_query;
-  m.wide.edge_child = edge_child;
-  m.wide.root_child_by_query = root_index;
-  m.wide.root_index_size = 4;
-  uint32_t depth_scratch[5];
-  serving::FinalizeModelRef(&m, depth_scratch);
-  EXPECT_EQ(m.sizing.path_depth, 3u);
+/// A wide-id model over `child_begin` (num_nodes + 1 offsets) with no
+/// nexts: edge e carries query 100 + e, so every run is ascending.
+struct TreeLayout {
+  std::vector<uint32_t> child_begin;
+  std::vector<uint32_t> root_index;
+  std::vector<uint32_t> edge_query;
+  std::vector<uint32_t> next_begin;
+  uint32_t no_ids[1] = {0};
+  uint16_t no_codes[1] = {0};
+  serving::ModelRef m;  // points into the members above
+
+  TreeLayout(const TreeLayout&) = delete;
+  TreeLayout& operator=(const TreeLayout&) = delete;
+  TreeLayout(std::vector<uint32_t> offsets, std::vector<uint32_t> roots)
+      : child_begin(std::move(offsets)), root_index(std::move(roots)) {
+    const size_t num_nodes = child_begin.size() - 1;
+    for (uint32_t e = 0; e < child_begin.back(); ++e) {
+      edge_query.push_back(100 + e);
+    }
+    next_begin.assign(num_nodes + 1, 0);
+    m.next_begin = next_begin.data();
+    m.child_begin = child_begin.data();
+    m.next_code = no_codes;
+    m.num_nodes = num_nodes;
+    m.num_edges = child_begin.back();
+    m.wide.next_query = no_ids;
+    m.wide.next_global = no_ids;
+    m.wide.edge_query = edge_query.data();
+    m.wide.root_child_by_query = root_index.data();
+    m.wide.root_index_size = root_index.size();
+  }
+
+  /// The deepest chain from a root-index id, through computed children.
+  size_t LongestChain() const {
+    const size_t base = m.num_nodes - m.num_edges;
+    std::vector<size_t> depth(m.num_nodes, 0);
+    size_t longest = 0;
+    for (uint32_t node : root_index) {
+      if (node != 0) depth[node] = 1;
+    }
+    // Validated children come after their node, so one ascending pass
+    // settles every depth.
+    for (size_t node = 1; node < m.num_nodes; ++node) {
+      if (depth[node] == 0) continue;
+      longest = std::max(longest, depth[node]);
+      for (uint32_t e = child_begin[node]; e < child_begin[node + 1]; ++e) {
+        depth[base + e] = depth[node] + 1;
+      }
+    }
+    return longest;
+  }
+};
+
+TEST(ServingWalkTest, PathDepthIsTheLevelCountOfABreadthFirstTree) {
+  //   root --q1--> 1 --q100--> 3 --q103--> 6
+  //                  --q101--> 4
+  //   root --q3--> 2 --q102--> 5
+  // base = 3, so edge e leads to node 3 + e.
+  TreeLayout tree({0, 0, 2, 3, 4, 4, 4, 4}, {0, 1, 0, 2});
+  ASSERT_EQ(serving::ValidateBlobStructure(tree.m, tree.m.wide),
+            serving::BlobError::kNone);
+  serving::FinalizeModelRef(&tree.m);
+  EXPECT_EQ(tree.m.sizing.path_depth, 3u);
+  EXPECT_EQ(tree.LongestChain(), 3u);
+
+  // The descent follows the computed ids: context (oldest first)
+  // q103 q100 q1 matches 1 -> 3 -> 6.
+  const uint32_t context[3] = {103, 100, 1};
+  int32_t path[3] = {};
+  ASSERT_EQ(serving::MatchPath(tree.m, context, 3, path, 3), 3u);
+  EXPECT_EQ(path[0], 1);
+  EXPECT_EQ(path[1], 3);
+  EXPECT_EQ(path[2], 6);
+  const uint32_t other[2] = {102, 3};
+  ASSERT_EQ(serving::MatchPath(tree.m, other, 2, path, 3), 2u);
+  EXPECT_EQ(path[1], 5);
+}
+
+TEST(ServingWalkTest, PathDepthBoundsEveryChainOfAValidatedLayout) {
+  // Random CSR layouts, most of them not breadth-first trees: whatever
+  // passes ValidateBlobStructure must get a level count no smaller than
+  // its longest chain, or the walk would cut a match short.
+  std::mt19937 rng(31);
+  size_t validated = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const size_t num_nodes = 1 + rng() % 12;
+    const uint32_t num_edges = static_cast<uint32_t>(rng() % num_nodes);
+    std::vector<uint32_t> offsets(num_nodes + 1, 0);
+    for (size_t i = 2; i < num_nodes; ++i) {
+      offsets[i] = std::min<uint32_t>(
+          num_edges, offsets[i - 1] + static_cast<uint32_t>(rng() % 3));
+    }
+    offsets[num_nodes] = num_edges;
+    std::vector<uint32_t> roots(rng() % 5);
+    for (uint32_t& node : roots) {
+      node = static_cast<uint32_t>(rng() % num_nodes);
+    }
+    TreeLayout tree(offsets, roots);
+    if (serving::ValidateBlobStructure(tree.m, tree.m.wide) !=
+        serving::BlobError::kNone) {
+      continue;
+    }
+    ++validated;
+    serving::FinalizeModelRef(&tree.m);
+    EXPECT_GE(tree.m.sizing.path_depth, tree.LongestChain())
+        << "trial " << trial;
+  }
+  EXPECT_GT(validated, 100u);
 }
 
 TEST(EscapePowTest, TableIsTheRuntimeChainBitForBit) {

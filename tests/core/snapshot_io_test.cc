@@ -499,26 +499,25 @@ TEST(SnapshotIoTest, TruncatedBlobsAreRejected) {
 }
 
 TEST(SnapshotIoTest, StructuralValidationCatchesBadIdsEvenWithoutChecksums) {
-  // A blob whose edge pool points outside the node table, re-sealed so
+  // A blob whose root index points outside the node table, re-sealed so
   // every checksum passes: the structural pass alone must refuse it — the
   // invariant the serving walk's memory-safety rests on.
   const std::vector<AggregatedSession> corpus = SeededCorpus(6, 150, 60);
   const auto full = BuildFull(corpus, 1, 1 << 10, /*max_depth=*/3);
   const auto compact = CompactSnapshot::FromSnapshot(*full);
-  ASSERT_GT(compact->num_edges(), 0u);
   TempFile file("badid.blob");
   ASSERT_TRUE(SnapshotIo::Save(*compact, file.path()).ok());
   std::vector<uint8_t> blob = ReadAll(file.path());
 
-  // Point the first edge of the edge_child section at a node id far past
-  // the table.
+  // Point the first root-index slot at a node id far past the table.
   serving::BlobLayout layout;
   ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
             serving::BlobError::kNone);
   ASSERT_TRUE(layout.narrow_ids);
-  StoreLE16(blob.data() + layout.sections[serving::kSecEdgeChild].offset,
+  ASSERT_GT(layout.root_index_size, 0u);
+  StoreLE16(blob.data() + layout.sections[serving::kSecRootIndex].offset,
             0xFFFF);
-  ResealSection(&blob, serving::kSecEdgeChild);
+  ResealSection(&blob, serving::kSecRootIndex);
   ASSERT_EQ(serving::ParseBlobLayout(blob.data(), blob.size(), &layout),
             serving::BlobError::kNone);
   WriteAll(file.path(), blob);
@@ -650,7 +649,7 @@ TEST(SnapshotIoTest, RetrainerPersistsEveryPublishedRebuild) {
 /// dedicated job: if the current reader cannot reproduce the freshly
 /// trained model's top-10 lists from the golden bytes, the format drifted
 /// silently and the build fails.
-constexpr char kGoldenRelPath[] = "/golden_snapshot_v3.blob";
+constexpr char kGoldenRelPath[] = "/golden_snapshot_v4.blob";
 constexpr uint64_t kGoldenSeed = 77;
 constexpr size_t kGoldenSessions = 500;
 constexpr QueryId kGoldenVocabulary = 100;

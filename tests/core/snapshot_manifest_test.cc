@@ -2,7 +2,7 @@
 // rejection, blob-pin and payload verification at boot — and the committed
 // golden 2-shard manifest that pins the manifest format (and the partition
 // function behind it) as a compatibility contract, exactly like
-// golden_snapshot_v3.blob pins the blob format.
+// golden_snapshot_v4.blob pins the blob format.
 
 #include <gtest/gtest.h>
 

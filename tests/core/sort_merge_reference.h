@@ -31,9 +31,8 @@ class SortMergeReference {
       : snapshot_(std::move(snapshot)) {
     const std::span<const uint8_t> blob = snapshot_->blob_bytes();
     serving::BlobLayout layout;
-    SQP_CHECK(serving::BindBlob(blob.data(), blob.size(), &BindMemory, this,
-                                &layout, &model_) ==
-              serving::BlobError::kNone);
+    SQP_CHECK(serving::BindBlob(blob.data(), blob.size(), &layout,
+                                &model_) == serving::BlobError::kNone);
     path_.resize(model_.sizing.path_depth);
     level_weight_.resize(model_.sizing.path_depth);
     matched_.resize(model_.num_components);
@@ -55,14 +54,8 @@ class SortMergeReference {
     double score = 0.0;
   };
 
-  static uint32_t* BindMemory(void* context, size_t num_nodes) {
-    SortMergeReference* self = static_cast<SortMergeReference*>(context);
-    self->depth_scratch_.resize(num_nodes);
-    return self->depth_scratch_.data();
-  }
-
-  template <typename QT, typename NT>
-  Recommendation RecommendIn(const serving::PoolsRef<QT, NT>& pools,
+  template <typename T>
+  Recommendation RecommendIn(const serving::PoolsRef<T>& pools,
                              std::span<const QueryId> context, size_t top_n) {
     const serving::ModelRef& m = model_;
     Recommendation rec;
@@ -142,7 +135,6 @@ class SortMergeReference {
 
   std::shared_ptr<const CompactSnapshot> snapshot_;  // owns the blob bytes
   serving::ModelRef model_;
-  std::vector<uint32_t> depth_scratch_;
   std::vector<int32_t> path_;
   std::vector<size_t> matched_;
   std::vector<double> weights_;

@@ -42,7 +42,7 @@
 namespace sqp {
 namespace {
 
-constexpr char kGoldenRelPath[] = "/golden_snapshot_v3.blob";
+constexpr char kGoldenRelPath[] = "/golden_snapshot_v4.blob";
 constexpr uint64_t kGoldenSeed = 77;
 constexpr size_t kGoldenSessions = 500;
 constexpr QueryId kGoldenVocabulary = 100;
@@ -386,20 +386,15 @@ TEST(SlimApiTest, SparseWideIdSpaceStaysSmallAndAgreesWithEngine) {
 
 /// The BlobError serving::BindBlob gives `blob`.
 serving::BlobError BindError(const std::vector<uint8_t>& blob) {
-  std::vector<uint32_t> depth;
-  const auto allocate = [](void* context, size_t num_nodes) {
-    std::vector<uint32_t>* depth = static_cast<std::vector<uint32_t>*>(context);
-    depth->resize(num_nodes);
-    return depth->data();
-  };
   serving::BlobLayout layout;
   serving::ModelRef model;
-  return serving::BindBlob(blob.data(), blob.size(), allocate, &depth,
-                           &layout, &model);
+  return serving::BindBlob(blob.data(), blob.size(), &layout, &model);
 }
 
 TEST(SlimApiTest, HostileV2StructureGivesItsOwnErrorInBothReaders) {
-  // CRC-valid blobs that break one v2 invariant each. BindBlob must name
+  // CRC-valid blobs that break one structural invariant each (v2's local
+  // ids, v4's computed child ids) or carry an older version. BindBlob must
+  // name
   // the broken invariant, and the engine (InvalidArgument, with the same
   // message) and slim (SQP_STATUS_INVALID_ARGUMENT) must both refuse it.
   const std::vector<uint8_t> golden = ReadFileBytes(GoldenPath());
@@ -443,12 +438,28 @@ TEST(SlimApiTest, HostileV2StructureGivesItsOwnErrorInBothReaders) {
          StoreLE32(child_begin + 4, LoadLE32(child_begin + 8));
        },
        serving::BlobError::kRootEdgeRun},
-      {"edge child <= its node", serving::kSecEdgeChild,
-       [](uint8_t* edge_child, const serving::BlobLayout&) {
-         StoreLE16(edge_child, 1);  // node 1 -> node 1: a cycle
+      {"edge run not past its node", serving::kSecChildBegin,
+       [](uint8_t* child_begin, const serving::BlobLayout& l) {
+         // Hand every edge to the last node. The offsets stay monotone,
+         // but node base's run now starts at base + 0: its children would
+         // include itself.
+         for (uint64_t node = 1; node < l.num_nodes; ++node) {
+           StoreLE32(child_begin + 4 * node, 0);
+         }
        },
        serving::BlobError::kEdgeBackward},
-      {"v2 blob", serving::kSecMeta,
+      {"root index id >= base", serving::kSecRootIndex,
+       [](uint8_t* root_index, const serving::BlobLayout& l) {
+         const uint64_t base = l.num_nodes - l.num_edges;
+         StoreLE16(root_index, static_cast<uint16_t>(base));
+       },
+       serving::BlobError::kRootIndexRange},
+      {"edges not fewer than nodes", serving::kSecMeta,
+       [](uint8_t* meta, const serving::BlobLayout& l) {
+         StoreLE64(meta + 40, l.num_nodes);
+       },
+       serving::BlobError::kEntryCount},
+      {"v3 blob", serving::kSecMeta,
        [](uint8_t*, const serving::BlobLayout&) {},
        serving::BlobError::kVersionMismatch},
   };
@@ -456,7 +467,7 @@ TEST(SlimApiTest, HostileV2StructureGivesItsOwnErrorInBothReaders) {
     std::vector<uint8_t> blob = golden;
     c.patch(at(&blob, c.section), layout);
     if (c.want == serving::BlobError::kVersionMismatch) {
-      StoreLE32(blob.data() + 8, 2);  // the retired format
+      StoreLE32(blob.data() + 8, 3);  // the retired format
     }
     ResealSection(&blob, c.section);
     EXPECT_EQ(BindError(blob), c.want) << c.name;
