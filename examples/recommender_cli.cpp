@@ -26,7 +26,11 @@
 //                 per-shard blobs at PATH.shard<k> — one at the default
 //                 --shards 1 — indexed by a SnapshotManifest at PATH,
 //                 with the dictionary sidecar at PATH.dict. PATH is
-//                 always a manifest, whatever the shard count
+//                 always a manifest, whatever the shard count. With
+//                 --tail, PATH.dict is rewritten (atomically) whenever
+//                 live queries joined the vocabulary, before the session
+//                 that carries them reaches a retrainer: ids only grow,
+//                 so the newest sidecar maps every blob persisted so far
 //   --load-snapshot PATH
 //                 skip training entirely: cold-boot from the manifest
 //                 --save-snapshot wrote at PATH (shard count comes from
@@ -199,6 +203,16 @@ void PrintFeedbackSummary(const ClosedLoop* loop) {
             << stats.segments_sealed << " segments sealed)\n";
 }
 
+/// Prints a query's text, or "#<id>" for an id the dictionary lacks: a
+/// sidecar written before a live-interned id reached a persisted blob.
+void PrintQuery(const QueryDictionary& dictionary, QueryId id) {
+  if (id < dictionary.size()) {
+    std::cout << dictionary.Text(id);
+  } else {
+    std::cout << '#' << id;
+  }
+}
+
 void PrintRecommendation(const QueryDictionary& dictionary,
                          const std::vector<QueryId>& context,
                          const Recommendation& rec) {
@@ -210,9 +224,9 @@ void PrintRecommendation(const QueryDictionary& dictionary,
   std::cout << "recommendations (used last " << rec.matched_length
             << " queries):\n";
   for (size_t i = 0; i < rec.queries.size(); ++i) {
-    std::cout << "  " << (i + 1) << ". "
-              << dictionary.Text(rec.queries[i].query) << "  ["
-              << rec.queries[i].score << "]\n";
+    std::cout << "  " << (i + 1) << ". ";
+    PrintQuery(dictionary, rec.queries[i].query);
+    std::cout << "  [" << rec.queries[i].score << "]\n";
   }
 }
 
@@ -285,6 +299,21 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::RouterClient> router;  // --connect mode only
   std::unique_ptr<ShardedRetrainerSet> retrainers;  // training mode only
   std::vector<AggregatedSession> example_sessions;
+
+  // --save-snapshot writes the dictionary sidecar at bootstrap and again
+  // whenever live queries grew it. A retrainer may persist a blob holding
+  // a live-interned id as soon as it has the session, so callers persist
+  // before handing sessions over.
+  size_t persisted_dictionary_size = 0;
+  const auto persist_dictionary = [&] {
+    if (cli.save_snapshot.empty() ||
+        dictionary.size() == persisted_dictionary_size) {
+      return;
+    }
+    ExitIfError(SaveDictionary(dictionary, cli.save_snapshot + ".dict"),
+                "persisting the dictionary sidecar");
+    persisted_dictionary_size = dictionary.size();
+  };
 
   if (!cli.connect_host.empty()) {
     // Network client: the manifest supplies the fleet shape and its
@@ -361,8 +390,7 @@ int main(int argc, char** argv) {
     if (!cli.save_snapshot.empty()) {
       // The dictionary rides along so a cold-booting replica can map ids
       // back to query strings.
-      ExitIfError(SaveDictionary(dictionary, cli.save_snapshot + ".dict"),
-                  "persisting the dictionary sidecar");
+      persist_dictionary();
       std::cerr << " wrote manifest + " << engine->num_shards()
                 << " shard blob(s) to " << cli.save_snapshot
                 << " (+ .dict);" << std::flush;
@@ -494,6 +522,7 @@ int main(int argc, char** argv) {
     if (normalized.empty()) {
       flush_batch();
       if (cli.tail && retrainers != nullptr) {
+        persist_dictionary();
         if (loop != nullptr) {
           // Closed loop: the training stream is the feedback log, not raw
           // stdin — clicked impressions (with their contexts) become the
@@ -571,6 +600,7 @@ int main(int argc, char** argv) {
   }
   flush_batch();
   if (cli.tail && retrainers != nullptr) {
+    persist_dictionary();
     if (loop != nullptr) {
       const Result<size_t> consumed =
           retrainers->ConsumeFeedback(cli.feedback_log);

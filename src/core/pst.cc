@@ -5,11 +5,30 @@
 #include <unordered_map>
 
 #include "core/memory_accounting.h"
-#include "util/edge_search.h"
 #include "util/math_util.h"
 
 namespace sqp {
 namespace {
+
+/// Finds the position of `query` in a node's query-sorted child edges, or
+/// -1. Short lists (most nodes below the root) use a branch-friendly linear
+/// scan that stops at the first larger query; longer ones binary search.
+int32_t FindEdgeIndex(std::span<const Pst::Edge> edges, QueryId query) {
+  if (edges.size() <= 8) {
+    for (size_t i = 0; i < edges.size(); ++i) {
+      if (edges[i].query == query) return static_cast<int32_t>(i);
+      if (edges[i].query > query) break;
+    }
+    return -1;
+  }
+  const auto it = std::lower_bound(
+      edges.begin(), edges.end(), query,
+      [](const Pst::Edge& edge, QueryId q) { return edge.query < q; });
+  if (it != edges.end() && it->query == query) {
+    return static_cast<int32_t>(it - edges.begin());
+  }
+  return -1;
+}
 
 void SortNexts(std::vector<NextQueryCount>* nexts) {
   std::sort(nexts->begin(), nexts->end(),
@@ -304,7 +323,7 @@ int32_t Pst::FindChild(int32_t node, QueryId query) const {
   }
   const std::vector<Edge>& children =
       nodes_[static_cast<size_t>(node)].children;
-  const int32_t at = FindEdgeIndex(std::span<const Edge>(children), query);
+  const int32_t at = FindEdgeIndex(children, query);
   return at < 0 ? -1 : children[static_cast<size_t>(at)].child;
 }
 

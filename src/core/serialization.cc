@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "util/file_io.h"
+#include "util/string_util.h"
 
 namespace sqp {
 
@@ -22,9 +23,17 @@ Status LoadDictionary(const std::string& path, QueryDictionary* dictionary) {
   if (!in.is_open()) return Status::IOError("cannot open " + path);
   QueryDictionary loaded;
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    loaded.Intern(line);
+  for (size_t line_number = 1; std::getline(in, line); ++line_number) {
+    // Line k must become id k - 1 with its own text. A skipped, re-used or
+    // re-normalized line would shift every later id onto the wrong string.
+    const QueryId next = static_cast<QueryId>(loaded.size());
+    if (line.empty() || loaded.Intern(line) != next ||
+        loaded.Text(next) != line) {
+      return Status::InvalidArgument(StrFormat(
+          "%s line %zu is not a fresh normalized query; loading it would "
+          "renumber every later id",
+          path.c_str(), line_number));
+    }
   }
   *dictionary = std::move(loaded);
   return Status::OK();

@@ -16,7 +16,10 @@ Status SaveDictionary(const QueryDictionary& dictionary,
                       const std::string& path);
 
 /// Restores a dictionary saved by SaveDictionary; ids are reassigned in
-/// file order, so they match the saving process exactly.
+/// file order, so they match the saving process exactly. A line that is
+/// empty, not normalized, or a repeat of an earlier line would shift every
+/// later id, so it fails the load with InvalidArgument naming the line;
+/// `dictionary` is then left unchanged.
 Status LoadDictionary(const std::string& path, QueryDictionary* dictionary);
 
 }  // namespace sqp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/edge_search.h"
 #include "util/status.h"
 
 namespace sqp {
@@ -75,7 +74,6 @@ void ContextIndex::Build(const std::vector<AggregatedSession>& sessions,
                          Mode mode, size_t max_context_length,
                          size_t /*num_workers*/) {
   trie_.clear();
-  edges_.clear();
   entries_.clear();
   entry_nodes_.clear();
   children_.Reset();
@@ -100,13 +98,8 @@ void ContextIndex::Append(const std::vector<AggregatedSession>& sessions) {
 void ContextIndex::Finalize() {
   entries_.clear();
   entry_nodes_.clear();
-  edges_.clear();
   total_occurrences_ = 0;
-  for (TrieNode& node : trie_) {
-    node.entry = -1;
-    node.edges_begin = 0;
-    node.edges_end = 0;
-  }
+  for (TrieNode& node : trie_) node.entry = -1;
 
   // Flatten the count table into per-node next lists: one counting pass
   // sizes each node's bucket, a second scatters the (next, count) pairs
@@ -181,46 +174,6 @@ void ContextIndex::Finalize() {
   for (size_t i = 0; i < entry_nodes_.size(); ++i) {
     trie_[static_cast<size_t>(entry_nodes_[i])].entry = static_cast<int32_t>(i);
   }
-
-  // CSR child arrays, query-sorted per node, derived from the parent links
-  // (independent of hash-table layout, hence deterministic by construction).
-  std::vector<TrieEdge> all_edges;
-  all_edges.reserve(trie_.size() - 1);
-  std::vector<int32_t> edge_parent;
-  edge_parent.reserve(trie_.size() - 1);
-  std::vector<int32_t> edge_order(trie_.size() > 0 ? trie_.size() - 1 : 0);
-  for (size_t i = 1; i < trie_.size(); ++i) {
-    all_edges.push_back(TrieEdge{trie_[i].edge, static_cast<int32_t>(i)});
-    edge_parent.push_back(trie_[i].parent);
-    edge_order[i - 1] = static_cast<int32_t>(i - 1);
-  }
-  std::sort(edge_order.begin(), edge_order.end(), [&](int32_t a, int32_t b) {
-    if (edge_parent[static_cast<size_t>(a)] !=
-        edge_parent[static_cast<size_t>(b)]) {
-      return edge_parent[static_cast<size_t>(a)] <
-             edge_parent[static_cast<size_t>(b)];
-    }
-    return all_edges[static_cast<size_t>(a)].query <
-           all_edges[static_cast<size_t>(b)].query;
-  });
-  edges_.reserve(all_edges.size());
-  for (size_t i = 0; i < edge_order.size();) {
-    const int32_t parent = edge_parent[static_cast<size_t>(edge_order[i])];
-    TrieNode& parent_node = trie_[static_cast<size_t>(parent)];
-    parent_node.edges_begin = static_cast<uint32_t>(edges_.size());
-    while (i < edge_order.size() &&
-           edge_parent[static_cast<size_t>(edge_order[i])] == parent) {
-      edges_.push_back(all_edges[static_cast<size_t>(edge_order[i])]);
-      ++i;
-    }
-    parent_node.edges_end = static_cast<uint32_t>(edges_.size());
-  }
-}
-
-int32_t ContextIndex::FindChild(int32_t node, QueryId query) const {
-  const std::span<const TrieEdge> kids = trie_children(node);
-  const int32_t at = FindEdgeIndex(kids, query);
-  return at < 0 ? -1 : kids[static_cast<size_t>(at)].node;
 }
 
 const ContextEntry* ContextIndex::Lookup(
@@ -228,8 +181,10 @@ const ContextEntry* ContextIndex::Lookup(
   if (context.empty() || trie_.empty()) return nullptr;
   int32_t node = 0;
   for (size_t back = 0; back < context.size(); ++back) {
-    node = FindChild(node, context[context.size() - 1 - back]);
-    if (node < 0) return nullptr;
+    const uint64_t* child =
+        children_.Find(PackKey(node, context[context.size() - 1 - back]));
+    if (child == nullptr) return nullptr;
+    node = static_cast<int32_t>(*child);
   }
   return entry_at(node);
 }

@@ -30,19 +30,14 @@ namespace sqp {
 /// contiguous node pool, contexts identified by node index, counts
 /// accumulated in a single pass over sessions through flat (node, query)
 /// hash tables — no per-substring key vectors or per-substring allocations.
-/// Because the trie reads contexts newest-first, a node's trie parent is its
-/// context minus the *oldest* query, which is exactly the PST parent
-/// relation; Pst construction walks this trie directly.
+/// The trie's one child map is the counting table (parent node, query) ->
+/// child; nodes keep only their parent link. Because the trie reads
+/// contexts newest-first, a node's trie parent is its context minus the
+/// *oldest* query, which is exactly the PST parent relation; Pst
+/// construction follows these parent links and never a child list.
 class ContextIndex {
  public:
   enum class Mode { kPrefix, kSubstring };
-
-  /// One labeled child edge in the arena trie. The edges of a node are
-  /// contiguous and sorted by `query` ascending.
-  struct TrieEdge {
-    QueryId query = kInvalidQueryId;
-    int32_t node = 0;
-  };
 
   ContextIndex() = default;
 
@@ -54,14 +49,15 @@ class ContextIndex {
 
   /// Extends an already-built index with additional sessions, preserving the
   /// construction mode and depth bound. Counting touches only the appended
-  /// sessions (the persistent count tables absorb them); the entry list and
-  /// child arrays are then re-finalized. Equivalent to a from-scratch Build
-  /// over the concatenation of every session batch seen so far. Requires a
-  /// prior Build.
+  /// sessions (the persistent count tables absorb them); the entry list is
+  /// then re-finalized. Equivalent to a from-scratch Build over the
+  /// concatenation of every session batch seen so far. Requires a prior
+  /// Build.
   void Append(const std::vector<AggregatedSession>& sessions);
 
-  /// Returns the entry for `context`, or nullptr if unseen. Walks the trie;
-  /// no key materialization.
+  /// Returns the entry for `context`, or nullptr if the context is unseen or
+  /// its trie node carries no entry (a kPrefix interior node). Walks the
+  /// counting child map newest query first; no key materialization.
   const ContextEntry* Lookup(std::span<const QueryId> context) const;
 
   /// All entries in deterministic order (by context length, then
@@ -102,13 +98,6 @@ class ContextIndex {
     return trie_[static_cast<size_t>(node)].depth;
   }
 
-  /// Child edges of `node`, sorted by query ascending.
-  std::span<const TrieEdge> trie_children(int32_t node) const {
-    const TrieNode& n = trie_[static_cast<size_t>(node)];
-    return std::span<const TrieEdge>(edges_.data() + n.edges_begin,
-                                     n.edges_end - n.edges_begin);
-  }
-
   /// Entry stored at a trie node; nullptr for the root and for auxiliary
   /// nodes that never accumulated counts.
   const ContextEntry* entry_at(int32_t node) const {
@@ -128,11 +117,7 @@ class ContextIndex {
     uint32_t depth = 0;
     int32_t entry = -1;       // index into entries_, -1 if none
     uint64_t start_count = 0;  // weighted occurrences at session start
-    uint32_t edges_begin = 0;
-    uint32_t edges_end = 0;
   };
-
-  int32_t FindChild(int32_t node, QueryId query) const;
 
   /// Walks (creating on demand) the child of `from` along `q`, mirrored in
   /// the persistent (parent, query) -> child table.
@@ -142,18 +127,18 @@ class ContextIndex {
   /// persistent tables.
   void CountSessions(const std::vector<AggregatedSession>& sessions);
 
-  /// Rebuilds entries_/entry_nodes_/CSR edges/total_occurrences_ from the
-  /// main trie and the persistent count table. Idempotent; called after
-  /// every counting pass (Build and Append).
+  /// Rebuilds entries_/entry_nodes_/total_occurrences_ from the main trie
+  /// and the persistent count table. Idempotent; called after every
+  /// counting pass (Build and Append).
   void Finalize();
 
   std::vector<TrieNode> trie_;
-  std::vector<TrieEdge> edges_;        // CSR child arrays, query-sorted
   std::vector<ContextEntry> entries_;  // sorted by (length, lex context)
   std::vector<int32_t> entry_nodes_;   // entries_[i] lives at this trie node
   /// Persistent counting state, kept alive so Append can extend the index
   /// without re-counting old sessions.
-  FlatU64Map children_;  // (parent node, edge query) -> child node id
+  FlatU64Map children_;  // (parent node, edge query) -> child node id;
+                         // the trie's only child map
   FlatU64Map counts_;    // (node, next query) -> weighted count
   Mode mode_ = Mode::kPrefix;
   size_t max_context_length_ = 0;

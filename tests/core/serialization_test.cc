@@ -70,6 +70,32 @@ TEST_F(SerializationTest, DictionaryResaveLeavesOpenReadersTheOldFile) {
   EXPECT_EQ(reloaded.Text(0), "java");
 }
 
+TEST_F(SerializationTest, DictionaryLoadRefusesLinesThatWouldRenumberIds) {
+  // Each sidecar is two good lines around one bad one; the bad line sits on
+  // line 2, so the error names it and the target dictionary is untouched.
+  const std::vector<std::string> bad_lines = {
+      "",               // skipped, every later id would shift down
+      "kidney stones",  // repeat, interned to id 0 instead of 1
+      "Kidney Stones",  // normalizes onto line 1's text
+      "nokia  n73",     // normalizes to different text than it stores
+  };
+  for (const std::string& bad : bad_lines) {
+    SCOPED_TRACE("bad line: \"" + bad + "\"");
+    {
+      std::ofstream out(path_, std::ios::trunc);
+      out << "kidney stones\n" << bad << "\nnokia n73\n";
+    }
+    QueryDictionary dict;
+    dict.Intern("untouched");
+    const Status status = LoadDictionary(path_, &dict);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("line 2"), std::string::npos)
+        << status.ToString();
+    ASSERT_EQ(dict.size(), 1u);
+    EXPECT_EQ(dict.Text(0), "untouched");
+  }
+}
+
 TEST_F(SerializationTest, DictionaryLoadMissingFileFails) {
   QueryDictionary dict;
   EXPECT_EQ(LoadDictionary("/nonexistent/dict.txt", &dict).code(),

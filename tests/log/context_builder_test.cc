@@ -103,6 +103,20 @@ TEST(ContextIndexPrefixTest, PrefixContextsAlwaysStartSessions) {
   }
 }
 
+TEST(ContextIndexPrefixTest, LookupOfInteriorNodeIsNull) {
+  constexpr QueryId kA = 3, kB = 4, kC = 5;
+  ContextIndex index;
+  index.Build({{{kA, kB, kC}, 2}}, ContextIndex::Mode::kPrefix);
+  // The trie is keyed newest query first, so counting [a, b] passes through
+  // a node for [b]. [b] is no session prefix: that node carries no entry.
+  EXPECT_EQ(index.Lookup(std::vector<QueryId>{kB}), nullptr);
+  const ContextEntry* ab = index.Lookup(std::vector<QueryId>{kA, kB});
+  ASSERT_NE(ab, nullptr);
+  EXPECT_EQ(ab->context, (std::vector<QueryId>{kA, kB}));
+  EXPECT_EQ(CountFor(ab, kC), 2u);
+  EXPECT_EQ(index.Lookup(std::vector<QueryId>{kC}), nullptr);
+}
+
 TEST(ContextIndexTest, MaxContextLengthBound) {
   ContextIndex index;
   index.Build(TableIISessions(), ContextIndex::Mode::kSubstring,

@@ -170,18 +170,6 @@ TEST_P(ContextIndexPropertyTest, TrieAccessorsConsistentWithEntries) {
   }
 }
 
-TEST_P(ContextIndexPropertyTest, TrieChildEdgesSortedAndLinked) {
-  for (size_t node = 0; node < index_.num_trie_nodes(); ++node) {
-    const auto kids = index_.trie_children(static_cast<int32_t>(node));
-    for (size_t i = 0; i < kids.size(); ++i) {
-      if (i > 0) {
-        EXPECT_LT(kids[i - 1].query, kids[i].query);
-      }
-      EXPECT_EQ(index_.trie_parent(kids[i].node), static_cast<int32_t>(node));
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     ModeSweep, ContextIndexPropertyTest,
     ::testing::Combine(::testing::Values(0, 1),
